@@ -1,16 +1,14 @@
 //! B9: the rewrite execution path end to end — the general Figure-6
 //! translation route (`run_general`: optimize → translate → evaluate →
 //! decode) with the rewrite path **on** (Section-6 optimizer + canonical
-//! CSE + process-level plan/result caches, the production default) versus
+//! CSE + the process-level plan cache, the production default) versus
 //! **off** (`WSDB_NO_REWRITE` semantics: the PR-3-era path), across a
 //! worlds × departures grid.
 //!
-//! `on` measures the steady state of a repeated query: after the first
-//! call, the content-verified result cache answers without translating,
-//! evaluating, or decoding. `off_coldcache` measures the full computation
-//! every call. The ratio is the Section-5.3 story made concrete: the
-//! general translation is viable *because* the algebraic machinery around
-//! it can be amortized.
+//! `on` measures the steady state of a repeated query: every call
+//! optimizes, translates and decodes again, and the evaluation of the
+//! translated plans in between is answered by the content-verified plan
+//! cache. `off_coldcache` measures the full computation every call.
 
 use std::time::Duration;
 
@@ -65,7 +63,7 @@ fn bench_rewrite_pipeline(c: &mut Criterion) {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());
             });
 
-            // The escape-hatch path: no optimizer, no plan/result caches.
+            // The escape-hatch path: no optimizer, no plan cache.
             relalg::plan_cache::set_enabled(Some(false));
             group.bench_with_input(BenchmarkId::new("off_coldcache", &label), &n_dep, |b, _| {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());

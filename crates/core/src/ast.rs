@@ -174,6 +174,35 @@ impl Query {
         }
     }
 
+    /// The base-relation names the query references, in left-to-right order
+    /// of occurrence (a name referenced twice appears twice).
+    pub fn rel_names(&self) -> Vec<String> {
+        fn collect(q: &Query, out: &mut Vec<String>) {
+            match q {
+                Query::Rel(name) => out.push(name.clone()),
+                Query::Select(_, inner)
+                | Query::Project(_, inner)
+                | Query::Rename(_, inner)
+                | Query::Choice(_, inner)
+                | Query::Poss(inner)
+                | Query::Cert(inner)
+                | Query::PossGroup { input: inner, .. }
+                | Query::CertGroup { input: inner, .. }
+                | Query::RepairKey(_, inner) => collect(inner, out),
+                Query::Product(a, b)
+                | Query::Union(a, b)
+                | Query::Intersect(a, b)
+                | Query::Difference(a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out
+    }
+
     /// Whether the query contains any world-set operator (χ, poss, cert,
     /// γ, repair). A query without them is plain relational algebra.
     pub fn is_relational(&self) -> bool {

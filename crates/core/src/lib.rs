@@ -39,4 +39,4 @@ pub use factorized::{
 };
 pub use genericity::{check_generic, query_constants};
 pub use program::{eval_program, Program, Statement};
-pub use semantics::{eval, eval_named};
+pub use semantics::{eval, eval_named, repairs_by_key};

@@ -413,122 +413,6 @@ pub fn translate_complete(
     Ok(answer.project(d))
 }
 
-/// Process-level result cache for [`run_general`]: the same WSA query run
-/// against an unchanged representation returns the previously decoded
-/// world-set. Like `relalg::plan_cache`, soundness is content-addressed —
-/// a hit requires the cached input tables to equal the current ones — so
-/// stale entries can never serve wrong data. Bounded; cleared wholesale on
-/// overflow.
-struct ResultEntry {
-    query: Query,
-    answer_name: String,
-    names: Vec<String>,
-    id_attrs: Vec<Attr>,
-    tables: Vec<Relation>,
-    world_table: Relation,
-    out: WorldSet,
-}
-
-/// The cache is sharded 16 ways (the same scheme as the value interner and
-/// `relalg::plan_cache`) so concurrent world-set pipelines hitting
-/// different queries don't serialize on one mutex; a query's shard is the
-/// hash of `(query, answer_name)`.
-const RESULT_CACHE_SHARDS: usize = 16;
-
-static RESULT_CACHE: [std::sync::Mutex<Vec<ResultEntry>>; RESULT_CACHE_SHARDS] =
-    [const { std::sync::Mutex::new(Vec::new()) }; RESULT_CACHE_SHARDS];
-
-/// Maximum number of cached translation-route results per shard.
-const RESULT_CACHE_SHARD_CAP: usize = 4;
-
-fn result_cache_shard(q: &Query, answer_name: &str) -> &'static std::sync::Mutex<Vec<ResultEntry>> {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    q.hash(&mut h);
-    answer_name.hash(&mut h);
-    &RESULT_CACHE[h.finish() as usize % RESULT_CACHE_SHARDS]
-}
-
-/// Largest representation (total input tuples) worth pinning in the result
-/// cache — entries own a copy of their inputs for content verification, so
-/// unbounded representations would pin unbounded memory.
-const RESULT_CACHE_MAX_TUPLES: usize = 1 << 17;
-
-/// Total tuple count of a representation (cache admission / verification
-/// cost bound).
-fn rep_tuples(rep: &InlinedRep) -> usize {
-    rep.tables.iter().map(Relation::len).sum::<usize>() + rep.world_table.len()
-}
-
-impl ResultEntry {
-    fn matches(&self, q: &Query, rep: &InlinedRep, answer_name: &str) -> bool {
-        self.query == *q
-            && self.answer_name == answer_name
-            && self.names == rep.names
-            && self.id_attrs == rep.id_attrs
-            // Table verification is O(1) per table on the hot path: the
-            // epoch tag decides (clones share their constructor's tag),
-            // and the content comparison inside `fast_eq` only runs for
-            // independently rebuilt, content-equal representations.
-            && self.world_table.fast_eq(&rep.world_table)
-            && self.tables.len() == rep.tables.len()
-            && self
-                .tables
-                .iter()
-                .zip(&rep.tables)
-                .all(|(cached, cur)| cached.fast_eq(cur))
-    }
-}
-
-/// Run the general translation end to end: encode nothing (the `rep` is
-/// given), evaluate every translated table with a relational engine, and
-/// decode the resulting representation back into a world-set.
-///
-/// When the rewrite path is on (the default; `WSDB_NO_REWRITE` or
-/// [`relalg::plan_cache::set_enabled`] turn it off), the WSA query first
-/// runs through the Section-6 logical optimizer with real base-table
-/// cardinalities, the translated expressions are algebraically simplified,
-/// and evaluation goes through the canonical-form caches — structurally
-/// identical subplans (the base-table joins copied per table) evaluate
-/// once. Re-running the same query against the same representation is a
-/// content-verified result-cache hit that skips translation, evaluation
-/// and decoding entirely.
-///
-/// `run_general(q, encode(A)).rep()` must equal the direct Figure-3
-/// semantics `⟦q⟧(A)` — the conservativity tests check exactly this, with
-/// the rewrite path both on and off.
-pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<WorldSet> {
-    let rewrite = relalg::plan_cache::rewrite_enabled();
-    let cacheable = rewrite && rep_tuples(rep) <= RESULT_CACHE_MAX_TUPLES;
-    if cacheable {
-        let cache = result_cache_shard(q, answer_name)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if let Some(e) = cache.iter().find(|e| e.matches(q, rep, answer_name)) {
-            return Ok(e.out.clone());
-        }
-    }
-    let out = run_general_uncached(q, rep, answer_name, rewrite)?;
-    if cacheable {
-        let mut cache = result_cache_shard(q, answer_name)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if cache.len() >= RESULT_CACHE_SHARD_CAP {
-            cache.clear();
-        }
-        cache.push(ResultEntry {
-            query: q.clone(),
-            answer_name: answer_name.to_string(),
-            names: rep.names.clone(),
-            id_attrs: rep.id_attrs.clone(),
-            tables: rep.tables.clone(),
-            world_table: rep.world_table.clone(),
-            out: out.clone(),
-        });
-    }
-    Ok(out)
-}
-
 /// Implicit-world estimate at which [`run_general`] diverts to factorized
 /// execution. The translation route is itself succinct — implicit worlds
 /// appear only as rows of the answer's world table, never as materialized
@@ -556,12 +440,23 @@ fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
     })
 }
 
-fn run_general_uncached(
-    q: &Query,
-    rep: &InlinedRep,
-    answer_name: &str,
-    rewrite: bool,
-) -> Result<WorldSet> {
+/// Run the general translation end to end: encode nothing (the `rep` is
+/// given), evaluate every translated table with a relational engine, and
+/// decode the resulting representation back into a world-set.
+///
+/// When the rewrite path is on (the default; `WSDB_NO_REWRITE` or
+/// [`relalg::plan_cache::set_enabled`] turn it off), the WSA query first
+/// runs through the Section-6 logical optimizer with real base-table
+/// cardinalities, the translated expressions are algebraically simplified,
+/// and evaluation goes through the canonical-form caches — structurally
+/// identical subplans (the base-table joins copied per table) evaluate
+/// once.
+///
+/// `run_general(q, encode(A)).rep()` must equal the direct Figure-3
+/// semantics `⟦q⟧(A)` — the conservativity tests check exactly this, with
+/// the rewrite path both on and off.
+pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<WorldSet> {
+    let rewrite = relalg::plan_cache::rewrite_enabled();
     // Factorized leg: when the estimated implicit world count is large
     // enough that the translation route would materialize it row by row
     // in the answer's world table, decode the (explicitly small)

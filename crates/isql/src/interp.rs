@@ -14,9 +14,12 @@
 //!   must be uncorrelated);
 //! * a per-world evaluator for world-construct-free subqueries, supporting
 //!   correlation through a scope stack (used by `in`/`exists` and scalar
-//!   subqueries, e.g. the TPC-H what-if query of Section 2).
+//!   subqueries, e.g. the TPC-H what-if query of Section 2). A subquery
+//!   that reads nothing of its outer rows is evaluated once per world:
+//!   [`Scopes`] keeps its answer for the remaining rows.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use relalg::{Attr, Relation, Schema, Tuple, Value};
 use worldset::{World, WorldSet};
@@ -65,8 +68,8 @@ pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Resul
 
 /// One relation's contribution to the optimizer-memo key: name plus
 /// **epoch tag** — an O(1) content identifier (equal tags imply identical
-/// schema, tuples, and therefore statistics), so DML or a differently
-/// laid-out session invalidates the memoized choice automatically. The
+/// schema, tuples, and therefore statistics), so DML on the relation
+/// invalidates the memoized choice automatically. The
 /// statistics themselves are *not* part of the key: they are a pure
 /// function of the content the tag identifies, and are computed lazily —
 /// only for the relations the cost model actually asks about.
@@ -91,27 +94,26 @@ fn table_stats_of(rel: &relalg::Relation) -> wsa_rewrite::TableStats {
 /// Process-level memo for the optimizer search: re-running the same
 /// statement against unchanged relations must not pay the best-first
 /// search again (the search is the route's only fixed cost, and it dwarfs
-/// small-query execution). Keyed by the compiled algebra, the relation
-/// fingerprints (name + epoch), the input multiplicity and the search
-/// budget; the value is the optimized plan (`None` when rewriting found
-/// nothing). `stats` is consulted only on a miss, and only for the tables
-/// the cost model queries.
-type OptKey = (wsa::Query, Vec<RelFingerprint>, bool, usize);
+/// small-query execution). Keyed by the compiled algebra, the fingerprints
+/// (name + epoch) of the relations it names and the input multiplicity;
+/// the value is the optimized plan (`None` when rewriting found nothing).
+/// Statistics are consulted only on a miss, and only for the tables the
+/// cost model queries.
+type OptKey = (wsa::Query, Vec<RelFingerprint>, bool);
 
 fn optimize_memoized(
     algebra: &wsa::Query,
     base: &dyn Fn(&str) -> Option<Schema>,
-    fingerprints: Vec<RelFingerprint>,
-    stats: &dyn Fn(&str) -> Option<wsa_rewrite::TableStats>,
-    many_worlds: bool,
-    cap: usize,
+    ws: &WorldSet,
 ) -> Option<wsa::Query> {
     use std::collections::HashMap;
     use std::sync::Mutex;
     static MEMO: Mutex<Option<HashMap<OptKey, Option<wsa::Query>>>> = Mutex::new(None);
     const MEMO_CAP: usize = 256;
+    const SEARCH_CAP: usize = 20_000;
 
-    let key: OptKey = (algebra.clone(), fingerprints, many_worlds, cap);
+    let many_worlds = ws.len() > 1;
+    let key: OptKey = (algebra.clone(), card_fingerprint(algebra, ws), many_worlds);
     {
         let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(hit) = guard.get_or_insert_with(HashMap::new).get(&key) {
@@ -123,10 +125,14 @@ fn optimize_memoized(
     } else {
         wsa::typing::Multiplicity::One
     };
+    let stats = |name: &str| -> Option<wsa_rewrite::TableStats> {
+        let idx = ws.index_of(name)?;
+        Some(table_stats_of(ws.iter().next()?.rel(idx)))
+    };
     let ctx = wsa_rewrite::RewriteCtx::new(base)
-        .with_stats(stats)
+        .with_stats(&stats)
         .with_multiplicity(multiplicity);
-    let optimized = wsa_rewrite::optimize_capped(algebra, &ctx, cap).0;
+    let optimized = wsa_rewrite::optimize_capped(algebra, &ctx, SEARCH_CAP).0;
     let result = if optimized == *algebra {
         None
     } else {
@@ -141,19 +147,24 @@ fn optimize_memoized(
     result
 }
 
-/// The relations as seen in the first world — the fingerprint the
-/// optimizer memo keys on (DML or a different session layout invalidates
-/// the memoized plan choice).
-fn card_fingerprint(ws: &WorldSet) -> Vec<RelFingerprint> {
-    match ws.iter().next() {
-        None => Vec::new(),
-        Some(w) => ws
-            .rel_names()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), w.rel(i).epoch()))
-            .collect(),
-    }
+/// The relations `algebra` names, as seen in the first world — the
+/// fingerprint the optimizer memo keys on: DML on one of them invalidates
+/// the memoized plan choice, while a commit on another table or an answer
+/// the session keeps leaves the key alone.
+fn card_fingerprint(algebra: &wsa::Query, ws: &WorldSet) -> Vec<RelFingerprint> {
+    let Some(w) = ws.iter().next() else {
+        return Vec::new();
+    };
+    let mut names = algebra.rel_names();
+    names.sort_unstable();
+    names.dedup();
+    names
+        .into_iter()
+        .filter_map(|n| {
+            let epoch = w.rel(ws.index_of(&n)?).epoch();
+            Some((n, epoch))
+        })
+        .collect()
 }
 
 /// The algebra fast path of [`eval_select_ws`]; `None` means "use the
@@ -174,19 +185,7 @@ fn try_rewrite_route_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Opt
         Some(ws.iter().next()?.rel(idx).schema().clone())
     };
     let algebra = crate::compile::compile_select(stmt, &base).ok()?;
-    let stats = |name: &str| -> Option<wsa_rewrite::TableStats> {
-        let idx = ws.index_of(name)?;
-        Some(table_stats_of(ws.iter().next()?.rel(idx)))
-    };
-    let optimized = optimize_memoized(
-        &algebra,
-        &base,
-        card_fingerprint(ws),
-        &stats,
-        ws.len() > 1,
-        20_000,
-    );
-    let query = match optimized {
+    let query = match optimize_memoized(&algebra, &base, ws) {
         Some(q) => q,
         None if wsa::should_factorize(&algebra, ws) => algebra,
         None => return None,
@@ -248,7 +247,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
     // (2) Where (minus pushed conjuncts): hoist world-splitting subqueries,
     // then filter per world.
     let base_cond = match &plan {
-        Some(p) => p.residual.clone(),
+        Some(p) => conjoin(&p.residual),
         None => stmt.where_cond.clone(),
     };
     let mut hoisted: Vec<String> = Vec::new();
@@ -263,15 +262,13 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
     let acc_idx = cur.index_of(&acc_name).expect("working relation present");
     if let Some(cond) = &cond {
         cur = cur.par_map_worlds(|w| {
-            let acc = w.rel(acc_idx);
-            let mut keep = Vec::new();
-            for row in acc.iter() {
-                let mut scopes = vec![(acc.schema().clone(), row.clone())];
-                if eval_cond(cond, w, cur_names(&cur), &mut scopes)? {
-                    keep.push(row.clone());
-                }
-            }
-            let filtered = Relation::from_rows(acc.schema().clone(), keep).map_err(rel_err)?;
+            let filtered = filter_rows(
+                w.rel(acc_idx),
+                &[cond],
+                w,
+                cur.rel_names(),
+                &mut Scopes::new(),
+            )?;
             Ok(replace_rel(w, acc_idx, filtered))
         })?;
     }
@@ -303,7 +300,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
         cur = cur.par_flat_map_worlds(|w| {
             let acc = w.rel(acc_idx);
             let attrs = resolve_cols(&cols, acc.schema())?;
-            let repairs = repairs_by_key(acc, &attrs)?;
+            let repairs = wsa::repairs_by_key(acc, &attrs).map_err(rel_err)?;
             Ok(repairs
                 .into_iter()
                 .map(|r| replace_rel(w, acc_idx, r))
@@ -345,7 +342,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
                                 "group worlds by subquery must not use world constructs".into(),
                             ));
                         }
-                        eval_select_local(q, w, &names_snapshot, &mut Vec::new())
+                        eval_select_local(q, w, &names_snapshot, &mut Scopes::new())
                     }
                 }
             };
@@ -396,10 +393,6 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
     let mut names: Vec<String> = kept.rel_names().to_vec();
     *names.last_mut().expect("answer present") = out_name.to_string();
     Ok(kept.with_rel_names(names))
-}
-
-fn cur_names(ws: &WorldSet) -> &[String] {
-    ws.rel_names()
 }
 
 fn replace_rel(w: &World, idx: usize, rel: Relation) -> World {
@@ -509,10 +502,11 @@ fn resolve_cols(cols: &[ColRef], schema: &Schema) -> Result<Vec<Attr>> {
 /// pushed into it: per from-item a selection predicate (applies to that
 /// item alone) and a join predicate (links the item to the accumulated
 /// product — `theta_join` extracts its equi-conjuncts into a hash join),
-/// plus the residual condition left for row-wise evaluation.
-struct PushdownPlan {
+/// plus the residual conjuncts left for row-wise evaluation (borrowed from
+/// the statement, so the subqueries in them keep their node identity).
+struct PushdownPlan<'q> {
     per_item: Vec<(relalg::Pred, relalg::Pred)>,
-    residual: Option<Cond>,
+    residual: Vec<&'q Cond>,
 }
 
 /// Attempt a pushdown plan for `stmt`'s where-condition.
@@ -529,12 +523,12 @@ struct PushdownPlan {
 /// a guaranteed row-wise error, so planning aborts to preserve it; in the
 /// per-world evaluator the column may be correlated to an outer scope, so
 /// the conjunct just stays in the residual.
-fn plan_pushdown(
-    stmt: &SelectStmt,
+fn plan_pushdown<'q>(
+    stmt: &'q SelectStmt,
     bail_on_unresolved: bool,
     schema_of: impl Fn(&str, &str) -> Option<Schema>,
-) -> Option<PushdownPlan> {
-    stmt.where_cond.as_ref()?;
+) -> Option<PushdownPlan<'q>> {
+    let where_cond = stmt.where_cond.as_ref()?;
     let mut item_schemas: Vec<Schema> = Vec::with_capacity(stmt.from.len());
     for item in &stmt.from {
         let FromItem::Table { name, alias } = item else {
@@ -553,16 +547,13 @@ fn plan_pushdown(
     )?;
 
     let mut conjuncts = Vec::new();
-    split_conjuncts(
-        stmt.where_cond.clone().expect("checked above"),
-        &mut conjuncts,
-    );
+    split_conjuncts(where_cond, &mut conjuncts);
     let mut per_item = vec![(relalg::Pred::True, relalg::Pred::True); stmt.from.len()];
-    let mut residual: Vec<Cond> = Vec::new();
+    let mut residual = Vec::new();
     for c in conjuncts {
-        match conjunct_to_pred(&c, &full) {
+        match conjunct_to_pred(c, &full) {
             None => {
-                if bail_on_unresolved && cond_mentions_unresolvable_col(&c, &full) {
+                if bail_on_unresolved && cond_mentions_unresolvable_col(c, &full) {
                     // The residual conjunct names a column the product does
                     // not have. Without outer scopes that is an error the
                     // row-wise evaluator would raise on any surviving row —
@@ -595,27 +586,25 @@ fn plan_pushdown(
             }
         }
     }
-    Some(PushdownPlan {
-        per_item,
-        residual: conjoin(residual),
-    })
+    Some(PushdownPlan { per_item, residual })
 }
 
 /// Flatten a condition into its top-level conjuncts.
-fn split_conjuncts(cond: Cond, out: &mut Vec<Cond>) {
+fn split_conjuncts<'q>(cond: &'q Cond, out: &mut Vec<&'q Cond>) {
     match cond {
         Cond::And(a, b) => {
-            split_conjuncts(*a, out);
-            split_conjuncts(*b, out);
+            split_conjuncts(a, out);
+            split_conjuncts(b, out);
         }
         other => out.push(other),
     }
 }
 
 /// Re-assemble conjuncts into one condition (`None` when all were pushed).
-fn conjoin(conds: Vec<Cond>) -> Option<Cond> {
+fn conjoin(conds: &[&Cond]) -> Option<Cond> {
     conds
-        .into_iter()
+        .iter()
+        .map(|c| (*c).clone())
         .reduce(|a, b| Cond::And(Box::new(a), Box::new(b)))
 }
 
@@ -696,39 +685,6 @@ fn qualified_schema(schema: &Schema, alias: &str) -> Option<Schema> {
     )
 }
 
-/// All repairs of `rel` under `key` (same construction as
-/// `wsa::repair`, local to the interpreter).
-fn repairs_by_key(rel: &Relation, key: &[Attr]) -> Result<Vec<Relation>> {
-    if rel.is_empty() {
-        return Ok(vec![rel.clone()]);
-    }
-    let key_idx: Vec<usize> = key
-        .iter()
-        .map(|a| rel.schema().index_of(a).expect("resolved"))
-        .collect();
-    let mut groups: BTreeMap<Tuple, Vec<Tuple>> = BTreeMap::new();
-    for t in rel.iter() {
-        let k: Tuple = key_idx.iter().map(|&i| t[i]).collect();
-        groups.entry(k).or_default().push(t.clone());
-    }
-    let mut picks: Vec<Vec<Tuple>> = vec![vec![]];
-    for tuples in groups.values() {
-        let mut next = Vec::with_capacity(picks.len() * tuples.len());
-        for partial in &picks {
-            for t in tuples {
-                let mut ext = partial.clone();
-                ext.push(t.clone());
-                next.push(ext);
-            }
-        }
-        picks = next;
-    }
-    picks
-        .into_iter()
-        .map(|rows| Relation::from_rows(rel.schema().clone(), rows).map_err(rel_err))
-        .collect()
-}
-
 /// Hoist where-subqueries that use world constructs: evaluate each as a
 /// world-set operation materializing a relation `#h{i}`, and rewrite the
 /// condition to reference it. Such subqueries must be uncorrelated.
@@ -802,23 +758,73 @@ fn materialized_ref(name: &str) -> SelectStmt {
 
 // ---- per-world evaluation ----
 
-/// Scope stack for correlated subqueries: innermost last.
-type Scopes = Vec<(Schema, Tuple)>;
+/// Per-world evaluation state: the scope stack that correlated subqueries
+/// resolve outer columns against (innermost last), and the answers of the
+/// subqueries that turned out not to be correlated.
+///
+/// A subquery's answer is a function of the world and of the outer rows it
+/// reads. [`eval_scalar`] records the lowest stack index any column
+/// resolved at; a subquery during whose evaluation nothing — at any
+/// nesting depth — resolved below its own base depth read no outer row, so
+/// its answer holds for every later row of the same world and is kept
+/// under the subquery's node address. `'q` ties that address to the
+/// statement: every subquery evaluated against a `Scopes` outlives it.
+///
+/// One `Scopes` serves one world; worlds evaluate in parallel and share
+/// nothing mutable.
+pub(crate) struct Scopes<'q> {
+    stack: Vec<(Schema, Tuple)>,
+    memo: Vec<(&'q SelectStmt, Arc<Relation>)>,
+    lowest: usize,
+}
+
+impl Scopes<'_> {
+    pub(crate) fn new() -> Self {
+        Scopes {
+            stack: Vec::new(),
+            memo: Vec::new(),
+            lowest: usize::MAX,
+        }
+    }
+
+    fn push(&mut self, schema: &Schema, row: &Tuple) {
+        self.stack.push((schema.clone(), row.clone()));
+    }
+
+    fn pop(&mut self) {
+        self.stack.pop();
+    }
+}
+
+/// Evaluate the subquery `q` for the current outer rows, once per world
+/// when it reads none of them (see [`Scopes`]).
+fn eval_subquery<'q>(
+    q: &'q SelectStmt,
+    world: &World,
+    names: &[String],
+    scopes: &mut Scopes<'q>,
+) -> Result<Arc<Relation>> {
+    if let Some((_, hit)) = scopes.memo.iter().find(|(k, _)| std::ptr::eq(*k, q)) {
+        return Ok(hit.clone());
+    }
+    let base = scopes.stack.len();
+    let enclosing = std::mem::replace(&mut scopes.lowest, usize::MAX);
+    let rel = Arc::new(eval_select_local(q, world, names, scopes)?);
+    if scopes.lowest >= base {
+        scopes.memo.push((q, rel.clone()));
+    }
+    // What this subquery read of outer rows, its enclosing query read too.
+    scopes.lowest = scopes.lowest.min(enclosing);
+    Ok(rel)
+}
 
 /// Evaluate a world-construct-free select statement inside one world, with
 /// outer-row bindings available for correlation.
-///
-/// Uncorrelated statements in the clean fragment take the **rewrite
-/// route**: compile to (relational) WSA, optimize (join ordering /
-/// pushdown under a small search budget), translate to a relational plan
-/// and evaluate it through the canonically-keyed caches — so a subquery
-/// re-evaluated per row or per world is a plan-cache hit, not a re-run.
-/// Correlated or out-of-fragment statements use the row-wise interpreter.
-pub fn eval_select_local(
-    stmt: &SelectStmt,
+fn eval_select_local<'q>(
+    stmt: &'q SelectStmt,
     world: &World,
     names: &[String],
-    scopes: &mut Scopes,
+    scopes: &mut Scopes<'q>,
 ) -> Result<Relation> {
     if stmt.quant.is_some()
         || !stmt.choice_of.is_empty()
@@ -828,9 +834,6 @@ pub fn eval_select_local(
         return Err(SqlError(
             "subquery in this position must not use world constructs".into(),
         ));
-    }
-    if let Some(rel) = try_rewrite_route_local(stmt, world, names) {
-        return Ok(rel);
     }
     // Push simple where-comparisons into the from-product where possible
     // (table-only from lists; unresolvable conjuncts — e.g. correlated
@@ -853,7 +856,7 @@ pub fn eval_select_local(
                 qualify(world.rel(idx), alias)?
             }
             FromItem::Subquery { query, alias } => {
-                qualify(&eval_select_local(query, world, names, scopes)?, alias)?
+                qualify(eval_subquery(query, world, names, scopes)?.as_ref(), alias)?
             }
         };
         match plan.as_ref().map(|p| &p.per_item[k]) {
@@ -874,108 +877,41 @@ pub fn eval_select_local(
         }
     }
     // Where (minus pushed conjuncts).
-    let residual = match &plan {
-        Some(p) => p.residual.as_ref(),
-        None => stmt.where_cond.as_ref(),
+    let residual = match plan {
+        Some(p) => p.residual,
+        None => stmt.where_cond.iter().collect(),
     };
-    if let Some(cond) = residual {
-        let mut keep = Vec::new();
-        for row in acc.iter() {
-            scopes.push((acc.schema().clone(), row.clone()));
-            let ok = eval_cond(cond, world, names, scopes)?;
-            scopes.pop();
-            if ok {
-                keep.push(row.clone());
-            }
-        }
-        acc = Relation::from_rows(acc.schema().clone(), keep).map_err(rel_err)?;
+    if !residual.is_empty() {
+        acc = filter_rows(&acc, &residual, world, names, scopes)?;
     }
     project_rows(stmt, &acc, world, names, scopes)
 }
 
-/// The relational fast path of [`eval_select_local`]: `None` falls back to
-/// the row-wise interpreter (correlated references and anything outside
-/// the clean fragment fail compilation, so they never take this route).
-fn try_rewrite_route_local(stmt: &SelectStmt, world: &World, names: &[String]) -> Option<Relation> {
-    if !relalg::plan_cache::rewrite_enabled() {
-        return None;
-    }
-    let base = |name: &str| -> Option<Schema> {
-        let idx = names.iter().position(|n| n == name)?;
-        Some(world.rel(idx).schema().clone())
-    };
-    let algebra = crate::compile::compile_select(stmt, &base).ok()?;
-    let fingerprints: Vec<RelFingerprint> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), world.rel(i).epoch()))
-        .collect();
-    let stats = |name: &str| -> Option<wsa_rewrite::TableStats> {
-        let idx = names.iter().position(|n| n == name)?;
-        Some(table_stats_of(world.rel(idx)))
-    };
-    // Join ordering only matters with several from-items; single-table
-    // statements skip the plan search entirely (this path runs per row for
-    // `in`/`exists`/scalar subqueries). The search itself is memoized, so
-    // a repeated subquery pays it once.
-    let optimized = if stmt.from.len() > 1 {
-        optimize_memoized(&algebra, &base, fingerprints.clone(), &stats, false, 400)
-            .unwrap_or(algebra)
-    } else {
-        algebra
-    };
-    let mut catalog = relalg::Catalog::new();
-    for (idx, name) in names.iter().enumerate() {
-        catalog.put(name, world.rel_shared(idx).clone());
-    }
-    let expr = translate_memoized(&optimized, &base, fingerprints, &catalog)?;
-    catalog
-        .eval(&expr)
-        .ok()
-        .map(std::sync::Arc::unwrap_or_clone)
-}
-
-/// Process-level memo for the translate + simplify + join-reorder stage
-/// of the local route: a subquery re-evaluated per row (or per world)
-/// reuses one relational plan instead of re-translating — and since the
-/// memoized `Expr` keeps its node identities, the canonicalization memo
-/// and plan cache hit on the same allocations every time. The plan is run
-/// through the statistics-driven `relalg::opt::optimize_joins` here, so
-/// what executes (and what `EXPLAIN` reports) is the reordered plan; the
-/// key therefore carries the relation **epoch fingerprints** (statistics
-/// are a pure function of the content the epoch identifies — schemas
-/// included). `None` records "not translatable" so failures don't retry
-/// per row.
-fn translate_memoized(
-    q: &wsa::Query,
-    base: &dyn Fn(&str) -> Option<Schema>,
-    fingerprints: Vec<RelFingerprint>,
-    catalog: &relalg::Catalog,
-) -> Option<relalg::Expr> {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    type Key = (wsa::Query, Vec<RelFingerprint>);
-    static MEMO: Mutex<Option<HashMap<Key, Option<relalg::Expr>>>> = Mutex::new(None);
-    const MEMO_CAP: usize = 256;
-
-    let key: Key = (q.clone(), fingerprints);
-    {
-        let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = guard.get_or_insert_with(HashMap::new).get(&key) {
-            return hit.clone();
+/// The rows of `rel` on which every condition of `conds` holds, each row
+/// in turn being the innermost scope.
+fn filter_rows<'q>(
+    rel: &Relation,
+    conds: &[&'q Cond],
+    world: &World,
+    names: &[String],
+    scopes: &mut Scopes<'q>,
+) -> Result<Relation> {
+    let mut keep = Vec::new();
+    for row in rel.iter() {
+        scopes.push(rel.schema(), row);
+        let mut ok = true;
+        for cond in conds {
+            ok = eval_cond(cond, world, names, scopes)?;
+            if !ok {
+                break;
+            }
+        }
+        scopes.pop();
+        if ok {
+            keep.push(row.clone());
         }
     }
-    let expr = wsa_inlined::translate_opt_complete(q, base)
-        .ok()
-        .and_then(|e| relalg::simplify(&e, base).ok())
-        .map(|e| relalg::opt::optimize_joins(&e, catalog));
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let memo = guard.get_or_insert_with(HashMap::new);
-    if memo.len() >= MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, expr.clone());
-    expr
+    Relation::from_rows(rel.schema().clone(), keep).map_err(rel_err)
 }
 
 /// Final projection of a select statement over the filtered product `acc`,
@@ -986,7 +922,7 @@ fn project_world(
     names: &[String],
     acc_idx: usize,
 ) -> Result<Relation> {
-    project_rows(stmt, world.rel(acc_idx), world, names, &mut Vec::new())
+    project_rows(stmt, world.rel(acc_idx), world, names, &mut Scopes::new())
 }
 
 fn has_aggregates(items: &[SelectItem]) -> bool {
@@ -1016,12 +952,12 @@ fn output_name(item: &SelectItem, i: usize) -> String {
     }
 }
 
-fn project_rows(
-    stmt: &SelectStmt,
+fn project_rows<'q>(
+    stmt: &'q SelectStmt,
     acc: &Relation,
     world: &World,
     names: &[String],
-    scopes: &mut Scopes,
+    scopes: &mut Scopes<'q>,
 ) -> Result<Relation> {
     // `select *`: strip qualifiers where unambiguous.
     if stmt.items.len() == 1 && matches!(stmt.items[0], SelectItem::Star) {
@@ -1060,7 +996,7 @@ fn project_rows(
     if !aggregating {
         let mut rows = Vec::new();
         for row in acc.iter() {
-            scopes.push((acc.schema().clone(), row.clone()));
+            scopes.push(acc.schema(), row);
             let mut out = Vec::with_capacity(stmt.items.len());
             for item in &stmt.items {
                 let SelectItem::Expr { expr, .. } = item else {
@@ -1096,7 +1032,7 @@ fn project_rows(
             .first()
             .cloned()
             .unwrap_or_else(|| Tuple::filled(Value::Pad, acc.schema().arity()));
-        scopes.push((acc.schema().clone(), first.clone()));
+        scopes.push(acc.schema(), &first);
         let mut out = Vec::with_capacity(stmt.items.len());
         for item in &stmt.items {
             let SelectItem::Expr { expr, .. } = item else {
@@ -1117,7 +1053,12 @@ fn project_rows(
 }
 
 /// Evaluate a condition for the innermost scope row.
-fn eval_cond(cond: &Cond, world: &World, names: &[String], scopes: &mut Scopes) -> Result<bool> {
+fn eval_cond<'q>(
+    cond: &'q Cond,
+    world: &World,
+    names: &[String],
+    scopes: &mut Scopes<'q>,
+) -> Result<bool> {
     match cond {
         Cond::Cmp(l, op, r) => {
             let lv = eval_scalar(l, world, names, scopes, None)?;
@@ -1130,7 +1071,7 @@ fn eval_cond(cond: &Cond, world: &World, names: &[String], scopes: &mut Scopes) 
             negated,
         } => {
             let v = eval_scalar(expr, world, names, scopes, None)?;
-            let rel = eval_select_local(query, world, names, scopes)?;
+            let rel = eval_subquery(query, world, names, scopes)?;
             // Column selection: a one-column subquery probes that column;
             // a multi-column subquery (the paper writes `Quantity not in
             // (select * from Lineitem choice of Quantity)`) probes the
@@ -1149,7 +1090,7 @@ fn eval_cond(cond: &Cond, world: &World, names: &[String], scopes: &mut Scopes) 
             Ok(found != *negated)
         }
         Cond::Exists { query, negated } => {
-            let rel = eval_select_local(query, world, names, scopes)?;
+            let rel = eval_subquery(query, world, names, scopes)?;
             Ok(rel.is_empty() == *negated)
         }
         Cond::And(a, b) => {
@@ -1164,11 +1105,11 @@ fn eval_cond(cond: &Cond, world: &World, names: &[String], scopes: &mut Scopes) 
 
 /// Evaluate a scalar. `agg_rows` supplies the group rows when evaluating
 /// aggregate functions.
-fn eval_scalar(
-    s: &Scalar,
+fn eval_scalar<'q>(
+    s: &'q Scalar,
     world: &World,
     names: &[String],
-    scopes: &mut Scopes,
+    scopes: &mut Scopes<'q>,
     agg_rows: Option<(&Schema, &[Tuple])>,
 ) -> Result<Value> {
     match s {
@@ -1176,9 +1117,10 @@ fn eval_scalar(
         Scalar::Lit(Literal::Str(t)) => Ok(Value::str(t)),
         Scalar::Col(c) => {
             // Innermost scope that can resolve the column wins.
-            for (schema, row) in scopes.iter().rev() {
+            for (depth, (schema, row)) in scopes.stack.iter().enumerate().rev() {
                 if let Ok(attr) = resolve_col(c, schema) {
                     let i = schema.index_of(&attr).expect("resolved");
+                    scopes.lowest = scopes.lowest.min(depth);
                     return Ok(row[i]);
                 }
             }
@@ -1212,7 +1154,7 @@ fn eval_scalar(
                 agg_rows.ok_or_else(|| SqlError("aggregate outside aggregation context".into()))?;
             let mut vals = Vec::with_capacity(rows.len());
             for row in rows {
-                scopes.push((schema.clone(), row.clone()));
+                scopes.push(schema, row);
                 let v = eval_scalar(inner, world, names, scopes, None)?;
                 scopes.pop();
                 vals.push(v);
@@ -1250,7 +1192,7 @@ fn eval_scalar(
             }
         }
         Scalar::Subquery(q) => {
-            let rel = eval_select_local(q, world, names, scopes)?;
+            let rel = eval_subquery(q, world, names, scopes)?;
             if rel.schema().arity() != 1 {
                 return Err(SqlError("scalar subquery must produce one column".into()));
             }
@@ -1268,33 +1210,39 @@ fn eval_scalar(
 
 // ---- helpers for DML (Session) ----
 
-/// Evaluate a condition against one row (used by `delete`/`update`).
-pub(crate) fn eval_cond_public(
-    cond: &Cond,
+/// Evaluate a condition against one row (used by `delete`/`update`, which
+/// pass one [`Scopes`] for all rows of a world).
+pub(crate) fn eval_cond_public<'q>(
+    cond: &'q Cond,
     world: &World,
     names: &[String],
     schema: &Schema,
     row: &Tuple,
+    scopes: &mut Scopes<'q>,
 ) -> Result<bool> {
-    let mut scopes = vec![(schema.clone(), row.clone())];
-    eval_cond(cond, world, names, &mut scopes)
+    scopes.push(schema, row);
+    let holds = eval_cond(cond, world, names, scopes);
+    scopes.pop();
+    holds
 }
 
 /// Apply `set` assignments to one row (used by `update`).
-pub(crate) fn eval_update_row(
-    sets: &[(String, Scalar)],
+pub(crate) fn eval_update_row<'q>(
+    sets: &'q [(String, Scalar)],
     world: &World,
     names: &[String],
     schema: &Schema,
     row: &Tuple,
+    scopes: &mut Scopes<'q>,
 ) -> Result<Tuple> {
     let mut out = row.clone();
-    let mut scopes = vec![(schema.clone(), row.clone())];
+    scopes.push(schema, row);
     for (col, expr) in sets {
         let attr = resolve_col(&ColRef::new(col), schema)?;
         let i = schema.index_of(&attr).expect("resolved");
-        out[i] = eval_scalar(expr, world, names, &mut scopes, None)?;
+        out[i] = eval_scalar(expr, world, names, scopes, None)?;
     }
+    scopes.pop();
     Ok(out)
 }
 
@@ -1514,5 +1462,157 @@ mod tests {
         // Nested from-subqueries each get their own working relation.
         let a = answer("select A from (select * from (select * from R) Inner2) Outer1;");
         assert_eq!(a.len(), 2); // x, y after projection dedup
+    }
+
+    // ---- the per-world subquery memo ----
+
+    /// Filter `R` by the where-condition of `sql` (a select over `R`) in
+    /// the one world of [`ws`], the way the world-set `where` does, and
+    /// return the surviving rows with the number of answers the world's
+    /// `Scopes` kept.
+    fn filter_r(sql: &str) -> (Relation, usize) {
+        let Stmt::Select(sel) = parse_statement(sql).unwrap() else {
+            panic!("not a select")
+        };
+        let db = ws();
+        let w = db.iter().next().unwrap();
+        let r = qualify(w.rel(0), "R").unwrap();
+        let mut scopes = Scopes::new();
+        let cond = sel.where_cond.as_ref().unwrap();
+        let kept = filter_rows(&r, &[cond], w, db.rel_names(), &mut scopes).unwrap();
+        assert!(scopes.stack.is_empty());
+        (kept, scopes.memo.len())
+    }
+
+    #[test]
+    fn outer_reference_two_levels_down_blocks_the_middle_memo() {
+        // Only the innermost subquery names `R`; the middle one must not
+        // keep the answer it had for the first row of `R`.
+        let sql = "select A, B from R where exists \
+                   (select * from S where exists (select * from S S2 where S2.B = R.B));";
+        let (kept, memoized) = filter_r(sql);
+        assert_eq!(memoized, 0);
+        assert_eq!(kept.len(), 2);
+        let a = answer(sql);
+        assert_eq!(a.len(), 2); // (x, 1) and (y, 2); S has no B = 3
+        assert!(!a.contains(&[Value::str("x"), Value::str("3")]));
+    }
+
+    #[test]
+    fn one_memo_entry_per_uncorrelated_subquery_and_world() {
+        let (kept, memoized) = filter_r("select A from R where B in (select B from S);");
+        assert_eq!((kept.len(), memoized), (2, 1));
+        let (kept, memoized) =
+            filter_r("select A from R where exists (select * from S where S.B = R.B);");
+        assert_eq!((kept.len(), memoized), (2, 0));
+        // An uncorrelated subquery nested in a correlated one is kept; the
+        // correlated one around it is not.
+        let (kept, memoized) = filter_r(
+            "select A from R where exists \
+             (select * from S where S.B = R.B and S.C in (select C from S S2));",
+        );
+        assert_eq!((kept.len(), memoized), (2, 1));
+    }
+
+    /// `R` after `dml` ran in a session over [`ws`], and `R` as computed
+    /// row by row with a fresh `Scopes` (no memo) for every row.
+    fn dml_vs_row_by_row(dml: &str) -> (Relation, Relation) {
+        let mut s = crate::Session::with_world_set(ws());
+        s.execute(dml).unwrap();
+        let got = s.answers("R").unwrap().remove(0);
+
+        let db = ws();
+        let w = db.iter().next().unwrap();
+        let names = db.rel_names();
+        let r = w.rel(0);
+        let stmt = parse_statement(dml).unwrap();
+        let (sets, cond) = match &stmt {
+            Stmt::Delete { cond, .. } => (None, cond),
+            Stmt::Update { sets, cond, .. } => (Some(sets), cond),
+            _ => panic!("not a delete or update"),
+        };
+        let mut rows = Vec::new();
+        for row in r.iter() {
+            let hit = match cond {
+                None => true,
+                Some(c) => {
+                    eval_cond_public(c, w, names, r.schema(), row, &mut Scopes::new()).unwrap()
+                }
+            };
+            match sets {
+                None if hit => {}
+                Some(sets) if hit => rows.push(
+                    eval_update_row(sets, w, names, r.schema(), row, &mut Scopes::new()).unwrap(),
+                ),
+                _ => rows.push(row.clone()),
+            }
+        }
+        (got, Relation::from_rows(r.schema().clone(), rows).unwrap())
+    }
+
+    #[test]
+    fn dml_with_subqueries_matches_row_by_row_evaluation() {
+        for (dml, rows_left) in [
+            ("delete from R where B in (select B from S);", 1),
+            // Correlated: `A` is a column of the row, not of `S`.
+            (
+                "delete from R where exists (select * from S where A = 'x' and S.B = '1');",
+                1,
+            ),
+            // The subquery reads the table being changed: every row sees
+            // the world as it was before the statement.
+            (
+                "delete from R where B in (select B from R R2 where R2.A = 'y');",
+                2,
+            ),
+            ("update R set A = 'z' where B not in (select B from S);", 3),
+            (
+                "update R set A = (select max(C) from S) where B in (select B from S);",
+                3,
+            ),
+        ] {
+            let (got, expected) = dml_vs_row_by_row(dml);
+            assert_eq!(got, expected, "{dml}");
+            assert_eq!(got.len(), rows_left, "{dml}");
+        }
+    }
+
+    #[test]
+    fn what_if_shape_renders_identically_across_threads_and_rewrite() {
+        // Section 2's what-if: a hoisted `choice of` subquery under `not
+        // in`, then `group by`.
+        let sql = "select possible A.Year, sum(A.Price) as Revenue \
+                   from (select * from Lineitem choice of Year) as A \
+                   where Quantity not in (select * from Lineitem choice of Quantity) \
+                   group by A.Year;";
+        let render = |knobs: &str| {
+            let mut s = crate::Session::new();
+            s.register("Lineitem", datagen::lineitem(7, 60, 3, 4))
+                .unwrap();
+            s.execute(knobs).unwrap();
+            crate::server::execute_rendered(&mut s, sql).unwrap()
+        };
+        let reference = render("set local threads = 1;");
+        assert!(reference.contains("Revenue"), "{reference}");
+        assert_eq!(render("set local threads = 4;"), reference);
+        assert_eq!(render("set local rewrite = off;"), reference);
+    }
+
+    #[test]
+    fn optimizer_memo_key_follows_only_the_relations_the_query_names() {
+        let mut s = crate::Session::with_world_set(ws());
+        let algebra = wsa::Query::rel("R").choice(relalg::attrs(&["A"])).cert();
+        let key = |s: &crate::Session| card_fingerprint(&algebra, s.world_set());
+        let before = key(&s);
+        assert_eq!(before.len(), 1);
+        // An answer the session keeps, an unrelated new relation and DML on
+        // another table all leave the key alone …
+        s.execute("select certain B from R choice of A;").unwrap();
+        s.register("T", Relation::table(&["X"], &[&["1"]])).unwrap();
+        s.execute("insert into S values ('9', 'c9');").unwrap();
+        assert_eq!(key(&s), before);
+        // … DML on `R` does not.
+        s.execute("insert into R values ('z', '9');").unwrap();
+        assert_ne!(key(&s), before);
     }
 }

@@ -32,7 +32,7 @@ use worldset::WorldSet;
 use crate::ast::*;
 use crate::durable::{WalAction, WalSpec};
 use crate::engine::{Engine, Snapshot};
-use crate::interp::{eval_cond_public, eval_select_ws, eval_update_row};
+use crate::interp::{eval_cond_public, eval_select_ws, eval_update_row, Scopes};
 use crate::lexer::SqlError;
 use crate::parser::parse_script;
 
@@ -515,11 +515,12 @@ impl Session {
             let names: Vec<String> = ws.rel_names().to_vec();
             let ws = ws.par_map_worlds(|w| {
                 let rel = w.rel(idx);
+                let mut scopes = Scopes::new();
                 let mut keep = Vec::new();
                 for row in rel.iter() {
                     let matches = match &cond {
                         None => true,
-                        Some(c) => eval_cond_public(c, w, &names, rel.schema(), row)?,
+                        Some(c) => eval_cond_public(c, w, &names, rel.schema(), row, &mut scopes)?,
                     };
                     if !matches {
                         keep.push(row.clone());
@@ -549,14 +550,16 @@ impl Session {
             let names: Vec<String> = ws.rel_names().to_vec();
             let ws = ws.par_map_worlds(|w| {
                 let rel = w.rel(idx);
+                let schema = rel.schema();
+                let mut scopes = Scopes::new();
                 let mut rows = Vec::new();
                 for row in rel.iter() {
                     let matches = match &cond {
                         None => true,
-                        Some(c) => eval_cond_public(c, w, &names, rel.schema(), row)?,
+                        Some(c) => eval_cond_public(c, w, &names, schema, row, &mut scopes)?,
                     };
                     if matches {
-                        rows.push(eval_update_row(&sets, w, &names, rel.schema(), row)?);
+                        rows.push(eval_update_row(&sets, w, &names, schema, row, &mut scopes)?);
                     } else {
                         rows.push(row.clone());
                     }

@@ -31,8 +31,8 @@ pub struct Catalog {
 ///
 /// On a miss at both levels, composite nodes also consult the process-wide
 /// [`crate::plan_cache`] (when the rewrite path is enabled), so identical
-/// plans re-built across calls — one `run_general` per query, one subquery
-/// evaluation per row — skip evaluation entirely.
+/// plans re-built across calls — one `run_general` per query — skip
+/// evaluation entirely.
 #[derive(Default)]
 pub struct EvalCache {
     memo: HashMap<usize, (Expr, Arc<Relation>)>,

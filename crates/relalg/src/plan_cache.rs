@@ -4,8 +4,9 @@
 //! identity of the base tables it reads, the cache returns the previously
 //! computed `Arc<Relation>` for a plan that is re-evaluated against the
 //! same inputs — the Figure-6 translation route re-builds and re-evaluates
-//! structurally identical plans on every call, and the I-SQL interpreter
-//! re-evaluates uncorrelated subqueries per row.
+//! structurally identical plans on every call. (No I-SQL statement reaches
+//! it any more: the interpreter evaluates an uncorrelated subquery once per
+//! world by itself. Its callers are `run_general` and `EXPLAIN`.)
 //!
 //! **Soundness is content-addressed, not invalidation-addressed**: a hit is
 //! returned only after verifying that every base table the cached plan read
@@ -140,18 +141,17 @@ fn resolve_inputs(canon: &CanonExpr, catalog: &Catalog) -> Option<Vec<(String, A
 
 /// Look up a cached result for `canon` evaluated against `catalog`.
 pub(crate) fn lookup(canon: &CanonExpr, catalog: &Catalog) -> Option<Arc<Relation>> {
-    let inputs = resolve_inputs(canon, catalog)?;
-    let guard = shard(canon.hash).lock().unwrap_or_else(|p| p.into_inner());
-    let inner = guard.as_ref()?;
-    let bucket = inner.map.get(&canon.hash)?;
-    for entry in bucket {
-        if entry.canon == canon.expr && inputs_match(&entry.inputs, &inputs) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(&entry.result));
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    None
+    let hit = resolve_inputs(canon, catalog).and_then(|inputs| {
+        let guard = shard(canon.hash).lock().unwrap_or_else(|p| p.into_inner());
+        let bucket = guard.as_ref()?.map.get(&canon.hash)?;
+        bucket
+            .iter()
+            .find(|e| e.canon == canon.expr && inputs_match(&e.inputs, &inputs))
+            .map(|e| Arc::clone(&e.result))
+    });
+    let counter = if hit.is_some() { &HITS } else { &MISSES };
+    counter.fetch_add(1, Ordering::Relaxed);
+    hit
 }
 
 /// Record a computed result. No-op when a referenced table is absent.

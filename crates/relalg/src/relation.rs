@@ -111,7 +111,7 @@ pub fn set_columnar_enabled(on: Option<bool>) {
 /// constructing operation. Clones share the tag (a clone is the same
 /// content); the `&mut` entry points ([`Relation::insert`],
 /// [`Relation::remove`]) stamp a fresh one. Equal tags therefore imply
-/// equal content, which lets the plan/result caches verify hits in O(1)
+/// equal content, which lets the plan cache verify hits in O(1)
 /// ([`Relation::fast_eq`]) with content comparison kept only as a fallback
 /// for content-equal relations built independently (rebuilt catalogs).
 ///

@@ -103,9 +103,7 @@ impl<'a> RewriteCtx<'a> {
     /// wins; `None` without statistics).
     pub fn distinct_of_attr(&self, q: &Query, attr: &Attr) -> Option<u64> {
         let stats = self.stats?;
-        let mut names = Vec::new();
-        collect_rel_names(q, &mut names);
-        for name in names {
+        for name in q.rel_names() {
             if let Some(ts) = stats(&name) {
                 if let Some((_, d)) = ts.distinct.iter().find(|(a, _)| a == attr) {
                     return Some(*d);
@@ -140,30 +138,6 @@ pub struct Rule {
     pub paper_eq: &'static str,
     /// Attempt to rewrite the root of `q`.
     pub apply: fn(&Query, &RewriteCtx) -> Option<Query>,
-}
-
-/// All base-relation names referenced by `q`.
-fn collect_rel_names(q: &Query, out: &mut Vec<String>) {
-    match q {
-        Query::Rel(name) => out.push(name.clone()),
-        Query::Select(_, inner)
-        | Query::Project(_, inner)
-        | Query::Rename(_, inner)
-        | Query::Choice(_, inner)
-        | Query::Poss(inner)
-        | Query::Cert(inner)
-        | Query::RepairKey(_, inner) => collect_rel_names(inner, out),
-        Query::PossGroup { input, .. } | Query::CertGroup { input, .. } => {
-            collect_rel_names(input, out)
-        }
-        Query::Product(a, b)
-        | Query::Union(a, b)
-        | Query::Intersect(a, b)
-        | Query::Difference(a, b) => {
-            collect_rel_names(a, out);
-            collect_rel_names(b, out);
-        }
-    }
 }
 
 fn subset(a: &[Attr], b: &BTreeSet<Attr>) -> bool {
