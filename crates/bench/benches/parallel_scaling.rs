@@ -1,15 +1,17 @@
-//! B8: parallel scaling of the execution pool — worlds × threads.
+//! B8: the world axis in place, the storage axis across worker counts.
 //!
-//! Sweeps the pool's worker count (`relalg::pool::set_threads`) across the
-//! world-axis fan-outs (`poss` over a split world-set, binary-operator
-//! pairing, repair enumeration) and the storage-layer paths (builder
-//! sort+merge, partitioned hash join). Every workload is deterministic
+//! The world-axis shapes (`poss` over a split world-set, binary-operator
+//! pairing, repair enumeration) run on the calling thread whatever the
+//! worker count, so each is measured once; its id keeps the `/1` suffix
+//! the committed baseline is keyed by. The storage-layer paths (builder
+//! sort+merge, partitioned hash join) sweep the pool's worker count
+//! (`relalg::pool::set_threads`). Every workload is deterministic
 //! (datagen-seeded) and produces identical output at every thread count —
 //! only the wall clock may move. Record with `scripts/bench_dump.sh
 //! parallel_scaling`; results are tracked in EXPERIMENTS.md (B8) and
 //! BENCH_core.json.
 //!
-//! Benchmark ids read `parallel_scaling/<workload>_w<worlds>/<threads>`
+//! Benchmark ids read `parallel_scaling/<workload>_w<worlds>/1`
 //! (world-axis) and `parallel_scaling/<workload>_n<tuples>/<threads>`
 //! (storage-axis).
 
@@ -36,45 +38,25 @@ fn bench_world_axis(c: &mut Criterion) {
             wsa::eval_named(&Query::rel("F").choice(attrs(&["Dep"])), &ws, "ByDep").unwrap();
 
         let poss = Query::rel("ByDep").project(attrs(&["Arr"])).poss();
-        for &t in &THREADS {
-            pool::set_threads(t);
-            group.bench_with_input(
-                BenchmarkId::new(format!("poss_w{worlds}"), t),
-                &t,
-                |b, _| {
-                    b.iter(|| wsa::eval_named(&poss, &split, "Ans").unwrap());
-                },
-            );
-        }
+        group.bench_function(&format!("poss_w{worlds}/1"), |b| {
+            b.iter(|| wsa::eval_named(&poss, &split, "Ans").unwrap());
+        });
 
         let union = Query::rel("ByDep")
             .project(attrs(&["Arr"]))
             .union(Query::rel("F").project(attrs(&["Arr"])));
-        for &t in &THREADS {
-            pool::set_threads(t);
-            group.bench_with_input(
-                BenchmarkId::new(format!("binary_union_w{worlds}"), t),
-                &t,
-                |b, _| {
-                    b.iter(|| wsa::eval_named(&union, &split, "Ans").unwrap());
-                },
-            );
-        }
-        pool::set_threads(0);
+        group.bench_function(&format!("binary_union_w{worlds}/1"), |b| {
+            b.iter(|| wsa::eval_named(&union, &split, "Ans").unwrap());
+        });
     }
 
-    // Repair enumeration: 2^10 repairs per world — the per-world fan-out
-    // the pool spreads across workers.
+    // Repair enumeration: 2^10 repairs of one world.
     let census = datagen::census(41, 40, 10);
     let ws = WorldSet::single(vec![("C", census)]);
     let repair = Query::rel("C").repair_by_key(attrs(&["SSN"]));
-    for &t in &THREADS {
-        pool::set_threads(t);
-        group.bench_with_input(BenchmarkId::new("repair_w1024", t), &t, |b, _| {
-            b.iter(|| wsa::eval_named(&repair, &ws, "Ans").unwrap());
-        });
-    }
-    pool::set_threads(0);
+    group.bench_function("repair_w1024/1", |b| {
+        b.iter(|| wsa::eval_named(&repair, &ws, "Ans").unwrap());
+    });
     group.finish();
 }
 

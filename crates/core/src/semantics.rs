@@ -19,11 +19,11 @@
 //! * `repair-by-key_U` splits each world into one world per maximal repair
 //!   of the answer under the key `U` (Section 4.1, extension).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use relalg::{Relation, Result, Tuple};
-use worldset::{World, WorldSet};
+use worldset::{Prefix, World, WorldSet};
 
 use crate::Query;
 
@@ -104,43 +104,30 @@ fn eval_worlds_inner(q: &Query, ws: &WorldSet) -> Result<Vec<World>> {
 /// `χ_U` over already-evaluated worlds: each world splits into one world
 /// per `U`-value of its answer; an empty answer keeps the world.
 pub(crate) fn apply_choice(input: &[World], attrs: &[relalg::Attr]) -> Result<Vec<World>> {
-    // Each world splits independently — the pool fans the partition work
-    // out per world, and the in-order concatenation keeps the sequential
-    // successor order.
-    flatten(relalg::pool::par_map(input, |w| {
+    let mut out = Vec::new();
+    for w in input {
         let answer = w.last();
         if answer.is_empty() {
             // "When applied to the empty relation, choice-of produces an
             // empty relation" — one world survives.
-            return Ok(vec![w.clone()]);
+            out.push(w.clone());
+            continue;
         }
         // One pass over the answer partitions it by the choice attributes
         // (instead of one σ_{U=v} re-scan per created world); the prefix
         // relations are shared by every successor world.
-        Ok(answer
-            .partition_by(attrs)?
-            .into_iter()
-            .map(|(_, part)| w.replace_last(part))
-            .collect())
-    }))
+        let parts = answer.partition_by(attrs)?;
+        out.extend(parts.into_iter().map(|(_, part)| w.replace_last(part)));
+    }
+    Ok(out)
 }
 
 /// `repair-by-key_U` over already-evaluated worlds.
 pub(crate) fn apply_repair(input: &[World], key: &[relalg::Attr]) -> Result<Vec<World>> {
-    flatten(relalg::pool::par_map(input, |w| {
-        Ok(repairs_by_key(w.last(), key)?
-            .into_iter()
-            .map(|repair| w.replace_last(repair))
-            .collect())
-    }))
-}
-
-/// Concatenate per-world fan-out results in world order, surfacing the
-/// first error (matching the sequential loop's error-and-order behavior).
-fn flatten(nested: Vec<Result<Vec<World>>>) -> Result<Vec<World>> {
     let mut out = Vec::new();
-    for worlds in nested {
-        out.extend(worlds?);
+    for w in input {
+        let repairs = repairs_by_key(w.last(), key)?;
+        out.extend(repairs.into_iter().map(|repair| w.replace_last(repair)));
     }
     Ok(out)
 }
@@ -148,7 +135,7 @@ fn flatten(nested: Vec<Result<Vec<World>>>) -> Result<Vec<World>> {
 fn unary(
     ws: &WorldSet,
     inner: &Query,
-    f: impl Fn(&Relation) -> Result<Relation> + Sync,
+    f: impl Fn(&Relation) -> Result<Relation>,
 ) -> Result<Vec<World>> {
     let input = eval_worlds(inner, ws)?;
     apply_unary(&input, f)
@@ -157,10 +144,11 @@ fn unary(
 /// A per-world answer transformation over already-evaluated worlds.
 pub(crate) fn apply_unary(
     input: &[World],
-    f: impl Fn(&Relation) -> Result<Relation> + Sync,
+    f: impl Fn(&Relation) -> Result<Relation>,
 ) -> Result<Vec<World>> {
-    relalg::pool::par_map(input, |w| Ok(w.replace_last(f(w.last())?)))
-        .into_iter()
+    input
+        .iter()
+        .map(|w| Ok(w.replace_last(f(w.last())?)))
         .collect()
 }
 
@@ -172,7 +160,7 @@ fn binary(
     ws: &WorldSet,
     a: &Query,
     b: &Query,
-    op: impl Fn(&Relation, &Relation) -> Result<Relation> + Sync,
+    op: impl Fn(&Relation, &Relation) -> Result<Relation>,
 ) -> Result<Vec<World>> {
     let left = eval_worlds(a, ws)?;
     let right = eval_worlds(b, ws)?;
@@ -184,27 +172,26 @@ fn binary(
 pub(crate) fn apply_binary(
     left: &[World],
     right: &[World],
-    op: impl Fn(&Relation, &Relation) -> Result<Relation> + Sync,
+    op: impl Fn(&Relation, &Relation) -> Result<Relation>,
 ) -> Result<Vec<World>> {
-    // Group right worlds by their prefix. (`Ord` on `Arc<Relation>` always
-    // compares relation data — prefixes must pair by *value*, since equal
+    // Group right worlds by their prefix. Prefixes pair by *value* (equal
     // worlds can arrive under distinct allocations from the two operand
-    // evaluations.)
-    let mut by_prefix: BTreeMap<&[Arc<Relation>], Vec<&Relation>> = BTreeMap::new();
+    // evaluations), but [`Prefix`] orders like `World`: the base relations
+    // both operands share by `Arc` compare by pointer, not row by row.
+    let mut by_prefix: BTreeMap<Prefix<'_>, Vec<&Relation>> = BTreeMap::new();
     for w in right {
         by_prefix.entry(w.prefix()).or_default().push(w.last());
     }
-    // The per-pair operator application fans out over the left worlds; the
-    // map is only read concurrently.
-    flatten(relalg::pool::par_map(left, |w| {
-        let mut out = Vec::new();
-        if let Some(partners) = by_prefix.get(w.prefix()) {
-            for r in partners {
-                out.push(w.replace_last(op(w.last(), r)?));
-            }
+    let mut out = Vec::new();
+    for w in left {
+        let Some(partners) = by_prefix.get(&w.prefix()) else {
+            continue;
+        };
+        for r in partners {
+            out.push(w.replace_last(op(w.last(), r)?));
         }
-        Ok(out)
-    }))
+    }
+    Ok(out)
 }
 
 /// Shared implementation of `poss`, `cert`, `pγ^V_U`, `cγ^V_U`.
@@ -246,37 +233,32 @@ pub(crate) fn apply_grouped(
         }
     };
 
-    // Per-world key extraction and projection are independent — fan them
-    // out over the pool; the (key, contribution) pairs come back in world
-    // order, so the sequential merge below sees the same sequence as the
-    // old single-threaded loop.
     type Keyed = (Option<Vec<Tuple>>, Arc<Relation>);
-    let keyed: Vec<Keyed> = relalg::pool::par_map(input, |w| Ok((key_of(w)?, proj_of(w)?)))
-        .into_iter()
+    let keyed: Vec<Keyed> = input
+        .iter()
+        .map(|w| Ok((key_of(w)?, proj_of(w)?)))
         .collect::<Result<_>>()?;
 
-    // Combine the answers per group; answers are shared so that installing
-    // a group answer into each member world is an `Arc` bump. Each group
-    // merges as a pairwise tree reduction on the pool (union/intersection
-    // are associative and keep the leftmost schema, so the result equals
-    // the sequential in-order fold); a single-member group returns its
-    // contribution unchanged — still a shared handle, no copy.
-    let mut members: BTreeMap<&Option<Vec<Tuple>>, Vec<Arc<Relation>>> = BTreeMap::new();
-    for (key, contribution) in &keyed {
-        members.entry(key).or_default().push(contribution.clone());
-    }
+    // Combine the answers per group, folding in world order (the first
+    // member's attribute order wins); answers are shared so that installing
+    // a group answer into each member world is an `Arc` bump, and a
+    // single-member group keeps its contribution — still a shared handle,
+    // no copy.
     let mut group_answer: BTreeMap<&Option<Vec<Tuple>>, Arc<Relation>> = BTreeMap::new();
-    for (key, contributions) in members {
-        let merged = relalg::pool::par_reduce(contributions, |a, b| {
-            let r = if is_poss {
-                a.union(b)?
-            } else {
-                a.intersect(b)?
-            };
-            Ok::<_, relalg::RelalgError>(Arc::new(r))
-        })?
-        .expect("every group has at least one member");
-        group_answer.insert(key, merged);
+    for (key, contribution) in &keyed {
+        match group_answer.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(contribution.clone());
+            }
+            Entry::Occupied(mut e) => {
+                let merged = if is_poss {
+                    e.get().union(contribution)?
+                } else {
+                    e.get().intersect(contribution)?
+                };
+                e.insert(Arc::new(merged));
+            }
+        }
     }
 
     Ok(input
@@ -310,11 +292,18 @@ pub fn repairs_by_key(r: &Relation, key: &[relalg::Attr]) -> Result<Vec<Relation
         let k: Tuple = key_idx.iter().map(|&i| t[i]).collect();
         groups.entry(k).or_default().push(t.clone());
     }
-    // Cartesian product of one choice per group, in place: B8 measures the
-    // enumeration no faster at 2 or 4 workers than at 1 (`repair_w1024`),
-    // so the pool is left to the fan-out over worlds in [`apply_repair`].
+    // Cartesian product of one choice per group. A singleton group extends
+    // every partial pick in place: only a group with a real choice pays for
+    // copying the partials, so the enumeration is O(repairs × rows), not
+    // O(groups × repairs × rows).
     let mut picks: Vec<Vec<Tuple>> = vec![vec![]];
     for tuples in groups.values() {
+        if let [only] = tuples.as_slice() {
+            for partial in &mut picks {
+                partial.push(only.clone());
+            }
+            continue;
+        }
         let mut next = Vec::with_capacity(picks.len() * tuples.len());
         for partial in &picks {
             for t in tuples {
@@ -334,6 +323,7 @@ pub fn repairs_by_key(r: &Relation, key: &[relalg::Attr]) -> Result<Vec<Relation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use relalg::{attrs, Pred, Value};
 
     fn flights() -> Relation {
@@ -515,6 +505,92 @@ mod tests {
     fn repair_on_empty_is_identity() {
         let r = Relation::empty(relalg::Schema::of(&["K", "V"]));
         assert_eq!(repairs_by_key(&r, &attrs(&["K"])).unwrap().len(), 1);
+    }
+
+    /// The plain cartesian-product enumeration — every key group extends a
+    /// copy of every partial pick — that [`repairs_by_key`] must reproduce,
+    /// repair for repair and in the same order.
+    fn repairs_reference(r: &Relation, key: &[relalg::Attr]) -> Vec<Relation> {
+        let key_idx: Vec<usize> = key
+            .iter()
+            .map(|a| r.schema().index_of(a).expect("key attribute"))
+            .collect();
+        let mut groups: BTreeMap<Tuple, Vec<Tuple>> = BTreeMap::new();
+        for t in r.iter() {
+            let k: Tuple = key_idx.iter().map(|&i| t[i]).collect();
+            groups.entry(k).or_default().push(t.clone());
+        }
+        let mut picks: Vec<Vec<Tuple>> = vec![vec![]];
+        for tuples in groups.values() {
+            picks = picks
+                .iter()
+                .flat_map(|partial| {
+                    tuples.iter().map(move |t| {
+                        let mut ext = partial.clone();
+                        ext.push(t.clone());
+                        ext
+                    })
+                })
+                .collect();
+        }
+        picks
+            .into_iter()
+            .map(|rows| Relation::from_rows(r.schema().clone(), rows).expect("arity"))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Mostly-singleton key groups (the census shape), 0–6 groups of
+        /// two and one group of three: same repairs, same order.
+        #[test]
+        fn repairs_match_the_reference_enumeration(
+            seed in any::<u64>(),
+            n in 8usize..14,
+            violations in 0usize..7,
+        ) {
+            let census = datagen::census(seed, n, violations);
+            // Two more rows on the last clean SSN, which no violation reuses.
+            let last_ssn = Value::Int(1000 + n as i64 - 1);
+            let extra = ["X", "Y"].map(|name| -> Tuple {
+                [last_ssn, Value::str(name), Value::str(name), Value::str(name)]
+                    .into_iter()
+                    .collect()
+            });
+            let r = Relation::from_rows(
+                census.schema().clone(),
+                census.iter().cloned().chain(extra),
+            )
+            .unwrap();
+            let key = attrs(&["SSN"]);
+            let repairs = repairs_by_key(&r, &key).unwrap();
+            prop_assert_eq!(repairs.len(), 3 << violations);
+            prop_assert_eq!(repairs, repairs_reference(&r, &key));
+        }
+    }
+
+    #[test]
+    fn binary_pairs_equal_prefixes_under_distinct_allocations() {
+        // The two operand evaluations may hold the same context relation
+        // under different allocations (one side rebuilt it): the prefixes
+        // are not pointer-equal and must still pair by value — and a prefix
+        // that differs by value must not pair.
+        let left = World::new(vec![flights(), Relation::table(&["A"], &[&[1i64]])]);
+        let right = World::new(vec![flights(), Relation::table(&["A"], &[&[2i64]])]);
+        assert!(!Arc::ptr_eq(left.rel_shared(0), right.rel_shared(0)));
+        let other = World::new(vec![
+            Relation::table(&["Dep", "Arr"], &[&["FRA", "BCN"]]),
+            Relation::table(&["A"], &[&[3i64]]),
+        ]);
+        let out = apply_binary(std::slice::from_ref(&left), &[other, right], |l, r| {
+            l.union(r)
+        })
+        .unwrap();
+        assert_eq!(
+            out,
+            vec![left.replace_last(Relation::table(&["A"], &[&[1i64], &[2]]))]
+        );
     }
 
     #[test]

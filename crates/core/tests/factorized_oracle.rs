@@ -1,9 +1,9 @@
 //! Equivalence oracle for the factorized engine: on every input and
 //! query shape covered here, [`wsa::eval_factorized`] must return a
 //! world-set **byte-identical** to the enumerated Figure-3 reference
-//! ([`wsa::eval_named`]) — at thread counts 1 and 4, with the
-//! `WSDB_NO_FACTORIZE` toggle in both positions for the routed entry, and
-//! over a proptest sweep of random choice nestings.
+//! ([`wsa::eval_named`]) — with the `WSDB_NO_FACTORIZE` toggle in both
+//! positions for the routed entry, and over a proptest sweep of random
+//! choice nestings.
 //!
 //! The factorized path has no approximation license: it either produces
 //! the exact reference answer or reports a budget error (on which the
@@ -11,14 +11,14 @@
 
 use datagen::{random_query, random_world_set, QuerySpec, RandomSpec};
 use proptest::prelude::*;
-use relalg::{attrs, config, pool, Pred, Relation};
+use relalg::{attrs, config, Pred, Relation};
 use worldset::{World, WorldSet};
 use wsa::{
     eval_factorized, eval_named, eval_named_routed, eval_planned, plan_query, Query, RepCard,
 };
 
-/// Serializes tests that flip process-wide state (worker count, the
-/// factorize toggle).
+/// Serializes tests that flip process-wide state (the factorize and
+/// compaction toggles).
 static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -32,22 +32,13 @@ fn render(ws: &WorldSet) -> String {
     format!("{}worlds={}", ws.render(), ws.len())
 }
 
-/// The oracle: factorized output must equal the enumerated reference at
-/// thread counts 1 and 4.
+/// The oracle: factorized output must equal the enumerated reference.
 fn assert_factorized_matches(q: &Query, ws: &WorldSet) {
     let _guard = lock();
-    for threads in [1usize, 4] {
-        pool::set_threads(threads);
-        let reference = eval_named(q, ws, "Ans").expect("reference evaluator");
-        let fact = eval_factorized(q, ws, "Ans").expect("factorized evaluator");
-        pool::set_threads(0);
-        assert_eq!(fact, reference, "diverged at {threads} thread(s) on {q}");
-        assert_eq!(
-            render(&fact),
-            render(&reference),
-            "render diverged at {threads} thread(s) on {q}"
-        );
-    }
+    let reference = eval_named(q, ws, "Ans").expect("reference evaluator");
+    let fact = eval_factorized(q, ws, "Ans").expect("factorized evaluator");
+    assert_eq!(fact, reference, "diverged on {q}");
+    assert_eq!(render(&fact), render(&reference), "render diverged on {q}");
 }
 
 const SEEDS: [u64; 4] = [3, 11, 23, 47];
@@ -179,23 +170,19 @@ fn multi(wc: usize, groups: i64) -> WorldSet {
 }
 
 /// The planned (mixed-representation) evaluator against the enumerated
-/// reference, at thread counts 1 and 4.
+/// reference.
 fn assert_planned_matches(q: &Query, ws: &WorldSet) {
     let _guard = lock();
     config::set_factorize_enabled(Some(true));
     let plan = plan_query(q, ws);
-    for threads in [1usize, 4] {
-        pool::set_threads(threads);
-        let reference = eval_named(q, ws, "Ans").expect("reference evaluator");
-        let planned = eval_planned(q, ws, "Ans", &plan).expect("planned evaluator");
-        pool::set_threads(0);
-        assert_eq!(planned, reference, "diverged at {threads} thread(s) on {q}");
-        assert_eq!(
-            render(&planned),
-            render(&reference),
-            "render diverged at {threads} thread(s) on {q}"
-        );
-    }
+    let reference = eval_named(q, ws, "Ans").expect("reference evaluator");
+    let planned = eval_planned(q, ws, "Ans", &plan).expect("planned evaluator");
+    assert_eq!(planned, reference, "diverged on {q}");
+    assert_eq!(
+        render(&planned),
+        render(&reference),
+        "render diverged on {q}"
+    );
     config::set_factorize_enabled(None);
 }
 
@@ -323,7 +310,7 @@ proptest! {
     /// Lineage-formula compaction is a pure representation change: with
     /// the `WSDB_NO_COMPACT` toggle in either position, wherever the
     /// factorized evaluator succeeds its decoded output must be
-    /// byte-identical to the enumerated reference — at 1 and 4 threads.
+    /// byte-identical to the enumerated reference.
     #[test]
     fn compaction_preserves_decode(seed in any::<u64>()) {
         let ws = random_world_set(seed, &RandomSpec {
@@ -337,21 +324,16 @@ proptest! {
         let reference = eval_named(&q, &ws, "Ans");
         for compact in [true, false] {
             config::set_compact_enabled(Some(compact));
-            for threads in [1usize, 4] {
-                pool::set_threads(threads);
-                let fact = eval_factorized(&q, &ws, "Ans");
-                pool::set_threads(0);
-                match (&reference, fact) {
-                    (Ok(r), Ok(f)) => {
-                        prop_assert_eq!(&f, r, "decode diverged (compact={}, {} threads) on {} (seed {})", compact, threads, q, seed);
-                        prop_assert_eq!(render(&f), render(r), "render diverged (compact={}, {} threads) on {} (seed {})", compact, threads, q, seed);
-                    }
-                    // Budget overflow is allowed (the uncompacted side may
-                    // hit it earlier); success where the reference errors
-                    // is not.
-                    (Ok(_), Err(_)) | (Err(_), Err(_)) => {}
-                    (Err(e), Ok(_)) => prop_assert!(false, "factorized succeeded where reference failed ({e}) on {} (seed {})", q, seed),
+            match (&reference, eval_factorized(&q, &ws, "Ans")) {
+                (Ok(r), Ok(f)) => {
+                    prop_assert_eq!(&f, r, "decode diverged (compact={}) on {} (seed {})", compact, q, seed);
+                    prop_assert_eq!(render(&f), render(r), "render diverged (compact={}) on {} (seed {})", compact, q, seed);
                 }
+                // Budget overflow is allowed (the uncompacted side may
+                // hit it earlier); success where the reference errors
+                // is not.
+                (Ok(_), Err(_)) | (Err(_), Err(_)) => {}
+                (Err(e), Ok(_)) => prop_assert!(false, "factorized succeeded where reference failed ({e}) on {} (seed {})", q, seed),
             }
         }
         config::set_compact_enabled(None);

@@ -1,6 +1,8 @@
 //! The inlined representation of world-sets (Definition 5.1, Figure 4).
 
-use relalg::{attr, Attr, Relation, Result, Schema, Value};
+use std::collections::BTreeMap;
+
+use relalg::{attr, Attr, Relation, Result, Schema, Tuple, Value};
 use worldset::{World, WorldSet};
 
 /// An inlined representation `T = ⟨R₁ᵀ[U₁∪V], …, R_kᵀ[U_k∪V], W[V]⟩`.
@@ -122,7 +124,7 @@ pub(crate) fn decode_worlds(
         return WorldSet::from_worlds(names, worlds);
     }
     // One partition pass per table: world id → value-attribute slice.
-    let partitioned: Vec<(Schema, std::collections::BTreeMap<relalg::Tuple, Relation>)> = tables
+    let mut partitioned: Vec<(Schema, BTreeMap<Tuple, Relation>)> = tables
         .iter()
         .map(|table| {
             let value_attrs = table.schema().minus(id_attrs);
@@ -135,15 +137,16 @@ pub(crate) fn decode_worlds(
         .collect::<Result<_>>()?;
     // Assemble one world per id in W; ids absent from a table encode an
     // empty relation there. Keys are extracted in `id_attrs` order so they
-    // compare against the partition keys attribute-by-attribute.
+    // compare against the partition keys attribute-by-attribute. The ids
+    // are distinct, so each world takes its slices out of the partition
+    // maps instead of copying them.
     let wids = world_table.distinct_values(id_attrs)?;
-    let worlds: Vec<World> = relalg::pool::par_map(&wids, |wid| {
+    let worlds = wids.iter().map(|wid| {
         let rels = partitioned
-            .iter()
+            .iter_mut()
             .map(|(value_schema, parts)| {
                 parts
-                    .get(wid)
-                    .cloned()
+                    .remove(wid)
                     .unwrap_or_else(|| Relation::empty(value_schema.clone()))
             })
             .collect();

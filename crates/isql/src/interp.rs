@@ -18,7 +18,7 @@
 //!   that reads nothing of its outer rows is evaluated once per world:
 //!   [`Scopes`] keeps its answer for the remaining rows.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use relalg::{Attr, Relation, Schema, Tuple, Value};
@@ -221,7 +221,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
                     .ok_or_else(|| SqlError(format!("unknown relation {name}")))?;
                 let acc_idx = cur.index_of(&acc_name).expect("working relation present");
                 let alias = alias.clone().unwrap_or_else(|| name.clone());
-                cur = cur.par_map_worlds(|w| {
+                cur = cur.map_worlds(|w| {
                     let mut q = qualify(w.rel(idx), &alias)?;
                     if *sel != relalg::Pred::True {
                         q = q.select(sel).map_err(rel_err)?;
@@ -261,7 +261,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
     };
     let acc_idx = cur.index_of(&acc_name).expect("working relation present");
     if let Some(cond) = &cond {
-        cur = cur.par_map_worlds(|w| {
+        cur = cur.map_worlds(|w| {
             let filtered = filter_rows(
                 w.rel(acc_idx),
                 &[cond],
@@ -276,7 +276,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
     // choice of — one world per value combination.
     if !stmt.choice_of.is_empty() {
         let cols = stmt.choice_of.clone();
-        cur = cur.par_flat_map_worlds(|w| {
+        cur = cur.flat_map_worlds(|w| {
             let acc = w.rel(acc_idx);
             let attrs = resolve_cols(&cols, acc.schema())?;
             if acc.is_empty() {
@@ -297,7 +297,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
     // repair by key — one world per maximal repair.
     if !stmt.repair_by_key.is_empty() {
         let cols = stmt.repair_by_key.clone();
-        cur = cur.par_flat_map_worlds(|w| {
+        cur = cur.flat_map_worlds(|w| {
             let acc = w.rel(acc_idx);
             let attrs = resolve_cols(&cols, acc.schema())?;
             let repairs = wsa::repairs_by_key(acc, &attrs).map_err(rel_err)?;
@@ -319,7 +319,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
                     "group worlds by requires possible or certain".into(),
                 ));
             }
-            cur = cur.par_map_worlds(|w| {
+            cur = cur.map_worlds(|w| {
                 let answer = project_world(stmt, w, &names_snapshot, acc_idx)?;
                 Ok(replace_rel(w, acc_idx, answer))
             })?;
@@ -346,41 +346,31 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
                     }
                 }
             };
-            // Per-world key extraction and projection fan out over the
-            // pool; the merge below runs in world order, unchanged.
-            let input: Vec<&World> = cur.iter().collect();
-            let keyed: Vec<(Relation, Relation)> = relalg::pool::par_map(&input, |w| {
-                Ok::<_, SqlError>((
-                    group_key(w)?,
-                    project_world(stmt, w, &names_snapshot, acc_idx)?,
-                ))
-            })
-            .into_iter()
-            .collect::<Result<_>>()?;
-            // Per-group merge as a pairwise tree reduction on the pool
-            // (union/intersection are associative and keep the leftmost
-            // schema, so this equals the sequential in-order fold).
-            let mut entries: Vec<(World, Relation)> = Vec::new();
-            let mut members: BTreeMap<Relation, Vec<Relation>> = BTreeMap::new();
-            for (w, (key, ans)) in input.into_iter().zip(keyed) {
-                members.entry(key.clone()).or_default().push(ans);
-                entries.push((w.clone(), key));
-            }
+            // Fold each group's answers in world order (the first member's
+            // attribute order wins).
+            let mut entries: Vec<(&World, Relation)> = Vec::new();
             let mut groups: BTreeMap<Relation, Relation> = BTreeMap::new();
-            for (key, contributions) in members {
-                let merged = relalg::pool::par_reduce(contributions, |a, b| {
-                    match quant {
-                        Quant::Possible => a.union(b),
-                        Quant::Certain => a.intersect(b),
+            for w in cur.iter() {
+                let key = group_key(w)?;
+                let ans = project_world(stmt, w, &names_snapshot, acc_idx)?;
+                match groups.entry(key.clone()) {
+                    Entry::Vacant(e) => {
+                        e.insert(ans);
                     }
-                    .map_err(rel_err)
-                })?
-                .expect("every group has at least one member");
-                groups.insert(key, merged);
+                    Entry::Occupied(mut e) => {
+                        let merged = match quant {
+                            Quant::Possible => e.get().union(&ans),
+                            Quant::Certain => e.get().intersect(&ans),
+                        }
+                        .map_err(rel_err)?;
+                        e.insert(merged);
+                    }
+                }
+                entries.push((w, key));
             }
             let worlds: Vec<World> = entries
                 .into_iter()
-                .map(|(w, key)| replace_rel(&w, acc_idx, groups[&key].clone()))
+                .map(|(w, key)| replace_rel(w, acc_idx, groups[&key].clone()))
                 .collect();
             cur = WorldSet::from_worlds(cur.rel_names().to_vec(), worlds).map_err(rel_err)?;
         }
@@ -409,7 +399,7 @@ fn add_from_item(item: &FromItem, cur: &WorldSet, acc_name: &str) -> Result<Worl
                 .index_of(name)
                 .ok_or_else(|| SqlError(format!("unknown relation {name}")))?;
             let alias = alias.clone().unwrap_or_else(|| name.clone());
-            cur.par_map_worlds(|w| {
+            cur.map_worlds(|w| {
                 let qualified = qualify(w.rel(idx), &alias)?;
                 let acc = w.rel(acc_idx);
                 Ok(replace_rel(
@@ -426,7 +416,7 @@ fn add_from_item(item: &FromItem, cur: &WorldSet, acc_name: &str) -> Result<Worl
             let sub = eval_select_ws(query, cur, &sub_name)?;
             let sub_idx = sub.index_of(&sub_name).expect("just added");
             let acc_idx = sub.index_of(acc_name).expect("still present");
-            let folded = sub.par_map_worlds(|w| {
+            let folded = sub.map_worlds(|w| {
                 let qualified = qualify(w.rel(sub_idx), alias)?;
                 let acc = w.rel(acc_idx);
                 Ok(replace_rel(
@@ -770,8 +760,7 @@ fn materialized_ref(name: &str) -> SelectStmt {
 /// under the subquery's node address. `'q` ties that address to the
 /// statement: every subquery evaluated against a `Scopes` outlives it.
 ///
-/// One `Scopes` serves one world; worlds evaluate in parallel and share
-/// nothing mutable.
+/// One `Scopes` serves one world.
 pub(crate) struct Scopes<'q> {
     stack: Vec<(Schema, Tuple)>,
     memo: Vec<(&'q SelectStmt, Arc<Relation>)>,

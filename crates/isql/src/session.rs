@@ -222,7 +222,7 @@ impl Session {
             if ws.index_of(&name_owned).is_some() {
                 return Err(SqlError(format!("relation {name_owned} already exists")));
             }
-            let ws = ws.par_extend_with(&name_owned, |_| Ok::<_, SqlError>(shared.clone()))?;
+            let ws = ws.extend_with(&name_owned, |_| Ok::<_, SqlError>(shared.clone()))?;
             Ok(Some((ws, keys.clone())))
         })?;
         Ok(())
@@ -274,7 +274,7 @@ impl Session {
 
     /// Execute one statement. The session's configuration overrides are in
     /// effect for the duration of the statement (on this thread and on the
-    /// execution pool's workers).
+    /// tuple-axis workers a large relation's operators start from it).
     pub fn run(&mut self, stmt: Stmt) -> Result<ExecOutcome> {
         let _session_cfg = relalg::config::overlay(&self.config);
         match stmt {
@@ -455,8 +455,8 @@ impl Session {
     /// violates a declared key in *some* world, it is discarded in all
     /// (Section 3, "Data Manipulation"). The batch is merged into each
     /// world's relation in one sorted-merge pass (`Relation::merge_rows`),
-    /// not one O(n) shifted insert per row, and the per-world merges and
-    /// key checks run on the execution pool.
+    /// not one O(n) shifted insert per row; the key check stops at the
+    /// first violating world.
     fn insert(
         &mut self,
         wal: Option<WalAction>,
@@ -470,7 +470,7 @@ impl Session {
         let table = table.to_string();
         let applied = self.write(wal, move |ws, keys| {
             let idx = table_index(ws, &table)?;
-            let proposed = ws.par_map_worlds(|w| {
+            let proposed = ws.map_worlds(|w| {
                 let rel = w
                     .rel(idx)
                     .merge_rows(values.iter().cloned())
@@ -480,20 +480,15 @@ impl Session {
             if let Some(key_cols) = keys.get(&table) {
                 let key_attrs: Vec<relalg::Attr> =
                     key_cols.iter().map(|c| relalg::Attr::new(c)).collect();
-                let worlds: Vec<_> = proposed.iter().collect();
-                let violated = relalg::pool::par_map(&worlds, |w| {
+                // Discarded in all worlds as soon as one world violates.
+                for w in proposed.iter() {
                     let rel = w.rel(idx);
                     let distinct_keys = rel
                         .distinct_values(&key_attrs)
                         .map_err(|e| SqlError(e.to_string()))?;
-                    Ok::<_, SqlError>(distinct_keys.len() != rel.len())
-                })
-                .into_iter()
-                .collect::<Result<Vec<bool>>>()?
-                .into_iter()
-                .any(|v| v);
-                if violated {
-                    return Ok(None);
+                    if distinct_keys.len() != rel.len() {
+                        return Ok(None);
+                    }
                 }
             }
             Ok(Some((proposed, keys.clone())))
@@ -501,8 +496,7 @@ impl Session {
         Ok(ExecOutcome::Dml { applied })
     }
 
-    /// `delete from R [where φ]` in every world (worlds filter on the
-    /// execution pool).
+    /// `delete from R [where φ]` in every world.
     fn delete(
         &mut self,
         wal: Option<WalAction>,
@@ -513,7 +507,7 @@ impl Session {
         self.write(wal, move |ws, keys| {
             let idx = table_index(ws, &table)?;
             let names: Vec<String> = ws.rel_names().to_vec();
-            let ws = ws.par_map_worlds(|w| {
+            let ws = ws.map_worlds(|w| {
                 let rel = w.rel(idx);
                 let mut scopes = Scopes::new();
                 let mut keep = Vec::new();
@@ -535,8 +529,7 @@ impl Session {
         Ok(ExecOutcome::Dml { applied: true })
     }
 
-    /// `update R set … [where φ]` in every world (worlds update on the
-    /// execution pool).
+    /// `update R set … [where φ]` in every world.
     fn update(
         &mut self,
         wal: Option<WalAction>,
@@ -548,7 +541,7 @@ impl Session {
         self.write(wal, move |ws, keys| {
             let idx = table_index(ws, &table)?;
             let names: Vec<String> = ws.rel_names().to_vec();
-            let ws = ws.par_map_worlds(|w| {
+            let ws = ws.map_worlds(|w| {
                 let rel = w.rel(idx);
                 let schema = rel.schema();
                 let mut scopes = Scopes::new();

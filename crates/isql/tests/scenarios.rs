@@ -327,10 +327,23 @@ fn insert_constraint_discards_everywhere() {
     s.execute("create view C as select * from R choice of K;")
         .unwrap();
     s.declare_key("C", &["K"]).unwrap();
-    let before = s.answers("C").unwrap();
-    let out = s.execute("insert into C values ('a', '9');").unwrap();
-    assert_eq!(out[0], ExecOutcome::Dml { applied: false });
-    assert_eq!(s.answers("C").unwrap(), before);
+    let before = s.world_set().clone();
+    assert_eq!(before.len(), 3);
+    // Each key is held by exactly one of the three worlds, so the violating
+    // world is the first, a middle and the last one visited in turn (the
+    // key check stops at the first violation): the whole catalog stays as
+    // it was every time.
+    for k in ["a", "b", "c"] {
+        let out = s
+            .execute(&format!("insert into C values ('{k}', '9');"))
+            .unwrap();
+        assert_eq!(out[0], ExecOutcome::Dml { applied: false }, "K = {k}");
+        assert_eq!(s.world_set(), &before, "K = {k}");
+    }
+    // A key no world holds yet goes into all of them.
+    let out = s.execute("insert into C values ('d', '4');").unwrap();
+    assert_eq!(out[0], ExecOutcome::Dml { applied: true });
+    assert!(s.answers("C").unwrap().iter().all(|c| c.len() == 2));
 }
 
 /// `update` applies per world.

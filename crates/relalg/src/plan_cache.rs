@@ -21,8 +21,8 @@
 //! cache.
 //!
 //! The cache is **sharded 16 ways** by canonical-plan hash (the same scheme
-//! as the interner sharding), so per-world fan-outs on the execution pool
-//! do not serialize on a single mutex when the rewrite path is on.
+//! as the interner sharding), so concurrent sessions do not serialize on a
+//! single mutex when the rewrite path is on.
 //!
 //! The cache — like the whole rewrite path — can be switched off with the
 //! `WSDB_NO_REWRITE` environment variable (any non-empty value) for A/B

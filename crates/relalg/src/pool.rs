@@ -1,18 +1,21 @@
-//! Hand-rolled scoped-thread execution pool.
+//! Hand-rolled scoped-thread execution pool for the storage layer.
 //!
-//! The world-set semantics is embarrassingly parallel along its world axis
-//! (each world of a world-set is evaluated independently; each repair group
-//! is enumerated independently), and the storage layer has the same shape
-//! along its tuple axis (chunked sort in [`crate::RelationBuilder`],
-//! hash-partitioned join build/probe). The container has no crates.io
-//! access (no rayon), so this module provides the minimal primitives the
-//! engine needs on top of `std::thread::scope`:
+//! The pool splits work along the *tuple* axis of one large relation:
+//! chunked sort in [`crate::RelationBuilder`], hash-partitioned join
+//! build/probe, chunked scans and column extraction. Every caller lives in
+//! this crate and gates on the tuple count first
+//! (`parallelize(len, par_min_tuples())`). World-level operations (the
+//! Figure-3 operators, `choice of`, `repair by key`, the per-world DML
+//! loops) do not use it and run on the calling thread: the worlds of a
+//! world-set share almost all their data, so that axis has nothing to
+//! split — measured in EXPERIMENTS.md, B8. The container has no crates.io
+//! access (no rayon), so this module provides the minimal primitives on
+//! top of `std::thread::scope`:
 //!
 //! * [`par_map`] — map a slice through a `Sync` closure, preserving input
 //!   order exactly (workers own contiguous chunks; results are concatenated
 //!   in chunk order, so the output is byte-identical to the sequential
 //!   `iter().map().collect()`).
-//! * [`par_flat_map`] — the flattening variant (world fan-outs).
 //! * [`par_sort_dedup`] — chunked `sort_unstable` + k-way merge with
 //!   deduplication (the `RelationBuilder::finish` pass). Sorting and
 //!   deduplicating yields a canonical vector, so the result is identical
@@ -20,15 +23,15 @@
 //!
 //! The worker count is process-wide: `WSDB_THREADS` if set (a value of `1`
 //! restores the exact sequential code path everywhere), otherwise
-//! [`std::thread::available_parallelism`]. Benchmarks and determinism tests
-//! override it at runtime with [`set_threads`].
+//! [`std::thread::available_parallelism`]. Benchmarks and the storage-axis
+//! oracle tests override it at runtime with [`set_threads`].
 
 use std::cell::Cell;
 
 use crate::config;
 
 thread_local! {
-    /// True on pool worker threads. Nested fan-outs (a per-world closure
+    /// True on pool worker threads. Nested fan-outs (a per-chunk closure
     /// hitting a parallel sort or join) run sequentially instead of
     /// spawning `num_threads²` transient threads — the outer fan-out
     /// already owns all the cores.
@@ -40,10 +43,6 @@ fn enter_worker<R>(f: impl FnOnce() -> R) -> R {
     // Workers are one-shot scoped threads; no need to reset on exit.
     f()
 }
-
-/// Below this many items a fan-out stays sequential — spawning threads for
-/// a handful of worlds costs more than it saves.
-pub const PAR_MIN_ITEMS: usize = 4;
 
 /// Below this many tuples [`par_sort_dedup`] and the partitioned join paths
 /// stay sequential (the default of [`par_min_tuples`]).
@@ -66,10 +65,6 @@ pub fn set_par_min_tuples(n: Option<usize>) {
     config::PAR_MIN_TUPLES.set(n);
 }
 
-/// Below this many items [`par_reduce`] runs as a plain sequential left
-/// fold — per-round thread spawns only amortize over wide reductions.
-pub const PAR_MIN_REDUCE: usize = 32;
-
 /// The process-wide worker count: the [`config::THREADS`] knob — runtime
 /// override, else `WSDB_THREADS` from the environment (minimum 1, read
 /// once), else [`std::thread::available_parallelism`].
@@ -78,8 +73,8 @@ pub fn num_threads() -> usize {
     config::THREADS.get()
 }
 
-/// Override the worker count for this process (benchmarks sweep it;
-/// determinism tests pin it). `set_threads(0)` drops the override so
+/// Override the worker count for this process (benchmarks sweep it; the
+/// storage-axis oracle tests pin it). `set_threads(0)` drops the override so
 /// [`num_threads`] falls back to the environment-derived value.
 pub fn set_threads(n: usize) {
     config::THREADS.set(if n == 0 { None } else { Some(n) });
@@ -98,16 +93,18 @@ pub fn parallelize(len: usize, min_items: usize) -> bool {
 ///
 /// Workers each take one contiguous chunk of the input and map it left to
 /// right; the per-chunk outputs are concatenated in chunk order, so the
-/// result vector is exactly `items.iter().map(f).collect()`. With one
-/// worker (or a short input) the sequential path runs directly on the
-/// calling thread.
+/// result vector is exactly `items.iter().map(f).collect()`. Any slice
+/// with something to split (two items or more) fans out — callers decide
+/// whether the work is worth a thread start by gating on their tuple count
+/// first. With one worker, or on a pool worker, the map runs on the calling
+/// thread.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if !parallelize(items.len(), PAR_MIN_ITEMS) {
+    if !parallelize(items.len(), 2) {
         return items.iter().map(f).collect();
     }
     let chunk_len = items.len().div_ceil(num_threads());
@@ -131,73 +128,6 @@ where
         }
     });
     out
-}
-
-/// Map each item to a vector and concatenate, preserving input order
-/// (the world-splitting fan-outs: `choice-of`, `repair-by-key`).
-pub fn par_flat_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Vec<R> + Sync,
-{
-    let mut out = Vec::new();
-    for v in par_map(items, f) {
-        out.extend(v);
-    }
-    out
-}
-
-/// Reduce `items` with an associative `merge` by pairwise tree reduction,
-/// each round's pair merges fanning out over the pool.
-///
-/// The reduction pairs *adjacent* elements and keeps the leftmost element
-/// leftmost in every round, so for operations that are associative and
-/// take their output "orientation" from the left operand (relation union
-/// and intersection: the left schema's attribute order wins, tuples are a
-/// set), the result is identical to the sequential left fold it replaces.
-/// An odd trailing element is carried into the next round unmerged. Errors
-/// surface as soon as a round completes; which pair reports a given
-/// incompatibility may differ from the fold, the set of possible errors
-/// does not.
-///
-/// Returns `Ok(None)` for an empty input.
-pub fn par_reduce<T, E>(
-    mut items: Vec<T>,
-    merge: impl Fn(&T, &T) -> std::result::Result<T, E> + Sync,
-) -> std::result::Result<Option<T>, E>
-where
-    T: Send + Sync,
-    E: Send,
-{
-    if !parallelize(items.len(), PAR_MIN_REDUCE) {
-        // Narrow reduction (or one worker): the exact sequential fold.
-        let mut it = items.into_iter();
-        let Some(first) = it.next() else {
-            return Ok(None);
-        };
-        let mut acc = first;
-        for x in it {
-            acc = merge(&acc, &x)?;
-        }
-        return Ok(Some(acc));
-    }
-    while items.len() > 1 {
-        let tail = if items.len() % 2 == 1 {
-            items.pop()
-        } else {
-            None
-        };
-        let pairs: Vec<&[T]> = items.chunks(2).collect();
-        let mut next: Vec<T> = par_map(&pairs, |p| merge(&p[0], &p[1]))
-            .into_iter()
-            .collect::<std::result::Result<_, E>>()?;
-        if let Some(t) = tail {
-            next.push(t);
-        }
-        items = next;
-    }
-    Ok(items.pop())
 }
 
 /// Sort + dedup `v`, splitting the sort across workers.
@@ -304,54 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn par_flat_map_concatenates_in_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let expect: Vec<usize> = items.iter().flat_map(|&i| vec![i, i]).collect();
-        let out = with_threads(4, || par_flat_map(&items, |&i| vec![i, i]));
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn par_reduce_matches_left_fold() {
-        // Concatenation is associative but not commutative: the tree
-        // reduction must agree with the sequential left fold exactly.
-        let items: Vec<String> = (0..37).map(|i| format!("{i:02},")).collect();
-        let expect: String = items.concat();
-        for nt in [1usize, 2, 4, 8] {
-            let out = with_threads(nt, || {
-                par_reduce(items.clone(), |a: &String, b: &String| {
-                    Ok::<_, ()>(format!("{a}{b}"))
-                })
-            })
-            .unwrap()
-            .unwrap();
-            assert_eq!(out, expect, "nt={nt}");
-        }
-        assert!(par_reduce(Vec::<i64>::new(), |a, b| Ok::<_, ()>(a + b))
-            .unwrap()
-            .is_none());
-        let single = par_reduce(vec![41i64], |a, b| Ok::<_, ()>(a + b)).unwrap();
-        assert_eq!(single, Some(41));
-    }
-
-    #[test]
-    fn par_reduce_surfaces_errors() {
-        // Wide enough (≥ PAR_MIN_REDUCE) to take the tree path; the pair
-        // (6, 7) errors in the first round.
-        let items: Vec<i64> = (0..64).collect();
-        let out = with_threads(4, || {
-            par_reduce(items, |a, b| {
-                if a + b == 13 {
-                    Err("unlucky")
-                } else {
-                    Ok(a + b)
-                }
-            })
-        });
-        assert_eq!(out, Err("unlucky"));
-    }
-
-    #[test]
     fn par_sort_dedup_matches_sequential() {
         let v: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 4001).collect();
         let mut expect = v.clone();
@@ -383,7 +265,7 @@ mod tests {
         let items: Vec<usize> = (0..100).collect();
         // On the calling thread the fan-out is parallel; inside workers
         // `parallelize` must report false so nested calls stay sequential.
-        assert!(parallelize(items.len(), PAR_MIN_ITEMS));
+        assert!(parallelize(items.len(), 2));
         let nested_flags = par_map(&items, |_| parallelize(100, 1));
         assert!(nested_flags.iter().all(|f| !f));
         set_threads(0);

@@ -303,8 +303,7 @@ proptest! {
     // End-to-end oracle: optimize() (with real cardinalities, so the
     // cost-based rules fire) followed by the general translation route
     // through `Catalog` must agree with the unrewritten direct Figure-3
-    // semantics — at both pool worker counts, with the plan/result caches
-    // on and off.
+    // semantics, with the plan/result caches on and off.
     #[test]
     fn optimize_then_translate_matches_unrewritten_oracle(seed in any::<u64>()) {
         let ws = random_world_set(seed, &spec_single());
@@ -357,22 +356,17 @@ proptest! {
                 q,
                 opt
             );
-            for threads in [1usize, 4] {
-                relalg::pool::set_threads(threads);
-                for caches_on in [true, false] {
-                    relalg::plan_cache::set_enabled(Some(caches_on));
-                    let got = wsa_inlined::run_general(&q, &rep, "Ans").unwrap();
-                    relalg::plan_cache::set_enabled(None);
-                    prop_assert_eq!(
-                        &got,
-                        &oracle,
-                        "translation route diverges for {} (threads={}, caches={})",
-                        q,
-                        threads,
-                        caches_on
-                    );
-                }
-                relalg::pool::set_threads(0);
+            for caches_on in [true, false] {
+                relalg::plan_cache::set_enabled(Some(caches_on));
+                let got = wsa_inlined::run_general(&q, &rep, "Ans").unwrap();
+                relalg::plan_cache::set_enabled(None);
+                prop_assert_eq!(
+                    &got,
+                    &oracle,
+                    "translation route diverges for {} (caches={})",
+                    q,
+                    caches_on
+                );
             }
         }
     }

@@ -1428,10 +1428,9 @@ impl FactoredSet {
         let alive: Vec<&Constraint> = wp.ds.iter().collect();
         self.enumerate(&content, &mut stack, &alive, &mut assigns)?;
 
-        // Assemble one world per valid assignment (pool fan-out; chunked
-        // in-order concatenation keeps the order deterministic, and the
-        // world-set constructor deduplicates).
-        let worlds: Vec<World> = relalg::pool::par_map(&assigns, |assign| {
+        // Assemble one world per valid assignment (the world-set
+        // constructor deduplicates).
+        let assemble = |assign: &Vec<u32>| -> relalg::Result<World> {
             let rels: Vec<Arc<Relation>> = split
                 .iter()
                 .map(|src| {
@@ -1459,10 +1458,12 @@ impl FactoredSet {
                     }
                 })
                 .collect::<relalg::Result<_>>()?;
-            Ok::<_, RelalgError>(World::from_shared(rels))
-        })
-        .into_iter()
-        .collect::<relalg::Result<_>>()?;
+            Ok(World::from_shared(rels))
+        };
+        let worlds: Vec<World> = assigns
+            .iter()
+            .map(assemble)
+            .collect::<relalg::Result<_>>()?;
         Ok(WorldSet::from_worlds(names, worlds)?)
     }
 

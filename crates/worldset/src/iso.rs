@@ -87,10 +87,9 @@ impl Bijection {
         Ok(World::new(rels?))
     }
 
-    /// Image of a world-set: `θ(A) = {θ(I) | I ∈ A}`. Worlds map through
-    /// the bijection independently, so this runs on the execution pool.
+    /// Image of a world-set: `θ(A) = {θ(I) | I ∈ A}`.
     pub fn apply(&self, ws: &WorldSet) -> Result<WorldSet> {
-        ws.par_map_worlds(|w| self.apply_world(w))
+        ws.map_worlds(|w| self.apply_world(w))
     }
 
     /// Definition 4.3: `A ≅θ A′` iff `θ(A) ⊆ A′` and `θ⁻¹(A′) ⊆ A`

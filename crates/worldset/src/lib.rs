@@ -13,4 +13,4 @@ mod iso;
 mod world;
 
 pub use iso::{active_domain, Bijection};
-pub use world::{pair_worlds, World, WorldSet};
+pub use world::{pair_worlds, Prefix, World, WorldSet};

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -25,34 +27,38 @@ pub struct World {
 // would otherwise re-compare those shared relations row-by-row on every
 // insertion. Pointer equality implies content equality, so the orderings
 // are unchanged. `Hash` stays content-based to remain consistent with `Eq`.
+// [`World`] and [`Prefix`] both compare through these two functions.
+fn rels_eq(a: &[Arc<Relation>], b: &[Arc<Relation>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+}
+
+fn rels_cmp(a: &[Arc<Relation>], b: &[Arc<Relation>]) -> Ordering {
+    for (x, y) in a.iter().zip(b) {
+        if Arc::ptr_eq(x, y) {
+            continue;
+        }
+        match x.cmp(y) {
+            Ordering::Equal => {}
+            o => return o,
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
 impl PartialEq for World {
     fn eq(&self, other: &World) -> bool {
-        self.rels.len() == other.rels.len()
-            && self
-                .rels
-                .iter()
-                .zip(&other.rels)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+        rels_eq(&self.rels, &other.rels)
     }
 }
 
 impl Ord for World {
-    fn cmp(&self, other: &World) -> std::cmp::Ordering {
-        for (a, b) in self.rels.iter().zip(&other.rels) {
-            if Arc::ptr_eq(a, b) {
-                continue;
-            }
-            match a.cmp(b) {
-                std::cmp::Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        self.rels.len().cmp(&other.rels.len())
+    fn cmp(&self, other: &World) -> Ordering {
+        rels_cmp(&self.rels, &other.rels)
     }
 }
 
 impl PartialOrd for World {
-    fn partial_cmp(&self, other: &World) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &World) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
@@ -107,8 +113,8 @@ impl World {
     }
 
     /// All relations except the last (the context `⟨R₁,…,R_k⟩`).
-    pub fn prefix(&self) -> &[Arc<Relation>] {
-        &self.rels[..self.rels.len() - 1]
+    pub fn prefix(&self) -> Prefix<'_> {
+        Prefix(&self.rels[..self.rels.len() - 1])
     }
 
     /// A copy of this world with one more relation appended. All existing
@@ -142,11 +148,48 @@ impl World {
     }
 }
 
+/// The context `⟨R₁,…,R_k⟩` of a world, ordered and compared exactly like
+/// [`World`] itself: pointer identity first, relation content as the
+/// fallback. A map keyed by `Prefix` therefore pairs worlds whose contexts
+/// are equal *by value* (the two operand evaluations of a binary operator
+/// may hold equal relations under distinct allocations) without re-reading
+/// the relations they share by `Arc` row by row on every comparison.
+#[derive(Clone, Copy, Debug)]
+pub struct Prefix<'a>(pub &'a [Arc<Relation>]);
+
+impl PartialEq for Prefix<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        rels_eq(self.0, other.0)
+    }
+}
+
+impl Eq for Prefix<'_> {}
+
+impl Ord for Prefix<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rels_cmp(self.0, other.0)
+    }
+}
+
+impl PartialOrd for Prefix<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// A finite set of possible worlds over a shared schema.
 ///
 /// Worlds are deduplicated structurally (the model is a *set* of worlds) and
 /// iterate in a deterministic order. The relation-name list is shared and
 /// reference-counted; appending an answer relation clones it once.
+///
+/// Every world-level operation ([`WorldSet::map_worlds`],
+/// [`WorldSet::flat_map_worlds`], [`WorldSet::extend_with`], the
+/// `poss`/`cert` folds) visits the worlds in that order on the calling
+/// thread, so the callbacks are plain `FnMut`. Worlds share almost all
+/// their data by `Arc`, which leaves nothing to split across threads
+/// (EXPERIMENTS.md, B8); parallelism lives on the tuple axis inside
+/// `relalg`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorldSet {
     rel_names: Arc<Vec<String>>,
@@ -287,63 +330,6 @@ impl WorldSet {
         })
     }
 
-    /// Parallel counterpart of [`WorldSet::map_worlds`]: each world is
-    /// transformed by a pool worker (`relalg::pool`, `WSDB_THREADS` knob).
-    /// Results are re-collected into the deduplicating world set, so the
-    /// output is identical to the sequential variant; the closure must be
-    /// `Fn + Sync` rather than `FnMut`.
-    pub fn par_map_worlds<E: Send>(
-        &self,
-        f: impl Fn(&World) -> std::result::Result<World, E> + Sync,
-    ) -> std::result::Result<WorldSet, E> {
-        let input: Vec<&World> = self.worlds.iter().collect();
-        let worlds: BTreeSet<World> = relalg::pool::par_map(&input, |w| f(w))
-            .into_iter()
-            .collect::<std::result::Result<_, E>>()?;
-        Ok(WorldSet {
-            rel_names: self.rel_names.clone(),
-            worlds,
-        })
-    }
-
-    /// Parallel counterpart of [`WorldSet::flat_map_worlds`] (world
-    /// splitting: choice-of, repair-by-key). Deterministic for the same
-    /// reason as [`WorldSet::par_map_worlds`].
-    pub fn par_flat_map_worlds<E: Send>(
-        &self,
-        f: impl Fn(&World) -> std::result::Result<Vec<World>, E> + Sync,
-    ) -> std::result::Result<WorldSet, E> {
-        let input: Vec<&World> = self.worlds.iter().collect();
-        let mut worlds = BTreeSet::new();
-        for ws in relalg::pool::par_map(&input, |w| f(w)) {
-            worlds.extend(ws?);
-        }
-        Ok(WorldSet {
-            rel_names: self.rel_names.clone(),
-            worlds,
-        })
-    }
-
-    /// Parallel counterpart of [`WorldSet::extend_with`]: evaluate `f` on
-    /// every world concurrently and append the produced relation under
-    /// `name`.
-    pub fn par_extend_with<E: Send, R: Into<Arc<Relation>> + Send>(
-        &self,
-        name: &str,
-        f: impl Fn(&World) -> std::result::Result<R, E> + Sync,
-    ) -> std::result::Result<WorldSet, E> {
-        let mut rel_names = (*self.rel_names).clone();
-        rel_names.push(name.to_string());
-        let input: Vec<&World> = self.worlds.iter().collect();
-        let worlds: BTreeSet<World> = relalg::pool::par_map(&input, |w| f(w).map(|r| w.with(r)))
-            .into_iter()
-            .collect::<std::result::Result<_, E>>()?;
-        Ok(WorldSet {
-            rel_names: Arc::new(rel_names),
-            worlds,
-        })
-    }
-
     /// Replace every world by zero or more successor worlds (used by
     /// choice-of and repair-by-key, which split worlds). Generic over the
     /// caller's error type.
@@ -403,18 +389,14 @@ impl WorldSet {
     }
 
     /// The union of the last relation over all worlds (the `poss` closure),
-    /// or `None` if the world-set is empty.
-    ///
-    /// Runs as a pairwise tree reduction on the execution pool
-    /// (`relalg::pool::par_reduce`): union is associative and takes the
-    /// left operand's attribute order, and the reduction keeps the leftmost
-    /// world leftmost, so the result is identical to the sequential fold.
+    /// or `None` if the world-set is empty. A left fold in world order: the
+    /// first world's attribute order wins.
     pub fn union_of_last(&self) -> Result<Option<Relation>> {
         self.reduce_last(|a, b| a.union(b))
     }
 
     /// The intersection of the last relation over all worlds (the `cert`
-    /// closure), or `None` if the world-set is empty. Tree-reduced like
+    /// closure), or `None` if the world-set is empty. Folded like
     /// [`WorldSet::union_of_last`].
     pub fn intersect_of_last(&self) -> Result<Option<Relation>> {
         self.reduce_last(|a, b| a.intersect(b))
@@ -422,15 +404,19 @@ impl WorldSet {
 
     fn reduce_last(
         &self,
-        merge: impl Fn(&Relation, &Relation) -> Result<Relation> + Sync,
+        merge: impl Fn(&Relation, &Relation) -> Result<Relation>,
     ) -> Result<Option<Relation>> {
-        let lasts: Vec<Arc<Relation>> = self
-            .worlds
-            .iter()
-            .map(|w| w.last_shared().clone())
-            .collect();
-        let merged = relalg::pool::par_reduce(lasts, |a, b| merge(a, b).map(Arc::new))?;
-        Ok(merged.map(Arc::unwrap_or_clone))
+        let mut lasts = self.worlds.iter().map(World::last);
+        let Some(first) = lasts.next() else {
+            return Ok(None);
+        };
+        // Borrowed until the first merge: a one-world set copies its answer
+        // once, a wider one never copies an input.
+        let mut acc = Cow::Borrowed(first);
+        for r in lasts {
+            acc = Cow::Owned(merge(&acc, r)?);
+        }
+        Ok(Some(acc.into_owned()))
     }
 
     /// Pretty-print all worlds with their relation names.
@@ -463,20 +449,16 @@ impl fmt::Display for WorldSet {
 pub fn pair_worlds(ws: &WorldSet) -> WorldSet {
     let mut names: Vec<String> = ws.rel_names().to_vec();
     names.extend(ws.rel_names().iter().map(|n| format!("{n}'")));
-    // The outer pairing loop fans out over the pool (|worlds|² pairs of
-    // pointer-bump concatenations); the set collection dedups as before.
-    let left: Vec<&World> = ws.iter().collect();
-    let worlds: BTreeSet<World> = relalg::pool::par_flat_map(&left, |i| {
-        ws.iter()
-            .map(|j| {
+    let worlds = ws
+        .iter()
+        .flat_map(|i| {
+            ws.iter().map(move |j| {
                 let mut rels = i.rels().to_vec();
                 rels.extend(j.rels().iter().cloned());
                 World::from_shared(rels)
             })
-            .collect()
-    })
-    .into_iter()
-    .collect();
+        })
+        .collect();
     WorldSet {
         rel_names: Arc::new(names),
         worlds,
@@ -560,43 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn par_variants_match_sequential() {
-        let ws = WorldSet::single(vec![("Flights", flights())]);
-        let split = ws
-            .flat_map_worlds(|w| -> Result<Vec<World>> {
-                w.rel(0).partition_by(&attrs(&["Dep"])).map(|parts| {
-                    parts
-                        .into_iter()
-                        .map(|(_, p)| World::new(vec![p]))
-                        .collect()
-                })
-            })
-            .unwrap();
-
-        let seq_map = split
-            .map_worlds(|w| -> Result<World> { Ok(w.replace_last(w.last().clone())) })
-            .unwrap();
-        let par_map = split
-            .par_map_worlds(|w| -> Result<World> { Ok(w.replace_last(w.last().clone())) })
-            .unwrap();
-        assert_eq!(seq_map, par_map);
-
-        let seq_ext = split
-            .extend_with("Deps", |w| w.last().project(&attrs(&["Dep"])))
-            .unwrap();
-        let par_ext = split
-            .par_extend_with("Deps", |w| w.last().project(&attrs(&["Dep"])))
-            .unwrap();
-        assert_eq!(seq_ext, par_ext);
-
-        let dup = |w: &World| -> Result<Vec<World>> { Ok(vec![w.clone(), w.clone()]) };
-        assert_eq!(
-            split.flat_map_worlds(dup).unwrap(),
-            split.par_flat_map_worlds(dup).unwrap()
-        );
-    }
-
-    #[test]
     fn closures_union_intersection() {
         let mk = |city: &str| World::new(vec![Relation::table(&["Arr"], &[&[city]])]);
         let ws = WorldSet::from_worlds(vec!["R".into()], vec![mk("ATL"), mk("BCN")]).unwrap();
@@ -612,7 +557,7 @@ mod tests {
     fn world_accessors() {
         let w = World::new(vec![flights(), Relation::unit()]);
         assert_eq!(w.arity(), 2);
-        assert_eq!(w.prefix().len(), 1);
+        assert_eq!(w.prefix().0.len(), 1);
         assert_eq!(w.last(), &Relation::unit());
         assert_eq!(w.replace_last(flights()).last(), &flights());
         assert_eq!(w.drop_last().arity(), 1);
