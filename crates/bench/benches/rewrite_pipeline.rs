@@ -1,14 +1,14 @@
 //! B9: the rewrite execution path end to end — the general Figure-6
 //! translation route (`run_general`: optimize → translate → evaluate →
-//! decode) with the rewrite path **on** (Section-6 optimizer + canonical
-//! CSE + the process-level plan cache, the production default) versus
-//! **off** (`WSDB_NO_REWRITE` semantics: the PR-3-era path), across a
-//! worlds × departures grid.
+//! decode) with the rewrite path **on** versus **off**
+//! (`WSDB_NO_REWRITE`), across a worlds × departures grid.
 //!
-//! `on` measures the steady state of a repeated query: every call
-//! optimizes, translates and decodes again, and the evaluation of the
-//! translated plans in between is answered by the content-verified plan
-//! cache. `off_coldcache` measures the full computation every call.
+//! `on` is the production default: the Section-6 optimizer in front of the
+//! translation, then simplification and join ordering of the translated
+//! plans. `off_coldcache` evaluates the raw translation. Both recompute
+//! everything on every call — no evaluation memo outlives a call — and
+//! both share canonical-form CSE within a call; the `off_coldcache` id is
+//! kept from when `on` was served by a plan cache.
 
 use std::time::Duration;
 
@@ -58,17 +58,17 @@ fn bench_rewrite_pipeline(c: &mut Criterion) {
             let rep = rep_for(worlds, n_dep);
             let label = format!("w{worlds}_d{n_dep}");
 
-            relalg::plan_cache::set_enabled(Some(true));
+            relalg::config::set_rewrite_enabled(Some(true));
             group.bench_with_input(BenchmarkId::new("on", &label), &n_dep, |b, _| {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());
             });
 
-            // The escape-hatch path: no optimizer, no plan cache.
-            relalg::plan_cache::set_enabled(Some(false));
+            // The escape-hatch path: the raw translation.
+            relalg::config::set_rewrite_enabled(Some(false));
             group.bench_with_input(BenchmarkId::new("off_coldcache", &label), &n_dep, |b, _| {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());
             });
-            relalg::plan_cache::set_enabled(None);
+            relalg::config::set_rewrite_enabled(None);
         }
     }
     group.finish();

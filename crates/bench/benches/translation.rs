@@ -51,6 +51,9 @@ fn bench_translation(c: &mut Criterion) {
         let mut catalog = Catalog::new();
         catalog.put("HFlights", flights.clone());
         let base = |n: &str| catalog.schema_of(n);
+        // This leg and `optimized_translation` time one full evaluation of
+        // a prebuilt plan per iteration: `Catalog::eval` keeps no memo
+        // across calls.
         let general_expr = translate_complete(&q, &base, &["HFlights".to_string()]).unwrap();
         group.bench_with_input(
             BenchmarkId::new("general_expr_eval", n_dep),

@@ -19,7 +19,7 @@
 //! * `repair-by-key_U` splits each world into one world per maximal repair
 //!   of the answer under the key `U` (Section 4.1, extension).
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use relalg::{Relation, Result, Tuple};
@@ -239,27 +239,31 @@ pub(crate) fn apply_grouped(
         .map(|w| Ok((key_of(w)?, proj_of(w)?)))
         .collect::<Result<_>>()?;
 
-    // Combine the answers per group, folding in world order (the first
-    // member's attribute order wins); answers are shared so that installing
-    // a group answer into each member world is an `Arc` bump, and a
-    // single-member group keeps its contribution — still a shared handle,
-    // no copy.
-    let mut group_answer: BTreeMap<&Option<Vec<Tuple>>, Arc<Relation>> = BTreeMap::new();
+    // Collect each group's answers in world order (the first member's
+    // attribute order wins), then combine them: `poss` in one many-way
+    // union, `cert` as a fold (the intersection only shrinks). Answers are
+    // shared so that installing a group answer into each member world is
+    // an `Arc` bump, and a single-member group keeps its contribution —
+    // still a shared handle, no copy.
+    let mut members: BTreeMap<&Option<Vec<Tuple>>, Vec<&Arc<Relation>>> = BTreeMap::new();
     for (key, contribution) in &keyed {
-        match group_answer.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(contribution.clone());
-            }
-            Entry::Occupied(mut e) => {
-                let merged = if is_poss {
-                    e.get().union(contribution)?
-                } else {
-                    e.get().intersect(contribution)?
-                };
-                e.insert(Arc::new(merged));
-            }
-        }
+        members.entry(key).or_default().push(contribution);
     }
+    let group_answer: BTreeMap<&Option<Vec<Tuple>>, Arc<Relation>> = members
+        .into_iter()
+        .map(|(key, group)| {
+            let (first, rest) = group.split_first().expect("a group has a member");
+            let answer = if rest.is_empty() {
+                Arc::clone(first)
+            } else if is_poss {
+                Arc::new(first.union_all(rest.iter().map(|r| r.as_ref()))?)
+            } else {
+                let acc = first.intersect(rest[0])?;
+                Arc::new(rest[1..].iter().try_fold(acc, |acc, r| acc.intersect(r))?)
+            };
+            Ok((key, answer))
+        })
+        .collect::<Result<_>>()?;
 
     Ok(input
         .iter()

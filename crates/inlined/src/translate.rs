@@ -445,18 +445,18 @@ fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
 /// decode the resulting representation back into a world-set.
 ///
 /// When the rewrite path is on (the default; `WSDB_NO_REWRITE` or
-/// [`relalg::plan_cache::set_enabled`] turn it off), the WSA query first
-/// runs through the Section-6 logical optimizer with real base-table
-/// cardinalities, the translated expressions are algebraically simplified,
-/// and evaluation goes through the canonical-form caches — structurally
-/// identical subplans (the base-table joins copied per table) evaluate
-/// once.
+/// [`relalg::config::set_rewrite_enabled`] turn it off), the WSA query
+/// first runs through the Section-6 logical optimizer with real base-table
+/// cardinalities, and the translated expressions are algebraically
+/// simplified and join-ordered. Either way the batch evaluates through one
+/// [`relalg::EvalCache`], so structurally identical subplans (the
+/// base-table joins copied per table) evaluate once per call.
 ///
 /// `run_general(q, encode(A)).rep()` must equal the direct Figure-3
 /// semantics `⟦q⟧(A)` — the conservativity tests check exactly this, with
 /// the rewrite path both on and off.
 pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<WorldSet> {
-    let rewrite = relalg::plan_cache::rewrite_enabled();
+    let rewrite = relalg::config::rewrite_enabled();
     // Factorized leg: when the estimated implicit world count is large
     // enough that the translation route would materialize it row by row
     // in the answer's world table, decode the (explicitly small)
@@ -571,9 +571,9 @@ pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<Wor
     }
     shared.push(catalog.eval_cached(&prepare(&tr.answer), &mut cache)?);
     let world_table = catalog.eval_cached(&prepare(&tr.world_table), &mut cache)?;
-    // Decode straight off the shared evaluation results: the plan cache
-    // (and the eval memo) may keep references to them, so unsharing here
-    // would deep-copy every materialized table on every call.
+    // Decode straight off the shared evaluation results: the eval memo
+    // still holds references to them, so unsharing here would deep-copy
+    // every materialized table on every call.
     let table_refs: Vec<&Relation> = shared.iter().map(|a| a.as_ref()).collect();
     crate::rep::decode_worlds(names, &table_refs, &tr.id_attrs, &world_table)
 }

@@ -18,11 +18,10 @@
 //! that an answer observed by a reader is consistent with *exactly one*
 //! published snapshot (no torn reads across a concurrent write).
 //!
-//! The plan cache and the optimizer memo need no changes for concurrency:
-//! they are keyed by `(name, epoch)` fingerprints, so entries from
-//! different snapshots can never verify against each other's data, and DML
-//! continues to evict plans reading the mutated table via
-//! `plan_cache::invalidate_tables`.
+//! The optimizer memo needs no changes for concurrency: it is keyed by
+//! `(name, epoch)` fingerprints, so entries from different snapshots can
+//! never verify against each other's data. Evaluation memos live for one
+//! evaluation and are never shared between sessions.
 
 use std::collections::BTreeMap;
 use std::io;

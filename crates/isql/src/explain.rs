@@ -51,8 +51,7 @@ pub struct Explanation {
     pub relational_plan: Option<relalg::Expr>,
     /// Evaluation-cache behavior of a trial evaluation of the relational
     /// plan against the session's relations (`None` when there is no plan
-    /// or the rewrite path is off): node hits, canonical-CSE hits,
-    /// process-level plan-cache hits, misses.
+    /// or the rewrite path is off): node hits, canonical-CSE hits, misses.
     pub cache: Option<relalg::EvalStats>,
     /// Per-plan-node cardinalities: the statistics model's estimate next
     /// to the actual row count of the trial evaluation, plus the chosen
@@ -110,8 +109,8 @@ impl Explanation {
         }
         if let Some(stats) = &self.cache {
             out.push_str(&format!(
-                "cache:      {} node hit(s), {} cse hit(s), {} plan-cache hit(s), {} miss(es)\n",
-                stats.node_hits, stats.canon_hits, stats.plan_hits, stats.misses
+                "cache:      {} node hit(s), {} cse hit(s), {} miss(es)\n",
+                stats.node_hits, stats.canon_hits, stats.misses
             ));
         }
         out
@@ -278,14 +277,14 @@ impl Session {
             None
         };
         // Trial-evaluate the relational plan to report how the evaluator's
-        // caches (node / canonical-CSE / process plan cache) would behave —
+        // memo (node / canonical-CSE hits) would behave —
         // the "EXPLAIN ANALYZE" corner of the paper's conclusion — and to
         // annotate every plan node with its estimated vs. actual rows
         // (the statistics are free to read once computed).
         let mut relational_plan = relational_plan;
         let mut node_cards = Vec::new();
         let mut cache = None;
-        if relalg::plan_cache::rewrite_enabled() {
+        if relalg::config::rewrite_enabled() {
             if let (Some(plan), Some(w)) = (relational_plan.clone(), ws.iter().next()) {
                 let mut catalog = relalg::Catalog::new();
                 for (idx, name) in ws.rel_names().iter().enumerate() {
@@ -374,36 +373,25 @@ mod tests {
         assert!(e.render().contains("world-set valued"));
     }
 
-    /// Serializes the tests that pin the process-global rewrite toggle
-    /// (without it, one test's restore can race another's explain call
-    /// when the suite runs under `WSDB_NO_REWRITE=1`).
-    fn toggle_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn explain_reports_costs_and_cache_behavior() {
-        // Pin the rewrite path on: the cache annotations are what this
-        // test is about (a `WSDB_NO_REWRITE` environment must not turn
-        // them off underneath it).
-        let _guard = toggle_lock();
-        relalg::plan_cache::set_enabled(Some(true));
-        let s = session();
+        // Pin the rewrite path on for this session: the cache annotations
+        // are what this test is about (a `WSDB_NO_REWRITE` environment must
+        // not turn them off underneath it).
+        let mut s = session();
+        s.execute("set local rewrite = on;").unwrap();
         let e = s
             .explain("select certain Arr from HFlights choice of Dep;")
             .unwrap();
-        relalg::plan_cache::set_enabled(None);
         // The cardinality model prices both plans; rewriting never makes
         // the plan more expensive.
         assert!(e.cost_before > 0);
         assert!(e.cost_after <= e.cost_before);
         // The trial evaluation of the relational plan reports its cache
-        // behavior. The division plan has composite nodes, so they either
-        // evaluate (misses) or come out of the process plan cache when an
-        // earlier test already evaluated the same plan.
-        let stats = e.cache.expect("rewrite path on by default");
-        assert!(stats.misses + stats.plan_hits > 0, "{stats:?}");
+        // behavior. The division plan has composite nodes, and each
+        // evaluation starts from an empty memo, so they evaluate (misses).
+        let stats = e.cache.expect("rewrite path on for the session");
+        assert!(stats.misses > 0, "{stats:?}");
         let rendered = e.render();
         assert!(rendered.contains("est. cost"), "{rendered}");
         assert!(rendered.contains("cache:"), "{rendered}");
@@ -413,13 +401,11 @@ mod tests {
     /// trip-planning query, with estimated costs and cache annotations.
     #[test]
     fn explain_render_golden() {
-        let _guard = toggle_lock();
-        relalg::plan_cache::set_enabled(Some(true));
-        let s = session();
+        let mut s = session();
+        s.execute("set local rewrite = on;").unwrap();
         let e = s
             .explain("select certain Arr from HFlights choice of Dep;")
             .unwrap();
-        relalg::plan_cache::set_enabled(None);
         let rendered = e.render();
         let mut lines = rendered.lines();
         assert_eq!(
@@ -481,10 +467,11 @@ mod tests {
             lines.next().unwrap(),
             "                table HFlights  est=5 actual=5 phys=row"
         );
-        let cache_line = lines.next().unwrap();
-        assert!(
-            cache_line.starts_with("cache:      ") && cache_line.contains("miss(es)"),
-            "{cache_line}"
+        // Each trial evaluation starts from an empty memo, so the counts
+        // do not depend on what ran earlier in the process.
+        assert_eq!(
+            lines.next().unwrap(),
+            "cache:      1 node hit(s), 0 cse hit(s), 3 miss(es)"
         );
         assert!(
             lines.next().is_none(),
@@ -498,9 +485,8 @@ mod tests {
     /// factored and EXPLAIN reports the per-node decisions.
     #[test]
     fn explain_reports_factorized_rep_for_many_worlds() {
-        let _guard = toggle_lock();
-        relalg::config::set_factorize_enabled(Some(true));
         let mut s = Session::new();
+        s.execute("set local factorize = on;").unwrap();
         let rel = Relation::from_rows(
             relalg::Schema::of(&["K", "V"]),
             (0..20i64).map(|i| vec![relalg::Value::Int(i), relalg::Value::Int(i % 3)]),
@@ -508,7 +494,6 @@ mod tests {
         .unwrap();
         s.register("T", rel).unwrap();
         let e = s.explain("select certain V from T choice of K;").unwrap();
-        relalg::config::set_factorize_enabled(None);
         assert_eq!(e.rep, "factored");
         assert!(e.implicit_worlds >= 20, "{}", e.implicit_worlds);
         let rendered = e.render();

@@ -18,7 +18,7 @@
 //!   that reads nothing of its outer rows is evaluated once per world:
 //!   [`Scopes`] keeps its answer for the remaining rows.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use relalg::{Attr, Relation, Schema, Tuple, Value};
@@ -177,7 +177,7 @@ fn card_fingerprint(algebra: &wsa::Query, ws: &WorldSet) -> Vec<RelFingerprint> 
 /// over many implicit worlds goes through the algebra even unrewritten,
 /// where [`wsa::eval_named_routed`] can run it factorized.
 fn try_rewrite_route_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Option<WorldSet> {
-    if !relalg::plan_cache::rewrite_enabled() || !stmt.uses_world_constructs() {
+    if !relalg::config::rewrite_enabled() || !stmt.uses_world_constructs() {
         return None;
     }
     let base = |name: &str| -> Option<Schema> {
@@ -346,28 +346,32 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
                     }
                 }
             };
-            // Fold each group's answers in world order (the first member's
-            // attribute order wins).
+            // Collect each group's answers in world order (the first
+            // member's attribute order wins), then combine them: `possible`
+            // in one many-way union, `certain` as a fold (the intersection
+            // only shrinks).
             let mut entries: Vec<(&World, Relation)> = Vec::new();
-            let mut groups: BTreeMap<Relation, Relation> = BTreeMap::new();
+            let mut answers: BTreeMap<Relation, Vec<Relation>> = BTreeMap::new();
             for w in cur.iter() {
                 let key = group_key(w)?;
                 let ans = project_world(stmt, w, &names_snapshot, acc_idx)?;
-                match groups.entry(key.clone()) {
-                    Entry::Vacant(e) => {
-                        e.insert(ans);
-                    }
-                    Entry::Occupied(mut e) => {
-                        let merged = match quant {
-                            Quant::Possible => e.get().union(&ans),
-                            Quant::Certain => e.get().intersect(&ans),
-                        }
-                        .map_err(rel_err)?;
-                        e.insert(merged);
-                    }
-                }
+                answers.entry(key.clone()).or_default().push(ans);
                 entries.push((w, key));
             }
+            let groups: BTreeMap<Relation, Relation> = answers
+                .into_iter()
+                .map(|(key, mut members)| {
+                    let rest = members.split_off(1);
+                    let first = members.pop().expect("a group has a member");
+                    let merged = match quant {
+                        _ if rest.is_empty() => Ok(first),
+                        Quant::Possible => first.union_all(&rest),
+                        Quant::Certain => rest.iter().try_fold(first, |acc, r| acc.intersect(r)),
+                    }
+                    .map_err(rel_err)?;
+                    Ok((key, merged))
+                })
+                .collect::<Result<_>>()?;
             let worlds: Vec<World> = entries
                 .into_iter()
                 .map(|(w, key)| replace_rel(w, acc_idx, groups[&key].clone()))

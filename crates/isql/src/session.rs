@@ -333,12 +333,10 @@ impl Session {
                     worlds: self.ws.len(),
                 })
             }
-            // DML builds new relations (fresh epoch tags), so stale cache
-            // entries can never verify; the *targeted* invalidation below
-            // is memory hygiene that evicts only the plans reading the
-            // mutated table — every unrelated cached plan survives the DML.
+            // DML builds new relations (fresh epoch tags), so the optimizer
+            // memo's `(name, epoch)` keys for the mutated table stop
+            // matching; no evaluation memo outlives a statement.
             Stmt::Insert { table, rows } => {
-                relalg::plan_cache::invalidate_tables(&[&table]);
                 let wal = self.log_action(|| {
                     WalAction::Stmt(Box::new(Stmt::Insert {
                         table: table.clone(),
@@ -348,7 +346,6 @@ impl Session {
                 self.insert(wal, &table, rows)
             }
             Stmt::Delete { table, cond } => {
-                relalg::plan_cache::invalidate_tables(&[&table]);
                 let wal = self.log_action(|| {
                     WalAction::Stmt(Box::new(Stmt::Delete {
                         table: table.clone(),
@@ -358,7 +355,6 @@ impl Session {
                 self.delete(wal, &table, cond)
             }
             Stmt::Update { table, sets, cond } => {
-                relalg::plan_cache::invalidate_tables(&[&table]);
                 let wal = self.log_action(|| {
                     WalAction::Stmt(Box::new(Stmt::Update {
                         table: table.clone(),

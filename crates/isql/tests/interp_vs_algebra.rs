@@ -34,16 +34,6 @@ fn statements(k: i64) -> Vec<String> {
     ]
 }
 
-/// Serializes the tests below: they pin the process-global rewrite toggle
-/// off so that `Session::execute` is guaranteed to exercise the *direct
-/// interpreter* (with the rewrite path on — the default — a statement the
-/// optimizer improves would take the algebra route, and this suite would
-/// compare the algebra engine against itself).
-fn toggle_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Compile the statement to WSA, run both pipelines, compare answer sets.
 fn check(sql: &str, ws: &WorldSet) -> Result<(), TestCaseError> {
     let Stmt::Select(sel) = parse_statement(sql).unwrap() else {
@@ -63,13 +53,13 @@ fn check(sql: &str, ws: &WorldSet) -> Result<(), TestCaseError> {
     algebra_answers.sort();
     algebra_answers.dedup();
 
-    // Interpreter route — forced: with the rewrite path disabled the
-    // session cannot silently delegate to the algebra engine.
-    relalg::plan_cache::set_enabled(Some(false));
+    // Interpreter route — forced: with the rewrite path off for this
+    // session it cannot silently delegate to the algebra engine (with it
+    // on, a statement the optimizer improves would take the algebra route
+    // and this suite would compare the algebra engine against itself).
     let mut session = Session::with_world_set(ws.clone());
-    let outcomes = session.execute(sql);
-    relalg::plan_cache::set_enabled(None);
-    let outcomes = outcomes.unwrap();
+    session.execute("set local rewrite = off;").unwrap();
+    let outcomes = session.execute(sql).unwrap();
     let ExecOutcome::Rows { answers, .. } = &outcomes[0] else {
         panic!()
     };
@@ -101,7 +91,6 @@ proptest! {
 
     #[test]
     fn interpreter_agrees_with_algebra(seed in any::<u64>(), k in 0i64..4) {
-        let _guard = toggle_lock();
         let ws = random_world_set(seed, &spec());
         for sql in statements(k) {
             check(&sql, &ws)?;
@@ -112,7 +101,6 @@ proptest! {
 /// The paper's own clean-fragment queries, pinned explicitly.
 #[test]
 fn paper_queries_agree() {
-    let _guard = toggle_lock();
     let flights = Relation::table(
         &["Dep", "Arr"],
         &[

@@ -6,10 +6,9 @@
 //! node. [`canonical`] maps an [`Expr`] to a normal form whose equality
 //! implies **result identity** (same schema, same column order, same
 //! tuples), together with a structural hash of that form. The evaluator
-//! ([`crate::EvalCache`]) and the process-level plan cache
-//! ([`crate::plan_cache`]) key results by this canonical form, which turns
-//! node-identity memoization into cross-plan common-subexpression
-//! elimination.
+//! ([`crate::EvalCache`]) keys results by this canonical form, which turns
+//! node-identity memoization into common-subexpression elimination within
+//! one evaluation.
 //!
 //! The normalizations are deliberately restricted to rewrites that preserve
 //! the output relation *exactly* (including attribute order, which in this
@@ -33,17 +32,13 @@
 //! changes the output column order (or the result itself), so they are
 //! never normalized across.
 //!
-//! Canonicalization is memoized process-wide by node identity (the memo
-//! pins the nodes it has seen, so addresses cannot be reused while cached):
-//! re-evaluating a long-lived plan pays the canonicalization once. The memo
-//! is **sharded 16 ways** by node address (the interner's scheme), and each
-//! node's lookup/insert takes only its own shard's lock for the duration of
-//! that one map operation — concurrent canonicalization from the execution
-//! pool's per-world fan-outs no longer serializes on a single mutex.
+//! Canonicalization is memoized by node identity in a map that lives
+//! as long as its owner — one [`crate::EvalCache`], or one [`canonical`]
+//! call — so a shared DAG canonicalizes in time linear in its node count,
+//! and nothing outlives the evaluation that built it.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 
 use crate::{Attr, Expr, ExprKind, Pred};
 
@@ -55,92 +50,48 @@ pub struct CanonExpr {
     pub expr: Expr,
     /// Structural hash of the canonical form.
     pub hash: u64,
-    /// Base-table names referenced by the expression, sorted and deduped
-    /// (the input set a cached result depends on).
-    pub tables: std::sync::Arc<[String]>,
 }
 
-/// Number of memo shards (a power of two, selected by node address).
-const MEMO_SHARDS: usize = 16;
+/// Canonicalization memo: raw node address → (pinned node, canonical
+/// form). Pinning the node keeps its address from being freed and reused
+/// for another node while the memo is alive.
+pub(crate) type Memo = HashMap<usize, (Expr, CanonExpr)>;
 
-/// Bound on each shard's memo; when exceeded the shard is rebuilt from
-/// scratch (plans are re-canonicalized lazily).
-const SHARD_MEMO_CAP: usize = (1 << 16) / MEMO_SHARDS;
-
-/// One memo shard: raw node address → (pinned node, canonical form).
-type MemoShard = Mutex<Option<HashMap<usize, (Expr, CanonExpr)>>>;
-
-/// Process-wide canonicalization memo: raw node address → canonical form,
-/// sharded by node address. Entries pin both the raw and the canonical
-/// expression (a pinned address can never be reused for another node).
-static MEMO: [MemoShard; MEMO_SHARDS] = [const { Mutex::new(None) }; MEMO_SHARDS];
-
-/// Shard index of a node address. Node ids are heap pointers: the low bits
-/// carry allocator alignment, so mix before selecting.
-fn memo_shard(id: usize) -> &'static MemoShard {
-    let mixed = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-    &MEMO[(mixed as usize) % MEMO_SHARDS]
-}
-
-fn memo_get(id: usize) -> Option<CanonExpr> {
-    let guard = memo_shard(id).lock().unwrap_or_else(|p| p.into_inner());
-    guard
-        .as_ref()
-        .and_then(|m| m.get(&id).map(|(_, c)| c.clone()))
-}
-
-fn memo_put(id: usize, raw: Expr, canon: CanonExpr) {
-    let mut guard = memo_shard(id).lock().unwrap_or_else(|p| p.into_inner());
-    let memo = guard.get_or_insert_with(HashMap::new);
-    if memo.len() > SHARD_MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(id, (raw, canon));
-}
-
-/// Canonicalize `e`, memoized process-wide by node identity.
+/// Canonicalize `e` (memoized by node identity for this call).
 pub fn canonical(e: &Expr) -> CanonExpr {
-    canon_rec(e)
+    canon_rec(e, &mut Memo::new())
 }
 
-/// Drop the process-wide canonicalization memo (tests and memory-pressure
-/// hooks; correctness never depends on the memo's contents).
-pub fn clear_memo() {
-    for shard in &MEMO {
-        let mut guard = shard.lock().unwrap_or_else(|p| p.into_inner());
-        *guard = None;
+/// Canonicalize `e` through the caller's memo.
+pub(crate) fn canon_rec(e: &Expr, memo: &mut Memo) -> CanonExpr {
+    if let Some((_, hit)) = memo.get(&e.id()) {
+        return hit.clone();
     }
-}
-
-fn canon_rec(e: &Expr) -> CanonExpr {
-    if let Some(hit) = memo_get(e.id()) {
-        return hit;
-    }
-    let out = build_canon(e);
+    let out = build_canon(e, memo);
     // The canonical node maps to itself, so canonicalizing a canonical
     // expression is a lookup.
-    memo_put(out.expr.id(), out.expr.clone(), out.clone());
-    memo_put(e.id(), e.clone(), out.clone());
+    memo.insert(out.expr.id(), (out.expr.clone(), out.clone()));
+    memo.insert(e.id(), (e.clone(), out.clone()));
     out
 }
 
-fn build_canon(e: &Expr) -> CanonExpr {
+fn build_canon(e: &Expr, memo: &mut Memo) -> CanonExpr {
     match e.kind() {
-        ExprKind::Table(name) => finish(e.clone(), vec![name.clone()], |h| {
+        ExprKind::Table(name) => finish(e.clone(), |h| {
             0u8.hash(h);
             name.hash(h);
         }),
-        ExprKind::Lit(rel) => finish(e.clone(), vec![], |h| {
+        ExprKind::Lit(rel) => finish(e.clone(), |h| {
             1u8.hash(h);
             // Content hash: equal literal relations share a key even
-            // across distinct allocations (run-to-run translations
-            // rebuild the same literal world table).
+            // across distinct allocations (the translation builds the same
+            // literal world table more than once).
             rel.schema().attrs().hash(h);
             rel.tuples().hash(h);
         }),
 
         ExprKind::Select(p, inner) => {
-            let c = canon_rec(inner);
+            let c = canon_rec(inner, memo);
             // Fuse through an inner canonical selection, flatten + sort the
             // conjuncts (σ never changes the schema; ∧ is commutative).
             let (base, mut conjuncts) = match c.expr.kind() {
@@ -153,16 +104,15 @@ fn build_canon(e: &Expr) -> CanonExpr {
             conjuncts.dedup();
             if conjuncts.is_empty() {
                 // σ_true(e) = e.
-                return canon_rec(&base);
+                return canon_rec(&base, memo);
             }
             let fused = conjuncts
                 .into_iter()
                 .reduce(|a, b| a.and(b))
                 .expect("non-empty");
-            let cb = canon_rec(&base);
+            let cb = canon_rec(&base, memo);
             let expr = cb.expr.select(fused.clone());
-            let tables = cb.tables.to_vec();
-            finish(expr, tables, |h| {
+            finish(expr, |h| {
                 2u8.hash(h);
                 fused.hash(h);
                 cb.hash.hash(h);
@@ -171,19 +121,18 @@ fn build_canon(e: &Expr) -> CanonExpr {
 
         ExprKind::Project(attrs, inner) => {
             let list: Vec<(Attr, Attr)> = attrs.iter().map(|a| (a.clone(), a.clone())).collect();
-            canon_projection(list, inner)
+            canon_projection(list, inner, memo)
         }
-        ExprKind::ProjectAs(list, inner) => canon_projection(list.clone(), inner),
+        ExprKind::ProjectAs(list, inner) => canon_projection(list.clone(), inner, memo),
 
         ExprKind::Rename(map, inner) => {
-            let c = canon_rec(inner);
+            let c = canon_rec(inner, memo);
             let map: Vec<(Attr, Attr)> = map.iter().filter(|(s, d)| s != d).cloned().collect();
             if map.is_empty() {
                 return c;
             }
             let expr = c.expr.rename(map.clone());
-            let tables = c.tables.to_vec();
-            finish(expr, tables, |h| {
+            finish(expr, |h| {
                 3u8.hash(h);
                 map.hash(h);
                 c.hash.hash(h);
@@ -197,7 +146,7 @@ fn build_canon(e: &Expr) -> CanonExpr {
             // canonical hash.
             let mut operands = Vec::new();
             flatten_setop(e, is_union, &mut operands);
-            let mut canons: Vec<CanonExpr> = operands.iter().map(canon_rec).collect();
+            let mut canons: Vec<CanonExpr> = operands.iter().map(|o| canon_rec(o, memo)).collect();
             let first = canons.remove(0);
             canons.sort_by_key(|c| c.hash);
             // Both operators are idempotent (e ∪ e = e ∩ e = e): duplicate
@@ -209,7 +158,6 @@ fn build_canon(e: &Expr) -> CanonExpr {
                 // head operand, hash and all.
                 return first;
             }
-            let mut tables = first.tables.to_vec();
             let mut expr = first.expr.clone();
             let mut hashes = vec![first.hash];
             for c in &canons {
@@ -218,23 +166,22 @@ fn build_canon(e: &Expr) -> CanonExpr {
                 } else {
                     expr.intersect(&c.expr)
                 };
-                tables.extend(c.tables.iter().cloned());
                 hashes.push(c.hash);
             }
-            finish(expr, tables, |h| {
+            finish(expr, |h| {
                 if is_union { 4u8 } else { 5u8 }.hash(h);
                 hashes.hash(h);
             })
         }
 
-        ExprKind::Difference(a, b) => binary_canon(e, a, b, 6),
-        ExprKind::Product(a, b) => binary_canon(e, a, b, 7),
-        ExprKind::NaturalJoin(a, b) => binary_canon(e, a, b, 8),
-        ExprKind::Divide(a, b) => binary_canon(e, a, b, 9),
-        ExprKind::OuterPadJoin(a, b) => binary_canon(e, a, b, 10),
+        ExprKind::Difference(a, b) => binary_canon(e, a, b, 6, memo),
+        ExprKind::Product(a, b) => binary_canon(e, a, b, 7, memo),
+        ExprKind::NaturalJoin(a, b) => binary_canon(e, a, b, 8, memo),
+        ExprKind::Divide(a, b) => binary_canon(e, a, b, 9, memo),
+        ExprKind::OuterPadJoin(a, b) => binary_canon(e, a, b, 10, memo),
         ExprKind::ThetaJoin(p, a, b) => {
-            let ca = canon_rec(a);
-            let cb = canon_rec(b);
+            let ca = canon_rec(a, memo);
+            let cb = canon_rec(b, memo);
             // Sort the predicate's conjuncts (conjunction commutes).
             let mut conjuncts = p.conjuncts();
             conjuncts.retain(|x| *x != Pred::True);
@@ -245,9 +192,7 @@ fn build_canon(e: &Expr) -> CanonExpr {
                 .reduce(|x, y| x.and(y))
                 .unwrap_or(Pred::True);
             let expr = ca.expr.theta_join(&cb.expr, pred.clone());
-            let mut tables = ca.tables.to_vec();
-            tables.extend(cb.tables.iter().cloned());
-            finish(expr, tables, |h| {
+            finish(expr, |h| {
                 11u8.hash(h);
                 pred.hash(h);
                 ca.hash.hash(h);
@@ -259,8 +204,8 @@ fn build_canon(e: &Expr) -> CanonExpr {
 
 /// Canonicalize a (generalized) projection, composing through an inner
 /// canonical projection when every source is produced by it.
-fn canon_projection(list: Vec<(Attr, Attr)>, inner: &Expr) -> CanonExpr {
-    let c = canon_rec(inner);
+fn canon_projection(list: Vec<(Attr, Attr)>, inner: &Expr, memo: &mut Memo) -> CanonExpr {
+    let c = canon_rec(inner, memo);
     let (list, base) = match c.expr.kind() {
         ExprKind::ProjectAs(inner_list, inner_base) => {
             let composed: Option<Vec<(Attr, Attr)>> = list
@@ -279,21 +224,20 @@ fn canon_projection(list: Vec<(Attr, Attr)>, inner: &Expr) -> CanonExpr {
         }
         _ => (list, c.expr.clone()),
     };
-    let cb = canon_rec(&base);
+    let cb = canon_rec(&base, memo);
     // Canonical representation: always `ProjectAs` (a plain `Project` is
     // the all-identity special case).
     let expr = cb.expr.project_as(list.clone());
-    let tables = cb.tables.to_vec();
-    finish(expr, tables, |h| {
+    finish(expr, |h| {
         12u8.hash(h);
         list.hash(h);
         cb.hash.hash(h);
     })
 }
 
-fn binary_canon(e: &Expr, a: &Expr, b: &Expr, tag: u8) -> CanonExpr {
-    let ca = canon_rec(a);
-    let cb = canon_rec(b);
+fn binary_canon(e: &Expr, a: &Expr, b: &Expr, tag: u8, memo: &mut Memo) -> CanonExpr {
+    let ca = canon_rec(a, memo);
+    let cb = canon_rec(b, memo);
     let expr = match e.kind() {
         ExprKind::Difference(_, _) => ca.expr.difference(&cb.expr),
         ExprKind::Product(_, _) => ca.expr.product(&cb.expr),
@@ -302,9 +246,7 @@ fn binary_canon(e: &Expr, a: &Expr, b: &Expr, tag: u8) -> CanonExpr {
         ExprKind::OuterPadJoin(_, _) => ca.expr.outer_pad_join(&cb.expr),
         _ => unreachable!("binary_canon covers the plain binary operators"),
     };
-    let mut tables = ca.tables.to_vec();
-    tables.extend(cb.tables.iter().cloned());
-    finish(expr, tables, |h| {
+    finish(expr, |h| {
         tag.hash(h);
         ca.hash.hash(h);
         cb.hash.hash(h);
@@ -313,17 +255,13 @@ fn binary_canon(e: &Expr, a: &Expr, b: &Expr, tag: u8) -> CanonExpr {
 
 fn finish(
     expr: Expr,
-    mut tables: Vec<String>,
     hash_parts: impl FnOnce(&mut std::collections::hash_map::DefaultHasher),
 ) -> CanonExpr {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     hash_parts(&mut h);
-    tables.sort();
-    tables.dedup();
     CanonExpr {
         expr,
         hash: h.finish(),
-        tables: tables.into(),
     }
 }
 
@@ -428,15 +366,6 @@ mod tests {
         let b = Expr::table("R").rename(vec![(attr("A"), attr("A")), (attr("B"), attr("X"))]);
         let c = Expr::table("R").rename(vec![(attr("B"), attr("X"))]);
         assert_eq!(key(&b), key(&c));
-    }
-
-    #[test]
-    fn tables_are_collected_sorted() {
-        let e = Expr::table("S")
-            .product(&Expr::table("R"))
-            .select(Pred::True);
-        assert_eq!(&*canonical(&e).tables, &["R".to_string(), "S".to_string()]);
-        assert!(canonical(&Expr::lit(Relation::unit())).tables.is_empty());
     }
 
     #[test]

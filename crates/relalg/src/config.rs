@@ -16,7 +16,7 @@
 //! | [`THREADS`] | `WSDB_THREADS` | pool worker count (default: available parallelism) |
 //! | [`PAR_MIN_TUPLES`] | `WSDB_PAR_MIN_TUPLES` | tuple count before chunked sorts/joins fan out |
 //! | [`COLUMNAR_MIN_ROWS`] | `WSDB_COLUMNAR_MIN_ROWS` | row count before columnar kernels engage |
-//! | [`REWRITE`] | `WSDB_NO_REWRITE` (non-empty disables) | rewrite/plan-cache execution path |
+//! | [`REWRITE`] | `WSDB_NO_REWRITE` (non-empty disables) | Section-6 optimizer in front of the interpreter route and `run_general` |
 //! | [`COLUMNAR`] | `WSDB_NO_COLUMNAR` (non-empty disables) | columnar physical paths |
 //! | [`FACTORIZE`] | `WSDB_NO_FACTORIZE` (non-empty disables) | factorized world-set execution |
 //! | [`FACTORIZE_MIN_WORLDS`] | `WSDB_FACTORIZE_MIN_WORLDS` | implicit-world estimate before the factorized path engages |
@@ -24,7 +24,7 @@
 //! | [`COMPACT`] | `WSDB_NO_COMPACT` (non-empty disables) | lineage/validity formula compaction |
 //!
 //! The long-standing public accessors (`pool::num_threads`,
-//! `columnar_enabled`, `plan_cache::rewrite_enabled`, …) remain the
+//! `columnar_enabled`, [`rewrite_enabled`], …) remain the
 //! call-site API; they now delegate here.
 //!
 //! # Per-session overrides
@@ -470,8 +470,8 @@ pub static PAR_MIN_TUPLES: Knob = Knob::with_slot(
 pub static COLUMNAR_MIN_ROWS: Knob =
     Knob::with_slot("WSDB_COLUMNAR_MIN_ROWS", || 64, SLOT_COLUMNAR_MIN_ROWS);
 
-/// The rewrite/plan-cache execution path (`WSDB_NO_REWRITE` disables);
-/// see [`crate::plan_cache::rewrite_enabled`].
+/// The rewrite execution path (`WSDB_NO_REWRITE` disables); see
+/// [`rewrite_enabled`].
 pub static REWRITE: Toggle = Toggle::with_slot("WSDB_NO_REWRITE", SLOT_REWRITE);
 
 /// The columnar physical paths (`WSDB_NO_COLUMNAR` disables); see
@@ -506,6 +506,20 @@ pub static WORLDS_BUDGET: Knob = Knob::with_slot("WSDB_WORLDS_BUDGET", || 1024, 
 /// variable elimination in the factorized engine. On by default; the
 /// off leg exists for A/B benchmarks and debugging.
 pub static COMPACT: Toggle = Toggle::with_slot("WSDB_NO_COMPACT", SLOT_COMPACT);
+
+/// Whether the rewrite execution path is on (the [`REWRITE`] toggle): the
+/// Section-6 optimizer runs in front of the I-SQL interpreter's algebra
+/// route and inside `run_general`, which also simplifies and join-orders
+/// the translated plans.
+pub fn rewrite_enabled() -> bool {
+    REWRITE.enabled()
+}
+
+/// Force the rewrite path on/off for this process; `None` restores the
+/// environment-derived default.
+pub fn set_rewrite_enabled(on: Option<bool>) {
+    REWRITE.set(on);
+}
 
 /// Whether factorized world-set execution is on (the [`FACTORIZE`] toggle).
 pub fn factorize_enabled() -> bool {

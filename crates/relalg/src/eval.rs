@@ -1,8 +1,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use crate::canon::{canonical, CanonExpr};
-use crate::{plan_cache, Expr, ExprKind, RelalgError, Relation, Result, Schema};
+use crate::canon::{self, CanonExpr};
+use crate::{Expr, ExprKind, RelalgError, Relation, Result, Schema};
 
 /// A catalog of named base relations — the database the expression
 /// evaluator runs against.
@@ -16,7 +16,9 @@ pub struct Catalog {
     tables: BTreeMap<String, Arc<Relation>>,
 }
 
-/// A reusable evaluation memo for [`Catalog::eval_cached`].
+/// The evaluation memo for [`Catalog::eval_cached`] — the engine's only
+/// one: it lives for one evaluation (one call, or one batch of expressions
+/// over one catalog) and no evaluation state outlives it.
 ///
 /// Results are keyed two ways:
 ///
@@ -29,14 +31,13 @@ pub struct Catalog {
 ///   once. This is the cross-world common-subexpression elimination of the
 ///   translation route.
 ///
-/// On a miss at both levels, composite nodes also consult the process-wide
-/// [`crate::plan_cache`] (when the rewrite path is enabled), so identical
-/// plans re-built across calls — one `run_general` per query — skip
-/// evaluation entirely.
+/// The cache also holds the canonicalization memo, so a shared DAG
+/// canonicalizes in time linear in its node count.
 #[derive(Default)]
 pub struct EvalCache {
     memo: HashMap<usize, (Expr, Arc<Relation>)>,
     canon_memo: HashMap<u64, Vec<(Expr, Arc<Relation>)>>,
+    canon_of: canon::Memo,
     stats: EvalStats,
 }
 
@@ -49,8 +50,6 @@ pub struct EvalStats {
     /// Hits by canonical form (structurally distinct, result-identical
     /// nodes — the CSE wins).
     pub canon_hits: u64,
-    /// Hits in the process-level plan cache.
-    pub plan_hits: u64,
     /// Composite nodes that had to be evaluated.
     pub misses: u64,
 }
@@ -128,8 +127,9 @@ impl Catalog {
     /// world table `W` is referenced by every base table copy.
     ///
     /// This entry point always delegates to [`Catalog::eval_cached`] with a
-    /// fresh cache, so canonicalization, CSE, and the plan cache apply
-    /// identically on both entry points.
+    /// fresh cache, which is dropped on return: nothing this evaluation
+    /// memoized — results, canonical forms, the plan's nodes and literal
+    /// relations — is kept past the call.
     pub fn eval(&self, expr: &Expr) -> Result<Arc<Relation>> {
         let mut cache = EvalCache::new();
         self.eval_cached(expr, &mut cache)
@@ -176,26 +176,14 @@ impl Catalog {
         }
         // Composite node: the canonical form widens the key from "this
         // node" to "any node denoting this relation" — structurally
-        // distinct copies of a subplan (and, through the plan cache,
-        // re-built plans from earlier calls) evaluate once.
-        let canon = canonical(expr);
+        // distinct copies of a subplan evaluate once.
+        let canon = canon::canon_rec(expr, &mut cache.canon_of);
         if let Some(hit) = cache.canon_get(&canon) {
             cache.stats.canon_hits += 1;
             cache
                 .memo
                 .insert(expr.id(), (expr.clone(), Arc::clone(&hit)));
             return Ok(hit);
-        }
-        let plan_cache_on = plan_cache::rewrite_enabled();
-        if plan_cache_on {
-            if let Some(hit) = plan_cache::lookup(&canon, self) {
-                cache.stats.plan_hits += 1;
-                cache.canon_put(&canon, &hit);
-                cache
-                    .memo
-                    .insert(expr.id(), (expr.clone(), Arc::clone(&hit)));
-                return Ok(hit);
-            }
         }
         cache.stats.misses += 1;
         let out: Arc<Relation> = match expr.kind() {
@@ -249,9 +237,6 @@ impl Catalog {
             .memo
             .insert(expr.id(), (expr.clone(), Arc::clone(&out)));
         cache.canon_put(&canon, &out);
-        if plan_cache_on {
-            plan_cache::insert(&canon, self, &out);
-        }
         Ok(out)
     }
 }
@@ -346,8 +331,6 @@ mod tests {
         // Two separately-built, structurally identical subplans (distinct
         // `Arc` nodes): the second copy evaluates as a canonical-form hit,
         // and its children are never visited at all.
-        let _guard = crate::plan_cache::test_lock();
-        crate::plan_cache::set_enabled(Some(false));
         let c = catalog();
         let mk = || Expr::table("Flights").select(Pred::eq_const("Arr", "ATL"));
         let e = mk().project(attrs(&["Dep"])).product(
@@ -357,7 +340,6 @@ mod tests {
         );
         let mut cache = EvalCache::new();
         let out = c.eval_cached(&e, &mut cache).unwrap();
-        crate::plan_cache::set_enabled(None);
         assert_eq!(out.len(), 9);
         let stats = cache.stats();
         assert!(
@@ -367,6 +349,39 @@ mod tests {
         // product, first project, its select, and the rename evaluate; the
         // second select+project copy is covered by the canonical hit.
         assert_eq!(stats.misses, 4, "{stats:?}");
+    }
+
+    #[test]
+    fn eval_retains_nothing_after_return() {
+        // A literal under a selection and a projection: once the plan and
+        // the result are dropped, no memo anywhere still holds the literal.
+        let lit = Arc::new(Relation::table(&["A", "B"], &[&[1i64, 2], &[3, 4]]));
+        let weak = Arc::downgrade(&lit);
+        let plan = Expr::lit(lit)
+            .select(Pred::eq_const("A", 1))
+            .project(attrs(&["B"]));
+        let out = catalog().eval(&plan).unwrap();
+        assert_eq!(out.len(), 1);
+        drop((plan, out));
+        assert!(
+            weak.upgrade().is_none(),
+            "the literal outlived its evaluation"
+        );
+    }
+
+    #[test]
+    fn shared_dag_canonicalizes_and_evaluates_in_linear_time() {
+        // 40 levels of `e × e` over one shared node: 2^40 paths, 41 nodes.
+        let mut e = Expr::lit(Relation::unit());
+        for _ in 0..40 {
+            e = e.product(&e);
+        }
+        let canon = crate::canon::canonical(&e).expr;
+        assert!(
+            matches!(canon.kind(), ExprKind::Product(a, b) if a.id() == b.id()),
+            "the canonical form keeps the sharing"
+        );
+        assert_eq!(*catalog().eval(&e).unwrap(), Relation::unit());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   `product-commute-under-project` rule uses.
 //!
 //! The pass is pure: callers (the translation route, `EXPLAIN`) gate it on
-//! [`crate::plan_cache::rewrite_enabled`].
+//! [`crate::config::rewrite_enabled`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

@@ -111,9 +111,8 @@ pub fn set_columnar_enabled(on: Option<bool>) {
 /// constructing operation. Clones share the tag (a clone is the same
 /// content); the `&mut` entry points ([`Relation::insert`],
 /// [`Relation::remove`]) stamp a fresh one. Equal tags therefore imply
-/// equal content, which lets the plan cache verify hits in O(1)
-/// ([`Relation::fast_eq`]) with content comparison kept only as a fallback
-/// for content-equal relations built independently (rebuilt catalogs).
+/// equal content, which lets the isql optimizer memo and snapshot identity
+/// key on `(name, epoch)` in O(1).
 ///
 /// A relation also lazily computes and memoizes per-column statistics
 /// ([`Relation::stats`]: row count, per-column distinct count, min/max) —
@@ -350,13 +349,6 @@ impl Relation {
     /// caches verify "is this still the same relation?" in O(1).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// O(1)-first content equality: epoch-tag comparison, with the full
-    /// structural comparison as the fallback for content-equal relations
-    /// built independently (e.g. a rebuilt catalog).
-    pub fn fast_eq(&self, other: &Relation) -> bool {
-        self.epoch == other.epoch || self == other
     }
 
     /// Per-column statistics (row count, distinct count, min/max), computed
@@ -724,6 +716,22 @@ impl Relation {
         let right = self.aligned(other)?;
         let tuples = merge_union(&self.tuples, &right);
         Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+    }
+
+    /// Union of `self` and every relation in `others` (same attribute set;
+    /// each is reordered to `self`'s columns as [`Relation::union`] does):
+    /// one builder pass over all members, where a fold of `union` would
+    /// copy its growing accumulator once per member.
+    pub fn union_all<'a>(
+        &self,
+        others: impl IntoIterator<Item = &'a Relation>,
+    ) -> Result<Relation> {
+        let mut b = RelationBuilder::new(self.schema.clone());
+        b.tuples.extend_from_slice(&self.tuples);
+        for other in others {
+            b.tuples.extend(self.aligned(other)?);
+        }
+        Ok(b.finish())
     }
 
     /// Intersection `∩`: a linear merge.
@@ -1818,6 +1826,33 @@ mod tests {
     #[test]
     fn set_ops_schema_mismatch() {
         assert!(r().union(&s()).is_err());
+    }
+
+    #[test]
+    fn union_all_equals_the_fold_of_union() {
+        let permuted = Relation::table(&["B", "A"], &[&[9i64, 1], &[2, 1], &[5, 7]]);
+        let empty_permuted = Relation::empty(Schema::of(&["B", "A"]));
+        let more = Relation::table(&["A", "B"], &[&[0i64, 0], &[2, 3]]);
+        let base = r();
+        let fold = |first: &Relation, rest: &[&Relation]| {
+            rest.iter().try_fold(first.clone(), |acc, r| acc.union(r))
+        };
+        let cases: [(Relation, Vec<&Relation>); 4] = [
+            (r(), vec![&permuted, &more, &empty_permuted]),
+            (permuted.clone(), vec![&base, &more]),
+            (Relation::empty(Schema::of(&["A", "B"])), vec![&permuted]),
+            (r(), vec![]),
+        ];
+        for (first, rest) in &cases {
+            let all = first.union_all(rest.iter().copied()).unwrap();
+            let folded = fold(first, rest).unwrap();
+            assert_eq!(all, folded);
+            assert_eq!(all.schema().attrs(), first.schema().attrs());
+        }
+        assert!(matches!(
+            r().union_all([&more, &s()]),
+            Err(RelalgError::SchemaMismatch { .. })
+        ));
     }
 
     #[test]

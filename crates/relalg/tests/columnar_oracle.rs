@@ -11,20 +11,18 @@
 //!   counts and the `WSDB_NO_COLUMNAR` toggle;
 //! * **per-column statistics** are pinned against per-column set oracles;
 //! * the **epoch tag** semantics (clones share, constructors stamp fresh,
-//!   in-place mutation bumps) and the O(1) cache verification built on it
-//!   are exercised with the rewrite path on and off.
+//!   in-place mutation bumps) are pinned.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 use relalg::{
-    attr, attrs, plan_cache, pool, set_columnar_enabled, Catalog, CmpOp, Expr, Operand, Pred,
-    Relation, Schema, Tuple, Value,
+    attr, attrs, pool, set_columnar_enabled, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value,
 };
 
 /// Serializes tests that flip process-wide toggles (worker count, columnar
-/// path, rewrite enable).
+/// path).
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -154,16 +152,13 @@ fn stats_match_per_column_oracles() {
 #[test]
 fn epoch_tags_identify_content() {
     let r = wide_rel(2, 100, 5);
-    // A clone is the same content: same tag, fast_eq without content walk.
+    // A clone is the same content: same tag.
     let c = r.clone();
     assert_eq!(r.epoch(), c.epoch());
-    assert!(r.fast_eq(&c));
-    // An independently built, content-equal relation: different tag, but
-    // fast_eq still true through the content fallback.
+    // An independently built, content-equal relation: different tag.
     let rebuilt = wide_rel(2, 100, 5);
     assert_ne!(r.epoch(), rebuilt.epoch());
     assert_eq!(r, rebuilt);
-    assert!(r.fast_eq(&rebuilt));
     // Every constructing operation stamps a fresh tag.
     let proj = r.project(&attrs(&["C1"])).unwrap();
     assert_ne!(proj.epoch(), r.epoch());
@@ -173,7 +168,6 @@ fn epoch_tags_identify_content() {
     let mut m = r.clone();
     m.insert(vec![Value::Int(-7); 5]).unwrap();
     assert_ne!(m.epoch(), r.epoch());
-    assert!(!m.fast_eq(&r));
     // …but a no-op insert (duplicate) or remove (absent) keeps it.
     let mut n = r.clone();
     let first = n.iter().next().unwrap().to_vec();
@@ -181,60 +175,6 @@ fn epoch_tags_identify_content() {
     assert_eq!(n.epoch(), r.epoch());
     assert!(!n.remove(&[Value::Int(12345); 5]));
     assert_eq!(n.epoch(), r.epoch());
-}
-
-/// End-to-end cache verification: catalogs holding clones (same epoch) hit
-/// O(1); rebuilt catalogs (fresh epochs, equal content) hit through the
-/// content fallback; changed content never hits — at 1 and 4 threads, with
-/// the rewrite path pinned on, and no sharing at all with it off.
-#[test]
-fn epoch_cache_verification_across_catalogs() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let plan = || {
-        Expr::table("L")
-            .select(Pred::eq_const("C0", 1))
-            .project(attrs(&["C2", "C1"]))
-    };
-    for threads in [1usize, 4] {
-        at_threads(threads, || {
-            plan_cache::set_enabled(Some(true));
-            plan_cache::clear();
-            let base = wide_rel(4, 300, 5);
-            let mut c1 = Catalog::new();
-            c1.put("L", base.clone());
-            let r1 = c1.eval(&plan()).unwrap();
-            // Clone catalog: epoch tags match, O(1) verified hit.
-            let mut c2 = Catalog::new();
-            c2.put("L", base.clone());
-            let r2 = c2.eval(&plan()).unwrap();
-            assert!(
-                std::sync::Arc::ptr_eq(&r1, &r2),
-                "clone catalog must hit ({threads} threads)"
-            );
-            // Rebuilt catalog: tags differ, the content fallback hits.
-            let mut c3 = Catalog::new();
-            c3.put("L", wide_rel(4, 300, 5));
-            let r3 = c3.eval(&plan()).unwrap();
-            assert!(
-                std::sync::Arc::ptr_eq(&r1, &r3),
-                "rebuilt catalog must hit via content fallback"
-            );
-            // Changed content: never served from the cache.
-            let mut c4 = Catalog::new();
-            c4.put("L", wide_rel(6, 300, 5));
-            let r4 = c4.eval(&plan()).unwrap();
-            assert!(!std::sync::Arc::ptr_eq(&r1, &r4));
-            // Rewrite off: no cross-catalog sharing of any kind.
-            plan_cache::set_enabled(Some(false));
-            let mut c5 = Catalog::new();
-            c5.put("L", base.clone());
-            let r5 = c5.eval(&plan()).unwrap();
-            assert!(!std::sync::Arc::ptr_eq(&r1, &r5));
-            assert_eq!(*r1, *r5);
-            plan_cache::set_enabled(None);
-            plan_cache::clear();
-        });
-    }
 }
 
 /// Run `f` twice — columnar forced off, then on — restoring the

@@ -356,16 +356,16 @@ proptest! {
                 q,
                 opt
             );
-            for caches_on in [true, false] {
-                relalg::plan_cache::set_enabled(Some(caches_on));
+            for rewrite_on in [true, false] {
+                relalg::config::set_rewrite_enabled(Some(rewrite_on));
                 let got = wsa_inlined::run_general(&q, &rep, "Ans").unwrap();
-                relalg::plan_cache::set_enabled(None);
+                relalg::config::set_rewrite_enabled(None);
                 prop_assert_eq!(
                     &got,
                     &oracle,
-                    "translation route diverges for {} (caches={})",
+                    "translation route diverges for {} (rewrite={})",
                     q,
-                    caches_on
+                    rewrite_on
                 );
             }
         }

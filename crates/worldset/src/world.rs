@@ -1,4 +1,3 @@
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -388,37 +387,6 @@ impl WorldSet {
         }
     }
 
-    /// The union of the last relation over all worlds (the `poss` closure),
-    /// or `None` if the world-set is empty. A left fold in world order: the
-    /// first world's attribute order wins.
-    pub fn union_of_last(&self) -> Result<Option<Relation>> {
-        self.reduce_last(|a, b| a.union(b))
-    }
-
-    /// The intersection of the last relation over all worlds (the `cert`
-    /// closure), or `None` if the world-set is empty. Folded like
-    /// [`WorldSet::union_of_last`].
-    pub fn intersect_of_last(&self) -> Result<Option<Relation>> {
-        self.reduce_last(|a, b| a.intersect(b))
-    }
-
-    fn reduce_last(
-        &self,
-        merge: impl Fn(&Relation, &Relation) -> Result<Relation>,
-    ) -> Result<Option<Relation>> {
-        let mut lasts = self.worlds.iter().map(World::last);
-        let Some(first) = lasts.next() else {
-            return Ok(None);
-        };
-        // Borrowed until the first merge: a one-world set copies its answer
-        // once, a wider one never copies an input.
-        let mut acc = Cow::Borrowed(first);
-        for r in lasts {
-            acc = Cow::Owned(merge(&acc, r)?);
-        }
-        Ok(Some(acc.into_owned()))
-    }
-
     /// Pretty-print all worlds with their relation names.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -539,18 +507,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(split.len(), 3); // FRA, PAR, PHL — Figure 2(b)
-    }
-
-    #[test]
-    fn closures_union_intersection() {
-        let mk = |city: &str| World::new(vec![Relation::table(&["Arr"], &[&[city]])]);
-        let ws = WorldSet::from_worlds(vec!["R".into()], vec![mk("ATL"), mk("BCN")]).unwrap();
-        assert_eq!(ws.union_of_last().unwrap().unwrap().len(), 2);
-        assert_eq!(ws.intersect_of_last().unwrap().unwrap().len(), 0);
-        assert!(WorldSet::empty(vec!["R".into()])
-            .union_of_last()
-            .unwrap()
-            .is_none());
     }
 
     #[test]
