@@ -1,28 +1,24 @@
-//! B8: the world axis in place, the storage axis across worker counts.
+//! B8: world-level and storage-level shapes, each on the calling thread.
 //!
 //! The world-axis shapes (`poss` over a split world-set, binary-operator
-//! pairing, repair enumeration) run on the calling thread whatever the
-//! worker count, so each is measured once; its id keeps the `/1` suffix
-//! the committed baseline is keyed by. The storage-layer paths (builder
-//! sort+merge, partitioned hash join) sweep the pool's worker count
-//! (`relalg::pool::set_threads`). Every workload is deterministic
-//! (datagen-seeded) and produces identical output at every thread count —
-//! only the wall clock may move. Record with `scripts/bench_dump.sh
-//! parallel_scaling`; results are tracked in EXPERIMENTS.md (B8) and
-//! BENCH_core.json.
+//! pairing, repair enumeration) and the two storage shapes (builder
+//! sort+dedup, hash join) run on the calling thread — nothing in the
+//! engine fans work out — so each is measured once. The ids keep the `/1`
+//! suffix the committed baseline is keyed by (the `/2` and `/4` legs left
+//! with the world-axis fan-outs in PR 20 and the execution pool in PR 25).
+//! Every workload is deterministic (datagen-seeded). Record with
+//! `scripts/bench_dump.sh parallel_scaling`; results are tracked in
+//! EXPERIMENTS.md (B8) and BENCH_core.json.
 //!
 //! Benchmark ids read `parallel_scaling/<workload>_w<worlds>/1`
-//! (world-axis) and `parallel_scaling/<workload>_n<tuples>/<threads>`
-//! (storage-axis).
+//! (world-axis) and `parallel_scaling/<workload>_n<tuples>/1` (storage).
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::{attrs, pool, Pred, RelationBuilder, Tuple};
+use criterion::{criterion_group, criterion_main, Criterion};
+use relalg::{attrs, Pred, RelationBuilder, Tuple};
 use worldset::WorldSet;
 use wsa::Query;
-
-const THREADS: [usize; 3] = [1, 2, 4];
 
 fn bench_world_axis(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_scaling");
@@ -66,30 +62,22 @@ fn bench_storage_axis(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_millis(1200));
 
-    // Builder finish: chunked sort + k-way merge over ~41k reversed tuples.
+    // Builder finish: one sort + dedup over ~34k reversed, doubled tuples.
     let big = datagen::flights(31, 500, 100, 40);
     let rows: Vec<Tuple> = big.tuples().iter().rev().cloned().collect();
     let n = rows.len();
-    for &t in &THREADS {
-        pool::set_threads(t);
-        group.bench_with_input(
-            BenchmarkId::new(format!("builder_sort_n{n}"), t),
-            &t,
-            |b, _| {
-                b.iter(|| {
-                    let mut bld =
-                        RelationBuilder::with_capacity(big.schema().clone(), rows.len() * 2);
-                    for r in &rows {
-                        bld.push(r.clone());
-                        bld.push(r.clone());
-                    }
-                    bld.finish()
-                });
-            },
-        );
-    }
+    group.bench_function(&format!("builder_sort_n{n}/1"), |b| {
+        b.iter(|| {
+            let mut bld = RelationBuilder::with_capacity(big.schema().clone(), rows.len() * 2);
+            for r in &rows {
+                bld.push(r.clone());
+                bld.push(r.clone());
+            }
+            bld.finish()
+        });
+    });
 
-    // Partitioned hash join: ~20k probe side against a departure list.
+    // Hash join: ~17k probe side against a departure list.
     let left = datagen::flights(37, 400, 120, 50);
     let right = left
         .project(&attrs(&["Dep"]))
@@ -98,17 +86,9 @@ fn bench_storage_axis(c: &mut Criterion) {
         .unwrap();
     let join_pred = Pred::eq_attr("Dep", "D2");
     let nl = left.len();
-    for &t in &THREADS {
-        pool::set_threads(t);
-        group.bench_with_input(
-            BenchmarkId::new(format!("hash_join_n{nl}"), t),
-            &t,
-            |b, _| {
-                b.iter(|| left.theta_join(&right, &join_pred).unwrap());
-            },
-        );
-    }
-    pool::set_threads(0);
+    group.bench_function(&format!("hash_join_n{nl}/1"), |b| {
+        b.iter(|| left.theta_join(&right, &join_pred).unwrap());
+    });
     group.finish();
 }
 

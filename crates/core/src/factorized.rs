@@ -444,7 +444,7 @@ impl RepCard {
 /// their answer is uniform across worlds, binaries pair operand worlds
 /// over the shared prefix) and a subtree `peak`; its own cost rule fires
 /// when the subtree is decode-free, contains a choice, and
-/// `peak ≥ max(WSDB_FACTORIZE_MIN_WORLDS, GAIN·(input + out))`. Top-down
+/// `peak ≥ max(FACTORIZE_MIN_WORLDS, GAIN·(input + out))`. Top-down
 /// finalization then assigns the actual mode: decode boundaries
 /// (`pγ`/`cγ`/`repair-by-key`) are always enumerated, a factored parent
 /// forces its whole subtree factored (an enumerated branch cannot be
@@ -485,7 +485,7 @@ impl RepPlan {
 struct Planner<'a> {
     /// Base world count of the input world-set (≥ 1).
     wc: u128,
-    /// `WSDB_FACTORIZE_MIN_WORLDS`.
+    /// [`FACTORIZE_MIN_WORLDS`].
     min: u128,
     distinct: &'a dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
 }
@@ -617,6 +617,11 @@ pub fn plan_query(q: &Query, ws: &WorldSet) -> RepPlan {
     })
 }
 
+/// Minimum estimated implicit world count before a node runs factored.
+/// Below it, enumerated evaluation is cheap and avoids the expand step
+/// entirely.
+const FACTORIZE_MIN_WORLDS: u128 = 16;
+
 /// [`plan_query`] for callers that hold a *succinct representation*
 /// rather than enumerated worlds: `world_count` is the representation's
 /// world count and `distinct` supplies the distinct-count statistic for a
@@ -630,7 +635,7 @@ pub fn plan_with(
 ) -> RepPlan {
     let planner = Planner {
         wc: (world_count as u128).max(1),
-        min: config::FACTORIZE_MIN_WORLDS.get() as u128,
+        min: FACTORIZE_MIN_WORLDS,
         distinct,
     };
     let mut plan = planner.build(q);
@@ -731,7 +736,7 @@ pub fn eval_named_routed(q: &Query, ws: &WorldSet, out_name: &str) -> Result<Wor
 /// factorization enabled, a non-empty input, and at least one node whose
 /// cost rule fires (subtree peak at least `GAIN ×` the worlds an
 /// enumerated plan would touch, and no smaller than
-/// `WSDB_FACTORIZE_MIN_WORLDS`).
+/// `FACTORIZE_MIN_WORLDS`).
 pub fn should_factorize(q: &Query, ws: &WorldSet) -> bool {
     config::factorize_enabled() && !ws.is_empty() && plan_query(q, ws).any_f()
 }

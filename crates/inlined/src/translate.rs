@@ -417,8 +417,8 @@ pub fn translate_complete(
 /// execution. The translation route is itself succinct — implicit worlds
 /// appear only as rows of the answer's world table, never as materialized
 /// databases — so the factorized path pays off far later here than
-/// against per-world enumeration (where `WSDB_FACTORIZE_MIN_WORLDS`
-/// defaults to 16). Measured on B9's shapes, translation still wins at a
+/// against per-world enumeration (where the planner's
+/// `FACTORIZE_MIN_WORLDS` is 16). Measured on B9's shapes, translation still wins at a
 /// few hundred implicit worlds; the B12 shapes where factorization is
 /// decisive sit at 10⁴ and beyond.
 const FACTORIZE_TRANSLATE_MIN_WORLDS: u128 = 1024;

@@ -252,9 +252,9 @@ pub enum Stmt {
     /// the session-scoped counterpart of the `WSDB_*` environment
     /// variables (e.g. `set local columnar = off;`).
     SetLocal {
-        /// Knob name (`threads`, `rewrite`, `columnar`, …).
+        /// Knob name (`rewrite`, `columnar`, `factorize` or `compact`).
         name: String,
-        /// Raw value text (`4`, `on`, `off`, `default`, …).
+        /// Raw value text (`on`, `off`, `default`, …).
         value: String,
     },
 }

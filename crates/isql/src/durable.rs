@@ -1092,7 +1092,7 @@ mod tests {
             "insert into R values (1, 'two'), (3, 'four');",
             "delete from R where A >= 10;",
             "update R set A = A + 1, B = 'done' where B = 'pending';",
-            "set local threads = 4;",
+            "set local rewrite = off;",
         ];
         for script in corpus {
             for stmt in parse_script(script).unwrap() {

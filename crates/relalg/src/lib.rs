@@ -41,7 +41,7 @@ pub use csv::{relation_from_csv, relation_to_csv};
 pub use error::{RelalgError, Result};
 pub use eval::{Catalog, EvalCache, EvalStats};
 pub use expr::{Expr, ExprKind};
-pub use physical::{columnar_min_rows, set_columnar_min_rows, PhysPath};
+pub use physical::PhysPath;
 pub use pred::{CmpOp, Operand, Pred};
 pub use relation::{columnar_enabled, set_columnar_enabled, Relation, RelationBuilder};
 pub use schema::{Attr, Schema};
@@ -50,9 +50,9 @@ pub use stats::{ColStats, RelStats};
 pub use tuple::{Tuple, INLINE_TUPLE_CAP};
 pub use value::{Sym, Value};
 
-/// Serializes unit tests that flip the process-global columnar toggles
-/// (`set_columnar_enabled` / `set_columnar_min_rows`), which would
-/// otherwise race under the parallel test runner.
+/// Serializes unit tests that flip the process-global columnar toggle
+/// (`set_columnar_enabled`), which would otherwise race under the
+/// parallel test runner.
 #[cfg(test)]
 pub(crate) static COLUMNAR_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 

@@ -944,16 +944,7 @@ fn node_phys(e: &Expr, catalog: &Catalog, cache: &mut crate::EvalCache) -> Resul
                 PhysPath::Row
             }
         }
-        // Division extracts the (A-part, B-part) pair columns, but only
-        // when the pool fans the extraction out (mirrors the runtime gate).
-        ExprKind::Divide(a, _) => {
-            let ra = catalog.eval_cached(a, cache)?;
-            if crate::pool::parallelize(ra.len(), crate::pool::par_min_tuples()) {
-                physical::choose(ra.schema().arity(), ra.len())
-            } else {
-                PhysPath::Row
-            }
-        }
+        // Division (and every other operator) walks full tuples.
         _ => PhysPath::Row,
     };
     Ok(path)

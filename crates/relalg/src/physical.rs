@@ -8,10 +8,10 @@
 //! chase per access — PR 5's columnar projection path fixed that for
 //! `project`/`project_as`/`distinct_values` by extracting the touched
 //! columns into transient narrow vectors. This module generalizes the idea
-//! into three reusable kernels behind one central chooser:
+//! into two reusable kernels behind one central chooser:
 //!
 //! * **Vectorized selection** ([`filter_tuples`]): the predicate's simple
-//!   comparison conjuncts are evaluated into a per-chunk selection bitmap,
+//!   comparison conjuncts are evaluated into a selection bitmap,
 //!   cheapest (most selective) conjunct first; later conjuncts and any
 //!   residual predicate only run on still-set bits, and surviving tuples
 //!   are materialized late, in one pass. Columns shared by several
@@ -21,43 +21,24 @@
 //!   each row's hash state — feeding a chain hash table whose collisions
 //!   resolve by direct column comparison. No per-row key is materialized
 //!   at all, replacing the row path's `Vec<&Value>` allocation per row.
-//! * **Columnar grouping keys** ([`extract_keys`]): grouping and division
-//!   keys are extracted column-wise into narrow inline tuples, one chunked
-//!   pass over the pool — engaged when the pool actually fans out, where
-//!   the extraction passes split across workers.
 //!
-//! Every kernel chunks its input with the pool's morsel gate
-//! ([`crate::pool::parallelize`] / [`crate::pool::par_min_tuples`]), each
-//! worker owning a contiguous row range; chunk outputs concatenate in
-//! order, so filters stay strictly sorted and key vectors stay positionally
-//! aligned — the output is byte-identical to the row path at any thread
-//! count (pinned by `tests/columnar_oracle.rs`).
+//! Both kernels run on the calling thread in one pass over the input, so
+//! filters stay strictly sorted and key vectors stay positionally aligned —
+//! the output is byte-identical to the row path (pinned by
+//! `tests/columnar_oracle.rs`).
 //!
 //! The chooser ([`choose`]) is the same rule the PR 5 cost pass applies:
 //! columnar when the path is enabled ([`crate::columnar_enabled`]), the
 //! relation is wider than [`crate::INLINE_TUPLE_CAP`], and it has at least
-//! [`columnar_min_rows`] rows (below that, kernel setup dominates).
+//! `COLUMNAR_MIN_ROWS` (64) rows (below that, kernel setup dominates).
 //! `EXPLAIN` reports the chosen path per plan node
 //! ([`crate::opt::PlanCard::phys`]).
 
-use crate::config;
 use crate::pred::CompiledPred;
 use crate::{CmpOp, Operand, Pred, RelalgError, Result, Schema, Tuple, Value};
 
-/// The effective columnar row threshold: the [`config::COLUMNAR_MIN_ROWS`]
-/// knob — runtime override, else `WSDB_COLUMNAR_MIN_ROWS` from the
-/// environment (read once), else 64. Benchmarks sweep it to locate the
-/// row/columnar crossover.
-#[inline]
-pub fn columnar_min_rows() -> usize {
-    config::COLUMNAR_MIN_ROWS.get()
-}
-
-/// Override the columnar row threshold for this process (minimum 1);
-/// `None` restores the environment-derived default.
-pub fn set_columnar_min_rows(n: Option<usize>) {
-    config::COLUMNAR_MIN_ROWS.set(n);
-}
+/// Row count before a columnar kernel pays for its setup.
+const COLUMNAR_MIN_ROWS: usize = 64;
 
 /// The physical execution path chosen for one operator instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -82,71 +63,38 @@ impl PhysPath {
 /// the input is wider than the inline tuple capacity (its tuples live on
 /// the heap), and there are enough rows to amortize kernel setup.
 pub fn choose(width: usize, rows: usize) -> PhysPath {
-    if crate::columnar_enabled() && width > crate::INLINE_TUPLE_CAP && rows >= columnar_min_rows() {
+    if crate::columnar_enabled() && width > crate::INLINE_TUPLE_CAP && rows >= COLUMNAR_MIN_ROWS {
         PhysPath::Columnar
     } else {
         PhysPath::Row
     }
 }
 
-/// [`choose`] for key-extraction kernels (join build/probe, grouping):
+/// [`choose`] for the join-key kernel (join build/probe, semijoin):
 /// additionally requires the key to be a *strict* subset of the columns —
 /// extracting every column just rebuilds the tuple.
 pub(crate) fn columnar_keys(width: usize, rows: usize, key_len: usize) -> bool {
     key_len < width && choose(width, rows) == PhysPath::Columnar
 }
 
-/// Extract the `key_idx` columns of every tuple into narrow key tuples,
-/// positionally aligned with the input. Large inputs extract in contiguous
-/// chunks over the pool; chunk outputs concatenate in order, so alignment
-/// is exact at any thread count.
-pub(crate) fn extract_keys(tuples: &[Tuple], key_idx: &[usize]) -> Vec<Tuple> {
-    let extract = |t: &Tuple| key_idx.iter().map(|&i| t[i]).collect::<Tuple>();
-    if crate::pool::parallelize(tuples.len(), crate::pool::par_min_tuples()) {
-        let chunk_len = tuples.len().div_ceil(crate::pool::num_threads() * 4).max(1);
-        let chunks: Vec<&[Tuple]> = tuples.chunks(chunk_len).collect();
-        crate::pool::par_map(&chunks, |chunk| {
-            chunk.iter().map(extract).collect::<Vec<Tuple>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        tuples.iter().map(extract).collect()
-    }
-}
-
 /// Per-row hash of the `key_idx` columns, combined column-wise: one pass
 /// per key column over the tuple vector, resuming each row's
 /// [`crate::relation::FxHasher`] state from the previous column — no
 /// per-row key tuple is ever materialized. Equal keys get equal hashes,
-/// and chunk outputs concatenate in row order, so the vector is
-/// positionally aligned with the input at any thread count. Hash
-/// collisions are resolved by callers with direct column comparisons
-/// (see the chain table in [`crate::relation`]).
+/// and the vector is positionally aligned with the input. Hash collisions
+/// are resolved by callers with direct column comparisons (see the chain
+/// table in [`crate::relation`]).
 pub(crate) fn key_hashes(tuples: &[Tuple], key_idx: &[usize]) -> Vec<u64> {
     use std::hash::{Hash as _, Hasher as _};
-    let hash_range = |range: &[Tuple]| {
-        let mut hashes = vec![0u64; range.len()];
-        for &c in key_idx {
-            for (h, t) in hashes.iter_mut().zip(range) {
-                let mut f = crate::relation::FxHasher::seeded(*h);
-                t[c].hash(&mut f);
-                *h = f.finish();
-            }
+    let mut hashes = vec![0u64; tuples.len()];
+    for &c in key_idx {
+        for (h, t) in hashes.iter_mut().zip(tuples) {
+            let mut f = crate::relation::FxHasher::seeded(*h);
+            t[c].hash(&mut f);
+            *h = f.finish();
         }
-        hashes
-    };
-    if crate::pool::parallelize(tuples.len(), crate::pool::par_min_tuples()) {
-        let chunk_len = tuples.len().div_ceil(crate::pool::num_threads() * 4).max(1);
-        let chunks: Vec<&[Tuple]> = tuples.chunks(chunk_len).collect();
-        crate::pool::par_map(&chunks, |chunk| hash_range(chunk))
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        hash_range(tuples)
     }
+    hashes
 }
 
 // ---------------------------------------------------------------------------
@@ -226,13 +174,12 @@ fn estimated_selectivity(c: &VConjunct, distinct_of: impl Fn(usize) -> Option<u6
 ///
 /// The predicate's top-level conjuncts split into simple comparisons
 /// (vectorized) and a residual (everything else, re-conjoined and compiled
-/// once). Per chunk, the touched columns are extracted into transient
-/// column vectors at first use; the first comparison scans the full chunk
-/// into a selection bitmap, each later one — ordered by estimated
-/// selectivity — only tests still-set bits, the residual runs row-wise on
-/// the survivors, and set bits late-materialize into output clones.
-/// Filtering preserves order, so chunk outputs concatenate into a strictly
-/// sorted vector.
+/// once). The touched columns are extracted into transient column vectors
+/// at first use; the first comparison scans the whole input into a
+/// selection bitmap, each later one — ordered by estimated selectivity —
+/// only tests still-set bits, the residual runs row-wise on the survivors,
+/// and set bits late-materialize into output clones. Filtering preserves
+/// order, so the output is strictly sorted.
 pub(crate) fn filter_tuples(
     schema: &Schema,
     tuples: &[Tuple],
@@ -267,24 +214,12 @@ pub(crate) fn filter_tuples(
         p => Some(p.compile(schema)?),
     };
 
-    let out = if crate::pool::parallelize(tuples.len(), crate::pool::par_min_tuples()) {
-        let chunk_len = tuples.len().div_ceil(crate::pool::num_threads() * 4).max(1);
-        let chunks: Vec<&[Tuple]> = tuples.chunks(chunk_len).collect();
-        crate::pool::par_map(&chunks, |chunk| {
-            filter_chunk(chunk, &vecs, residual.as_ref())
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        filter_chunk(tuples, &vecs, residual.as_ref())
-    };
-    Ok(Some(out))
+    Ok(Some(filter_bitmap(tuples, &vecs, residual.as_ref())))
 }
 
-/// One morsel of the vectorized filter: bitmap evaluation over extracted
-/// column vectors, then late materialization of the set bits.
-fn filter_chunk(
+/// The vectorized filter's body: bitmap evaluation over extracted column
+/// vectors, then late materialization of the set bits.
+fn filter_bitmap(
     tuples: &[Tuple],
     conjs: &[VConjunct],
     residual: Option<&CompiledPred>,
@@ -420,24 +355,11 @@ mod tests {
         assert_eq!(choose(6, 1000), PhysPath::Columnar);
         assert_eq!(choose(4, 1000), PhysPath::Row, "inline-width stays row");
         assert_eq!(choose(6, 3), PhysPath::Row, "tiny inputs stay row");
+        assert_eq!(choose(6, 63), PhysPath::Row);
+        assert_eq!(choose(6, 64), PhysPath::Columnar);
         crate::set_columnar_enabled(Some(false));
         assert_eq!(choose(6, 1000), PhysPath::Row);
         crate::set_columnar_enabled(None);
-    }
-
-    #[test]
-    fn min_rows_override_moves_the_crossover() {
-        let _g = crate::COLUMNAR_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::set_columnar_enabled(Some(true));
-        set_columnar_min_rows(Some(10));
-        assert_eq!(choose(6, 10), PhysPath::Columnar);
-        set_columnar_min_rows(Some(1000));
-        assert_eq!(choose(6, 10), PhysPath::Row);
-        set_columnar_min_rows(None);
-        crate::set_columnar_enabled(None);
-        assert!(columnar_min_rows() >= 1);
     }
 
     #[test]
@@ -483,15 +405,5 @@ mod tests {
         assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None).is_err());
         let pred = Pred::eq_const("C0", 1).and(Pred::eq_const("Z", 1).not());
         assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None).is_err());
-    }
-
-    #[test]
-    fn extract_keys_aligns_positionally() {
-        let r = rel(300);
-        let keys = extract_keys(r.tuples(), &[4, 1]);
-        assert_eq!(keys.len(), r.len());
-        for (t, k) in r.iter().zip(&keys) {
-            assert_eq!(k.as_slice(), &[t[4], t[1]]);
-        }
     }
 }

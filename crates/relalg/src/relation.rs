@@ -74,7 +74,7 @@ pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
 pub(crate) type FxHashSet<K> = HashSet<K, FxBuild>;
 
 /// Whether wide operators take the columnar paths (projection, vectorized
-/// selection, join-key and grouping-key extraction — see
+/// selection, join-key hashing — see
 /// [`crate::physical`]): the [`crate::config::COLUMNAR`] toggle.
 /// `WSDB_NO_COLUMNAR` (non-empty) turns them off; [`set_columnar_enabled`]
 /// overrides at runtime (benchmarks and the oracle suite A/B the two
@@ -245,13 +245,11 @@ impl RelationBuilder {
         self.tuples.is_empty()
     }
 
-    /// One sort + dedup pass over the appended tuples. Large batches sort
-    /// in parallel chunks merged k-way (`relalg::pool`); the sorted,
-    /// deduplicated result is canonical, so the output is byte-identical
-    /// to the sequential sort whatever the worker count.
+    /// One sort + dedup pass over the appended tuples.
     pub fn finish(self) -> Relation {
-        let RelationBuilder { schema, tuples } = self;
-        let tuples = crate::pool::par_sort_dedup(tuples);
+        let RelationBuilder { schema, mut tuples } = self;
+        tuples.sort_unstable();
+        tuples.dedup();
         Relation::sealed(schema, tuples)
     }
 }
@@ -497,9 +495,8 @@ impl Relation {
         // column selection is guaranteed dedup-free, so go through a
         // sort+dedup pass in general. Relations wider than the inline tuple
         // capacity take the columnar path: the touched columns are
-        // extracted into transient narrow vectors (in parallel chunks) and
-        // the sort runs over those, never walking the full heap tuples
-        // again.
+        // extracted into transient narrow vectors and the sort runs over
+        // those, never walking the full heap tuples again.
         if idx.len() < self.schema.arity()
             && crate::physical::choose(self.schema.arity(), self.tuples.len())
                 == crate::physical::PhysPath::Columnar
@@ -513,37 +510,19 @@ impl Relation {
         Ok(b.finish())
     }
 
-    /// The columnar wide-scan path of [`Relation::project_as`]: one chunked
-    /// pass over the (heap-spilled) source tuples extracts only the touched
+    /// The columnar wide-scan path of [`Relation::project_as`]: one pass
+    /// over the (heap-spilled) source tuples extracts only the touched
     /// columns — a single transient column vector of [`Value`]s for
     /// single-column scans, narrow inline tuples otherwise — and the
-    /// canonical sort+dedup then operates on the narrow data. Chunk
-    /// extraction fans out over the pool ([`crate::pool::par_map`]) and the
-    /// output is byte-identical to the row path at any thread count
-    /// (`par_sort_dedup` is canonical).
+    /// canonical sort+dedup then operates on the narrow data, so the output
+    /// is byte-identical to the row path.
     fn project_columnar(&self, idx: &[usize], out_schema: Schema) -> Relation {
-        let parallel = crate::pool::parallelize(self.tuples.len(), crate::pool::par_min_tuples());
-        let chunk_len = self
-            .tuples
-            .len()
-            .div_ceil(crate::pool::num_threads() * 4)
-            .max(1);
         if let [col] = idx {
             // Single column: a true column vector — sort/dedup runs over
             // plain `Value`s (16 bytes each), not tuples.
-            let col = *col;
-            let values: Vec<Value> = if parallel {
-                let chunks: Vec<&[Tuple]> = self.tuples.chunks(chunk_len).collect();
-                crate::pool::par_map(&chunks, |chunk| {
-                    chunk.iter().map(|t| t[col]).collect::<Vec<Value>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                self.tuples.iter().map(|t| t[col]).collect()
-            };
-            let values = crate::pool::par_sort_dedup(values);
+            let mut values: Vec<Value> = self.tuples.iter().map(|t| t[*col]).collect();
+            values.sort_unstable();
+            values.dedup();
             let tuples: Vec<Tuple> = values
                 .into_iter()
                 .map(|v| [v].into_iter().collect())
@@ -551,27 +530,15 @@ impl Relation {
             return Relation::from_sorted_vec(out_schema, tuples);
         }
         // Multiple columns: the narrow tuples themselves are the transient
-        // column data. Chunk the extraction only when the pool will
-        // actually fan it out — the chunked concat is pure overhead on one
-        // worker.
-        let narrow: Vec<Tuple> = if parallel {
-            let chunks: Vec<&[Tuple]> = self.tuples.chunks(chunk_len).collect();
-            crate::pool::par_map(&chunks, |chunk| {
-                chunk
-                    .iter()
-                    .map(|t| idx.iter().map(|&i| t[i]).collect::<Tuple>())
-                    .collect::<Vec<Tuple>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.tuples
-                .iter()
-                .map(|t| idx.iter().map(|&i| t[i]).collect())
-                .collect()
-        };
-        Relation::from_sorted_vec(out_schema, crate::pool::par_sort_dedup(narrow))
+        // column data.
+        let mut narrow: Vec<Tuple> = self
+            .tuples
+            .iter()
+            .map(|t| idx.iter().map(|&i| t[i]).collect())
+            .collect();
+        narrow.sort_unstable();
+        narrow.dedup();
+        Relation::from_sorted_vec(out_schema, narrow)
     }
 
     /// Selection `σ_φ`. Filtering preserves sortedness, so the output is
@@ -654,29 +621,12 @@ impl Relation {
         if self.is_empty() || other.is_empty() {
             return Ok(Relation::empty(schema));
         }
-        // Chunks of the sorted left side emit sorted, disjoint output runs,
-        // so the pool's in-order concatenation stays strictly sorted.
-        let tuples = if crate::pool::parallelize(
-            self.len().saturating_mul(other.len()),
-            crate::pool::par_min_tuples(),
-        ) {
-            par_left_chunks(&self.tuples, |chunk, out| {
-                out.reserve(chunk.len() * other.tuples.len());
-                for l in chunk {
-                    for r in &other.tuples {
-                        out.push(l.concat(r));
-                    }
-                }
-            })
-        } else {
-            let mut tuples = Vec::with_capacity(self.tuples.len() * other.tuples.len());
-            for l in &self.tuples {
-                for r in &other.tuples {
-                    tuples.push(l.concat(r));
-                }
+        let mut tuples = Vec::with_capacity(self.tuples.len() * other.tuples.len());
+        for l in &self.tuples {
+            for r in &other.tuples {
+                tuples.push(l.concat(r));
             }
-            tuples
-        };
+        }
         Ok(Relation::from_sorted_vec(schema, tuples))
     }
 
@@ -841,31 +791,13 @@ impl Relation {
         if keys.is_empty() {
             // No equi-conjunct: the left-major nested loop emits a filtered
             // subsequence of the sorted product — already strictly sorted.
-            // Large pairings fan the left side out over the pool; chunks of
-            // the sorted left input produce sorted, disjoint output runs,
-            // so the in-order concatenation is still strictly sorted.
-            let tuples = if crate::pool::parallelize(
-                self.len().saturating_mul(other.len()),
-                crate::pool::par_min_tuples(),
-            ) {
-                par_left_chunks(&self.tuples, |chunk, out| {
-                    let mut scratch = Tuple::new();
-                    for l in chunk {
-                        for r in &other.tuples {
-                            emit(l, r, &mut scratch, out);
-                        }
-                    }
-                })
-            } else {
-                let mut scratch = Tuple::new();
-                let mut out = Vec::new();
-                for l in &self.tuples {
-                    for r in &other.tuples {
-                        emit(l, r, &mut scratch, &mut out);
-                    }
+            let mut scratch = Tuple::new();
+            let mut tuples = Vec::new();
+            for l in &self.tuples {
+                for r in &other.tuples {
+                    emit(l, r, &mut scratch, &mut tuples);
                 }
-                out
-            };
+            }
             Ok(Relation::from_sorted_vec(schema, tuples))
         } else {
             let l_keys: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
@@ -916,13 +848,11 @@ impl Relation {
         // chain table over `other`'s rows ([`crate::physical::key_hashes`],
         // [`hash_chain`]); `self` probes by hash and confirms by direct
         // column equality — no `Vec<&Value>` key allocation per row, no
-        // materialized key tuples. Filtering keeps `self`'s order, and a
-        // large probe side fans out over the pool in contiguous chunks.
+        // materialized key tuples. Filtering keeps `self`'s order.
         let width = self.schema.arity().max(other.schema.arity());
         if crate::physical::columnar_keys(width, self.len().max(other.len()), common.len())
             && other.len() < u32::MAX as usize
         {
-            use crate::pool;
             let oh = crate::physical::key_hashes(&other.tuples, &r_idx);
             let sh = crate::physical::key_hashes(&self.tuples, &l_idx);
             let (head, next) = hash_chain(&oh);
@@ -944,26 +874,10 @@ impl Relation {
                 }
                 false
             };
-            let probe_range = |lo: usize, hi: usize| {
-                (lo..hi)
-                    .filter(|&si| keep(si))
-                    .map(|si| self.tuples[si].clone())
-                    .collect::<Vec<Tuple>>()
-            };
-            let n = self.tuples.len();
-            let tuples: Vec<Tuple> = if pool::parallelize(n, pool::par_min_tuples()) {
-                let chunk_len = n.div_ceil(pool::num_threads() * 4).max(1);
-                let ranges: Vec<(usize, usize)> = (0..n)
-                    .step_by(chunk_len)
-                    .map(|lo| (lo, (lo + chunk_len).min(n)))
-                    .collect();
-                pool::par_map(&ranges, |&(lo, hi)| probe_range(lo, hi))
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            } else {
-                probe_range(0, n)
-            };
+            let tuples: Vec<Tuple> = (0..self.tuples.len())
+                .filter(|&si| keep(si))
+                .map(|si| self.tuples[si].clone())
+                .collect();
             return Relation::from_sorted_vec(self.schema.clone(), tuples);
         }
         let keys: FxHashSet<Vec<&Value>> = other
@@ -1008,29 +922,17 @@ impl Relation {
         let b_idx: Vec<usize> = b.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
 
         // Decompose each tuple into (A-part, B-part) and sort once; equal
-        // A-parts become contiguous runs with sorted B-parts. Wide inputs
-        // extract the two parts as column groups chunked over the pool —
-        // but only when the pool actually fans out: the columnar win here
-        // is splitting the extraction passes across workers, while a lone
-        // worker does better with the fused per-row build.
-        let columnar = crate::physical::choose(self.schema.arity(), self.tuples.len())
-            == crate::physical::PhysPath::Columnar
-            && crate::pool::parallelize(self.tuples.len(), crate::pool::par_min_tuples());
-        let mut pairs: Vec<(Tuple, Tuple)> = if columnar {
-            let a_parts = crate::physical::extract_keys(&self.tuples, &a_idx);
-            let b_parts = crate::physical::extract_keys(&self.tuples, &b_idx);
-            a_parts.into_iter().zip(b_parts).collect()
-        } else {
-            self.tuples
-                .iter()
-                .map(|t| {
-                    (
-                        a_idx.iter().map(|&i| t[i]).collect(),
-                        b_idx.iter().map(|&i| t[i]).collect(),
-                    )
-                })
-                .collect()
-        };
+        // A-parts become contiguous runs with sorted B-parts.
+        let mut pairs: Vec<(Tuple, Tuple)> = self
+            .tuples
+            .iter()
+            .map(|t| {
+                (
+                    a_idx.iter().map(|&i| t[i]).collect(),
+                    b_idx.iter().map(|&i| t[i]).collect(),
+                )
+            })
+            .collect();
         pairs.sort_unstable();
 
         let needed = &divisor.tuples;
@@ -1108,18 +1010,7 @@ impl Relation {
     /// of both `choice-of` splitting and inlined-representation decoding).
     pub fn partition_by(&self, attrs: &[Attr]) -> Result<Vec<(Tuple, Relation)>> {
         let idx = self.positions(attrs)?;
-        // Columnar grouping keys pay when the extraction pass splits over
-        // the pool; a lone worker keeps the fused hash-bucketing scan.
-        let grouped =
-            if crate::physical::columnar_keys(self.schema.arity(), self.tuples.len(), idx.len())
-                && crate::pool::parallelize(self.tuples.len(), crate::pool::par_min_tuples())
-            {
-                let keys = crate::physical::extract_keys(&self.tuples, &idx);
-                group_rows_keys(&self.tuples, &keys, Tuple::clone)
-            } else {
-                group_rows(&self.tuples, &idx, Tuple::clone)
-            };
-        let mut out: Vec<(Tuple, Relation)> = grouped
+        let mut out: Vec<(Tuple, Relation)> = group_rows(&self.tuples, &idx, Tuple::clone)
             .into_iter()
             .map(|(key, tuples)| (key, Relation::from_sorted_vec(self.schema.clone(), tuples)))
             .collect();
@@ -1165,20 +1056,7 @@ impl Relation {
             v.extend_from_slice(&t[..vlen]);
             v
         };
-        let grouped = if crate::physical::columnar_keys(
-            self.schema.arity(),
-            self.tuples.len(),
-            key_idx.len(),
-        ) && crate::pool::parallelize(
-            self.tuples.len(),
-            crate::pool::par_min_tuples(),
-        ) {
-            let keys = crate::physical::extract_keys(&self.tuples, &key_idx);
-            group_rows_keys(&self.tuples, &keys, emit)
-        } else {
-            group_rows(&self.tuples, &key_idx, emit)
-        };
-        let mut out: Vec<(Tuple, Relation)> = grouped
+        let mut out: Vec<(Tuple, Relation)> = group_rows(&self.tuples, &key_idx, emit)
             .into_iter()
             .map(|(k, tuples)| (k, Relation::from_sorted_vec(out_schema.clone(), tuples)))
             .collect();
@@ -1246,32 +1124,6 @@ fn group_rows(
             let key: Tuple = key_idx.iter().map(|&i| t[i]).collect();
             last = *index.entry(key.clone()).or_insert_with(|| {
                 groups.push((key, Vec::new()));
-                groups.len() - 1
-            });
-        }
-        groups[last].1.push(emit(t));
-    }
-    groups
-}
-
-/// [`group_rows`] over pre-extracted keys: `keys[i]` is the (narrow,
-/// inline) grouping key of `tuples[i]`, produced by a chunked column
-/// extraction pass. Group discovery order — and therefore the output —
-/// matches `group_rows` exactly; only the per-row key gather differs.
-fn group_rows_keys(
-    tuples: &[Tuple],
-    keys: &[Tuple],
-    emit: impl Fn(&Tuple) -> Tuple,
-) -> Vec<(Tuple, Vec<Tuple>)> {
-    debug_assert_eq!(tuples.len(), keys.len());
-    let mut groups: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
-    let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
-    let mut last = usize::MAX;
-    for (t, key) in tuples.iter().zip(keys) {
-        let in_run = last != usize::MAX && &groups[last].0 == key;
-        if !in_run {
-            last = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key.clone(), Vec::new()));
                 groups.len() - 1
             });
         }
@@ -1381,95 +1233,12 @@ fn hash_index<'a>(
     index
 }
 
-/// Build a hash index over tuple references (the per-partition variant of
-/// [`hash_index`] used by the parallel join path).
-fn hash_index_refs<'a>(
-    tuples: &[&'a Tuple],
-    key_cols: &[usize],
-) -> FxHashMap<Vec<&'a Value>, Vec<&'a Tuple>> {
-    let mut index: FxHashMap<Vec<&Value>, Vec<&Tuple>> =
-        FxHashMap::with_capacity_and_hasher(tuples.len(), FxBuild::default());
-    for &t in tuples {
-        let key: Vec<&Value> = key_cols.iter().map(|&i| &t[i]).collect();
-        index.entry(key).or_default().push(t);
-    }
-    index
-}
-
-/// Hash-partition `tuples` by their key-column values into `nparts`
-/// buckets. Chunks of the input are scattered by parallel workers into
-/// per-chunk bucket lists which are then concatenated in chunk order, so
-/// each bucket preserves the input's relative tuple order. The partition
-/// hash depends only on the key *values* (interned `Sym` ids are stable
-/// process-wide), so both join sides route matching keys to the same
-/// partition.
-fn partition_by_key_hash<'a>(
-    tuples: &'a [Tuple],
-    key_cols: &[usize],
-    nparts: usize,
-) -> Vec<Vec<&'a Tuple>> {
-    let chunk_len = tuples.len().div_ceil(nparts).max(1);
-    let chunks: Vec<&[Tuple]> = tuples.chunks(chunk_len).collect();
-    let locals = crate::pool::par_map(&chunks, |chunk| {
-        let mut buckets: Vec<Vec<&Tuple>> = vec![Vec::new(); nparts];
-        for t in *chunk {
-            buckets[key_hash(t, key_cols) % nparts].push(t);
-        }
-        buckets
-    });
-    let mut parts: Vec<Vec<&Tuple>> = vec![Vec::new(); nparts];
-    for local in locals {
-        for (part, bucket) in parts.iter_mut().zip(local) {
-            part.extend(bucket);
-        }
-    }
-    parts
-}
-
-/// Fan a sorted left input out over the pool in contiguous chunks (4 per
-/// worker); `emit_chunk` fills one buffer per chunk and the buffers are
-/// concatenated in chunk order. Used by the sorted streaming paths
-/// (`product`, no-equi theta), whose per-chunk output runs are sorted and
-/// disjoint, so the concatenation preserves the sequential output exactly.
-fn par_left_chunks<F>(left: &[Tuple], emit_chunk: F) -> Vec<Tuple>
-where
-    F: Fn(&[Tuple], &mut Vec<Tuple>) + Sync,
-{
-    let chunk_len = left.len().div_ceil(crate::pool::num_threads() * 4).max(1);
-    let chunks: Vec<&[Tuple]> = left.chunks(chunk_len).collect();
-    crate::pool::par_map(&chunks, |chunk| {
-        let mut out = Vec::new();
-        emit_chunk(chunk, &mut out);
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Deterministic hash of a tuple's key columns (partition routing).
-fn key_hash(t: &Tuple, key_cols: &[usize]) -> usize {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &i in key_cols {
-        t[i].hash(&mut h);
-    }
-    h.finish() as usize
-}
-
 /// The build/probe phases of a hash equi-join, returning the emitted output
 /// tuples (unsorted — callers run them through [`RelationBuilder::finish`]).
 ///
 /// `emit(build_tuple, probe_tuple, scratch, out)` appends the output rows
 /// for one key-matching pair (zero rows when a residual predicate rejects
-/// it). With more than one pool worker and a probe side of at least
-/// [`crate::pool::par_min_tuples`], the probe is chunk-partitioned across
-/// the pool: each worker probes with one contiguous chunk and emits into a
-/// local buffer, and a large build side is additionally hash-partitioned
-/// into per-shard indexes built in parallel (a small build side — the
-/// common case, since callers build on the smaller input — is indexed once
-/// and shared read-only). The caller's final sort+dedup canonicalizes the
-/// concatenated buffers, so output is identical to the sequential loop.
+/// it).
 fn hash_join_collect<F>(
     build: &[Tuple],
     build_keys: &[usize],
@@ -1478,9 +1247,8 @@ fn hash_join_collect<F>(
     emit: F,
 ) -> Vec<Tuple>
 where
-    F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>) + Sync,
+    F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>),
 {
-    use crate::pool;
     // Wide inputs hash their key columns column-wise ([`crate::physical`])
     // into a chain table instead of allocating a `Vec<&Value>` key per row
     // over heap-spilled tuples. (The chain stores row indices as `u32`;
@@ -1495,69 +1263,18 @@ where
     {
         return hash_join_collect_columnar(build, build_keys, probe, probe_keys, emit);
     }
-    let parallel = pool::parallelize(probe.len(), pool::par_min_tuples());
-    if parallel && build.len() >= pool::par_min_tuples() {
-        // Large build side: partition it by key hash and build the
-        // per-shard indexes in parallel; probe chunks route each tuple to
-        // its shard by the same key hash.
-        let nshards = pool::num_threads() * 4;
-        let build_parts = partition_by_key_hash(build, build_keys, nshards);
-        let shard_indexes: Vec<FxHashMap<Vec<&Value>, Vec<&Tuple>>> =
-            pool::par_map(&build_parts, |part| hash_index_refs(part, build_keys));
-        let chunk_len = probe.len().div_ceil(nshards).max(1);
-        let chunks: Vec<&[Tuple]> = probe.chunks(chunk_len).collect();
-        pool::par_map(&chunks, |chunk| {
-            let mut out = Vec::new();
-            let mut scratch = Tuple::new();
-            for p in *chunk {
-                let shard = &shard_indexes[key_hash(p, probe_keys) % nshards];
-                let key: Vec<&Value> = probe_keys.iter().map(|&i| &p[i]).collect();
-                if let Some(matches) = shard.get(&key) {
-                    for &m in matches {
-                        emit(m, p, &mut scratch, &mut out);
-                    }
-                }
+    let index = hash_index(build, build_keys);
+    let mut out = Vec::new();
+    let mut scratch = Tuple::new();
+    for p in probe {
+        let key: Vec<&Value> = probe_keys.iter().map(|&i| &p[i]).collect();
+        if let Some(matches) = index.get(&key) {
+            for &m in matches {
+                emit(m, p, &mut scratch, &mut out);
             }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        let index = hash_index(build, build_keys);
-        let probe_one = |p: &Tuple, scratch: &mut Tuple, out: &mut Vec<Tuple>| {
-            let key: Vec<&Value> = probe_keys.iter().map(|&i| &p[i]).collect();
-            if let Some(matches) = index.get(&key) {
-                for &m in matches {
-                    emit(m, p, scratch, out);
-                }
-            }
-        };
-        if parallel {
-            // Small build side: one shared read-only index, probe chunks
-            // fan out over the pool with thread-local output buffers.
-            let chunk_len = probe.len().div_ceil(pool::num_threads() * 4).max(1);
-            let chunks: Vec<&[Tuple]> = probe.chunks(chunk_len).collect();
-            pool::par_map(&chunks, |chunk| {
-                let mut out = Vec::new();
-                let mut scratch = Tuple::new();
-                for p in *chunk {
-                    probe_one(p, &mut scratch, &mut out);
-                }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            let mut out = Vec::new();
-            let mut scratch = Tuple::new();
-            for p in probe {
-                probe_one(p, &mut scratch, &mut out);
-            }
-            out
         }
     }
+    out
 }
 
 /// The columnar-key variant of [`hash_join_collect`]: both sides' key
@@ -1571,9 +1288,7 @@ where
 /// them (this keeps the pre-sort output just as presorted, which the
 /// caller's final sort exploits); the caller's sort+dedup then
 /// canonicalizes the output, so the result is byte-identical to the row
-/// path at any thread count. The chain build is one sequential pass over
-/// the hash vector (cheap even for large build sides); the hash passes
-/// and the probe fan out over the pool.
+/// path.
 fn hash_join_collect_columnar<F>(
     build: &[Tuple],
     build_keys: &[usize],
@@ -1582,49 +1297,31 @@ fn hash_join_collect_columnar<F>(
     emit: F,
 ) -> Vec<Tuple>
 where
-    F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>) + Sync,
+    F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>),
 {
-    use crate::pool;
     let bh = crate::physical::key_hashes(build, build_keys);
     let ph = crate::physical::key_hashes(probe, probe_keys);
     let (head, next) = hash_chain(&bh);
-    let keys_eq = |bi: usize, pi: usize| {
-        build_keys
-            .iter()
-            .zip(probe_keys)
-            .all(|(&bc, &pc)| build[bi][bc] == probe[pi][pc])
-    };
-    let probe_range = |lo: usize, hi: usize| {
-        let mut out = Vec::new();
-        let mut scratch = Tuple::new();
-        for pi in lo..hi {
-            let Some(&first) = head.get(&ph[pi]) else {
-                continue;
-            };
-            let mut cur = first;
-            while cur != u32::MAX {
-                let bi = cur as usize;
-                if keys_eq(bi, pi) {
-                    emit(&build[bi], &probe[pi], &mut scratch, &mut out);
-                }
-                cur = next[bi];
+    let mut out = Vec::new();
+    let mut scratch = Tuple::new();
+    for (pi, p) in probe.iter().enumerate() {
+        let Some(&first) = head.get(&ph[pi]) else {
+            continue;
+        };
+        let mut cur = first;
+        while cur != u32::MAX {
+            let bi = cur as usize;
+            if build_keys
+                .iter()
+                .zip(probe_keys)
+                .all(|(&bc, &pc)| build[bi][bc] == p[pc])
+            {
+                emit(&build[bi], p, &mut scratch, &mut out);
             }
+            cur = next[bi];
         }
-        out
-    };
-    if pool::parallelize(probe.len(), pool::par_min_tuples()) {
-        let chunk_len = probe.len().div_ceil(pool::num_threads() * 4).max(1);
-        let ranges: Vec<(usize, usize)> = (0..probe.len())
-            .step_by(chunk_len)
-            .map(|lo| (lo, (lo + chunk_len).min(probe.len())))
-            .collect();
-        pool::par_map(&ranges, |&(lo, hi)| probe_range(lo, hi))
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        probe_range(0, probe.len())
     }
+    out
 }
 
 /// Split `pred` into hash-joinable equi-conjuncts and a residual predicate.

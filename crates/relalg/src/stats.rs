@@ -46,8 +46,7 @@ impl RelStats {
     /// Column 0 inherits the relation's lexicographic sort order, so its
     /// distinct count is a boundary count and min/max are the first/last
     /// tuple — no extraction pass. Every other column is extracted into a
-    /// transient column vector and sorted once; wide relations fan the
-    /// per-column work out over the pool.
+    /// transient column vector and sorted once.
     pub(crate) fn compute(schema: &Schema, tuples: &[Tuple]) -> RelStats {
         let arity = schema.arity();
         let rows = tuples.len() as u64;
@@ -64,13 +63,7 @@ impl RelStats {
                 ],
             };
         }
-        let idx: Vec<usize> = (0..arity).collect();
-        let work = tuples.len().saturating_mul(arity);
-        let cols = if crate::pool::parallelize(work, crate::pool::par_min_tuples()) {
-            crate::pool::par_map(&idx, |&i| col_stats(tuples, i))
-        } else {
-            idx.iter().map(|&i| col_stats(tuples, i)).collect()
-        };
+        let cols = (0..arity).map(|i| col_stats(tuples, i)).collect();
         RelStats { rows, cols }
     }
 }

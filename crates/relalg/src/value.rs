@@ -18,8 +18,8 @@ use std::sync::RwLock;
 ///
 /// The interner is **sharded**: [`INTERNER_SHARDS`] independent
 /// `RwLock`-protected shards, selected by string hash, so concurrent `Sym`
-/// creation from the worker pool (`relalg::pool`) does not serialize on a
-/// single lock. The id encodes the shard in its low bits
+/// creation from concurrent sessions (one thread per connection) does not
+/// serialize on a single lock. The id encodes the shard in its low bits
 /// (`id = local_index * SHARDS + shard`), so resolution needs no global
 /// table. Shard assignment depends only on the string's hash, never on
 /// interning order, and `Sym` ordering compares strings, not ids — so the

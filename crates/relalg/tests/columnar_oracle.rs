@@ -3,12 +3,13 @@
 //!
 //! * the **columnar projection path** (wide relations extract only the
 //!   touched columns) is pinned against the row path and a
-//!   `BTreeSet<Vec<Value>>` oracle, at 1 and 4 pool threads;
-//! * the **vectorized selection**, **columnar join-key extraction**
-//!   (natural/theta/semijoin) and **columnar grouping** (`partition_by`,
-//!   `partition_by_project`, `divide`) paths are pinned the same way —
-//!   row vs. columnar vs. independent semantic oracles, across thread
-//!   counts and the `WSDB_NO_COLUMNAR` toggle;
+//!   `BTreeSet<Vec<Value>>` oracle;
+//! * the **vectorized selection** and **columnar join-key extraction**
+//!   (natural/theta/semijoin) paths are pinned the same way — row vs.
+//!   columnar vs. independent semantic oracles, across the
+//!   `WSDB_NO_COLUMNAR` toggle — and grouping (`partition_by`,
+//!   `partition_by_project`, `divide`) on wide inputs against the same
+//!   kind of oracles;
 //! * **per-column statistics** are pinned against per-column set oracles;
 //! * the **epoch tag** semantics (clones share, constructors stamp fresh,
 //!   in-place mutation bumps) are pinned.
@@ -18,19 +19,11 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use relalg::{
-    attr, attrs, pool, set_columnar_enabled, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value,
+    attr, attrs, set_columnar_enabled, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value,
 };
 
-/// Serializes tests that flip process-wide toggles (worker count, columnar
-/// path).
+/// Serializes tests that flip the process-wide columnar toggle.
 static LOCK: Mutex<()> = Mutex::new(());
-
-fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    pool::set_threads(n);
-    let out = f();
-    pool::set_threads(0);
-    out
-}
 
 /// A deterministic wide relation: `width` columns, per-column domains of
 /// different sizes so distinct counts differ per column.
@@ -93,21 +86,9 @@ fn columnar_projection_matches_row_path_and_oracle() {
         for cols in projections {
             let a: Vec<relalg::Attr> = attrs(&cols);
             let oracle = o_project(rel, &cols);
-            for threads in [1usize, 4] {
-                let (row, col) = at_threads(threads, || {
-                    set_columnar_enabled(Some(false));
-                    let row = rel.project(&a).unwrap();
-                    set_columnar_enabled(Some(true));
-                    let col = rel.project(&a).unwrap();
-                    set_columnar_enabled(None);
-                    (row, col)
-                });
-                assert_eq!(
-                    row, col,
-                    "row vs columnar diverged ({cols:?}, {threads} threads)"
-                );
-                assert_is(&col, &oracle, &format!("{cols:?} @ {threads} threads"));
-            }
+            let (row, col) = row_vs_columnar(|| rel.project(&a).unwrap());
+            assert_eq!(row, col, "row vs columnar diverged ({cols:?})");
+            assert_is(&col, &oracle, &format!("{cols:?}"));
         }
     }
 }
@@ -117,17 +98,12 @@ fn distinct_values_take_the_columnar_path() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let rel = wide_rel(5, 500, 7);
     let oracle = o_project(&rel, &["C3"]);
-    for threads in [1usize, 4] {
-        let vals = at_threads(threads, || {
-            set_columnar_enabled(Some(true));
-            let v = rel.distinct_values(&attrs(&["C3"])).unwrap();
-            set_columnar_enabled(None);
-            v
-        });
-        let got: Vec<Vec<Value>> = vals.iter().map(|t| t.to_vec()).collect();
-        let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
-        assert_eq!(got, want, "distinct_values @ {threads} threads");
-    }
+    set_columnar_enabled(Some(true));
+    let vals = rel.distinct_values(&attrs(&["C3"])).unwrap();
+    set_columnar_enabled(None);
+    let got: Vec<Vec<Value>> = vals.iter().map(|t| t.to_vec()).collect();
+    let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
+    assert_eq!(got, want, "distinct_values");
 }
 
 #[test]
@@ -178,8 +154,7 @@ fn epoch_tags_identify_content() {
 }
 
 /// Run `f` twice — columnar forced off, then on — restoring the
-/// environment default afterwards. Both runs happen under the same thread
-/// count; callers wrap with [`at_threads`].
+/// environment default afterwards.
 fn row_vs_columnar<R>(f: impl Fn() -> R) -> (R, R) {
     set_columnar_enabled(Some(false));
     let row = f();
@@ -241,15 +216,10 @@ fn vectorized_filter_matches_row_path_and_oracle() {
         let _ = rel.stats();
         for (pred, keep) in &cases {
             let oracle = o_select(&rel, keep);
-            for threads in [1usize, 4] {
-                let (row, col) = at_threads(threads, || row_vs_columnar(|| rel.select(pred)));
-                let (row, col) = (row.unwrap(), col.unwrap());
-                assert_eq!(
-                    row, col,
-                    "row vs columnar diverged ({pred}, {threads} threads)"
-                );
-                assert_is(&col, &oracle, &format!("σ[{pred}] @ {threads} threads"));
-            }
+            let (row, col) = row_vs_columnar(|| rel.select(pred));
+            let (row, col) = (row.unwrap(), col.unwrap());
+            assert_eq!(row, col, "row vs columnar diverged ({pred})");
+            assert_is(&col, &oracle, &format!("σ[{pred}]"));
         }
     }
     // Error parity: an unknown attribute fails identically on both paths.
@@ -315,69 +285,57 @@ fn columnar_join_keys_match_row_path_and_oracle() {
     for rows in [80usize, 600] {
         let (l, r) = join_inputs(rows);
         let nj_oracle = o_natural_join(&l, &r);
-        for threads in [1usize, 4] {
-            // Natural join: common-attribute hash keys.
-            let (row, col) = at_threads(threads, || row_vs_columnar(|| l.natural_join(&r)));
-            assert_eq!(row, col, "⋈ row vs columnar ({rows} rows, {threads} thr)");
-            assert_is(&col, &nj_oracle, &format!("⋈ {rows} rows @ {threads} thr"));
+        // Natural join: common-attribute hash keys.
+        let (row, col) = row_vs_columnar(|| l.natural_join(&r));
+        assert_eq!(row, col, "⋈ row vs columnar ({rows} rows)");
+        assert_is(&col, &nj_oracle, &format!("⋈ {rows} rows"));
 
-            // Semijoin: key-set membership from extracted columns.
-            let (row, col) = at_threads(threads, || row_vs_columnar(|| l.semijoin(&r)));
-            assert_eq!(row, col, "⋉ row vs columnar ({rows} rows, {threads} thr)");
-            let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle
-                .iter()
-                .map(|t| t[..l.schema().arity()].to_vec())
-                .collect();
-            assert_is(&col, &sj_oracle, &format!("⋉ {rows} rows @ {threads} thr"));
+        // Semijoin: key-set membership from extracted columns.
+        let (row, col) = row_vs_columnar(|| l.semijoin(&r));
+        assert_eq!(row, col, "⋉ row vs columnar ({rows} rows)");
+        let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle
+            .iter()
+            .map(|t| t[..l.schema().arity()].to_vec())
+            .collect();
+        assert_is(&col, &sj_oracle, &format!("⋉ {rows} rows"));
 
-            // Theta join: extracted equi-keys plus a residual conjunct.
-            let rr = r
-                .rename(&[
-                    ("C2".into(), "E2".into()),
-                    ("C3".into(), "E3".into()),
-                    ("D0".into(), "E0".into()),
-                    ("D1".into(), "E1".into()),
-                    ("D2".into(), "E4".into()),
-                ])
-                .unwrap();
-            let pred = Pred::eq_attr("C2", "E2").and(Pred::cmp(
-                Operand::Attr(attr("C4")),
-                CmpOp::Ge,
-                Operand::Attr(attr("E0")),
-            ));
-            let (row, col) = at_threads(threads, || row_vs_columnar(|| l.theta_join(&rr, &pred)));
-            let (row, col) = (row.unwrap(), col.unwrap());
-            assert_eq!(
-                row, col,
-                "⋈[θ] row vs columnar ({rows} rows, {threads} thr)"
-            );
-            let tj_oracle: BTreeSet<Vec<Value>> = l
-                .iter()
-                .flat_map(|lt| {
-                    rr.iter()
-                        .filter(move |rt| lt[2] == rt[0] && lt[4] >= rt[2])
-                        .map(move |rt| {
-                            let mut row = lt.to_vec();
-                            row.extend(rt.iter().copied());
-                            row
-                        })
-                })
-                .collect();
-            assert_is(
-                &col,
-                &tj_oracle,
-                &format!("⋈[θ] {rows} rows @ {threads} thr"),
-            );
-        }
+        // Theta join: extracted equi-keys plus a residual conjunct.
+        let rr = r
+            .rename(&[
+                ("C2".into(), "E2".into()),
+                ("C3".into(), "E3".into()),
+                ("D0".into(), "E0".into()),
+                ("D1".into(), "E1".into()),
+                ("D2".into(), "E4".into()),
+            ])
+            .unwrap();
+        let pred = Pred::eq_attr("C2", "E2").and(Pred::cmp(
+            Operand::Attr(attr("C4")),
+            CmpOp::Ge,
+            Operand::Attr(attr("E0")),
+        ));
+        let (row, col) = row_vs_columnar(|| l.theta_join(&rr, &pred));
+        let (row, col) = (row.unwrap(), col.unwrap());
+        assert_eq!(row, col, "⋈[θ] row vs columnar ({rows} rows)");
+        let tj_oracle: BTreeSet<Vec<Value>> = l
+            .iter()
+            .flat_map(|lt| {
+                rr.iter()
+                    .filter(move |rt| lt[2] == rt[0] && lt[4] >= rt[2])
+                    .map(move |rt| {
+                        let mut row = lt.to_vec();
+                        row.extend(rt.iter().copied());
+                        row
+                    })
+            })
+            .collect();
+        assert_is(&col, &tj_oracle, &format!("⋈[θ] {rows} rows"));
     }
 }
 
 #[test]
 fn columnar_grouping_matches_row_path_and_oracle() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Columnar grouping/division only engages when the pool fans out, so
-    // drop the morsel gate to cover these inputs at 4 threads.
-    pool::set_par_min_tuples(Some(1));
     for rel in [wide_rel(5, 500, 7), wide_rel(11, 64, 6)] {
         let key = attrs(&["C1", "C2"]);
         // partition_by: group membership oracle.
@@ -389,59 +347,59 @@ fn columnar_grouping_matches_row_path_and_oracle() {
                 .or_default()
                 .insert(t.to_vec());
         }
-        for threads in [1usize, 4] {
-            let (row, col) = at_threads(threads, || {
-                row_vs_columnar(|| rel.partition_by(&key).unwrap())
-            });
-            assert_eq!(row, col, "χ row vs columnar @ {threads} thr");
-            assert_eq!(col.len(), oracle.len());
-            for ((k, part), (ok, op)) in col.iter().zip(&oracle) {
-                assert_eq!(&k.to_vec(), ok, "partition key order");
-                assert_is(part, op, "partition content");
-            }
-
-            // partition_by_project, fast layout (keep = leading columns,
-            // key = the rest) and a fallback layout.
-            let arity = rel.schema().arity();
-            let keep: Vec<relalg::Attr> = rel.schema().attrs()[..2].to_vec();
-            let pkey: Vec<relalg::Attr> = rel.schema().attrs()[2..arity].to_vec();
-            let (row, col) = at_threads(threads, || {
-                row_vs_columnar(|| rel.partition_by_project(&pkey, &keep).unwrap())
-            });
-            assert_eq!(row, col, "χπ fast row vs columnar @ {threads} thr");
-            let (row, col) = at_threads(threads, || {
-                row_vs_columnar(|| rel.partition_by_project(&key, &keep).unwrap())
-            });
-            assert_eq!(row, col, "χπ fallback row vs columnar @ {threads} thr");
-
-            // divide: against the classical RA definition built from
-            // independently checked operators.
-            let divisor = rel
-                .project(&attrs(&["C5"]))
-                .unwrap()
-                .select(&Pred::cmp(
-                    Operand::Attr(attr("C5")),
-                    CmpOp::Ge,
-                    Operand::Const(Value::Int(1)),
-                ))
-                .unwrap();
-            let (row, col) = at_threads(threads, || {
-                row_vs_columnar(|| rel.divide(&divisor).unwrap())
-            });
-            assert_eq!(row, col, "÷ row vs columnar @ {threads} thr");
-            let a: Vec<relalg::Attr> = rel.schema().minus(divisor.schema().attrs());
-            let pa = rel.project(&a).unwrap();
-            let all_pairs = pa.product(&divisor).unwrap();
-            let missing = all_pairs
-                .difference(&all_pairs.semijoin(&rel))
-                .unwrap()
-                .project(&a)
-                .unwrap();
-            let want = pa.difference(&missing).unwrap();
-            assert_eq!(col, want, "÷ classical-definition oracle @ {threads} thr");
+        let parts = rel.partition_by(&key).unwrap();
+        assert_eq!(parts.len(), oracle.len());
+        for ((k, part), (ok, op)) in parts.iter().zip(&oracle) {
+            assert_eq!(&k.to_vec(), ok, "partition key order");
+            assert_is(part, op, "partition content");
         }
+
+        // partition_by_project, fast layout (keep = leading columns,
+        // key = the rest) and a fallback layout, against the projected
+        // group oracle.
+        let arity = rel.schema().arity();
+        let keep: Vec<relalg::Attr> = rel.schema().attrs()[..2].to_vec();
+        let pkey: Vec<relalg::Attr> = rel.schema().attrs()[2..arity].to_vec();
+        for (k_idx, k_attrs) in [((2..arity).collect::<Vec<_>>(), &pkey), (vec![1, 2], &key)] {
+            let mut oracle: std::collections::BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> =
+                Default::default();
+            for t in rel.iter() {
+                oracle
+                    .entry(k_idx.iter().map(|&i| t[i]).collect())
+                    .or_default()
+                    .insert(t[..2].to_vec());
+            }
+            let parts = rel.partition_by_project(k_attrs, &keep).unwrap();
+            assert_eq!(parts.len(), oracle.len());
+            for ((k, part), (ok, op)) in parts.iter().zip(&oracle) {
+                assert_eq!(&k.to_vec(), ok, "χπ key order");
+                assert_is(part, op, "χπ content");
+            }
+        }
+
+        // divide: against the classical RA definition built from
+        // independently checked operators.
+        let divisor = rel
+            .project(&attrs(&["C5"]))
+            .unwrap()
+            .select(&Pred::cmp(
+                Operand::Attr(attr("C5")),
+                CmpOp::Ge,
+                Operand::Const(Value::Int(1)),
+            ))
+            .unwrap();
+        let got = rel.divide(&divisor).unwrap();
+        let a: Vec<relalg::Attr> = rel.schema().minus(divisor.schema().attrs());
+        let pa = rel.project(&a).unwrap();
+        let all_pairs = pa.product(&divisor).unwrap();
+        let missing = all_pairs
+            .difference(&all_pairs.semijoin(&rel))
+            .unwrap()
+            .project(&a)
+            .unwrap();
+        let want = pa.difference(&missing).unwrap();
+        assert_eq!(got, want, "÷ classical-definition oracle");
     }
-    pool::set_par_min_tuples(None);
 }
 
 // ---- proptest: random wide inputs through both projection paths ----
@@ -491,13 +449,8 @@ proptest! {
     fn filter_join_group_paths_agree_on_random_wide_inputs(
         rows in wide_rows(),
         k in 0i64..4,
-        threads_pick in 0usize..2,
     ) {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let threads = if threads_pick == 0 { 1 } else { 4 };
-        // Let the pool-gated grouping/division kernels engage on these
-        // small inputs when threads > 1.
-        pool::set_par_min_tuples(Some(1));
         let rel = Relation::from_rows(
             Schema::of(&["A", "B", "C", "D", "E", "F"]),
             rows.iter().map(|&((a, b), (c, d), (e, f))| {
@@ -517,7 +470,7 @@ proptest! {
                 ("F".into(), "J".into()),
             ])
             .unwrap();
-        let (rowp, colp) = at_threads(threads, || row_vs_columnar(|| {
+        let (rowp, colp) = row_vs_columnar(|| {
             (
                 rel.select(&pred).unwrap(),
                 rel.natural_join(&other),
@@ -525,8 +478,7 @@ proptest! {
                 rel.partition_by(&attrs(&["C", "D"])).unwrap(),
                 rel.divide(&rel.project(&attrs(&["F"])).unwrap()).unwrap(),
             )
-        }));
-        pool::set_par_min_tuples(None);
+        });
         prop_assert_eq!(rowp, colp);
     }
 }

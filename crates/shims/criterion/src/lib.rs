@@ -7,9 +7,9 @@
 //! cannot be vendored. This shim measures wall-clock time (warm-up, then
 //! timed samples), prints a `name/param  mean ± stddev (n samples)` line per
 //! benchmark, and — when the `BENCH_JSON` environment variable names a file
-//! — appends one JSON object per benchmark so tooling (see
-//! `scripts/bench_dump.sh`) can assemble `BENCH_core.json` without parsing
-//! human-oriented output.
+//! — appends one JSON object per benchmark (mean, median and stddev of the
+//! per-sample means) so tooling (see `scripts/bench_dump.sh`) can assemble
+//! `BENCH_core.json` without parsing human-oriented output.
 
 use std::fmt::Display;
 use std::io::Write as _;
@@ -47,6 +47,7 @@ pub struct Bencher {
 #[derive(Clone, Copy)]
 struct Sample {
     mean_ns: f64,
+    median_ns: f64,
     stddev_ns: f64,
     samples: usize,
     iters: u64,
@@ -92,6 +93,7 @@ impl Bencher {
         let var = means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / n;
         self.result = Some(Sample {
             mean_ns: mean,
+            median_ns: median(&mut means),
             stddev_ns: var.sqrt(),
             samples: means.len(),
             iters: total_iters,
@@ -222,15 +224,28 @@ impl Criterion {
             {
                 let _ = writeln!(
                     fh,
-                    "{{\"id\":\"{}\",\"mean_ns\":{:.1},\"stddev_ns\":{:.1},\"samples\":{},\"iters\":{}}}",
+                    "{{\"id\":\"{}\",\"mean_ns\":{:.1},\"median_ns\":{:.1},\"stddev_ns\":{:.1},\"samples\":{},\"iters\":{}}}",
                     full_id.replace('"', "'"),
                     s.mean_ns,
+                    s.median_ns,
                     s.stddev_ns,
                     s.samples,
                     s.iters
                 );
             }
         }
+    }
+}
+
+/// Median of the per-sample means (the middle two averaged for an even
+/// count); `xs` must be non-empty.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
     }
 }
 
@@ -286,6 +301,13 @@ mod tests {
         });
         group.finish();
         assert!(ran);
+    }
+
+    #[test]
+    fn median_of_odd_and_even_counts() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
     }
 
     #[test]

@@ -61,18 +61,18 @@ pub const TOP: u32 = 0;
 /// before the factorized path gives up ([`FactorError::Budget`]), for a
 /// representation with `nvars` choice variables.
 ///
-/// The base allowance is the `relalg::config::WORLDS_BUDGET` knob
-/// (`WSDB_WORLDS_BUDGET`, default 1024; runtime setter and per-session
-/// `set local worlds_budget = …;` both honored) and the effective budget
-/// is **adaptive**: it scales with the variable count, because a formula
-/// over more choice variables legitimately carries more disjuncts — a
-/// fixed cap made deep choice chains fall back to enumeration even when
-/// each conjunction site stayed small after compaction.
+/// The base allowance is `WORLDS_BUDGET` (1024) and the effective budget is
+/// **adaptive**: it scales with the variable count, because a formula over
+/// more choice variables legitimately carries more disjuncts — a fixed cap
+/// made deep choice chains fall back to enumeration even when each
+/// conjunction site stayed small after compaction.
 pub fn worlds_budget(nvars: usize) -> usize {
-    relalg::config::WORLDS_BUDGET
-        .get()
-        .saturating_mul(nvars / 4 + 1)
+    WORLDS_BUDGET.saturating_mul(nvars / 4 + 1)
 }
+
+/// Base disjunct allowance of a world-validity [`Dnf`] per group of four
+/// choice variables (see [`worlds_budget`]).
+const WORLDS_BUDGET: usize = 1024;
 
 /// Disjunct count below which [`Dnf`] compaction is not attempted (tiny
 /// formulas are already cheap; the passes would only burn cycles).

@@ -1,8 +1,7 @@
 //! World-level operations run in place: `map_worlds`, `flat_map_worlds`
-//! and `extend_with` visit every world on the calling thread, whatever the
-//! pool's worker count (which only governs the tuple axis inside `relalg`).
+//! and `extend_with` visit every world on the calling thread.
 
-use relalg::{attrs, pool, Relation, Result};
+use relalg::{attrs, Relation, Result};
 use worldset::{World, WorldSet};
 
 #[test]
@@ -17,7 +16,6 @@ fn world_closures_run_on_the_calling_thread() {
     // thread.
     let caller = std::thread::current().id();
     let mut seen = Vec::new();
-    pool::set_threads(4);
     let mapped = split.map_worlds(|w| -> Result<World> {
         seen.push(std::thread::current().id());
         Ok(w.clone())
@@ -30,7 +28,6 @@ fn world_closures_run_on_the_calling_thread() {
         seen.push(std::thread::current().id());
         w.last().project(&attrs(&["Dep"]))
     });
-    pool::set_threads(0);
 
     assert_eq!(mapped.unwrap(), split);
     assert_eq!(flat.unwrap(), split);

@@ -3,13 +3,18 @@
 committed baseline.
 
 Runs `scripts/bench_dump.sh` into a temporary file and compares every
-benchmark's mean against the committed `BENCH_core.json`, failing (exit 1)
-when any benchmark slowed down by more than the tolerance (default 25%,
-see EXPERIMENTS.md "Bench-regression gate"). Benchmarks present on only
+benchmark's median (of its per-sample means) against the committed
+`BENCH_core.json`, failing (exit 1) when any benchmark slowed down by more
+than its tolerance: `max(--tolerance, 3 * stddev_ns / mean_ns)` of its
+baseline entry (default floor 25%, see EXPERIMENTS.md "Bench-regression
+gate"), so a leg whose baseline samples spread widely is judged against
+its own noise. Every failure prints the tolerance it was judged by.
+Entries recorded before the shim wrote `median_ns` compare their mean.
+Benchmarks present on only
 one side are reported but never fail the gate (new benches appear, old
 ones get retired). A regression must *reproduce* to fail: when the first
 pass finds offenders, their bench targets are re-run once and each
-offender keeps the better (minimum) of its two means — a real slowdown
+offender keeps the better (minimum) of its two medians — a real slowdown
 survives both runs, a load spike on the shared container does not
 (`--retries` controls the re-run count; 0 disables). Stdlib-only by
 design — the container has no package index.
@@ -32,12 +37,16 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load_benchmarks(path):
-    """Map benchmark id -> mean_ns from a BENCH_core.json-shaped file."""
+    """Map benchmark id -> (median_ns, stddev_ns / mean_ns) from a
+    BENCH_core.json-shaped file (the mean stands in for a missing median)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     out = {}
     for entry in doc.get("benchmarks", []):
-        out[entry["id"]] = float(entry["mean_ns"])
+        mean = float(entry["mean_ns"])
+        median = float(entry.get("median_ns", mean))
+        cv = float(entry.get("stddev_ns", 0.0)) / mean if mean > 0 else 0.0
+        out[entry["id"]] = (median, cv)
     return out
 
 
@@ -76,20 +85,21 @@ def main():
         "--tolerance",
         type=float,
         default=float(os.environ.get("BENCH_TOLERANCE", "0.25")),
-        help="allowed fractional slowdown before failing (default 0.25 = 25%%)",
+        help="floor of the allowed fractional slowdown; an entry's own "
+        "3 * stddev/mean raises it (default 0.25 = 25%%)",
     )
     ap.add_argument(
         "--min-ns",
         type=float,
         default=float(os.environ.get("BENCH_MIN_NS", "0")),
-        help="ignore benchmarks whose baseline mean is below this many ns",
+        help="ignore benchmarks whose baseline median is below this many ns",
     )
     ap.add_argument(
         "--retries",
         type=int,
         default=int(os.environ.get("BENCH_RETRIES", "1")),
         help="re-run offenders this many times, keeping each one's best "
-        "mean; a regression must survive every run to fail (default 1, "
+        "median; a regression must survive every run to fail (default 1, "
         "0 disables; ignored with --current)",
     )
     args = ap.parse_args()
@@ -108,14 +118,15 @@ def main():
                 if not quiet:
                     print(f"  [skip] {bench_id}: missing from current run")
                 continue
-            base = baseline[bench_id]
+            base, cv = baseline[bench_id]
             if base < args.min_ns:
                 continue
-            now = current[bench_id]
+            now = current[bench_id][0]
+            tolerance = max(args.tolerance, 3.0 * cv)
             compared += 1
             ratio = now / base if base > 0 else float("inf")
-            if ratio > 1.0 + args.tolerance:
-                regressions.append((bench_id, base, now, ratio))
+            if ratio > 1.0 + tolerance:
+                regressions.append((bench_id, base, now, ratio, tolerance))
             elif ratio < 1.0:
                 improvements += 1
         return regressions, improvements, compared
@@ -124,28 +135,31 @@ def main():
     retries_left = args.retries if not args.current else 0
     while regressions and retries_left > 0:
         retries_left -= 1
-        names = ", ".join(bench_id for bench_id, _, _, _ in regressions)
+        names = ", ".join(r[0] for r in regressions)
         print(f"\n  [retry] re-running to confirm: {names}")
         rerun = run_benches(args.targets)
         for bench_id in rerun:
             if bench_id in current:
-                current[bench_id] = min(current[bench_id], rerun[bench_id])
+                current[bench_id] = min(
+                    current[bench_id], rerun[bench_id], key=lambda e: e[0]
+                )
             else:
                 current[bench_id] = rerun[bench_id]
         regressions, improvements, compared = compare(quiet=True)
     for bench_id in sorted(set(current) - set(baseline)):
-        print(f"  [new]  {bench_id}: {current[bench_id]:.0f} ns (no baseline)")
+        print(f"  [new]  {bench_id}: {current[bench_id][0]:.0f} ns (no baseline)")
 
     print(
         f"\ncompared {compared} benchmarks against {os.path.basename(args.baseline)}"
-        f" (tolerance +{args.tolerance:.0%}); {improvements} improved"
+        f" (median vs median, tolerance max(+{args.tolerance:.0%}, 3 sigma));"
+        f" {improvements} improved"
     )
     if regressions:
         print(f"\nFAIL: {len(regressions)} benchmark(s) regressed beyond tolerance:")
-        for bench_id, base, now, ratio in regressions:
+        for bench_id, base, now, ratio, tolerance in regressions:
             print(
                 f"  {bench_id}: {base:.0f} ns -> {now:.0f} ns"
-                f" ({(ratio - 1.0):+.0%})"
+                f" ({(ratio - 1.0):+.0%}, tolerance +{tolerance:.0%})"
             )
         return 1
     print("OK: no benchmark regressed beyond tolerance")
