@@ -18,7 +18,8 @@
 //!   that reads nothing of its outer rows is evaluated once per world:
 //!   [`Scopes`] keeps its answer for the remaining rows.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use relalg::{Attr, Relation, Schema, Tuple, Value};
@@ -55,15 +56,91 @@ fn fresh(ws: &WorldSet, base: &str) -> String {
 /// the **rewrite route**: compile to World-set Algebra, run the Section-6
 /// optimizer (with real relation cardinalities), and — when the optimizer
 /// found a strictly cheaper plan — evaluate the optimized algebra query
-/// directly. Everything else (and the `WSDB_NO_REWRITE` escape hatch, or
-/// any failure along the route) falls back to the direct interpreter
-/// below; the two routes agree on the clean fragment (pinned by
-/// `tests/interp_vs_algebra.rs`).
+/// directly. Everything else (and the `WSDB_NO_REWRITE` escape hatch)
+/// falls back to the direct interpreter below, counting why
+/// ([`RouteFallback`]); the two routes agree on the clean fragment (pinned
+/// by `tests/interp_vs_algebra.rs`).
 pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
-    if let Some(out) = try_rewrite_route_ws(stmt, ws, out_name) {
-        return Ok(out);
+    if !relalg::config::rewrite_enabled() || !stmt.uses_world_constructs() {
+        return eval_select_ws_interp(stmt, ws, out_name);
     }
-    eval_select_ws_interp(stmt, ws, out_name)
+    let route_error = match try_rewrite_route_ws(stmt, ws, out_name) {
+        Ok(out) => return Ok(out),
+        Err(fallback) => {
+            fallback.count();
+            match fallback {
+                RouteFallback::RouteError(e) => Some(e),
+                RouteFallback::NotInFragment | RouteFallback::NotCheaper => None,
+            }
+        }
+    };
+    let out = eval_select_ws_interp(stmt, ws, out_name);
+    if let (Some(e), Ok(_)) = (&route_error, &out) {
+        // The interpreter answered a statement the algebra route failed
+        // on: the engines disagree.
+        ROUTE_DISAGREEMENTS.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(
+            false,
+            "the algebra route failed where the interpreter answers: {e}"
+        );
+    }
+    out
+}
+
+/// Why a world-construct statement did not take the algebra route of
+/// [`eval_select_ws`].
+#[derive(Debug)]
+enum RouteFallback {
+    /// The statement compiles to no World-set Algebra query (aggregation,
+    /// arithmetic, subqueries in conditions — the paper's algebra excludes
+    /// them too).
+    NotInFragment,
+    /// Neither the optimizer found a strictly cheaper plan nor the
+    /// factorized chooser wanted the query.
+    NotCheaper,
+    /// The routed evaluation failed.
+    RouteError(SqlError),
+}
+
+static NOT_IN_FRAGMENT: AtomicU64 = AtomicU64::new(0);
+static NOT_CHEAPER: AtomicU64 = AtomicU64::new(0);
+static ROUTE_ERRORS: AtomicU64 = AtomicU64::new(0);
+static ROUTE_DISAGREEMENTS: AtomicU64 = AtomicU64::new(0);
+
+impl RouteFallback {
+    fn count(&self) {
+        let counter = match self {
+            RouteFallback::NotInFragment => &NOT_IN_FRAGMENT,
+            RouteFallback::NotCheaper => &NOT_CHEAPER,
+            RouteFallback::RouteError(_) => &ROUTE_ERRORS,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Process-wide counts of the statements that fell back from the algebra
+/// route to the interpreter, by reason, since the process started.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct RouteFallbacks {
+    /// The statement is outside the compilable fragment.
+    pub not_in_fragment: u64,
+    /// The route would not have been cheaper.
+    pub not_cheaper: u64,
+    /// The routed evaluation failed.
+    pub route_errors: u64,
+    /// Route errors on which the interpreter then answered: the two engines
+    /// disagree (debug builds fail an assertion instead).
+    pub disagreements: u64,
+}
+
+/// Read the [`RouteFallbacks`] counters.
+pub fn route_fallbacks() -> RouteFallbacks {
+    RouteFallbacks {
+        not_in_fragment: NOT_IN_FRAGMENT.load(Ordering::Relaxed),
+        not_cheaper: NOT_CHEAPER.load(Ordering::Relaxed),
+        route_errors: ROUTE_ERRORS.load(Ordering::Relaxed),
+        disagreements: ROUTE_DISAGREEMENTS.load(Ordering::Relaxed),
+    }
 }
 
 /// One relation's contribution to the optimizer-memo key: name plus
@@ -167,30 +244,31 @@ fn card_fingerprint(algebra: &wsa::Query, ws: &WorldSet) -> Vec<RelFingerprint> 
         .collect()
 }
 
-/// The algebra fast path of [`eval_select_ws`]; `None` means "use the
-/// interpreter" (out of fragment, rewriting found nothing, or the route
-/// failed — the interpreter then reports the authoritative error).
+/// The algebra fast path of [`eval_select_ws`]; the error says why the
+/// interpreter runs instead.
 ///
 /// The route fires when the Section-6 optimizer found a strictly cheaper
 /// plan, **or** when the factorized chooser wants the query: the
 /// interpreter enumerates every `choice of` world explicitly, so a query
 /// over many implicit worlds goes through the algebra even unrewritten,
 /// where [`wsa::eval_named_routed`] can run it factorized.
-fn try_rewrite_route_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Option<WorldSet> {
-    if !relalg::config::rewrite_enabled() || !stmt.uses_world_constructs() {
-        return None;
-    }
+fn try_rewrite_route_ws(
+    stmt: &SelectStmt,
+    ws: &WorldSet,
+    out_name: &str,
+) -> std::result::Result<WorldSet, RouteFallback> {
     let base = |name: &str| -> Option<Schema> {
         let idx = ws.index_of(name)?;
         Some(ws.iter().next()?.rel(idx).schema().clone())
     };
-    let algebra = crate::compile::compile_select(stmt, &base).ok()?;
+    let algebra =
+        crate::compile::compile_select(stmt, &base).map_err(|_| RouteFallback::NotInFragment)?;
     let query = match optimize_memoized(&algebra, &base, ws) {
         Some(q) => q,
         None if wsa::should_factorize(&algebra, ws) => algebra,
-        None => return None,
+        None => return Err(RouteFallback::NotCheaper),
     };
-    wsa::eval_named_routed(&query, ws, out_name).ok()
+    wsa::eval_named_routed(&query, ws, out_name).map_err(|e| RouteFallback::RouteError(rel_err(e)))
 }
 
 fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
@@ -265,6 +343,7 @@ fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Re
             let filtered = filter_rows(
                 w.rel(acc_idx),
                 &[cond],
+                true,
                 w,
                 cur.rel_names(),
                 &mut Scopes::new(),
@@ -460,34 +539,39 @@ fn qualify(rel: &Relation, alias: &str) -> Result<Relation> {
     rel.project_as(&list).map_err(rel_err)
 }
 
-/// Resolve a column reference against a schema of qualified names.
-fn resolve_col(col: &ColRef, schema: &Schema) -> Result<Attr> {
-    let matches: Vec<&Attr> = schema
+/// Resolve a column reference against a schema of qualified names: the
+/// position of the one attribute it names. This is the only resolution
+/// rule; the row loops apply it once, when they bind their expressions.
+fn resolve_col(col: &ColRef, schema: &Schema) -> Result<usize> {
+    let names = |name: &str| match &col.qualifier {
+        Some(q) => {
+            name.strip_prefix(q.as_str())
+                .and_then(|r| r.strip_prefix('.'))
+                == Some(&col.name)
+        }
+        None => {
+            name == col.name
+                || name
+                    .rsplit_once('.')
+                    .is_some_and(|(_, bare)| bare == col.name)
+        }
+    };
+    let mut matches = schema
         .attrs()
         .iter()
-        .filter(|a| {
-            let name = a.name();
-            match &col.qualifier {
-                Some(q) => name == format!("{q}.{}", col.name),
-                None => {
-                    name == col.name
-                        || name
-                            .rsplit_once('.')
-                            .map(|(_, bare)| bare == col.name)
-                            .unwrap_or(false)
-                }
-            }
-        })
-        .collect();
-    match matches.len() {
-        1 => Ok(matches[0].clone()),
-        0 => Err(SqlError(format!("unknown column {col} in {schema}"))),
-        _ => Err(SqlError(format!("ambiguous column {col} in {schema}"))),
+        .enumerate()
+        .filter(|(_, a)| names(a.name()));
+    match (matches.next(), matches.next()) {
+        (Some((i, _)), None) => Ok(i),
+        (None, _) => Err(SqlError(format!("unknown column {col} in {schema}"))),
+        (Some(_), Some(_)) => Err(SqlError(format!("ambiguous column {col} in {schema}"))),
     }
 }
 
 fn resolve_cols(cols: &[ColRef], schema: &Schema) -> Result<Vec<Attr>> {
-    cols.iter().map(|c| resolve_col(c, schema)).collect()
+    cols.iter()
+        .map(|c| Ok(schema.attrs()[resolve_col(c, schema)?].clone()))
+        .collect()
 }
 
 // ---- selection pushdown into the from-product ----
@@ -656,7 +740,7 @@ fn scalar_mentions_unresolvable_col(s: &Scalar, full: &Schema) -> bool {
 fn scalar_to_operand(s: &Scalar, full: &Schema, attrs: &mut Vec<Attr>) -> Option<relalg::Operand> {
     match s {
         Scalar::Col(c) => {
-            let a = resolve_col(c, full).ok()?;
+            let a = full.attrs()[resolve_col(c, full).ok()?].clone();
             attrs.push(a.clone());
             Some(relalg::Operand::Attr(a))
         }
@@ -753,56 +837,80 @@ fn materialized_ref(name: &str) -> SelectStmt {
 // ---- per-world evaluation ----
 
 /// Per-world evaluation state: the scope stack that correlated subqueries
-/// resolve outer columns against (innermost last), and the answers of the
-/// subqueries that turned out not to be correlated.
+/// resolve outer columns against, and the answers of the subqueries that
+/// turned out not to be correlated.
+///
+/// The stack has one level per enclosing row loop, innermost last. A loop
+/// enters its level once ([`Scopes::in_level`]) and binds its expressions
+/// against the level schemas before its first row ([`bind_scalar`],
+/// [`bind_cond`]); the loop's current row is handed to the bound form
+/// directly and sits on the stack only while a subquery or an aggregate
+/// evaluates for it.
 ///
 /// A subquery's answer is a function of the world and of the outer rows it
-/// reads. [`eval_scalar`] records the lowest stack index any column
-/// resolved at; a subquery during whose evaluation nothing — at any
-/// nesting depth — resolved below its own base depth read no outer row, so
-/// its answer holds for every later row of the same world and is kept
-/// under the subquery's node address. `'q` ties that address to the
-/// statement: every subquery evaluated against a `Scopes` outlives it.
+/// reads. Evaluating a bound column records the lowest level it read; a
+/// subquery during whose evaluation nothing — at any nesting depth — read
+/// below its own base depth read no outer row, so its answer holds for
+/// every later row of the same world and is kept under the subquery's node
+/// address. `'q` ties that address to the statement: every subquery
+/// evaluated against a `Scopes` outlives it.
 ///
 /// One `Scopes` serves one world.
-pub(crate) struct Scopes<'q> {
-    stack: Vec<(Schema, Tuple)>,
+struct Scopes<'q> {
+    /// One schema per level.
+    schemas: Vec<Schema>,
+    /// The current row of every level below the innermost loop's.
+    rows: Vec<Tuple>,
     memo: Vec<(&'q SelectStmt, Arc<Relation>)>,
     lowest: usize,
 }
 
-impl Scopes<'_> {
-    pub(crate) fn new() -> Self {
+impl<'q> Scopes<'q> {
+    fn new() -> Self {
         Scopes {
-            stack: Vec::new(),
+            schemas: Vec::new(),
+            rows: Vec::new(),
             memo: Vec::new(),
             lowest: usize::MAX,
         }
     }
 
-    fn push(&mut self, schema: &Schema, row: &Tuple) {
-        self.stack.push((schema.clone(), row.clone()));
-    }
-
-    fn pop(&mut self) {
-        self.stack.pop();
+    /// Run the row loop `f` over rows of `schema` as the innermost level.
+    fn in_level<T>(
+        &mut self,
+        schema: &Schema,
+        f: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        self.schemas.push(schema.clone());
+        let out = f(self);
+        self.schemas.pop();
+        out
     }
 }
 
-/// Evaluate the subquery `q` for the current outer rows, once per world
-/// when it reads none of them (see [`Scopes`]).
+/// Evaluate the subquery `q` for the current outer rows (`row` is the
+/// innermost loop's, when a row loop asks), once per world when it reads
+/// none of them (see [`Scopes`]).
 fn eval_subquery<'q>(
     q: &'q SelectStmt,
     world: &World,
     names: &[String],
     scopes: &mut Scopes<'q>,
+    row: Option<&Tuple>,
 ) -> Result<Arc<Relation>> {
     if let Some((_, hit)) = scopes.memo.iter().find(|(k, _)| std::ptr::eq(*k, q)) {
         return Ok(hit.clone());
     }
-    let base = scopes.stack.len();
+    if let Some(row) = row {
+        scopes.rows.push(row.clone());
+    }
+    let base = scopes.rows.len();
     let enclosing = std::mem::replace(&mut scopes.lowest, usize::MAX);
-    let rel = Arc::new(eval_select_local(q, world, names, scopes)?);
+    let rel = eval_select_local(q, world, names, scopes).map(Arc::new);
+    if row.is_some() {
+        scopes.rows.pop();
+    }
+    let rel = rel?;
     if scopes.lowest >= base {
         scopes.memo.push((q, rel.clone()));
     }
@@ -848,9 +956,10 @@ fn eval_select_local<'q>(
                 let alias = alias.as_deref().unwrap_or(name);
                 qualify(world.rel(idx), alias)?
             }
-            FromItem::Subquery { query, alias } => {
-                qualify(eval_subquery(query, world, names, scopes)?.as_ref(), alias)?
-            }
+            FromItem::Subquery { query, alias } => qualify(
+                eval_subquery(query, world, names, scopes, None)?.as_ref(),
+                alias,
+            )?,
         };
         match plan.as_ref().map(|p| &p.per_item[k]) {
             Some((sel, join)) => {
@@ -875,36 +984,44 @@ fn eval_select_local<'q>(
         None => stmt.where_cond.iter().collect(),
     };
     if !residual.is_empty() {
-        acc = filter_rows(&acc, &residual, world, names, scopes)?;
+        acc = filter_rows(&acc, &residual, true, world, names, scopes)?;
     }
     project_rows(stmt, &acc, world, names, scopes)
 }
 
-/// The rows of `rel` on which every condition of `conds` holds, each row
-/// in turn being the innermost scope.
+/// The rows of `rel` on which the conjunction of `conds` evaluates to
+/// `holds`, each row in turn being the innermost scope.
 fn filter_rows<'q>(
     rel: &Relation,
     conds: &[&'q Cond],
+    holds: bool,
     world: &World,
     names: &[String],
     scopes: &mut Scopes<'q>,
 ) -> Result<Relation> {
-    let mut keep = Vec::new();
-    for row in rel.iter() {
-        scopes.push(rel.schema(), row);
-        let mut ok = true;
-        for cond in conds {
-            ok = eval_cond(cond, world, names, scopes)?;
-            if !ok {
-                break;
+    let keep = scopes.in_level(rel.schema(), |scopes| {
+        let mut bound: Vec<BCond<'q>> = conds
+            .iter()
+            .map(|&c| bind_cond(c, &scopes.schemas))
+            .collect();
+        let mut keep = Vec::new();
+        'rows: for row in rel.iter() {
+            for cond in &mut bound {
+                if !cond.eval(row, world, names, scopes)? {
+                    if !holds {
+                        keep.push(row.clone());
+                    }
+                    continue 'rows;
+                }
+            }
+            if holds {
+                keep.push(row.clone());
             }
         }
-        scopes.pop();
-        if ok {
-            keep.push(row.clone());
-        }
-    }
-    Relation::from_rows(rel.schema().clone(), keep).map_err(rel_err)
+        Ok(keep)
+    })?;
+    // A subsequence of a sorted, deduplicated relation is one too.
+    Relation::from_sorted_rows(rel.schema().clone(), keep).map_err(rel_err)
 }
 
 /// Final projection of a select statement over the filtered product `acc`,
@@ -985,258 +1102,453 @@ fn project_rows<'q>(
             .collect(),
     )
     .ok_or_else(|| SqlError("duplicate output column name".into()))?;
+    // Per select item its bound expression; `None` for a `*` beside other
+    // items, an error once a row reaches it.
+    let bind_items = |levels: &[Schema]| -> Vec<Option<BScalar<'q>>> {
+        stmt.items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Star => None,
+                SelectItem::Expr { expr, .. } => Some(bind_scalar(expr, levels, false)),
+            })
+            .collect()
+    };
 
     if !aggregating {
-        let mut rows = Vec::new();
-        for row in acc.iter() {
-            scopes.push(acc.schema(), row);
-            let mut out = Vec::with_capacity(stmt.items.len());
-            for item in &stmt.items {
-                let SelectItem::Expr { expr, .. } = item else {
-                    return Err(SqlError("* must be the only select item".into()));
-                };
-                out.push(eval_scalar(expr, world, names, scopes, None)?);
+        return scopes.in_level(acc.schema(), |scopes| {
+            let top = scopes.schemas.len() - 1;
+            let items = bind_items(&scopes.schemas);
+            // Only columns of the row itself: the select list is a
+            // projection, which the storage layer runs without a row loop.
+            let columns: Option<Vec<(Attr, Attr)>> = items
+                .iter()
+                .zip(out_schema.attrs())
+                .map(|(item, out)| match item {
+                    Some(BScalar::Col { depth, idx }) if *depth == top => {
+                        Some((acc.schema().attrs()[*idx].clone(), out.clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            if let Some(list) = columns {
+                return acc.project_as(&list).map_err(rel_err);
             }
-            scopes.pop();
-            rows.push(out);
-        }
-        return Relation::from_rows(out_schema, rows).map_err(rel_err);
+            let mut rows = Vec::with_capacity(acc.len());
+            for row in acc.iter() {
+                let out = items
+                    .iter()
+                    .map(|item| match item {
+                        Some(e) => e.eval(row, world, names, scopes, None),
+                        None => Err(SqlError("* must be the only select item".into())),
+                    })
+                    .collect::<Result<Tuple>>()?;
+                rows.push(out);
+            }
+            Relation::from_rows(out_schema, rows).map_err(rel_err)
+        });
     }
 
     // Aggregation: group rows by the group-by columns.
-    let group_attrs = resolve_cols(&stmt.group_by, acc.schema())?;
-    let idx: Vec<usize> = group_attrs
+    let idx: Vec<usize> = stmt
+        .group_by
         .iter()
-        .map(|a| acc.schema().index_of(a).expect("resolved"))
-        .collect();
-    let mut groups: BTreeMap<Tuple, Vec<Tuple>> = BTreeMap::new();
+        .map(|c| resolve_col(c, acc.schema()))
+        .collect::<Result<_>>()?;
+    let mut groups: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
     for row in acc.iter() {
         let key: Tuple = idx.iter().map(|&i| row[i]).collect();
-        groups.entry(key).or_default().push(row.clone());
+        groups.entry(key).or_default().push(row);
     }
     // SQL convention: an ungrouped aggregate over an empty input produces
     // one row (sum = 0, count = 0) — needed by scalar subqueries.
-    if groups.is_empty() && group_attrs.is_empty() {
+    if groups.is_empty() && idx.is_empty() {
         groups.insert(Tuple::new(), vec![]);
     }
-    let mut rows = Vec::new();
-    for rows_in_group in groups.values() {
-        let first = rows_in_group
-            .first()
-            .cloned()
-            .unwrap_or_else(|| Tuple::filled(Value::Pad, acc.schema().arity()));
-        scopes.push(acc.schema(), &first);
-        let mut out = Vec::with_capacity(stmt.items.len());
-        for item in &stmt.items {
-            let SelectItem::Expr { expr, .. } = item else {
-                return Err(SqlError("* cannot appear with aggregates".into()));
-            };
-            out.push(eval_scalar(
-                expr,
-                world,
-                names,
-                scopes,
-                Some((acc.schema(), rows_in_group.as_slice())),
-            )?);
+    let pad = Tuple::filled(Value::Pad, acc.schema().arity());
+    let rows = scopes.in_level(acc.schema(), |scopes| {
+        let items = bind_items(&scopes.schemas);
+        let mut rows = Vec::with_capacity(groups.len());
+        for rows_in_group in groups.values() {
+            // Plain columns read the group's first row.
+            let first = rows_in_group.first().copied().unwrap_or(&pad);
+            let out = items
+                .iter()
+                .map(|item| match item {
+                    Some(e) => e.eval(first, world, names, scopes, Some(rows_in_group.as_slice())),
+                    None => Err(SqlError("* cannot appear with aggregates".into())),
+                })
+                .collect::<Result<Tuple>>()?;
+            rows.push(out);
         }
-        scopes.pop();
-        rows.push(out);
-    }
+        Ok(rows)
+    })?;
     Relation::from_rows(out_schema, rows).map_err(rel_err)
 }
 
-/// Evaluate a condition for the innermost scope row.
-fn eval_cond<'q>(
-    cond: &'q Cond,
-    world: &World,
-    names: &[String],
-    scopes: &mut Scopes<'q>,
-) -> Result<bool> {
-    match cond {
-        Cond::Cmp(l, op, r) => {
-            let lv = eval_scalar(l, world, names, scopes, None)?;
-            let rv = eval_scalar(r, world, names, scopes, None)?;
-            Ok(op.to_relalg().apply(&lv, &rv))
+// ---- bound expressions ----
+
+/// A [`Scalar`] bound to the scope stack of one row loop: columns are
+/// `(depth, idx)` slots, string literals are interned values.
+enum BScalar<'q> {
+    Val(Value),
+    /// Column `idx` of the row at stack level `depth`.
+    Col {
+        depth: usize,
+        idx: usize,
+    },
+    /// A column no level resolves; evaluating it is an error.
+    Unresolved(&'q ColRef),
+    Arith(ArithOp, Box<BScalar<'q>>, Box<BScalar<'q>>),
+    CountStar,
+    /// An aggregate. Its argument is evaluated once per group row, that row
+    /// one level above the group's first row, and is bound so.
+    Agg(AggFn, Box<BScalar<'q>>),
+    Subquery(&'q SelectStmt),
+}
+
+/// A [`Cond`] bound like [`BScalar`].
+enum BCond<'q> {
+    Cmp(BScalar<'q>, relalg::CmpOp, BScalar<'q>),
+    In {
+        expr: BScalar<'q>,
+        /// The probe column, when the probe is one: it names the probed
+        /// column of a multi-column answer.
+        probe_col: Option<&'q ColRef>,
+        query: &'q SelectStmt,
+        negated: bool,
+        probe: Probe,
+    },
+    Exists {
+        query: &'q SelectStmt,
+        negated: bool,
+    },
+    And(Box<BCond<'q>>, Box<BCond<'q>>),
+    Or(Box<BCond<'q>>, Box<BCond<'q>>),
+    Not(Box<BCond<'q>>),
+}
+
+/// The `IN` answer one bound condition probed last, with the column it
+/// probes and — once the same answer is probed again (a memoized,
+/// uncorrelated subquery) — a hash set of that column.
+#[derive(Default)]
+struct Probe {
+    answer: Option<(Arc<Relation>, usize)>,
+    set: Option<HashSet<Value>>,
+}
+
+/// Bind `s` against the level schemas `levels` (innermost last): a column
+/// takes the innermost level that resolves it uniquely, an ambiguous match
+/// falls through to the next outer level. `agg_arg` binds an aggregate's
+/// argument, whose rows sit one level above the innermost; that level has
+/// the innermost's schema, so it resolves exactly what the innermost does.
+fn bind_scalar<'q>(s: &'q Scalar, levels: &[Schema], agg_arg: bool) -> BScalar<'q> {
+    match s {
+        Scalar::Lit(Literal::Int(i)) => BScalar::Val(Value::Int(*i)),
+        Scalar::Lit(Literal::Str(t)) => BScalar::Val(Value::str(t)),
+        Scalar::Col(c) => {
+            let top = levels.len() - 1;
+            levels
+                .iter()
+                .enumerate()
+                .rev()
+                .find_map(|(depth, schema)| {
+                    let idx = resolve_col(c, schema).ok()?;
+                    let depth = if agg_arg && depth == top {
+                        top + 1
+                    } else {
+                        depth
+                    };
+                    Some(BScalar::Col { depth, idx })
+                })
+                .unwrap_or(BScalar::Unresolved(c))
         }
+        Scalar::Arith(op, a, b) => BScalar::Arith(
+            *op,
+            Box::new(bind_scalar(a, levels, agg_arg)),
+            Box::new(bind_scalar(b, levels, agg_arg)),
+        ),
+        Scalar::CountStar => BScalar::CountStar,
+        Scalar::Agg(f, inner) => BScalar::Agg(*f, Box::new(bind_scalar(inner, levels, true))),
+        Scalar::Subquery(q) => BScalar::Subquery(q),
+    }
+}
+
+fn bind_cond<'q>(c: &'q Cond, levels: &[Schema]) -> BCond<'q> {
+    let bind = |c: &'q Cond| Box::new(bind_cond(c, levels));
+    match c {
+        Cond::Cmp(l, op, r) => BCond::Cmp(
+            bind_scalar(l, levels, false),
+            op.to_relalg(),
+            bind_scalar(r, levels, false),
+        ),
         Cond::In {
             expr,
             query,
             negated,
-        } => {
-            let v = eval_scalar(expr, world, names, scopes, None)?;
-            let rel = eval_subquery(query, world, names, scopes)?;
-            // Column selection: a one-column subquery probes that column;
-            // a multi-column subquery (the paper writes `Quantity not in
-            // (select * from Lineitem choice of Quantity)`) probes the
-            // column with the probe expression's name.
-            let col = if rel.schema().arity() == 1 {
-                0
-            } else if let Scalar::Col(c) = expr {
-                let attr = resolve_col(c, rel.schema())?;
-                rel.schema().index_of(&attr).expect("resolved")
+        } => BCond::In {
+            expr: bind_scalar(expr, levels, false),
+            probe_col: match expr {
+                Scalar::Col(c) => Some(c),
+                _ => None,
+            },
+            query,
+            negated: *negated,
+            probe: Probe::default(),
+        },
+        Cond::Exists { query, negated } => BCond::Exists {
+            query,
+            negated: *negated,
+        },
+        Cond::And(a, b) => BCond::And(bind(a), bind(b)),
+        Cond::Or(a, b) => BCond::Or(bind(a), bind(b)),
+        Cond::Not(a) => BCond::Not(bind(a)),
+    }
+}
+
+impl<'q> BCond<'q> {
+    /// Evaluate the condition for `row`, the innermost loop's current row.
+    fn eval(
+        &mut self,
+        row: &Tuple,
+        world: &World,
+        names: &[String],
+        scopes: &mut Scopes<'q>,
+    ) -> Result<bool> {
+        match self {
+            BCond::Cmp(l, op, r) => {
+                let lv = l.eval(row, world, names, scopes, None)?;
+                let rv = r.eval(row, world, names, scopes, None)?;
+                Ok(op.apply(&lv, &rv))
+            }
+            BCond::In {
+                expr,
+                probe_col,
+                query,
+                negated,
+                probe,
+            } => {
+                let v = expr.eval(row, world, names, scopes, None)?;
+                let rel = eval_subquery(query, world, names, scopes, Some(row))?;
+                Ok(probe.contains(rel, *probe_col, v)? != *negated)
+            }
+            BCond::Exists { query, negated } => {
+                let rel = eval_subquery(query, world, names, scopes, Some(row))?;
+                Ok(rel.is_empty() == *negated)
+            }
+            BCond::And(a, b) => {
+                Ok(a.eval(row, world, names, scopes)? && b.eval(row, world, names, scopes)?)
+            }
+            BCond::Or(a, b) => {
+                Ok(a.eval(row, world, names, scopes)? || b.eval(row, world, names, scopes)?)
+            }
+            BCond::Not(a) => Ok(!a.eval(row, world, names, scopes)?),
+        }
+    }
+}
+
+impl Probe {
+    /// Whether the probed column of the `IN` answer `rel` holds `v`.
+    fn contains(
+        &mut self,
+        rel: Arc<Relation>,
+        probe_col: Option<&ColRef>,
+        v: Value,
+    ) -> Result<bool> {
+        if let Some((seen, col)) = &self.answer {
+            if Arc::ptr_eq(seen, &rel) {
+                let set = self
+                    .set
+                    .get_or_insert_with(|| seen.iter().map(|t| t[*col]).collect());
+                return Ok(set.contains(&v));
+            }
+        }
+        // Column selection: a one-column subquery probes that column; a
+        // multi-column subquery (the paper writes `Quantity not in (select
+        // * from Lineitem choice of Quantity)`) probes the column with the
+        // probe expression's name.
+        let col = if rel.schema().arity() == 1 {
+            0
+        } else if let Some(c) = probe_col {
+            resolve_col(c, rel.schema())?
+        } else {
+            return Err(SqlError(
+                "IN over a multi-column subquery requires a column probe".into(),
+            ));
+        };
+        let found = rel.iter().any(|t| t[col] == v);
+        *self = Probe {
+            answer: Some((rel, col)),
+            set: None,
+        };
+        Ok(found)
+    }
+}
+
+impl<'q> BScalar<'q> {
+    /// Evaluate the scalar for `row`, the innermost loop's current row.
+    /// `group` supplies the group rows when evaluating aggregate functions.
+    fn eval(
+        &self,
+        row: &Tuple,
+        world: &World,
+        names: &[String],
+        scopes: &mut Scopes<'q>,
+        group: Option<&[&Tuple]>,
+    ) -> Result<Value> {
+        match self {
+            BScalar::Val(v) => Ok(*v),
+            BScalar::Col { depth, idx } => {
+                scopes.lowest = scopes.lowest.min(*depth);
+                Ok(match scopes.rows.get(*depth) {
+                    Some(outer) => outer[*idx],
+                    None => row[*idx],
+                })
+            }
+            BScalar::Unresolved(c) => Err(SqlError(format!("unresolved column {c}"))),
+            BScalar::Arith(op, a, b) => {
+                let l = a.eval(row, world, names, scopes, group)?;
+                let r = b.eval(row, world, names, scopes, group)?;
+                let (Value::Int(x), Value::Int(y)) = (&l, &r) else {
+                    return Err(SqlError(format!("arithmetic on non-integers {l} and {r}")));
+                };
+                Ok(Value::Int(match op {
+                    ArithOp::Add => x + y,
+                    ArithOp::Sub => x - y,
+                    ArithOp::Mul => x * y,
+                    ArithOp::Div => {
+                        if *y == 0 {
+                            return Err(SqlError("division by zero".into()));
+                        }
+                        x / y
+                    }
+                }))
+            }
+            BScalar::CountStar => {
+                let rows =
+                    group.ok_or_else(|| SqlError("count(*) outside aggregation context".into()))?;
+                Ok(Value::Int(rows.len() as i64))
+            }
+            BScalar::Agg(f, inner) => {
+                let rows = group
+                    .ok_or_else(|| SqlError("aggregate outside aggregation context".into()))?;
+                // The group rows form a level of the innermost's schema
+                // above the group's first row.
+                let schema = scopes.schemas.last().expect("inside a row loop").clone();
+                scopes.rows.push(row.clone());
+                let vals = scopes.in_level(&schema, |scopes| {
+                    rows.iter()
+                        .map(|r| inner.eval(r, world, names, scopes, None))
+                        .collect::<Result<Vec<Value>>>()
+                });
+                scopes.rows.pop();
+                aggregate(*f, vals?)
+            }
+            BScalar::Subquery(q) => {
+                let rel = eval_subquery(q, world, names, scopes, Some(row))?;
+                if rel.schema().arity() != 1 {
+                    return Err(SqlError("scalar subquery must produce one column".into()));
+                }
+                if rel.len() != 1 {
+                    return Err(SqlError(format!(
+                        "scalar subquery produced {} rows",
+                        rel.len()
+                    )));
+                }
+                let value = rel.iter().next().expect("one row")[0];
+                Ok(value)
+            }
+        }
+    }
+}
+
+/// Fold one group's argument values with an aggregate function.
+fn aggregate(f: AggFn, vals: Vec<Value>) -> Result<Value> {
+    match f {
+        AggFn::Count => Ok(Value::Int(vals.len() as i64)),
+        AggFn::Min => vals
+            .into_iter()
+            .min()
+            .ok_or_else(|| SqlError("min over empty group".into())),
+        AggFn::Max => vals
+            .into_iter()
+            .max()
+            .ok_or_else(|| SqlError("max over empty group".into())),
+        AggFn::Sum | AggFn::Avg => {
+            let mut total = 0i64;
+            let n = vals.len() as i64;
+            for v in vals {
+                match v {
+                    Value::Int(i) => total += i,
+                    other => return Err(SqlError(format!("sum/avg over non-integer {other}"))),
+                }
+            }
+            if f == AggFn::Avg {
+                if n == 0 {
+                    return Err(SqlError("avg over empty group".into()));
+                }
+                Ok(Value::Int(total / n))
             } else {
-                return Err(SqlError(
-                    "IN over a multi-column subquery requires a column probe".into(),
-                ));
+                Ok(Value::Int(total))
+            }
+        }
+    }
+}
+
+// ---- DML (Session) ----
+
+/// `delete` in one world: the rows of `rel` on which `cond` does not hold
+/// (none without a condition). Subqueries in `cond` see the world as it was
+/// before the statement.
+pub(crate) fn delete_rows(
+    rel: &Relation,
+    cond: Option<&Cond>,
+    world: &World,
+    names: &[String],
+) -> Result<Relation> {
+    let conds: Vec<&Cond> = cond.into_iter().collect();
+    filter_rows(rel, &conds, false, world, names, &mut Scopes::new())
+}
+
+/// `update` in one world: `rel` with the `sets` assignments applied to the
+/// rows on which `cond` holds (every row without a condition).
+pub(crate) fn update_rows(
+    rel: &Relation,
+    sets: &[(String, Scalar)],
+    cond: Option<&Cond>,
+    world: &World,
+    names: &[String],
+) -> Result<Relation> {
+    let schema = rel.schema();
+    let rows = Scopes::new().in_level(schema, |scopes| {
+        let mut cond = cond.map(|c| bind_cond(c, &scopes.schemas));
+        // An unknown target column is an error once a row matches.
+        let sets: Vec<(Result<usize>, BScalar)> = sets
+            .iter()
+            .map(|(col, expr)| {
+                (
+                    resolve_col(&ColRef::new(col), schema),
+                    bind_scalar(expr, &scopes.schemas, false),
+                )
+            })
+            .collect();
+        let mut rows = Vec::with_capacity(rel.len());
+        for row in rel.iter() {
+            let matches = match &mut cond {
+                None => true,
+                Some(c) => c.eval(row, world, names, scopes)?,
             };
-            let found = rel.iter().any(|t| t[col] == v);
-            Ok(found != *negated)
-        }
-        Cond::Exists { query, negated } => {
-            let rel = eval_subquery(query, world, names, scopes)?;
-            Ok(rel.is_empty() == *negated)
-        }
-        Cond::And(a, b) => {
-            Ok(eval_cond(a, world, names, scopes)? && eval_cond(b, world, names, scopes)?)
-        }
-        Cond::Or(a, b) => {
-            Ok(eval_cond(a, world, names, scopes)? || eval_cond(b, world, names, scopes)?)
-        }
-        Cond::Not(a) => Ok(!eval_cond(a, world, names, scopes)?),
-    }
-}
-
-/// Evaluate a scalar. `agg_rows` supplies the group rows when evaluating
-/// aggregate functions.
-fn eval_scalar<'q>(
-    s: &'q Scalar,
-    world: &World,
-    names: &[String],
-    scopes: &mut Scopes<'q>,
-    agg_rows: Option<(&Schema, &[Tuple])>,
-) -> Result<Value> {
-    match s {
-        Scalar::Lit(Literal::Int(i)) => Ok(Value::Int(*i)),
-        Scalar::Lit(Literal::Str(t)) => Ok(Value::str(t)),
-        Scalar::Col(c) => {
-            // Innermost scope that can resolve the column wins.
-            for (depth, (schema, row)) in scopes.stack.iter().enumerate().rev() {
-                if let Ok(attr) = resolve_col(c, schema) {
-                    let i = schema.index_of(&attr).expect("resolved");
-                    scopes.lowest = scopes.lowest.min(depth);
-                    return Ok(row[i]);
+            let mut out = row.clone();
+            if matches {
+                for (target, expr) in &sets {
+                    let i = *target.as_ref().map_err(Clone::clone)?;
+                    out[i] = expr.eval(row, world, names, scopes, None)?;
                 }
             }
-            Err(SqlError(format!("unresolved column {c}")))
+            rows.push(out);
         }
-        Scalar::Arith(op, a, b) => {
-            let l = eval_scalar(a, world, names, scopes, agg_rows)?;
-            let r = eval_scalar(b, world, names, scopes, agg_rows)?;
-            let (Value::Int(x), Value::Int(y)) = (&l, &r) else {
-                return Err(SqlError(format!("arithmetic on non-integers {l} and {r}")));
-            };
-            Ok(Value::Int(match op {
-                ArithOp::Add => x + y,
-                ArithOp::Sub => x - y,
-                ArithOp::Mul => x * y,
-                ArithOp::Div => {
-                    if *y == 0 {
-                        return Err(SqlError("division by zero".into()));
-                    }
-                    x / y
-                }
-            }))
-        }
-        Scalar::CountStar => {
-            let (_, rows) =
-                agg_rows.ok_or_else(|| SqlError("count(*) outside aggregation context".into()))?;
-            Ok(Value::Int(rows.len() as i64))
-        }
-        Scalar::Agg(f, inner) => {
-            let (schema, rows) =
-                agg_rows.ok_or_else(|| SqlError("aggregate outside aggregation context".into()))?;
-            let mut vals = Vec::with_capacity(rows.len());
-            for row in rows {
-                scopes.push(schema, row);
-                let v = eval_scalar(inner, world, names, scopes, None)?;
-                scopes.pop();
-                vals.push(v);
-            }
-            match f {
-                AggFn::Count => Ok(Value::Int(vals.len() as i64)),
-                AggFn::Min => vals
-                    .into_iter()
-                    .min()
-                    .ok_or_else(|| SqlError("min over empty group".into())),
-                AggFn::Max => vals
-                    .into_iter()
-                    .max()
-                    .ok_or_else(|| SqlError("max over empty group".into())),
-                AggFn::Sum | AggFn::Avg => {
-                    let mut total = 0i64;
-                    let n = vals.len() as i64;
-                    for v in vals {
-                        match v {
-                            Value::Int(i) => total += i,
-                            other => {
-                                return Err(SqlError(format!("sum/avg over non-integer {other}")))
-                            }
-                        }
-                    }
-                    if *f == AggFn::Avg {
-                        if n == 0 {
-                            return Err(SqlError("avg over empty group".into()));
-                        }
-                        Ok(Value::Int(total / n))
-                    } else {
-                        Ok(Value::Int(total))
-                    }
-                }
-            }
-        }
-        Scalar::Subquery(q) => {
-            let rel = eval_subquery(q, world, names, scopes)?;
-            if rel.schema().arity() != 1 {
-                return Err(SqlError("scalar subquery must produce one column".into()));
-            }
-            if rel.len() != 1 {
-                return Err(SqlError(format!(
-                    "scalar subquery produced {} rows",
-                    rel.len()
-                )));
-            }
-            let value = rel.iter().next().expect("one row")[0];
-            Ok(value)
-        }
-    }
-}
-
-// ---- helpers for DML (Session) ----
-
-/// Evaluate a condition against one row (used by `delete`/`update`, which
-/// pass one [`Scopes`] for all rows of a world).
-pub(crate) fn eval_cond_public<'q>(
-    cond: &'q Cond,
-    world: &World,
-    names: &[String],
-    schema: &Schema,
-    row: &Tuple,
-    scopes: &mut Scopes<'q>,
-) -> Result<bool> {
-    scopes.push(schema, row);
-    let holds = eval_cond(cond, world, names, scopes);
-    scopes.pop();
-    holds
-}
-
-/// Apply `set` assignments to one row (used by `update`).
-pub(crate) fn eval_update_row<'q>(
-    sets: &'q [(String, Scalar)],
-    world: &World,
-    names: &[String],
-    schema: &Schema,
-    row: &Tuple,
-    scopes: &mut Scopes<'q>,
-) -> Result<Tuple> {
-    let mut out = row.clone();
-    scopes.push(schema, row);
-    for (col, expr) in sets {
-        let attr = resolve_col(&ColRef::new(col), schema)?;
-        let i = schema.index_of(&attr).expect("resolved");
-        out[i] = eval_scalar(expr, world, names, scopes, None)?;
-    }
-    scopes.pop();
-    Ok(out)
+        Ok(rows)
+    })?;
+    Relation::from_rows(schema.clone(), rows).map_err(rel_err)
 }
 
 #[cfg(test)]
@@ -1472,8 +1784,8 @@ mod tests {
         let r = qualify(w.rel(0), "R").unwrap();
         let mut scopes = Scopes::new();
         let cond = sel.where_cond.as_ref().unwrap();
-        let kept = filter_rows(&r, &[cond], w, db.rel_names(), &mut scopes).unwrap();
-        assert!(scopes.stack.is_empty());
+        let kept = filter_rows(&r, &[cond], true, w, db.rel_names(), &mut scopes).unwrap();
+        assert!(scopes.schemas.is_empty() && scopes.rows.is_empty());
         (kept, scopes.memo.len())
     }
 
@@ -1508,7 +1820,8 @@ mod tests {
     }
 
     /// `R` after `dml` ran in a session over [`ws`], and `R` as computed
-    /// row by row with a fresh `Scopes` (no memo) for every row.
+    /// row by row: each row alone, with a fresh `Scopes` (no memo, one
+    /// binding) per row, its subqueries still reading the whole world.
     fn dml_vs_row_by_row(dml: &str) -> (Relation, Relation) {
         let mut s = crate::Session::with_world_set(ws());
         s.execute(dml).unwrap();
@@ -1519,26 +1832,15 @@ mod tests {
         let names = db.rel_names();
         let r = w.rel(0);
         let stmt = parse_statement(dml).unwrap();
-        let (sets, cond) = match &stmt {
-            Stmt::Delete { cond, .. } => (None, cond),
-            Stmt::Update { sets, cond, .. } => (Some(sets), cond),
-            _ => panic!("not a delete or update"),
-        };
         let mut rows = Vec::new();
         for row in r.iter() {
-            let hit = match cond {
-                None => true,
-                Some(c) => {
-                    eval_cond_public(c, w, names, r.schema(), row, &mut Scopes::new()).unwrap()
-                }
+            let one = Relation::from_rows(r.schema().clone(), [row.clone()]).unwrap();
+            let out = match &stmt {
+                Stmt::Delete { cond, .. } => delete_rows(&one, cond.as_ref(), w, names),
+                Stmt::Update { sets, cond, .. } => update_rows(&one, sets, cond.as_ref(), w, names),
+                _ => panic!("not a delete or update"),
             };
-            match sets {
-                None if hit => {}
-                Some(sets) if hit => rows.push(
-                    eval_update_row(sets, w, names, r.schema(), row, &mut Scopes::new()).unwrap(),
-                ),
-                _ => rows.push(row.clone()),
-            }
+            rows.extend(out.unwrap().iter().cloned());
         }
         (got, Relation::from_rows(r.schema().clone(), rows).unwrap())
     }
@@ -1563,11 +1865,142 @@ mod tests {
                 "update R set A = (select max(C) from S) where B in (select B from S);",
                 3,
             ),
+            // String literals in the assignments, the filter and the
+            // subquery, interned once per binding.
+            (
+                "update R set A = 'w', B = '9' where A = 'x' and B in \
+                 (select B from S where C = 'c1');",
+                3,
+            ),
+            (
+                "delete from R where A <> 'y' and exists (select * from S where C = 'c2' and A = 'x');",
+                1,
+            ),
         ] {
             let (got, expected) = dml_vs_row_by_row(dml);
             assert_eq!(got, expected, "{dml}");
             assert_eq!(got.len(), rows_left, "{dml}");
         }
+    }
+
+    // ---- binding once per row loop keeps the row-wise semantics ----
+
+    fn select_over(db: &WorldSet, sql: &str) -> Result<Relation> {
+        let Stmt::Select(sel) = parse_statement(sql).unwrap() else {
+            panic!("not a select")
+        };
+        let out = eval_select_ws(&sel, db, "Ans")?;
+        let ans = out.iter().next().unwrap().last().clone();
+        Ok(ans)
+    }
+
+    #[test]
+    fn unresolved_columns_fail_only_when_a_row_reads_them() {
+        let db = ws();
+        let empty = select_over(&db, "select Bogus from R where A = 'zzz';").unwrap();
+        assert!(empty.is_empty());
+        let err = select_over(&db, "select Bogus from R;").unwrap_err();
+        assert_eq!(err, SqlError("unresolved column Bogus".into()));
+        let err = select_over(
+            &db,
+            "select A from R where exists (select * from S where Bogus = 1);",
+        )
+        .unwrap_err();
+        assert_eq!(err, SqlError("unresolved column Bogus".into()));
+        // An unknown `set` target is reported by the first matching row.
+        let mut s = crate::Session::with_world_set(ws());
+        s.execute("update R set Bogus = 'q' where A = 'zzz';")
+            .unwrap();
+        let err = s
+            .execute("update R set Bogus = 'q' where A = 'x';")
+            .unwrap_err();
+        assert!(err.0.starts_with("unknown column Bogus"), "{err:?}");
+    }
+
+    #[test]
+    fn ambiguous_inner_column_binds_to_the_outer_scope() {
+        // `B` is ambiguous between `S1` and `S2`, so it is `R`'s.
+        let sql = "select A, B from R where exists \
+                   (select * from S S1, S S2 where S1.B = B and S2.B = B);";
+        let a = answer(sql);
+        assert_eq!(a, Relation::table(&["A", "B"], &[&["x", "1"], &["y", "2"]]));
+        let (kept, memoized) = filter_r(sql);
+        assert_eq!((kept.len(), memoized), (2, 0));
+    }
+
+    #[test]
+    fn correlation_in_an_unevaluated_or_branch_keeps_the_memo() {
+        // `C <> 'zz'` holds on every row of `S`, so `S.B = R.B` is never
+        // evaluated: the subquery read no outer row and is kept.
+        let (kept, memoized) =
+            filter_r("select A from R where B in (select B from S where C <> 'zz' or S.B = R.B);");
+        assert_eq!((kept.len(), memoized), (2, 1));
+        // Reached, the same reference makes the subquery correlated.
+        let (kept, memoized) =
+            filter_r("select A from R where B in (select B from S where C = 'zz' or S.B = R.B);");
+        assert_eq!((kept.len(), memoized), (2, 0));
+    }
+
+    #[test]
+    fn subquery_in_an_aggregate_argument_reads_each_group_row() {
+        // Per row of `R`: how many rows of `S` share its `B` — (x,1) → 1,
+        // (x,3) → 0, (y,2) → 1. Reading the group's first row instead
+        // would give `x` a sum of 2.
+        let a = answer(
+            "select A, sum((select count(*) from S where S.B = R.B)) as N from R group by A;",
+        );
+        assert_eq!(
+            a,
+            Relation::from_rows(
+                Schema::of(&["A", "N"]),
+                [
+                    vec![Value::str("x"), Value::Int(1)],
+                    vec![Value::str("y"), Value::Int(1)]
+                ]
+            )
+            .unwrap()
+        );
+    }
+
+    #[test]
+    fn in_probes_match_a_nested_loop() {
+        let li = datagen::lineitem(7, 60, 3, 4);
+        let db = WorldSet::single(vec![("Lineitem", li.clone())]);
+        let col = |name: &str| li.schema().index_of(&Attr::new(name)).unwrap();
+        let (quantity, price, year) = (col("Quantity"), col("Price"), col("Year"));
+        let nested_loop = |keep: &dyn Fn(&Tuple) -> bool| {
+            Relation::from_rows(li.schema().clone(), li.iter().filter(|r| keep(r)).cloned())
+                .unwrap()
+        };
+
+        // The what-if shape: `not in` over a multi-column, uncorrelated
+        // answer — the memoized answer is probed through a hash set.
+        let got = select_over(
+            &db,
+            "select * from Lineitem where Quantity not in \
+             (select * from Lineitem L2 where L2.Quantity >= 500);",
+        )
+        .unwrap();
+        let expected = nested_loop(&|r| {
+            !li.iter()
+                .any(|s| s[quantity] >= Value::Int(500) && s[quantity] == r[quantity])
+        });
+        assert_eq!(got, expected);
+        assert!(!expected.is_empty() && expected.len() < li.len());
+
+        // A correlated `in`: a fresh answer for every row, scanned.
+        let got = select_over(
+            &db,
+            "select * from Lineitem where Quantity in (select L2.Quantity from Lineitem L2 \
+             where L2.Year = Lineitem.Year and L2.Price > Lineitem.Price);",
+        )
+        .unwrap();
+        let expected = nested_loop(&|r| {
+            li.iter()
+                .any(|s| s[year] == r[year] && s[price] > r[price] && s[quantity] == r[quantity])
+        });
+        assert_eq!(got, expected);
+        assert!(!expected.is_empty() && expected.len() < li.len());
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub use durable::DurabilityOptions;
 pub use engine::{Engine, Snapshot};
 
 pub use explain::Explanation;
+pub use interp::{route_fallbacks, RouteFallbacks};
 pub use parser::{parse_script, parse_statement};
 pub use relalg::config::SessionConfig;
 pub use session::{ExecOutcome, Session};

@@ -32,7 +32,7 @@ use worldset::WorldSet;
 use crate::ast::*;
 use crate::durable::{WalAction, WalSpec};
 use crate::engine::{Engine, Snapshot};
-use crate::interp::{eval_cond_public, eval_select_ws, eval_update_row, Scopes};
+use crate::interp::{delete_rows, eval_select_ws, update_rows};
 use crate::lexer::SqlError;
 use crate::parser::parse_script;
 
@@ -504,20 +504,7 @@ impl Session {
             let idx = table_index(ws, &table)?;
             let names: Vec<String> = ws.rel_names().to_vec();
             let ws = ws.map_worlds(|w| {
-                let rel = w.rel(idx);
-                let mut scopes = Scopes::new();
-                let mut keep = Vec::new();
-                for row in rel.iter() {
-                    let matches = match &cond {
-                        None => true,
-                        Some(c) => eval_cond_public(c, w, &names, rel.schema(), row, &mut scopes)?,
-                    };
-                    if !matches {
-                        keep.push(row.clone());
-                    }
-                }
-                let filtered = Relation::from_rows(rel.schema().clone(), keep)
-                    .map_err(|e| SqlError(e.to_string()))?;
+                let filtered = delete_rows(w.rel(idx), cond.as_ref(), w, &names)?;
                 Ok(w.replace_rel(idx, filtered))
             })?;
             Ok(Some((ws, keys.clone())))
@@ -538,23 +525,7 @@ impl Session {
             let idx = table_index(ws, &table)?;
             let names: Vec<String> = ws.rel_names().to_vec();
             let ws = ws.map_worlds(|w| {
-                let rel = w.rel(idx);
-                let schema = rel.schema();
-                let mut scopes = Scopes::new();
-                let mut rows = Vec::new();
-                for row in rel.iter() {
-                    let matches = match &cond {
-                        None => true,
-                        Some(c) => eval_cond_public(c, w, &names, schema, row, &mut scopes)?,
-                    };
-                    if matches {
-                        rows.push(eval_update_row(&sets, w, &names, schema, row, &mut scopes)?);
-                    } else {
-                        rows.push(row.clone());
-                    }
-                }
-                let updated = Relation::from_rows(rel.schema().clone(), rows)
-                    .map_err(|e| SqlError(e.to_string()))?;
+                let updated = update_rows(w.rel(idx), &sets, cond.as_ref(), w, &names)?;
                 Ok(w.replace_rel(idx, updated))
             })?;
             Ok(Some((ws, keys.clone())))

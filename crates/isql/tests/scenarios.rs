@@ -194,6 +194,28 @@ fn figure_2_deletion() {
     assert!(answers.contains(&Relation::table(&["Dep", "Arr"], &[&["PAR", "BCN"]])));
 }
 
+/// Column references bind once per row loop, yet an unknown one fails only
+/// when a row reads it: in a world where the filter leaves no row, the
+/// select answers empty.
+#[test]
+fn unknown_columns_fail_only_on_rows_that_read_them() {
+    let mut s = flights_db();
+    s.execute("create view ByDep as select * from Flights choice of Dep;")
+        .unwrap();
+    let out = s
+        .execute("select Bogus from ByDep where Arr = 'nowhere';")
+        .unwrap();
+    let ExecOutcome::Rows { answers, .. } = &out[0] else {
+        panic!("a select answers rows")
+    };
+    // Three worlds, one distinct (empty) answer.
+    assert_eq!(s.world_set().len(), 3);
+    assert_eq!(answers.len(), 1);
+    assert!(answers[0].is_empty());
+    let err = s.execute("select Bogus from ByDep;").unwrap_err();
+    assert_eq!(err.0, "unresolved column Bogus");
+}
+
 /// The TPC-H-style what-if query of Section 2: which years lose more than a
 /// threshold of revenue if some quantity becomes unavailable?
 #[test]
