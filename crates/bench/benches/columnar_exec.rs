@@ -2,9 +2,10 @@
 //! vectorized selection and columnar join-key hashing against the row
 //! path, on wide relations, plus grouping and division on the same inputs.
 //!
-//! Each columnar shape runs as a `_row` / `_col` pair: the `row` leg forces
-//! the tuple-walking path via `relalg::set_columnar_enabled(Some(false))`,
-//! the `col` leg forces the physical layer's columnar path. Grouping and
+//! Each columnar shape runs as a `_row` / `_col` pair: the `row` leg takes
+//! the tuple-walking path under a `columnar = off` session overlay
+//! (`relalg::config::overlay`), the `col` leg runs at the default, the
+//! physical layer's columnar path. Grouping and
 //! division have one path, timed as a single `_row` leg. The relations are
 //! wider than the inline tuple capacity (so every tuple is heap-spilled)
 //! — exactly the shape where extracting the touched columns pays.
@@ -12,9 +13,8 @@
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::{
-    attr, attrs, set_columnar_enabled, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value,
-};
+use relalg::config::{overlay, SessionConfig};
+use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value};
 
 /// A deterministic wide relation with per-column domains of different
 /// sizes (column `c` draws from `0..7+5c`, multipliers coprime to the
@@ -56,18 +56,17 @@ fn probe_rel(rows: usize) -> Relation {
 
 fn row_leg<R>(group: &mut criterion::BenchmarkGroup<'_>, name: &str, tag: &str, f: impl Fn() -> R) {
     group.bench_with_input(BenchmarkId::new(format!("{name}_row"), tag), &(), |b, _| {
-        set_columnar_enabled(Some(false));
+        let mut off = SessionConfig::new();
+        off.set("columnar", "off").unwrap();
+        let _off = overlay(&off);
         b.iter(|| black_box(f()));
-        set_columnar_enabled(None);
     });
 }
 
 fn ab_legs<R>(group: &mut criterion::BenchmarkGroup<'_>, name: &str, tag: &str, f: impl Fn() -> R) {
     row_leg(group, name, tag, &f);
     group.bench_with_input(BenchmarkId::new(format!("{name}_col"), tag), &(), |b, _| {
-        set_columnar_enabled(Some(true));
         b.iter(|| black_box(f()));
-        set_columnar_enabled(None);
     });
 }
 

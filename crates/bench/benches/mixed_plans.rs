@@ -13,7 +13,8 @@
 //!
 //! The compaction legs re-run B12's `pair_cert` shape (union of two
 //! world-splitting operands closed by `cert`) with the lineage-formula
-//! compaction toggle in both positions: subsumption plus single-variable
+//! compaction toggle in both positions (the default, and a `compact = off`
+//! session overlay): subsumption plus single-variable
 //! merging keeps the validity DNF near its model count instead of its
 //! derivation count, which is what flattens the 16→64-world cost curve
 //! (was ~14.6× per 4× worlds, target ≤4×).
@@ -84,10 +85,8 @@ fn bench_mixed_plans(c: &mut Criterion) {
         let tag = format!("{worlds}w");
         // Sanity: the planner must actually produce a mixed plan here,
         // otherwise the three legs don't measure what they claim.
-        config::set_factorize_enabled(Some(true));
         let plan = wsa::plan_query(&q, &ws);
         assert!(plan.any_f() && plan.kids[1].card == wsa::RepCard::E);
-        config::set_factorize_enabled(None);
 
         group.bench_with_input(BenchmarkId::new("mixed_routed", &tag), &(), |b, _| {
             b.iter(|| black_box(eval_named_routed(&q, &ws, "Ans").unwrap()));
@@ -124,10 +123,8 @@ fn bench_mixed_plans(c: &mut Criterion) {
             .cert();
         let op2 = Query::rel("T").project(attrs(&["A"])).poss();
         let q = op1.intersect(op2);
-        config::set_factorize_enabled(Some(true));
         let plan = wsa::plan_query(&q, &ws);
         assert!(plan.any_f() && plan.kids[1].card == wsa::RepCard::E);
-        config::set_factorize_enabled(None);
         group.bench_with_input(BenchmarkId::new("bigtail_routed", "1w"), &(), |b, _| {
             b.iter(|| black_box(eval_named_routed(&q, &ws, "Ans").unwrap()));
         });
@@ -144,11 +141,15 @@ fn bench_mixed_plans(c: &mut Criterion) {
     for &worlds in &[16usize, 64] {
         let ws = split_input(worlds);
         let tag = format!("{worlds}w");
-        for (leg, on) in [("pair_cert_compact", true), ("pair_cert_nocompact", false)] {
+        for (leg, value) in [
+            ("pair_cert_compact", "default"),
+            ("pair_cert_nocompact", "off"),
+        ] {
+            let mut cfg = config::SessionConfig::new();
+            cfg.set("compact", value).unwrap();
             group.bench_with_input(BenchmarkId::new(leg, &tag), &(), |b, _| {
-                config::set_compact_enabled(Some(on));
+                let _g = config::overlay(&cfg);
                 b.iter(|| black_box(eval_factorized(&pair, &ws, "Ans").unwrap()));
-                config::set_compact_enabled(None);
             });
         }
     }

@@ -1,7 +1,7 @@
 //! B9: the rewrite execution path end to end — the general Figure-6
 //! translation route (`run_general`: optimize → translate → evaluate →
 //! decode) with the rewrite path **on** versus **off**
-//! (`WSDB_NO_REWRITE`), across a worlds × departures grid.
+//! (a `rewrite = off` session overlay), across a worlds × departures grid.
 //!
 //! `on` is the production default: the Section-6 optimizer in front of the
 //! translation, then simplification and join ordering of the translated
@@ -53,22 +53,22 @@ fn bench_rewrite_pipeline(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(1500));
 
     let q = trip_query();
+    let mut rewrite_off = relalg::config::SessionConfig::new();
+    rewrite_off.set("rewrite", "off").unwrap();
     for &worlds in &[1usize, 4] {
         for &n_dep in &[8usize, 16, 32] {
             let rep = rep_for(worlds, n_dep);
             let label = format!("w{worlds}_d{n_dep}");
 
-            relalg::config::set_rewrite_enabled(Some(true));
             group.bench_with_input(BenchmarkId::new("on", &label), &n_dep, |b, _| {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());
             });
 
             // The escape-hatch path: the raw translation.
-            relalg::config::set_rewrite_enabled(Some(false));
+            let _off = relalg::config::overlay(&rewrite_off);
             group.bench_with_input(BenchmarkId::new("off_coldcache", &label), &n_dep, |b, _| {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());
             });
-            relalg::config::set_rewrite_enabled(None);
         }
     }
     group.finish();

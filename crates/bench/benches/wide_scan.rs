@@ -4,15 +4,24 @@
 //! Relations wider than the inline tuple capacity spill each tuple to the
 //! heap; a projection that touches one or two of their columns used to walk
 //! (and sort) full tuples. The columnar path extracts only the touched
-//! columns into transient narrow vectors and sorts those. `row` legs force
-//! the old path via `relalg::set_columnar_enabled(Some(false))`; `col` legs
-//! force the new one. Narrow relations (width ≤ 4) never take the columnar
+//! columns into transient narrow vectors and sorts those. `row` legs take
+//! the old path under a `columnar = off` session overlay
+//! (`relalg::config::overlay`); `col` legs run at the default (on). Narrow relations (width ≤ 4) never take the columnar
 //! path, so the grid starts above the inline capacity.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::{attrs, set_columnar_enabled, Relation, Schema, Tuple, Value};
+use relalg::config::{overlay, OverlayGuard, SessionConfig};
+use relalg::{attrs, Relation, Schema, Tuple, Value};
+
+/// The session overlay of `set local columnar = off`, held until the guard
+/// drops.
+fn columnar_off() -> OverlayGuard {
+    let mut cfg = SessionConfig::new();
+    cfg.set("columnar", "off").unwrap();
+    overlay(&cfg)
+}
 
 /// A deterministic wide relation with per-column domains of different sizes
 /// (so dedup and distinct counts behave like real data, not like a key).
@@ -44,24 +53,18 @@ fn bench_wide_scan(c: &mut Criterion) {
             let tag = format!("w{width}x{rows}");
 
             group.bench_with_input(BenchmarkId::new("project2_row", &tag), &rows, |b, _| {
-                set_columnar_enabled(Some(false));
+                let _off = columnar_off();
                 b.iter(|| black_box(rel.project(&two).unwrap()));
-                set_columnar_enabled(None);
             });
             group.bench_with_input(BenchmarkId::new("project2_col", &tag), &rows, |b, _| {
-                set_columnar_enabled(Some(true));
                 b.iter(|| black_box(rel.project(&two).unwrap()));
-                set_columnar_enabled(None);
             });
             group.bench_with_input(BenchmarkId::new("distinct1_row", &tag), &rows, |b, _| {
-                set_columnar_enabled(Some(false));
+                let _off = columnar_off();
                 b.iter(|| black_box(rel.distinct_values(&one).unwrap()));
-                set_columnar_enabled(None);
             });
             group.bench_with_input(BenchmarkId::new("distinct1_col", &tag), &rows, |b, _| {
-                set_columnar_enabled(Some(true));
                 b.iter(|| black_box(rel.distinct_values(&one).unwrap()));
-                set_columnar_enabled(None);
             });
         }
     }

@@ -517,9 +517,11 @@ impl Planner<'_> {
             // result distinguishes only the base prefixes again.
             Query::Poss(_) | Query::Cert(_) => self.wc,
             Query::PossGroup { .. } | Query::CertGroup { .. } => kids[0].out,
-            Query::Choice(attrs, i) => kids[0]
-                .out
-                .saturating_mul(group_estimate(attrs, i, self.distinct)),
+            Query::Choice(attrs, i) => {
+                kids[0]
+                    .out
+                    .saturating_mul(group_estimate(attrs, i, self.distinct))
+            }
             // Repairs multiply by the product of key-group sizes; without
             // per-group statistics use a small constant.
             Query::RepairKey(_, _) => kids[0].out.saturating_mul(4),
@@ -537,15 +539,17 @@ impl Planner<'_> {
                 .max(1),
         };
         let peak = kids.iter().map(|k| k.peak).fold(out, u128::max);
-        let has_choice =
-            matches!(q, Query::Choice(_, _)) || kids.iter().any(|k| k.has_choice);
+        let has_choice = matches!(q, Query::Choice(_, _)) || kids.iter().any(|k| k.has_choice);
         let decode_free = !matches!(
             q,
             Query::PossGroup { .. } | Query::CertGroup { .. } | Query::RepairKey(_, _)
         ) && kids.iter().all(|k| k.decode_free);
         let rule_f = has_choice
             && decode_free
-            && peak >= self.min.max(GAIN.saturating_mul(self.wc.saturating_add(out)));
+            && peak
+                >= self
+                    .min
+                    .max(GAIN.saturating_mul(self.wc.saturating_add(out)));
         RepPlan {
             card: RepCard::E,
             out,
@@ -949,9 +953,6 @@ mod tests {
             .choice(attrs(&["Dep"]))
             .choice(attrs(&["Arr"]));
         assert_eq!(implicit_world_estimate(&q6, &ws), 6);
-        // Pin the toggle on so the assertions hold under the CI
-        // `WSDB_NO_FACTORIZE=1` leg too.
-        config::set_factorize_enabled(Some(true));
         assert!(!should_factorize(&q6, &ws), "6 < default threshold 16");
         // A query that *ends* in its widest choice gains nothing from
         // factorizing: every implicit world is decoded at the output
@@ -973,10 +974,11 @@ mod tests {
         assert!(should_factorize(&q_cert, &kws));
         // No choice node ⇒ never factorize.
         assert!(!should_factorize(&Query::rel("Flights"), &ws));
-        // The runtime toggle wins.
-        config::set_factorize_enabled(Some(false));
+        // A `factorize = off` session overlay wins.
+        let mut off = config::SessionConfig::new();
+        off.set("factorize", "off").unwrap();
+        let _g = config::overlay(&off);
         assert!(!should_factorize(&q_cert, &kws));
-        config::set_factorize_enabled(None);
     }
 
     /// `wc` worlds sharing a `T` with `groups` distinct `K` values, told
@@ -986,19 +988,13 @@ mod tests {
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let t = Relation::table(&["K", "V"], &refs);
         let worlds: Vec<World> = (0..wc)
-            .map(|i| {
-                World::new(vec![
-                    t.clone(),
-                    Relation::table(&["M"], &[&[i as i64]]),
-                ])
-            })
+            .map(|i| World::new(vec![t.clone(), Relation::table(&["M"], &[&[i as i64]])]))
             .collect();
         WorldSet::from_worlds(vec!["T".to_string(), "M".to_string()], worlds).unwrap()
     }
 
     #[test]
     fn planner_builds_mixed_plans() {
-        config::set_factorize_enabled(Some(true));
         // 4 base worlds, 8 K-groups: a single-choice tail peaks at
         // 4×8 = 32 < GAIN·(4+4) = 64 (enumerated), while a union of two
         // choices squares the split — peak 4×8×3 = 96 ≥ 64 (factored).
@@ -1015,8 +1011,16 @@ mod tests {
         let q = op1.clone().intersect(op2.clone());
         let plan = plan_query(&q, &ws);
         assert_eq!(plan.card, RepCard::E, "mixed: the intersect pairs worlds");
-        assert_eq!(plan.kids[0].card, RepCard::Convert, "cert region expands here");
-        assert_eq!(plan.kids[0].kids[0].card, RepCard::F, "union stays factored");
+        assert_eq!(
+            plan.kids[0].card,
+            RepCard::Convert,
+            "cert region expands here"
+        );
+        assert_eq!(
+            plan.kids[0].kids[0].card,
+            RepCard::F,
+            "union stays factored"
+        );
         assert_eq!(plan.kids[1].card, RepCard::E, "poss tail stays enumerated");
         assert!(plan.kids[1].all_e);
         assert!(plan.any_f());
@@ -1033,13 +1037,15 @@ mod tests {
         let plan1 = plan_query(&op1, &ws);
         assert_eq!(plan1.card, RepCard::Convert, "decoded at the output");
         assert_eq!(plan1.kids[0].card, RepCard::F);
-        assert_eq!(plan1.kids[0].kids[0].kids[0].kids[0].card, RepCard::F, "Rel leaf");
-        config::set_factorize_enabled(None);
+        assert_eq!(
+            plan1.kids[0].kids[0].kids[0].kids[0].card,
+            RepCard::F,
+            "Rel leaf"
+        );
     }
 
     #[test]
     fn planned_matches_reference_on_forced_switches() {
-        config::set_factorize_enabled(Some(true));
         let ws = multi(4, 8);
         // Decode boundary above a factored region: the region converts,
         // the grouped tail runs enumerated.
@@ -1055,6 +1061,5 @@ mod tests {
         let planned = eval_planned(&q, &ws, "Q", &plan).expect("planned path");
         let reference = crate::eval_named(&q, &ws, "Q").expect("enumerated path");
         assert_eq!(planned, reference);
-        config::set_factorize_enabled(None);
     }
 }

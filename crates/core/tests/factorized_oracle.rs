@@ -1,7 +1,7 @@
 //! Equivalence oracle for the factorized engine: on every input and
 //! query shape covered here, [`wsa::eval_factorized`] must return a
 //! world-set **byte-identical** to the enumerated Figure-3 reference
-//! ([`wsa::eval_named`]) — with the `WSDB_NO_FACTORIZE` toggle in both
+//! ([`wsa::eval_named`]) — with the `factorize` session toggle in both
 //! positions for the routed entry, and over a proptest sweep of random
 //! choice nestings.
 //!
@@ -17,12 +17,12 @@ use wsa::{
     eval_factorized, eval_named, eval_named_routed, eval_planned, plan_query, Query, RepCard,
 };
 
-/// Serializes tests that flip process-wide state (the factorize and
-/// compaction toggles).
-static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// Install a session overlay setting toggle `name` to `on` for the
+/// current thread until the guard drops.
+fn toggle(name: &str, on: bool) -> config::OverlayGuard {
+    let mut cfg = config::SessionConfig::new();
+    cfg.set(name, if on { "on" } else { "off" }).unwrap();
+    config::overlay(&cfg)
 }
 
 /// Render covers world order, relation order and every tuple: equal
@@ -34,7 +34,6 @@ fn render(ws: &WorldSet) -> String {
 
 /// The oracle: factorized output must equal the enumerated reference.
 fn assert_factorized_matches(q: &Query, ws: &WorldSet) {
-    let _guard = lock();
     let reference = eval_named(q, ws, "Ans").expect("reference evaluator");
     let fact = eval_factorized(q, ws, "Ans").expect("factorized evaluator");
     assert_eq!(fact, reference, "diverged on {q}");
@@ -172,8 +171,6 @@ fn multi(wc: usize, groups: i64) -> WorldSet {
 /// The planned (mixed-representation) evaluator against the enumerated
 /// reference.
 fn assert_planned_matches(q: &Query, ws: &WorldSet) {
-    let _guard = lock();
-    config::set_factorize_enabled(Some(true));
     let plan = plan_query(q, ws);
     let reference = eval_named(q, ws, "Ans").expect("reference evaluator");
     let planned = eval_planned(q, ws, "Ans", &plan).expect("planned evaluator");
@@ -183,7 +180,6 @@ fn assert_planned_matches(q: &Query, ws: &WorldSet) {
         render(&reference),
         "render diverged on {q}"
     );
-    config::set_factorize_enabled(None);
 }
 
 #[test]
@@ -202,15 +198,14 @@ fn mixed_plans_match_enumerated() {
         .project(attrs(&["V"]))
         .poss();
     let q = op1.clone().intersect(op2.clone());
-    {
-        let _guard = lock();
-        config::set_factorize_enabled(Some(true));
-        let plan = plan_query(&q, &ws);
-        assert!(plan.any_f(), "plan must keep a factored region");
-        assert_eq!(plan.kids[0].card, RepCard::Convert, "F→E switch at cert");
-        assert_eq!(plan.kids[1].card, RepCard::E, "linear tail stays enumerated");
-        config::set_factorize_enabled(None);
-    }
+    let plan = plan_query(&q, &ws);
+    assert!(plan.any_f(), "plan must keep a factored region");
+    assert_eq!(plan.kids[0].card, RepCard::Convert, "F→E switch at cert");
+    assert_eq!(
+        plan.kids[1].card,
+        RepCard::E,
+        "linear tail stays enumerated"
+    );
     assert_planned_matches(&q, &ws);
     // Both forced-switch directions in isolation: the factored region
     // alone (expansion forced at the root)…
@@ -218,14 +213,13 @@ fn mixed_plans_match_enumerated() {
     // …and past a decode boundary, where the collapsing region below is
     // factored but the grouped merge re-enters enumeration (F→E at `cγ`).
     let boundary = op1.cert_group(attrs(&["V"]), attrs(&["V"]));
-    {
-        let _guard = lock();
-        config::set_factorize_enabled(Some(true));
-        let plan = plan_query(&boundary, &ws);
-        assert_eq!(plan.card, RepCard::E, "decode boundary always enumerated");
-        assert_eq!(plan.kids[0].card, RepCard::Convert, "subtree expands below it");
-        config::set_factorize_enabled(None);
-    }
+    let plan = plan_query(&boundary, &ws);
+    assert_eq!(plan.card, RepCard::E, "decode boundary always enumerated");
+    assert_eq!(
+        plan.kids[0].card,
+        RepCard::Convert,
+        "subtree expands below it"
+    );
     assert_planned_matches(&boundary, &ws);
 }
 
@@ -235,24 +229,20 @@ fn linear_merges_route_enumerated() {
     // gains nothing from factorizing, so the per-node chooser must leave
     // the whole plan enumerated and the routed entry must delegate
     // wholesale (zero conversion overhead, byte-identical output).
-    let _guard = lock();
     let ws = multi(4, 8);
     let q = Query::rel("T")
         .choice(attrs(&["K"]))
         .project(attrs(&["V"]))
         .poss();
-    config::set_factorize_enabled(Some(true));
     let plan = plan_query(&q, &ws);
     assert!(!plan.any_f(), "linear merge tails must not factorize");
     let reference = eval_named(&q, &ws, "Ans").expect("reference");
     let routed = eval_named_routed(&q, &ws, "Ans").expect("routed");
     assert_eq!(render(&routed), render(&reference));
-    config::set_factorize_enabled(None);
 }
 
 #[test]
 fn routed_agrees_under_both_toggle_positions() {
-    let _guard = lock();
     for seed in SEEDS {
         let flights = datagen::flights(seed, 16, 8, 6);
         let ws = WorldSet::single(vec![("F", flights)]);
@@ -264,14 +254,13 @@ fn routed_agrees_under_both_toggle_positions() {
             .poss();
         let reference = eval_named(&q, &ws, "Ans").expect("reference");
         for enabled in [true, false] {
-            config::set_factorize_enabled(Some(enabled));
+            let _g = toggle("factorize", enabled);
             let routed = eval_named_routed(&q, &ws, "Ans").expect("routed");
             assert_eq!(
                 routed, reference,
                 "routed output must not depend on the toggle (enabled={enabled})"
             );
         }
-        config::set_factorize_enabled(None);
     }
 }
 
@@ -308,7 +297,7 @@ proptest! {
     }
 
     /// Lineage-formula compaction is a pure representation change: with
-    /// the `WSDB_NO_COMPACT` toggle in either position, wherever the
+    /// the `compact` session toggle in either position, wherever the
     /// factorized evaluator succeeds its decoded output must be
     /// byte-identical to the enumerated reference.
     #[test]
@@ -320,10 +309,9 @@ proptest! {
             domain: 4,
         });
         let q = random_query(seed, &QuerySpec::default());
-        let _guard = lock();
         let reference = eval_named(&q, &ws, "Ans");
         for compact in [true, false] {
-            config::set_compact_enabled(Some(compact));
+            let _g = toggle("compact", compact);
             match (&reference, eval_factorized(&q, &ws, "Ans")) {
                 (Ok(r), Ok(f)) => {
                     prop_assert_eq!(&f, r, "decode diverged (compact={}) on {} (seed {})", compact, q, seed);
@@ -336,6 +324,5 @@ proptest! {
                 (Err(e), Ok(_)) => prop_assert!(false, "factorized succeeded where reference failed ({e}) on {} (seed {})", q, seed),
             }
         }
-        config::set_compact_enabled(None);
     }
 }

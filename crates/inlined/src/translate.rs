@@ -444,8 +444,8 @@ fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
 /// given), evaluate every translated table with a relational engine, and
 /// decode the resulting representation back into a world-set.
 ///
-/// When the rewrite path is on (the default; `WSDB_NO_REWRITE` or
-/// [`relalg::config::set_rewrite_enabled`] turn it off), the WSA query
+/// When the rewrite path is on (the default; `set local rewrite = off`
+/// turns it off), the WSA query
 /// first runs through the Section-6 logical optimizer with real base-table
 /// cardinalities, and the translated expressions are algebraically
 /// simplified and join-ordered. Either way the batch evaluates through one

@@ -248,9 +248,9 @@ pub enum Stmt {
         /// Optional condition.
         cond: Option<Cond>,
     },
-    /// `set local <knob> = <value>` — a per-connection tuning override,
-    /// the session-scoped counterpart of the `WSDB_*` environment
-    /// variables (e.g. `set local columnar = off;`).
+    /// `set local <knob> = <value>` — a per-connection execution-path
+    /// toggle, the only way to turn one off (e.g. `set local columnar =
+    /// off;`).
     SetLocal {
         /// Knob name (`rewrite`, `columnar`, `factorize` or `compact`).
         name: String,

@@ -256,8 +256,7 @@ impl Session {
         // EXPLAIN reports the peak estimate and the per-node decisions.
         let plan = wsa::plan_query(&optimized, ws);
         let implicit_worlds = plan.peak;
-        let routed =
-            relalg::config::factorize_enabled() && !ws.is_empty() && plan.any_f();
+        let routed = relalg::config::factorize_enabled() && !ws.is_empty() && plan.any_f();
         let mut rep_plan = Vec::new();
         rep_lines(&optimized, &plan, 0, !routed, &mut rep_plan);
         let rep = if !routed {
@@ -375,11 +374,7 @@ mod tests {
 
     #[test]
     fn explain_reports_costs_and_cache_behavior() {
-        // Pin the rewrite path on for this session: the cache annotations
-        // are what this test is about (a `WSDB_NO_REWRITE` environment must
-        // not turn them off underneath it).
-        let mut s = session();
-        s.execute("set local rewrite = on;").unwrap();
+        let s = session();
         let e = s
             .explain("select certain Arr from HFlights choice of Dep;")
             .unwrap();
@@ -401,8 +396,7 @@ mod tests {
     /// trip-planning query, with estimated costs and cache annotations.
     #[test]
     fn explain_render_golden() {
-        let mut s = session();
-        s.execute("set local rewrite = on;").unwrap();
+        let s = session();
         let e = s
             .explain("select certain Arr from HFlights choice of Dep;")
             .unwrap();
@@ -486,7 +480,6 @@ mod tests {
     #[test]
     fn explain_reports_factorized_rep_for_many_worlds() {
         let mut s = Session::new();
-        s.execute("set local factorize = on;").unwrap();
         let rel = Relation::from_rows(
             relalg::Schema::of(&["K", "V"]),
             (0..20i64).map(|i| vec![relalg::Value::Int(i), relalg::Value::Int(i % 3)]),
@@ -497,7 +490,10 @@ mod tests {
         assert_eq!(e.rep, "factored");
         assert!(e.implicit_worlds >= 20, "{}", e.implicit_worlds);
         let rendered = e.render();
-        assert!(rendered.contains("rep:        factored (peak ≈"), "{rendered}");
+        assert!(
+            rendered.contains("rep:        factored (peak ≈"),
+            "{rendered}"
+        );
         // The region root converts at the output; everything below is F.
         assert!(rendered.contains("rep=convert"), "{rendered}");
         assert!(rendered.contains("χ  rep=F ≈20"), "{rendered}");

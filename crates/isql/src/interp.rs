@@ -56,7 +56,7 @@ fn fresh(ws: &WorldSet, base: &str) -> String {
 /// the **rewrite route**: compile to World-set Algebra, run the Section-6
 /// optimizer (with real relation cardinalities), and — when the optimizer
 /// found a strictly cheaper plan — evaluate the optimized algebra query
-/// directly. Everything else (and the `WSDB_NO_REWRITE` escape hatch)
+/// directly. Everything else (and `set local rewrite = off`)
 /// falls back to the direct interpreter below, counting why
 /// ([`RouteFallback`]); the two routes agree on the clean fragment (pinned
 /// by `tests/interp_vs_algebra.rs`).

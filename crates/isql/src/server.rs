@@ -27,7 +27,8 @@
 //!     of every statement in the script, in order, in the same textual
 //!     form the interactive shell prints ([`render_outcome`]);
 //!   * `ERR <n>\n` followed by `n` bytes: the error message. The session
-//!     survives an error and keeps serving subsequent requests.
+//!     survives an error and keeps serving subsequent requests. An answer
+//!     longer than [`MAX_FRAME`] is sent as an `ERR` saying so.
 //!
 //! The per-connection session gives each client the full session model:
 //! `Q‹n›` answer naming, snapshot-isolated reads, `set local` overrides
@@ -57,9 +58,10 @@ use std::time::Duration;
 use crate::engine::Engine;
 use crate::session::{ExecOutcome, Session};
 
-/// The largest `#<n>` length frame the server accepts (16 MiB). A frame
+/// The largest `#<n>` length frame the server accepts, and the largest
+/// response payload it sends or a [`Client`] reads (16 MiB). A frame
 /// claiming more is rejected before any allocation, so a hostile header
-/// cannot OOM the process.
+/// cannot OOM either side.
 pub const MAX_FRAME: usize = 1 << 24;
 
 /// Render one statement outcome as the interactive shell prints it.
@@ -293,8 +295,10 @@ fn handle_connection(stream: TcpStream, mut session: Session, ctl: ConnCtl) -> i
         // other sessions keep working.
         let result = catch_unwind(AssertUnwindSafe(|| execute_rendered(&mut session, &script)));
         let (status, payload, fatal) = match result {
-            Ok(Ok(p)) => ("OK", p, false),
-            Ok(Err(p)) => ("ERR", p, false),
+            Ok(rendered) => {
+                let (status, payload) = bounded_response(rendered);
+                (status, payload, false)
+            }
             Err(_) => ("ERR", "internal error\n".to_string(), true),
         };
         write!(writer, "{status} {}\n{payload}", payload.len())?;
@@ -302,6 +306,23 @@ fn handle_connection(stream: TcpStream, mut session: Session, ctl: ConnCtl) -> i
         if fatal {
             return Ok(());
         }
+    }
+}
+
+/// The status and payload answering one executed script. A payload longer
+/// than [`MAX_FRAME`] (which no [`Client`] would read) becomes an `ERR`
+/// naming its size.
+fn bounded_response(rendered: Result<String, String>) -> (&'static str, String) {
+    match rendered {
+        Ok(p) | Err(p) if p.len() > MAX_FRAME => (
+            "ERR",
+            format!(
+                "response of {} bytes exceeds maximum {MAX_FRAME}\n",
+                p.len()
+            ),
+        ),
+        Ok(p) => ("OK", p),
+        Err(p) => ("ERR", p),
     }
 }
 
@@ -393,8 +414,9 @@ impl Client {
     }
 
     /// Send one script and read the response: `Ok(payload)` for an `OK`
-    /// response, `Err(message)` for an `ERR` response. I/O problems
-    /// surface as the outer `io::Error`.
+    /// response, `Err(message)` for an `ERR` response. I/O problems — and
+    /// a status line announcing more than [`MAX_FRAME`] bytes — surface as
+    /// the outer `io::Error`.
     pub fn request(&mut self, script: &str) -> io::Result<Result<String, String>> {
         let stream = self.reader.get_mut();
         // Always length-frame: scripts may contain newlines.
@@ -424,6 +446,12 @@ impl Client {
                 format!("bad status line {status:?}"),
             )
         })?;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("response length {len} exceeds maximum {MAX_FRAME}"),
+            ));
+        }
         let mut buf = vec![0u8; len];
         self.reader.read_exact(&mut buf)?;
         let payload =
@@ -436,5 +464,29 @@ impl Client {
     pub fn query(&mut self, script: &str) -> io::Result<String> {
         self.request(script)?
             .map_err(|e| io::Error::other(e.trim_end().to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_answers_become_err() {
+        let fits = "x".repeat(MAX_FRAME);
+        assert_eq!(bounded_response(Ok(fits.clone())), ("OK", fits));
+        assert_eq!(
+            bounded_response(Err("boom\n".into())),
+            ("ERR", "boom\n".to_string())
+        );
+        let (status, payload) = bounded_response(Ok("x".repeat(MAX_FRAME + 1)));
+        assert_eq!(status, "ERR");
+        assert_eq!(
+            payload,
+            format!(
+                "response of {} bytes exceeds maximum {MAX_FRAME}\n",
+                MAX_FRAME + 1
+            )
+        );
     }
 }

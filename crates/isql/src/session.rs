@@ -273,8 +273,7 @@ impl Session {
     }
 
     /// Execute one statement. The session's configuration overrides are in
-    /// effect for the duration of the statement (on this thread and on the
-    /// tuple-axis workers a large relation's operators start from it).
+    /// effect for the duration of the statement.
     pub fn run(&mut self, stmt: Stmt) -> Result<ExecOutcome> {
         let _session_cfg = relalg::config::overlay(&self.config);
         match stmt {

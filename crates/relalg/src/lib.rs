@@ -37,24 +37,19 @@ mod stats;
 mod tuple;
 mod value;
 
+pub use config::columnar_enabled;
 pub use csv::{relation_from_csv, relation_to_csv};
 pub use error::{RelalgError, Result};
 pub use eval::{Catalog, EvalCache, EvalStats};
 pub use expr::{Expr, ExprKind};
 pub use physical::PhysPath;
 pub use pred::{CmpOp, Operand, Pred};
-pub use relation::{columnar_enabled, set_columnar_enabled, Relation, RelationBuilder};
+pub use relation::{Relation, RelationBuilder};
 pub use schema::{Attr, Schema};
 pub use simplify::simplify;
 pub use stats::{ColStats, RelStats};
 pub use tuple::{Tuple, INLINE_TUPLE_CAP};
 pub use value::{Sym, Value};
-
-/// Serializes unit tests that flip the process-global columnar toggle
-/// (`set_columnar_enabled`), which would otherwise race under the
-/// parallel test runner.
-#[cfg(test)]
-pub(crate) static COLUMNAR_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Convenience constructor for an [`Attr`].
 pub fn attr(name: &str) -> Attr {

@@ -1138,9 +1138,6 @@ mod tests {
 
     #[test]
     fn annotate_cards_reports_columnar_phys_on_wide_inputs() {
-        let _g = crate::COLUMNAR_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let mut c = Catalog::new();
         let schema = Schema::of(&["C0", "C1", "C2", "C3", "C4", "C5"]);
         let rel = Relation::from_rows(
@@ -1165,8 +1162,6 @@ mod tests {
                 Operand::Const(crate::Value::Int(3)),
             ))
             .project(attrs(&["C0", "C5"]));
-        // Pin the toggle: the assertions must hold under WSDB_NO_COLUMNAR=1.
-        crate::set_columnar_enabled(Some(true));
         let cards = annotate_cards(&e, &c).unwrap();
         assert_eq!(cards.len(), 3);
         // π narrows a 6-wide input and σ has a comparison conjunct over a
@@ -1175,10 +1170,11 @@ mod tests {
         assert_eq!(cards[1].phys, crate::PhysPath::Columnar, "{:?}", cards[1]);
         assert_eq!(cards[2].phys, crate::PhysPath::Row, "{:?}", cards[2]);
         // Disabling columnar flips every node back to row.
-        crate::set_columnar_enabled(Some(false));
+        let mut off = crate::config::SessionConfig::new();
+        off.set("columnar", "off").unwrap();
+        let _g = crate::config::overlay(&off);
         let cards = annotate_cards(&e, &c).unwrap();
         assert!(cards.iter().all(|x| x.phys == crate::PhysPath::Row));
-        crate::set_columnar_enabled(None);
     }
 
     #[test]

@@ -348,18 +348,15 @@ mod tests {
 
     #[test]
     fn chooser_respects_width_rows_and_toggle() {
-        let _g = crate::COLUMNAR_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::set_columnar_enabled(Some(true));
         assert_eq!(choose(6, 1000), PhysPath::Columnar);
         assert_eq!(choose(4, 1000), PhysPath::Row, "inline-width stays row");
         assert_eq!(choose(6, 3), PhysPath::Row, "tiny inputs stay row");
         assert_eq!(choose(6, 63), PhysPath::Row);
         assert_eq!(choose(6, 64), PhysPath::Columnar);
-        crate::set_columnar_enabled(Some(false));
+        let mut off = crate::config::SessionConfig::new();
+        off.set("columnar", "off").unwrap();
+        let _g = crate::config::overlay(&off);
         assert_eq!(choose(6, 1000), PhysPath::Row);
-        crate::set_columnar_enabled(None);
     }
 
     #[test]

@@ -73,23 +73,6 @@ pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
 pub(crate) type FxHashSet<K> = HashSet<K, FxBuild>;
 
-/// Whether wide operators take the columnar paths (projection, vectorized
-/// selection, join-key hashing — see
-/// [`crate::physical`]): the [`crate::config::COLUMNAR`] toggle.
-/// `WSDB_NO_COLUMNAR` (non-empty) turns them off; [`set_columnar_enabled`]
-/// overrides at runtime (benchmarks and the oracle suite A/B the two
-/// paths).
-#[inline]
-pub fn columnar_enabled() -> bool {
-    crate::config::COLUMNAR.enabled()
-}
-
-/// Force the columnar execution paths on/off for this process; `None`
-/// restores the environment-derived default.
-pub fn set_columnar_enabled(on: Option<bool>) {
-    crate::config::COLUMNAR.set(on);
-}
-
 /// A set-semantics relation: a schema plus a **sorted, deduplicated vector**
 /// of tuples.
 ///

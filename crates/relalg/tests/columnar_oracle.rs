@@ -6,8 +6,8 @@
 //!   `BTreeSet<Vec<Value>>` oracle;
 //! * the **vectorized selection** and **columnar join-key extraction**
 //!   (natural/theta/semijoin) paths are pinned the same way — row vs.
-//!   columnar vs. independent semantic oracles, across the
-//!   `WSDB_NO_COLUMNAR` toggle — and grouping (`partition_by`,
+//!   columnar vs. independent semantic oracles, with the `columnar`
+//!   session toggle off and on — and grouping (`partition_by`,
 //!   `partition_by_project`, `divide`) on wide inputs against the same
 //!   kind of oracles;
 //! * **per-column statistics** are pinned against per-column set oracles;
@@ -15,15 +15,10 @@
 //!   in-place mutation bumps) are pinned.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 use proptest::prelude::*;
-use relalg::{
-    attr, attrs, set_columnar_enabled, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value,
-};
-
-/// Serializes tests that flip the process-wide columnar toggle.
-static LOCK: Mutex<()> = Mutex::new(());
+use relalg::config::{overlay, SessionConfig};
+use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value};
 
 /// A deterministic wide relation: `width` columns, per-column domains of
 /// different sizes so distinct counts differ per column.
@@ -64,7 +59,6 @@ fn assert_is(rel: &Relation, oracle: &BTreeSet<Vec<Value>>, what: &str) {
 
 #[test]
 fn columnar_projection_matches_row_path_and_oracle() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inputs = [
         datagen::lineitem_q6(7, 600, 3), // 5 columns, string + int
         datagen::lineitem_q6(23, 64, 2), // exactly at the row threshold
@@ -95,12 +89,10 @@ fn columnar_projection_matches_row_path_and_oracle() {
 
 #[test]
 fn distinct_values_take_the_columnar_path() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let rel = wide_rel(5, 500, 7);
     let oracle = o_project(&rel, &["C3"]);
-    set_columnar_enabled(Some(true));
+    assert!(relalg::columnar_enabled());
     let vals = rel.distinct_values(&attrs(&["C3"])).unwrap();
-    set_columnar_enabled(None);
     let got: Vec<Vec<Value>> = vals.iter().map(|t| t.to_vec()).collect();
     let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
     assert_eq!(got, want, "distinct_values");
@@ -153,15 +145,16 @@ fn epoch_tags_identify_content() {
     assert_eq!(n.epoch(), r.epoch());
 }
 
-/// Run `f` twice — columnar forced off, then on — restoring the
-/// environment default afterwards.
+/// Run `f` twice: under a `columnar = off` overlay, then with the default
+/// (columnar on).
 fn row_vs_columnar<R>(f: impl Fn() -> R) -> (R, R) {
-    set_columnar_enabled(Some(false));
-    let row = f();
-    set_columnar_enabled(Some(true));
-    let col = f();
-    set_columnar_enabled(None);
-    (row, col)
+    let mut off = SessionConfig::new();
+    off.set("columnar", "off").unwrap();
+    let row = {
+        let _g = overlay(&off);
+        f()
+    };
+    (row, f())
 }
 
 /// A selection oracle evaluated directly in Rust (no `Pred` machinery).
@@ -171,7 +164,6 @@ fn o_select(rel: &Relation, keep: impl Fn(&Tuple) -> bool) -> BTreeSet<Vec<Value
 
 #[test]
 fn vectorized_filter_matches_row_path_and_oracle() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ge = |c: &str, k: i64| {
         Pred::cmp(
             Operand::Attr(attr(c)),
@@ -281,7 +273,6 @@ fn join_inputs(rows: usize) -> (Relation, Relation) {
 
 #[test]
 fn columnar_join_keys_match_row_path_and_oracle() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for rows in [80usize, 600] {
         let (l, r) = join_inputs(rows);
         let nj_oracle = o_natural_join(&l, &r);
@@ -335,7 +326,6 @@ fn columnar_join_keys_match_row_path_and_oracle() {
 
 #[test]
 fn columnar_grouping_matches_row_path_and_oracle() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for rel in [wide_rel(5, 500, 7), wide_rel(11, 64, 6)] {
         let key = attrs(&["C1", "C2"]);
         // partition_by: group membership oracle.
@@ -419,7 +409,6 @@ proptest! {
 
     #[test]
     fn projection_paths_agree_on_random_wide_inputs(rows in wide_rows(), pick in 0usize..4) {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rel = Relation::from_rows(
             Schema::of(&["A", "B", "C", "D", "E", "F"]),
             rows.iter().map(|&((a, b), (c, d), (e, f))| {
@@ -434,11 +423,7 @@ proptest! {
         };
         let a = attrs(&cols);
         let oracle = o_project(&rel, &cols);
-        set_columnar_enabled(Some(false));
-        let row = rel.project(&a).unwrap();
-        set_columnar_enabled(Some(true));
-        let col = rel.project(&a).unwrap();
-        set_columnar_enabled(None);
+        let (row, col) = row_vs_columnar(|| rel.project(&a).unwrap());
         prop_assert_eq!(&row, &col);
         let got: Vec<Vec<Value>> = col.iter().map(|t| t.to_vec()).collect();
         let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
@@ -450,7 +435,6 @@ proptest! {
         rows in wide_rows(),
         k in 0i64..4,
     ) {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rel = Relation::from_rows(
             Schema::of(&["A", "B", "C", "D", "E", "F"]),
             rows.iter().map(|&((a, b), (c, d), (e, f))| {

@@ -357,9 +357,12 @@ proptest! {
                 opt
             );
             for rewrite_on in [true, false] {
-                relalg::config::set_rewrite_enabled(Some(rewrite_on));
-                let got = wsa_inlined::run_general(&q, &rep, "Ans").unwrap();
-                relalg::config::set_rewrite_enabled(None);
+                let mut cfg = relalg::config::SessionConfig::new();
+                cfg.set("rewrite", if rewrite_on { "on" } else { "off" }).unwrap();
+                let got = {
+                    let _g = relalg::config::overlay(&cfg);
+                    wsa_inlined::run_general(&q, &rep, "Ans").unwrap()
+                };
                 prop_assert_eq!(
                     &got,
                     &oracle,

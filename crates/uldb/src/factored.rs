@@ -457,8 +457,8 @@ impl Dnf {
         Dnf { ds }
     }
 
-    /// [`Dnf::canon`] plus **formula compaction** when the
-    /// `relalg::config::COMPACT` toggle is on and the formula is big
+    /// [`Dnf::canon`] plus **formula compaction** when the `compact`
+    /// toggle is on ([`relalg::config::compact_enabled`]) and the formula is big
     /// enough to pay: single-variable disjunct merging
     /// (`A∧v∈S₁ ∨ A∧v∈S₂ → A∧v∈S₁∪S₂`, dropping the literal entirely
     /// when the union covers the domain) and subsumption (a disjunct
@@ -515,7 +515,10 @@ impl Dnf {
         if c.is_top() {
             return self.clone();
         }
-        Dnf::canon_compact(self.ds.iter().filter_map(|d| d.conjoin(c, doms)).collect(), doms)
+        Dnf::canon_compact(
+            self.ds.iter().filter_map(|d| d.conjoin(c, doms)).collect(),
+            doms,
+        )
     }
 
     /// `self ∧ other` (DNF product); `None` when the result exceeds
@@ -663,7 +666,7 @@ fn merge_single_var(ds: &mut Vec<Constraint>, doms: &[usize]) -> bool {
 /// fallback it tries to prevent.
 fn subsume(ds: &mut Vec<Constraint>, doms: &[usize]) -> bool {
     let n = ds.len();
-    if n < 2 || n > SUBSUME_MAX {
+    if !(2..=SUBSUME_MAX).contains(&n) {
         return false;
     }
     let mut dead = vec![false; n];
@@ -818,12 +821,15 @@ impl FactoredSet {
         let doms = if n == 1 { vec![] } else { vec![n] };
         let mut tables = Vec::with_capacity(names.len());
         let mut skipped: Vec<Option<Vec<Arc<Relation>>>> = Vec::with_capacity(names.len());
-        for pos in 0..names.len() {
+        for (pos, name) in names.iter().enumerate() {
             let schema0 = worlds_vec[0].rel(pos).schema().clone();
             let schema = lin_schema(&schema0)?;
-            if !keep(&names[pos]) {
+            if !keep(name) {
                 skipped.push(Some(
-                    worlds_vec.iter().map(|w| w.rel_shared(pos).clone()).collect(),
+                    worlds_vec
+                        .iter()
+                        .map(|w| w.rel_shared(pos).clone())
+                        .collect(),
                 ));
                 tables.push(Relation::empty(schema));
                 continue;
@@ -1306,7 +1312,9 @@ impl FactoredSet {
             if lcs.iter().any(|c| d.implies(c, &self.doms)) {
                 continue 'disjunct;
             }
-            let mut cur = Dnf { ds: vec![d.clone()] };
+            let mut cur = Dnf {
+                ds: vec![d.clone()],
+            };
             for c in &lcs {
                 // A lineage inconsistent with the disjunct excludes no
                 // world of it: `cur ∧ ¬c = cur` since `cur ⊨ d ⊨ ¬c`.
@@ -1740,7 +1748,10 @@ mod tests {
         // rides through unconverted and is spliced back at expansion.
         let fs = FactoredSet::from_world_set_filtered(&ws, &|n| n == "Q").unwrap();
         assert!(fs.table("Q").is_some());
-        assert!(fs.table("Flights").is_none(), "skipped tables are not operable");
+        assert!(
+            fs.table("Flights").is_none(),
+            "skipped tables are not operable"
+        );
         assert_eq!(fs.expand().unwrap(), ws);
         // Keep only the uniform "Flights": the skipped "Q" *varies* per
         // world, so expansion must enumerate the base-world variable and
@@ -1769,18 +1780,8 @@ mod tests {
         assert_eq!(expanded, reference);
     }
 
-    /// Pin `compact = on` for the current thread, so tests that assert
-    /// compacted formula shapes hold even under a `WSDB_NO_COMPACT=1`
-    /// test run (the A/B leg disables the default process-wide).
-    fn pin_compact_on() -> relalg::config::OverlayGuard {
-        let mut cfg = relalg::config::SessionConfig::new();
-        cfg.set("compact", "on").unwrap();
-        relalg::config::overlay(&cfg)
-    }
-
     #[test]
     fn chained_choices_multiply_domains_not_formula() {
-        let _compact = pin_compact_on();
         let ws = single();
         let mut fs = FactoredSet::from_world_set(&ws).unwrap();
         let rel = fs.table("Flights").unwrap().clone();
@@ -1920,7 +1921,9 @@ mod tests {
     fn cons(masks: &[u32], doms: &[usize]) -> Option<Constraint> {
         let mut c = Constraint::top();
         for (v, &mask) in masks.iter().enumerate() {
-            let items: Vec<u32> = (0..doms[v] as u32).filter(|a| mask & (1 << a) != 0).collect();
+            let items: Vec<u32> = (0..doms[v] as u32)
+                .filter(|a| mask & (1 << a) != 0)
+                .collect();
             c = c.and_lit(v as Var, &AltSet::from_sorted(false, items), doms)?;
         }
         Some(c)
@@ -1986,7 +1989,6 @@ mod tests {
 
     #[test]
     fn projection_is_satisfiability_equivalent() {
-        let _compact = pin_compact_on();
         let doms = [3usize, 2, 4];
         // w = (X=0 ∧ Z=1) ∨ (X=1 ∧ Y=0 ∧ Z=2); projected onto {X} the
         // Y/Z literals drop (each independently satisfiable). The result
@@ -1999,7 +2001,10 @@ mod tests {
         let p = w.project_onto(&keep, &doms);
         assert_eq!(
             p.ds,
-            vec![cons(&[0b001], &doms).unwrap(), cons(&[0b010], &doms).unwrap()]
+            vec![
+                cons(&[0b001], &doms).unwrap(),
+                cons(&[0b010], &doms).unwrap()
+            ]
         );
         // Satisfiability against X-only constraints is unchanged.
         for mask in 1u32..8 {

@@ -244,3 +244,26 @@ fn connect_with_retry_gives_up_after_bounded_attempts() {
         "bounded retries took too long"
     );
 }
+
+#[test]
+fn client_rejects_oversized_response_length() {
+    // A fake server whose status line announces an absurd payload: the
+    // client must refuse it before allocating.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.write_all(b"OK 99999999999999\n").unwrap();
+        // Hold the connection until the client has read the status line.
+        let mut sink = Vec::new();
+        let _ = stream.read_to_end(&mut sink);
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let err = client
+        .request("select 1;")
+        .expect_err("an oversized length must be an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("exceeds maximum"), "{err}");
+    drop(client);
+    fake.join().unwrap();
+}
