@@ -7,7 +7,9 @@
 //! materializes one world per departure; (b) the general Figure-6
 //! translation on an inlined representation; (c) the Section-5.3 optimized
 //! translation (a division query). Expected shape: (c) < (b) ≪ (a) as the
-//! number of departures grows.
+//! number of departures grows. `complete_route/*` times the statement
+//! path's whole relational route against the world-set route on 64
+//! departures.
 
 use std::time::Duration;
 
@@ -73,6 +75,29 @@ fn bench_translation(c: &mut Criterion) {
             },
         );
     }
+
+    // The statement path's two candidates for the trip query over the B16
+    // `Flights` shape (64 departures): the relational route
+    // (`run_complete`: translate, simplify, join-order, evaluate, append)
+    // against the world-set route it replaced (`eval_named_routed`, which
+    // runs this query factorized).
+    let flights = datagen::flights(7, 64, 40, 12);
+    let ws = WorldSet::single(vec![("HFlights", flights)]);
+    let q = trip_query();
+    group.bench_with_input(
+        BenchmarkId::new("complete_route/relational", 64),
+        &64,
+        |b, _| {
+            b.iter(|| wsa_inlined::run_complete(&q, &ws, "Ans").unwrap().unwrap());
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("complete_route/routed", 64),
+        &64,
+        |b, _| {
+            b.iter(|| wsa::eval_named_routed(&q, &ws, "Ans").unwrap());
+        },
+    );
     group.finish();
 }
 

@@ -17,6 +17,10 @@
 //!   a lazy world table: world-id columns are only materialized where
 //!   `cert`/grouping/binary operators need them, reproducing e.g.
 //!   Example 5.8's `π{Arr,Dep}(HFlights) ÷ π{Dep}(HFlights)`.
+//! * [`route_applies`], [`relational_plan`], [`RelationalPlan::run`] — the
+//!   statement path's route for a `1↦1` query over a one-world database:
+//!   the gate, the plan, and its evaluation by `relalg` with the answer
+//!   appended; no world is built. [`run_complete`] chains the three.
 //!
 //! Paper errata handled here (see DESIGN.md §2): the group-pairing relation
 //! `S′` is symmetrized into a true equivalence, `pγ` projects onto the
@@ -29,4 +33,6 @@ mod translate_opt;
 
 pub use rep::InlinedRep;
 pub use translate::{run_general, translate_complete, translate_general, Translated};
-pub use translate_opt::translate_opt_complete;
+pub use translate_opt::{
+    relational_plan, route_applies, run_complete, translate_opt_complete, RelationalPlan,
+};

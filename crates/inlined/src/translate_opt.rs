@@ -17,9 +17,12 @@
 //! after the `relalg` simplifier — exactly the paper's Example 5.8 plan:
 //! `π{Arr,Dep}(HFlights) ÷ π{Dep}(HFlights)`.
 
-use relalg::{Attr, Expr, Pred, RelalgError, Result, Schema};
+use relalg::{Attr, Catalog, Expr, Pred, RelalgError, Result, Schema};
+use worldset::{World, WorldSet};
 use wsa::typing::is_complete_to_complete;
 use wsa::Query;
+
+use crate::translate::translate_complete;
 
 /// One world dimension: the id attributes introduced by a `χ` and the
 /// expression computing their domain (the "world ids created" there). The
@@ -362,6 +365,70 @@ pub fn translate_opt_complete(q: &Query, base: &dyn Fn(&str) -> Option<Schema>) 
     let mut tr = OptTranslator { base, counter: 0 };
     let o = tr.translate(q)?;
     Ok(o.expr.project(o.d))
+}
+
+/// The relational plan of a complete-to-complete query over one world's
+/// relations, as the statement path runs it and `EXPLAIN` prints it.
+#[derive(Clone, Debug)]
+pub struct RelationalPlan {
+    /// The translated, simplified and join-ordered plan.
+    pub expr: Expr,
+    /// The relations the query names: the world's own `Arc`s, no copies.
+    pub catalog: Catalog,
+}
+
+/// Build the [`RelationalPlan`] of the `1↦1` query `q` over `world`, whose
+/// relations are called `names`: the Section-5.3 translation (the
+/// Theorem-5.7 one, [`translate_complete`], where it declines), then
+/// [`relalg::simplify`] and [`relalg::opt::optimize_joins`] over the
+/// measured statistics of the relations `q` names.
+pub fn relational_plan(q: &Query, names: &[String], world: &World) -> Result<RelationalPlan> {
+    let mut used = q.rel_names();
+    used.sort_unstable();
+    used.dedup();
+    let mut catalog = Catalog::new();
+    for name in &used {
+        let idx = names
+            .iter()
+            .position(|n| n == name)
+            .ok_or_else(|| RelalgError::UnknownTable { name: name.clone() })?;
+        catalog.put(name, world.rel_shared(idx).clone());
+    }
+    let base = |name: &str| catalog.schema_of(name);
+    let plan = translate_opt_complete(q, &base).or_else(|_| translate_complete(q, &base, &used))?;
+    let plan = relalg::simplify(&plan, &base)?;
+    let expr = relalg::opt::optimize_joins(&plan, &catalog);
+    Ok(RelationalPlan { expr, catalog })
+}
+
+impl RelationalPlan {
+    /// Evaluate the plan and append its answer under `out_name` to `ws`,
+    /// the world-set whose one world the plan was built over.
+    pub fn run(&self, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
+        let answer = self.catalog.eval(&self.expr)?;
+        ws.extend_with(out_name, |_| Ok(answer.clone()))
+    }
+}
+
+/// The gate of the relational route: `ws` holds exactly one world and `q`
+/// is of type `1↦1`. Theorem 5.7: such a query goes "from complete to
+/// incomplete information and back", so over that world it is plain
+/// relational algebra. Returns the world to build the plan over.
+pub fn route_applies<'a>(q: &Query, ws: &'a WorldSet) -> Option<&'a World> {
+    let world = ws.the_world()?;
+    is_complete_to_complete(q).then_some(world)
+}
+
+/// Evaluate a complete-to-complete query over a complete database as one
+/// relational plan, so no world is ever built, and append its answer to
+/// `ws` under `out_name`.
+///
+/// `None` when [`route_applies`] does not hold. Every base relation stays
+/// the same `Arc`, so its epoch and memoized statistics survive into the
+/// next statement. The result equals [`wsa::eval_named`]`(q, ws, out_name)`.
+pub fn run_complete(q: &Query, ws: &WorldSet, out_name: &str) -> Option<Result<WorldSet>> {
+    let world = route_applies(q, ws)?;
+    Some(relational_plan(q, ws.rel_names(), world).and_then(|plan| plan.run(ws, out_name)))
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 use relalg::{attrs, Catalog, Pred, Relation, Schema};
 use worldset::{World, WorldSet};
 use wsa::{eval_named, Query};
-use wsa_inlined::{run_general, translate_complete, translate_opt_complete, InlinedRep};
+use wsa_inlined::{
+    run_complete, run_general, translate_complete, translate_opt_complete, InlinedRep,
+};
 
 fn flights() -> Relation {
     Relation::table(
@@ -78,6 +80,12 @@ fn assert_complete_equiv(q: &Query, named: Vec<(&str, Relation)>) {
     let simplified = relalg::simplify(&opt, &base).expect("simplify");
     let got = catalog.eval(&simplified).expect("evaluate simplified");
     assert_eq!(*got, expected, "simplified optimized plan differs for {q}");
+
+    // The statement path's route returns the whole world-set.
+    let routed = run_complete(q, &ws, "Ans")
+        .expect("a 1↦1 query over one world takes the route")
+        .expect("relational route");
+    assert_eq!(routed, direct, "relational route differs for {q}");
 }
 
 #[test]

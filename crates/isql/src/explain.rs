@@ -20,7 +20,8 @@ use crate::session::Session;
 pub struct Explanation {
     /// The algebra form of the query (clean fragment only).
     pub algebra: Query,
-    /// The algebra after Figure-7 rewriting.
+    /// The algebra after Figure-7 rewriting, as the statement path
+    /// evaluates it.
     pub optimized: Query,
     /// Estimated cost of the unrewritten plan (cardinality model over the
     /// session's actual relation sizes).
@@ -46,8 +47,13 @@ pub struct Explanation {
     /// in pre-order: operator label, `F`/`E`/`convert`, and the node's
     /// output world estimate.
     pub rep_plan: Vec<RepNodeLine>,
-    /// For `1↦1` queries: the equivalent relational algebra plan
-    /// (Section 5.3, simplified) evaluable by any relational engine.
+    /// Whether the statement runs as `relational_plan` (a world-construct
+    /// statement, rewrite path on): then no world-set representation is
+    /// involved and `rep`/`rep_plan` are not rendered.
+    pub relational_route: bool,
+    /// For a `1↦1` query over a one-world session: the equivalent
+    /// relational algebra plan (Section 5.3, simplified and join-ordered),
+    /// built by the statement path's `wsa_inlined::relational_plan`.
     pub relational_plan: Option<relalg::Expr>,
     /// Evaluation-cache behavior of a trial evaluation of the relational
     /// plan against the session's relations (`None` when there is no plan
@@ -78,18 +84,22 @@ impl Explanation {
                 "world-set valued"
             }
         ));
-        out.push_str(&format!(
-            "rep:        {} (peak ≈{} implicit worlds)\n",
-            self.rep, self.implicit_worlds
-        ));
-        for n in &self.rep_plan {
+        if self.relational_route {
+            out.push_str("route:      relational (Section 5.3)\n");
+        } else {
             out.push_str(&format!(
-                "            {}{}  rep={} ≈{}\n",
-                "  ".repeat(n.depth),
-                n.label,
-                n.card.label(),
-                n.out
+                "rep:        {} (peak ≈{} implicit worlds)\n",
+                self.rep, self.implicit_worlds
             ));
+            for n in &self.rep_plan {
+                out.push_str(&format!(
+                    "            {}{}  rep={} ≈{}\n",
+                    "  ".repeat(n.depth),
+                    n.label,
+                    n.card.label(),
+                    n.out
+                ));
+            }
         }
         if let Some(plan) = &self.relational_plan {
             out.push_str(&format!("relational: {plan}\n"));
@@ -247,7 +257,11 @@ impl Session {
             .with_cards(&cards)
             .with_stats(&stats)
             .with_multiplicity(multiplicity);
-        let optimized = wsa_rewrite::optimize(&algebra, &ctx);
+        // The query the statement path evaluates (`eval_select_ws`): its
+        // memoized Section-6 optimization, or the algebra itself when
+        // rewriting found nothing.
+        let optimized = crate::interp::optimize_memoized(&algebra, &base, ws)
+            .unwrap_or_else(|| algebra.clone());
         let cost_before = wsa_rewrite::cost_ctx(&algebra, &ctx);
         let cost_after = wsa_rewrite::cost_ctx(&optimized, &ctx);
         let complete = is_complete_to_complete(&algebra);
@@ -266,37 +280,26 @@ impl Session {
         } else {
             "factored"
         };
-        let relational_plan = if complete {
-            let names: Vec<String> = ws.rel_names().to_vec();
-            let plan = wsa_inlined::translate_opt_complete(&optimized, &base)
-                .or_else(|_| wsa_inlined::translate_complete(&optimized, &base, &names))
-                .map_err(|e| SqlError(e.to_string()))?;
-            Some(relalg::simplify(&plan, &base).map_err(|e| SqlError(e.to_string()))?)
-        } else {
-            None
-        };
+        // The relational plan comes from the statement path's own gate and
+        // plan builder, applied to the query it evaluates.
+        let relational = wsa_inlined::route_applies(&optimized, ws)
+            .and_then(|w| wsa_inlined::relational_plan(&optimized, ws.rel_names(), w).ok());
         // Trial-evaluate the relational plan to report how the evaluator's
         // memo (node / canonical-CSE hits) would behave —
         // the "EXPLAIN ANALYZE" corner of the paper's conclusion — and to
         // annotate every plan node with its estimated vs. actual rows
         // (the statistics are free to read once computed).
-        let mut relational_plan = relational_plan;
         let mut node_cards = Vec::new();
         let mut cache = None;
-        if relalg::config::rewrite_enabled() {
-            if let (Some(plan), Some(w)) = (relational_plan.clone(), ws.iter().next()) {
-                let mut catalog = relalg::Catalog::new();
-                for (idx, name) in ws.rel_names().iter().enumerate() {
-                    catalog.put(name, w.rel_shared(idx).clone());
-                }
-                // What EXPLAIN shows is what would execute: the plan after
-                // the statistics-driven join reordering.
-                let plan = relalg::opt::optimize_joins(&plan, &catalog);
+        let mut relational_route = false;
+        if let Some(plan) = &relational {
+            if relalg::config::rewrite_enabled() {
                 let mut ec = relalg::EvalCache::new();
-                if catalog.eval_cached(&plan, &mut ec).is_ok() {
-                    node_cards = relalg::opt::annotate_cards(&plan, &catalog).unwrap_or_default();
+                if plan.catalog.eval_cached(&plan.expr, &mut ec).is_ok() {
+                    node_cards =
+                        relalg::opt::annotate_cards(&plan.expr, &plan.catalog).unwrap_or_default();
                     cache = Some(ec.stats());
-                    relational_plan = Some(plan);
+                    relational_route = crate::interp::tries_algebra_route(sel);
                 }
             }
         }
@@ -309,7 +312,8 @@ impl Session {
             rep,
             implicit_worlds,
             rep_plan,
-            relational_plan,
+            relational_route,
+            relational_plan: relational.map(|p| p.expr),
             cache,
             node_cards,
         })
@@ -411,24 +415,12 @@ mod tests {
             lines.next().unwrap(),
             "type:       1↦1 (complete-to-complete)"
         );
-        // The representation planner resolves `choice of Dep` through the
-        // compile-inserted rename to HFlights' statistics: 3 distinct Dep
-        // values over 1 input world — far below the factorization
-        // threshold, so every node evaluates enumerated. The per-node
-        // report shows where the worlds would split (χ peaks at 3) and
-        // collapse again (cert back to 1).
+        // A `1↦1` statement over a one-world session runs as its relational
+        // plan: no world-set representation is involved, so no `rep:`
+        // report follows.
         assert_eq!(
             lines.next().unwrap(),
-            "rep:        enum (peak ≈3 implicit worlds)"
-        );
-        assert_eq!(lines.next().unwrap(), "            δ  rep=E ≈1");
-        assert_eq!(lines.next().unwrap(), "              cert  rep=E ≈1");
-        assert_eq!(lines.next().unwrap(), "                π  rep=E ≈3");
-        assert_eq!(lines.next().unwrap(), "                  χ  rep=E ≈3");
-        assert_eq!(lines.next().unwrap(), "                    δ  rep=E ≈1");
-        assert_eq!(
-            lines.next().unwrap(),
-            "                      HFlights  rep=E ≈1"
+            "route:      relational (Section 5.3)"
         );
         assert_eq!(
             lines.next().unwrap(),
@@ -476,17 +468,29 @@ mod tests {
     /// A `certain` query over a `choice of` with enough distinct values
     /// trips the per-node factorization rule: the implicit worlds peak at
     /// the choice but collapse at the `cert`, so the whole plan runs
-    /// factored and EXPLAIN reports the per-node decisions.
+    /// factored and EXPLAIN reports the per-node decisions. Over one world
+    /// the same statement runs as its relational plan, so the session here
+    /// holds two worlds.
     #[test]
     fn explain_reports_factorized_rep_for_many_worlds() {
-        let mut s = Session::new();
-        let rel = Relation::from_rows(
-            relalg::Schema::of(&["K", "V"]),
-            (0..20i64).map(|i| vec![relalg::Value::Int(i), relalg::Value::Int(i % 3)]),
+        let table = |n: i64| {
+            Relation::from_rows(
+                relalg::Schema::of(&["K", "V"]),
+                (0..n).map(|i| vec![relalg::Value::Int(i), relalg::Value::Int(i % 3)]),
+            )
+            .unwrap()
+        };
+        let one = Session::with_world_set(worldset::WorldSet::single(vec![("T", table(20))]));
+        let e1 = one.explain("select certain V from T choice of K;").unwrap();
+        assert!(e1.relational_route);
+        let ws = worldset::WorldSet::from_worlds(
+            vec!["T".to_string()],
+            [table(20), table(19)].map(|t| worldset::World::new(vec![t])),
         )
         .unwrap();
-        s.register("T", rel).unwrap();
+        let s = Session::with_world_set(ws);
         let e = s.explain("select certain V from T choice of K;").unwrap();
+        assert!(!e.relational_route);
         assert_eq!(e.rep, "factored");
         assert!(e.implicit_worlds >= 20, "{}", e.implicit_worlds);
         let rendered = e.render();
@@ -494,9 +498,10 @@ mod tests {
             rendered.contains("rep:        factored (peak ≈"),
             "{rendered}"
         );
+        assert!(!rendered.contains("route:"), "{rendered}");
         // The region root converts at the output; everything below is F.
         assert!(rendered.contains("rep=convert"), "{rendered}");
-        assert!(rendered.contains("χ  rep=F ≈20"), "{rendered}");
+        assert!(rendered.contains("χ  rep=F ≈38"), "{rendered}");
         // A χ-ended query decodes its peak at the output: enumerated.
         let e2 = s.explain("select * from T choice of K;").unwrap();
         assert_eq!(e2.rep, "enum");

@@ -54,14 +54,16 @@ fn fresh(ws: &WorldSet, base: &str) -> String {
 ///
 /// Statements in the clean fragment that use world constructs first try
 /// the **rewrite route**: compile to World-set Algebra, run the Section-6
-/// optimizer (with real relation cardinalities), and — when the optimizer
-/// found a strictly cheaper plan — evaluate the optimized algebra query
-/// directly. Everything else (and `set local rewrite = off`)
+/// optimizer (with real relation cardinalities), and — when the query is
+/// `1↦1` over a one-world session — evaluate it as its Section-5.3
+/// relational plan, or — when the optimizer found a strictly cheaper plan
+/// — evaluate the optimized algebra query directly. Everything else (and
+/// `set local rewrite = off`)
 /// falls back to the direct interpreter below, counting why
 /// ([`RouteFallback`]); the two routes agree on the clean fragment (pinned
 /// by `tests/interp_vs_algebra.rs`).
 pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
-    if !relalg::config::rewrite_enabled() || !stmt.uses_world_constructs() {
+    if !tries_algebra_route(stmt) {
         return eval_select_ws_interp(stmt, ws, out_name);
     }
     let route_error = match try_rewrite_route_ws(stmt, ws, out_name) {
@@ -87,6 +89,12 @@ pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Resul
     out
 }
 
+/// Whether [`eval_select_ws`] tries the algebra route for `stmt` at all
+/// (`EXPLAIN` asks the same question).
+pub(crate) fn tries_algebra_route(stmt: &SelectStmt) -> bool {
+    relalg::config::rewrite_enabled() && stmt.uses_world_constructs()
+}
+
 /// Why a world-construct statement did not take the algebra route of
 /// [`eval_select_ws`].
 #[derive(Debug)]
@@ -102,6 +110,7 @@ enum RouteFallback {
     RouteError(SqlError),
 }
 
+static NOT_TRANSLATABLE: AtomicU64 = AtomicU64::new(0);
 static NOT_IN_FRAGMENT: AtomicU64 = AtomicU64::new(0);
 static NOT_CHEAPER: AtomicU64 = AtomicU64::new(0);
 static ROUTE_ERRORS: AtomicU64 = AtomicU64::new(0);
@@ -122,6 +131,10 @@ impl RouteFallback {
 /// route to the interpreter, by reason, since the process started.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RouteFallbacks {
+    /// `1↦1` statements over one world without a relational translation
+    /// (`repair by key`, Proposition 4.2); they continue on the other
+    /// routes. A translated plan that fails to evaluate is a route error.
+    pub not_translatable: u64,
     /// The statement is outside the compilable fragment.
     pub not_in_fragment: u64,
     /// The route would not have been cheaper.
@@ -136,6 +149,7 @@ pub struct RouteFallbacks {
 /// Read the [`RouteFallbacks`] counters.
 pub fn route_fallbacks() -> RouteFallbacks {
     RouteFallbacks {
+        not_translatable: NOT_TRANSLATABLE.load(Ordering::Relaxed),
         not_in_fragment: NOT_IN_FRAGMENT.load(Ordering::Relaxed),
         not_cheaper: NOT_CHEAPER.load(Ordering::Relaxed),
         route_errors: ROUTE_ERRORS.load(Ordering::Relaxed),
@@ -178,7 +192,7 @@ fn table_stats_of(rel: &relalg::Relation) -> wsa_rewrite::TableStats {
 /// cost model queries.
 type OptKey = (wsa::Query, Vec<RelFingerprint>, bool);
 
-fn optimize_memoized(
+pub(crate) fn optimize_memoized(
     algebra: &wsa::Query,
     base: &dyn Fn(&str) -> Option<Schema>,
     ws: &WorldSet,
@@ -247,7 +261,9 @@ fn card_fingerprint(algebra: &wsa::Query, ws: &WorldSet) -> Vec<RelFingerprint> 
 /// The algebra fast path of [`eval_select_ws`]; the error says why the
 /// interpreter runs instead.
 ///
-/// The route fires when the Section-6 optimizer found a strictly cheaper
+/// A `1↦1` query over one world runs as its relational plan
+/// ([`wsa_inlined::relational_plan`]). Otherwise the route fires when the
+/// Section-6 optimizer found a strictly cheaper
 /// plan, **or** when the factorized chooser wants the query: the
 /// interpreter enumerates every `choice of` world explicitly, so a query
 /// over many implicit worlds goes through the algebra even unrewritten,
@@ -263,7 +279,26 @@ fn try_rewrite_route_ws(
     };
     let algebra =
         crate::compile::compile_select(stmt, &base).map_err(|_| RouteFallback::NotInFragment)?;
-    let query = match optimize_memoized(&algebra, &base, ws) {
+    let optimized = optimize_memoized(&algebra, &base, ws);
+    // A `1↦1` query over one world is relational algebra (Theorem 5.7):
+    // both other routes would enumerate or factorize worlds, so no cost
+    // test applies. A query without a relational translation takes the
+    // routes below. A translated plan that fails to evaluate is a route
+    // error: by Theorem 5.7 it is equivalent to the other routes.
+    let query = optimized.as_ref().unwrap_or(&algebra);
+    if let Some(world) = wsa_inlined::route_applies(query, ws) {
+        match wsa_inlined::relational_plan(query, ws.rel_names(), world) {
+            Ok(plan) => {
+                return plan
+                    .run(ws, out_name)
+                    .map_err(|e| RouteFallback::RouteError(rel_err(e)));
+            }
+            Err(_) => {
+                NOT_TRANSLATABLE.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let query = match optimized {
         Some(q) => q,
         None if wsa::should_factorize(&algebra, ws) => algebra,
         None => return Err(RouteFallback::NotCheaper),

@@ -1,0 +1,237 @@
+//! Statement-level referee of the relational route: a `1↦1` world-construct
+//! select over a one-world session runs as its Section-5.3 relational plan
+//! (Theorem 5.7), not as a world-set.
+//!
+//! Every corpus statement must render byte-identically to the same
+//! statement with `set local rewrite = off;` (the interpreter), leave the
+//! session's world-set equal to `wsa::eval_named(compile_select(..))` — the
+//! Figure-3 reference — and keep every base relation the same `Arc`.
+//! Multi-world sessions, world-set-valued statements and `repair by key`
+//! do not take the route.
+
+use std::sync::Arc;
+
+use isql::server::render_outcome;
+use isql::{compile_select, parse_statement, ExecOutcome, Session, Stmt};
+use relalg::{Relation, Schema};
+
+/// The B16 statement-path catalog's `Flights` and `Hotels` (seed 7), and a
+/// departure city that has flights.
+fn b16_session() -> (Session, String) {
+    let flights = datagen::flights(7, 64, 40, 12);
+    let dep = flights.iter().next().expect("flights")[0]
+        .as_str()
+        .expect("Dep is a string")
+        .to_string();
+    let mut s = Session::new();
+    s.register("Flights", flights).unwrap();
+    s.register("Hotels", datagen::hotels(7, 400, 40)).unwrap();
+    (s, dep)
+}
+
+/// The paper's Figure-2 instance.
+fn figure2_session() -> Session {
+    let mut s = Session::new();
+    s.register(
+        "HFlights",
+        Relation::table(
+            &["Dep", "Arr"],
+            &[
+                &["FRA", "BCN"],
+                &["FRA", "ATL"],
+                &["PAR", "ATL"],
+                &["PAR", "BCN"],
+                &["PHL", "ATL"],
+            ],
+        ),
+    )
+    .unwrap();
+    s.register(
+        "Hotels",
+        Relation::table(
+            &["Name", "City"],
+            &[
+                &["Hilton", "ATL"],
+                &["Ritz", "BCN"],
+                &["Ibis", "ATL"],
+                &["Sofitel", "PAR"],
+            ],
+        ),
+    )
+    .unwrap();
+    s
+}
+
+fn corpus(dep: &str) -> Vec<String> {
+    vec![
+        // B16's `trip` and `join`.
+        "select certain Arr from Flights choice of Dep;".to_string(),
+        format!(
+            "select possible F.Dep, H.Name from Flights F, Hotels H \
+             where F.Arr = H.City and F.Dep = '{dep}';"
+        ),
+        // possible/certain over `choice of` with a join and a selection.
+        format!(
+            "select possible F.Arr, H.Name from Flights F, Hotels H \
+             where F.Arr = H.City and F.Dep != '{dep}' choice of F.Dep;"
+        ),
+        "select certain H.City from Flights F, Hotels H \
+         where F.Arr = H.City choice of F.Dep;"
+            .to_string(),
+        format!("select certain Arr from Flights where Dep != '{dep}' choice of Dep;"),
+        "select possible Dep from Flights choice of Arr;".to_string(),
+        // A self-product of two `choice of`s.
+        "select certain A.Arr from (select * from Flights choice of Dep) A, \
+         (select * from Flights choice of Dep) B where A.Arr = B.Arr;"
+            .to_string(),
+        "select possible B.Dep from (select * from Flights choice of Dep) A, \
+         (select * from Flights choice of Arr) B where A.Arr = B.Arr and A.Dep != B.Dep;"
+            .to_string(),
+    ]
+}
+
+/// Examples 6.1 (`certain`) and 6.2 (`possible`): the group-worlds-by
+/// query over `HFlights × Hotels` split by `Dep, City`, as I-SQL writes it.
+fn examples_6_1_and_6_2() -> Vec<String> {
+    ["certain", "possible"]
+        .iter()
+        .map(|q| {
+            format!(
+                "select {q} City from (select possible Dep, Arr, Name, City \
+                 from HFlights, Hotels choice of Dep, City group worlds by Dep) X \
+                 where Arr = City;"
+            )
+        })
+        .collect()
+}
+
+/// The session's base relations, by name, as shared handles.
+fn base_arcs(s: &Session) -> Vec<(String, Arc<Relation>)> {
+    let ws = s.world_set();
+    let w = ws.iter().next().expect("one world");
+    ws.rel_names()
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (n.clone(), w.rel_shared(i).clone()))
+        .collect()
+}
+
+/// Run `sql` on `s` and check it against the interpreter and Figure 3.
+fn check(s: &mut Session, sql: &str) {
+    let e = s.explain(sql).unwrap();
+    assert!(
+        e.relational_route,
+        "`{sql}` should take the relational route"
+    );
+    assert!(e.render().contains("route:      relational"), "{sql}");
+
+    let Stmt::Select(sel) = parse_statement(sql).unwrap() else {
+        panic!("not a select: {sql}");
+    };
+    let before = s.world_set().clone();
+    let base = |name: &str| -> Option<Schema> {
+        let idx = before.index_of(name)?;
+        Some(before.iter().next()?.rel(idx).schema().clone())
+    };
+    let algebra = compile_select(&sel, &base).unwrap();
+    let arcs = base_arcs(s);
+
+    let mut plain = s.clone();
+    plain.execute("set local rewrite = off;").unwrap();
+    let reference = plain.execute(sql).unwrap();
+    let routed = s.execute(sql).unwrap();
+    assert_eq!(
+        render_outcome(&routed[0], s.world_set().len()),
+        render_outcome(&reference[0], plain.world_set().len()),
+        "`{sql}` renders differently from the interpreter"
+    );
+
+    let ExecOutcome::Rows { name, .. } = &routed[0] else {
+        panic!("a select answers rows");
+    };
+    let figure3 = wsa::eval_named(&algebra, &before, name).unwrap();
+    assert_eq!(s.world_set(), &figure3, "`{sql}` differs from Figure 3");
+
+    let w = s.world_set().iter().next().unwrap();
+    for (i, (n, arc)) in arcs.iter().enumerate() {
+        assert!(
+            Arc::ptr_eq(w.rel_shared(i), arc),
+            "`{sql}` replaced base relation {n}"
+        );
+    }
+}
+
+#[test]
+fn complete_to_complete_statements_match_the_interpreter_and_figure_3() {
+    let (mut s, dep) = b16_session();
+    for sql in corpus(&dep) {
+        check(&mut s, &sql);
+    }
+    let mut s = figure2_session();
+    for sql in examples_6_1_and_6_2() {
+        check(&mut s, &sql);
+    }
+}
+
+#[test]
+fn multi_world_sessions_and_repairs_do_not_take_the_route() {
+    let (mut s, _) = b16_session();
+    // `repair by key` has no relational translation (Proposition 4.2).
+    s.register("Census", datagen::census(7, 60, 4)).unwrap();
+    let repair = "select certain SSN, Name from Census repair by key SSN;";
+    assert!(!s.explain(repair).unwrap().relational_route);
+    // A world-set-valued statement is not `1↦1`.
+    assert!(
+        !s.explain("select Arr from Flights choice of Dep;")
+            .unwrap()
+            .relational_route
+    );
+    // A `choice of` view splits the session into many worlds.
+    s.execute("create view ByDep as select * from Flights choice of Dep;")
+        .unwrap();
+    assert!(s.world_set().len() > 1);
+    assert!(
+        !s.explain("select certain Arr from Flights choice of Dep;")
+            .unwrap()
+            .relational_route
+    );
+}
+
+/// A world-set-valued select splits the session into one world per
+/// departure, and every world keeps the session's `Flights`.
+#[test]
+fn world_splitting_select_keeps_the_base_relations() {
+    let (mut s, _) = b16_session();
+    let idx = s.world_set().index_of("Flights").unwrap();
+    let flights = s.world_set().the_world().unwrap().rel_shared(idx).clone();
+    s.execute("select Arr from Flights choice of Dep;").unwrap();
+    assert_eq!(s.world_set().len(), 64);
+    assert!(s
+        .world_set()
+        .iter()
+        .all(|w| Arc::ptr_eq(w.rel_shared(idx), &flights)));
+}
+
+/// Over many worlds the same `certain … choice of` runs factorized; its
+/// decode splices every base relation back from the input world-set
+/// instead of rebuilding it, so each world keeps its `Arc`s.
+#[test]
+fn factorized_decode_keeps_the_base_relations() {
+    let (mut s, _) = b16_session();
+    s.execute("create view ByDep as select * from Flights choice of Dep;")
+        .unwrap();
+    assert_eq!(s.world_set().len(), 64);
+    let sql = "select certain Arr from Flights choice of Dep;";
+    assert_eq!(s.explain(sql).unwrap().rep, "factored");
+    let before = s.world_set().clone();
+    s.execute(sql).unwrap();
+    assert_eq!(s.world_set().len(), 64);
+    for (w, b) in s.world_set().iter().zip(before.iter()) {
+        for (i, n) in before.rel_names().iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(w.rel_shared(i), b.rel_shared(i)),
+                "{n} was rebuilt"
+            );
+        }
+    }
+}

@@ -4,6 +4,7 @@
 //! The counters are process-wide, so this file holds one test: its binary
 //! runs no other statement concurrently.
 
+use isql::server::render_outcome;
 use isql::{route_fallbacks, RouteFallbacks, Session};
 
 #[test]
@@ -19,6 +20,7 @@ fn fallbacks_are_counted_by_reason() {
         s.execute(sql).unwrap();
         let after = route_fallbacks();
         RouteFallbacks {
+            not_translatable: after.not_translatable - before.not_translatable,
             not_in_fragment: after.not_in_fragment - before.not_in_fragment,
             not_cheaper: after.not_cheaper - before.not_cheaper,
             route_errors: after.route_errors - before.route_errors,
@@ -27,18 +29,20 @@ fn fallbacks_are_counted_by_reason() {
     };
     let none = RouteFallbacks::default();
 
-    // In the fragment, and the route wants it: no fallback.
+    // A `1↦1` statement over one world: the relational route runs it.
     assert_eq!(
         delta(&mut s, "select certain Arr from Flights choice of Dep;"),
         none
     );
-    // In the fragment, but neither rewriting nor factorizing pays off.
+    // `1↦1`, but `repair by key` has no relational translation; on the
+    // algebra route neither rewriting nor factorizing pays off.
     assert_eq!(
         delta(
             &mut s,
             "select certain SSN, Name from Census repair by key SSN;"
         ),
         RouteFallbacks {
+            not_translatable: 1,
             not_cheaper: 1,
             ..none
         }
@@ -65,5 +69,19 @@ fn fallbacks_are_counted_by_reason() {
             "select Year, sum(Price) as Rev from Lineitem group by Year;"
         ),
         none
+    );
+
+    // A declined relational route is counted once and changes no answer:
+    // the statement renders as it does with the algebra routes off.
+    let sql = "select certain SSN from Census repair by key SSN;";
+    let mut plain = s.clone();
+    plain.execute("set local rewrite = off;").unwrap();
+    let reference = plain.execute(sql).unwrap();
+    let before = route_fallbacks().not_translatable;
+    let routed = s.execute(sql).unwrap();
+    assert_eq!(route_fallbacks().not_translatable, before + 1);
+    assert_eq!(
+        render_outcome(&routed[0], s.world_set().len()),
+        render_outcome(&reference[0], plain.world_set().len())
     );
 }

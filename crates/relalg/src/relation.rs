@@ -886,8 +886,12 @@ impl Relation {
     /// (vacuous universal quantification), consistent with the classical
     /// RA definition `π_A(R) − π_A(π_A(R) × S − R)`.
     ///
-    /// One `(A-part, B-part)` extraction pass plus one sort groups the
-    /// divisor check into contiguous runs — no intermediate per-key sets.
+    /// When `R`'s columns are `A` then `B` in schema order (what the
+    /// Section-5.3 plan `π{Arr,Dep}(Flights) ÷ π{Dep}(Flights)` produces),
+    /// the sorted tuples already run by their `A`-part: one walk in place.
+    /// Otherwise one `(A-part, B-part)` extraction pass plus one sort
+    /// groups the divisor check into contiguous runs — no intermediate
+    /// per-key sets.
     pub fn divide(&self, divisor: &Relation) -> Result<Relation> {
         let b: Vec<Attr> = divisor.schema.attrs().to_vec();
         if !self.schema.contains_all(&b) {
@@ -903,6 +907,27 @@ impl Relation {
         }
         let a_idx: Vec<usize> = a.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
         let b_idx: Vec<usize> = b.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
+        let needed = &divisor.tuples;
+        let k = a.len();
+        let mut tuples: Vec<Tuple> = Vec::new();
+
+        if a_idx.iter().chain(&b_idx).enumerate().all(|(i, &x)| x == i) {
+            let rows = &self.tuples;
+            let mut run = 0;
+            while run < rows.len() {
+                let ka = &rows[run][..k];
+                let mut end = run + 1;
+                while end < rows.len() && &rows[end][..k] == ka {
+                    end += 1;
+                }
+                if covers(rows[run..end].iter().map(|t| &t[k..]), needed) {
+                    tuples.push(ka.iter().copied().collect());
+                }
+                run = end;
+            }
+            // Runs appear in the relation's (sorted) order.
+            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+        }
 
         // Decompose each tuple into (A-part, B-part) and sort once; equal
         // A-parts become contiguous runs with sorted B-parts.
@@ -918,8 +943,6 @@ impl Relation {
             .collect();
         pairs.sort_unstable();
 
-        let needed = &divisor.tuples;
-        let mut tuples: Vec<Tuple> = Vec::new();
         let mut run = 0;
         while run < pairs.len() {
             let ka = &pairs[run].0;
@@ -927,20 +950,7 @@ impl Relation {
             while end < pairs.len() && &pairs[end].0 == ka {
                 end += 1;
             }
-            // The run's B-parts and the divisor are both sorted: a single
-            // forward walk checks the subset property.
-            let mut ni = 0;
-            for (_, kb) in &pairs[run..end] {
-                if ni == needed.len() {
-                    break;
-                }
-                match kb.cmp(&needed[ni]) {
-                    std::cmp::Ordering::Less => {}
-                    std::cmp::Ordering::Equal => ni += 1,
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            if ni == needed.len() {
+            if covers(pairs[run..end].iter().map(|(_, kb)| &kb[..]), needed) {
                 tuples.push(ka.clone());
             }
             run = end;
@@ -1366,6 +1376,23 @@ impl fmt::Debug for Relation {
         }
         write!(f, "}}")
     }
+}
+
+/// Whether the ascending divisor parts of one quotient run include every
+/// tuple of the (sorted) divisor: a single forward walk over both.
+fn covers<'a>(run: impl Iterator<Item = &'a [Value]>, needed: &[Tuple]) -> bool {
+    let mut ni = 0;
+    for kb in run {
+        if ni == needed.len() {
+            break;
+        }
+        match kb.cmp(&needed[ni][..]) {
+            std::cmp::Ordering::Less => {}
+            std::cmp::Ordering::Equal => ni += 1,
+            std::cmp::Ordering::Greater => break,
+        }
+    }
+    ni == needed.len()
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@
 //! * `σ_true(e) → e`
 //! * projection/generalized-projection chain fusion
 //! * `e × {⟨⟩} → e` and `{⟨⟩} × e → e` (unit world table elimination)
+//! * `a ⋈ b → a × b` when `a` and `b` share no attribute
+//! * `σ_p(π_L(e)) → π_L(σ_p′(e))` when `L` produces every attribute `p`
+//!   reads (`p′` reads their sources)
 //! * renaming elimination across `÷` when the renamed columns are divided
 //!   away on both sides
 //! * all-identity generalized projections become plain projections, and
@@ -97,6 +100,30 @@ fn rewrite_node(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Ex
             }
         }
         _ => {}
+    }
+
+    // A natural join of operands sharing no attribute is a product, which
+    // `opt::optimize_joins` can pair with the selection above it into a
+    // hash equi-join instead of materializing it.
+    if let ExprKind::NaturalJoin(a, b) = expr.kind() {
+        if let (Ok(sa), Ok(sb)) = (a.infer_schema(base), b.infer_schema(base)) {
+            if sa.common(&sb).is_empty() {
+                return Ok(a.product(b));
+            }
+        }
+    }
+
+    // A selection sinks below a projection producing every attribute it
+    // reads (re-sourced through the projection list), so that it meets a
+    // product below and `opt::optimize_joins` can pair them.
+    if let ExprKind::Select(p, inner) = expr.kind() {
+        if let Some((list, e)) = as_projection(inner) {
+            let source = |a: &Attr| list.iter().find(|(_, d)| d == a).map(|(s, _)| s.clone());
+            if p.attrs().iter().all(|a| source(a).is_some()) {
+                let sunk = p.rename_attrs(&|a| source(a).expect("every attribute has a source"));
+                return Ok(projection_expr(list, e.select(sunk)));
+            }
+        }
     }
 
     // Projection chain fusion: π_L1(π_L2(e)) → π_{L1 ∘ L2}(e).
@@ -295,6 +322,52 @@ mod tests {
                 (attr("Dep"), attr("V.Dep"))
             ])
         );
+    }
+
+    #[test]
+    fn disjoint_natural_join_becomes_a_product() {
+        let base2 = |name: &str| -> Option<Schema> {
+            match name {
+                "HFlights" => Some(Schema::of(&["Dep", "Arr"])),
+                "Hotels" => Some(Schema::of(&["Name", "City"])),
+                _ => None,
+            }
+        };
+        let (f, h) = (Expr::table("HFlights"), Expr::table("Hotels"));
+        assert_eq!(
+            simplify(&f.natural_join(&h), &base2).unwrap(),
+            f.product(&h)
+        );
+        // Sharing an attribute, it stays a join.
+        let g = h.rename(vec![(attr("City"), attr("Arr"))]);
+        let joined = f.natural_join(&g);
+        assert_eq!(simplify(&joined, &base2).unwrap(), joined);
+    }
+
+    #[test]
+    fn selection_sinks_below_a_projection_producing_its_attributes() {
+        let hf = Expr::table("HFlights");
+        let e = hf
+            .project_as(vec![(attr("Dep"), attr("D")), (attr("Arr"), attr("A"))])
+            .select(Pred::eq_const("D", "FRA"));
+        let s = simplify(&e, &base).unwrap();
+        assert_eq!(
+            s,
+            hf.select(Pred::eq_const("Dep", "FRA"))
+                .project_as(vec![(attr("Dep"), attr("D")), (attr("Arr"), attr("A"))])
+        );
+        // A selection on an attribute the projection drops keeps erroring.
+        let bad = hf
+            .project(attrs(&["Arr"]))
+            .select(Pred::eq_const("Dep", "FRA"));
+        assert_eq!(simplify(&bad, &base).unwrap(), bad);
+        let mut c = Catalog::new();
+        c.put(
+            "HFlights",
+            Relation::table(&["Dep", "Arr"], &[&["FRA", "BCN"]]),
+        );
+        assert!(c.eval(&bad).is_err());
+        assert_eq!(c.eval(&e).unwrap(), c.eval(&s).unwrap());
     }
 
     #[test]

@@ -329,6 +329,53 @@ fn partition_and_distinct_agree_with_grouping_oracle() {
     }
 }
 
+/// `Relation::divide` walks the dividend in place when its columns are the
+/// quotient then the divisor's, in the divisor's order; any other layout
+/// takes the decompose-and-sort path. Both are pinned against the oracle,
+/// on the same data.
+#[test]
+fn divide_in_place_and_general_twin_agree_with_oracle() {
+    for seed in 0..200u64 {
+        let (r, s) = random_rels(seed, vec!["A", "B", "C"], vec!["D", "E"]);
+        // Divisor rows from R itself (plus S's noise) keep quotients
+        // non-trivial.
+        let from_r = r.project(&attrs(&["B", "C"])).unwrap();
+        let noise = s
+            .rename(&[(attr("D"), attr("B")), (attr("E"), attr("C"))])
+            .unwrap();
+        let taken: Vec<Tuple> = from_r.iter().take(2).cloned().collect();
+        let divisor =
+            Relation::from_rows(Schema::of(&["B", "C"]), taken.iter().map(|t| t.to_vec()))
+                .unwrap()
+                .union(&noise.select(&Pred::eq_const("B", 0)).unwrap())
+                .unwrap();
+        for d in [
+            divisor.clone(),
+            from_r.select(&Pred::eq_const("C", 1)).unwrap(),
+        ] {
+            // In place: R[A,B,C] ÷ S[B,C].
+            assert_matches(&r.divide(&d).unwrap(), &o_divide(&r, &d), "divide in place");
+            // General twins: the dividend's columns reordered, and the
+            // divisor's.
+            let r_moved = r.project(&attrs(&["B", "A", "C"])).unwrap();
+            assert_matches(
+                &r_moved.divide(&d).unwrap(),
+                &o_divide(&r_moved, &d),
+                "divide moved",
+            );
+            let d_swapped = d.project(&attrs(&["C", "B"])).unwrap();
+            assert_matches(
+                &r.divide(&d_swapped).unwrap(),
+                &o_divide(&r, &d_swapped),
+                "divide swapped",
+            );
+            // Same answer whichever path ran.
+            assert_eq!(r.divide(&d).unwrap(), r_moved.divide(&d).unwrap());
+            assert_eq!(r.divide(&d).unwrap(), r.divide(&d_swapped).unwrap());
+        }
+    }
+}
+
 // ---- proptest-shim edge cases (empty inputs, heavy duplication) ----
 
 fn rel_from_pairs(schema: &[&str], rows: &[(i64, i64)]) -> Relation {
@@ -374,7 +421,49 @@ proptest! {
         let divisor = t.project(&attrs(&["C"])).unwrap().rename(&[(attr("C"), attr("B"))]).unwrap();
         assert_matches(&r.divide(&divisor).unwrap(), &o_divide(&r, &divisor), "divide");
     }
+
+    #[test]
+    fn divide_matches_oracle_over_column_layouts(
+        rows in proptest::collection::vec((0i64..3, 0i64..3, 0i64..2), 0..14),
+        picks in proptest::collection::vec(0usize..14, 0..4),
+        layout in 0usize..6,
+        divisor_layout in 0usize..6,
+        width in 1usize..3,
+    ) {
+        let names = ["A", "B", "C"];
+        let row = |&(x, y, z): &(i64, i64, i64), cols: &[usize]| -> Vec<Value> {
+            let v = [x, y, z];
+            cols.iter().map(|&i| Value::Int(v[i])).collect()
+        };
+        // The dividend's columns in permutation `layout`; the divisor's are
+        // `width` of them, in the order of permutation `divisor_layout`, with
+        // rows drawn from the dividend's data so quotients are non-trivial.
+        let cols = PERMS[layout];
+        let r = Relation::from_rows(
+            Schema::of(&cols.map(|i| names[i])),
+            rows.iter().map(|t| row(t, &cols)),
+        )
+        .unwrap();
+        let dcols = &PERMS[divisor_layout][..width];
+        let dnames: Vec<&str> = dcols.iter().map(|&i| names[i]).collect();
+        let divisor = Relation::from_rows(
+            Schema::of(&dnames),
+            picks.iter().filter_map(|&i| rows.get(i)).map(|t| row(t, dcols)),
+        )
+        .unwrap();
+        assert_matches(&r.divide(&divisor).unwrap(), &o_divide(&r, &divisor), "divide");
+    }
 }
+
+/// The six column orders of a three-column relation.
+const PERMS: [[usize; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
 
 /// Mixed value kinds (Pad < Bool < Int < Str with lexicographic strings)
 /// must order identically in storage and oracle.

@@ -746,12 +746,15 @@ pub struct FactoredSet {
     pool: Pool,
     worlds: Dnf,
     tables: Vec<Relation>,
-    /// Relations excluded from factorization
-    /// ([`FactoredSet::from_world_set_filtered`]): per-world originals,
-    /// aligned with `names` (`None` = factorized). [`FactoredSet::table`]
-    /// reports them absent; [`FactoredSet::expand_with`] splices the
-    /// original relation back by the base-world variable's assignment.
-    skipped: Vec<Option<Vec<Arc<Relation>>>>,
+    /// Per-world originals of the tables of a set converted from a
+    /// world-set ([`FactoredSet::from_world_set_filtered`]), aligned with
+    /// `names` (`None` for a set built otherwise, e.g. from a ULDB).
+    /// [`FactoredSet::expand_with`] splices the original relation back by
+    /// the base-world variable's assignment instead of decoding the table.
+    originals: Vec<Option<Vec<Arc<Relation>>>>,
+    /// Relations excluded from factorization, aligned with `names`:
+    /// [`FactoredSet::table`] reports them absent.
+    skipped: Vec<bool>,
 }
 
 fn lin_attr() -> Attr {
@@ -814,35 +817,37 @@ impl FactoredSet {
                 pool,
                 worlds: Dnf::none(),
                 tables: vec![],
+                originals: vec![],
                 skipped: vec![],
             });
         }
         let n = worlds_vec.len();
         let doms = if n == 1 { vec![] } else { vec![n] };
         let mut tables = Vec::with_capacity(names.len());
-        let mut skipped: Vec<Option<Vec<Arc<Relation>>>> = Vec::with_capacity(names.len());
+        let mut originals = Vec::with_capacity(names.len());
+        let mut skipped = Vec::with_capacity(names.len());
         for (pos, name) in names.iter().enumerate() {
             let schema0 = worlds_vec[0].rel(pos).schema().clone();
             let schema = lin_schema(&schema0)?;
+            originals.push(Some(
+                worlds_vec
+                    .iter()
+                    .map(|w| w.rel_shared(pos).clone())
+                    .collect(),
+            ));
+            skipped.push(!keep(name));
             if !keep(name) {
-                skipped.push(Some(
-                    worlds_vec
-                        .iter()
-                        .map(|w| w.rel_shared(pos).clone())
-                        .collect(),
-                ));
                 tables.push(Relation::empty(schema));
                 continue;
             }
-            skipped.push(None);
             // Shared-relation fast path: when every world holds the same
-            // `Arc` for this table (prefix relations untouched since the
-            // worlds split), every row is in all worlds — tag them `⊤` in
-            // one pass instead of hashing rows × worlds memberships.
-            if n > 1
-                && worlds_vec
-                    .iter()
-                    .all(|w| Arc::ptr_eq(w.rel_shared(pos), worlds_vec[0].rel_shared(pos)))
+            // `Arc` for this table (always so for a single world; prefix
+            // relations untouched since the worlds split), every row is in
+            // all worlds — tag them `⊤` in one pass instead of hashing
+            // rows × worlds memberships.
+            if worlds_vec
+                .iter()
+                .all(|w| Arc::ptr_eq(w.rel_shared(pos), worlds_vec[0].rel_shared(pos)))
             {
                 let rows: Vec<Tuple> = worlds_vec[0]
                     .rel(pos)
@@ -897,6 +902,7 @@ impl FactoredSet {
             pool,
             worlds: Dnf::top(),
             tables,
+            originals,
             skipped,
         })
     }
@@ -914,7 +920,7 @@ impl FactoredSet {
         self.names
             .iter()
             .position(|n| n == name)
-            .filter(|&i| self.skipped[i].is_none())
+            .filter(|&i| !self.skipped[i])
             .map(|i| &self.tables[i])
     }
 
@@ -1352,7 +1358,10 @@ impl FactoredSet {
     /// Decode into an explicit [`WorldSet`], optionally appending an
     /// answer relation under `out_name`, under the validity formula `w`.
     ///
-    /// Each table is split once by lineage id
+    /// A table converted from a world-set is spliced back from the input
+    /// world it came from — the same `Arc`, so its epoch and statistics
+    /// survive the decode. The answer (and any table without originals)
+    /// is split once by lineage id
     /// ([`Relation::partition_by_project`], the fast decode path); then
     /// the assignments of the variables actually referenced by lineage
     /// are enumerated with validity pruning (validity-only variables are
@@ -1363,8 +1372,8 @@ impl FactoredSet {
         let mut rels: Vec<(&Relation, Option<&[Arc<Relation>]>)> = self
             .tables
             .iter()
-            .zip(&self.skipped)
-            .map(|(t, sk)| (t, sk.as_deref()))
+            .zip(&self.originals)
+            .map(|(t, orig)| (t, orig.as_deref()))
             .collect();
         if let Some((n, r)) = answer {
             names.push(n.to_string());
@@ -1374,9 +1383,9 @@ impl FactoredSet {
             return Ok(WorldSet::empty(names));
         }
 
-        // Split every factored table by lineage id, once. Skipped
-        // relations have no lineage: they contribute their per-world
-        // originals directly at assembly time.
+        // Split the answer and every table without originals by lineage
+        // id, once. The other tables contribute their per-world originals
+        // directly at assembly time.
         enum Src<'a> {
             Split {
                 schema: Schema,
@@ -1386,8 +1395,8 @@ impl FactoredSet {
         }
         let mut split: Vec<Src> = Vec::with_capacity(rels.len());
         let mut content: BTreeSet<Var> = BTreeSet::new();
-        for &(r, sk) in &rels {
-            if let Some(orig) = sk {
+        for &(r, orig) in &rels {
+            if let Some(orig) = orig {
                 split.push(Src::Orig(orig));
                 continue;
             }
@@ -1405,12 +1414,12 @@ impl FactoredSet {
                 .collect();
             split.push(Src::Split { schema, parts });
         }
-        // A skipped relation that differs across base worlds forces the
-        // base-world variable (always variable 0 in a set built by
+        // A table that differs across base worlds forces the base-world
+        // variable (always variable 0 in a set built by
         // `from_world_set_filtered`) into the enumeration: the worlds it
         // distinguishes must not merge, or the splice would be ambiguous.
-        let varies = rels.iter().any(|&(_, sk)| {
-            sk.is_some_and(|orig| {
+        let varies = rels.iter().any(|&(_, orig)| {
+            orig.is_some_and(|orig| {
                 orig.windows(2)
                     .any(|p| !Arc::ptr_eq(&p[0], &p[1]) && p[0] != p[1])
             })
@@ -1583,7 +1592,8 @@ impl Uldb {
                 pool,
                 worlds: Dnf::none(),
                 tables: vec![Relation::empty(schema)],
-                skipped: vec![None],
+                originals: vec![None],
+                skipped: vec![false],
             });
         }
         let mut doms: Vec<usize> = Vec::new();
@@ -1668,7 +1678,8 @@ impl Uldb {
             pool,
             worlds: w,
             tables: vec![table],
-            skipped: vec![None],
+            originals: vec![None],
+            skipped: vec![false],
         })
     }
 }
@@ -1762,6 +1773,33 @@ mod tests {
         // still round-trip from the originals alone.
         let none = FactoredSet::from_world_set_filtered(&ws, &|_| false).unwrap();
         assert_eq!(none.expand().unwrap(), ws);
+    }
+
+    #[test]
+    fn decode_splices_the_input_relations() {
+        // One world: the decode hands back the very `Arc` it was given.
+        let ws = single();
+        let mut fs = FactoredSet::from_world_set(&ws).unwrap();
+        let rel = fs.table("Flights").unwrap().clone();
+        let w = fs.worlds().clone();
+        let (ans, w2) = fs.choice(&rel, &relalg::attrs(&["Dep"]), &w).unwrap();
+        let expanded = fs.expand_with(&w2, Some(("Q", &ans))).unwrap();
+        assert_eq!(expanded, wsa::eval_named(&wsa_choice(), &ws, "Q").unwrap());
+        let flights = ws.the_world().unwrap().rel_shared(0);
+        assert!(expanded
+            .iter()
+            .all(|w| Arc::ptr_eq(w.rel_shared(0), flights)));
+        // Many worlds: each world gets its own originals back.
+        let fs = FactoredSet::from_world_set(&expanded).unwrap();
+        let back = fs.expand().unwrap();
+        assert_eq!(back, expanded);
+        for (a, b) in back.iter().zip(expanded.iter()) {
+            assert!(a
+                .rels()
+                .iter()
+                .zip(b.rels())
+                .all(|(x, y)| Arc::ptr_eq(x, y)));
+        }
     }
 
     #[test]
