@@ -66,7 +66,8 @@ pub enum Query {
         input: Box<Query>,
     },
     /// `repair-by-key_U(q)`: one world per maximal repair in which `U` is a
-    /// key of the answer relation (NP-hard; Proposition 4.2).
+    /// key of the answer relation (NP-hard in general, Proposition 4.2;
+    /// first-order when the repair is key-local, see [`crate::repair`]).
     RepairKey(Vec<Attr>, Box<Query>),
 }
 

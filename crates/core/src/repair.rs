@@ -8,6 +8,15 @@
 //! from graph 3-colorability. This module implements that reduction as an
 //! executable witness: [`is_three_colorable`] decides 3-colorability by
 //! running a two-statement WSA program.
+//!
+//! The hardness needs the repaired relation to meet itself: the check joins
+//! `Coloring` with itself. When the repair of a complete relation is only
+//! selected, projected, renamed or joined with complete relations before
+//! `poss`/`cert` — the key-local fragment — the answers are first-order: a
+//! value is possible iff some tuple yields it, and certain iff some key
+//! group yields it from every one of its tuples. `wsa_inlined` translates
+//! that fragment into one relational plan; every other shape enumerates
+//! the repairs.
 
 use relalg::{attrs, Pred, Relation, Result, Value};
 use worldset::WorldSet;

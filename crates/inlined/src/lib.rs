@@ -16,7 +16,9 @@
 //! * [`translate_opt_complete`] — the Section-5.3 optimized translation with
 //!   a lazy world table: world-id columns are only materialized where
 //!   `cert`/grouping/binary operators need them, reproducing e.g.
-//!   Example 5.8's `π{Arr,Dep}(HFlights) ÷ π{Dep}(HFlights)`.
+//!   Example 5.8's `π{Arr,Dep}(HFlights) ÷ π{Dep}(HFlights)`. A key-local
+//!   `repair-by-key` translates too: `cert` over it divides key group by
+//!   key group instead of listing the repairs.
 //! * [`route_applies`], [`relational_plan`], [`RelationalPlan::run`] — the
 //!   statement path's route for a `1↦1` query over a one-world database:
 //!   the gate, the plan, and its evaluation by `relalg` with the answer

@@ -208,9 +208,13 @@ impl<'a> Translator<'a> {
             Query::Intersect(a, b) => self.binary(st, a, b, BinOp::Intersect),
             Query::Difference(a, b) => self.binary(st, a, b, BinOp::Difference),
 
+            // The world table lists every world, and a repair has one per
+            // choice of a tuple in every key group: exponentially many
+            // (Proposition 4.2). The Section-5.3 translation runs key-local
+            // repairs without listing them.
             Query::RepairKey(_, _) => Err(RelalgError::TypeError {
-                detail: "repair-by-key is NP-hard (Proposition 4.2) and has no \
-                         relational translation"
+                detail: "repair-by-key would list every repair in the world \
+                         table (Proposition 4.2)"
                     .into(),
             }),
         }

@@ -16,6 +16,17 @@
 //! On the trip-planning query `cert(π_Arr(χ_Dep(HFlights)))` this yields —
 //! after the `relalg` simplifier — exactly the paper's Example 5.8 plan:
 //! `π{Arr,Dep}(HFlights) ÷ π{Dep}(HFlights)`.
+//!
+//! Repair-by-key is NP-hard in general (Proposition 4.2), but not when it
+//! is *key-local*: a repair of an input without ids, followed only by σ, π,
+//! ρ and products with id-free operands up to `poss`/`cert`. Each answer
+//! tuple then stems from one input tuple, whose copy it carries as ids, and
+//! a repair's answer is the union over the tuples it keeps (one per key
+//! group). So a value is possible iff some tuple yields it, and certain iff
+//! some key group yields it from every one of its tuples (the single-atom
+//! case of Fuxman and Miller's first-order rewriting): a group-wise
+//! division, no repair is listed. Every other shape over a repair is
+//! declined.
 
 use relalg::{Attr, Catalog, Expr, Pred, RelalgError, Result, Schema};
 use worldset::{World, WorldSet};
@@ -33,18 +44,56 @@ struct Dim {
     domain: Expr,
 }
 
+/// The dimension of a `repair-by-key_K` over an id-free input `E`: every
+/// answer tuple carries the identity of the `E` tuple it came from in id
+/// columns `#n.a` (the answer's `ids`). A repair keeps one tuple per key
+/// group, so its worlds are never listed; `cert` divides group-wise instead.
+#[derive(Clone, Debug)]
+struct Repair {
+    /// The id copies of the key `K`: they name a tuple's key group.
+    key_ids: Vec<Attr>,
+    /// `π_ids(E)`: every tuple a repair may keep.
+    domain: Expr,
+}
+
 /// The translation of a subquery: the answer expression (schema `D ∪ ids`),
 /// the id attributes currently carried, and the dimensions needed to
-/// materialize the world table on demand.
+/// materialize the world table on demand — or, over a repaired input, the
+/// one repair dimension instead (then `dims` is empty).
 #[derive(Clone, Debug)]
 struct Opt {
     expr: Expr,
     d: Vec<Attr>,
     ids: Vec<Attr>,
     dims: Vec<Dim>,
+    repair: Option<Repair>,
+}
+
+/// The error of a shape outside the translatable fragment.
+fn declined(detail: &str) -> RelalgError {
+    RelalgError::TypeError {
+        detail: detail.into(),
+    }
 }
 
 impl Opt {
+    /// Whether the answer is the same in every world: no ids, no dimension.
+    fn id_free(&self) -> bool {
+        self.ids.is_empty() && self.dims.is_empty() && self.repair.is_none()
+    }
+
+    /// Decline `op` over a repaired input: only σ, π, ρ, a product with an
+    /// id-free operand, `poss` and `cert` keep the repair key-local.
+    fn not_repaired(self, op: &str) -> Result<Opt> {
+        match self.repair {
+            Some(_) => Err(declined(&format!(
+                "{op} over a repair-by-key is outside the key-local fragment \
+                 (Proposition 4.2)"
+            ))),
+            None => Ok(self),
+        }
+    }
+
     /// Materialize the world table for this subquery's dimensions:
     /// the join of the recorded choice domains, projected to the ids.
     /// With no dimensions this is conceptually `{⟨⟩}` — callers special-case
@@ -87,6 +136,7 @@ impl<'a> OptTranslator<'a> {
                     d,
                     ids: vec![],
                     dims: vec![],
+                    repair: None,
                 })
             }
 
@@ -114,6 +164,7 @@ impl<'a> OptTranslator<'a> {
                     d,
                     ids: o.ids,
                     dims: o.dims,
+                    repair: o.repair,
                 })
             }
 
@@ -126,11 +177,12 @@ impl<'a> OptTranslator<'a> {
                     d: attrs.clone(),
                     ids: o.ids,
                     dims: o.dims,
+                    repair: o.repair,
                 })
             }
 
             Query::Choice(b, inner) => {
-                let o = self.translate(inner)?;
+                let o = self.translate(inner)?.not_repaired("χ")?;
                 let vb = self.fresh_ids(b);
                 // Answer: copy the choice attributes into id columns.
                 let mut proj: Vec<(Attr, Attr)> =
@@ -161,6 +213,7 @@ impl<'a> OptTranslator<'a> {
                     d: o.d,
                     ids,
                     dims,
+                    repair: None,
                 })
             }
 
@@ -173,11 +226,30 @@ impl<'a> OptTranslator<'a> {
                     d: o.d,
                     ids: vec![],
                     dims: vec![],
+                    repair: None,
                 })
             }
 
             Query::Cert(inner) => {
                 let o = self.translate(inner)?;
+                if let Some(r) = &o.repair {
+                    // Every repair keeps one tuple of every key group, and
+                    // the answer of a repair is the union of what its tuples
+                    // yield. So a value is certain iff some key group yields
+                    // it from every one of its tuples: `cand` pairs values
+                    // with the groups yielding them, `missing` with the
+                    // groups holding a tuple that does not.
+                    let dk = both(&o.d, &r.key_ids);
+                    let cand = o.expr.project(dk.clone());
+                    let missing = cand.natural_join(&r.domain).difference(&o.expr).project(dk);
+                    return Ok(Opt {
+                        expr: cand.difference(&missing).project(o.d.clone()),
+                        d: o.d,
+                        ids: vec![],
+                        dims: vec![],
+                        repair: None,
+                    });
+                }
                 let expr = match o.world_table() {
                     // Intersection over all worlds: divide by the world
                     // table (the answer is constant along dimensions it does
@@ -190,11 +262,12 @@ impl<'a> OptTranslator<'a> {
                     d: o.d,
                     ids: vec![],
                     dims: vec![],
+                    repair: None,
                 })
             }
 
             Query::PossGroup { group, proj, input } => {
-                let o = self.translate(input)?;
+                let o = self.translate(input)?.not_repaired("pγ")?;
                 let ((t, _sprime), v2) = self.group_candidates(&o, group)?;
                 let mut list: Vec<(Attr, Attr)> =
                     proj.iter().map(|a| (a.clone(), a.clone())).collect();
@@ -204,11 +277,12 @@ impl<'a> OptTranslator<'a> {
                     d: proj.clone(),
                     ids: o.ids,
                     dims: o.dims,
+                    repair: None,
                 })
             }
 
             Query::CertGroup { group, proj, input } => {
-                let o = self.translate(input)?;
+                let o = self.translate(input)?.not_repaired("cγ")?;
                 let ((t, sprime), v2) = self.group_candidates(&o, group)?;
                 let cand = t.project(both(proj, &v2));
                 let mut bvv2 = proj.clone();
@@ -226,12 +300,20 @@ impl<'a> OptTranslator<'a> {
                     d: proj.clone(),
                     ids: o.ids,
                     dims: o.dims,
+                    repair: None,
                 })
             }
 
             Query::Product(a, b) => {
                 let l = self.translate(a)?;
                 let r = self.translate(b)?;
+                // A repaired side pairs only with an answer that is the same
+                // in every world.
+                let (l, r) = if l.id_free() || r.id_free() {
+                    (l, r)
+                } else {
+                    (l.not_repaired("×")?, r.not_repaired("×")?)
+                };
                 // Disjoint value attrs and (by fresh naming) disjoint new
                 // ids: the natural join on any shared prior ids pairs
                 // world combinations.
@@ -250,6 +332,7 @@ impl<'a> OptTranslator<'a> {
                     d,
                     ids,
                     dims,
+                    repair: l.repair.or(r.repair),
                 })
             }
 
@@ -257,11 +340,41 @@ impl<'a> OptTranslator<'a> {
             Query::Intersect(a, b) => self.setop(a, b, SetOp::Intersect),
             Query::Difference(a, b) => self.setop(a, b, SetOp::Difference),
 
-            Query::RepairKey(_, _) => Err(RelalgError::TypeError {
-                detail: "repair-by-key is NP-hard (Proposition 4.2) and has no \
-                         relational translation"
-                    .into(),
-            }),
+            Query::RepairKey(key, inner) => {
+                let o = self.translate(inner)?;
+                if !o.id_free() {
+                    return Err(declined(
+                        "repair-by-key over an input that varies across worlds \
+                         is NP-hard (Proposition 4.2)",
+                    ));
+                }
+                // Copy every tuple into id columns: its identity, whose key
+                // copy names its key group.
+                let ids = self.fresh_ids(&o.d);
+                let key_ids = key
+                    .iter()
+                    .map(|k| match o.d.iter().position(|a| a == k) {
+                        Some(i) => Ok(ids[i].clone()),
+                        None => Err(RelalgError::UnknownAttr {
+                            attr: k.clone(),
+                            schema: Schema::new(o.d.clone()),
+                        }),
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                let copies: Vec<(Attr, Attr)> =
+                    o.d.iter().cloned().zip(ids.iter().cloned()).collect();
+                let domain = o.expr.project_as(copies.clone());
+                let mut list: Vec<(Attr, Attr)> =
+                    o.d.iter().map(|a| (a.clone(), a.clone())).collect();
+                list.extend(copies);
+                Ok(Opt {
+                    expr: o.expr.project_as(list),
+                    d: o.d,
+                    ids,
+                    dims: vec![],
+                    repair: Some(Repair { key_ids, domain }),
+                })
+            }
         }
     }
 
@@ -269,8 +382,8 @@ impl<'a> OptTranslator<'a> {
     /// apply the set operation. A side missing a dimension is replicated
     /// along it by a product with that dimension's id domain.
     fn setop(&mut self, a: &Query, b: &Query, op: SetOp) -> Result<Opt> {
-        let l = self.translate(a)?;
-        let r = self.translate(b)?;
+        let l = self.translate(a)?.not_repaired("a set operation")?;
+        let r = self.translate(b)?.not_repaired("a set operation")?;
         let expand = |side: &Opt, other: &Opt| -> Expr {
             let mut e = side.expr.clone();
             for dim in &other.dims {
@@ -300,6 +413,7 @@ impl<'a> OptTranslator<'a> {
             d: l.d,
             ids,
             dims,
+            repair: None,
         })
     }
 

@@ -316,12 +316,146 @@ fn translation_size_is_polynomial() {
     }
 }
 
+/// `R(A, B, C)` keyed by `A`: one key group per entry of `sizes`, each of up
+/// to three tuples drawn from `vals`, at most six violations in all.
+fn keyed_relation(sizes: &[usize], vals: &[(i64, i64)]) -> Relation {
+    let mut budget = 6;
+    let mut vals = vals.iter();
+    let mut rows = Vec::new();
+    for (key, &size) in sizes.iter().enumerate() {
+        let extra = (size - 1).min(budget);
+        budget -= extra;
+        for &(b, c) in vals.by_ref().take(1 + extra) {
+            rows.push(vec![key as i64, b, c]);
+        }
+    }
+    let rows: Vec<Vec<relalg::Value>> = rows
+        .into_iter()
+        .map(|r| r.into_iter().map(relalg::Value::Int).collect())
+        .collect();
+    Relation::from_rows(Schema::of(&["A", "B", "C"]), rows).unwrap()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+    /// `poss`/`cert` over a key-local repair: the relational plan equals
+    /// Figure 3's enumeration of every repair.
+    #[test]
+    fn key_local_repairs_match_figure_3(
+        sizes in proptest::collection::vec(1usize..4, 0..6),
+        vals in proptest::collection::vec((0i64..3, 0i64..3), 18..19),
+        s_vals in proptest::collection::vec(0i64..3, 0..3),
+        shape in (0usize..4, 0usize..3, 0usize..5),
+        consts in (0i64..3, 0i64..3),
+    ) {
+        let r = keyed_relation(&sizes, &vals);
+        let s_rows: Vec<&[i64]> = s_vals.iter().map(std::slice::from_ref).collect();
+        let s = Relation::table(&["D"], &s_rows);
+        let ws = WorldSet::single(vec![("R", r), ("S", s)]);
+
+        let (filters, product, proj) = shape;
+        let mut q = Query::rel("R");
+        if filters & 1 == 1 {
+            q = q.select(Pred::eq_const("B", consts.0).not());
+        }
+        q = q.repair_by_key(attrs(&["A"]));
+        if filters & 2 == 2 {
+            q = q.select(Pred::eq_const("C", consts.1).not());
+        }
+        q = match product {
+            0 => q,
+            1 => q.product(Query::rel("S")),
+            _ => Query::rel("S").product(q).select(Pred::eq_attr("B", "D")),
+        };
+        let keep: &[&str] = match (proj, product) {
+            (0, _) => &["A", "B", "C"],
+            (1, _) => &["A", "B"],
+            (2, _) => &["C"],
+            (3, 0) => &["B"],
+            (3, _) => &["B", "D"],
+            _ => &[],
+        };
+        let q = q.project(attrs(keep));
+        for closed in [q.clone().poss(), q.cert()] {
+            let direct = eval_named(&closed, &ws, "Ans").unwrap();
+            let routed = run_complete(&closed, &ws, "Ans")
+                .expect("a 1↦1 query over one world takes the route")
+                .unwrap_or_else(|e| panic!("{closed} is not translatable: {e}"));
+            proptest::prop_assert_eq!(routed, direct, "{}", closed);
+        }
+    }
+}
+
 #[test]
-fn repair_by_key_is_not_translatable() {
-    let q = Query::rel("R").repair_by_key(attrs(&["A"])).poss();
-    let base = |n: &str| (n == "R").then(|| Schema::of(&["A", "B"]));
-    assert!(translate_complete(&q, &base, &["R".to_string()]).is_err());
-    assert!(translate_opt_complete(&q, &base).is_err());
+fn key_local_repair_plans_are_first_order() {
+    // B16's `repair`, and the same with the key projected away.
+    let q = Query::rel("R")
+        .repair_by_key(attrs(&["A"]))
+        .project(attrs(&["A", "B"]))
+        .cert();
+    let r = Relation::table(
+        &["A", "B", "C"],
+        &[
+            &[1i64, 1, 1],
+            &[1, 1, 2],
+            &[2, 1, 1],
+            &[2, 2, 1],
+            &[3, 3, 3],
+        ],
+    );
+    let empty = Relation::empty(Schema::of(&["A", "B", "C"]));
+    for q in [q.clone(), q.project(attrs(&["B"]))] {
+        let base = |n: &str| (n == "R").then(|| Schema::of(&["A", "B", "C"]));
+        // The certain answer is a group-wise difference: no division by a
+        // world table, which would list every repair.
+        let plan = translate_opt_complete(&q, &base).unwrap();
+        assert!(!plan.to_string().contains('÷'), "{plan}");
+        // The empty input has one, empty, repair.
+        for rel in [&r, &empty] {
+            let ws = WorldSet::single(vec![("R", rel.clone())]);
+            let routed = run_complete(&q, &ws, "Ans").unwrap().unwrap();
+            assert_eq!(routed, eval_named(&q, &ws, "Ans").unwrap(), "{q}");
+        }
+    }
+}
+
+#[test]
+fn repairs_outside_the_key_local_fragment_are_not_translatable() {
+    let base = |n: &str| match n {
+        "R" => Some(Schema::of(&["A", "B"])),
+        "S" => Some(Schema::of(&["C", "D"])),
+        _ => None,
+    };
+    let names = ["R".to_string(), "S".to_string()];
+    let repaired = || Query::rel("R").repair_by_key(attrs(&["A"]));
+    let declined = [
+        // A repair over an input that carries ids.
+        Query::rel("R")
+            .choice(attrs(&["B"]))
+            .repair_by_key(attrs(&["A"]))
+            .poss(),
+        // χ over a repaired input.
+        repaired().choice(attrs(&["B"])).cert(),
+        // Set operations over a repaired input.
+        repaired().union(Query::rel("R")).cert(),
+        Query::rel("R").difference(repaired()).poss(),
+        repaired().intersect(repaired()).cert(),
+        // Grouped `poss`/`cert` over a repaired input.
+        repaired().poss_group(attrs(&["A"]), attrs(&["B"])).poss(),
+        repaired().cert_group(attrs(&["A"]), attrs(&["B"])).cert(),
+        // A second repair over a repaired input.
+        repaired().repair_by_key(attrs(&["B"])).cert(),
+        // A product of two repaired sides.
+        repaired()
+            .product(Query::rel("S").repair_by_key(attrs(&["C"])))
+            .cert(),
+    ];
+    for q in declined {
+        assert!(translate_opt_complete(&q, &base).is_err(), "{q}");
+        // The Figure-6 translation lists every world: it declines repairs.
+        assert!(translate_complete(&q, &base, &names).is_err(), "{q}");
+    }
 }
 
 #[test]

@@ -131,9 +131,12 @@ impl RouteFallback {
 /// route to the interpreter, by reason, since the process started.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RouteFallbacks {
-    /// `1↦1` statements over one world without a relational translation
-    /// (`repair by key`, Proposition 4.2); they continue on the other
-    /// routes. A translated plan that fails to evaluate is a route error.
+    /// `1↦1` statements over one world without a relational translation:
+    /// a `repair by key` outside the key-local fragment (over an input that
+    /// varies across worlds, or followed by `χ`, a set operation, grouping,
+    /// a second repair or a product with another repaired side;
+    /// Proposition 4.2). They continue on the other routes. A translated
+    /// plan that fails to evaluate is a route error.
     pub not_translatable: u64,
     /// The statement is outside the compilable fragment.
     pub not_in_fragment: u64,

@@ -6,8 +6,10 @@
 //! statement with `set local rewrite = off;` (the interpreter), leave the
 //! session's world-set equal to `wsa::eval_named(compile_select(..))` — the
 //! Figure-3 reference — and keep every base relation the same `Arc`.
-//! Multi-world sessions, world-set-valued statements and `repair by key`
-//! do not take the route.
+//! `repair by key` takes the route when the repair is key-local: its input
+//! is complete, and only σ, π, renaming and products with complete
+//! relations lie between it and `possible`/`certain`. Multi-world sessions,
+//! world-set-valued statements and every other repair shape do not.
 
 use std::sync::Arc;
 
@@ -28,6 +30,33 @@ fn b16_session() -> (Session, String) {
     s.register("Hotels", datagen::hotels(7, 400, 40)).unwrap();
     (s, dep)
 }
+
+/// B16's `Census` (seed 7: 200 people, 4 mistyped SSNs, so 16 repairs) and
+/// the paper's Figure-2 flights and hotels as `Flights` and `Hotels`.
+fn repair_session() -> Session {
+    let mut s = figure2_session();
+    s.register("Census", datagen::census(7, 200, 4)).unwrap();
+    let hflights = s.world_set().index_of("HFlights").unwrap();
+    let flights = s.world_set().the_world().unwrap().rel(hflights).clone();
+    s.register("Flights", flights).unwrap();
+    s
+}
+
+/// `possible`/`certain` over key-local repairs.
+const REPAIR_CORPUS: [&str; 6] = [
+    // B16's `repair`.
+    "select certain SSN, Name from Census repair by key SSN;",
+    // The key is not in the select list.
+    "select certain Name from Census repair by key SSN;",
+    "select possible SSN, POW from Census repair by key SSN;",
+    // The filter removes the mistyped tuple from key group 1000.
+    "select certain SSN, Name from Census where Name != 'Typo0' repair by key SSN;",
+    // A repair of a join: departures keyed, `ATL` certain through PHL.
+    "select certain F.Arr from Flights F, Hotels H where F.Arr = H.City \
+     repair by key F.Dep;",
+    "select possible F.Dep, H.Name from Flights F, Hotels H where F.Arr = H.City \
+     repair by key F.Dep;",
+];
 
 /// The paper's Figure-2 instance.
 fn figure2_session() -> Session {
@@ -174,12 +203,30 @@ fn complete_to_complete_statements_match_the_interpreter_and_figure_3() {
 }
 
 #[test]
-fn multi_world_sessions_and_repairs_do_not_take_the_route() {
+fn key_local_repairs_match_the_interpreter_and_figure_3() {
+    let mut s = repair_session();
+    for sql in REPAIR_CORPUS {
+        check(&mut s, sql);
+    }
+}
+
+/// Repair-by-key is NP-hard in general (Proposition 4.2): a repair over a
+/// `choice of`, or two repairs meeting in a product, keep the interpreter.
+#[test]
+fn repairs_outside_the_fragment_do_not_take_the_route() {
+    let s = repair_session();
+    for sql in [
+        "select certain SSN from Census choice of POW repair by key SSN;",
+        "select certain A.Name from (select * from Census repair by key SSN) A, \
+         (select * from Census repair by key SSN) B where A.SSN = B.SSN;",
+    ] {
+        assert!(!s.explain(sql).unwrap().relational_route, "{sql}");
+    }
+}
+
+#[test]
+fn multi_world_sessions_do_not_take_the_route() {
     let (mut s, _) = b16_session();
-    // `repair by key` has no relational translation (Proposition 4.2).
-    s.register("Census", datagen::census(7, 60, 4)).unwrap();
-    let repair = "select certain SSN, Name from Census repair by key SSN;";
-    assert!(!s.explain(repair).unwrap().relational_route);
     // A world-set-valued statement is not `1↦1`.
     assert!(
         !s.explain("select Arr from Flights choice of Dep;")

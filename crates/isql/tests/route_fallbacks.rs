@@ -34,12 +34,21 @@ fn fallbacks_are_counted_by_reason() {
         delta(&mut s, "select certain Arr from Flights choice of Dep;"),
         none
     );
-    // `1↦1`, but `repair by key` has no relational translation; on the
-    // algebra route neither rewriting nor factorizing pays off.
+    // A key-local repair: the relational route runs it too.
     assert_eq!(
         delta(
             &mut s,
             "select certain SSN, Name from Census repair by key SSN;"
+        ),
+        none
+    );
+    // `1↦1`, but the repair is over a `choice of`: outside the key-local
+    // fragment there is no relational translation (Proposition 4.2), and on
+    // the algebra route neither rewriting nor factorizing pays off.
+    assert_eq!(
+        delta(
+            &mut s,
+            "select certain SSN, Name from Census choice of POW repair by key SSN;"
         ),
         RouteFallbacks {
             not_translatable: 1,
@@ -73,7 +82,7 @@ fn fallbacks_are_counted_by_reason() {
 
     // A declined relational route is counted once and changes no answer:
     // the statement renders as it does with the algebra routes off.
-    let sql = "select certain SSN from Census repair by key SSN;";
+    let sql = "select certain SSN from Census choice of POW repair by key SSN;";
     let mut plain = s.clone();
     plain.execute("set local rewrite = off;").unwrap();
     let reference = plain.execute(sql).unwrap();
