@@ -67,12 +67,15 @@ fn bench_repair(c: &mut Criterion) {
     group.finish();
 }
 
-/// The interpreter's row loops at statement level: the Section-2 what-if
-/// (a `not in` row filter over a memoized multi-column answer, then a
-/// per-group `sum`), a plain aggregate, and B16's `repair` statement, whose
-/// key-local `certain` runs as one relational plan rather than over its 16
-/// worlds. Each iteration runs `Session::execute` on a fresh session over
-/// the same world-set, so kept answers never pile up.
+/// Statement-level legs named for the interpreter's row loops they once
+/// timed: the Section-2 what-if, whose `group by` and `not in` now compile
+/// to `γ` and an antijoin and run as one relational plan (the sum is taken
+/// per quantity and year before the product with the world table), a plain
+/// aggregate, which has no world construct and stays on the interpreter,
+/// and B16's `repair` statement, whose key-local `certain` runs as one
+/// relational plan rather than over its 16 worlds. Each iteration runs
+/// `Session::execute` on a fresh session over the same world-set, so kept
+/// answers never pile up.
 fn bench_interp_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("interp_rows");
     group.sample_size(10);

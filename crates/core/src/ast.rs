@@ -1,6 +1,6 @@
 use std::fmt;
 
-use relalg::{Attr, Pred};
+use relalg::{AggCall, Attr, Pred};
 
 /// A World-set Algebra query (Section 4.1 of the paper).
 ///
@@ -8,6 +8,9 @@ use relalg::{Attr, Pred};
 /// operators are `χ_U` (choice-of), `poss`/`cert`, the grouping operators
 /// `pγ^V_U`/`cγ^V_U`, and the `repair-by-key` extension (Section 4.1,
 /// "Extending World-set Algebra"). Joins `⋈_φ` are sugar for `σ_φ(q₁ × q₂)`.
+/// SQL's grouping with aggregation (`γ`) and `[not] in`/`[not] exists`
+/// (semijoin `⋉` and antijoin `▷`) are relational operators too, lifted to
+/// world-sets like the others: each applies to the answer of every world.
 ///
 /// Builder methods construct queries fluently:
 ///
@@ -69,6 +72,31 @@ pub enum Query {
     /// key of the answer relation (NP-hard in general, Proposition 4.2;
     /// first-order when the repair is key-local, see [`crate::repair`]).
     RepairKey(Vec<Attr>, Box<Query>),
+    /// Grouping with aggregation `γ_{G; f(a) as o,…}(q)`: one row per
+    /// distinct `G`-value of the answer, aggregating its distinct tuples
+    /// ([`relalg::Relation::aggregate`]; a world with an empty answer gets an
+    /// empty one).
+    Aggregate {
+        /// Grouping attributes `G`.
+        group: Vec<Attr>,
+        /// The aggregates.
+        aggs: Vec<AggCall>,
+        /// Input query.
+        input: Box<Query>,
+    },
+    /// Semijoin `q₁ ⋉_{l=r,…} q₂` (`anti`: antijoin `q₁ ▷ q₂`): the tuples
+    /// of `q₁`'s answer whose `l` columns equal the `r` columns of some
+    /// (`anti`: no) tuple of `q₂`'s answer. No pairs is `[not] exists`.
+    SemiJoin {
+        /// The `(q₁ column, q₂ column)` pairs.
+        on: Vec<(Attr, Attr)>,
+        /// Antijoin instead of semijoin.
+        anti: bool,
+        /// The filtered query `q₁`.
+        left: Box<Query>,
+        /// The probed query `q₂`.
+        right: Box<Query>,
+    },
 }
 
 impl Query {
@@ -155,10 +183,29 @@ impl Query {
         Query::RepairKey(key, Box::new(self))
     }
 
-    /// Number of operator nodes (for plan-size comparisons).
-    pub fn size(&self) -> usize {
+    /// `γ_{group; aggs}(self)`.
+    pub fn aggregate(self, group: Vec<Attr>, aggs: Vec<AggCall>) -> Query {
+        Query::Aggregate {
+            group,
+            aggs,
+            input: Box::new(self),
+        }
+    }
+
+    /// `self ⋉_{on} other` (`anti`: `self ▷_{on} other`).
+    pub fn semijoin(self, other: Query, on: Vec<(Attr, Attr)>, anti: bool) -> Query {
+        Query::SemiJoin {
+            on,
+            anti,
+            left: Box::new(self),
+            right: Box::new(other),
+        }
+    }
+
+    /// The operand queries, left to right.
+    pub fn children(&self) -> Vec<&Query> {
         match self {
-            Query::Rel(_) => 1,
+            Query::Rel(_) => vec![],
             Query::Select(_, q)
             | Query::Project(_, q)
             | Query::Rename(_, q)
@@ -167,12 +214,21 @@ impl Query {
             | Query::Cert(q)
             | Query::PossGroup { input: q, .. }
             | Query::CertGroup { input: q, .. }
-            | Query::RepairKey(_, q) => 1 + q.size(),
+            | Query::RepairKey(_, q)
+            | Query::Aggregate { input: q, .. } => vec![q],
             Query::Product(a, b)
             | Query::Union(a, b)
             | Query::Intersect(a, b)
-            | Query::Difference(a, b) => 1 + a.size() + b.size(),
+            | Query::Difference(a, b)
+            | Query::SemiJoin {
+                left: a, right: b, ..
+            } => vec![a, b],
         }
+    }
+
+    /// Number of operator nodes (for plan-size comparisons).
+    pub fn size(&self) -> usize {
+        1 + self.children().iter().map(|q| q.size()).sum::<usize>()
     }
 
     /// The base-relation names the query references, in left-to-right order
@@ -181,22 +237,7 @@ impl Query {
         fn collect(q: &Query, out: &mut Vec<String>) {
             match q {
                 Query::Rel(name) => out.push(name.clone()),
-                Query::Select(_, inner)
-                | Query::Project(_, inner)
-                | Query::Rename(_, inner)
-                | Query::Choice(_, inner)
-                | Query::Poss(inner)
-                | Query::Cert(inner)
-                | Query::PossGroup { input: inner, .. }
-                | Query::CertGroup { input: inner, .. }
-                | Query::RepairKey(_, inner) => collect(inner, out),
-                Query::Product(a, b)
-                | Query::Union(a, b)
-                | Query::Intersect(a, b)
-                | Query::Difference(a, b) => {
-                    collect(a, out);
-                    collect(b, out);
-                }
+                _ => q.children().into_iter().for_each(|c| collect(c, out)),
             }
         }
         let mut out = Vec::new();
@@ -209,11 +250,17 @@ impl Query {
     pub fn is_relational(&self) -> bool {
         match self {
             Query::Rel(_) => true,
-            Query::Select(_, q) | Query::Project(_, q) | Query::Rename(_, q) => q.is_relational(),
+            Query::Select(_, q)
+            | Query::Project(_, q)
+            | Query::Rename(_, q)
+            | Query::Aggregate { input: q, .. } => q.is_relational(),
             Query::Product(a, b)
             | Query::Union(a, b)
             | Query::Intersect(a, b)
-            | Query::Difference(a, b) => a.is_relational() && b.is_relational(),
+            | Query::Difference(a, b)
+            | Query::SemiJoin {
+                left: a, right: b, ..
+            } => a.is_relational() && b.is_relational(),
             _ => false,
         }
     }
@@ -256,6 +303,20 @@ impl fmt::Display for Query {
             }
             Query::RepairKey(attrs, q) => {
                 write!(f, "repair-key{{{}}}({q})", attr_list(attrs))
+            }
+            Query::Aggregate { group, aggs, input } => {
+                let aggs: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
+                write!(f, "γ{{{};{}}}({input})", attr_list(group), aggs.join(","))
+            }
+            Query::SemiJoin {
+                on,
+                anti,
+                left,
+                right,
+            } => {
+                let on: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
+                let op = if *anti { "▷" } else { "⋉" };
+                write!(f, "({left} {op}{{{}}} {right})", on.join(","))
             }
         }
     }

@@ -99,6 +99,23 @@ fn render(q: &Query, depth: usize, out: &mut String) {
             out.push_str(&format!("repair-key{{{}}}\n", attr_list(attrs)));
             render(inner, depth + 1, out);
         }
+        Query::Aggregate { group, aggs, input } => {
+            let aggs: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
+            out.push_str(&format!("γ{{{};{}}}\n", attr_list(group), aggs.join(",")));
+            render(input, depth + 1, out);
+        }
+        Query::SemiJoin {
+            on,
+            anti,
+            left,
+            right,
+        } => {
+            let on: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
+            let op = if *anti { "▷" } else { "⋉" };
+            out.push_str(&format!("{op}{{{}}}\n", on.join(",")));
+            render(left, depth + 1, out);
+            render(right, depth + 1, out);
+        }
     }
 }
 

@@ -20,8 +20,10 @@
 //! * `poss`/`cert` fold the lineage column back to certainty without
 //!   expanding;
 //! * `pγ`/`cγ` (grouping reads *answers across worlds* as first-class
-//!   values) and `repair-by-key` are decode boundaries: the branch is
-//!   expanded to explicit worlds and evaluation continues enumerated.
+//!   values), `repair-by-key`, aggregation `γ` and the semijoin/antijoin
+//!   (aggregating or probing over lineage is out of scope) are decode
+//!   boundaries: the branch is expanded to explicit worlds and evaluation
+//!   continues enumerated.
 //!
 //! [`eval_named_routed`] is the public entry: a cost-model-driven chooser
 //! ([`should_factorize`], using the [`Relation::stats`] cardinalities to
@@ -32,7 +34,7 @@
 //! [`eval_factorized`] is exposed for equivalence testing: modulo
 //! fallback, the two paths return byte-identical world-sets.
 
-use relalg::{config, Relation, Result};
+use relalg::{config, Attr, Relation, Result};
 use uldb::{Dnf, FResult, FactorError, FactoredSet};
 use worldset::{World, WorldSet};
 
@@ -97,6 +99,12 @@ impl Fx<'_> {
             Query::Union(a, b) => self.binary(a, b, BinOp::Union),
             Query::Intersect(a, b) => self.binary(a, b, BinOp::Intersect),
             Query::Difference(a, b) => self.binary(a, b, BinOp::Difference),
+            Query::SemiJoin {
+                on,
+                anti,
+                left,
+                right,
+            } => self.binary(left, right, BinOp::Semi(on, *anti)),
 
             Query::Choice(attrs, inner) => match self.eval(inner)? {
                 Rep::F { rel, w } => {
@@ -154,6 +162,13 @@ impl Fx<'_> {
                 let worlds = self.to_worlds(rep)?;
                 Ok(Rep::E(dedup_worlds(apply_repair(&worlds, key)?)))
             }
+            Query::Aggregate { group, aggs, input } => {
+                let rep = self.eval(input)?;
+                let worlds = self.to_worlds(rep)?;
+                Ok(Rep::E(dedup_worlds(apply_unary(&worlds, |r| {
+                    r.aggregate(group, aggs)
+                })?)))
+            }
         }
     }
 
@@ -161,7 +176,9 @@ impl Fx<'_> {
         let ra = self.eval(a)?;
         let rb = self.eval(b)?;
         match (ra, rb) {
-            (Rep::F { rel: la, w: wa }, Rep::F { rel: lb, w: wb }) => {
+            (Rep::F { rel: la, w: wa }, Rep::F { rel: lb, w: wb })
+                if !matches!(op, BinOp::Semi(..)) =>
+            {
                 // Validity product = the reference evaluator's pairing of
                 // operand worlds over the shared prefix: operand-private
                 // choice variables stay independent, shared base
@@ -174,18 +191,14 @@ impl Fx<'_> {
                     BinOp::Union => self.fs.union(&la, &lb)?,
                     BinOp::Intersect => self.fs.intersect(&la, &lb)?,
                     BinOp::Difference => self.fs.difference(&la, &lb)?,
+                    BinOp::Semi(..) => unreachable!("a semijoin is a decode boundary"),
                 };
                 Ok(Rep::F { rel, w })
             }
             (ra, rb) => {
                 let left = self.to_worlds(ra)?;
                 let right = self.to_worlds(rb)?;
-                let out = match op {
-                    BinOp::Product => apply_binary(&left, &right, |l, r| l.product(r)),
-                    BinOp::Union => apply_binary(&left, &right, |l, r| l.union(r)),
-                    BinOp::Intersect => apply_binary(&left, &right, |l, r| l.intersect(r)),
-                    BinOp::Difference => apply_binary(&left, &right, |l, r| l.difference(r)),
-                }?;
+                let out = apply_binary(&left, &right, |l, r| op.apply(l, r))?;
                 Ok(Rep::E(dedup_worlds(out)))
             }
         }
@@ -294,7 +307,11 @@ impl Fx<'_> {
                     };
                     Ok(Rep::F { rel, w })
                 }
-                Query::PossGroup { .. } | Query::CertGroup { .. } | Query::RepairKey(_, _) => {
+                Query::PossGroup { .. }
+                | Query::CertGroup { .. }
+                | Query::RepairKey(_, _)
+                | Query::Aggregate { .. }
+                | Query::SemiJoin { .. } => {
                     unreachable!("planner never marks a decode boundary factored")
                 }
             };
@@ -360,10 +377,22 @@ impl Fx<'_> {
                 let worlds = self.child_worlds(i, &p.kids[0])?;
                 Ok(Rep::E(dedup_worlds(apply_repair(&worlds, key)?)))
             }
+            Query::Aggregate { group, aggs, input } => {
+                let worlds = self.child_worlds(input, &p.kids[0])?;
+                Ok(Rep::E(dedup_worlds(apply_unary(&worlds, |r| {
+                    r.aggregate(group, aggs)
+                })?)))
+            }
             Query::Product(a, b) => self.binary_p(a, b, p, BinOp::Product),
             Query::Union(a, b) => self.binary_p(a, b, p, BinOp::Union),
             Query::Intersect(a, b) => self.binary_p(a, b, p, BinOp::Intersect),
             Query::Difference(a, b) => self.binary_p(a, b, p, BinOp::Difference),
+            Query::SemiJoin {
+                on,
+                anti,
+                left,
+                right,
+            } => self.binary_p(left, right, p, BinOp::Semi(on, *anti)),
         }
     }
 
@@ -386,21 +415,31 @@ impl Fx<'_> {
     fn binary_p(&mut self, a: &Query, b: &Query, p: &RepPlan, op: BinOp) -> FResult<Rep> {
         let left = self.child_worlds(a, &p.kids[0])?;
         let right = self.child_worlds(b, &p.kids[1])?;
-        let out = match op {
-            BinOp::Product => apply_binary(&left, &right, |l, r| l.product(r)),
-            BinOp::Union => apply_binary(&left, &right, |l, r| l.union(r)),
-            BinOp::Intersect => apply_binary(&left, &right, |l, r| l.intersect(r)),
-            BinOp::Difference => apply_binary(&left, &right, |l, r| l.difference(r)),
-        }?;
+        let out = apply_binary(&left, &right, |l, r| op.apply(l, r))?;
         Ok(Rep::E(dedup_worlds(out)))
     }
 }
 
-enum BinOp {
+enum BinOp<'q> {
     Product,
     Union,
     Intersect,
     Difference,
+    /// Semijoin on the pairs, or antijoin.
+    Semi(&'q [(Attr, Attr)], bool),
+}
+
+impl BinOp<'_> {
+    /// The operator on one pair of answers.
+    fn apply(&self, l: &Relation, r: &Relation) -> Result<Relation> {
+        match self {
+            BinOp::Product => l.product(r),
+            BinOp::Union => l.union(r),
+            BinOp::Intersect => l.intersect(r),
+            BinOp::Difference => l.difference(r),
+            BinOp::Semi(on, anti) => l.semijoin_on(r, on, *anti),
+        }
+    }
 }
 
 /// Factorization pays only when the implicit world count dwarfs the
@@ -446,7 +485,7 @@ impl RepCard {
 /// when the subtree is decode-free, contains a choice, and
 /// `peak ≥ max(FACTORIZE_MIN_WORLDS, GAIN·(input + out))`. Top-down
 /// finalization then assigns the actual mode: decode boundaries
-/// (`pγ`/`cγ`/`repair-by-key`) are always enumerated, a factored parent
+/// (`pγ`/`cγ`/`repair-by-key`/`γ`/`⋉`/`▷`) are always enumerated, a factored parent
 /// forces its whole subtree factored (an enumerated branch cannot be
 /// re-encoded into the shared variable space), a binary under an
 /// enumerated parent goes factored only when *both* operands' own rules
@@ -493,26 +532,13 @@ struct Planner<'a> {
 impl Planner<'_> {
     /// Bottom-up pass: estimates and per-node rules.
     fn build(&self, q: &Query) -> RepPlan {
-        let kids: Vec<RepPlan> = match q {
-            Query::Rel(_) => vec![],
-            Query::Select(_, i)
-            | Query::Project(_, i)
-            | Query::Rename(_, i)
-            | Query::Poss(i)
-            | Query::Cert(i)
-            | Query::Choice(_, i)
-            | Query::RepairKey(_, i) => vec![self.build(i)],
-            Query::PossGroup { input, .. } | Query::CertGroup { input, .. } => {
-                vec![self.build(input)]
-            }
-            Query::Product(a, b)
-            | Query::Union(a, b)
-            | Query::Intersect(a, b)
-            | Query::Difference(a, b) => vec![self.build(a), self.build(b)],
-        };
+        let kids: Vec<RepPlan> = q.children().into_iter().map(|i| self.build(i)).collect();
         let out = match q {
             Query::Rel(_) => self.wc,
-            Query::Select(_, _) | Query::Project(_, _) | Query::Rename(_, _) => kids[0].out,
+            Query::Select(_, _)
+            | Query::Project(_, _)
+            | Query::Rename(_, _)
+            | Query::Aggregate { .. } => kids[0].out,
             // poss/cert install one merged answer in every world: the
             // result distinguishes only the base prefixes again.
             Query::Poss(_) | Query::Cert(_) => self.wc,
@@ -531,7 +557,8 @@ impl Planner<'_> {
             Query::Product(_, _)
             | Query::Union(_, _)
             | Query::Intersect(_, _)
-            | Query::Difference(_, _) => kids[0]
+            | Query::Difference(_, _)
+            | Query::SemiJoin { .. } => kids[0]
                 .out
                 .saturating_mul(kids[1].out)
                 .checked_div(self.wc)
@@ -540,10 +567,7 @@ impl Planner<'_> {
         };
         let peak = kids.iter().map(|k| k.peak).fold(out, u128::max);
         let has_choice = matches!(q, Query::Choice(_, _)) || kids.iter().any(|k| k.has_choice);
-        let decode_free = !matches!(
-            q,
-            Query::PossGroup { .. } | Query::CertGroup { .. } | Query::RepairKey(_, _)
-        ) && kids.iter().all(|k| k.decode_free);
+        let decode_free = !is_decode_boundary(q) && kids.iter().all(|k| k.decode_free);
         let rule_f = has_choice
             && decode_free
             && peak
@@ -567,7 +591,7 @@ impl Planner<'_> {
     /// [`RepPlan`] docs for the rule).
     fn finalize(&self, p: &mut RepPlan, q: &Query, parent_f: bool) {
         let f = match q {
-            Query::PossGroup { .. } | Query::CertGroup { .. } | Query::RepairKey(_, _) => false,
+            _ if is_decode_boundary(q) => false,
             _ if parent_f => true,
             Query::Product(_, _)
             | Query::Union(_, _)
@@ -581,28 +605,25 @@ impl Planner<'_> {
             (true, false) => RepCard::Convert,
             (false, _) => RepCard::E,
         };
-        match q {
-            Query::Rel(_) => {}
-            Query::Select(_, i)
-            | Query::Project(_, i)
-            | Query::Rename(_, i)
-            | Query::Poss(i)
-            | Query::Cert(i)
-            | Query::Choice(_, i)
-            | Query::RepairKey(_, i) => self.finalize(&mut p.kids[0], i, f),
-            Query::PossGroup { input, .. } | Query::CertGroup { input, .. } => {
-                self.finalize(&mut p.kids[0], input, f)
-            }
-            Query::Product(a, b)
-            | Query::Union(a, b)
-            | Query::Intersect(a, b)
-            | Query::Difference(a, b) => {
-                self.finalize(&mut p.kids[0], a, f);
-                self.finalize(&mut p.kids[1], b, f);
-            }
+        for (kid, i) in p.kids.iter_mut().zip(q.children()) {
+            self.finalize(kid, i, f);
         }
         p.all_e = !p.f && p.kids.iter().all(|k| k.all_e);
     }
+}
+
+/// Whether `q`'s root always runs enumerated: grouping worlds, repairs,
+/// aggregation and the semijoin/antijoin read answers the factorized
+/// representation does not hold as relations.
+fn is_decode_boundary(q: &Query) -> bool {
+    matches!(
+        q,
+        Query::PossGroup { .. }
+            | Query::CertGroup { .. }
+            | Query::RepairKey(_, _)
+            | Query::Aggregate { .. }
+            | Query::SemiJoin { .. }
+    )
 }
 
 /// Build the per-node representation plan for `q` over `ws`, using the
@@ -675,25 +696,8 @@ fn factored_rels(q: &Query, p: &RepPlan, out: &mut std::collections::BTreeSet<St
             out.insert(name.clone());
         }
     }
-    match q {
-        Query::Rel(_) => {}
-        Query::Select(_, i)
-        | Query::Project(_, i)
-        | Query::Rename(_, i)
-        | Query::Poss(i)
-        | Query::Cert(i)
-        | Query::Choice(_, i)
-        | Query::RepairKey(_, i) => factored_rels(i, &p.kids[0], out),
-        Query::PossGroup { input, .. } | Query::CertGroup { input, .. } => {
-            factored_rels(input, &p.kids[0], out)
-        }
-        Query::Product(a, b)
-        | Query::Union(a, b)
-        | Query::Intersect(a, b)
-        | Query::Difference(a, b) => {
-            factored_rels(a, &p.kids[0], out);
-            factored_rels(b, &p.kids[1], out);
-        }
+    for (i, kid) in q.children().into_iter().zip(&p.kids) {
+        factored_rels(i, kid, out);
     }
 }
 
@@ -918,6 +922,44 @@ mod tests {
                 .choice(attrs(&["A"])),
             &ws,
         );
+        // Aggregation and the semijoin/antijoin decode too.
+        let sum = vec![relalg::AggCall::new(
+            relalg::AggFn::Sum,
+            Some("B".into()),
+            "S".into(),
+        )];
+        for anti in [false, true] {
+            let probed = Query::rel("R").choice(attrs(&["B"])).project(attrs(&["B"]));
+            let on = vec![("A".into(), "B".into())];
+            both(
+                &Query::rel("R")
+                    .choice(attrs(&["A"]))
+                    .semijoin(probed, on, anti)
+                    .aggregate(attrs(&["A"]), sum.clone())
+                    .poss(),
+                &ws,
+            );
+        }
+    }
+
+    #[test]
+    fn aggregation_and_semijoins_run_enumerated_over_a_factored_region() {
+        let ws = multi(4, 8);
+        let sum = vec![relalg::AggCall::new(
+            relalg::AggFn::Sum,
+            Some("K".into()),
+            "S".into(),
+        )];
+        let region = Query::rel("T").choice(attrs(&["K"]));
+        let q = region
+            .semijoin(Query::rel("M"), vec![], true)
+            .aggregate(attrs(&["V"]), sum)
+            .cert();
+        let plan = plan_query(&q, &ws);
+        assert_eq!(plan.kids[0].card, RepCard::E, "γ is enumerated");
+        assert_eq!(plan.kids[0].kids[0].card, RepCard::E, "▷ is enumerated");
+        let planned = eval_planned(&q, &ws, "Q", &plan).expect("planned path");
+        assert_eq!(planned, crate::eval_named(&q, &ws, "Q").unwrap());
     }
 
     #[test]

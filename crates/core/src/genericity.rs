@@ -43,26 +43,11 @@ fn collect_pred(p: &Pred, out: &mut BTreeSet<Value>) {
 
 fn collect(q: &Query, out: &mut BTreeSet<Value>) {
     match q {
-        Query::Rel(_) => {}
         Query::Select(p, inner) => {
             collect_pred(p, out);
             collect(inner, out);
         }
-        Query::Project(_, inner)
-        | Query::Rename(_, inner)
-        | Query::Choice(_, inner)
-        | Query::Poss(inner)
-        | Query::Cert(inner)
-        | Query::PossGroup { input: inner, .. }
-        | Query::CertGroup { input: inner, .. }
-        | Query::RepairKey(_, inner) => collect(inner, out),
-        Query::Product(a, b)
-        | Query::Union(a, b)
-        | Query::Intersect(a, b)
-        | Query::Difference(a, b) => {
-            collect(a, out);
-            collect(b, out);
-        }
+        _ => q.children().into_iter().for_each(|c| collect(c, out)),
     }
 }
 

@@ -7,7 +7,9 @@
 //! grouping variants `pγ^V_U` / `cγ^V_U`). Its semantics (Figure 3 of the
 //! paper) is compositional: a query maps a world-set over schema
 //! `⟨R₁,…,R_k⟩` to a world-set over `⟨R₁,…,R_{k+1}⟩`, where `R_{k+1}` is the
-//! answer to the query in each world.
+//! answer to the query in each world. SQL's grouping with aggregation and
+//! `[not] in`/`[not] exists` (semijoin, antijoin) join the relational core,
+//! lifted pointwise over worlds like `σ`, `π` and `×`.
 //!
 //! This crate provides:
 //!

@@ -3,7 +3,9 @@
 //! `⟦q⟧(A)` maps a world-set `A` over `⟨R₁,…,R_k⟩` to a world-set over
 //! `⟨R₁,…,R_{k+1}⟩`: each world is extended with the answer to `q` in it.
 //!
-//! * Relational operators apply to the answer relation per world; *binary*
+//! * Relational operators — including grouping with aggregation `γ` and the
+//!   semijoin `⋉` / antijoin `▷` — apply to the answer relation per world;
+//!   *binary*
 //!   operators evaluate both operands against the **original** `A` and then
 //!   combine answer relations of operand-worlds that agree on `R₁,…,R_k`
 //!   ("we forbid operations between relations that occur in different worlds
@@ -98,6 +100,14 @@ fn eval_worlds_inner(q: &Query, ws: &WorldSet) -> Result<Vec<World>> {
             let input = eval_worlds(inner, ws)?;
             apply_repair(&input, key)
         }
+
+        Query::Aggregate { group, aggs, input } => unary(ws, input, |r| r.aggregate(group, aggs)),
+        Query::SemiJoin {
+            on,
+            anti,
+            left,
+            right,
+        } => binary(ws, left, right, |l, r| l.semijoin_on(r, on, *anti)),
     }
 }
 

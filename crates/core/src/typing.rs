@@ -41,11 +41,17 @@ pub fn world_type(q: &Query, input: Multiplicity) -> WorldType {
             worlds: input,
             uniform: input == Multiplicity::One,
         },
-        Query::Select(_, q) | Query::Project(_, q) | Query::Rename(_, q) => world_type(q, input),
+        Query::Select(_, q)
+        | Query::Project(_, q)
+        | Query::Rename(_, q)
+        | Query::Aggregate { input: q, .. } => world_type(q, input),
         Query::Product(a, b)
         | Query::Union(a, b)
         | Query::Intersect(a, b)
-        | Query::Difference(a, b) => {
+        | Query::Difference(a, b)
+        | Query::SemiJoin {
+            left: a, right: b, ..
+        } => {
             let ta = world_type(a, input);
             let tb = world_type(b, input);
             let worlds = if ta.worlds == Multiplicity::One && tb.worlds == Multiplicity::One {
@@ -177,6 +183,30 @@ pub fn output_schema(q: &Query, base: &dyn Fn(&str) -> Option<Schema>) -> Result
                 attr: proj[0].clone(),
             })
         }
+        Query::Aggregate { group, aggs, input } => {
+            let s = output_schema(input, base)?;
+            check_subset(group, &s)?;
+            for arg in aggs.iter().filter_map(|a| a.arg.as_ref()) {
+                check_subset(std::slice::from_ref(arg), &s)?;
+            }
+            let mut attrs = group.clone();
+            attrs.extend(aggs.iter().map(|a| a.out.clone()));
+            Schema::try_new(attrs).ok_or_else(|| RelalgError::DuplicateAttr {
+                attr: aggs
+                    .first()
+                    .map_or_else(|| Attr::new("?"), |a| a.out.clone()),
+            })
+        }
+        Query::SemiJoin {
+            on, left, right, ..
+        } => {
+            let sl = output_schema(left, base)?;
+            let sr = output_schema(right, base)?;
+            let (l, r): (Vec<Attr>, Vec<Attr>) = on.iter().cloned().unzip();
+            check_subset(&l, &sl)?;
+            check_subset(&r, &sr)?;
+            Ok(sl)
+        }
     }
 }
 
@@ -220,13 +250,15 @@ pub fn world_growth_bound(q: &Query, adom: u64) -> u64 {
         | Query::Poss(inner)
         | Query::Cert(inner)
         | Query::PossGroup { input: inner, .. }
-        | Query::CertGroup { input: inner, .. } => world_growth_bound(inner, adom),
+        | Query::CertGroup { input: inner, .. }
+        | Query::Aggregate { input: inner, .. } => world_growth_bound(inner, adom),
         Query::Product(a, b)
         | Query::Union(a, b)
         | Query::Intersect(a, b)
-        | Query::Difference(a, b) => {
-            world_growth_bound(a, adom).saturating_mul(world_growth_bound(b, adom))
-        }
+        | Query::Difference(a, b)
+        | Query::SemiJoin {
+            left: a, right: b, ..
+        } => world_growth_bound(a, adom).saturating_mul(world_growth_bound(b, adom)),
         Query::Choice(attrs, inner) => world_growth_bound(inner, adom)
             .saturating_mul(adom.saturating_pow(attrs.len() as u32).saturating_add(1)),
         Query::RepairKey(_, inner) => {

@@ -217,6 +217,14 @@ impl<'a> Translator<'a> {
                          table (Proposition 4.2)"
                     .into(),
             }),
+
+            // Figure 6 has no clause for them; the Section-5.3 translation
+            // (`translate_opt`) runs both.
+            Query::Aggregate { .. } | Query::SemiJoin { .. } => Err(RelalgError::TypeError {
+                detail: "aggregation and semijoins are outside Figure 6's \
+                         general translation"
+                    .into(),
+            }),
         }
     }
 

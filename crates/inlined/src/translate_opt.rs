@@ -27,8 +27,17 @@
 //! case of Fuxman and Miller's first-order rewriting): a group-wise
 //! division, no repair is listed. Every other shape over a repair is
 //! declined.
+//!
+//! Aggregation and the semijoin/antijoin are relational operators lifted
+//! pointwise over worlds, so they translate to first-order plans too: a
+//! world's answer is the set of answer rows carrying its ids, so `γ_G`
+//! becomes `γ_{G ∪ ids}`, and `q₁ ⋉_K q₂` pairs every `q₁` row with every
+//! world of `q₂` — a product with `q₂`'s world table — and keeps the rows
+//! with a partner on `K` plus `q₂`'s ids. The world table, not `π_ids(q₂)`,
+//! is what lists `q₂`'s worlds: a `σ` after a `χ` can empty some of them,
+//! and an antijoin keeps every row in an empty world.
 
-use relalg::{Attr, Catalog, Expr, Pred, RelalgError, Result, Schema};
+use relalg::{Attr, Catalog, Expr, Pred, RelalgError, Relation, Result, Schema};
 use worldset::{World, WorldSet};
 use wsa::typing::is_complete_to_complete;
 use wsa::Query;
@@ -339,6 +348,59 @@ impl<'a> OptTranslator<'a> {
             Query::Union(a, b) => self.setop(a, b, SetOp::Union),
             Query::Intersect(a, b) => self.setop(a, b, SetOp::Intersect),
             Query::Difference(a, b) => self.setop(a, b, SetOp::Difference),
+
+            Query::Aggregate { group, aggs, input } => {
+                // Aggregating a repair's answer depends on which tuple every
+                // key group keeps: not key-local.
+                let o = self.translate(input)?.not_repaired("γ")?;
+                let mut d = group.clone();
+                d.extend(aggs.iter().map(|a| a.out.clone()));
+                Ok(Opt {
+                    expr: o.expr.aggregate(both(group, &o.ids), aggs.clone()),
+                    d,
+                    ..o
+                })
+            }
+
+            Query::SemiJoin {
+                on,
+                anti,
+                left,
+                right,
+            } => {
+                let l = self.translate(left)?;
+                let r = self.translate(right)?.not_repaired("the right side of ⋉")?;
+                // An id-free right side is one relation in every world: a
+                // filter of each row on its own values, which keeps a repair
+                // key-local like `σ` does.
+                let Some(w) = r.world_table() else {
+                    return Ok(Opt {
+                        expr: l.expr.semijoin(&r.expr, on.clone(), *anti),
+                        ..l
+                    });
+                };
+                let l = l.not_repaired("⋉ with a right side that varies across worlds")?;
+                // `χ` over an empty input keeps one world (Figure 3), which
+                // its empty domain does not list: pad the world table with
+                // one row of pad ids then.
+                let w = Expr::lit(Relation::unit()).outer_pad_join(&w);
+                let mut on = on.clone();
+                on.extend(r.ids.iter().map(|v| (v.clone(), v.clone())));
+                let mut ids = l.ids.clone();
+                ids.extend(r.ids.iter().cloned());
+                let mut dims = l.dims.clone();
+                dims.push(Dim {
+                    new_ids: r.ids,
+                    domain: w.clone(),
+                });
+                Ok(Opt {
+                    expr: l.expr.natural_join(&w).semijoin(&r.expr, on, *anti),
+                    d: l.d,
+                    ids,
+                    dims,
+                    repair: None,
+                })
+            }
 
             Query::RepairKey(key, inner) => {
                 let o = self.translate(inner)?;

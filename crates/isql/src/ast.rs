@@ -56,16 +56,11 @@ pub enum Literal {
     Str(String),
 }
 
-/// Aggregate functions (evaluated per world by the interpreter; WSA itself
-/// excludes aggregation, cf. Section 4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AggFn {
-    Sum,
-    Count,
-    Min,
-    Max,
-    Avg,
-}
+/// Aggregate functions: the algebra's own. Under `group by` over columns
+/// they compile to World-set Algebra's `γ` (`crate::compile`); elsewhere
+/// (no `group by`, arithmetic arguments) the interpreter folds them per
+/// world with the same [`relalg::Acc`].
+pub use relalg::AggFn;
 
 /// Binary arithmetic on integers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,6 +141,20 @@ pub enum Cond {
     Or(Box<Cond>, Box<Cond>),
     /// Negation.
     Not(Box<Cond>),
+}
+
+impl Cond {
+    /// The top-level conjuncts, left to right.
+    pub(crate) fn conjuncts(&self) -> Vec<&Cond> {
+        match self {
+            Cond::And(a, b) => {
+                let mut out = a.conjuncts();
+                out.extend(b.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
 }
 
 /// One entry of the select list.

@@ -1,17 +1,23 @@
 //! Compilation of the clean I-SQL fragment to World-set Algebra.
 //!
 //! World-set Algebra is "to I-SQL what relational algebra is to SQL"
-//! (Section 1): the fragment without SQL grouping/aggregation compiles to
-//! WSA operators. The compiled query can then be run through the direct
-//! semantics, the Figure-6 translation, or the Section-6 optimizer —
-//! connecting the surface language to the rest of the system.
+//! (Section 1): the fragment compiles to WSA operators. The compiled query
+//! can then be run through the direct semantics, the Section-5.3
+//! relational plan, or the Section-6 optimizer — connecting the surface
+//! language to the rest of the system.
 //!
 //! Supported: `select [possible|certain] cols from tables/subqueries
-//! [where comparisons] [choice of …] [repair by key …]
-//! [group worlds by cols]`. Aggregates, arithmetic and `in`/`exists`
-//! subqueries are interpreter-only (the paper's algebra excludes them too).
+//! [where comparisons and [not] in / [not] exists conjuncts] [choice of …]
+//! [repair by key …] [group by cols] [group worlds by cols]`. A `group by`
+//! with `sum`/`count`/`min`/`max`/`avg` over columns becomes `γ`; an
+//! uncorrelated `x [not] in (q)` conjunct becomes a semijoin (antijoin) on
+//! the probe column — a one-column `q`'s column, else the one named like
+//! `x` — and `[not] exists (q)` one on no columns. Still interpreter-only:
+//! arithmetic, correlated subqueries, scalar subqueries, subqueries under
+//! `or`, aggregates without `group by` (SQL answers one row over an empty
+//! input, which `γ` does not), and `group worlds by` over an aggregate.
 
-use relalg::{Attr, Pred, Schema};
+use relalg::{AggCall, Attr, Pred, Schema};
 use wsa::Query;
 
 use crate::ast::*;
@@ -25,9 +31,11 @@ type Result<T> = std::result::Result<T, SqlError>;
 /// names). The compiled query projects to the *bare* output column names,
 /// matching the interpreter's output convention.
 pub fn compile_select(stmt: &SelectStmt, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Query> {
-    let (q, schema) = compile_inner(stmt, base)?;
-    let _ = schema;
-    Ok(q)
+    Ok(compile_inner(stmt, base)?.0)
+}
+
+fn outside(what: &str) -> SqlError {
+    SqlError(format!("{what} is outside the WSA fragment"))
 }
 
 /// Returns the query plus its qualified output schema.
@@ -35,12 +43,6 @@ fn compile_inner(
     stmt: &SelectStmt,
     base: &dyn Fn(&str) -> Option<Schema>,
 ) -> Result<(Query, Vec<Attr>)> {
-    if !stmt.group_by.is_empty() {
-        return Err(SqlError(
-            "group by / aggregation is outside the WSA fragment".into(),
-        ));
-    }
-
     // From-product with alias qualification.
     let mut acc: Option<(Query, Vec<Attr>)> = None;
     for item in &stmt.from {
@@ -55,9 +57,38 @@ fn compile_inner(
     }
     let (mut q, schema) = acc.ok_or_else(|| SqlError("from clause must not be empty".into()))?;
 
-    // Where.
+    // Where: the comparisons as one selection, then one semijoin or
+    // antijoin per subquery conjunct (conjunction commutes).
     if let Some(cond) = &stmt.where_cond {
-        q = q.select(compile_cond(cond, &schema)?);
+        let (subqueries, comparisons): (Vec<&Cond>, Vec<&Cond>) = cond
+            .conjuncts()
+            .into_iter()
+            .partition(|c| membership(c).is_some());
+        if let Some(pred) = comparisons
+            .into_iter()
+            .map(|c| compile_cond(c, &schema))
+            .reduce(|a, b| Ok(a?.and(b?)))
+        {
+            q = q.select(pred?);
+        }
+        for c in subqueries {
+            let (probe, query, anti) = membership(c).expect("partitioned on it");
+            let (sub, sub_out) = compile_inner(query, base)?;
+            let on = match probe {
+                None => vec![],
+                Some(Scalar::Col(c)) => {
+                    // A multi-column answer is probed on the column with the
+                    // probe's bare name, whatever its qualifier.
+                    let col = match sub_out.as_slice() {
+                        [only] => only.clone(),
+                        _ => resolve(&ColRef::new(&c.name), &sub_out)?,
+                    };
+                    vec![(resolve(c, &schema)?, col)]
+                }
+                Some(_) => return Err(outside("an in-probe that is not a column")),
+            };
+            q = q.semijoin(sub, on, anti);
+        }
     }
 
     // choice of / repair by key.
@@ -68,10 +99,58 @@ fn compile_inner(
         q = q.repair_by_key(resolve_all(&stmt.repair_by_key, &schema)?);
     }
 
-    // Select list: column references only.
+    // Select list: column references, plus aggregates over columns under
+    // `group by`.
     let mut out_attrs = Vec::new();
     let mut out_names = Vec::new();
-    if stmt.items.len() == 1 && matches!(stmt.items[0], SelectItem::Star) {
+    let aggregating = !stmt.group_by.is_empty()
+        || stmt.items.iter().any(|i| {
+            matches!(
+                i,
+                SelectItem::Expr {
+                    expr: Scalar::Agg(..) | Scalar::CountStar,
+                    ..
+                }
+            )
+        });
+    if aggregating {
+        if stmt.group_by.is_empty() {
+            return Err(outside("an aggregate without group by"));
+        }
+        if stmt.group_worlds_by.is_some() {
+            return Err(outside("group worlds by over an aggregate"));
+        }
+        let group = resolve_all(&stmt.group_by, &schema)?;
+        let mut aggs = Vec::new();
+        for (i, item) in stmt.items.iter().enumerate() {
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(outside("select * with group by"));
+            };
+            let (func, arg) = match expr {
+                Scalar::Col(c) => {
+                    let attr = resolve(c, &schema)?;
+                    if !group.contains(&attr) {
+                        return Err(outside(&format!("select item {i} outside group by")));
+                    }
+                    out_attrs.push(attr);
+                    out_names.push(Attr::new(alias.as_deref().unwrap_or(&c.name)));
+                    continue;
+                }
+                Scalar::Agg(f, arg) => match arg.as_ref() {
+                    Scalar::Col(c) => (*f, Some(resolve(c, &schema)?)),
+                    _ => return Err(outside(&format!("select item {i}"))),
+                },
+                Scalar::CountStar => (AggFn::Count, None),
+                _ => return Err(outside(&format!("select item {i}"))),
+            };
+            // The interpreter's output name of an unnamed expression.
+            let out = Attr::new(&alias.clone().unwrap_or_else(|| format!("expr{i}")));
+            aggs.push(AggCall::new(func, arg, out.clone()));
+            out_attrs.push(out.clone());
+            out_names.push(out);
+        }
+        q = q.aggregate(group, aggs);
+    } else if stmt.items.len() == 1 && matches!(stmt.items[0], SelectItem::Star) {
         for a in &schema {
             out_attrs.push(a.clone());
             let bare = a.name().rsplit('.').next().unwrap_or(a.name());
@@ -100,12 +179,15 @@ fn compile_inner(
                     ));
                 }
                 _ => {
-                    return Err(SqlError(format!(
-                        "select item {i} is outside the WSA fragment (column references only)"
+                    return Err(outside(&format!(
+                        "select item {i} (column references only)"
                     )))
                 }
             }
         }
+    }
+    if Schema::try_new(out_names.clone()).is_none() {
+        return Err(SqlError("duplicate output column name".into()));
     }
 
     // group worlds by (+ possible/certain) or plain projection/closure.
@@ -150,6 +232,21 @@ fn compile_inner(
         q = q.rename(renames);
     }
     Ok((q, out_names))
+}
+
+/// A `[not] in` / `[not] exists` conjunct, as its probe (`None` for
+/// `exists`), subquery and whether it keeps the rows without a partner.
+fn membership(c: &Cond) -> Option<(Option<&Scalar>, &SelectStmt, bool)> {
+    match c {
+        Cond::In {
+            expr,
+            query,
+            negated,
+        } => Some((Some(expr), query, *negated)),
+        Cond::Exists { query, negated } => Some((None, query, *negated)),
+        Cond::Not(inner) => membership(inner).map(|(p, q, anti)| (p, q, !anti)),
+        _ => None,
+    }
 }
 
 fn compile_from_item(
@@ -301,11 +398,49 @@ mod tests {
     }
 
     #[test]
-    fn rejects_aggregates() {
-        assert!(compile("select sum(Arr) from HFlights;").is_err());
+    fn compiles_grouping_and_membership() {
+        let q = compile(
+            "select possible Dep, count(*) as N from HFlights \
+             where Arr not in (select City from Hotels) group by Dep;",
+        )
+        .unwrap();
+        let printed = q.to_string();
         assert!(
-            compile("select Dep from HFlights where Arr in (select City from Hotels);").is_err()
+            printed.contains("γ{HFlights.Dep;count(*) as N}"),
+            "{printed}"
         );
+        assert!(printed.contains("▷{HFlights.Arr=City}"), "{printed}");
+        // `not exists` is an antijoin on no columns; a multi-column answer
+        // is probed on the column with the probe's bare name.
+        let q = compile(
+            "select F.Dep from HFlights F where not exists (select * from Hotels) \
+             and F.Arr in (select * from Hotels H, HFlights G where H.City = G.Arr);",
+        )
+        .unwrap();
+        let printed = q.to_string();
+        assert!(printed.contains("▷{}"), "{printed}");
+        assert!(printed.contains("⋉{F.Arr=Arr}"), "{printed}");
+    }
+
+    /// What stays interpreter-only: correlated subqueries, arithmetic,
+    /// aggregates without `group by` (SQL's one row over an empty input),
+    /// a select column outside the `group by`, and grouping worlds over an
+    /// aggregate.
+    #[test]
+    fn declines_what_stays_interpreter_only() {
+        for sql in [
+            "select Dep from HFlights F where Arr in (select City from Hotels where Name = F.Dep);",
+            "select possible Dep from HFlights where Arr in (select City from Hotels) or Dep = 'FRA' \
+             choice of Dep;",
+            "select Dep, count(*) + 1 as N from HFlights group by Dep;",
+            "select sum(Arr) from HFlights;",
+            "select count(*) as N from HFlights choice of Dep;",
+            "select Dep, Arr, count(*) as N from HFlights group by Dep;",
+            "select possible Dep, count(*) as N from HFlights choice of Dep \
+             group by Dep group worlds by Dep;",
+        ] {
+            assert!(compile(sql).is_err(), "{sql}");
+        }
     }
 
     #[test]

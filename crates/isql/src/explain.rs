@@ -159,6 +159,9 @@ fn node_label(q: &Query) -> String {
         Query::PossGroup { .. } => "pγ".into(),
         Query::CertGroup { .. } => "cγ".into(),
         Query::RepairKey(_, _) => "repair-key".into(),
+        Query::Aggregate { .. } => "γ".into(),
+        Query::SemiJoin { anti: false, .. } => "⋉".into(),
+        Query::SemiJoin { anti: true, .. } => "▷".into(),
     }
 }
 
@@ -182,22 +185,7 @@ fn rep_lines(
         },
         out: plan.out,
     });
-    let kids: Vec<&Query> = match q {
-        Query::Rel(_) => vec![],
-        Query::Select(_, i)
-        | Query::Project(_, i)
-        | Query::Rename(_, i)
-        | Query::Poss(i)
-        | Query::Cert(i)
-        | Query::Choice(_, i)
-        | Query::RepairKey(_, i) => vec![i],
-        Query::PossGroup { input, .. } | Query::CertGroup { input, .. } => vec![input],
-        Query::Product(a, b)
-        | Query::Union(a, b)
-        | Query::Intersect(a, b)
-        | Query::Difference(a, b) => vec![a, b],
-    };
-    for (k, kid) in kids.into_iter().enumerate() {
+    for (k, kid) in q.children().into_iter().enumerate() {
         rep_lines(kid, &plan.kids[k], depth + 1, force_enum, out);
     }
 }
@@ -281,9 +269,10 @@ impl Session {
             "factored"
         };
         // The relational plan comes from the statement path's own gate and
-        // plan builder, applied to the query it evaluates.
-        let relational = wsa_inlined::route_applies(&optimized, ws)
-            .and_then(|w| wsa_inlined::relational_plan(&optimized, ws.rel_names(), w).ok());
+        // plan builder, applied to the compiled query as the statement path
+        // does (it skips the Section-6 search for this route).
+        let relational = wsa_inlined::route_applies(&algebra, ws)
+            .and_then(|w| wsa_inlined::relational_plan(&algebra, ws.rel_names(), w).ok());
         // Trial-evaluate the relational plan to report how the evaluator's
         // memo (node / canonical-CSE hits) would behave —
         // the "EXPLAIN ANALYZE" corner of the paper's conclusion — and to
@@ -462,6 +451,64 @@ mod tests {
         assert!(
             lines.next().is_none(),
             "unexpected extra lines:\n{rendered}"
+        );
+
+        // The paper's what-if query (Section 2) compiles too: `group by`
+        // becomes `γ` and `not in` an antijoin `▷` with the subquery's
+        // world table, and the sum is taken once per (Quantity, Year)
+        // before the product with the world table. Two tuples of 2000
+        // share a price; both count.
+        let mut s = session();
+        let item =
+            |p: &str, q: i64, price: i64, y: i64| [p.into(), q.into(), price.into(), y.into()];
+        let rows: [[relalg::Value; 4]; 5] = [
+            item("P1", 1, 10, 2000),
+            item("P2", 1, 10, 2000),
+            item("P3", 2, 10, 2000),
+            item("P1", 2, 5, 2001),
+            item("P4", 3, 7, 2001),
+        ];
+        let rows: Vec<&[relalg::Value]> = rows.iter().map(|r| &r[..]).collect();
+        s.register(
+            "Lineitem",
+            Relation::table(&["Product", "Quantity", "Price", "Year"], &rows),
+        )
+        .unwrap();
+        let e = s
+            .explain(
+                "select possible A.Year, sum(A.Price) as Revenue \
+                 from (select * from Lineitem choice of Year) as A \
+                 where Quantity not in (select * from Lineitem choice of Quantity) \
+                 group by A.Year;",
+            )
+            .unwrap();
+        let rendered = e.render();
+        let from_type: Vec<&str> = rendered
+            .lines()
+            .skip_while(|l| !l.starts_with("type:"))
+            .collect();
+        assert_eq!(
+            from_type,
+            [
+                "type:       1↦1 (complete-to-complete)",
+                "route:      relational (Section 5.3)",
+                "relational: π{A.Year as Year,Revenue}(γ{A.Year,#1.Lineitem.Year,#2.Lineitem.Quantity;sum(Revenue) as Revenue}(((π{Quantity as A.Quantity,Year as A.Year,Year as #1.Lineitem.Year,Revenue}(γ{Quantity,Year;sum(Price) as Revenue}(Lineitem)) × ({⟨⟩} =⊲⊳ π{Quantity as #2.Lineitem.Quantity}(Lineitem))) ▷[A.Quantity=Quantity,#2.Lineitem.Quantity] π{Quantity,Quantity as #2.Lineitem.Quantity}(Lineitem))))",
+                "cards:",
+                "            π{A.Year as Year,Revenue}  est=12 actual=6 phys=row",
+                "              γ{A.Year,#1.Lineitem.Year,#2.Lineitem.Quantity;sum(Revenue) as Revenue}  est=12 actual=6 phys=row",
+                "                ▷[A.Quantity=Quantity,#2.Lineitem.Quantity=#2.Lineitem.Quantity]  est=15 actual=8 phys=row",
+                "                  ×  est=15 actual=12 phys=row",
+                "                    π{Quantity as A.Quantity,Year as A.Year,Year as #1.Lineitem.Year,Revenue}  est=5 actual=4 phys=row",
+                "                      γ{Quantity,Year;sum(Price) as Revenue}  est=5 actual=4 phys=row",
+                "                        table Lineitem  est=5 actual=5 phys=row",
+                "                    =⊲⊳  est=3 actual=3 phys=row",
+                "                      lit[1 rows]  est=1 actual=1 phys=row",
+                "                      π{Quantity as #2.Lineitem.Quantity}  est=3 actual=3 phys=row",
+                "                        table Lineitem  est=5 actual=5 phys=row",
+                "                  π{Quantity,Quantity as #2.Lineitem.Quantity}  est=5 actual=3 phys=row",
+                "                    table Lineitem  est=5 actual=5 phys=row",
+                "cache:      1 node hit(s), 0 cse hit(s), 9 miss(es)",
+            ]
         );
     }
 

@@ -14,9 +14,13 @@
 //!   must be uncorrelated);
 //! * a per-world evaluator for world-construct-free subqueries, supporting
 //!   correlation through a scope stack (used by `in`/`exists` and scalar
-//!   subqueries, e.g. the TPC-H what-if query of Section 2). A subquery
-//!   that reads nothing of its outer rows is evaluated once per world:
-//!   [`Scopes`] keeps its answer for the remaining rows.
+//!   subqueries). A subquery that reads nothing of its outer rows is
+//!   evaluated once per world: [`Scopes`] keeps its answer for the
+//!   remaining rows.
+//!
+//! The TPC-H what-if query of Section 2, with its `group by` and `not in`,
+//! no longer runs here unless `set local rewrite = off`: it compiles and
+//! takes the relational route of [`eval_select_ws`].
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,11 +57,11 @@ fn fresh(ws: &WorldSet, base: &str) -> String {
 /// relation under `out_name`.
 ///
 /// Statements in the clean fragment that use world constructs first try
-/// the **rewrite route**: compile to World-set Algebra, run the Section-6
-/// optimizer (with real relation cardinalities), and — when the query is
-/// `1↦1` over a one-world session — evaluate it as its Section-5.3
-/// relational plan, or — when the optimizer found a strictly cheaper plan
-/// — evaluate the optimized algebra query directly. Everything else (and
+/// the **rewrite route**: compile to World-set Algebra and — when the query
+/// is `1↦1` over a one-world session — evaluate it as its Section-5.3
+/// relational plan; otherwise run the Section-6 optimizer (with real
+/// relation cardinalities) and — when it found a strictly cheaper plan —
+/// evaluate the optimized algebra query directly. Everything else (and
 /// `set local rewrite = off`)
 /// falls back to the direct interpreter below, counting why
 /// ([`RouteFallback`]); the two routes agree on the clean fragment (pinned
@@ -99,9 +103,9 @@ pub(crate) fn tries_algebra_route(stmt: &SelectStmt) -> bool {
 /// [`eval_select_ws`].
 #[derive(Debug)]
 enum RouteFallback {
-    /// The statement compiles to no World-set Algebra query (aggregation,
-    /// arithmetic, subqueries in conditions — the paper's algebra excludes
-    /// them too).
+    /// The statement compiles to no World-set Algebra query: arithmetic,
+    /// correlated or scalar subqueries, aggregates without `group by`, and
+    /// the other shapes [`crate::compile`] lists as interpreter-only.
     NotInFragment,
     /// Neither the optimizer found a strictly cheaper plan nor the
     /// factorized chooser wanted the query.
@@ -282,15 +286,18 @@ fn try_rewrite_route_ws(
     };
     let algebra =
         crate::compile::compile_select(stmt, &base).map_err(|_| RouteFallback::NotInFragment)?;
-    let optimized = optimize_memoized(&algebra, &base, ws);
     // A `1↦1` query over one world is relational algebra (Theorem 5.7):
     // both other routes would enumerate or factorize worlds, so no cost
-    // test applies. A query without a relational translation takes the
-    // routes below. A translated plan that fails to evaluate is a route
-    // error: by Theorem 5.7 it is equivalent to the other routes.
-    let query = optimized.as_ref().unwrap_or(&algebra);
-    if let Some(world) = wsa_inlined::route_applies(query, ws) {
-        match wsa_inlined::relational_plan(query, ws.rel_names(), world) {
+    // test applies. Its plan is optimized as relational algebra
+    // (`relalg::simplify`, `optimize_joins` over measured statistics), so
+    // the Section-6 search over world-set plans is skipped: on B16's
+    // `trip`, `join`, `repair` and `whatif` it yields the same relational
+    // plan, and after every commit it would search again. A query without
+    // a relational translation takes the routes below. A translated plan
+    // that fails to evaluate is a route error: by Theorem 5.7 it is
+    // equivalent to the other routes.
+    if let Some(world) = wsa_inlined::route_applies(&algebra, ws) {
+        match wsa_inlined::relational_plan(&algebra, ws.rel_names(), world) {
             Ok(plan) => {
                 return plan
                     .run(ws, out_name)
@@ -301,7 +308,7 @@ fn try_rewrite_route_ws(
             }
         }
     }
-    let query = match optimized {
+    let query = match optimize_memoized(&algebra, &base, ws) {
         Some(q) => q,
         None if wsa::should_factorize(&algebra, ws) => algebra,
         None => return Err(RouteFallback::NotCheaper),
@@ -662,11 +669,9 @@ fn plan_pushdown<'q>(
             .collect(),
     )?;
 
-    let mut conjuncts = Vec::new();
-    split_conjuncts(where_cond, &mut conjuncts);
     let mut per_item = vec![(relalg::Pred::True, relalg::Pred::True); stmt.from.len()];
     let mut residual = Vec::new();
-    for c in conjuncts {
+    for c in where_cond.conjuncts() {
         match conjunct_to_pred(c, &full) {
             None => {
                 if bail_on_unresolved && cond_mentions_unresolvable_col(c, &full) {
@@ -703,17 +708,6 @@ fn plan_pushdown<'q>(
         }
     }
     Some(PushdownPlan { per_item, residual })
-}
-
-/// Flatten a condition into its top-level conjuncts.
-fn split_conjuncts<'q>(cond: &'q Cond, out: &mut Vec<&'q Cond>) {
-    match cond {
-        Cond::And(a, b) => {
-            split_conjuncts(a, out);
-            split_conjuncts(b, out);
-        }
-        other => out.push(other),
-    }
 }
 
 /// Re-assemble conjuncts into one condition (`None` when all were pushed).
@@ -1249,8 +1243,8 @@ enum BCond<'q> {
     Cmp(BScalar<'q>, relalg::CmpOp, BScalar<'q>),
     In {
         expr: BScalar<'q>,
-        /// The probe column, when the probe is one: it names the probed
-        /// column of a multi-column answer.
+        /// The probe column, when the probe is one: its bare name names
+        /// the probed column of a multi-column answer.
         probe_col: Option<&'q ColRef>,
         query: &'q SelectStmt,
         negated: bool,
@@ -1403,11 +1397,11 @@ impl Probe {
         // Column selection: a one-column subquery probes that column; a
         // multi-column subquery (the paper writes `Quantity not in (select
         // * from Lineitem choice of Quantity)`) probes the column with the
-        // probe expression's name.
+        // probe expression's bare name: its qualifier names an outer table.
         let col = if rel.schema().arity() == 1 {
             0
         } else if let Some(c) = probe_col {
-            resolve_col(c, rel.schema())?
+            resolve_col(&ColRef::new(&c.name), rel.schema())?
         } else {
             return Err(SqlError(
                 "IN over a multi-column subquery requires a column probe".into(),
@@ -1499,37 +1493,12 @@ impl<'q> BScalar<'q> {
     }
 }
 
-/// Fold one group's argument values with an aggregate function.
+/// Fold one group's argument values with an aggregate function, as `γ`
+/// does.
 fn aggregate(f: AggFn, vals: Vec<Value>) -> Result<Value> {
-    match f {
-        AggFn::Count => Ok(Value::Int(vals.len() as i64)),
-        AggFn::Min => vals
-            .into_iter()
-            .min()
-            .ok_or_else(|| SqlError("min over empty group".into())),
-        AggFn::Max => vals
-            .into_iter()
-            .max()
-            .ok_or_else(|| SqlError("max over empty group".into())),
-        AggFn::Sum | AggFn::Avg => {
-            let mut total = 0i64;
-            let n = vals.len() as i64;
-            for v in vals {
-                match v {
-                    Value::Int(i) => total += i,
-                    other => return Err(SqlError(format!("sum/avg over non-integer {other}"))),
-                }
-            }
-            if f == AggFn::Avg {
-                if n == 0 {
-                    return Err(SqlError("avg over empty group".into()));
-                }
-                Ok(Value::Int(total / n))
-            } else {
-                Ok(Value::Int(total))
-            }
-        }
-    }
+    let mut acc = relalg::Acc::new(f);
+    vals.into_iter().for_each(|v| acc.push(v));
+    acc.finish().map_err(rel_err)
 }
 
 // ---- DML (Session) ----

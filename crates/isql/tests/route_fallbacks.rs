@@ -56,8 +56,8 @@ fn fallbacks_are_counted_by_reason() {
             ..none
         }
     );
-    // Aggregation is outside the fragment; the `choice of` subqueries
-    // inside the statement take the route themselves.
+    // B16's `whatif`: `group by` and `not in` compile, so the paper's
+    // what-if query runs as its relational plan.
     assert_eq!(
         delta(
             &mut s,
@@ -66,11 +66,35 @@ fn fallbacks_are_counted_by_reason() {
              where Quantity not in (select * from Lineitem choice of Quantity) \
              group by A.Year;"
         ),
-        RouteFallbacks {
-            not_in_fragment: 1,
-            ..none
-        }
+        none
     );
+    // Still outside the fragment: a correlated `in`, an arithmetic select
+    // item, and an aggregate without `group by`, which answers one row over
+    // an empty input where `γ` answers none. Each renders as it does with
+    // the algebra routes off.
+    for sql in [
+        "select possible A.Year from (select * from Lineitem choice of Year) as A \
+         where A.Quantity in (select Quantity from Lineitem L where L.Year = A.Year);",
+        "select possible Year, Price + 1 as P from Lineitem choice of Year;",
+        "select possible sum(Price) as S from Lineitem choice of Year;",
+    ] {
+        let mut plain = s.clone();
+        plain.execute("set local rewrite = off;").unwrap();
+        let reference = plain.execute(sql).unwrap();
+        let before = route_fallbacks();
+        let routed = s.execute(sql).unwrap();
+        let after = route_fallbacks();
+        assert_eq!(
+            after.not_in_fragment + after.not_translatable,
+            before.not_in_fragment + before.not_translatable + 1,
+            "{sql}"
+        );
+        assert_eq!(
+            render_outcome(&routed[0], s.world_set().len()),
+            render_outcome(&reference[0], plain.world_set().len()),
+            "{sql}"
+        );
+    }
     // Without world constructs the route is not tried at all.
     assert_eq!(
         delta(

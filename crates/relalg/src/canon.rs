@@ -179,6 +179,28 @@ fn build_canon(e: &Expr, memo: &mut Memo) -> CanonExpr {
         ExprKind::NaturalJoin(a, b) => binary_canon(e, a, b, 8, memo),
         ExprKind::Divide(a, b) => binary_canon(e, a, b, 9, memo),
         ExprKind::OuterPadJoin(a, b) => binary_canon(e, a, b, 10, memo),
+        ExprKind::Aggregate(group, aggs, inner) => {
+            let c = canon_rec(inner, memo);
+            let expr = c.expr.aggregate(group.clone(), aggs.clone());
+            finish(expr, |h| {
+                13u8.hash(h);
+                group.hash(h);
+                aggs.hash(h);
+                c.hash.hash(h);
+            })
+        }
+        ExprKind::SemiJoin(on, a, b) | ExprKind::AntiJoin(on, a, b) => {
+            let anti = matches!(e.kind(), ExprKind::AntiJoin(..));
+            let ca = canon_rec(a, memo);
+            let cb = canon_rec(b, memo);
+            let expr = ca.expr.semijoin(&cb.expr, on.clone(), anti);
+            finish(expr, |h| {
+                if anti { 15u8 } else { 14u8 }.hash(h);
+                on.hash(h);
+                ca.hash.hash(h);
+                cb.hash.hash(h);
+            })
+        }
         ExprKind::ThetaJoin(p, a, b) => {
             let ca = canon_rec(a, memo);
             let cb = canon_rec(b, memo);

@@ -232,6 +232,15 @@ impl Catalog {
                 let r = self.eval_memo(b, cache)?;
                 Arc::new(l.outer_pad_join(&r))
             }
+            ExprKind::Aggregate(group, aggs, e) => {
+                Arc::new(self.eval_memo(e, cache)?.aggregate(group, aggs)?)
+            }
+            ExprKind::SemiJoin(on, a, b) | ExprKind::AntiJoin(on, a, b) => {
+                let l = self.eval_memo(a, cache)?;
+                let r = self.eval_memo(b, cache)?;
+                let anti = matches!(expr.kind(), ExprKind::AntiJoin(..));
+                Arc::new(l.semijoin_on(&r, on, anti)?)
+            }
         };
         cache
             .memo

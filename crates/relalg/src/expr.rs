@@ -2,7 +2,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::{Attr, Pred, RelalgError, Relation, Result, Schema};
+use crate::{AggCall, Attr, Pred, RelalgError, Relation, Result, Schema};
 
 /// The node of a relational algebra expression.
 ///
@@ -43,6 +43,13 @@ pub enum ExprKind {
     Divide(Expr, Expr),
     /// Modified left outer join `e₁ =⊲⊳ e₂` (Remark 5.5).
     OuterPadJoin(Expr, Expr),
+    /// Grouping with aggregation `γ_{G; f(a) as o,…}(e)`, over the distinct
+    /// tuples of each group (see [`Relation::aggregate`]).
+    Aggregate(Vec<Attr>, Vec<AggCall>, Expr),
+    /// Semijoin `e₁ ⋉_{l=r,…} e₂` on explicit column pairs.
+    SemiJoin(Vec<(Attr, Attr)>, Expr, Expr),
+    /// Antijoin `e₁ ▷_{l=r,…} e₂`: the tuples of `e₁` without a partner.
+    AntiJoin(Vec<(Attr, Attr)>, Expr, Expr),
 }
 
 /// A shareable relational algebra expression.
@@ -144,6 +151,20 @@ impl Expr {
         )))
     }
 
+    /// `γ_{group; aggs}(self)`.
+    pub fn aggregate(&self, group: Vec<Attr>, aggs: Vec<AggCall>) -> Expr {
+        Expr(Arc::new(ExprKind::Aggregate(group, aggs, self.clone())))
+    }
+
+    /// `self ⋉_{on} other` (`anti`: `self ▷_{on} other`).
+    pub fn semijoin(&self, other: &Expr, on: Vec<(Attr, Attr)>, anti: bool) -> Expr {
+        Expr(Arc::new(if anti {
+            ExprKind::AntiJoin(on, self.clone(), other.clone())
+        } else {
+            ExprKind::SemiJoin(on, self.clone(), other.clone())
+        }))
+    }
+
     /// Number of distinct operator nodes in the DAG (shared nodes counted
     /// once). Together with [`Expr::tree_size`] this quantifies the
     /// polynomial-size claim after Theorem 5.7.
@@ -162,7 +183,8 @@ impl Expr {
             ExprKind::Select(_, e)
             | ExprKind::Project(_, e)
             | ExprKind::ProjectAs(_, e)
-            | ExprKind::Rename(_, e) => e.walk(seen),
+            | ExprKind::Rename(_, e)
+            | ExprKind::Aggregate(_, _, e) => e.walk(seen),
             ExprKind::Product(a, b)
             | ExprKind::Union(a, b)
             | ExprKind::Intersect(a, b)
@@ -170,7 +192,9 @@ impl Expr {
             | ExprKind::NaturalJoin(a, b)
             | ExprKind::ThetaJoin(_, a, b)
             | ExprKind::Divide(a, b)
-            | ExprKind::OuterPadJoin(a, b) => {
+            | ExprKind::OuterPadJoin(a, b)
+            | ExprKind::SemiJoin(_, a, b)
+            | ExprKind::AntiJoin(_, a, b) => {
                 a.walk(seen);
                 b.walk(seen);
             }
@@ -184,7 +208,8 @@ impl Expr {
             ExprKind::Select(_, e)
             | ExprKind::Project(_, e)
             | ExprKind::ProjectAs(_, e)
-            | ExprKind::Rename(_, e) => 1 + e.tree_size(),
+            | ExprKind::Rename(_, e)
+            | ExprKind::Aggregate(_, _, e) => 1 + e.tree_size(),
             ExprKind::Product(a, b)
             | ExprKind::Union(a, b)
             | ExprKind::Intersect(a, b)
@@ -192,7 +217,9 @@ impl Expr {
             | ExprKind::NaturalJoin(a, b)
             | ExprKind::ThetaJoin(_, a, b)
             | ExprKind::Divide(a, b)
-            | ExprKind::OuterPadJoin(a, b) => 1 + a.tree_size() + b.tree_size(),
+            | ExprKind::OuterPadJoin(a, b)
+            | ExprKind::SemiJoin(_, a, b)
+            | ExprKind::AntiJoin(_, a, b) => 1 + a.tree_size() + b.tree_size(),
         }
     }
 
@@ -291,7 +318,35 @@ impl Expr {
                 }
                 Ok(Schema::new(sa.minus(sb.attrs())))
             }
+            ExprKind::Aggregate(group, aggs, e) => {
+                let s = e.infer_schema(base)?;
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                check_attrs(group.iter().chain(args), &s)?;
+                let mut attrs = group.clone();
+                attrs.extend(aggs.iter().map(|a| a.out.clone()));
+                Schema::try_new(attrs).ok_or_else(|| RelalgError::DuplicateAttr {
+                    attr: Attr::new("?"),
+                })
+            }
+            ExprKind::SemiJoin(on, a, b) | ExprKind::AntiJoin(on, a, b) => {
+                let sa = a.infer_schema(base)?;
+                let sb = b.infer_schema(base)?;
+                check_attrs(on.iter().map(|(l, _)| l), &sa)?;
+                check_attrs(on.iter().map(|(_, r)| r), &sb)?;
+                Ok(sa)
+            }
         }
+    }
+}
+
+/// Every attribute of `attrs` is in `s`.
+fn check_attrs<'a>(mut attrs: impl Iterator<Item = &'a Attr>, s: &Schema) -> Result<()> {
+    match attrs.find(|a| !s.contains(a)) {
+        Some(a) => Err(RelalgError::UnknownAttr {
+            attr: a.clone(),
+            schema: s.clone(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -339,6 +394,12 @@ impl fmt::Display for Expr {
             ExprKind::ThetaJoin(p, a, b) => write!(f, "({a} ⋈[{p}] {b})"),
             ExprKind::Divide(a, b) => write!(f, "({a} ÷ {b})"),
             ExprKind::OuterPadJoin(a, b) => write!(f, "({a} =⊲⊳ {b})"),
+            ExprKind::Aggregate(group, aggs, e) => {
+                let aggs: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
+                write!(f, "γ{{{};{}}}({e})", attr_list(group), aggs.join(","))
+            }
+            ExprKind::SemiJoin(on, a, b) => write!(f, "({a} ⋉[{}] {b})", pair_list(on, "=")),
+            ExprKind::AntiJoin(on, a, b) => write!(f, "({a} ▷[{}] {b})", pair_list(on, "=")),
         }
     }
 }

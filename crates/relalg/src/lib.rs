@@ -18,6 +18,7 @@
 //! Relations iterate in a deterministic (sorted) order so that translated
 //! plans, examples and golden tests are reproducible.
 
+mod agg;
 pub mod canon;
 pub mod codec;
 pub mod config;
@@ -37,6 +38,7 @@ mod stats;
 mod tuple;
 mod value;
 
+pub use agg::{Acc, AggCall, AggFn};
 pub use config::columnar_enabled;
 pub use csv::{relation_from_csv, relation_to_csv};
 pub use error::{RelalgError, Result};

@@ -288,6 +288,26 @@ fn estimate_memo(e: &Expr, catalog: &Catalog, memo: &mut HashMap<usize, Est>) ->
                 distinct: joined.distinct,
             }
         }
+        ExprKind::Aggregate(group, aggs, inner) => {
+            let i = estimate_memo(inner, catalog, memo);
+            // One row per group: at most the product of the group
+            // columns' distinct counts.
+            let mut distinct: BTreeMap<Attr, u64> = group
+                .iter()
+                .filter_map(|a| i.distinct.get(a).map(|d| (a.clone(), *d)))
+                .collect();
+            let bound = distinct
+                .values()
+                .fold(1u64, |acc, d| acc.saturating_mul((*d).max(1)));
+            let rows = i.rows.min(bound);
+            distinct.extend(aggs.iter().map(|a| (a.out.clone(), rows)));
+            Est { rows, distinct }.cap()
+        }
+        // A filter of the left operand: at most its rows.
+        ExprKind::SemiJoin(_, a, b) | ExprKind::AntiJoin(_, a, b) => {
+            let _ = estimate_memo(b, catalog, memo);
+            estimate_memo(a, catalog, memo)
+        }
     };
     memo.insert(e.id(), out.clone());
     out
@@ -729,6 +749,24 @@ impl<'a> Optimizer<'a> {
             ExprKind::OuterPadJoin(a, b) => {
                 self.rebuild2(e, a, b, false, |x, y| x.outer_pad_join(y))
             }
+            // γ and the right side of ⋉/▷ read their input by column name,
+            // so its column order is free; ⋉/▷ keep their left side's.
+            ExprKind::Aggregate(group, aggs, c) => {
+                let c2 = self.rewrite(c, true);
+                if same_node(&c2, c) {
+                    e.clone()
+                } else {
+                    c2.aggregate(group.clone(), aggs.clone())
+                }
+            }
+            ExprKind::SemiJoin(on, a, b) | ExprKind::AntiJoin(on, a, b) => {
+                let (a2, b2) = (self.rewrite(a, order_free), self.rewrite(b, true));
+                if same_node(&a2, a) && same_node(&b2, b) {
+                    e.clone()
+                } else {
+                    a2.semijoin(&b2, on.clone(), matches!(e.kind(), ExprKind::AntiJoin(..)))
+                }
+            }
         }
     }
 
@@ -782,16 +820,19 @@ fn collect_conjuncts(e: &Expr) -> Vec<Pred> {
                 walk(a, out);
                 walk(b, out);
             }
-            ExprKind::Project(_, c) | ExprKind::ProjectAs(_, c) | ExprKind::Rename(_, c) => {
-                walk(c, out)
-            }
+            ExprKind::Project(_, c)
+            | ExprKind::ProjectAs(_, c)
+            | ExprKind::Rename(_, c)
+            | ExprKind::Aggregate(_, _, c) => walk(c, out),
             ExprKind::Product(a, b)
             | ExprKind::Union(a, b)
             | ExprKind::Intersect(a, b)
             | ExprKind::Difference(a, b)
             | ExprKind::NaturalJoin(a, b)
             | ExprKind::Divide(a, b)
-            | ExprKind::OuterPadJoin(a, b) => {
+            | ExprKind::OuterPadJoin(a, b)
+            | ExprKind::SemiJoin(_, a, b)
+            | ExprKind::AntiJoin(_, a, b) => {
                 walk(a, out);
                 walk(b, out);
             }
@@ -872,6 +913,26 @@ fn node_label(e: &Expr) -> String {
         ExprKind::ThetaJoin(p, _, _) => format!("⋈[{p}]"),
         ExprKind::Divide(_, _) => "÷".to_string(),
         ExprKind::OuterPadJoin(_, _) => "=⊲⊳".to_string(),
+        ExprKind::Aggregate(group, aggs, _) => format!(
+            "γ{{{};{}}}",
+            attr_list(group),
+            aggs.iter()
+                .map(|a| a.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        ),
+        ExprKind::SemiJoin(on, _, _) | ExprKind::AntiJoin(on, _, _) => format!(
+            "{}[{}]",
+            if matches!(e.kind(), ExprKind::AntiJoin(..)) {
+                "▷"
+            } else {
+                "⋉"
+            },
+            on.iter()
+                .map(|(l, r)| format!("{l}={r}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        ),
     }
 }
 
@@ -981,14 +1042,17 @@ pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
             ExprKind::Select(_, c)
             | ExprKind::Project(_, c)
             | ExprKind::ProjectAs(_, c)
-            | ExprKind::Rename(_, c) => walk(c, depth + 1, catalog, est_memo, cache, out)?,
+            | ExprKind::Rename(_, c)
+            | ExprKind::Aggregate(_, _, c) => walk(c, depth + 1, catalog, est_memo, cache, out)?,
             ExprKind::Product(a, b)
             | ExprKind::Union(a, b)
             | ExprKind::Intersect(a, b)
             | ExprKind::Difference(a, b)
             | ExprKind::NaturalJoin(a, b)
             | ExprKind::Divide(a, b)
-            | ExprKind::OuterPadJoin(a, b) => {
+            | ExprKind::OuterPadJoin(a, b)
+            | ExprKind::SemiJoin(_, a, b)
+            | ExprKind::AntiJoin(_, a, b) => {
                 walk(a, depth + 1, catalog, est_memo, cache, out)?;
                 walk(b, depth + 1, catalog, est_memo, cache, out)?;
             }

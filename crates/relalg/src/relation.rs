@@ -437,7 +437,7 @@ impl Relation {
         }
     }
 
-    fn positions(&self, attrs: &[Attr]) -> Result<Vec<usize>> {
+    pub(crate) fn positions(&self, attrs: &[Attr]) -> Result<Vec<usize>> {
         attrs
             .iter()
             .map(|a| {
@@ -880,6 +880,31 @@ impl Relation {
         Relation::from_sorted_vec(self.schema.clone(), tuples)
     }
 
+    /// Semijoin `⋉_{l₁=r₁,…}` (`anti`: antijoin `▷`) on explicit column
+    /// pairs: the tuples of `self` whose `l` columns equal the `r` columns
+    /// of some tuple of `other` (`anti`: of none). With no pairs, a tuple
+    /// has a partner iff `other` is non-empty (`exists`). One pass: the
+    /// keys of `other` are hashed once and `self` streams through them,
+    /// so the output keeps `self`'s order and is never re-sorted.
+    pub fn semijoin_on(
+        &self,
+        other: &Relation,
+        on: &[(Attr, Attr)],
+        anti: bool,
+    ) -> Result<Relation> {
+        let (l, r): (Vec<Attr>, Vec<Attr>) = on.iter().cloned().unzip();
+        let (l_idx, r_idx) = (self.positions(&l)?, other.positions(&r)?);
+        let key = |t: &Tuple, idx: &[usize]| -> Tuple { idx.iter().map(|&i| t[i]).collect() };
+        let keys: FxHashSet<Tuple> = other.tuples.iter().map(|t| key(t, &r_idx)).collect();
+        let tuples: Vec<Tuple> = self
+            .tuples
+            .iter()
+            .filter(|t| keys.contains(&key(t, &l_idx)) != anti)
+            .cloned()
+            .collect();
+        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+    }
+
     /// Division `÷`: for `R[A ∪ B] ÷ S[B]`, the `A`-tuples `a` such that
     /// `(a, b) ∈ R` for **every** `b ∈ S`. Used by the `cert` translation
     /// (`R ÷ W` in Figure 6). When `S` is empty the result is `π_A(R)`
@@ -1003,10 +1028,11 @@ impl Relation {
     /// of both `choice-of` splitting and inlined-representation decoding).
     pub fn partition_by(&self, attrs: &[Attr]) -> Result<Vec<(Tuple, Relation)>> {
         let idx = self.positions(attrs)?;
-        let mut out: Vec<(Tuple, Relation)> = group_rows(&self.tuples, &idx, Tuple::clone)
-            .into_iter()
-            .map(|(key, tuples)| (key, Relation::from_sorted_vec(self.schema.clone(), tuples)))
-            .collect();
+        let mut out: Vec<(Tuple, Relation)> =
+            group_rows(&self.tuples, &idx, Vec::new, |b, t| b.push(t.clone()))
+                .into_iter()
+                .map(|(key, tuples)| (key, Relation::from_sorted_vec(self.schema.clone(), tuples)))
+                .collect();
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
@@ -1049,10 +1075,11 @@ impl Relation {
             v.extend_from_slice(&t[..vlen]);
             v
         };
-        let mut out: Vec<(Tuple, Relation)> = group_rows(&self.tuples, &key_idx, emit)
-            .into_iter()
-            .map(|(k, tuples)| (k, Relation::from_sorted_vec(out_schema.clone(), tuples)))
-            .collect();
+        let mut out: Vec<(Tuple, Relation)> =
+            group_rows(&self.tuples, &key_idx, Vec::new, |b, t| b.push(emit(t)))
+                .into_iter()
+                .map(|(k, tuples)| (k, Relation::from_sorted_vec(out_schema.clone(), tuples)))
+                .collect();
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
@@ -1094,18 +1121,21 @@ impl Relation {
     }
 }
 
-/// Group `tuples` by the values at `key_idx`, emitting `emit(t)` into each
-/// group's bucket in scan order (so buckets over sorted input stay sorted).
+/// Group `tuples` by the values at `key_idx`: each group's bucket starts
+/// as `init()` and folds in its tuples with `add`, in scan order (so row
+/// buckets over sorted input stay sorted). Groups appear in order of first
+/// occurrence.
 ///
 /// Sorted inputs whose key columns correlate with the sort order arrive in
 /// *runs* of equal keys; the previous row's group is re-used with a plain
 /// value comparison, and the hash map is only consulted on run boundaries.
-fn group_rows(
+pub(crate) fn group_rows<B>(
     tuples: &[Tuple],
     key_idx: &[usize],
-    emit: impl Fn(&Tuple) -> Tuple,
-) -> Vec<(Tuple, Vec<Tuple>)> {
-    let mut groups: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
+    init: impl Fn() -> B,
+    mut add: impl FnMut(&mut B, &Tuple),
+) -> Vec<(Tuple, B)> {
+    let mut groups: Vec<(Tuple, B)> = Vec::new();
     let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
     let mut last = usize::MAX;
     for t in tuples {
@@ -1116,11 +1146,11 @@ fn group_rows(
         if !in_run {
             let key: Tuple = key_idx.iter().map(|&i| t[i]).collect();
             last = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key, Vec::new()));
+                groups.push((key, init()));
                 groups.len() - 1
             });
         }
-        groups[last].1.push(emit(t));
+        add(&mut groups[last].1, t);
     }
     groups
 }
@@ -1582,6 +1612,27 @@ mod tests {
         let t = Relation::table(&["B"], &[&[2i64]]);
         let sj = r().semijoin(&t);
         assert_eq!(sj.len(), 2); // (1,2) and (3,2)
+    }
+
+    #[test]
+    fn semijoin_on_pairs_and_antijoin() {
+        // B = C: (1,2) and (3,2) meet C = 2; (2,4) meets C = 4.
+        let on = [(attr("B"), attr("C"))];
+        let sj = r().semijoin_on(&s(), &on, false).unwrap();
+        assert_eq!(
+            sj,
+            Relation::table(&["A", "B"], &[&[1i64, 2], &[2, 4], &[3, 2]])
+        );
+        let aj = r().semijoin_on(&s(), &on, true).unwrap();
+        assert_eq!(aj, Relation::table(&["A", "B"], &[&[2i64, 3]]));
+        // No pairs: `exists` — everything or nothing.
+        assert_eq!(r().semijoin_on(&s(), &[], false).unwrap(), r());
+        let none = Relation::empty(Schema::of(&["C", "D"]));
+        assert!(r().semijoin_on(&none, &[], false).unwrap().is_empty());
+        assert_eq!(r().semijoin_on(&none, &on, true).unwrap(), r());
+        assert!(r()
+            .semijoin_on(&s(), &[(attr("Z"), attr("C"))], false)
+            .is_err());
     }
 
     #[test]

@@ -18,8 +18,26 @@
 //!   away on both sides
 //! * all-identity generalized projections become plain projections, and
 //!   full-schema identity projections disappear
+//! * eager aggregation (Yan and Larson, VLDB 1995):
+//!   `γ_{G;f}((L × R) ⋉_K M) → γ_{G;f′}((γ_{(G∪K)∩L;f}(L) × R) ⋉_K M)`,
+//!   and the same over `▷`, when `attrs(R) ⊆ G`, every argument of `f`
+//!   comes from `L` and `f` is `sum`/`count`/`min`/`max` (`f′` combines the
+//!   partial results: a sum of sums or counts, a min of mins, a max of
+//!   maxes). Each group then holds one `R` tuple, and whether an `L` tuple
+//!   survives the (anti)semijoin depends only on its `K` columns, so the
+//!   partial groups partition every final group. `avg` does not combine
+//!   this way. A `sum` over a non-integer value fails in the
+//!   pre-aggregation even when the (anti)semijoin would have dropped its
+//!   tuple: an error where the unpushed plan answers, never a different
+//!   answer.
+//! * `γ_{G;f}(π_L(e)) → π_{L′}(γ_{G′;f′}(e))` when `L` keeps every column
+//!   of `e` (a renaming, possibly with copies, merges no tuples); `G′` and
+//!   `f′` read the sources. No rule moves a *narrowing* projection below
+//!   `γ`: `γ` aggregates over distinct whole tuples.
+//! * `a ⋉_K b → a ⋉_K π_{K_b}(b)` (and `▷`): the probed side is read on its
+//!   key columns only.
 
-use crate::{Attr, Expr, ExprKind, Pred, Relation, Result, Schema};
+use crate::{AggCall, AggFn, Attr, Expr, ExprKind, Pred, Relation, Result, Schema};
 
 /// Simplify `expr` to a fixpoint. `base` supplies base-table schemas (needed
 /// to recognize identity projections).
@@ -56,7 +74,126 @@ fn rebuild_children(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Resul
         ExprKind::ThetaJoin(p, a, b) => pass(a, base)?.theta_join(&pass(b, base)?, p.clone()),
         ExprKind::Divide(a, b) => pass(a, base)?.divide(&pass(b, base)?),
         ExprKind::OuterPadJoin(a, b) => pass(a, base)?.outer_pad_join(&pass(b, base)?),
+        ExprKind::Aggregate(group, aggs, e) => {
+            pass(e, base)?.aggregate(group.clone(), aggs.clone())
+        }
+        ExprKind::SemiJoin(on, a, b) => pass(a, base)?.semijoin(&pass(b, base)?, on.clone(), false),
+        ExprKind::AntiJoin(on, a, b) => pass(a, base)?.semijoin(&pass(b, base)?, on.clone(), true),
     })
+}
+
+/// The eager-aggregation rule (see the module docs): `Some` with the
+/// pre-aggregated plan when `expr` is `γ_{G;f}((L × R) ⋉_K M)` or its `▷`
+/// form and the rule's side conditions hold.
+fn eager_aggregation(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Option<Expr> {
+    let ExprKind::Aggregate(group, aggs, input) = expr.kind() else {
+        return None;
+    };
+    let (ExprKind::SemiJoin(on, pair, m) | ExprKind::AntiJoin(on, pair, m)) = input.kind() else {
+        return None;
+    };
+    let ExprKind::Product(l, r) = pair.kind() else {
+        return None;
+    };
+    // An `L` that is a `γ` (under renamings) is pre-aggregated already:
+    // the rule would fire on its own output forever.
+    let mut below = l.clone();
+    while let Some((_, inner)) = as_projection(&below) {
+        below = inner;
+    }
+    if matches!(below.kind(), ExprKind::Aggregate(..)) {
+        return None;
+    }
+    let (ls, rs) = (l.infer_schema(base).ok()?, r.infer_schema(base).ok()?);
+    let combine = |f: AggFn| match f {
+        AggFn::Sum | AggFn::Count => Some(AggFn::Sum),
+        AggFn::Min | AggFn::Max => Some(f),
+        AggFn::Avg => None,
+    };
+    let outer: Vec<AggCall> = aggs
+        .iter()
+        .map(|a| {
+            let from_l = a.arg.as_ref().is_none_or(|x| ls.contains(x));
+            let f = combine(a.func).filter(|_| from_l)?;
+            Some(AggCall::new(f, Some(a.out.clone()), a.out.clone()))
+        })
+        .collect::<Option<_>>()?;
+    if !rs.attrs().iter().all(|a| group.contains(a)) {
+        return None;
+    }
+    let keep: Vec<Attr> = ls
+        .attrs()
+        .iter()
+        .filter(|a| group.contains(a) || on.iter().any(|(k, _)| k == *a))
+        .cloned()
+        .collect();
+    let anti = matches!(input.kind(), ExprKind::AntiJoin(..));
+    let pushed = l
+        .aggregate(keep, aggs.clone())
+        .product(r)
+        .semijoin(m, on.clone(), anti)
+        .aggregate(group.clone(), outer);
+    // The partial results must not collide with a kept or an `R` column.
+    let same = pushed.infer_schema(base).ok()? == expr.infer_schema(base).ok()?;
+    same.then_some(pushed)
+}
+
+/// `γ_{G;f}(π_L(e)) → π_{L′}(γ_{G′;f′}(e))` when `L` keeps every column of
+/// `e`, so that it merges no tuples.
+fn aggregate_below_renaming(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Option<Expr> {
+    let ExprKind::Aggregate(group, aggs, input) = expr.kind() else {
+        return None;
+    };
+    let (list, e) = as_projection(input)?;
+    let es = e.infer_schema(base).ok()?;
+    if !es.attrs().iter().all(|a| list.iter().any(|(s, _)| s == a)) {
+        return None;
+    }
+    let source = |a: &Attr| list.iter().find(|(_, d)| d == a).map(|(s, _)| s.clone());
+    let mut inner_group: Vec<Attr> = Vec::new();
+    let mut outer: Vec<(Attr, Attr)> = Vec::new();
+    for g in group {
+        let s = source(g)?;
+        if !inner_group.contains(&s) {
+            inner_group.push(s.clone());
+        }
+        outer.push((s, g.clone()));
+    }
+    let inner_aggs: Vec<AggCall> = aggs
+        .iter()
+        .map(|a| {
+            let arg = match &a.arg {
+                Some(x) => Some(source(x)?),
+                None => None,
+            };
+            Some(AggCall::new(a.func, arg, a.out.clone()))
+        })
+        .collect::<Option<_>>()?;
+    outer.extend(aggs.iter().map(|a| (a.out.clone(), a.out.clone())));
+    let pushed = projection_expr(outer, e.aggregate(inner_group, inner_aggs));
+    // An aggregate named like a kept source column keeps the original.
+    let same = pushed.infer_schema(base).ok()? == expr.infer_schema(base).ok()?;
+    same.then_some(pushed)
+}
+
+/// `a ⋉_K b → a ⋉_K π_{K_b}(b)`, and the same for `▷`, when `b` has more
+/// columns than its keys.
+fn probe_keys_only(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Option<Expr> {
+    let (ExprKind::SemiJoin(on, a, b) | ExprKind::AntiJoin(on, a, b)) = expr.kind() else {
+        return None;
+    };
+    let mut keys: Vec<Attr> = Vec::new();
+    for (_, k) in on {
+        if !keys.contains(k) {
+            keys.push(k.clone());
+        }
+    }
+    let bs = b.infer_schema(base).ok()?;
+    if keys.is_empty() || bs.arity() == keys.len() || !bs.contains_all(&keys) {
+        return None;
+    }
+    let anti = matches!(expr.kind(), ExprKind::AntiJoin(..));
+    Some(a.semijoin(&b.project(keys), on.clone(), anti))
 }
 
 fn is_unit(e: &Expr) -> bool {
@@ -87,6 +224,12 @@ fn rewrite_node(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Ex
     // σ_true(e) → e
     if let ExprKind::Select(Pred::True, e) = expr.kind() {
         return Ok(e.clone());
+    }
+
+    for rule in [eager_aggregation, aggregate_below_renaming, probe_keys_only] {
+        if let Some(rewritten) = rule(expr, base) {
+            return Ok(rewritten);
+        }
     }
 
     // e × {⟨⟩} → e ; {⟨⟩} × e → e ; same for natural join with unit.

@@ -6,7 +6,7 @@
 //! nested-loop oracle on randomized inputs from `datagen`.
 
 use proptest::prelude::*;
-use relalg::{attr, attrs, Attr, CmpOp, Operand, Pred, Relation, Schema, Value};
+use relalg::{attr, attrs, AggCall, AggFn, Attr, CmpOp, Operand, Pred, Relation, Schema, Value};
 
 fn rel_ab(rows: Vec<(i64, i64)>) -> Relation {
     Relation::from_rows(
@@ -188,6 +188,148 @@ proptest! {
         prop_assert_eq!(&*catalog.eval(&e).unwrap(), &r.divide(&s).unwrap());
         let e = Expr::table("R").outer_pad_join(&Expr::table("S"));
         prop_assert_eq!(&*catalog.eval(&e).unwrap(), &r.outer_pad_join(&s));
+    }
+}
+
+// ---- aggregation rewrites of `relalg::simplify` ----
+
+/// `L(A, K, M)`: the measure `M` has few values, so distinct tuples share
+/// one.
+fn rel_akm(rows: Vec<(i64, i64, i64)>) -> Relation {
+    Relation::from_rows(
+        Schema::of(&["A", "K", "M"]),
+        rows.into_iter()
+            .map(|(a, k, m)| vec![Value::Int(a), Value::Int(k), Value::Int(m)]),
+    )
+    .unwrap()
+}
+
+/// The number of `γ` nodes in `e`.
+fn aggregates(e: &relalg::Expr) -> usize {
+    use relalg::ExprKind::*;
+    match e.kind() {
+        Table(_) | Lit(_) => 0,
+        Aggregate(_, _, c) => 1 + aggregates(c),
+        Select(_, c) | Project(_, c) | ProjectAs(_, c) | Rename(_, c) => aggregates(c),
+        Product(a, b)
+        | Union(a, b)
+        | Intersect(a, b)
+        | Difference(a, b)
+        | NaturalJoin(a, b)
+        | ThetaJoin(_, a, b)
+        | Divide(a, b)
+        | OuterPadJoin(a, b)
+        | SemiJoin(_, a, b)
+        | AntiJoin(_, a, b) => aggregates(a) + aggregates(b),
+    }
+}
+
+fn agg_catalog(l: Vec<(i64, i64, i64)>, w: Vec<i64>, m: Vec<(i64, i64)>) -> relalg::Catalog {
+    let mut c = relalg::Catalog::new();
+    c.put("L", rel_akm(l));
+    c.put(
+        "R",
+        Relation::from_rows(
+            Schema::of(&["W"]),
+            w.into_iter().map(|x| vec![Value::Int(x)]),
+        )
+        .unwrap(),
+    );
+    c.put(
+        "M",
+        Relation::from_rows(
+            Schema::of(&["K2", "W"]),
+            m.into_iter()
+                .map(|(k, x)| vec![Value::Int(k), Value::Int(x)]),
+        )
+        .unwrap(),
+    );
+    c
+}
+
+/// `γ_{group; func(arg) as F}((L × R) ⋉/▷_{K=K2, W=W} M)`.
+fn grouped_semijoin(group: &[&str], func: AggFn, arg: Option<&str>, anti: bool) -> relalg::Expr {
+    use relalg::Expr;
+    let on = vec![(attr("K"), attr("K2")), (attr("W"), attr("W"))];
+    Expr::table("L")
+        .product(&Expr::table("R"))
+        .semijoin(&Expr::table("M"), on, anti)
+        .aggregate(
+            attrs(group),
+            vec![AggCall::new(func, arg.map(attr), attr("F"))],
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Eager aggregation: `γ_{G;f}((L × R) ▷_K M)` pre-aggregates `L` when
+    /// `attrs(R) ⊆ G` and `f` is `sum`/`count`/`min`/`max` of an `L`
+    /// column, and the pushed plan has the same answer.
+    #[test]
+    fn eager_aggregation_keeps_the_answer(
+        l in proptest::collection::vec((0i64..3, 0i64..3, 0i64..3), 0..10),
+        w in small_vals(),
+        m in small_pairs(),
+        kind in (0usize..4, 0usize..2),
+    ) {
+        let c = agg_catalog(l, w, m);
+        let base = |n: &str| c.schema_of(n);
+        let func = [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max][kind.0];
+        let arg = (func != AggFn::Count).then_some("M");
+        let e = grouped_semijoin(&["A", "W"], func, arg, kind.1 == 1);
+        let pushed = relalg::simplify(&e, &base).unwrap();
+        prop_assert_eq!(aggregates(&pushed), 2, "{}", pushed);
+        prop_assert_eq!(c.eval(&pushed).unwrap(), c.eval(&e).unwrap(), "{}", pushed);
+    }
+
+    /// The rule declines `avg`, an argument from `R`, and a `G` that misses
+    /// an `R` column; simplifying keeps the answer anyway.
+    #[test]
+    fn eager_aggregation_declines_outside_its_conditions(
+        l in proptest::collection::vec((0i64..3, 0i64..3, 0i64..3), 0..10),
+        w in small_vals(),
+        m in small_pairs(),
+        anti in 0usize..2,
+    ) {
+        let c = agg_catalog(l, w, m);
+        let base = |n: &str| c.schema_of(n);
+        let anti = anti == 1;
+        for e in [
+            grouped_semijoin(&["A", "W"], AggFn::Avg, Some("M"), anti),
+            grouped_semijoin(&["A", "W"], AggFn::Sum, Some("W"), anti),
+            grouped_semijoin(&["A"], AggFn::Sum, Some("M"), anti),
+        ] {
+            let simplified = relalg::simplify(&e, &base).unwrap();
+            prop_assert_eq!(aggregates(&simplified), 1, "{}", simplified);
+            prop_assert_eq!(c.eval(&simplified).unwrap(), c.eval(&e).unwrap(), "{}", simplified);
+        }
+    }
+
+    /// `γ` moves below a projection that keeps every column (here one that
+    /// also copies `A`), never below one that narrows: `γ_{A;sum(M)}` over
+    /// `π_{A,M}(L)` sums each distinct `(A, M)` once.
+    #[test]
+    fn aggregation_moves_below_renamings_only(
+        l in proptest::collection::vec((0i64..3, 0i64..3, 0i64..3), 0..10),
+    ) {
+        use relalg::Expr;
+        let c = agg_catalog(l, vec![], vec![]);
+        let base = |n: &str| c.schema_of(n);
+        let sum = vec![AggCall::new(AggFn::Sum, Some(attr("M")), attr("F"))];
+        let copying = Expr::table("L")
+            .project_as(vec![
+                (attr("A"), attr("A")),
+                (attr("A"), attr("A2")),
+                (attr("K"), attr("K")),
+                (attr("M"), attr("M")),
+            ])
+            .aggregate(attrs(&["A", "A2"]), sum.clone());
+        let narrowing = Expr::table("L").project(attrs(&["A", "M"])).aggregate(attrs(&["A"]), sum);
+        for e in [copying, narrowing] {
+            let simplified = relalg::simplify(&e, &base).unwrap();
+            prop_assert_eq!(c.eval(&simplified).unwrap(), c.eval(&e).unwrap(), "{}", simplified);
+        }
     }
 }
 

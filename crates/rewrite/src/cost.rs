@@ -31,8 +31,11 @@ pub fn cost(q: &Query) -> u64 {
             Query::Product(a, b) => W_JOIN + cost(a) + cost(b),
             _ => W_UNARY + cost(inner),
         },
-        Query::Project(_, inner) | Query::Rename(_, inner) => W_UNARY + cost(inner),
+        Query::Project(_, inner)
+        | Query::Rename(_, inner)
+        | Query::Aggregate { input: inner, .. } => W_UNARY + cost(inner),
         Query::Product(a, b) => W_PRODUCT + cost(a) + cost(b),
+        Query::SemiJoin { left, right, .. } => W_JOIN + cost(left) + cost(right),
         Query::Union(a, b) | Query::Intersect(a, b) | Query::Difference(a, b) => {
             W_SETOP + cost(a) + cost(b)
         }
@@ -194,7 +197,9 @@ pub fn estimate(q: &Query, ctx: &RewriteCtx) -> Estimate {
             }
         }
 
-        Query::Project(_, inner) | Query::Rename(_, inner) => {
+        Query::Project(_, inner)
+        | Query::Rename(_, inner)
+        | Query::Aggregate { input: inner, .. } => {
             let i = estimate(inner, ctx);
             Estimate {
                 cost: sat(i.cost, i.worlds.saturating_mul(i.rows)),
@@ -214,7 +219,12 @@ pub fn estimate(q: &Query, ctx: &RewriteCtx) -> Estimate {
             }
         }
 
-        Query::Union(a, b) | Query::Intersect(a, b) | Query::Difference(a, b) => {
+        Query::Union(a, b)
+        | Query::Intersect(a, b)
+        | Query::Difference(a, b)
+        | Query::SemiJoin {
+            left: a, right: b, ..
+        } => {
             let ia = estimate(a, ctx);
             let ib = estimate(b, ctx);
             let worlds = ia.worlds.saturating_mul(ib.worlds);

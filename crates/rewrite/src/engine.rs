@@ -153,14 +153,33 @@ fn apply_everywhere(q: &Query, rule: &Rule, ctx: &RewriteCtx) -> Vec<Query> {
                 input,
             ));
         }
+        Query::Aggregate { group, aggs, input } => {
+            out.extend(rebuild_unary(
+                &|b| Query::Aggregate {
+                    group: group.clone(),
+                    aggs: aggs.clone(),
+                    input: b,
+                },
+                input,
+            ));
+        }
         Query::Product(a, b)
         | Query::Union(a, b)
         | Query::Intersect(a, b)
-        | Query::Difference(a, b) => {
+        | Query::Difference(a, b)
+        | Query::SemiJoin {
+            left: a, right: b, ..
+        } => {
             let mk = |l: Box<Query>, r: Box<Query>| match q {
                 Query::Product(_, _) => Query::Product(l, r),
                 Query::Union(_, _) => Query::Union(l, r),
                 Query::Intersect(_, _) => Query::Intersect(l, r),
+                Query::SemiJoin { on, anti, .. } => Query::SemiJoin {
+                    on: on.clone(),
+                    anti: *anti,
+                    left: l,
+                    right: r,
+                },
                 _ => Query::Difference(l, r),
             };
             for l in apply_everywhere(a, rule, ctx) {
