@@ -107,14 +107,21 @@ impl Explanation {
         if !self.node_cards.is_empty() {
             out.push_str("cards:\n");
             for c in &self.node_cards {
-                out.push_str(&format!(
-                    "            {}{}  est={} actual={} phys={}\n",
-                    "  ".repeat(c.depth),
-                    c.label,
-                    c.est_rows,
-                    c.actual_rows,
-                    c.phys.label()
-                ));
+                let indent = "  ".repeat(c.depth);
+                if c.read_through {
+                    out.push_str(&format!(
+                        "            {indent}{}  est={} read through by ÷\n",
+                        c.label, c.est_rows
+                    ));
+                } else {
+                    out.push_str(&format!(
+                        "            {indent}{}  est={} actual={} phys={}\n",
+                        c.label,
+                        c.est_rows,
+                        c.actual_rows,
+                        c.phys.label()
+                    ));
+                }
             }
         }
         if let Some(stats) = &self.cache {
@@ -426,9 +433,12 @@ mod tests {
             lines.next().unwrap(),
             "            ÷  est=1 actual=1 phys=row"
         );
+        // `÷` divides HFlights itself (division matches columns by name),
+        // so the column swap is never built: its card says so instead of
+        // reporting a trial evaluation.
         assert_eq!(
             lines.next().unwrap(),
-            "              π{Arr,Dep}  est=5 actual=5 phys=row"
+            "              π{Arr,Dep}  est=5 read through by ÷"
         );
         assert_eq!(
             lines.next().unwrap(),
@@ -443,10 +453,11 @@ mod tests {
             "                table HFlights  est=5 actual=5 phys=row"
         );
         // Each trial evaluation starts from an empty memo, so the counts
-        // do not depend on what ran earlier in the process.
+        // do not depend on what ran earlier in the process. Two misses:
+        // `÷` and `π{Dep}`; the read-through `π{Arr,Dep}` never evaluates.
         assert_eq!(
             lines.next().unwrap(),
-            "cache:      1 node hit(s), 0 cse hit(s), 3 miss(es)"
+            "cache:      1 node hit(s), 0 cse hit(s), 2 miss(es)"
         );
         assert!(
             lines.next().is_none(),

@@ -472,6 +472,34 @@ mod tests {
     use super::*;
 
     #[test]
+    fn rows_render_byte_for_byte_and_stop_after_eight_answers() {
+        use relalg::{Relation, Schema, Value};
+        // Columns are as wide as their longest cell in bytes and cells pad
+        // by characters, so the two-byte `ü` and the three-byte CJK
+        // characters widen `City` beyond what it shows.
+        let answer = Relation::from_rows(
+            Schema::of(&["City", "N"]),
+            [
+                vec![Value::str("東京"), Value::Int(12)],
+                vec![Value::str("Zürich"), Value::Int(-5)],
+            ],
+        )
+        .unwrap();
+        let outcome = ExecOutcome::Rows {
+            name: "Q".to_string(),
+            answers: vec![answer; 10],
+        };
+        let mut expected = "Q: 10 distinct answer(s) across 1 world(s)\n".to_string();
+        for i in 1..=8 {
+            expected.push_str(&format!("Q[{i}]  City     N   \n"));
+            expected.push_str("      Zürich   -5  \n");
+            expected.push_str("      東京       12  \n");
+        }
+        expected.push_str("… (2 more)\n");
+        assert_eq!(render_outcome(&outcome, 1), expected);
+    }
+
+    #[test]
     fn oversized_answers_become_err() {
         let fits = "x".repeat(MAX_FRAME);
         assert_eq!(bounded_response(Ok(fits.clone())), ("OK", fits));

@@ -2,7 +2,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::canon::{self, CanonExpr};
-use crate::{Expr, ExprKind, RelalgError, Relation, Result, Schema};
+use crate::{Attr, Expr, ExprKind, RelalgError, Relation, Result, Schema};
 
 /// A catalog of named base relations — the database the expression
 /// evaluator runs against.
@@ -223,8 +223,12 @@ impl Catalog {
                 Arc::new(l.theta_join(&r, p)?)
             }
             ExprKind::Divide(a, b) => {
-                let l = self.eval_memo(a, cache)?;
                 let r = self.eval_memo(b, cache)?;
+                let through = read_through(a, r.schema(), &mut |e| self.eval_memo(e, cache))?;
+                let l = match through {
+                    Some((_, inner)) => inner,
+                    None => self.eval_memo(a, cache)?,
+                };
                 Arc::new(l.divide(&r)?)
             }
             ExprKind::OuterPadJoin(a, b) => {
@@ -248,6 +252,38 @@ impl Catalog {
         cache.canon_put(&canon, &out);
         Ok(out)
     }
+}
+
+/// `π_L(e) ÷ S` is `e ÷ S` when `π_L` only reorders `e`'s columns and the
+/// quotient's columns come out in the same order: division matches columns
+/// by name. Returns `e` and its result (evaluated through `eval`) when that
+/// holds, so the dividend's reordering copy is never built and `÷` reads
+/// `e` in its stored order — the trip plan's `π{Arr,Dep}(F)` over
+/// `F(Dep, Arr)` divides `F` itself. `None` for any other dividend.
+pub(crate) fn read_through<'e>(
+    dividend: &'e Expr,
+    divisor: &Schema,
+    eval: &mut dyn FnMut(&Expr) -> Result<Arc<Relation>>,
+) -> Result<Option<(&'e Expr, Arc<Relation>)>> {
+    let (list, e): (Vec<&Attr>, &Expr) = match dividend.kind() {
+        ExprKind::Project(attrs, e) => (attrs.iter().collect(), e),
+        ExprKind::ProjectAs(list, e) if list.iter().all(|(s, d)| s == d) => {
+            (list.iter().map(|(s, _)| s).collect(), e)
+        }
+        _ => return Ok(None),
+    };
+    let inner = eval(e)?;
+    let s = inner.schema();
+    let permutes = list.len() == s.arity()
+        && s.attrs().iter().all(|x| list.contains(&x))
+        && s.contains_all(divisor.attrs());
+    let outside = |x: &&Attr| !divisor.contains(x);
+    let same_quotient = s
+        .attrs()
+        .iter()
+        .filter(outside)
+        .eq(list.iter().copied().filter(outside));
+    Ok((permutes && same_quotient).then_some((e, inner)))
 }
 
 #[cfg(test)]

@@ -872,6 +872,10 @@ pub struct PlanCard {
     /// Physical path ([`crate::PhysPath`]) the operator takes on its
     /// actual inputs.
     pub phys: crate::PhysPath,
+    /// The projection never ran: its parent `÷` read its input directly
+    /// (see [`crate::Catalog::eval`]). `actual_rows` is then 0 and `phys`
+    /// is [`crate::PhysPath::Row`]; neither describes an evaluation.
+    pub read_through: bool,
 }
 
 fn node_label(e: &Expr) -> String {
@@ -957,22 +961,13 @@ fn node_phys(e: &Expr, catalog: &Catalog, cache: &mut crate::EvalCache) -> Resul
                 PhysPath::Row
             }
         }
-        // Narrowing projections extract the kept columns.
         ExprKind::Project(attrs, c) => {
             let r = catalog.eval_cached(c, cache)?;
-            if attrs.len() < r.schema().arity() {
-                physical::choose(r.schema().arity(), r.len())
-            } else {
-                PhysPath::Row
-            }
+            project_phys(attrs.iter(), &r)
         }
         ExprKind::ProjectAs(list, c) => {
             let r = catalog.eval_cached(c, cache)?;
-            if list.len() < r.schema().arity() {
-                physical::choose(r.schema().arity(), r.len())
-            } else {
-                PhysPath::Row
-            }
+            project_phys(list.iter().map(|(s, _)| s), &r)
         }
         // Hash joins extract build/probe keys as column groups.
         ExprKind::NaturalJoin(a, b) => {
@@ -1011,6 +1006,17 @@ fn node_phys(e: &Expr, catalog: &Catalog, cache: &mut crate::EvalCache) -> Resul
     Ok(path)
 }
 
+/// Narrowing projections extract the kept columns, except those that keep
+/// the leading columns in order: they stream over the rows in place.
+fn project_phys<'a>(srcs: impl Iterator<Item = &'a Attr>, r: &crate::Relation) -> crate::PhysPath {
+    let idx: Vec<usize> = srcs.filter_map(|a| r.schema().index_of(a)).collect();
+    if idx.len() < r.schema().arity() && crate::relation::stream_prefix(&idx).is_none() {
+        crate::physical::choose(r.schema().arity(), r.len())
+    } else {
+        crate::PhysPath::Row
+    }
+}
+
 /// Annotate every node of `e` (pre-order) with its estimated and actual
 /// cardinality plus the chosen physical path. The trial evaluation shares
 /// one [`crate::EvalCache`], so the whole tree evaluates once; per-node
@@ -1036,8 +1042,31 @@ pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
             est_rows: est,
             actual_rows: actual,
             phys,
+            read_through: false,
         });
         match e.kind() {
+            ExprKind::Divide(a, b) => {
+                let divisor = catalog.eval_cached(b, cache)?;
+                let through = crate::eval::read_through(a, divisor.schema(), &mut |x| {
+                    catalog.eval_cached(x, cache)
+                })?;
+                match through {
+                    // Report the projection without trial-evaluating it.
+                    Some((inner, _)) => {
+                        out.push(PlanCard {
+                            depth: depth + 1,
+                            label: node_label(a),
+                            est_rows: estimate_memo(a, catalog, est_memo).rows,
+                            actual_rows: 0,
+                            phys: crate::PhysPath::Row,
+                            read_through: true,
+                        });
+                        walk(inner, depth + 2, catalog, est_memo, cache, out)?;
+                    }
+                    None => walk(a, depth + 1, catalog, est_memo, cache, out)?,
+                }
+                walk(b, depth + 1, catalog, est_memo, cache, out)?;
+            }
             ExprKind::Table(_) | ExprKind::Lit(_) => {}
             ExprKind::Select(_, c)
             | ExprKind::Project(_, c)
@@ -1049,7 +1078,6 @@ pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
             | ExprKind::Intersect(a, b)
             | ExprKind::Difference(a, b)
             | ExprKind::NaturalJoin(a, b)
-            | ExprKind::Divide(a, b)
             | ExprKind::OuterPadJoin(a, b)
             | ExprKind::SemiJoin(_, a, b)
             | ExprKind::AntiJoin(_, a, b) => {

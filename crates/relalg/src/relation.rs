@@ -472,14 +472,30 @@ impl Relation {
                     .find(|d| list.iter().filter(|(_, x)| x == d).count() > 1)
                     .unwrap_or_else(|| Attr::new("?")),
             })?;
-        // A prefix projection (keeping the leading columns in order) cannot
-        // disturb the sort order and cannot be re-deduplicated into a
-        // *different* order, but it can merge tuples — only the identity
-        // column selection is guaranteed dedup-free, so go through a
-        // sort+dedup pass in general. Relations wider than the inline tuple
-        // capacity take the columnar path: the touched columns are
-        // extracted into transient narrow vectors and the sort runs over
-        // those, never walking the full heap tuples again.
+        // A map that keeps the leading columns in source order (copies of
+        // kept columns allowed) emits in source order: equal outputs are
+        // adjacent, so one pass builds a tuple per change of that prefix.
+        // The identity map is a plain copy.
+        if let Some(kept) = stream_prefix(&idx) {
+            if kept == idx.len() && kept == self.schema.arity() {
+                return Ok(Relation::from_sorted_vec(out_schema, self.tuples.clone()));
+            }
+            let mut tuples: Vec<Tuple> = Vec::new();
+            let mut last: Option<&Tuple> = None;
+            for t in &self.tuples {
+                if last.is_some_and(|l| l[..kept] == t[..kept]) {
+                    continue;
+                }
+                tuples.push(idx.iter().map(|&i| t[i]).collect());
+                last = Some(t);
+            }
+            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+        }
+        // Any other map goes through a sort+dedup pass. Relations wider
+        // than the inline tuple capacity take the columnar path: the
+        // touched columns are extracted into transient narrow vectors and
+        // the sort runs over those, never walking the full heap tuples
+        // again.
         if idx.len() < self.schema.arity()
             && crate::physical::choose(self.schema.arity(), self.tuples.len())
                 == crate::physical::PhysPath::Columnar
@@ -911,12 +927,21 @@ impl Relation {
     /// (vacuous universal quantification), consistent with the classical
     /// RA definition `π_A(R) − π_A(π_A(R) × S − R)`.
     ///
-    /// When `R`'s columns are `A` then `B` in schema order (what the
-    /// Section-5.3 plan `π{Arr,Dep}(Flights) ÷ π{Dep}(Flights)` produces),
-    /// the sorted tuples already run by their `A`-part: one walk in place.
-    /// Otherwise one `(A-part, B-part)` extraction pass plus one sort
-    /// groups the divisor check into contiguous runs — no intermediate
-    /// per-key sets.
+    /// Two layouts of `R` are read in place, without sorting (sort-based
+    /// division on sorted input, Graefe, ICDE 1989):
+    ///
+    /// * `A` then `B` (`B` in `S`'s column order): the sorted tuples run
+    ///   by their `A`-part, and each run's `B`-parts are checked against
+    ///   `S` in one forward walk;
+    /// * `B` then `A` (what `Flights(Dep, Arr) ÷ π{Dep}(Flights)` reads
+    ///   when [`crate::Catalog::eval`] looks through the trip plan's
+    ///   `π{Arr,Dep}`): the tuples run by their `B`-part, `S` is merged
+    ///   against those runs, and the runs' sorted `A`-lists are
+    ///   intersected. A divisor tuple without a run empties the quotient.
+    ///
+    /// Any other layout, and an empty `S` under `B`-then-`A`, takes one
+    /// `(A-part, B-part)` extraction pass plus one sort, which groups the
+    /// divisor check into contiguous runs.
     pub fn divide(&self, divisor: &Relation) -> Result<Relation> {
         let b: Vec<Attr> = divisor.schema.attrs().to_vec();
         if !self.schema.contains_all(&b) {
@@ -951,6 +976,44 @@ impl Relation {
                 run = end;
             }
             // Runs appear in the relation's (sorted) order.
+            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+        }
+
+        let m = b.len();
+        if !needed.is_empty() && b_idx.iter().chain(&a_idx).enumerate().all(|(i, &x)| x == i) {
+            let rows = &self.tuples;
+            let mut start = 0;
+            for (n, kb) in needed.iter().enumerate() {
+                // The divisor ascends, so its run starts at or after the
+                // previous one's.
+                while start < rows.len() && rows[start][..m] < kb[..] {
+                    start += 1;
+                }
+                let mut end = start;
+                while end < rows.len() && rows[end][..m] == kb[..] {
+                    end += 1;
+                }
+                let run = &rows[start..end];
+                if n == 0 {
+                    tuples = run
+                        .iter()
+                        .map(|t| t[m..].iter().copied().collect())
+                        .collect();
+                } else {
+                    let mut j = 0;
+                    tuples.retain(|ka| {
+                        while j < run.len() && run[j][m..] < ka[..] {
+                            j += 1;
+                        }
+                        j < run.len() && run[j][m..] == ka[..]
+                    });
+                }
+                if tuples.is_empty() {
+                    break;
+                }
+                start = end;
+            }
+            // A run's `A`-parts ascend, and intersecting keeps that order.
             return Ok(Relation::from_sorted_vec(out_schema, tuples));
         }
 
@@ -1085,35 +1148,45 @@ impl Relation {
     }
 
     /// Render as an aligned ASCII table (used by examples and docs).
+    ///
+    /// Every cell is written straight into one buffer. A column is as wide
+    /// as its longest cell in bytes, and a cell is padded to that width by
+    /// characters, so non-ASCII text gets the extra spaces its byte length
+    /// asks for.
     pub fn to_table_string(&self, name: &str) -> String {
-        let headers: Vec<String> = self.schema.attrs().iter().map(|a| a.to_string()).collect();
-        let rows: Vec<Vec<String>> = self
-            .tuples
-            .iter()
-            .map(|t| t.iter().map(|v| v.to_string()).collect())
-            .collect();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        for row in &rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
+        use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str(name);
         if self.schema.arity() == 0 {
-            out.push_str(&format!("  ({} nullary tuple(s))\n", self.tuples.len()));
+            let _ = writeln!(out, "  ({} nullary tuple(s))", self.tuples.len());
             return out;
         }
+        let mut widths: Vec<usize> = self.schema.attrs().iter().map(|a| a.name().len()).collect();
+        for t in &self.tuples {
+            for (w, v) in widths.iter_mut().zip(t.iter()) {
+                *w = (*w).max(cell_len(v));
+            }
+        }
+        let line = name.len() + 2 + widths.iter().map(|w| w + 2).sum::<usize>() + 1;
+        out.reserve(line * (self.tuples.len() + 1));
         out.push_str("  ");
-        for (h, w) in headers.iter().zip(&widths) {
-            out.push_str(&format!("{h:<w$}  "));
+        for (a, &w) in self.schema.attrs().iter().zip(&widths) {
+            push_cell(&mut out, a.name(), w);
         }
         out.push('\n');
-        for row in &rows {
-            out.push_str(&" ".repeat(name.len()));
-            out.push_str("  ");
-            for (cell, w) in row.iter().zip(&widths) {
-                out.push_str(&format!("{cell:<w$}  "));
+        for t in &self.tuples {
+            push_spaces(&mut out, name.len() + 2);
+            for (v, &w) in t.iter().zip(&widths) {
+                match v {
+                    Value::Str(s) => push_cell(&mut out, s.as_str(), w),
+                    // `#c`, booleans and integers are ASCII: bytes are chars.
+                    _ => {
+                        let start = out.len();
+                        let _ = write!(out, "{v}");
+                        let len = out.len() - start;
+                        push_spaces(&mut out, w.saturating_sub(len) + 2);
+                    }
+                }
             }
             out.push('\n');
         }
@@ -1406,6 +1479,56 @@ impl fmt::Debug for Relation {
         }
         write!(f, "}}")
     }
+}
+
+/// The byte length of `v` as [`Relation::to_table_string`] prints it.
+fn cell_len(v: &Value) -> usize {
+    match v {
+        Value::Pad => 2,
+        Value::Bool(b) => {
+            if *b {
+                4
+            } else {
+                5
+            }
+        }
+        Value::Int(i) => {
+            let digits = i
+                .unsigned_abs()
+                .checked_ilog10()
+                .map_or(1, |d| d as usize + 1);
+            digits + usize::from(*i < 0)
+        }
+        Value::Str(s) => s.as_str().len(),
+    }
+}
+
+/// `s`, padded by characters to `width` and followed by the two-space
+/// column gap (what `format!("{s:<width$}  ")` writes).
+fn push_cell(out: &mut String, s: &str, width: usize) {
+    out.push_str(s);
+    push_spaces(out, width.saturating_sub(s.chars().count()) + 2);
+}
+
+fn push_spaces(out: &mut String, n: usize) {
+    out.extend(std::iter::repeat_n(' ', n));
+}
+
+/// The number of leading source columns a projection map keeps when its
+/// first occurrences are exactly `0, 1, …, k-1` in that order (later
+/// entries may repeat a kept column); `None` for any other map. Over
+/// sorted input such a map's outputs come out sorted, and equal outputs
+/// are adjacent.
+pub(crate) fn stream_prefix(idx: &[usize]) -> Option<usize> {
+    let mut kept = 0;
+    for &i in idx {
+        if i == kept {
+            kept += 1;
+        } else if i > kept {
+            return None;
+        }
+    }
+    Some(kept)
 }
 
 /// Whether the ascending divisor parts of one quotient run include every
@@ -1771,5 +1894,95 @@ mod tests {
         let s = r().to_table_string("R");
         assert!(s.contains('A'));
         assert!(s.contains('1'));
+    }
+
+    /// The renderer as it was before it wrote into one buffer: a `String`
+    /// per cell and a `format!` per padded cell.
+    fn reference_table_string(r: &Relation, name: &str) -> String {
+        let headers: Vec<String> = r.schema().attrs().iter().map(|a| a.to_string()).collect();
+        let rows: Vec<Vec<String>> = r
+            .iter()
+            .map(|t| t.iter().map(|v| v.to_string()).collect())
+            .collect();
+        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+        for row in &rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+        let mut out = String::new();
+        out.push_str(name);
+        if r.schema().arity() == 0 {
+            out.push_str(&format!("  ({} nullary tuple(s))\n", r.len()));
+            return out;
+        }
+        out.push_str("  ");
+        for (h, w) in headers.iter().zip(&widths) {
+            out.push_str(&format!("{h:<w$}  "));
+        }
+        out.push('\n');
+        for row in &rows {
+            out.push_str(&" ".repeat(name.len()));
+            out.push_str("  ");
+            for (cell, w) in row.iter().zip(&widths) {
+                out.push_str(&format!("{cell:<w$}  "));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn table_string_matches_the_per_cell_reference() {
+        let rows: Vec<Vec<Value>> = vec![
+            vec![
+                Value::str("Zürich"),
+                Value::Int(-7),
+                Value::Bool(true),
+                Value::Pad,
+            ],
+            vec![
+                Value::str("東京"),
+                Value::Int(i64::MIN),
+                Value::Bool(false),
+                Value::Int(0),
+            ],
+            vec![
+                Value::str("ATL"),
+                Value::Int(1234567),
+                Value::Pad,
+                Value::str("ü"),
+            ],
+            vec![
+                Value::str(""),
+                Value::Int(-1),
+                Value::Int(10),
+                Value::Bool(false),
+            ],
+        ];
+        let mixed = Relation::from_rows(Schema::of(&["City", "N", "Flag", "Ä"]), rows).unwrap();
+        let wide_headers =
+            Relation::table(&["LongHeaderName", "Ångström"], &[&[1i64, -2], &[3, 4]]);
+        // More answers than the shell prints (it shows the first 8).
+        let answers: Vec<Relation> = (0..10i64)
+            .map(|i| Relation::table(&["K", "V"], &[&[i, -i * 1000], &[i + 100, i]]))
+            .collect();
+        let mut cases = vec![
+            (mixed, "Q"),
+            (wide_headers, "Wide"),
+            (Relation::unit(), "Unit"),
+            (Relation::nullary_empty(), "None"),
+            (Relation::empty(Schema::of(&["A", "Bé"])), "Empty"),
+            (r(), "R"),
+            (r(), ""),
+        ];
+        cases.extend(answers.into_iter().map(|a| (a, "Ans[é]")));
+        for (rel, name) in &cases {
+            assert_eq!(
+                rel.to_table_string(name),
+                reference_table_string(rel, name),
+                "{name}: {rel:?}"
+            );
+        }
     }
 }

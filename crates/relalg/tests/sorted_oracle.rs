@@ -376,6 +376,247 @@ fn divide_in_place_and_general_twin_agree_with_oracle() {
     }
 }
 
+/// Strictly ascending iteration (hence no duplicates). `assert_matches`
+/// checks it too; the order-reading paths below assert it on its own, as
+/// release builds compile out `from_sorted_vec`'s `debug_assert`.
+fn assert_strictly_sorted(r: &Relation, what: &str) {
+    assert!(
+        r.tuples().windows(2).all(|w| w[0] < w[1]),
+        "{what}: not strictly sorted"
+    );
+}
+
+/// `π_{src as dst, …}` over `BTreeSet`s.
+fn o_project_as(r: &Relation, list: &[(Attr, Attr)]) -> OracleRel {
+    let idx: Vec<usize> = list
+        .iter()
+        .map(|(s, _)| r.schema().index_of(s).unwrap())
+        .collect();
+    (
+        Schema::new(list.iter().map(|(_, d)| d.clone()).collect()),
+        r.iter()
+            .map(|t| idx.iter().map(|&i| t[i]).collect())
+            .collect(),
+    )
+}
+
+/// Projection maps over `(A, B, C)`, named by the shape `project_as`
+/// distinguishes: kept leading columns in order (streamed), the same with
+/// copies of kept columns (streamed), the identity (a copy), and maps that
+/// permute or skip a column (sorted).
+fn projection_maps() -> Vec<(&'static str, Vec<(Attr, Attr)>)> {
+    let m = |pairs: &[(&str, &str)]| -> Vec<(Attr, Attr)> {
+        pairs.iter().map(|&(s, d)| (attr(s), attr(d))).collect()
+    };
+    vec![
+        ("prefix A", m(&[("A", "A")])),
+        ("prefix A,B", m(&[("A", "A"), ("B", "B")])),
+        ("prefix nullary", m(&[])),
+        ("prefix with copy", m(&[("A", "A"), ("A", "A2")])),
+        (
+            "prefix with copies",
+            m(&[("A", "X"), ("B", "Y"), ("A", "Z"), ("B", "W")]),
+        ),
+        (
+            "full width with copy",
+            m(&[("A", "A"), ("B", "B"), ("C", "C"), ("B", "B2")]),
+        ),
+        ("full width", m(&[("A", "A"), ("B", "B"), ("C", "C")])),
+        (
+            "full width renamed",
+            m(&[("A", "X"), ("B", "Y"), ("C", "Z")]),
+        ),
+        ("permuted", m(&[("B", "B"), ("A", "A"), ("C", "C")])),
+        ("permuted narrow", m(&[("C", "C"), ("B", "B")])),
+        ("interleaved", m(&[("A", "A"), ("C", "C")])),
+        (
+            "interleaved with copy",
+            m(&[("A", "A"), ("C", "C"), ("B", "B"), ("A", "A2")]),
+        ),
+        ("skips the first", m(&[("B", "B")])),
+    ]
+}
+
+#[test]
+fn project_as_over_every_map_shape_agrees_with_oracle() {
+    for seed in 0..200u64 {
+        let (r, _) = random_rels(seed, vec!["A", "B", "C"], vec!["D"]);
+        for (what, list) in projection_maps() {
+            let got = r.project_as(&list).unwrap();
+            assert_strictly_sorted(&got, what);
+            assert_matches(&got, &o_project_as(&r, &list), what);
+        }
+    }
+    // Wider than the inline tuple capacity and tall enough for the
+    // columnar path: prefix maps stream, the others go columnar.
+    let names = ["A", "B", "C", "D", "E", "F"];
+    let wide = Relation::from_rows(
+        Schema::of(&names),
+        (0..300i64).map(|i| {
+            [i % 3, i % 7, i % 5, i % 2, i % 11, i]
+                .into_iter()
+                .map(Value::Int)
+                .collect::<Vec<_>>()
+        }),
+    )
+    .unwrap();
+    let identity: Vec<(Attr, Attr)> = names.iter().map(|&n| (attr(n), attr(n))).collect();
+    for (what, list) in projection_maps()
+        .into_iter()
+        .chain([("wide identity", identity)])
+    {
+        let got = wide.project_as(&list).unwrap();
+        assert_strictly_sorted(&got, what);
+        assert_matches(&got, &o_project_as(&wide, &list), what);
+    }
+}
+
+/// `Relation::divide` reads two layouts of the dividend in place — the
+/// quotient columns then the divisor's (`A` then `B`), and the divisor's
+/// then the quotient's (`B` then `A`, merging the divisor against `R`'s
+/// runs) — and sorts any other. Every layout, an empty divisor, a divisor
+/// tuple `R` lacks and an empty `R` are pinned against the oracle.
+#[test]
+fn divide_reads_either_sorted_layout_and_agrees_with_oracle() {
+    let layouts: [(&str, [&str; 3]); 5] = [
+        ("A then B", ["A", "B", "C"]),
+        ("B then A", ["B", "C", "A"]),
+        ("B then A, one quotient column after two", ["C", "B", "A"]),
+        ("interleaved", ["B", "A", "C"]),
+        ("B then A, swapped", ["C", "A", "B"]),
+    ];
+    for seed in 0..200u64 {
+        let (base, _) = random_rels(seed, vec!["A", "B", "C"], vec!["D"]);
+        let from_r = base.project(&attrs(&["B", "C"])).unwrap();
+        let lacking = Relation::table(&["B", "C"], &[&[99i64, 99]]);
+        let divisors = [
+            (
+                "two from R",
+                Relation::from_rows(from_r.schema().clone(), from_r.iter().take(2).cloned())
+                    .unwrap(),
+            ),
+            ("all of R", from_r.clone()),
+            (
+                "one from R",
+                Relation::from_rows(
+                    from_r.schema().clone(),
+                    from_r.iter().skip(1).take(1).cloned(),
+                )
+                .unwrap(),
+            ),
+            ("a tuple R lacks", from_r.union(&lacking).unwrap()),
+            ("empty", Relation::empty(Schema::of(&["B", "C"]))),
+            ("B only", base.project(&attrs(&["B"])).unwrap()),
+            ("C then B", from_r.project(&attrs(&["C", "B"])).unwrap()),
+        ];
+        for (lname, cols) in &layouts {
+            let r = base.project(&attrs(cols)).unwrap();
+            let empty_r = Relation::empty(r.schema().clone());
+            for (dname, d) in &divisors {
+                for (rel, rname) in [(&r, "R"), (&empty_r, "empty R")] {
+                    let what = format!("{rname} {lname} ÷ {dname}");
+                    let got = rel.divide(d).unwrap();
+                    assert_strictly_sorted(&got, &what);
+                    assert_matches(&got, &o_divide(rel, d), &what);
+                }
+            }
+        }
+    }
+    // The trip shape: every departure reaches HUB, some reach more.
+    let f = Relation::table(
+        &["Dep", "Arr"],
+        &[
+            &["FRA", "ATL"],
+            &["FRA", "HUB"],
+            &["PAR", "ATL"],
+            &["PAR", "BCN"],
+            &["PAR", "HUB"],
+            &["PHL", "ATL"],
+            &["PHL", "HUB"],
+        ],
+    );
+    let deps = f.project(&attrs(&["Dep"])).unwrap();
+    let got = f.divide(&deps).unwrap();
+    assert_strictly_sorted(&got, "trip");
+    assert_matches(&got, &o_divide(&f, &deps), "trip");
+    assert_eq!(got, Relation::table(&["Arr"], &[&["ATL"], &["HUB"]]));
+}
+
+/// `Catalog::eval` divides `e` itself for a dividend `π_L(e)` whose `L`
+/// only reorders `e`'s columns and leaves the quotient's order unchanged;
+/// any other dividend is evaluated as written. Either way the answer is
+/// the one from evaluating the dividend and dividing by hand.
+#[test]
+fn eval_divides_through_a_column_permutation() {
+    use relalg::{Catalog, EvalCache, Expr};
+    for seed in 0..100u64 {
+        let (t, _) = random_rels(seed, vec!["A", "B", "C"], vec!["D"]);
+        let mut cat = Catalog::new();
+        cat.put("T", t);
+        let tab = Expr::table("T");
+        let cases: Vec<(Expr, Expr, bool)> = vec![
+            // Quotient (B, C) both ways: read through.
+            (
+                tab.project(attrs(&["B", "C", "A"])),
+                tab.project(attrs(&["A"])),
+                true,
+            ),
+            (
+                tab.project(attrs(&["C", "A", "B"])),
+                tab.project(attrs(&["C"])),
+                true,
+            ),
+            (
+                tab.project_as(vec![
+                    (attr("B"), attr("B")),
+                    (attr("A"), attr("A")),
+                    (attr("C"), attr("C")),
+                ]),
+                tab.project(attrs(&["A", "C"])),
+                true,
+            ),
+            // Quotient (C, B) against T's (B, C): evaluated as written.
+            (
+                tab.project(attrs(&["C", "B", "A"])),
+                tab.project(attrs(&["A"])),
+                false,
+            ),
+            // A dropped column changes the quotient: as written.
+            (
+                tab.project(attrs(&["B", "A"])),
+                tab.project(attrs(&["A"])),
+                false,
+            ),
+            // Renaming is not a permutation: as written.
+            (
+                tab.project_as(vec![
+                    (attr("B"), attr("X")),
+                    (attr("A"), attr("A")),
+                    (attr("C"), attr("C")),
+                ]),
+                tab.project(attrs(&["A"])),
+                false,
+            ),
+        ];
+        for (dividend, divisor, through) in cases {
+            let plan = dividend.divide(&divisor);
+            let mut cache = EvalCache::new();
+            let got = cat.eval_cached(&plan, &mut cache).unwrap();
+            let by_hand = cat
+                .eval(&dividend)
+                .unwrap()
+                .divide(&cat.eval(&divisor).unwrap())
+                .unwrap();
+            let what = format!("{plan}");
+            assert_strictly_sorted(&got, &what);
+            assert_matches(&got, &to_oracle(&by_hand), &what);
+            // ÷ and the divisor's π, plus the dividend's π unless read through.
+            let misses = if through { 2 } else { 3 };
+            assert_eq!(cache.stats().misses, misses, "{what}");
+        }
+    }
+}
+
 // ---- proptest-shim edge cases (empty inputs, heavy duplication) ----
 
 fn rel_from_pairs(schema: &[&str], rows: &[(i64, i64)]) -> Relation {
