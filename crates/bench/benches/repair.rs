@@ -71,11 +71,12 @@ fn bench_repair(c: &mut Criterion) {
 /// timed: the Section-2 what-if, whose `group by` and `not in` now compile
 /// to `γ` and an antijoin and run as one relational plan (the sum is taken
 /// per quantity and year before the product with the world table), a plain
-/// aggregate, which has no world construct and stays on the interpreter,
-/// and B16's `repair` statement, whose key-local `certain` runs as one
-/// relational plan rather than over its 16 worlds. Each iteration runs
-/// `Session::execute` on a fresh session over the same world-set, so kept
-/// answers never pile up.
+/// aggregate, which has no world construct and runs as its relational plan
+/// too (`agg`; `agg_interp` is the same statement under
+/// `set local rewrite = off`, on the interpreter), and B16's `repair`
+/// statement, whose key-local `certain` runs as one relational plan rather
+/// than over its 16 worlds. Each iteration runs `Session::execute` on a
+/// fresh copy of one session, so kept answers never pile up.
 fn bench_interp_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("interp_rows");
     group.sample_size(10);
@@ -86,6 +87,7 @@ fn bench_interp_rows(c: &mut Criterion) {
                    from (select * from Lineitem choice of Year) as A \
                    where Quantity not in (select * from Lineitem choice of Quantity) \
                    group by A.Year;";
+    let agg = "select Year, sum(Price) as Rev from Lineitem group by Year;";
     let legs = [
         (
             "whatif",
@@ -93,6 +95,7 @@ fn bench_interp_rows(c: &mut Criterion) {
             "Lineitem",
             datagen::lineitem(7, 400, 3, 4),
             what_if,
+            "default",
         ),
         (
             "whatif",
@@ -100,13 +103,23 @@ fn bench_interp_rows(c: &mut Criterion) {
             "Lineitem",
             datagen::lineitem(7, 1600, 3, 4),
             what_if,
+            "default",
         ),
         (
             "agg",
             1600,
             "Lineitem",
             datagen::lineitem(7, 1600, 3, 4),
-            "select Year, sum(Price) as Rev from Lineitem group by Year;",
+            agg,
+            "default",
+        ),
+        (
+            "agg_interp",
+            1600,
+            "Lineitem",
+            datagen::lineitem(7, 1600, 3, 4),
+            agg,
+            "off",
         ),
         (
             "repair",
@@ -114,14 +127,16 @@ fn bench_interp_rows(c: &mut Criterion) {
             "Census",
             datagen::census(7, 200, 4),
             "select certain SSN, Name from Census repair by key SSN;",
+            "default",
         ),
     ];
-    for (name, rows, table, rel, sql) in legs {
+    for (name, rows, table, rel, sql, rewrite) in legs {
         let mut base = Session::new();
         base.register(table, rel).unwrap();
-        let ws = base.world_set().clone();
+        base.execute(&format!("set local rewrite = {rewrite};"))
+            .unwrap();
         group.bench_with_input(BenchmarkId::new(name, rows), &rows, |b, _| {
-            b.iter(|| Session::with_world_set(ws.clone()).execute(sql).unwrap());
+            b.iter(|| base.clone().execute(sql).unwrap());
         });
     }
     group.finish();

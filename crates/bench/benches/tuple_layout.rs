@@ -3,12 +3,16 @@
 //! and the no-equi-conjunct theta path emit in sorted order (no per-tuple
 //! log-factor insert), the set operations are linear merges over sorted
 //! vecs, division groups with one sort instead of per-key sets, and string
-//! comparison is an O(1) word compare on interned symbols.
+//! comparison is an O(1) word compare on interned symbols. A renaming
+//! shares its input's tuples, and narrow projections and grouping build
+//! one tuple per output row, not per input row.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, RelationBuilder, Schema, Value};
+use relalg::{
+    attr, attrs, AggCall, AggFn, CmpOp, Operand, Pred, Relation, RelationBuilder, Schema, Value,
+};
 
 fn int_rel(names: &[&str], n: usize, stride: usize) -> Relation {
     let width = names.len();
@@ -86,6 +90,32 @@ fn bench_tuple_layout(c: &mut Criterion) {
             b.iter(|| black_box(arr_dep.divide(&deps).unwrap()));
         });
     }
+
+    // B16's tables: a renaming shares `Flights`' tuples; a projection that
+    // skips the leading column drops duplicates by hash, one tuple per
+    // distinct output (`dup`: 400 → 4 rows), or sorts when most rows are
+    // distinct (`distinct`); grouping builds one key tuple per group.
+    let flights = datagen::flights(7, 64, 40, 12);
+    let lineitem = datagen::lineitem(7, 400, 3, 4);
+    let renaming = [(attr("Dep"), attr("F.Dep")), (attr("Arr"), attr("F.Arr"))];
+    group.bench_function("rename", |b| {
+        b.iter(|| black_box(flights.rename(&renaming).unwrap()));
+    });
+    for (leg, cols) in [("dup", &["Quantity"][..]), ("distinct", &["Price", "Year"])] {
+        let cols = attrs(cols);
+        group.bench_with_input(BenchmarkId::new("project_narrow", leg), &leg, |b, _| {
+            b.iter(|| black_box(lineitem.project(&cols).unwrap()));
+        });
+    }
+    let by = attrs(&["Quantity", "Year"]);
+    let sum = [AggCall::new(
+        AggFn::Sum,
+        Some(attr("Price")),
+        attr("Revenue"),
+    )];
+    group.bench_function("aggregate", |b| {
+        b.iter(|| black_box(lineitem.aggregate(&by, &sum).unwrap()));
+    });
 
     group.finish();
 }

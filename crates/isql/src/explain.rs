@@ -47,9 +47,9 @@ pub struct Explanation {
     /// in pre-order: operator label, `F`/`E`/`convert`, and the node's
     /// output world estimate.
     pub rep_plan: Vec<RepNodeLine>,
-    /// Whether the statement runs as `relational_plan` (a world-construct
-    /// statement, rewrite path on): then no world-set representation is
-    /// involved and `rep`/`rep_plan` are not rendered.
+    /// Whether the statement runs as `relational_plan` (a `1↦1` select
+    /// over a one-world session, rewrite path on): then no world-set
+    /// representation is involved and `rep`/`rep_plan` are not rendered.
     pub relational_route: bool,
     /// For a `1↦1` query over a one-world session: the equivalent
     /// relational algebra plan (Section 5.3, simplified and join-ordered),
@@ -295,7 +295,7 @@ impl Session {
                     node_cards =
                         relalg::opt::annotate_cards(&plan.expr, &plan.catalog).unwrap_or_default();
                     cache = Some(ec.stats());
-                    relational_route = crate::interp::tries_algebra_route(sel);
+                    relational_route = crate::interp::tries_algebra_route(sel, ws);
                 }
             }
         }
@@ -563,6 +563,18 @@ mod tests {
         // A χ-ended query decodes its peak at the output: enumerated.
         let e2 = s.explain("select * from T choice of K;").unwrap();
         assert_eq!(e2.rep, "enum");
+    }
+
+    /// A select without world constructs is `1↦1`: over one world it runs
+    /// as its relational plan, and `EXPLAIN` says so.
+    #[test]
+    fn explain_plain_select_takes_the_relational_route() {
+        let s = session();
+        let e = s
+            .explain("select Arr from HFlights where Dep = 'FRA';")
+            .unwrap();
+        assert!(e.relational_route);
+        assert!(e.render().contains("route:      relational (Section 5.3)"));
     }
 
     #[test]

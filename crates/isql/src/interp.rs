@@ -56,18 +56,19 @@ fn fresh(ws: &WorldSet, base: &str) -> String {
 /// Evaluate a select statement against a world-set, appending the answer
 /// relation under `out_name`.
 ///
-/// Statements in the clean fragment that use world constructs first try
-/// the **rewrite route**: compile to World-set Algebra and — when the query
-/// is `1↦1` over a one-world session — evaluate it as its Section-5.3
-/// relational plan; otherwise run the Section-6 optimizer (with real
-/// relation cardinalities) and — when it found a strictly cheaper plan —
-/// evaluate the optimized algebra query directly. Everything else (and
+/// Statements in the clean fragment that use world constructs, and every
+/// select over a one-world session, first try the **rewrite route**:
+/// compile to World-set Algebra and — when the query is `1↦1` over a
+/// one-world session — evaluate it as its Section-5.3 relational plan;
+/// otherwise run the Section-6 optimizer (with real relation
+/// cardinalities) and — when it found a strictly cheaper plan — evaluate
+/// the optimized algebra query directly. Everything else (and
 /// `set local rewrite = off`)
 /// falls back to the direct interpreter below, counting why
 /// ([`RouteFallback`]); the two routes agree on the clean fragment (pinned
 /// by `tests/interp_vs_algebra.rs`).
 pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
-    if !tries_algebra_route(stmt) {
+    if !tries_algebra_route(stmt, ws) {
         return eval_select_ws_interp(stmt, ws, out_name);
     }
     let route_error = match try_rewrite_route_ws(stmt, ws, out_name) {
@@ -76,7 +77,9 @@ pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Resul
             fallback.count();
             match fallback {
                 RouteFallback::RouteError(e) => Some(e),
-                RouteFallback::NotInFragment | RouteFallback::NotCheaper => None,
+                RouteFallback::NotInFragment
+                | RouteFallback::NotTranslatable
+                | RouteFallback::NotCheaper => None,
             }
         }
     };
@@ -93,13 +96,16 @@ pub fn eval_select_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Resul
     out
 }
 
-/// Whether [`eval_select_ws`] tries the algebra route for `stmt` at all
-/// (`EXPLAIN` asks the same question).
-pub(crate) fn tries_algebra_route(stmt: &SelectStmt) -> bool {
-    relalg::config::rewrite_enabled() && stmt.uses_world_constructs()
+/// Whether [`eval_select_ws`] tries the algebra route for `stmt` over `ws`
+/// at all (`EXPLAIN` asks the same question): a statement that uses world
+/// constructs, or any select over a one-world session. A select without
+/// world constructs is `1↦1` (Theorem 5.7), so over one world it runs as
+/// its relational plan; over several it stays on the interpreter.
+pub(crate) fn tries_algebra_route(stmt: &SelectStmt, ws: &WorldSet) -> bool {
+    relalg::config::rewrite_enabled() && (stmt.uses_world_constructs() || ws.the_world().is_some())
 }
 
-/// Why a world-construct statement did not take the algebra route of
+/// Why a statement tried but did not take the algebra route of
 /// [`eval_select_ws`].
 #[derive(Debug)]
 enum RouteFallback {
@@ -107,6 +113,8 @@ enum RouteFallback {
     /// correlated or scalar subqueries, aggregates without `group by`, and
     /// the other shapes [`crate::compile`] lists as interpreter-only.
     NotInFragment,
+    /// A `1↦1` query over one world has no relational translation.
+    NotTranslatable,
     /// Neither the optimizer found a strictly cheaper plan nor the
     /// factorized chooser wanted the query.
     NotCheaper,
@@ -124,6 +132,7 @@ impl RouteFallback {
     fn count(&self) {
         let counter = match self {
             RouteFallback::NotInFragment => &NOT_IN_FRAGMENT,
+            RouteFallback::NotTranslatable => &NOT_TRANSLATABLE,
             RouteFallback::NotCheaper => &NOT_CHEAPER,
             RouteFallback::RouteError(_) => &ROUTE_ERRORS,
         };
@@ -139,8 +148,9 @@ pub struct RouteFallbacks {
     /// a `repair by key` outside the key-local fragment (over an input that
     /// varies across worlds, or followed by `χ`, a set operation, grouping,
     /// a second repair or a product with another repaired side;
-    /// Proposition 4.2). They continue on the other routes. A translated
-    /// plan that fails to evaluate is a route error.
+    /// Proposition 4.2). They continue on the other routes, except that a
+    /// select without world constructs goes to the interpreter. A
+    /// translated plan that fails to evaluate is a route error.
     pub not_translatable: u64,
     /// The statement is outside the compilable fragment.
     pub not_in_fragment: u64,
@@ -296,6 +306,7 @@ fn try_rewrite_route_ws(
     // a relational translation takes the routes below. A translated plan
     // that fails to evaluate is a route error: by Theorem 5.7 it is
     // equivalent to the other routes.
+    let plain = !stmt.uses_world_constructs();
     if let Some(world) = wsa_inlined::route_applies(&algebra, ws) {
         match wsa_inlined::relational_plan(&algebra, ws.rel_names(), world) {
             Ok(plan) => {
@@ -303,10 +314,15 @@ fn try_rewrite_route_ws(
                     .run(ws, out_name)
                     .map_err(|e| RouteFallback::RouteError(rel_err(e)));
             }
-            Err(_) => {
-                NOT_TRANSLATABLE.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) if plain => {}
+            Err(_) => RouteFallback::NotTranslatable.count(),
         }
+    }
+    // A select without world constructs has no world to enumerate or
+    // factorize, so the other routes cannot beat the interpreter, and it
+    // never runs the Section-6 search.
+    if plain {
+        return Err(RouteFallback::NotTranslatable);
     }
     let query = match optimize_memoized(&algebra, &base, ws) {
         Some(q) => q,
@@ -1443,17 +1459,19 @@ impl<'q> BScalar<'q> {
                 let (Value::Int(x), Value::Int(y)) = (&l, &r) else {
                     return Err(SqlError(format!("arithmetic on non-integers {l} and {r}")));
                 };
-                Ok(Value::Int(match op {
-                    ArithOp::Add => x + y,
-                    ArithOp::Sub => x - y,
-                    ArithOp::Mul => x * y,
+                let out = match op {
+                    ArithOp::Add => x.checked_add(*y),
+                    ArithOp::Sub => x.checked_sub(*y),
+                    ArithOp::Mul => x.checked_mul(*y),
                     ArithOp::Div => {
                         if *y == 0 {
                             return Err(SqlError("division by zero".into()));
                         }
-                        x / y
+                        x.checked_div(*y)
                     }
-                }))
+                };
+                out.map(Value::Int)
+                    .ok_or_else(|| rel_err(relalg::RelalgError::Overflow))
             }
             BScalar::CountStar => {
                 let rows =

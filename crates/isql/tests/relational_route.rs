@@ -1,6 +1,7 @@
-//! Statement-level referee of the relational route: a `1↦1` world-construct
-//! select over a one-world session runs as its Section-5.3 relational plan
-//! (Theorem 5.7), not as a world-set.
+//! Statement-level referee of the relational route: a `1↦1` select over a
+//! one-world session runs as its Section-5.3 relational plan (Theorem 5.7),
+//! not as a world-set. A select without world constructs is `1↦1`, so it
+//! takes the route too.
 //!
 //! Every corpus statement must render byte-identically to the same
 //! statement with `set local rewrite = off;` (the interpreter), leave the
@@ -248,12 +249,21 @@ fn base_arcs(s: &Session) -> Vec<(String, Arc<Relation>)> {
 
 /// Run `sql` on `s` and check it against the interpreter and Figure 3.
 fn check(s: &mut Session, sql: &str) {
+    check_on(s, sql, true);
+}
+
+/// [`check`], where `route` says whether `sql` takes the relational route.
+fn check_on(s: &mut Session, sql: &str, route: bool) {
     let e = s.explain(sql).unwrap();
-    assert!(
-        e.relational_route,
-        "`{sql}` should take the relational route"
+    assert_eq!(
+        e.relational_route, route,
+        "`{sql}` should take the relational route: {route}"
     );
-    assert!(e.render().contains("route:      relational"), "{sql}");
+    assert_eq!(
+        e.render().contains("route:      relational"),
+        route,
+        "{sql}"
+    );
 
     let Stmt::Select(sel) = parse_statement(sql).unwrap() else {
         panic!("not a select: {sql}");
@@ -309,6 +319,85 @@ fn what_if_statements_match_the_interpreter_and_figure_3() {
     for sql in WHATIF_CORPUS {
         check(&mut s, sql);
     }
+}
+
+/// Selects without world constructs: B16's `point` and `agg`, joins,
+/// subquery conjuncts and grouping.
+fn plain_corpus(dep: &str) -> Vec<String> {
+    vec![
+        // B16's `point`.
+        "select * from Hotels where Name = 'H0042';".to_string(),
+        // Aliased joins, with and without `select *`.
+        format!(
+            "select F.Dep, H.Name from Flights F, Hotels H \
+             where F.Arr = H.City and F.Dep = '{dep}';"
+        ),
+        format!("select * from Flights F, Hotels H where F.Arr = H.City and F.Dep = '{dep}';"),
+        format!("select * from Flights where Dep = '{dep}';"),
+        "select A.Dep, B.Arr from Flights A, Flights B \
+         where A.Arr = B.Dep and A.Dep != B.Arr;"
+            .to_string(),
+        // `[not] in` and `[not] exists`.
+        format!(
+            "select Name from Hotels where City in \
+             (select Arr from Flights where Dep = '{dep}');"
+        ),
+        "select Name, City from Hotels where City not in (select Arr from Flights);".to_string(),
+        format!(
+            "select Dep, Arr from Flights where exists \
+             (select * from Hotels where City = '{dep}');"
+        ),
+        "select Dep from Flights where not exists \
+         (select * from Hotels where City = 'nowhere');"
+            .to_string(),
+    ]
+}
+
+/// Grouping over B16's `Lineitem` and the small `Sales`, whose distinct
+/// tuples share prices, and over an empty table.
+const PLAIN_GROUP_CORPUS: [&str; 6] = [
+    // B16's `agg`.
+    "select Year, sum(Price) as Rev from Lineitem group by Year;",
+    // Every function; P1, P2 and P3 each cost 10 in 2000, and all three
+    // count: 30.
+    "select Year, count(*) as N, sum(Price) as S, min(Product) as Lo, \
+     max(Price) as Hi, avg(Price) as M from Sales group by Year;",
+    "select Price, count(*) as N from Sales group by Price;",
+    "select Year, Quantity, sum(Price) as S from Lineitem \
+     where Quantity != 2 group by Year, Quantity;",
+    // No rows, no groups.
+    "select Year, count(*) as N, sum(Price) as S from NoSales group by Year;",
+    "select Year, max(Price) as Hi from Sales where Price > 100 group by Year;",
+];
+
+#[test]
+fn plain_selects_match_the_interpreter_and_figure_3() {
+    let (mut s, dep) = b16_session();
+    for sql in plain_corpus(&dep) {
+        check(&mut s, &sql);
+    }
+    let mut s = whatif_session();
+    s.register(
+        "NoSales",
+        Relation::empty(Schema::of(&["Product", "Price", "Year"])),
+    )
+    .unwrap();
+    for sql in PLAIN_GROUP_CORPUS {
+        check(&mut s, sql);
+    }
+    // A view is a relation of the session: defining one over a plain
+    // select takes the route, and so does a select over it.
+    let cheap = "select Product, Year from Sales where Price < 10;";
+    assert!(s.explain(cheap).unwrap().relational_route);
+    s.execute(&format!("create view Cheap as {cheap}")).unwrap();
+    check(&mut s, "select Year from Cheap;");
+    // A `choice of` view splits the session into worlds: a plain select
+    // over it falls back to the interpreter.
+    s.execute("create view ByYear as select * from Sales choice of Year;")
+        .unwrap();
+    assert_eq!(s.world_set().len(), 2);
+    check_on(&mut s, "select Product, Price from ByYear;", false);
+    check_on(&mut s, PLAIN_GROUP_CORPUS[1], false);
 }
 
 #[test]
@@ -390,4 +479,59 @@ fn factorized_decode_keeps_the_base_relations() {
             );
         }
     }
+}
+
+/// Integer overflow is an error on every route, never a panic or a wrapped
+/// value: a `sum` past `i64::MAX` (on the relational route, `γ` fails and
+/// the interpreter then fails alike) and `+ − × ÷` past the range (outside
+/// the fragment, so the interpreter's), rendered the same with the algebra
+/// routes off.
+#[test]
+fn integer_overflow_is_an_error_on_every_route() {
+    let mut s = Session::new();
+    s.register(
+        "Big",
+        Relation::table(
+            &["K", "V"],
+            &[&[1i64, i64::MAX], &[1, 5], &[2, -i64::MAX], &[3, 7]],
+        ),
+    )
+    .unwrap();
+    let mut plain = s.clone();
+    plain.execute("set local rewrite = off;").unwrap();
+    for (sql, routed) in [
+        ("select K, sum(V) as S from Big group by K;", true),
+        (
+            "select possible K, sum(V) as S from Big choice of K group by K;",
+            true,
+        ),
+        ("select K, V + 9223372036854775807 as W from Big;", false),
+        ("select K, V - 9 as W from Big where K = 2;", false),
+        ("select K, V * 2 as W from Big where K = 1;", false),
+        (
+            "select K, (V - 1) / (0 - 1) as W from Big where K = 2;",
+            false,
+        ),
+    ] {
+        assert_eq!(s.explain(sql).is_ok(), routed, "{sql}");
+        let reference = plain.execute(sql).unwrap_err().to_string();
+        assert!(reference.contains("integer overflow"), "{sql}: {reference}");
+        let before = isql::route_fallbacks();
+        let error = s.execute(sql).unwrap_err().to_string();
+        let after = isql::route_fallbacks();
+        assert_eq!(error, reference, "{sql}");
+        if routed {
+            assert!(after.route_errors > before.route_errors, "{sql}");
+        }
+    }
+    // In range, the same statements answer; a mean of `i64` values always
+    // is.
+    s.execute("select K, sum(V) as S from Big where K > 1 group by K;")
+        .unwrap();
+    s.execute("select K, avg(V) as M from Big where K = 1 group by K;")
+        .unwrap();
+    s.execute("select K, sum(V) as S from Big where V != 5 group by K;")
+        .unwrap();
+    s.execute("select K, (V - 1) / (0 - 1) as W from Big where K = 3;")
+        .unwrap();
 }

@@ -1,5 +1,5 @@
-//! Why a world-construct select ran on the interpreter instead of the
-//! algebra route, counted per reason (`isql::route_fallbacks`).
+//! Why a select that tried the algebra route ran on the interpreter
+//! instead, counted per reason (`isql::route_fallbacks`).
 //!
 //! The counters are process-wide, so this file holds one test: its binary
 //! runs no other statement concurrently.
@@ -95,7 +95,8 @@ fn fallbacks_are_counted_by_reason() {
             "{sql}"
         );
     }
-    // Without world constructs the route is not tried at all.
+    // A select without world constructs over one world runs as its
+    // relational plan.
     assert_eq!(
         delta(
             &mut s,
@@ -103,6 +104,36 @@ fn fallbacks_are_counted_by_reason() {
         ),
         none
     );
+    // Outside the fragment it is counted once and renders as it does with
+    // the algebra routes off.
+    let sql = "select Year, Price + 1 as P from Lineitem;";
+    let mut plain = s.clone();
+    plain.execute("set local rewrite = off;").unwrap();
+    let reference = plain.execute(sql).unwrap();
+    let before = route_fallbacks();
+    let routed = s.execute(sql).unwrap();
+    let after = route_fallbacks();
+    assert_eq!(after.not_in_fragment, before.not_in_fragment + 1);
+    assert_eq!(after.not_translatable, before.not_translatable);
+    assert_eq!(
+        render_outcome(&routed[0], s.world_set().len()),
+        render_outcome(&reference[0], plain.world_set().len())
+    );
+    // Over two worlds it stays on the interpreter and is not counted.
+    let mut two = s.clone();
+    two.register("Coin", relalg::Relation::table(&["Side"], &[&[0i64], &[1]]))
+        .unwrap();
+    two.execute("create view Toss as select * from Coin choice of Side;")
+        .unwrap();
+    assert_eq!(two.world_set().len(), 2);
+    assert_eq!(
+        delta(
+            &mut two,
+            "select Year, sum(Price) as Rev from Lineitem group by Year;"
+        ),
+        none
+    );
+    assert_eq!(delta(&mut two, sql), none);
 
     // A declined relational route is counted once and changes no answer:
     // the statement renders as it does with the algebra routes off.

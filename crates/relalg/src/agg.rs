@@ -69,12 +69,15 @@ impl fmt::Display for AggCall {
 }
 
 /// The running state of one aggregate over one group. Errors (a sum over a
-/// non-integer) are kept until [`Acc::finish`], so folding never fails.
+/// non-integer, a sum that overflows) are kept until [`Acc::finish`], so
+/// folding never fails.
 #[derive(Clone, Debug)]
 pub struct Acc {
     func: AggFn,
     n: i64,
-    total: i64,
+    /// The sum so far, wide enough that no fold order overflows it: only
+    /// a result outside `i64` is an error.
+    total: i128,
     best: Option<Value>,
     bad: Option<Value>,
 }
@@ -97,7 +100,7 @@ impl Acc {
         match self.func {
             AggFn::Count => {}
             AggFn::Sum | AggFn::Avg => match v {
-                Value::Int(i) => self.total += i,
+                Value::Int(i) => self.total += i128::from(i),
                 other => {
                     self.bad.get_or_insert(other);
                 }
@@ -121,11 +124,16 @@ impl Acc {
         if let Some(v) = self.bad {
             return err(format!("sum/avg over non-integer {v}"));
         }
+        let int = |v: i128| {
+            i64::try_from(v)
+                .map(Value::Int)
+                .map_err(|_| RelalgError::Overflow)
+        };
         match self.func {
             AggFn::Count => Ok(Value::Int(self.n)),
-            AggFn::Sum => Ok(Value::Int(self.total)),
+            AggFn::Sum => int(self.total),
             AggFn::Avg if self.n == 0 => err("avg over empty group".into()),
-            AggFn::Avg => Ok(Value::Int(self.total / self.n)),
+            AggFn::Avg => int(self.total / i128::from(self.n)),
             AggFn::Min | AggFn::Max => match self.best {
                 Some(v) => Ok(v),
                 None => err(format!("{} over empty group", self.func)),
@@ -252,5 +260,19 @@ mod tests {
         assert!(r.aggregate(&attrs(&["Year"]), &sum).is_err());
         let dup = [AggCall::new(AggFn::Count, None, attr("Year"))];
         assert!(r.aggregate(&attrs(&["Year"]), &dup).is_err());
+    }
+
+    #[test]
+    fn overflowing_sum_is_an_error() {
+        let r = Relation::table(&["K", "V"], &[&[1i64, i64::MAX], &[2, 5], &[3, -7]]);
+        let sum = [AggCall::new(AggFn::Sum, Some(attr("V")), attr("S"))];
+        let two = r.select(&crate::Pred::eq_const("K", 3).not()).unwrap();
+        assert_eq!(two.aggregate(&[], &sum), Err(RelalgError::Overflow));
+        // The sum is judged, not its prefixes: `MAX + 5 - 7` is in range,
+        // and so is every mean.
+        let all = r.aggregate(&[], &sum).unwrap();
+        assert_eq!(all.iter().next().unwrap()[0], Value::Int(i64::MAX - 2));
+        let avg = [AggCall::new(AggFn::Avg, Some(attr("V")), attr("M"))];
+        assert!(two.aggregate(&[], &avg).is_ok());
     }
 }

@@ -22,6 +22,8 @@ pub enum RelalgError {
     UnknownTable { name: String },
     /// A comparison was applied to incomparable operands.
     TypeError { detail: String },
+    /// Integer arithmetic left the range of `i64`.
+    Overflow,
 }
 
 impl fmt::Display for RelalgError {
@@ -50,6 +52,7 @@ impl fmt::Display for RelalgError {
             }
             RelalgError::UnknownTable { name } => write!(f, "unknown table {name}"),
             RelalgError::TypeError { detail } => write!(f, "type error: {detail}"),
+            RelalgError::Overflow => f.write_str("integer overflow"),
         }
     }
 }

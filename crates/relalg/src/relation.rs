@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -88,11 +89,18 @@ pub(crate) type FxHashSet<K> = HashSet<K, FxBuild>;
 /// sorted-preserving fast paths; `tuples` is never mutated in a way that
 /// could break the invariant.
 ///
+/// The tuple vector is shared (`Arc`): a clone, a renaming and the
+/// identity projection read the same storage instead of copying it, and a
+/// set operation reads an operand in the same column order in place.
+/// [`Relation::insert`] and [`Relation::remove`] copy the vector first
+/// when it is shared.
+///
 /// # Versioning and statistics
 ///
 /// Every relation carries a process-monotonic **epoch tag**, stamped by the
 /// constructing operation. Clones share the tag (a clone is the same
-/// content); the `&mut` entry points ([`Relation::insert`],
+/// content), a renaming stamps its own (its schema differs); the `&mut`
+/// entry points ([`Relation::insert`],
 /// [`Relation::remove`]) stamp a fresh one. Equal tags therefore imply
 /// equal content, which lets the isql optimizer memo and snapshot identity
 /// key on `(name, epoch)` in O(1).
@@ -104,7 +112,7 @@ pub(crate) type FxHashSet<K> = HashSet<K, FxBuild>;
 /// structural (schema + tuples).
 pub struct Relation {
     schema: Schema,
-    tuples: Vec<Tuple>,
+    tuples: Arc<Vec<Tuple>>,
     /// Process-monotonic construction tag; equal tags ⇒ equal content.
     epoch: u64,
     /// Lazily computed statistics; never stale because the content under a
@@ -126,8 +134,9 @@ impl Clone for Relation {
         Relation {
             schema: self.schema.clone(),
             tuples: self.tuples.clone(),
-            // A clone is the same content: it keeps the epoch (O(1) cache
-            // verification treats it as identical) and any computed stats.
+            // A clone is the same content: it shares the tuples, keeps the
+            // epoch (O(1) cache verification treats it as identical) and
+            // any computed stats.
             epoch: self.epoch,
             stats: self.stats.clone(),
         }
@@ -241,6 +250,11 @@ impl Relation {
     /// The one place a `Relation` comes into existence: seals the sorted
     /// tuple vector and stamps a fresh epoch tag.
     fn sealed(schema: Schema, tuples: Vec<Tuple>) -> Relation {
+        Relation::sharing(schema, Arc::new(tuples))
+    }
+
+    /// A relation over already sealed tuples, with a fresh epoch tag.
+    fn sharing(schema: Schema, tuples: Arc<Vec<Tuple>>) -> Relation {
         Relation {
             schema,
             tuples,
@@ -392,14 +406,15 @@ impl Relation {
             });
         }
         if let Err(pos) = self.tuples.binary_search(&t) {
-            self.tuples.insert(pos, t);
+            Arc::make_mut(&mut self.tuples).insert(pos, t);
             self.content_changed();
         }
         Ok(())
     }
 
-    /// In-place mutation: the content under the old epoch no longer exists,
-    /// so stamp a fresh tag and drop any memoized statistics.
+    /// In-place mutation (on storage no other relation shares any more):
+    /// the content under the old epoch no longer exists, so stamp a fresh
+    /// tag and drop any memoized statistics.
     fn content_changed(&mut self) {
         self.epoch = next_epoch();
         self.stats = OnceLock::new();
@@ -429,7 +444,7 @@ impl Relation {
             .binary_search_by(|probe| probe.as_slice().cmp(t))
         {
             Ok(pos) => {
-                self.tuples.remove(pos);
+                Arc::make_mut(&mut self.tuples).remove(pos);
                 self.content_changed();
                 true
             }
@@ -475,14 +490,14 @@ impl Relation {
         // A map that keeps the leading columns in source order (copies of
         // kept columns allowed) emits in source order: equal outputs are
         // adjacent, so one pass builds a tuple per change of that prefix.
-        // The identity map is a plain copy.
+        // The identity map shares the tuples.
         if let Some(kept) = stream_prefix(&idx) {
             if kept == idx.len() && kept == self.schema.arity() {
-                return Ok(Relation::from_sorted_vec(out_schema, self.tuples.clone()));
+                return Ok(Relation::sharing(out_schema, self.tuples.clone()));
             }
             let mut tuples: Vec<Tuple> = Vec::new();
             let mut last: Option<&Tuple> = None;
-            for t in &self.tuples {
+            for t in self.tuples.iter() {
                 if last.is_some_and(|l| l[..kept] == t[..kept]) {
                     continue;
                 }
@@ -491,11 +506,15 @@ impl Relation {
             }
             return Ok(Relation::from_sorted_vec(out_schema, tuples));
         }
-        // Any other map goes through a sort+dedup pass. Relations wider
-        // than the inline tuple capacity take the columnar path: the
-        // touched columns are extracted into transient narrow vectors and
-        // the sort runs over those, never walking the full heap tuples
-        // again.
+        // Any other map first drops duplicates by hash, building one tuple
+        // per distinct output; a mostly distinct output sorts instead.
+        if let Some(tuples) = project_hashed(&self.tuples, &idx) {
+            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+        }
+        // Relations wider than the inline tuple capacity take the columnar
+        // path: the touched columns are extracted into transient narrow
+        // vectors and the sort runs over those, never walking the full
+        // heap tuples again.
         if idx.len() < self.schema.arity()
             && crate::physical::choose(self.schema.arity(), self.tuples.len())
                 == crate::physical::PhysPath::Columnar
@@ -503,7 +522,7 @@ impl Relation {
             return Ok(self.project_columnar(&idx, out_schema));
         }
         let mut b = RelationBuilder::with_capacity(out_schema, self.tuples.len());
-        for t in &self.tuples {
+        for t in self.tuples.iter() {
             b.push(idx.iter().map(|&i| t[i]).collect());
         }
         Ok(b.finish())
@@ -601,7 +620,7 @@ impl Relation {
                     .cloned()
                     .unwrap_or_else(|| Attr::new("?")),
             })?;
-        Ok(Relation::sealed(schema, self.tuples.clone()))
+        Ok(Relation::sharing(schema, self.tuples.clone()))
     }
 
     /// Cartesian product `×` over disjoint schemas. The left-major nested
@@ -621,8 +640,8 @@ impl Relation {
             return Ok(Relation::empty(schema));
         }
         let mut tuples = Vec::with_capacity(self.tuples.len() * other.tuples.len());
-        for l in &self.tuples {
-            for r in &other.tuples {
+        for l in self.tuples.iter() {
+            for r in other.tuples.iter() {
                 tuples.push(l.concat(r));
             }
         }
@@ -630,9 +649,9 @@ impl Relation {
     }
 
     /// Reorder `other`'s columns into `self`'s column order (both must have
-    /// the same attribute set), returning a sorted tuple vector; used by the
-    /// set operations.
-    fn aligned(&self, other: &Relation) -> Result<Vec<Tuple>> {
+    /// the same attribute set), returning its sorted tuples — `other`'s own
+    /// when the order already matches; used by the set operations.
+    fn aligned<'a>(&self, other: &'a Relation) -> Result<Cow<'a, [Tuple]>> {
         if !self.schema.same_attr_set(&other.schema) {
             return Err(RelalgError::SchemaMismatch {
                 left: self.schema.clone(),
@@ -640,7 +659,7 @@ impl Relation {
             });
         }
         if self.schema == other.schema {
-            return Ok(other.tuples.clone());
+            return Ok(Cow::Borrowed(&other.tuples));
         }
         let idx: Vec<usize> = self
             .schema
@@ -656,7 +675,7 @@ impl Relation {
             .collect();
         tuples.sort_unstable();
         tuples.dedup();
-        Ok(tuples)
+        Ok(Cow::Owned(tuples))
     }
 
     /// Union `∪` (same attribute set; right side is reordered as needed):
@@ -678,7 +697,7 @@ impl Relation {
         let mut b = RelationBuilder::new(self.schema.clone());
         b.tuples.extend_from_slice(&self.tuples);
         for other in others {
-            b.tuples.extend(self.aligned(other)?);
+            b.tuples.extend_from_slice(&self.aligned(other)?);
         }
         Ok(b.finish())
     }
@@ -792,8 +811,8 @@ impl Relation {
             // subsequence of the sorted product — already strictly sorted.
             let mut scratch = Tuple::new();
             let mut tuples = Vec::new();
-            for l in &self.tuples {
-                for r in &other.tuples {
+            for l in self.tuples.iter() {
+                for r in other.tuples.iter() {
                     emit(l, r, &mut scratch, &mut tuples);
                 }
             }
@@ -852,8 +871,9 @@ impl Relation {
         if crate::physical::columnar_keys(width, self.len().max(other.len()), common.len())
             && other.len() < u32::MAX as usize
         {
-            let oh = crate::physical::key_hashes(&other.tuples, &r_idx);
-            let sh = crate::physical::key_hashes(&self.tuples, &l_idx);
+            let (rows, other_rows): (&[Tuple], &[Tuple]) = (&self.tuples, &other.tuples);
+            let oh = crate::physical::key_hashes(other_rows, &r_idx);
+            let sh = crate::physical::key_hashes(rows, &l_idx);
             let (head, next) = hash_chain(&oh);
             let keep = |si: usize| -> bool {
                 let Some(&first) = head.get(&sh[si]) else {
@@ -865,7 +885,7 @@ impl Relation {
                     if l_idx
                         .iter()
                         .zip(&r_idx)
-                        .all(|(&lc, &rc)| self.tuples[si][lc] == other.tuples[oi][rc])
+                        .all(|(&lc, &rc)| rows[si][lc] == other_rows[oi][rc])
                     {
                         return true;
                     }
@@ -873,9 +893,9 @@ impl Relation {
                 }
                 false
             };
-            let tuples: Vec<Tuple> = (0..self.tuples.len())
+            let tuples: Vec<Tuple> = (0..rows.len())
                 .filter(|&si| keep(si))
-                .map(|si| self.tuples[si].clone())
+                .map(|si| rows[si].clone())
                 .collect();
             return Relation::from_sorted_vec(self.schema.clone(), tuples);
         }
@@ -957,12 +977,14 @@ impl Relation {
         }
         let a_idx: Vec<usize> = a.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
         let b_idx: Vec<usize> = b.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
-        let needed = &divisor.tuples;
+        // Plain slices: the loops below index them without going through
+        // the `Arc`.
+        let needed: &[Tuple] = &divisor.tuples;
         let k = a.len();
         let mut tuples: Vec<Tuple> = Vec::new();
 
         if a_idx.iter().chain(&b_idx).enumerate().all(|(i, &x)| x == i) {
-            let rows = &self.tuples;
+            let rows: &[Tuple] = &self.tuples;
             let mut run = 0;
             while run < rows.len() {
                 let ka = &rows[run][..k];
@@ -981,7 +1003,7 @@ impl Relation {
 
         let m = b.len();
         if !needed.is_empty() && b_idx.iter().chain(&a_idx).enumerate().all(|(i, &x)| x == i) {
-            let rows = &self.tuples;
+            let rows: &[Tuple] = &self.tuples;
             let mut start = 0;
             for (n, kb) in needed.iter().enumerate() {
                 // The divisor ascends, so its run starts at or after the
@@ -1079,7 +1101,8 @@ impl Relation {
     /// vector of sub-tuples (i.e. `π_attrs` as raw tuples — convenient for
     /// world grouping).
     pub fn distinct_values(&self, attrs: &[Attr]) -> Result<Vec<Tuple>> {
-        Ok(self.project(attrs)?.tuples)
+        let projected = self.project(attrs)?;
+        Ok(Arc::unwrap_or_clone(projected.tuples))
     }
 
     /// Partition the relation by the values of `attrs`: one sub-relation
@@ -1162,7 +1185,7 @@ impl Relation {
             return out;
         }
         let mut widths: Vec<usize> = self.schema.attrs().iter().map(|a| a.name().len()).collect();
-        for t in &self.tuples {
+        for t in self.tuples.iter() {
             for (w, v) in widths.iter_mut().zip(t.iter()) {
                 *w = (*w).max(cell_len(v));
             }
@@ -1174,7 +1197,7 @@ impl Relation {
             push_cell(&mut out, a.name(), w);
         }
         out.push('\n');
-        for t in &self.tuples {
+        for t in self.tuples.iter() {
             push_spaces(&mut out, name.len() + 2);
             for (v, &w) in t.iter().zip(&widths) {
                 match v {
@@ -1201,7 +1224,9 @@ impl Relation {
 ///
 /// Sorted inputs whose key columns correlate with the sort order arrive in
 /// *runs* of equal keys; the previous row's group is re-used with a plain
-/// value comparison, and the hash map is only consulted on run boundaries.
+/// value comparison, and the hash index is only consulted on run
+/// boundaries. It hashes the key columns in place, so a key tuple is built
+/// once per group, not once per row.
 pub(crate) fn group_rows<B>(
     tuples: &[Tuple],
     key_idx: &[usize],
@@ -1209,23 +1234,108 @@ pub(crate) fn group_rows<B>(
     mut add: impl FnMut(&mut B, &Tuple),
 ) -> Vec<(Tuple, B)> {
     let mut groups: Vec<(Tuple, B)> = Vec::new();
-    let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
+    let mut index = KeyIndex::default();
     let mut last = usize::MAX;
     for t in tuples {
-        let in_run = last != usize::MAX && {
-            let k = &groups[last].0;
-            key_idx.iter().enumerate().all(|(j, &i)| t[i] == k[j])
-        };
+        let in_run = last != usize::MAX && same_key(t, key_idx, &groups[last].0);
         if !in_run {
-            let key: Tuple = key_idx.iter().map(|&i| t[i]).collect();
-            last = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key, init()));
-                groups.len() - 1
-            });
+            last = match index.find(t, key_idx, |g| &groups[g].0) {
+                Ok(g) => g,
+                Err(hash) => {
+                    index.insert(hash);
+                    groups.push((key_idx.iter().map(|&i| t[i]).collect(), init()));
+                    groups.len() - 1
+                }
+            };
         }
         add(&mut groups[last].1, t);
     }
     groups
+}
+
+/// Whether `t`'s values at `cols` are `key`.
+#[inline]
+fn same_key(t: &[Value], cols: &[usize], key: &[Value]) -> bool {
+    cols.iter().zip(key).all(|(&i, k)| t[i] == *k)
+}
+
+/// The distinct keys seen so far, numbered `0, 1, …` in order of first
+/// occurrence, indexed by a hash of a row's key columns taken in place:
+/// `head` maps a hash to its latest entry, and `shadowed` links an entry to
+/// the earlier entry with the same hash it displaced there (a hash
+/// collision, so it stays empty and unallocated almost always). Callers
+/// keep the keys themselves and confirm a hash hit by comparing values.
+#[derive(Default)]
+struct KeyIndex {
+    head: FxHashMap<u64, u32>,
+    shadowed: FxHashMap<u32, u32>,
+    len: u32,
+}
+
+impl KeyIndex {
+    /// The entry whose key (`key_of(entry)`) equals `t`'s values at `cols`,
+    /// or the hash to [`KeyIndex::insert`] a new entry under.
+    #[inline]
+    fn find<'k>(
+        &self,
+        t: &[Value],
+        cols: &[usize],
+        key_of: impl Fn(usize) -> &'k [Value],
+    ) -> std::result::Result<usize, u64> {
+        use std::hash::Hash as _;
+        let mut h = FxHasher::default();
+        for &i in cols {
+            t[i].hash(&mut h);
+        }
+        let hash = h.finish();
+        let mut cur = self.head.get(&hash).copied();
+        while let Some(e) = cur {
+            if same_key(t, cols, key_of(e as usize)) {
+                return Ok(e as usize);
+            }
+            cur = self.shadowed.get(&e).copied();
+        }
+        Err(hash)
+    }
+
+    /// Add the next entry under `hash`.
+    #[inline]
+    fn insert(&mut self, hash: u64) {
+        let entry = self.len;
+        self.len += 1;
+        if let Some(earlier) = self.head.insert(hash, entry) {
+            self.shadowed.insert(entry, earlier);
+        }
+    }
+
+    /// Number of entries.
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+}
+
+/// The distinct rows of `tuples` at `cols`, sorted, built one tuple per
+/// distinct output: duplicates are found by hashing the columns in place.
+/// `None` once more than half of the rows scanned, after the first
+/// `DEDUP_PROBE_ROWS`, are distinct — then sorting every projected row is
+/// cheaper than hashing them.
+fn project_hashed(tuples: &[Tuple], cols: &[usize]) -> Option<Vec<Tuple>> {
+    /// Rows scanned before the distinct share is judged.
+    const DEDUP_PROBE_ROWS: usize = 32;
+    let mut index = KeyIndex::default();
+    let mut out: Vec<Tuple> = Vec::new();
+    for (n, t) in tuples.iter().enumerate() {
+        if let Err(hash) = index.find(t, cols, |e| &out[e]) {
+            index.insert(hash);
+            out.push(cols.iter().map(|&i| t[i]).collect());
+        }
+        let scanned = n + 1;
+        if scanned > DEDUP_PROBE_ROWS && 2 * index.len() > scanned {
+            return None;
+        }
+    }
+    out.sort_unstable();
+    Some(out)
 }
 
 /// Linear merge of two strictly sorted tuple vectors: union.

@@ -723,3 +723,205 @@ fn mixed_value_kinds_keep_canonical_order() {
     assert_matches(&rel, &(Schema::of(&["X", "N"]), oracle), "mixed kinds");
     assert_eq!(rel.len(), 5);
 }
+
+/// A clone, a renaming and the identity projection read the same tuple
+/// storage; `insert`/`remove` copy it first, so the original keeps its
+/// tuples and epoch while the changed relation gets a fresh epoch.
+#[test]
+fn shared_storage_is_copied_on_write() {
+    let r = Relation::table(&["A", "B"], &[&[1i64, 2], &[3, 4], &[5, 6]]);
+    let oracle = to_oracle(&r);
+    let ptr = r.tuples().as_ptr();
+
+    let c = r.clone();
+    assert_eq!(c.tuples().as_ptr(), ptr);
+    assert_eq!(c.epoch(), r.epoch());
+
+    let renamed = r.rename(&[(attr("A"), attr("X"))]).unwrap();
+    assert_eq!(renamed.tuples().as_ptr(), ptr);
+    assert_ne!(renamed.epoch(), r.epoch());
+    assert_strictly_sorted(&renamed, "rename");
+    assert_matches(
+        &renamed,
+        &(Schema::of(&["X", "B"]), oracle.1.clone()),
+        "rename",
+    );
+
+    let identity = r.project(&attrs(&["A", "B"])).unwrap();
+    assert_eq!(identity.tuples().as_ptr(), ptr);
+    assert_strictly_sorted(&identity, "identity π");
+    assert_matches(&identity, &oracle, "identity π");
+
+    let mut inserted = r.clone();
+    inserted.insert(vec![Value::Int(0), Value::Int(9)]).unwrap();
+    let mut removed = r.clone();
+    assert!(removed.remove(&[Value::Int(3), Value::Int(4)]));
+    for (changed, row, present) in [(&inserted, [0, 9], true), (&removed, [3, 4], false)] {
+        assert_ne!(changed.tuples().as_ptr(), ptr);
+        assert_ne!(changed.epoch(), r.epoch());
+        assert_strictly_sorted(changed, "copy on write");
+        let mut expected = oracle.1.clone();
+        let row: Vec<Value> = row.into_iter().map(Value::Int).collect();
+        if present {
+            expected.insert(row);
+        } else {
+            expected.remove(&row);
+        }
+        assert_matches(changed, &(oracle.0.clone(), expected), "copy on write");
+    }
+    // The original, and every relation sharing its storage, is unchanged.
+    for shared in [&r, &c, &identity] {
+        assert_eq!(shared.tuples().as_ptr(), ptr);
+        assert_matches(shared, &oracle, "original after copy on write");
+    }
+    assert_eq!(c.epoch(), r.epoch());
+
+    // A no-op `insert`/`remove` copies nothing and keeps the epoch.
+    let mut same = r.clone();
+    same.insert(vec![Value::Int(1), Value::Int(2)]).unwrap();
+    assert!(!same.remove(&[Value::Int(7), Value::Int(7)]));
+    assert_eq!(same.tuples().as_ptr(), ptr);
+    assert_eq!(same.epoch(), r.epoch());
+}
+
+/// `(A, B, C)` rows of integers.
+fn int_rows(rows: impl IntoIterator<Item = [i64; 3]>) -> Relation {
+    Relation::from_rows(
+        Schema::of(&["A", "B", "C"]),
+        rows.into_iter()
+            .map(|r| r.map(Value::Int).to_vec())
+            .collect::<Vec<_>>(),
+    )
+    .unwrap()
+}
+
+/// A projection that skips the leading column drops duplicates by hashing
+/// and builds one tuple per distinct output, until more than half of the
+/// rows scanned after the first 32 are distinct; then it sorts every
+/// projected row. Both sides of that line, and the line itself, must
+/// agree with the oracle.
+#[test]
+fn hashed_projection_agrees_with_oracle_at_every_share_of_duplicates() {
+    let cases: Vec<(&str, Relation)> = vec![
+        (
+            "every row a duplicate",
+            int_rows((0..100).map(|i| [i, 0, 7])),
+        ),
+        (
+            "every row distinct",
+            int_rows((0..100).map(|i| [i, (i * 37) % 100, 99 - i])),
+        ),
+        (
+            "32 rows, all distinct",
+            int_rows((0..32).map(|i| [i, i % 2, 31 - i])),
+        ),
+        (
+            "33 rows, all distinct",
+            int_rows((0..33).map(|i| [i, i % 2, 32 - i])),
+        ),
+        (
+            "33 rows, 17 distinct",
+            int_rows((0..33).map(|i| [i, 0, (i / 2) % 17])),
+        ),
+        (
+            "duplicates, then distinct",
+            int_rows((0..100).map(|i| [i, 0, if i < 40 { 0 } else { i }])),
+        ),
+        ("empty", int_rows([])),
+    ];
+    let m = |pairs: &[(&str, &str)]| -> Vec<(Attr, Attr)> {
+        pairs.iter().map(|&(s, d)| (attr(s), attr(d))).collect()
+    };
+    let maps = [
+        ("π{C}", m(&[("C", "C")])),
+        ("π{C,B}", m(&[("C", "C"), ("B", "B")])),
+        ("π{B as X,C as Y}", m(&[("B", "X"), ("C", "Y")])),
+        ("π{C,C as D}", m(&[("C", "C"), ("C", "D")])),
+        ("π{}", m(&[])),
+    ];
+    for (case, r) in &cases {
+        for (map, list) in &maps {
+            let what = format!("{map} over {case}");
+            let got = r.project_as(list).unwrap();
+            assert_strictly_sorted(&got, &what);
+            assert_matches(&got, &o_project_as(r, list), &what);
+        }
+        assert_eq!(
+            r.project(&[]).unwrap().len(),
+            r.len().min(1),
+            "π{{}} over {case}"
+        );
+    }
+}
+
+/// `γ_{G; count(*), sum(V), min(V), max(V)}` over `BTreeMap`s.
+fn o_aggregate(r: &Relation, group: &[&str], v: &str) -> OracleRel {
+    let gi: Vec<usize> = group
+        .iter()
+        .map(|g| r.schema().index_of(&attr(g)).unwrap())
+        .collect();
+    let vi = r.schema().index_of(&attr(v)).unwrap();
+    let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<i64>> = Default::default();
+    for t in r.iter() {
+        let Value::Int(x) = t[vi] else {
+            panic!("integer column")
+        };
+        groups
+            .entry(gi.iter().map(|&i| t[i]).collect())
+            .or_default()
+            .push(x);
+    }
+    let mut names: Vec<&str> = group.to_vec();
+    names.extend(["N", "S", "Lo", "Hi"]);
+    let rows = groups
+        .into_iter()
+        .map(|(mut key, xs)| {
+            key.extend(
+                [
+                    xs.len() as i64,
+                    xs.iter().sum(),
+                    *xs.iter().min().unwrap(),
+                    *xs.iter().max().unwrap(),
+                ]
+                .map(Value::Int),
+            );
+            key
+        })
+        .collect();
+    (Schema::of(&names), rows)
+}
+
+/// Grouping hashes the key columns in place and builds a key tuple once
+/// per group: pinned over no key, one run, runs on the leading column,
+/// keys that interleave in storage order, and an empty input.
+#[test]
+fn aggregate_agrees_with_grouping_oracle() {
+    use relalg::{AggCall, AggFn};
+    let aggs = [
+        AggCall::new(AggFn::Count, None, attr("N")),
+        AggCall::new(AggFn::Sum, Some(attr("C")), attr("S")),
+        AggCall::new(AggFn::Min, Some(attr("C")), attr("Lo")),
+        AggCall::new(AggFn::Max, Some(attr("C")), attr("Hi")),
+    ];
+    let rows = int_rows((0..90).map(|i| [i / 10, i % 7, (i * 13) % 29]));
+    let one_run = int_rows((0..40).map(|i| [5, i, i % 3]));
+    let cases: Vec<(&str, &Relation, Vec<&str>)> = vec![
+        ("no key", &rows, vec![]),
+        ("one run", &one_run, vec!["A"]),
+        ("runs on the leading column", &rows, vec!["A"]),
+        ("interleaved keys", &rows, vec!["B"]),
+        ("two interleaved keys", &rows, vec!["B", "A"]),
+        ("interleaved keys, one run", &one_run, vec!["C", "A"]),
+    ];
+    for (what, r, group) in cases {
+        let got = r.aggregate(&attrs(&group), &aggs).unwrap();
+        assert_strictly_sorted(&got, what);
+        assert_matches(&got, &o_aggregate(r, &group, "C"), what);
+    }
+    let empty = int_rows([]);
+    for group in [vec![], vec!["B"]] {
+        let got = empty.aggregate(&attrs(&group), &aggs).unwrap();
+        assert!(got.is_empty());
+        assert_matches(&got, &o_aggregate(&empty, &group, "C"), "empty input");
+    }
+}
