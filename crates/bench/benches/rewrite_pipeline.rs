@@ -5,10 +5,12 @@
 //!
 //! `on` is the production default: the Section-6 optimizer in front of the
 //! translation, then simplification and join ordering of the translated
-//! plans. `off_coldcache` evaluates the raw translation. Both recompute
+//! plans, in one batch that keeps every shared subplan one node.
+//! `off_coldcache` evaluates the raw translation. Both recompute
 //! everything on every call — no evaluation memo outlives a call — and
-//! both share canonical-form CSE within a call; the `off_coldcache` id is
-//! kept from when `on` was served by a plan cache.
+//! both evaluate each DAG node once within a call (the memo is keyed by
+//! node identity); the `off_coldcache` id is kept from when `on` was
+//! served by a plan cache.
 
 use std::time::Duration;
 

@@ -2,9 +2,10 @@
 //! succinct [`FactoredSet`] representation, and explicit worlds are only
 //! materialized at *decode boundaries*.
 //!
-//! The evaluator mirrors [`crate::semantics`] node for node, but carries a
-//! mixed representation ([`Rep`]): a branch is either **factored** — a
-//! lineage-carrying answer [`Relation`] plus a world-validity [`Dnf`] over
+//! The evaluator mirrors the reference semantics (the `semantics` module)
+//! node for node, but carries a mixed representation (`Rep`): a branch is
+//! either **factored** — a lineage-carrying answer [`Relation`] plus a
+//! world-validity [`Dnf`] over
 //! the shared [`FactoredSet`] — or **enumerated**, the explicit world list
 //! of the reference semantics. Operators translate as follows:
 //!
@@ -701,7 +702,7 @@ fn factored_rels(q: &Query, p: &RepPlan, out: &mut std::collections::BTreeSet<St
     }
 }
 
-/// Evaluate `q` under an explicit [`RepPlan`] (see [`Fx::eval_p`]):
+/// Evaluate `q` under an explicit [`RepPlan`] (see `Fx::eval_p`):
 /// factored regions run succinct, enumerated regions run the reference
 /// semantics, conversions happen exactly at the plan's `Convert` nodes.
 /// Only the relations the factored regions actually read are converted —

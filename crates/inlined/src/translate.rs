@@ -460,14 +460,25 @@ fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
 /// turns it off), the WSA query
 /// first runs through the Section-6 logical optimizer with real base-table
 /// cardinalities, and the translated expressions are algebraically
-/// simplified and join-ordered. Either way the batch evaluates through one
-/// [`relalg::EvalCache`], so structurally identical subplans (the
-/// base-table joins copied per table) evaluate once per call.
+/// simplified and join-ordered in one batch. Either way the batch evaluates
+/// through one [`relalg::EvalCache`], so a subplan shared across the outputs
+/// (the world table every copied base table joins with) evaluates once per
+/// call.
 ///
 /// `run_general(q, encode(A)).rep()` must equal the direct Figure-3
 /// semantics `⟦q⟧(A)` — the conservativity tests check exactly this, with
 /// the rewrite path both on and off.
 pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<WorldSet> {
+    run_general_counted(q, rep, answer_name).map(|(ws, _)| ws)
+}
+
+/// [`run_general`], and the counters of its evaluation memo (zero when the
+/// factorized leg answered).
+fn run_general_counted(
+    q: &Query,
+    rep: &InlinedRep,
+    answer_name: &str,
+) -> Result<(WorldSet, relalg::EvalStats)> {
     let rewrite = relalg::config::rewrite_enabled();
     // Factorized leg: when the estimated implicit world count is large
     // enough that the translation route would materialize it row by row
@@ -488,7 +499,7 @@ pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<Wor
             let plan = wsa::plan_query(q, &ws);
             if plan.any_f() {
                 if let Ok(out) = wsa::eval_planned(q, &ws, answer_name, &plan) {
-                    return Ok(out);
+                    return Ok((out, relalg::EvalStats::default()));
                 }
             }
         }
@@ -556,38 +567,37 @@ pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<Wor
 
     let mut names = tr.names.clone();
     names.push(answer_name.to_string());
+    // The k translated base tables, the answer and the world table, in one
+    // batch: the world-table subplan is referenced by every one of them.
+    let mut outputs = tr.tables.clone();
+    outputs.push(tr.answer.clone());
+    outputs.push(tr.world_table.clone());
     // On the rewrite path, clean the translated plans up algebraically
     // before evaluation (projection-chain fusion, unit-table elimination —
     // fewer intermediate materializations), then let the statistics-driven
     // Expr-level optimizer re-associate the pairing/join structure on the
     // measured cardinalities of the catalog's tables. Both passes are
-    // semantics-preserving; a plan they cannot handle evaluates raw.
-    let prepare = |e: &Expr| -> Expr {
-        if rewrite {
-            let simplified =
-                relalg::simplify(e, &|n| catalog.schema_of(n)).unwrap_or_else(|_| e.clone());
-            relalg::opt::optimize_joins(&simplified, &catalog)
-        } else {
-            e.clone()
+    // semantics-preserving and map a node shared across the outputs to one
+    // shared node; a batch they cannot handle evaluates raw.
+    if rewrite {
+        if let Ok(simplified) = relalg::simplify_all(&outputs, &|n| catalog.schema_of(n)) {
+            outputs = relalg::opt::optimize_joins_all(&simplified, &catalog);
         }
-    };
-    // One memo across every output expression: the world-table subplan is
-    // referenced by each of the k translated base tables plus the answer,
-    // and must be evaluated once for the whole batch, not once per table.
-    // Canonical keying inside the cache extends the sharing to subplans
-    // that are structurally equal without being the same node.
-    let mut cache = relalg::EvalCache::new();
-    let mut shared = Vec::with_capacity(tr.tables.len() + 1);
-    for t in &tr.tables {
-        shared.push(catalog.eval_cached(&prepare(t), &mut cache)?);
     }
-    shared.push(catalog.eval_cached(&prepare(&tr.answer), &mut cache)?);
-    let world_table = catalog.eval_cached(&prepare(&tr.world_table), &mut cache)?;
+    // One memo across every output expression, so each shared node
+    // evaluates once for the whole batch, not once per table.
+    let mut cache = relalg::EvalCache::new();
+    let mut shared = outputs
+        .iter()
+        .map(|e| catalog.eval_cached(e, &mut cache))
+        .collect::<Result<Vec<_>>>()?;
+    let world_table = shared.pop().expect("the world table is the last output");
     // Decode straight off the shared evaluation results: the eval memo
     // still holds references to them, so unsharing here would deep-copy
     // every materialized table on every call.
     let table_refs: Vec<&Relation> = shared.iter().map(|a| a.as_ref()).collect();
-    crate::rep::decode_worlds(names, &table_refs, &tr.id_attrs, &world_table)
+    let ws = crate::rep::decode_worlds(names, &table_refs, &tr.id_attrs, &world_table)?;
+    Ok((ws, cache.stats()))
 }
 
 #[cfg(test)]
@@ -625,6 +635,36 @@ mod tests {
         let t = translate_general(&q, &rep()).unwrap();
         assert!(t.id_attrs.is_empty());
         assert_eq!(t.world_table, Expr::lit(Relation::unit()));
+    }
+
+    /// B9's trip shape over one world and over four: with the rewrite path
+    /// on, the batch evaluates no more composite nodes than an evaluator
+    /// that also deduplicated structurally equal subplans did (6).
+    #[test]
+    fn b9_trip_shapes_evaluate_each_subplan_once() {
+        let q = Query::rel("HFlights")
+            .choice(attrs(&["Dep"]))
+            .project(attrs(&["Arr"]))
+            .cert();
+        let flights = datagen::flights(1, 8, 12, 6);
+        let one = InlinedRep::single_world(vec![("HFlights", flights.clone())]);
+        let ws = WorldSet::single(vec![("HFlights", flights)]);
+        let split =
+            wsa::eval_named(&Query::rel("HFlights").choice(attrs(&["Dep"])), &ws, "HF").unwrap();
+        let four: Vec<worldset::World> = split
+            .iter()
+            .take(4)
+            .map(|w| worldset::World::new(vec![w.last().clone()]))
+            .collect();
+        let four = WorldSet::from_worlds(vec!["HFlights".into()], four).unwrap();
+        for rep in [one, InlinedRep::encode(&four).unwrap()] {
+            let (out, stats) = run_general_counted(&q, &rep, "Ans").unwrap();
+            assert_eq!(
+                out,
+                wsa::eval_named(&q, &rep.rep().unwrap(), "Ans").unwrap()
+            );
+            assert!(stats.misses <= 6, "{stats:?}");
+        }
     }
 
     #[test]

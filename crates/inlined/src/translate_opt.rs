@@ -42,15 +42,18 @@ use worldset::{World, WorldSet};
 use wsa::typing::is_complete_to_complete;
 use wsa::Query;
 
-use crate::translate::translate_complete;
-
 /// One world dimension: the id attributes introduced by a `χ` and the
 /// expression computing their domain (the "world ids created" there). The
-/// domain expression's schema is `prior ids ∪ new ids`.
+/// domain expression's schema is `prior ids ∪ new ids`. A `χ` over an empty
+/// input still keeps one world (Figure 3), which the domain lists as one row
+/// of pad ids, so every world table joined from domains lists each world.
 #[derive(Clone, Debug)]
 struct Dim {
     new_ids: Vec<Attr>,
     domain: Expr,
+    /// The domain without that pad row: what `cert` divides by when this is
+    /// the only dimension.
+    listed: Expr,
 }
 
 /// The dimension of a `repair-by-key_K` over an id-free input `E`: every
@@ -203,19 +206,23 @@ impl<'a> OptTranslator<'a> {
                 // Under earlier choice dimensions, pad-extend with the prior
                 // world table so that worlds whose answer is empty here
                 // survive (same role as `=⊲⊳` in the general translation).
+                // Without them, pad-extend `{⟨⟩}`: the one world of a `χ`
+                // over an empty input.
                 let mut dom_list: Vec<(Attr, Attr)> =
                     o.ids.iter().map(|a| (a.clone(), a.clone())).collect();
                 dom_list.extend(b.iter().cloned().zip(vb.iter().cloned()));
-                let mut domain = o.expr.project_as(dom_list);
-                if let Some(prior_w) = o.world_table() {
-                    domain = prior_w.outer_pad_join(&domain);
-                }
+                let listed = o.expr.project_as(dom_list);
+                let domain = match o.world_table() {
+                    Some(prior_w) => prior_w.outer_pad_join(&listed),
+                    None => Expr::lit(Relation::unit()).outer_pad_join(&listed),
+                };
                 let mut ids = o.ids.clone();
                 ids.extend(vb.iter().cloned());
                 let mut dims = o.dims.clone();
                 dims.push(Dim {
                     new_ids: vb,
                     domain,
+                    listed,
                 });
                 Ok(Opt {
                     expr,
@@ -259,12 +266,18 @@ impl<'a> OptTranslator<'a> {
                         repair: None,
                     });
                 }
-                let expr = match o.world_table() {
-                    // Intersection over all worlds: divide by the world
-                    // table (the answer is constant along dimensions it does
-                    // not mention, so dividing by its own dims suffices).
-                    Some(w) => o.expr.divide(&w),
-                    None => o.expr.project(o.d.clone()),
+                // Intersection over all worlds: divide by the world table
+                // (the answer is constant along dimensions it does not
+                // mention, so dividing by its own dims suffices). One
+                // dimension divides by its ids without the pad row: every
+                // answer row carries ids its domain lists, so if `listed`
+                // is empty they are all pad ids, and dividing by no row
+                // keeps what dividing by the pad row keeps. `÷` then reads
+                // the `χ`'s input as stored.
+                let expr = match o.dims.as_slice() {
+                    [] => o.expr.project(o.d.clone()),
+                    [dim] => o.expr.divide(&dim.listed.project(o.ids.clone())),
+                    _ => o.expr.divide(&o.world_table().expect("dims")),
                 };
                 Ok(Opt {
                     expr,
@@ -380,10 +393,6 @@ impl<'a> OptTranslator<'a> {
                     });
                 };
                 let l = l.not_repaired("⋉ with a right side that varies across worlds")?;
-                // `χ` over an empty input keeps one world (Figure 3), which
-                // its empty domain does not list: pad the world table with
-                // one row of pad ids then.
-                let w = Expr::lit(Relation::unit()).outer_pad_join(&w);
                 let mut on = on.clone();
                 on.extend(r.ids.iter().map(|v| (v.clone(), v.clone())));
                 let mut ids = l.ids.clone();
@@ -392,6 +401,7 @@ impl<'a> OptTranslator<'a> {
                 dims.push(Dim {
                     new_ids: r.ids,
                     domain: w.clone(),
+                    listed: w.clone(),
                 });
                 Ok(Opt {
                     expr: l.expr.natural_join(&w).semijoin(&r.expr, on, *anti),
@@ -554,10 +564,12 @@ pub struct RelationalPlan {
 }
 
 /// Build the [`RelationalPlan`] of the `1↦1` query `q` over `world`, whose
-/// relations are called `names`: the Section-5.3 translation (the
-/// Theorem-5.7 one, [`translate_complete`], where it declines), then
+/// relations are called `names`: the Section-5.3 translation, then
 /// [`relalg::simplify`] and [`relalg::opt::optimize_joins`] over the
-/// measured statistics of the relations `q` names.
+/// measured statistics of the relations `q` names. A query the Section-5.3
+/// translation declines (not `1↦1`, an unknown table, or a repair-by-key
+/// outside the key-local fragment) has no plan: the Theorem-5.7
+/// translation ([`crate::translate_complete`]) declines it too.
 pub fn relational_plan(q: &Query, names: &[String], world: &World) -> Result<RelationalPlan> {
     let mut used = q.rel_names();
     used.sort_unstable();
@@ -571,7 +583,7 @@ pub fn relational_plan(q: &Query, names: &[String], world: &World) -> Result<Rel
         catalog.put(name, world.rel_shared(idx).clone());
     }
     let base = |name: &str| catalog.schema_of(name);
-    let plan = translate_opt_complete(q, &base).or_else(|_| translate_complete(q, &base, &used))?;
+    let plan = translate_opt_complete(q, &base)?;
     let plan = relalg::simplify(&plan, &base)?;
     let expr = relalg::opt::optimize_joins(&plan, &catalog);
     Ok(RelationalPlan { expr, catalog })

@@ -611,3 +611,42 @@ fn aggregation_and_semijoins_decline_figure_6() {
     assert!(translate_complete(&q, &base, &names).is_err());
     assert!(translate_opt_complete(&q, &base).is_ok());
 }
+
+/// `χ` over an empty input keeps one world with an empty answer (Figure
+/// 3). A set operation with such a side must keep the other side's rows:
+/// the side that lacks the `χ` dimension is paired with one padded world,
+/// not with the empty choice domain.
+#[test]
+fn set_operations_over_an_empty_choice_match_figure_3() {
+    let r = Relation::table(&["A", "B"], &[&[1i64, 2], &[3, 4]]);
+    let ws = WorldSet::single(vec![("R", r)]);
+    let empty_choice = || {
+        Query::rel("R")
+            .select(Pred::eq_const("A", 99))
+            .choice(attrs(&["A"]))
+    };
+    // A second dimension beside the empty choice: the worlds are
+    // `R × {(1,2)}` and `R × {(3,4)}`, so nothing is certain.
+    let two_dims = || {
+        Query::rel("R").union(empty_choice()).product(
+            Query::rel("R")
+                .rename(vec![("A".into(), "C".into()), ("B".into(), "D".into())])
+                .choice(attrs(&["C"])),
+        )
+    };
+    for (q, rows) in [
+        (Query::rel("R").union(empty_choice()).poss(), 2),
+        (Query::rel("R").union(empty_choice()).cert(), 2),
+        (Query::rel("R").difference(empty_choice()).poss(), 2),
+        (empty_choice().union(Query::rel("R")).poss(), 2),
+        (two_dims().poss(), 4),
+        (two_dims().cert(), 0),
+    ] {
+        let direct = eval_named(&q, &ws, "Ans").unwrap();
+        assert_eq!(direct.iter().next().unwrap().last().len(), rows, "{q}");
+        let routed = run_complete(&q, &ws, "Ans")
+            .expect("a 1↦1 query over one world takes the route")
+            .unwrap();
+        assert_eq!(routed, direct, "{q}");
+    }
+}

@@ -160,8 +160,8 @@ impl Engine {
 
     /// Open (or create) a durable engine over the data directory at
     /// `path`: recover the latest snapshot plus WAL tail, then log every
-    /// subsequent commit. See [`crate::durable`] for the protocol and for
-    /// what is and is not durable.
+    /// subsequent commit. See the `durable` module for the protocol and
+    /// for what is and is not durable.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Engine> {
         Engine::open_on(Arc::new(StdEnv::new(path)?), DurabilityOptions::default())
     }

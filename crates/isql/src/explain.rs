@@ -57,7 +57,7 @@ pub struct Explanation {
     pub relational_plan: Option<relalg::Expr>,
     /// Evaluation-cache behavior of a trial evaluation of the relational
     /// plan against the session's relations (`None` when there is no plan
-    /// or the rewrite path is off): node hits, canonical-CSE hits, misses.
+    /// or the rewrite path is off): node hits and misses.
     pub cache: Option<relalg::EvalStats>,
     /// Per-plan-node cardinalities: the statistics model's estimate next
     /// to the actual row count of the trial evaluation, plus the chosen
@@ -126,8 +126,8 @@ impl Explanation {
         }
         if let Some(stats) = &self.cache {
             out.push_str(&format!(
-                "cache:      {} node hit(s), {} cse hit(s), {} miss(es)\n",
-                stats.node_hits, stats.canon_hits, stats.misses
+                "cache:      {} node hit(s), {} miss(es)\n",
+                stats.node_hits, stats.misses
             ));
         }
         out
@@ -281,7 +281,7 @@ impl Session {
         let relational = wsa_inlined::route_applies(&algebra, ws)
             .and_then(|w| wsa_inlined::relational_plan(&algebra, ws.rel_names(), w).ok());
         // Trial-evaluate the relational plan to report how the evaluator's
-        // memo (node / canonical-CSE hits) would behave —
+        // node-identity memo would behave —
         // the "EXPLAIN ANALYZE" corner of the paper's conclusion — and to
         // annotate every plan node with its estimated vs. actual rows
         // (the statistics are free to read once computed).
@@ -455,9 +455,12 @@ mod tests {
         // Each trial evaluation starts from an empty memo, so the counts
         // do not depend on what ran earlier in the process. Two misses:
         // `÷` and `π{Dep}`; the read-through `π{Arr,Dep}` never evaluates.
+        // The memo is keyed by node identity only, so the line has no
+        // count of structural (CSE) hits: the one hit is the second
+        // reference to the shared `HFlights` node.
         assert_eq!(
             lines.next().unwrap(),
-            "cache:      1 node hit(s), 0 cse hit(s), 2 miss(es)"
+            "cache:      1 node hit(s), 2 miss(es)"
         );
         assert!(
             lines.next().is_none(),
@@ -518,7 +521,10 @@ mod tests {
                 "                        table Lineitem  est=5 actual=5 phys=row",
                 "                  π{Quantity,Quantity as #2.Lineitem.Quantity}  est=5 actual=3 phys=row",
                 "                    table Lineitem  est=5 actual=5 phys=row",
-                "cache:      1 node hit(s), 0 cse hit(s), 9 miss(es)",
+                // Node-identity hits only (no CSE count): `simplify`
+                // shares the three references to `Lineitem` as one node,
+                // so the second and third are the two hits.
+                "cache:      2 node hit(s), 9 miss(es)",
             ]
         );
     }

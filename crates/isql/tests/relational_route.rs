@@ -14,11 +14,13 @@
 //! relations lie between it and `possible`/`certain`. Multi-world sessions,
 //! world-set-valued statements and every other repair shape do not.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use isql::server::render_outcome;
-use isql::{compile_select, parse_statement, ExecOutcome, Session, Stmt};
-use relalg::{Relation, Schema, Value};
+use isql::{compile_select, parse_statement, ExecOutcome, Explanation, Session, Stmt};
+use relalg::opt::PlanCard;
+use relalg::{Expr, ExprKind, Relation, Schema, Value};
 
 /// The B16 statement-path catalog's `Flights` and `Hotels` (seed 7), and a
 /// departure city that has flights.
@@ -252,6 +254,42 @@ fn check(s: &mut Session, sql: &str) {
     check_on(s, sql, true);
 }
 
+/// The composite nodes of `plan` that evaluation visits, deduplicated by
+/// printed form: `cards` is `plan`'s pre-order `EXPLAIN` annotation, which
+/// marks the projections `÷` reads through (never evaluated).
+fn distinct_evaluated(
+    plan: &Expr,
+    cards: &mut std::slice::Iter<PlanCard>,
+    out: &mut HashSet<String>,
+) {
+    let card = cards.next().expect("one card per plan node");
+    if !card.read_through && !matches!(plan.kind(), ExprKind::Table(_) | ExprKind::Lit(_)) {
+        out.insert(plan.to_string());
+    }
+    for c in plan.children() {
+        distinct_evaluated(c, cards, out);
+    }
+}
+
+/// No subplan of the routed plan evaluates twice: the evaluator memoizes by
+/// node identity only, so the plan builders must have kept every repeated
+/// subplan one shared node. Then the misses are exactly the structurally
+/// distinct composite subplans evaluation visits.
+fn assert_no_subplan_evaluates_twice(e: &Explanation, sql: &str) {
+    let plan = e
+        .relational_plan
+        .as_ref()
+        .expect("a routed select has a plan");
+    let misses = e.cache.expect("the plan was trial-evaluated").misses;
+    let mut distinct = HashSet::new();
+    distinct_evaluated(plan, &mut e.node_cards.iter(), &mut distinct);
+    assert_eq!(
+        misses,
+        distinct.len() as u64,
+        "`{sql}` evaluates a structural copy of a subplan: {plan}"
+    );
+}
+
 /// [`check`], where `route` says whether `sql` takes the relational route.
 fn check_on(s: &mut Session, sql: &str, route: bool) {
     let e = s.explain(sql).unwrap();
@@ -259,6 +297,9 @@ fn check_on(s: &mut Session, sql: &str, route: bool) {
         e.relational_route, route,
         "`{sql}` should take the relational route: {route}"
     );
+    if route {
+        assert_no_subplan_evaluates_twice(&e, sql);
+    }
     assert_eq!(
         e.render().contains("route:      relational"),
         route,
@@ -405,6 +446,35 @@ fn key_local_repairs_match_the_interpreter_and_figure_3() {
     let mut s = repair_session();
     for sql in REPAIR_CORPUS {
         check(&mut s, sql);
+    }
+}
+
+/// The B16 selects' plans evaluate no more composite nodes than when the
+/// evaluator also deduplicated structurally equal subplans: the counts
+/// below are the misses of that evaluator on the same plans.
+#[test]
+fn b16_plans_evaluate_each_subplan_once() {
+    let (b16, dep) = b16_session();
+    let (whatif, repair) = (whatif_session(), repair_session());
+    let join = format!(
+        "select possible F.Dep, H.Name from Flights F, Hotels H \
+         where F.Arr = H.City and F.Dep = '{dep}';"
+    );
+    for (s, sql, misses) in [
+        (&b16, "select * from Hotels where Name = 'H0042';", 3),
+        (&b16, join.as_str(), 5),
+        (&whatif, PLAIN_GROUP_CORPUS[0], 3),
+        (&b16, "select certain Arr from Flights choice of Dep;", 2),
+        (&repair, REPAIR_CORPUS[0], 8),
+        (&whatif, WHATIF_CORPUS[0], 9),
+    ] {
+        let e = s.explain(sql).unwrap();
+        assert!(e.relational_route, "{sql}");
+        let stats = e.cache.expect("the plan was trial-evaluated");
+        assert!(
+            stats.misses <= misses,
+            "`{sql}`: {stats:?}, at most {misses} misses"
+        );
     }
 }
 

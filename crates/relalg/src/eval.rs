@@ -1,7 +1,7 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::canon::{self, CanonExpr};
+use crate::relation::FxHashMap;
 use crate::{Attr, Expr, ExprKind, RelalgError, Relation, Result, Schema};
 
 /// A catalog of named base relations — the database the expression
@@ -20,24 +20,15 @@ pub struct Catalog {
 /// one: it lives for one evaluation (one call, or one batch of expressions
 /// over one catalog) and no evaluation state outlives it.
 ///
-/// Results are keyed two ways:
-///
-/// * by **node identity** (the fast path — each entry pins its expression
-///   node, so a node address can never be freed and reused for a different
-///   expression while the cache is alive), and
-/// * by **canonical form** ([`crate::canon`]): two structurally different
-///   nodes that denote the same relation — e.g. the per-table copies of the
-///   same base-table join built by the Figure-6 translation — evaluate
-///   once. This is the cross-world common-subexpression elimination of the
-///   translation route.
-///
-/// The cache also holds the canonicalization memo, so a shared DAG
-/// canonicalizes in time linear in its node count.
+/// Results are keyed by **node identity**: a subplan shared in the DAG
+/// evaluates once. Each entry pins its expression node, so a node address
+/// can never be freed and reused for a different expression while the
+/// cache is alive. Two structurally equal but distinct nodes evaluate
+/// twice; the plan builders (the translations, [`crate::simplify`],
+/// [`crate::opt::optimize_joins`]) keep shared subplans shared instead.
 #[derive(Default)]
 pub struct EvalCache {
-    memo: HashMap<usize, (Expr, Arc<Relation>)>,
-    canon_memo: HashMap<u64, Vec<(Expr, Arc<Relation>)>>,
-    canon_of: canon::Memo,
+    memo: FxHashMap<usize, (Expr, Arc<Relation>)>,
     stats: EvalStats,
 }
 
@@ -47,9 +38,6 @@ pub struct EvalCache {
 pub struct EvalStats {
     /// Hits by node identity (shared DAG nodes).
     pub node_hits: u64,
-    /// Hits by canonical form (structurally distinct, result-identical
-    /// nodes — the CSE wins).
-    pub canon_hits: u64,
     /// Composite nodes that had to be evaluated.
     pub misses: u64,
 }
@@ -63,21 +51,6 @@ impl EvalCache {
     /// Hit/miss counters accumulated by this cache.
     pub fn stats(&self) -> EvalStats {
         self.stats
-    }
-
-    fn canon_get(&mut self, canon: &CanonExpr) -> Option<Arc<Relation>> {
-        let bucket = self.canon_memo.get(&canon.hash)?;
-        bucket
-            .iter()
-            .find(|(e, _)| *e == canon.expr)
-            .map(|(_, r)| Arc::clone(r))
-    }
-
-    fn canon_put(&mut self, canon: &CanonExpr, rel: &Arc<Relation>) {
-        self.canon_memo
-            .entry(canon.hash)
-            .or_default()
-            .push((canon.expr.clone(), Arc::clone(rel)));
     }
 }
 
@@ -121,15 +94,15 @@ impl Catalog {
     /// Evaluate an expression against this catalog.
     ///
     /// Shared sub-expressions (DAG nodes) are evaluated once: results are
-    /// memoized by node identity *and* by canonical form, and both memo
-    /// hits and the returned value are `Arc` clones — no relation data is
-    /// copied. This matters for the Figure-6 translation output, where the
-    /// world table `W` is referenced by every base table copy.
+    /// memoized by node identity, and both memo hits and the returned value
+    /// are `Arc` clones — no relation data is copied. This matters for the
+    /// Figure-6 translation output, where the world table `W` is referenced
+    /// by every base table copy.
     ///
     /// This entry point always delegates to [`Catalog::eval_cached`] with a
     /// fresh cache, which is dropped on return: nothing this evaluation
-    /// memoized — results, canonical forms, the plan's nodes and literal
-    /// relations — is kept past the call.
+    /// memoized — results, the plan's nodes and literal relations — is
+    /// kept past the call.
     pub fn eval(&self, expr: &Expr) -> Result<Arc<Relation>> {
         let mut cache = EvalCache::new();
         self.eval_cached(expr, &mut cache)
@@ -150,44 +123,17 @@ impl Catalog {
             cache.stats.node_hits += 1;
             return Ok(Arc::clone(hit));
         }
-        // Leaves are cheap (a catalog lookup / an `Arc` bump): evaluate
-        // directly under the identity key only, keeping the invariant that
-        // a base-table reference returns the catalog's own allocation.
-        match expr.kind() {
-            ExprKind::Table(name) => {
-                let out = self
-                    .tables
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| RelalgError::UnknownTable { name: name.clone() })?;
-                cache
-                    .memo
-                    .insert(expr.id(), (expr.clone(), Arc::clone(&out)));
-                return Ok(out);
-            }
-            ExprKind::Lit(rel) => {
-                let out = Arc::clone(rel);
-                cache
-                    .memo
-                    .insert(expr.id(), (expr.clone(), Arc::clone(&out)));
-                return Ok(out);
-            }
-            _ => {}
+        if !matches!(expr.kind(), ExprKind::Table(_) | ExprKind::Lit(_)) {
+            cache.stats.misses += 1;
         }
-        // Composite node: the canonical form widens the key from "this
-        // node" to "any node denoting this relation" — structurally
-        // distinct copies of a subplan evaluate once.
-        let canon = canon::canon_rec(expr, &mut cache.canon_of);
-        if let Some(hit) = cache.canon_get(&canon) {
-            cache.stats.canon_hits += 1;
-            cache
-                .memo
-                .insert(expr.id(), (expr.clone(), Arc::clone(&hit)));
-            return Ok(hit);
-        }
-        cache.stats.misses += 1;
         let out: Arc<Relation> = match expr.kind() {
-            ExprKind::Table(_) | ExprKind::Lit(_) => unreachable!("handled above"),
+            // A base-table reference returns the catalog's own allocation.
+            ExprKind::Table(name) => self
+                .tables
+                .get(name)
+                .cloned()
+                .ok_or_else(|| RelalgError::UnknownTable { name: name.clone() })?,
+            ExprKind::Lit(rel) => Arc::clone(rel),
             ExprKind::Select(p, e) => Arc::new(self.eval_memo(e, cache)?.select(p)?),
             ExprKind::Project(attrs, e) => Arc::new(self.eval_memo(e, cache)?.project(attrs)?),
             ExprKind::ProjectAs(list, e) => Arc::new(self.eval_memo(e, cache)?.project_as(list)?),
@@ -249,7 +195,6 @@ impl Catalog {
         cache
             .memo
             .insert(expr.id(), (expr.clone(), Arc::clone(&out)));
-        cache.canon_put(&canon, &out);
         Ok(out)
     }
 }
@@ -372,28 +317,30 @@ mod tests {
     }
 
     #[test]
-    fn canonical_cse_shares_structurally_equal_nodes() {
-        // Two separately-built, structurally identical subplans (distinct
-        // `Arc` nodes): the second copy evaluates as a canonical-form hit,
-        // and its children are never visited at all.
+    fn shared_nodes_evaluate_once_and_structural_copies_do_not() {
+        // The memo is keyed by node identity: a subplan shared in the DAG
+        // evaluates once, while a separately built, structurally equal copy
+        // evaluates again.
         let c = catalog();
-        let mk = || Expr::table("Flights").select(Pred::eq_const("Arr", "ATL"));
-        let e = mk().project(attrs(&["Dep"])).product(
-            &mk()
+        let mk = || {
+            Expr::table("Flights")
+                .select(Pred::eq_const("Arr", "ATL"))
                 .project(attrs(&["Dep"]))
-                .rename(vec![("Dep".into(), "Dep2".into())]),
-        );
-        let mut cache = EvalCache::new();
-        let out = c.eval_cached(&e, &mut cache).unwrap();
-        assert_eq!(out.len(), 9);
-        let stats = cache.stats();
-        assert!(
-            stats.canon_hits >= 1,
-            "the duplicated select+project subplan should hit canonically: {stats:?}"
-        );
-        // product, first project, its select, and the rename evaluate; the
-        // second select+project copy is covered by the canonical hit.
-        assert_eq!(stats.misses, 4, "{stats:?}");
+        };
+        let rename = vec![("Dep".into(), "Dep2".into())];
+        let stats = |e: &Expr| {
+            let mut cache = EvalCache::new();
+            assert_eq!(c.eval_cached(e, &mut cache).unwrap().len(), 9);
+            cache.stats()
+        };
+        // Shared: product, project, select and rename evaluate; the second
+        // reference to the project is a node hit.
+        let shared = mk();
+        let s = stats(&shared.product(&shared.rename(rename.clone())));
+        assert_eq!((s.misses, s.node_hits), (4, 1), "{s:?}");
+        // Copied: the copy's project and select evaluate as well.
+        let s = stats(&mk().product(&mk().rename(rename)));
+        assert_eq!(s.misses, 6, "{s:?}");
     }
 
     #[test]
@@ -414,25 +361,51 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shared_dag_canonicalizes_and_evaluates_in_linear_time() {
-        // 40 levels of `e × e` over one shared node: 2^40 paths, 41 nodes.
-        let mut e = Expr::lit(Relation::unit());
+    /// 40 levels of `e ∪ e` (or `e × e`) over one table node: 2⁴⁰ paths,
+    /// 41 nodes. Evaluation, `simplify` and `optimize_joins` each visit a
+    /// node once, so each finishes in milliseconds, and each keeps the
+    /// root's two children one node.
+    fn check_shared_dag(c: &Catalog, leaf: &str, op: fn(&Expr, &Expr) -> Expr, rows: usize) {
+        let mut e = Expr::table(leaf);
         for _ in 0..40 {
-            e = e.product(&e);
+            e = op(&e, &e);
         }
-        let canon = crate::canon::canonical(&e).expr;
+        let shared = |e: &Expr| match e.kind() {
+            ExprKind::Union(a, b) | ExprKind::Product(a, b) => a.id() == b.id(),
+            _ => false,
+        };
+        let start = std::time::Instant::now();
+        assert_eq!(c.eval(&e).unwrap().len(), rows);
+        let simplified = crate::simplify(&e, &|n| c.schema_of(n)).unwrap();
+        assert!(shared(&simplified), "simplify unshared the root's children");
+        let optimized = crate::opt::optimize_joins(&e, c);
         assert!(
-            matches!(canon.kind(), ExprKind::Product(a, b) if a.id() == b.id()),
-            "the canonical form keeps the sharing"
+            shared(&optimized),
+            "optimize_joins unshared the root's children"
         );
-        assert_eq!(*catalog().eval(&e).unwrap(), Relation::unit());
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{leaf}: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn shared_union_dag_is_linear_in_its_nodes() {
+        check_shared_dag(&catalog(), "Flights", |a, b| a.union(b), 5);
+    }
+
+    #[test]
+    fn shared_product_dag_is_linear_in_its_nodes() {
+        let mut c = catalog();
+        c.put("Unit", Relation::unit());
+        check_shared_dag(&c, "Unit", |a, b| a.product(b), 1);
     }
 
     #[test]
     fn eval_and_eval_cached_agree() {
         // The uncached entry point delegates to a fresh cache, so both
-        // entry points run the identical canonicalized path.
+        // entry points run the identical memoized path.
         let c = catalog();
         let e = Expr::table("Flights")
             .select(Pred::eq_const("Arr", "BCN"))

@@ -175,41 +175,25 @@ impl Expr {
     }
 
     fn walk(&self, seen: &mut HashSet<usize>) {
-        if !seen.insert(self.id()) {
-            return;
-        }
-        match self.kind() {
-            ExprKind::Table(_) | ExprKind::Lit(_) => {}
-            ExprKind::Select(_, e)
-            | ExprKind::Project(_, e)
-            | ExprKind::ProjectAs(_, e)
-            | ExprKind::Rename(_, e)
-            | ExprKind::Aggregate(_, _, e) => e.walk(seen),
-            ExprKind::Product(a, b)
-            | ExprKind::Union(a, b)
-            | ExprKind::Intersect(a, b)
-            | ExprKind::Difference(a, b)
-            | ExprKind::NaturalJoin(a, b)
-            | ExprKind::ThetaJoin(_, a, b)
-            | ExprKind::Divide(a, b)
-            | ExprKind::OuterPadJoin(a, b)
-            | ExprKind::SemiJoin(_, a, b)
-            | ExprKind::AntiJoin(_, a, b) => {
-                a.walk(seen);
-                b.walk(seen);
-            }
+        if seen.insert(self.id()) {
+            self.children().for_each(|c| c.walk(seen));
         }
     }
 
     /// Number of operator nodes when the DAG is expanded to a tree.
     pub fn tree_size(&self) -> usize {
-        match self.kind() {
-            ExprKind::Table(_) | ExprKind::Lit(_) => 1,
+        1 + self.children().map(Expr::tree_size).sum::<usize>()
+    }
+
+    /// The node's operands, left to right: none for a table or a literal.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (a, b) = match self.kind() {
+            ExprKind::Table(_) | ExprKind::Lit(_) => (None, None),
             ExprKind::Select(_, e)
             | ExprKind::Project(_, e)
             | ExprKind::ProjectAs(_, e)
             | ExprKind::Rename(_, e)
-            | ExprKind::Aggregate(_, _, e) => 1 + e.tree_size(),
+            | ExprKind::Aggregate(_, _, e) => (Some(e), None),
             ExprKind::Product(a, b)
             | ExprKind::Union(a, b)
             | ExprKind::Intersect(a, b)
@@ -219,8 +203,33 @@ impl Expr {
             | ExprKind::Divide(a, b)
             | ExprKind::OuterPadJoin(a, b)
             | ExprKind::SemiJoin(_, a, b)
-            | ExprKind::AntiJoin(_, a, b) => 1 + a.tree_size() + b.tree_size(),
-        }
+            | ExprKind::AntiJoin(_, a, b) => (Some(a), Some(b)),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// The same operator over new operands, given in [`Expr::children`]
+    /// order. A table or a literal is returned as it is.
+    pub(crate) fn with_children(&self, mut kids: impl Iterator<Item = Expr>) -> Expr {
+        let mut kid = || kids.next().expect("one operand per child");
+        Expr(Arc::new(match self.kind() {
+            ExprKind::Table(_) | ExprKind::Lit(_) => return self.clone(),
+            ExprKind::Select(p, _) => ExprKind::Select(p.clone(), kid()),
+            ExprKind::Project(a, _) => ExprKind::Project(a.clone(), kid()),
+            ExprKind::ProjectAs(l, _) => ExprKind::ProjectAs(l.clone(), kid()),
+            ExprKind::Rename(m, _) => ExprKind::Rename(m.clone(), kid()),
+            ExprKind::Aggregate(g, a, _) => ExprKind::Aggregate(g.clone(), a.clone(), kid()),
+            ExprKind::Product(..) => ExprKind::Product(kid(), kid()),
+            ExprKind::Union(..) => ExprKind::Union(kid(), kid()),
+            ExprKind::Intersect(..) => ExprKind::Intersect(kid(), kid()),
+            ExprKind::Difference(..) => ExprKind::Difference(kid(), kid()),
+            ExprKind::NaturalJoin(..) => ExprKind::NaturalJoin(kid(), kid()),
+            ExprKind::ThetaJoin(p, ..) => ExprKind::ThetaJoin(p.clone(), kid(), kid()),
+            ExprKind::Divide(..) => ExprKind::Divide(kid(), kid()),
+            ExprKind::OuterPadJoin(..) => ExprKind::OuterPadJoin(kid(), kid()),
+            ExprKind::SemiJoin(on, ..) => ExprKind::SemiJoin(on.clone(), kid(), kid()),
+            ExprKind::AntiJoin(on, ..) => ExprKind::AntiJoin(on.clone(), kid(), kid()),
+        }))
     }
 
     /// Static schema inference given the schemas of base tables.

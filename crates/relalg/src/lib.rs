@@ -19,7 +19,6 @@
 //! plans, examples and golden tests are reproducible.
 
 mod agg;
-pub mod canon;
 pub mod codec;
 pub mod config;
 mod csv;
@@ -48,7 +47,7 @@ pub use physical::PhysPath;
 pub use pred::{CmpOp, Operand, Pred};
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{Attr, Schema};
-pub use simplify::simplify;
+pub use simplify::{simplify, simplify_all};
 pub use stats::{ColStats, RelStats};
 pub use tuple::{Tuple, INLINE_TUPLE_CAP};
 pub use value::{Sym, Value};

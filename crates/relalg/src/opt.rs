@@ -30,6 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use crate::relation::FxHashMap;
 use crate::{Attr, Catalog, Expr, ExprKind, Operand, Pred, Result, Schema};
 
 /// Default row estimate for relations the catalog cannot size.
@@ -333,7 +334,12 @@ struct Chain {
 
 /// Flatten a maximal `Product`/`ThetaJoin` chain (`σ` directly over a
 /// pairing is absorbed into the conjunct pool: `σ_φ(a × b) = a ⋈_φ b`).
+/// Stops past [`MAX_CHAIN`] leaves: such a chain is not reshaped, and a
+/// shared DAG would expand to exponentially many leaves.
 fn flatten_pairing(e: &Expr, chain: &mut Chain) {
+    if chain.leaves.len() > MAX_CHAIN {
+        return;
+    }
     match e.kind() {
         ExprKind::Product(a, b) => {
             flatten_pairing(a, chain);
@@ -357,8 +363,12 @@ fn flatten_pairing(e: &Expr, chain: &mut Chain) {
     }
 }
 
-/// Flatten a maximal `NaturalJoin` chain.
+/// Flatten a maximal `NaturalJoin` chain, stopping past [`MAX_CHAIN`]
+/// leaves as [`flatten_pairing`] does.
 fn flatten_natural(e: &Expr, leaves: &mut Vec<Expr>) {
+    if leaves.len() > MAX_CHAIN {
+        return;
+    }
     match e.kind() {
         ExprKind::NaturalJoin(a, b) => {
             flatten_natural(a, leaves);
@@ -511,9 +521,30 @@ fn same_node(a: &Expr, b: &Expr) -> bool {
     std::ptr::eq(a.kind(), b.kind())
 }
 
+/// Whether two join chains have the same shape and predicates over the
+/// same leaf nodes: the chain is compared structurally, its leaves by
+/// identity, so the comparison never descends into a shared subplan.
+fn same_chain(a: &Expr, b: &Expr) -> bool {
+    match (a.kind(), b.kind()) {
+        (ExprKind::Product(a1, a2), ExprKind::Product(b1, b2))
+        | (ExprKind::NaturalJoin(a1, a2), ExprKind::NaturalJoin(b1, b2)) => {
+            same_chain(a1, b1) && same_chain(a2, b2)
+        }
+        (ExprKind::ThetaJoin(p, a1, a2), ExprKind::ThetaJoin(q, b1, b2)) => {
+            p == q && same_chain(a1, b1) && same_chain(a2, b2)
+        }
+        (ExprKind::Select(p, a1), ExprKind::Select(q, b1)) => p == q && same_chain(a1, b1),
+        _ => same_node(a, b),
+    }
+}
+
 struct Optimizer<'a> {
     catalog: &'a Catalog,
     est_memo: HashMap<usize, Est>,
+    /// Input node address and whether its column order is free → (the
+    /// input node, pinned so its address is not reused; its rewrite). A
+    /// node shared in the input is rewritten once and stays shared.
+    memo: FxHashMap<(usize, bool), (Expr, Expr)>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -594,17 +625,17 @@ impl<'a> Optimizer<'a> {
         // must not be silently dropped, so verify placement and re-attach
         // leftovers as a top selection, which reproduces the original
         // error/filter behavior.
-        let placed = collect_conjuncts(&built.expr);
+        let placed = chain_conjuncts(&built.expr);
         for cj in pool {
             if !placed.contains(&cj) {
                 built = with_residual(built, vec![cj]);
             }
         }
         let out = with_residual(built, residual).expr;
-        // A no-op reshape must keep the original node: downstream
-        // node-identity memos (the evaluator, canonicalization) rely on
-        // shared subplans staying the same allocation.
-        if out == *e {
+        // A no-op reshape must keep the original node: the evaluator's
+        // node-identity memo relies on shared subplans staying the same
+        // allocation.
+        if same_chain(&out, e) {
             e.clone()
         } else {
             out
@@ -686,7 +717,7 @@ impl<'a> Optimizer<'a> {
         };
         // Identity preservation, as in `rewrite_pairing`: a no-op reshape
         // returns the original node so downstream memos keep sharing.
-        if out == *e {
+        if same_chain(&out, e) {
             e.clone()
         } else {
             out
@@ -695,99 +726,31 @@ impl<'a> Optimizer<'a> {
 
     /// Rebuild `e` with optimized children (identity when nothing changed).
     fn rewrite_children(&mut self, e: &Expr, order_free: bool) -> Expr {
-        let rw = |s: &mut Self, c: &Expr| s.rewrite(c, false);
-        match e.kind() {
-            ExprKind::Table(_) | ExprKind::Lit(_) => e.clone(),
-            ExprKind::Select(p, c) => {
-                let c2 = rw(self, c);
-                if same_node(&c2, c) {
-                    e.clone()
-                } else {
-                    c2.select(p.clone())
-                }
-            }
-            ExprKind::Project(attrs, c) => {
-                let c2 = self.rewrite(c, true);
-                if same_node(&c2, c) {
-                    e.clone()
-                } else {
-                    c2.project(attrs.clone())
-                }
-            }
-            ExprKind::ProjectAs(list, c) => {
-                let c2 = self.rewrite(c, true);
-                if same_node(&c2, c) {
-                    e.clone()
-                } else {
-                    c2.project_as(list.clone())
-                }
-            }
-            ExprKind::Rename(map, c) => {
-                let c2 = rw(self, c);
-                if same_node(&c2, c) {
-                    e.clone()
-                } else {
-                    c2.rename(map.clone())
-                }
-            }
-            ExprKind::Product(a, b) => self.rebuild2(e, a, b, order_free, |x, y| x.product(y)),
-            ExprKind::Union(a, b) => self.rebuild2(e, a, b, false, |x, y| x.union(y)),
-            ExprKind::Intersect(a, b) => self.rebuild2(e, a, b, false, |x, y| x.intersect(y)),
-            ExprKind::Difference(a, b) => self.rebuild2(e, a, b, false, |x, y| x.difference(y)),
-            ExprKind::NaturalJoin(a, b) => {
-                self.rebuild2(e, a, b, order_free, |x, y| x.natural_join(y))
-            }
-            ExprKind::ThetaJoin(p, a, b) => {
-                let (a2, b2) = (rw(self, a), rw(self, b));
-                if same_node(&a2, a) && same_node(&b2, b) {
-                    e.clone()
-                } else {
-                    a2.theta_join(&b2, p.clone())
-                }
-            }
-            ExprKind::Divide(a, b) => self.rebuild2(e, a, b, false, |x, y| x.divide(y)),
-            ExprKind::OuterPadJoin(a, b) => {
-                self.rebuild2(e, a, b, false, |x, y| x.outer_pad_join(y))
-            }
-            // γ and the right side of ⋉/▷ read their input by column name,
-            // so its column order is free; ⋉/▷ keep their left side's.
-            ExprKind::Aggregate(group, aggs, c) => {
-                let c2 = self.rewrite(c, true);
-                if same_node(&c2, c) {
-                    e.clone()
-                } else {
-                    c2.aggregate(group.clone(), aggs.clone())
-                }
-            }
-            ExprKind::SemiJoin(on, a, b) | ExprKind::AntiJoin(on, a, b) => {
-                let (a2, b2) = (self.rewrite(a, order_free), self.rewrite(b, true));
-                if same_node(&a2, a) && same_node(&b2, b) {
-                    e.clone()
-                } else {
-                    a2.semijoin(&b2, on.clone(), matches!(e.kind(), ExprKind::AntiJoin(..)))
-                }
-            }
+        // π, γ and the right side of ⋉/▷ read their input by column name,
+        // so its column order is free; ⋉/▷ keep their left side's.
+        let free = |i: usize| match e.kind() {
+            ExprKind::Project(..) | ExprKind::ProjectAs(..) | ExprKind::Aggregate(..) => true,
+            ExprKind::SemiJoin(..) | ExprKind::AntiJoin(..) => i == 1 || order_free,
+            _ => false,
+        };
+        let mut kids = [None, None];
+        for (i, (kid, c)) in kids.iter_mut().zip(e.children()).enumerate() {
+            *kid = Some(self.rewrite(c, free(i)));
         }
-    }
-
-    fn rebuild2(
-        &mut self,
-        e: &Expr,
-        a: &Expr,
-        b: &Expr,
-        _order_free: bool,
-        mk: impl Fn(&Expr, &Expr) -> Expr,
-    ) -> Expr {
-        let (a2, b2) = (self.rewrite(a, false), self.rewrite(b, false));
-        if same_node(&a2, a) && same_node(&b2, b) {
+        let mut same = kids.iter().flatten().zip(e.children());
+        if same.all(|(k, c)| same_node(k, c)) {
             e.clone()
         } else {
-            mk(&a2, &b2)
+            e.with_children(kids.into_iter().flatten())
         }
     }
 
     fn rewrite(&mut self, e: &Expr, order_free: bool) -> Expr {
-        match e.kind() {
+        let key = (e.id(), order_free);
+        if let Some((_, hit)) = self.memo.get(&key) {
+            return hit.clone();
+        }
+        let out = match e.kind() {
             ExprKind::Product(_, _) | ExprKind::ThetaJoin(_, _, _) => {
                 self.rewrite_pairing(e, order_free)
             }
@@ -801,57 +764,44 @@ impl<'a> Optimizer<'a> {
             }
             ExprKind::NaturalJoin(_, _) => self.rewrite_natural(e, order_free),
             _ => self.rewrite_children(e, order_free),
-        }
+        };
+        self.memo.insert(key, (e.clone(), out.clone()));
+        out
     }
 }
 
-/// Conjuncts appearing in selections/theta-joins anywhere in `e` (used to
-/// verify the DP placed the whole pool).
-fn collect_conjuncts(e: &Expr) -> Vec<Pred> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<Pred>) {
-        match e.kind() {
-            ExprKind::Select(p, c) => {
-                out.extend(p.conjuncts());
-                walk(c, out);
-            }
-            ExprKind::ThetaJoin(p, a, b) => {
-                out.extend(p.conjuncts());
-                walk(a, out);
-                walk(b, out);
-            }
-            ExprKind::Project(_, c)
-            | ExprKind::ProjectAs(_, c)
-            | ExprKind::Rename(_, c)
-            | ExprKind::Aggregate(_, _, c) => walk(c, out),
-            ExprKind::Product(a, b)
-            | ExprKind::Union(a, b)
-            | ExprKind::Intersect(a, b)
-            | ExprKind::Difference(a, b)
-            | ExprKind::NaturalJoin(a, b)
-            | ExprKind::Divide(a, b)
-            | ExprKind::OuterPadJoin(a, b)
-            | ExprKind::SemiJoin(_, a, b)
-            | ExprKind::AntiJoin(_, a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            ExprKind::Table(_) | ExprKind::Lit(_) => {}
+/// Conjuncts of the `⋈_φ` nodes of the pairing chain at the top of `e`
+/// (used to verify the DP placed the whole pool, which it places only
+/// there).
+fn chain_conjuncts(e: &Expr) -> Vec<Pred> {
+    match e.kind() {
+        ExprKind::Product(a, b) => [chain_conjuncts(a), chain_conjuncts(b)].concat(),
+        ExprKind::ThetaJoin(p, a, b) => {
+            [p.conjuncts(), chain_conjuncts(a), chain_conjuncts(b)].concat()
         }
+        _ => Vec::new(),
     }
-    walk(e, &mut out);
-    out
 }
 
 /// Cost-based reordering of the pairing/join structure of `e`, driven by
 /// the measured statistics of `catalog`'s relations. The result denotes
 /// exactly the same relation (schema, column order, tuples) as `e`.
 pub fn optimize_joins(e: &Expr, catalog: &Catalog) -> Expr {
+    optimize_joins_all(std::slice::from_ref(e), catalog)
+        .pop()
+        .expect("one expression in, one out")
+}
+
+/// [`optimize_joins`] over a batch of expressions that share subplans: a
+/// node shared within or across them is rewritten once, into one shared
+/// node, so every input node is visited once.
+pub fn optimize_joins_all(exprs: &[Expr], catalog: &Catalog) -> Vec<Expr> {
     let mut opt = Optimizer {
         catalog,
         est_memo: HashMap::new(),
+        memo: FxHashMap::default(),
     };
-    opt.rewrite(e, false)
+    exprs.iter().map(|e| opt.rewrite(e, false)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,26 +1017,10 @@ pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
                 }
                 walk(b, depth + 1, catalog, est_memo, cache, out)?;
             }
-            ExprKind::Table(_) | ExprKind::Lit(_) => {}
-            ExprKind::Select(_, c)
-            | ExprKind::Project(_, c)
-            | ExprKind::ProjectAs(_, c)
-            | ExprKind::Rename(_, c)
-            | ExprKind::Aggregate(_, _, c) => walk(c, depth + 1, catalog, est_memo, cache, out)?,
-            ExprKind::Product(a, b)
-            | ExprKind::Union(a, b)
-            | ExprKind::Intersect(a, b)
-            | ExprKind::Difference(a, b)
-            | ExprKind::NaturalJoin(a, b)
-            | ExprKind::OuterPadJoin(a, b)
-            | ExprKind::SemiJoin(_, a, b)
-            | ExprKind::AntiJoin(_, a, b) => {
-                walk(a, depth + 1, catalog, est_memo, cache, out)?;
-                walk(b, depth + 1, catalog, est_memo, cache, out)?;
-            }
-            ExprKind::ThetaJoin(_, a, b) => {
-                walk(a, depth + 1, catalog, est_memo, cache, out)?;
-                walk(b, depth + 1, catalog, est_memo, cache, out)?;
+            _ => {
+                for c in e.children() {
+                    walk(c, depth + 1, catalog, est_memo, cache, out)?;
+                }
             }
         }
         Ok(())

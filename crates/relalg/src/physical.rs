@@ -10,13 +10,13 @@
 //! columns into transient narrow vectors. This module generalizes the idea
 //! into two reusable kernels behind one central chooser:
 //!
-//! * **Vectorized selection** ([`filter_tuples`]): the predicate's simple
+//! * **Vectorized selection** (`filter_tuples`): the predicate's simple
 //!   comparison conjuncts are evaluated into a selection bitmap,
 //!   cheapest (most selective) conjunct first; later conjuncts and any
 //!   residual predicate only run on still-set bits, and surviving tuples
 //!   are materialized late, in one pass. Columns shared by several
 //!   conjuncts are extracted into transient column vectors at first use.
-//! * **Columnar join keys** ([`key_hashes`]): hash-join and semijoin key
+//! * **Columnar join keys** (`key_hashes`): hash-join and semijoin key
 //!   hashes are combined column-wise — one pass per key column, resuming
 //!   each row's hash state — feeding a chain hash table whose collisions
 //!   resolve by direct column comparison. No per-row key is materialized

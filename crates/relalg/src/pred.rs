@@ -4,7 +4,7 @@ use std::fmt;
 use crate::{Attr, RelalgError, Result, Schema, Value};
 
 /// Comparison operators usable in selection conditions.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -55,7 +55,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// One side of a comparison: an attribute reference or a constant.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Operand {
     Attr(Attr),
     Const(Value),
@@ -103,10 +103,7 @@ impl ResolvedOperand {
 
 /// A selection condition over a single tuple: comparisons combined with
 /// boolean connectives. This is the `φ` of `σ_φ` in the paper.
-///
-/// The `Ord` instance is purely structural; it exists so that conjunct
-/// lists can be sorted into a canonical order ([`crate::canon`]).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Pred {
     /// Always true (`σ_true` is the identity).
     True,

@@ -563,7 +563,7 @@ impl Relation {
     /// assembled without a sort pass.
     ///
     /// Wide relations with enough rows take the vectorized path
-    /// ([`crate::physical::filter_tuples`]): comparison conjuncts evaluate
+    /// (`physical::filter_tuples`): comparison conjuncts evaluate
     /// over extracted column vectors into a selection bitmap (most
     /// selective first, using statistics if already computed) and
     /// survivors materialize late. The output is identical to the row

@@ -37,15 +37,47 @@
 //! * `a ⋉_K b → a ⋉_K π_{K_b}(b)` (and `▷`): the probed side is read on its
 //!   key columns only.
 
+use std::mem::{discriminant, Discriminant};
+
+use crate::relation::FxHashMap;
 use crate::{AggCall, AggFn, Attr, Expr, ExprKind, Pred, Relation, Result, Schema};
 
 /// Simplify `expr` to a fixpoint. `base` supplies base-table schemas (needed
 /// to recognize identity projections).
 pub fn simplify(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Expr> {
-    let mut cur = expr.clone();
+    let mut out = simplify_all(std::slice::from_ref(expr), base)?;
+    Ok(out.pop().expect("one expression in, one out"))
+}
+
+/// [`simplify`] a batch of expressions that share subplans. The result is
+/// a DAG in which structurally equal subplans are one node, so the
+/// evaluator's node-identity memo evaluates each of them once:
+///
+/// * every pass maps each input node once, so a node shared within or
+///   across the expressions yields one output node, and a pass takes time
+///   linear in the DAG's node count;
+/// * every output node is looked up by its operator, parameters and
+///   children's identities (children are shared already, bottom-up), so two
+///   input nodes that simplify to equal subplans — two references to one
+///   table under one renaming, or `π_V(π_{D,V}(e))` next to `π_V(e)` —
+///   come out as one node.
+///
+/// A pass that rewrites nothing returns every node itself, which ends the
+/// iteration.
+pub fn simplify_all(exprs: &[Expr], base: &dyn Fn(&str) -> Option<Schema>) -> Result<Vec<Expr>> {
+    let mut pass = Pass {
+        base,
+        memo: FxHashMap::default(),
+        shared: Shared::default(),
+    };
+    let mut cur = exprs.to_vec();
     for _ in 0..64 {
-        let next = pass(&cur, base)?;
-        if next == cur {
+        pass.memo.clear();
+        let next = cur
+            .iter()
+            .map(|e| pass.node(e))
+            .collect::<Result<Vec<_>>>()?;
+        if next.iter().zip(&cur).all(|(n, c)| n.id() == c.id()) {
             return Ok(next);
         }
         cur = next;
@@ -53,33 +85,69 @@ pub fn simplify(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Ex
     Ok(cur)
 }
 
-fn pass(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Expr> {
-    // Rewrite children first.
-    let e = rebuild_children(expr, base)?;
-    rewrite_node(&e, base)
+/// The output nodes of [`simplify_all`] so far, by operator and children:
+/// a node equal to one of them is replaced by it. Entries pin their nodes.
+#[derive(Default)]
+struct Shared {
+    nodes: FxHashMap<Shape, Vec<Expr>>,
 }
 
-fn rebuild_children(expr: &Expr, base: &dyn Fn(&str) -> Option<Schema>) -> Result<Expr> {
-    Ok(match expr.kind() {
-        ExprKind::Table(_) | ExprKind::Lit(_) => expr.clone(),
-        ExprKind::Select(p, e) => pass(e, base)?.select(p.clone()),
-        ExprKind::Project(attrs, e) => pass(e, base)?.project(attrs.clone()),
-        ExprKind::ProjectAs(list, e) => pass(e, base)?.project_as(list.clone()),
-        ExprKind::Rename(map, e) => pass(e, base)?.rename(map.clone()),
-        ExprKind::Product(a, b) => pass(a, base)?.product(&pass(b, base)?),
-        ExprKind::Union(a, b) => pass(a, base)?.union(&pass(b, base)?),
-        ExprKind::Intersect(a, b) => pass(a, base)?.intersect(&pass(b, base)?),
-        ExprKind::Difference(a, b) => pass(a, base)?.difference(&pass(b, base)?),
-        ExprKind::NaturalJoin(a, b) => pass(a, base)?.natural_join(&pass(b, base)?),
-        ExprKind::ThetaJoin(p, a, b) => pass(a, base)?.theta_join(&pass(b, base)?, p.clone()),
-        ExprKind::Divide(a, b) => pass(a, base)?.divide(&pass(b, base)?),
-        ExprKind::OuterPadJoin(a, b) => pass(a, base)?.outer_pad_join(&pass(b, base)?),
-        ExprKind::Aggregate(group, aggs, e) => {
-            pass(e, base)?.aggregate(group.clone(), aggs.clone())
+/// A node's operator and its children's identities.
+type Shape = (Discriminant<ExprKind>, Option<usize>, Option<usize>);
+
+impl Shared {
+    fn share(&mut self, e: Expr) -> Expr {
+        let key = {
+            let mut ids = e.children().map(Expr::id);
+            (discriminant(e.kind()), ids.next(), ids.next())
+        };
+        // Equal children are one node, so `==` compares parameters and
+        // child identities only.
+        let bucket = self.nodes.entry(key).or_default();
+        match bucket.iter().find(|n| **n == e) {
+            Some(n) => n.clone(),
+            None => {
+                bucket.push(e.clone());
+                e
+            }
         }
-        ExprKind::SemiJoin(on, a, b) => pass(a, base)?.semijoin(&pass(b, base)?, on.clone(), false),
-        ExprKind::AntiJoin(on, a, b) => pass(a, base)?.semijoin(&pass(b, base)?, on.clone(), true),
-    })
+    }
+}
+
+/// One bottom-up pass: children first, then [`rewrite_node`] once per node.
+/// The memo maps an input node's address to its output; it is cleared
+/// before every pass, and the pass's input DAG outlives the pass, so no
+/// address is reused while an entry is alive.
+struct Pass<'a> {
+    base: &'a dyn Fn(&str) -> Option<Schema>,
+    memo: FxHashMap<usize, Expr>,
+    shared: Shared,
+}
+
+impl Pass<'_> {
+    fn node(&mut self, expr: &Expr) -> Result<Expr> {
+        if let Some(hit) = self.memo.get(&expr.id()) {
+            return Ok(hit.clone());
+        }
+        let e = self.rebuild_children(expr)?;
+        let out = self.shared.share(rewrite_node(&e, self.base)?);
+        self.memo.insert(expr.id(), out.clone());
+        Ok(out)
+    }
+
+    /// `expr` over its simplified children: `expr` itself when none changed.
+    fn rebuild_children(&mut self, expr: &Expr) -> Result<Expr> {
+        let mut kids = [None, None];
+        for (kid, c) in kids.iter_mut().zip(expr.children()) {
+            *kid = Some(self.node(c)?);
+        }
+        let mut same = kids.iter().flatten().zip(expr.children());
+        Ok(if same.all(|(k, c)| k.id() == c.id()) {
+            expr.clone()
+        } else {
+            expr.with_children(kids.into_iter().flatten())
+        })
+    }
 }
 
 /// The eager-aggregation rule (see the module docs): `Some` with the

@@ -16,7 +16,7 @@ use std::sync::RwLock;
 /// 8 bytes but differ as strings fall back to a full comparison of the
 /// interned data.
 ///
-/// The interner is **sharded**: [`INTERNER_SHARDS`] independent
+/// The interner is **sharded**: `INTERNER_SHARDS` independent
 /// `RwLock`-protected shards, selected by string hash, so concurrent `Sym`
 /// creation from concurrent sessions (one thread per connection) does not
 /// serialize on a single lock. The id encodes the shard in its low bits

@@ -1,7 +1,7 @@
 //! Factorized world-set execution: the algebra over succinct
 //! representations.
 //!
-//! A [`FactoredSet`] generalizes the x-tuple sketch of [`crate::xtuple`]
+//! A [`FactoredSet`] generalizes the x-tuple sketch of the `xtuple` module
 //! into an executable representation: every table is an ordinary
 //! [`Relation`] whose last column (`#lin`, [`LIN_ATTR`]) carries a
 //! **lineage id** — an interned conjunction of `(variable, alternative-set)`

@@ -2,7 +2,7 @@
 //!
 //! This crate has two halves:
 //!
-//! * [`xtuple`]-style ULDBs (databases with uncertainty and lineage, in
+//! * `xtuple`-style ULDBs (databases with uncertainty and lineage, in
 //!   the style of Trio): x-tuples with alternatives, maybe-(`?`)
 //!   annotations and lineage to alternatives of external x-tuples, plus
 //!   the `rep()` enumeration of possible worlds and the
