@@ -243,7 +243,7 @@ fn membership(c: &Cond) -> Option<(Option<&Scalar>, &SelectStmt, bool)> {
             query,
             negated,
         } => Some((Some(expr), query, *negated)),
-        Cond::Exists { query, negated } => Some((None, query, *negated)),
+        Cond::Exists(query) => Some((None, query, false)),
         Cond::Not(inner) => membership(inner).map(|(p, q, anti)| (p, q, !anti)),
         _ => None,
     }
@@ -328,12 +328,12 @@ fn compile_cond(cond: &Cond, schema: &[Attr]) -> Result<Pred> {
         Cond::Cmp(l, op, r) => {
             let lo = compile_operand(l, schema)?;
             let ro = compile_operand(r, schema)?;
-            Ok(Pred::cmp(lo, op.to_relalg(), ro))
+            Ok(Pred::cmp(lo, *op, ro))
         }
         Cond::And(a, b) => Ok(compile_cond(a, schema)?.and(compile_cond(b, schema)?)),
         Cond::Or(a, b) => Ok(compile_cond(a, schema)?.or(compile_cond(b, schema)?)),
         Cond::Not(a) => Ok(compile_cond(a, schema)?.not()),
-        Cond::In { .. } | Cond::Exists { .. } => Err(SqlError(
+        Cond::In { .. } | Cond::Exists(_) => Err(SqlError(
             "in/exists subqueries are outside the WSA fragment".into(),
         )),
     }

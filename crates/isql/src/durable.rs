@@ -27,9 +27,23 @@
 //! [`relalg::codec`] message: the session's query-counter base, the
 //! pending select statements, then the action — a statement
 //! (tag 0), a registered relation (tag 1, full relation codec), or a key
-//! declaration (tag 2). Statements serialize as a compact binary AST
-//! (every node type of [`crate::ast`]), not as re-parsed text, so string
-//! literals round-trip byte-exactly.
+//! declaration (tag 2). Statements are stored as their I-SQL text (the
+//! canonical printer of [`crate::ast`]), and replay parses them, so the
+//! parser is the one statement decoder; `strings wal-*` shows them. String
+//! literals round-trip byte-exactly all the same: the printer doubles
+//! every `'`, and the property test
+//! `ast::tests::string_literals_print_and_parse_back` pins quotes,
+//! newlines, `--`, `;`, non-ASCII text and the empty string. A statement
+//! whose text would not parse back to it (only the Rust API builds one)
+//! is refused before it is logged (`logged_text`); a pending select of
+//! that kind makes the commit rebase, publishing none of the session's
+//! local answers.
+//!
+//! A WAL tail written before records carried text (a binary AST) fails
+//! recovery with `InvalidData` and is left untouched. To upgrade such a
+//! data directory, open it once with the build that wrote it, or stop
+//! that build's server with `\shutdown`: either checkpoints the state
+//! into a snapshot and truncates the WAL.
 //!
 //! # Snapshot payload
 //!
@@ -63,9 +77,10 @@ use wsdb_env::{
     write_snapshot_file, Env,
 };
 
-use crate::ast::*;
+use crate::ast::{SelectStmt, Stmt};
 use crate::engine::Engine;
 use crate::lexer::SqlError;
+use crate::parser::parse_statement;
 
 /// Tuning of the durability layer.
 #[derive(Clone, Debug)]
@@ -93,11 +108,13 @@ impl Default for DurabilityOptions {
     }
 }
 
-/// The action a WAL record replays.
+/// The action a WAL record replays. A committed statement is its I-SQL
+/// text when the session logs it (`S = String`), and the statement it
+/// parses to once recovery decodes the record.
 #[derive(Debug)]
-pub(crate) enum WalAction {
+pub(crate) enum WalAction<S = String> {
     /// A committed statement (DML or `create view`).
-    Stmt(Box<Stmt>),
+    Stmt(S),
     /// A base relation registered via the API.
     Register { name: String, rel: Arc<Relation> },
     /// A key constraint declared via the API.
@@ -107,9 +124,10 @@ pub(crate) enum WalAction {
 /// Everything the session hands the engine to log one commit.
 #[derive(Debug)]
 pub(crate) struct WalSpec {
-    /// Selects run since the session's last synchronization — their `Q‹n›`
-    /// answers ride into the published snapshot on a working-path commit.
-    pub stmts_before: Vec<SelectStmt>,
+    /// The I-SQL text of the selects run since the session's last
+    /// synchronization — their `Q‹n›` answers ride into the published
+    /// snapshot on a working-path commit.
+    pub stmts_before: Vec<String>,
     /// The session query counter before the first pending select.
     pub start_counter: u64,
     /// The committed action.
@@ -119,27 +137,38 @@ pub(crate) struct WalSpec {
 struct WalRecord {
     start_counter: u64,
     stmts_before: Vec<SelectStmt>,
-    action: WalAction,
+    action: WalAction<Box<Stmt>>,
+}
+
+/// The I-SQL text a WAL record logs `stmt` as. Recovery replays the text
+/// through the parser, so a statement the parser does not read back to
+/// itself — only the Rust API builds one, e.g. naming a table `my table`
+/// or a column `exists` — is refused here, before anything is logged.
+pub(crate) fn logged_text(stmt: &Stmt) -> Result<String, SqlError> {
+    let text = stmt.to_string();
+    match parse_statement(&text) {
+        Ok(back) if back == *stmt => Ok(text),
+        _ => Err(SqlError(format!(
+            "cannot log `{text}`: it does not parse back to the statement it prints"
+        ))),
+    }
 }
 
 pub(crate) fn encode_wal_record(spec: &WalSpec, rebased: bool) -> Vec<u8> {
     let mut e = Enc::new();
     e.put_varint(spec.start_counter);
-    if rebased {
-        // A rebased commit applies to the latest published state and
-        // leaves the session's local query results behind: nothing to
-        // replay before the action.
-        e.put_varint(0);
-    } else {
-        e.put_varint(spec.stmts_before.len() as u64);
-        for s in &spec.stmts_before {
-            put_select(&mut e, s);
-        }
+    // A rebased commit applies to the latest published state and leaves
+    // the session's local query results behind: nothing to replay before
+    // the action.
+    let pending: &[String] = if rebased { &[] } else { &spec.stmts_before };
+    e.put_varint(pending.len() as u64);
+    for text in pending {
+        e.put_str(text);
     }
     match &spec.action {
-        WalAction::Stmt(stmt) => {
+        WalAction::Stmt(text) => {
             e.put_u8(0);
-            put_stmt(&mut e, stmt);
+            e.put_str(text);
         }
         WalAction::Register { name, rel } => {
             e.put_u8(1);
@@ -158,16 +187,24 @@ pub(crate) fn encode_wal_record(spec: &WalSpec, rebased: bool) -> Vec<u8> {
     e.finish()
 }
 
+fn parse_logged(d: &mut Dec) -> Result<Stmt, CodecError> {
+    parse_statement(&d.get_string()?)
+        .map_err(|e| CodecError(format!("logged statement does not parse: {e}")))
+}
+
 fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
     let mut d = Dec::new(payload)?;
     let start_counter = d.get_varint()?;
     let n = d.get_varint()? as usize;
     let mut stmts_before = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        stmts_before.push(get_select(&mut d)?);
+        match parse_logged(&mut d)? {
+            Stmt::Select(s) => stmts_before.push(s),
+            _ => return Err(CodecError("a pending statement is not a select".into())),
+        }
     }
     let action = match d.get_u8()? {
-        0 => WalAction::Stmt(Box::new(get_stmt(&mut d)?)),
+        0 => WalAction::Stmt(Box::new(parse_logged(&mut d)?)),
         1 => {
             let name = d.get_string()?;
             let rel = d.get_relation()?;
@@ -187,469 +224,13 @@ fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
         }
         tag => return Err(CodecError(format!("unknown WAL action tag {tag}"))),
     };
+    if d.remaining() != 0 {
+        return Err(CodecError("trailing bytes after the WAL record".into()));
+    }
     Ok(WalRecord {
         start_counter,
         stmts_before,
         action,
-    })
-}
-
-// ---------------------------------------------------------------- AST codec
-
-fn put_opt_str(e: &mut Enc, s: &Option<String>) {
-    match s {
-        None => e.put_u8(0),
-        Some(s) => {
-            e.put_u8(1);
-            e.put_str(s);
-        }
-    }
-}
-
-fn get_opt_str(d: &mut Dec) -> Result<Option<String>, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.get_string()?)),
-        t => Err(CodecError(format!("bad option flag {t}"))),
-    }
-}
-
-fn put_colref(e: &mut Enc, c: &ColRef) {
-    put_opt_str(e, &c.qualifier);
-    e.put_str(&c.name);
-}
-
-fn get_colref(d: &mut Dec) -> Result<ColRef, CodecError> {
-    let qualifier = get_opt_str(d)?;
-    let name = d.get_string()?;
-    Ok(ColRef { qualifier, name })
-}
-
-fn put_colrefs(e: &mut Enc, cols: &[ColRef]) {
-    e.put_varint(cols.len() as u64);
-    for c in cols {
-        put_colref(e, c);
-    }
-}
-
-fn get_colrefs(d: &mut Dec) -> Result<Vec<ColRef>, CodecError> {
-    let n = d.get_varint()? as usize;
-    let mut cols = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        cols.push(get_colref(d)?);
-    }
-    Ok(cols)
-}
-
-fn put_literal(e: &mut Enc, l: &Literal) {
-    match l {
-        Literal::Int(i) => {
-            e.put_u8(0);
-            e.put_i64(*i);
-        }
-        Literal::Str(s) => {
-            e.put_u8(1);
-            e.put_str(s);
-        }
-    }
-}
-
-fn get_literal(d: &mut Dec) -> Result<Literal, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(Literal::Int(d.get_i64()?)),
-        1 => Ok(Literal::Str(d.get_string()?)),
-        t => Err(CodecError(format!("unknown literal tag {t}"))),
-    }
-}
-
-fn put_scalar(e: &mut Enc, s: &Scalar) {
-    match s {
-        Scalar::Col(c) => {
-            e.put_u8(0);
-            put_colref(e, c);
-        }
-        Scalar::Lit(l) => {
-            e.put_u8(1);
-            put_literal(e, l);
-        }
-        Scalar::Agg(f, inner) => {
-            e.put_u8(2);
-            e.put_u8(match f {
-                AggFn::Sum => 0,
-                AggFn::Count => 1,
-                AggFn::Min => 2,
-                AggFn::Max => 3,
-                AggFn::Avg => 4,
-            });
-            put_scalar(e, inner);
-        }
-        Scalar::CountStar => e.put_u8(3),
-        Scalar::Arith(op, a, b) => {
-            e.put_u8(4);
-            e.put_u8(match op {
-                ArithOp::Add => 0,
-                ArithOp::Sub => 1,
-                ArithOp::Mul => 2,
-                ArithOp::Div => 3,
-            });
-            put_scalar(e, a);
-            put_scalar(e, b);
-        }
-        Scalar::Subquery(q) => {
-            e.put_u8(5);
-            put_select(e, q);
-        }
-    }
-}
-
-fn get_scalar(d: &mut Dec) -> Result<Scalar, CodecError> {
-    Ok(match d.get_u8()? {
-        0 => Scalar::Col(get_colref(d)?),
-        1 => Scalar::Lit(get_literal(d)?),
-        2 => {
-            let f = match d.get_u8()? {
-                0 => AggFn::Sum,
-                1 => AggFn::Count,
-                2 => AggFn::Min,
-                3 => AggFn::Max,
-                4 => AggFn::Avg,
-                t => return Err(CodecError(format!("unknown aggregate tag {t}"))),
-            };
-            Scalar::Agg(f, Box::new(get_scalar(d)?))
-        }
-        3 => Scalar::CountStar,
-        4 => {
-            let op = match d.get_u8()? {
-                0 => ArithOp::Add,
-                1 => ArithOp::Sub,
-                2 => ArithOp::Mul,
-                3 => ArithOp::Div,
-                t => return Err(CodecError(format!("unknown arithmetic tag {t}"))),
-            };
-            Scalar::Arith(op, Box::new(get_scalar(d)?), Box::new(get_scalar(d)?))
-        }
-        5 => Scalar::Subquery(Box::new(get_select(d)?)),
-        t => return Err(CodecError(format!("unknown scalar tag {t}"))),
-    })
-}
-
-fn put_cmp(e: &mut Enc, op: CmpOp) {
-    e.put_u8(match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    });
-}
-
-fn get_cmp(d: &mut Dec) -> Result<CmpOp, CodecError> {
-    Ok(match d.get_u8()? {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        t => return Err(CodecError(format!("unknown comparison tag {t}"))),
-    })
-}
-
-fn put_cond(e: &mut Enc, c: &Cond) {
-    match c {
-        Cond::Cmp(a, op, b) => {
-            e.put_u8(0);
-            put_scalar(e, a);
-            put_cmp(e, *op);
-            put_scalar(e, b);
-        }
-        Cond::In {
-            expr,
-            query,
-            negated,
-        } => {
-            e.put_u8(1);
-            put_scalar(e, expr);
-            put_select(e, query);
-            e.put_u8(*negated as u8);
-        }
-        Cond::Exists { query, negated } => {
-            e.put_u8(2);
-            put_select(e, query);
-            e.put_u8(*negated as u8);
-        }
-        Cond::And(a, b) => {
-            e.put_u8(3);
-            put_cond(e, a);
-            put_cond(e, b);
-        }
-        Cond::Or(a, b) => {
-            e.put_u8(4);
-            put_cond(e, a);
-            put_cond(e, b);
-        }
-        Cond::Not(a) => {
-            e.put_u8(5);
-            put_cond(e, a);
-        }
-    }
-}
-
-fn get_bool(d: &mut Dec) -> Result<bool, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(CodecError(format!("bad bool flag {t}"))),
-    }
-}
-
-fn get_cond(d: &mut Dec) -> Result<Cond, CodecError> {
-    Ok(match d.get_u8()? {
-        0 => {
-            let a = get_scalar(d)?;
-            let op = get_cmp(d)?;
-            let b = get_scalar(d)?;
-            Cond::Cmp(a, op, b)
-        }
-        1 => {
-            let expr = get_scalar(d)?;
-            let query = Box::new(get_select(d)?);
-            let negated = get_bool(d)?;
-            Cond::In {
-                expr,
-                query,
-                negated,
-            }
-        }
-        2 => {
-            let query = Box::new(get_select(d)?);
-            let negated = get_bool(d)?;
-            Cond::Exists { query, negated }
-        }
-        3 => Cond::And(Box::new(get_cond(d)?), Box::new(get_cond(d)?)),
-        4 => Cond::Or(Box::new(get_cond(d)?), Box::new(get_cond(d)?)),
-        5 => Cond::Not(Box::new(get_cond(d)?)),
-        t => return Err(CodecError(format!("unknown condition tag {t}"))),
-    })
-}
-
-fn put_opt_cond(e: &mut Enc, c: &Option<Cond>) {
-    match c {
-        None => e.put_u8(0),
-        Some(c) => {
-            e.put_u8(1);
-            put_cond(e, c);
-        }
-    }
-}
-
-fn get_opt_cond(d: &mut Dec) -> Result<Option<Cond>, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_cond(d)?)),
-        t => Err(CodecError(format!("bad option flag {t}"))),
-    }
-}
-
-fn put_select(e: &mut Enc, s: &SelectStmt) {
-    e.put_u8(match s.quant {
-        None => 0,
-        Some(Quant::Possible) => 1,
-        Some(Quant::Certain) => 2,
-    });
-    e.put_varint(s.items.len() as u64);
-    for item in &s.items {
-        match item {
-            SelectItem::Star => e.put_u8(0),
-            SelectItem::Expr { expr, alias } => {
-                e.put_u8(1);
-                put_scalar(e, expr);
-                put_opt_str(e, alias);
-            }
-        }
-    }
-    e.put_varint(s.from.len() as u64);
-    for f in &s.from {
-        match f {
-            FromItem::Table { name, alias } => {
-                e.put_u8(0);
-                e.put_str(name);
-                put_opt_str(e, alias);
-            }
-            FromItem::Subquery { query, alias } => {
-                e.put_u8(1);
-                put_select(e, query);
-                e.put_str(alias);
-            }
-        }
-    }
-    put_opt_cond(e, &s.where_cond);
-    put_colrefs(e, &s.group_by);
-    put_colrefs(e, &s.choice_of);
-    put_colrefs(e, &s.repair_by_key);
-    match &s.group_worlds_by {
-        None => e.put_u8(0),
-        Some(GroupWorldsBy::Columns(cols)) => {
-            e.put_u8(1);
-            put_colrefs(e, cols);
-        }
-        Some(GroupWorldsBy::Query(q)) => {
-            e.put_u8(2);
-            put_select(e, q);
-        }
-    }
-}
-
-fn get_select(d: &mut Dec) -> Result<SelectStmt, CodecError> {
-    let quant = match d.get_u8()? {
-        0 => None,
-        1 => Some(Quant::Possible),
-        2 => Some(Quant::Certain),
-        t => return Err(CodecError(format!("unknown quantifier tag {t}"))),
-    };
-    let n_items = d.get_varint()? as usize;
-    let mut items = Vec::with_capacity(n_items.min(1 << 16));
-    for _ in 0..n_items {
-        items.push(match d.get_u8()? {
-            0 => SelectItem::Star,
-            1 => {
-                let expr = get_scalar(d)?;
-                let alias = get_opt_str(d)?;
-                SelectItem::Expr { expr, alias }
-            }
-            t => return Err(CodecError(format!("unknown select-item tag {t}"))),
-        });
-    }
-    let n_from = d.get_varint()? as usize;
-    let mut from = Vec::with_capacity(n_from.min(1 << 16));
-    for _ in 0..n_from {
-        from.push(match d.get_u8()? {
-            0 => {
-                let name = d.get_string()?;
-                let alias = get_opt_str(d)?;
-                FromItem::Table { name, alias }
-            }
-            1 => {
-                let query = Box::new(get_select(d)?);
-                let alias = d.get_string()?;
-                FromItem::Subquery { query, alias }
-            }
-            t => return Err(CodecError(format!("unknown from-item tag {t}"))),
-        });
-    }
-    let where_cond = get_opt_cond(d)?;
-    let group_by = get_colrefs(d)?;
-    let choice_of = get_colrefs(d)?;
-    let repair_by_key = get_colrefs(d)?;
-    let group_worlds_by = match d.get_u8()? {
-        0 => None,
-        1 => Some(GroupWorldsBy::Columns(get_colrefs(d)?)),
-        2 => Some(GroupWorldsBy::Query(Box::new(get_select(d)?))),
-        t => return Err(CodecError(format!("unknown group-worlds tag {t}"))),
-    };
-    Ok(SelectStmt {
-        quant,
-        items,
-        from,
-        where_cond,
-        group_by,
-        choice_of,
-        repair_by_key,
-        group_worlds_by,
-    })
-}
-
-fn put_stmt(e: &mut Enc, s: &Stmt) {
-    match s {
-        Stmt::Select(sel) => {
-            e.put_u8(0);
-            put_select(e, sel);
-        }
-        Stmt::CreateView { name, query } => {
-            e.put_u8(1);
-            e.put_str(name);
-            put_select(e, query);
-        }
-        Stmt::Insert { table, rows } => {
-            e.put_u8(2);
-            e.put_str(table);
-            e.put_varint(rows.len() as u64);
-            for row in rows {
-                e.put_varint(row.len() as u64);
-                for l in row {
-                    put_literal(e, l);
-                }
-            }
-        }
-        Stmt::Delete { table, cond } => {
-            e.put_u8(3);
-            e.put_str(table);
-            put_opt_cond(e, cond);
-        }
-        Stmt::Update { table, sets, cond } => {
-            e.put_u8(4);
-            e.put_str(table);
-            e.put_varint(sets.len() as u64);
-            for (col, scalar) in sets {
-                e.put_str(col);
-                put_scalar(e, scalar);
-            }
-            put_opt_cond(e, cond);
-        }
-        Stmt::SetLocal { name, value } => {
-            e.put_u8(5);
-            e.put_str(name);
-            e.put_str(value);
-        }
-    }
-}
-
-fn get_stmt(d: &mut Dec) -> Result<Stmt, CodecError> {
-    Ok(match d.get_u8()? {
-        0 => Stmt::Select(get_select(d)?),
-        1 => {
-            let name = d.get_string()?;
-            let query = get_select(d)?;
-            Stmt::CreateView { name, query }
-        }
-        2 => {
-            let table = d.get_string()?;
-            let n_rows = d.get_varint()? as usize;
-            let mut rows = Vec::with_capacity(n_rows.min(1 << 16));
-            for _ in 0..n_rows {
-                let n = d.get_varint()? as usize;
-                let mut row = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    row.push(get_literal(d)?);
-                }
-                rows.push(row);
-            }
-            Stmt::Insert { table, rows }
-        }
-        3 => {
-            let table = d.get_string()?;
-            let cond = get_opt_cond(d)?;
-            Stmt::Delete { table, cond }
-        }
-        4 => {
-            let table = d.get_string()?;
-            let n = d.get_varint()? as usize;
-            let mut sets = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let col = d.get_string()?;
-                let scalar = get_scalar(d)?;
-                sets.push((col, scalar));
-            }
-            let cond = get_opt_cond(d)?;
-            Stmt::Update { table, sets, cond }
-        }
-        5 => {
-            let name = d.get_string()?;
-            let value = d.get_string()?;
-            Stmt::SetLocal { name, value }
-        }
-        t => return Err(CodecError(format!("unknown statement tag {t}"))),
     })
 }
 
@@ -1062,67 +643,209 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_script;
+    use crate::ast::{CmpOp, ColRef, Cond, FromItem, Literal, Scalar};
+    use relalg::{Schema, Value};
+    use wsdb_env::wal::frame_record;
+    use wsdb_env::SimEnv;
 
-    fn roundtrip_stmt(s: &Stmt) -> Stmt {
-        let mut e = Enc::new();
-        put_stmt(&mut e, s);
-        let bytes = e.finish();
-        let mut d = Dec::new(&bytes).unwrap();
-        let back = get_stmt(&mut d).unwrap();
-        assert_eq!(d.remaining(), 0, "trailing bytes after {s:?}");
-        back
-    }
-
-    #[test]
-    fn ast_codec_round_trips_a_parse_corpus() {
-        let corpus = [
-            "select possible Arr from Flights choice of Dep;",
-            "select certain F.Arr as Dest from Flights F, Hotels H \
-             where F.Arr = H.City and H.Stars > 3 repair by key Dep;",
-            "select * from (select A, B from R where A in \
-             (select X from S) group worlds by (C)) T;",
-            "select Name, sum(Salary) as Total from Emp \
-             where not exists (select * from Absent where Absent.N = Emp.Name) \
-             group by Name;",
-            "select count(*) from R where (A = 1 or B <> 'xy') and not (C < 2);",
-            "select A + 2 * B as V from R group worlds by \
-             (select possible D from S);",
-            "create view V as select certain A from R choice of B;",
-            "insert into R values (1, 'two'), (3, 'four');",
-            "delete from R where A >= 10;",
-            "update R set A = A + 1, B = 'done' where B = 'pending';",
-            "set local rewrite = off;",
-        ];
-        for script in corpus {
-            for stmt in parse_script(script).unwrap() {
-                assert_eq!(roundtrip_stmt(&stmt), stmt, "in {script}");
-            }
+    fn spec(pending: &[&str], stmt: &str) -> WalSpec {
+        WalSpec {
+            stmts_before: pending.iter().map(|s| s.to_string()).collect(),
+            start_counter: 3,
+            action: WalAction::Stmt(stmt.to_string()),
         }
     }
 
     #[test]
     fn wal_record_round_trips_and_rebase_drops_pending() {
-        let sel = match parse_script("select possible A from R;").unwrap().remove(0) {
-            Stmt::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let stmt = parse_script("insert into R values (7);").unwrap().remove(0);
-        let spec = WalSpec {
-            stmts_before: vec![sel.clone()],
-            start_counter: 3,
-            action: WalAction::Stmt(Box::new(stmt.clone())),
-        };
-        let rec = decode_wal_record(&encode_wal_record(&spec, false)).unwrap();
+        let spec = spec(
+            &["select possible A from R"],
+            "insert into R values (7, 'it''s')",
+        );
+        let payload = encode_wal_record(&spec, false);
+        let rec = decode_wal_record(&payload).unwrap();
         assert_eq!(rec.start_counter, 3);
-        assert_eq!(rec.stmts_before, vec![sel]);
-        assert!(matches!(rec.action, WalAction::Stmt(ref s) if **s == stmt));
+        assert_eq!(
+            rec.stmts_before
+                .iter()
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>(),
+            spec.stmts_before
+        );
+        assert!(
+            matches!(rec.action, WalAction::Stmt(ref s) if s.to_string() == "insert into R values (7, 'it''s')")
+        );
+        // The statement is in the record as readable text.
+        let text = b"insert into R values (7, 'it''s')";
+        assert!(payload.windows(text.len()).any(|w| w == text));
 
         let rec = decode_wal_record(&encode_wal_record(&spec, true)).unwrap();
         assert!(
             rec.stmts_before.is_empty(),
             "rebased records carry no pending selects"
         );
+    }
+
+    /// Valid payloads of every action shape.
+    fn valid_payloads() -> Vec<Vec<u8>> {
+        let stmt = spec(
+            &[
+                "select possible A from R choice of B",
+                "select certain A from R",
+            ],
+            "update R set A = A + 1 where not exists (select * from S where S.A = R.A)",
+        );
+        let register = WalSpec {
+            stmts_before: vec![],
+            start_counter: 0,
+            action: WalAction::Register {
+                name: "R".into(),
+                rel: Arc::new(Relation::table(&["A"], &[&[1i64], &[2]])),
+            },
+        };
+        let key = WalSpec {
+            stmts_before: vec![],
+            start_counter: 9,
+            action: WalAction::DeclareKey {
+                table: "R".into(),
+                cols: vec!["A".into()],
+            },
+        };
+        [stmt, register, key]
+            .iter()
+            .map(|s| encode_wal_record(s, false))
+            .collect()
+    }
+
+    /// Hostile payloads go straight into the decoder, past the frame
+    /// checksum that normally rejects them: none may panic, and random
+    /// bytes and truncations are errors. A flipped bit can turn one
+    /// valid record into another (another counter value, another letter
+    /// in a literal), which only the checksum catches.
+    #[test]
+    fn hostile_wal_payloads_are_errors_not_panics() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..5000 {
+            let len = (next() % 96) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert!(decode_wal_record(&bytes).is_err(), "random {bytes:?}");
+        }
+        for payload in valid_payloads() {
+            assert!(decode_wal_record(&payload).is_ok());
+            for cut in 0..payload.len() {
+                assert!(decode_wal_record(&payload[..cut]).is_err(), "cut at {cut}");
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_wal_record(&flipped);
+            }
+        }
+    }
+
+    /// A record as the binary AST codec wrote it before WAL records
+    /// carried I-SQL text: `encode_wal_record` of `select possible A from
+    /// R` pending before `insert into R values (7, 'x')`.
+    const BINARY_AST_RECORD: &str =
+        "030141015201780001010101000000000100010000000000000002010102000e0102";
+
+    fn sim_opts() -> DurabilityOptions {
+        DurabilityOptions {
+            snapshot_every: u64::MAX,
+            background_snapshots: false,
+        }
+    }
+
+    fn table_r() -> Relation {
+        Relation::from_rows(
+            Schema::of(&["A", "B"]),
+            [vec![Value::Int(1), Value::str("y")]],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn recovery_refuses_a_binary_ast_record() {
+        let env = Arc::new(SimEnv::new());
+        let engine = Engine::open_on(env.clone(), sim_opts()).unwrap();
+        engine.session().register("R", table_r()).unwrap();
+        drop(engine);
+        let wal = env
+            .list()
+            .unwrap()
+            .into_iter()
+            .find(|f| parse_wal_name(f).is_some())
+            .unwrap();
+        let payload: Vec<u8> = (0..BINARY_AST_RECORD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&BINARY_AST_RECORD[i..i + 2], 16).unwrap())
+            .collect();
+        env.append(&wal, &frame_record(2, &payload).unwrap())
+            .unwrap();
+        env.sync(&wal).unwrap();
+        let before = env.read(&wal).unwrap();
+
+        let err = Engine::open_on(env.clone(), sim_opts()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // Nothing was replayed or truncated: the log is as the old build
+        // left it, so that build can still open the directory.
+        assert_eq!(env.read(&wal).unwrap(), before);
+    }
+
+    #[test]
+    fn a_statement_the_parser_cannot_read_back_is_refused_unlogged() {
+        let env = Arc::new(SimEnv::new());
+        let engine = Engine::open_on(env.clone(), sim_opts()).unwrap();
+        let mut session = engine.session();
+        session.register("my table", table_r()).unwrap();
+        let seq = engine.snapshot().seq();
+        let insert = Stmt::Insert {
+            table: "my table".into(),
+            rows: vec![vec![Literal::Int(2), Literal::Str("z".into())]],
+        };
+        let err = session.run(insert).unwrap_err();
+        assert!(err.0.contains("cannot log"), "{err}");
+        // `delete from R where exists = 1`: `exists` opens a subquery.
+        let keyword = Stmt::Delete {
+            table: "R".into(),
+            cond: Some(Cond::Cmp(
+                Scalar::Col(ColRef::new("exists")),
+                CmpOp::Eq,
+                Scalar::Lit(Literal::Int(1)),
+            )),
+        };
+        assert!(logged_text(&keyword).is_err());
+        assert_eq!(engine.snapshot().seq(), seq, "nothing was acknowledged");
+        // A select of that kind answers, but its answer cannot be logged,
+        // so the next commit rebases and leaves it behind.
+        let select = parse_statement("select * from R").unwrap();
+        let Stmt::Select(mut sel) = select else {
+            unreachable!()
+        };
+        sel.from = vec![FromItem::Table {
+            name: "my table".into(),
+            alias: None,
+        }];
+        session.run(Stmt::Select(sel)).unwrap();
+        assert!(session.answers("Q1").is_ok());
+        session.register("S", table_r()).unwrap();
+        assert_eq!(engine.snapshot().seq(), seq + 1);
+        assert!(
+            session.answers("Q1").is_err(),
+            "the local answer stays local"
+        );
+        drop((session, engine));
+        let engine = Engine::open_on(env, sim_opts()).unwrap();
+        assert_eq!(engine.snapshot().seq(), seq + 1);
+        let session = engine.session();
+        assert_eq!(session.answers("my table").unwrap(), vec![table_r()]);
+        assert!(session.answers("Q1").is_err());
     }
 
     #[test]

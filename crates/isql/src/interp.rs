@@ -749,7 +749,7 @@ fn conjunct_to_pred(c: &Cond, full: &Schema) -> Option<(relalg::Pred, Vec<Attr>)
         // Literal-to-literal comparison: nothing to push it onto.
         return None;
     }
-    Some((relalg::Pred::Cmp(lo, op.to_relalg(), ro), attrs))
+    Some((relalg::Pred::Cmp(lo, *op, ro), attrs))
 }
 
 /// Whether a residual condition mentions a column that cannot resolve
@@ -766,7 +766,7 @@ fn cond_mentions_unresolvable_col(c: &Cond, full: &Schema) -> bool {
     match c {
         Cond::Cmp(l, _, r) => scalar(l) || scalar(r),
         Cond::In { expr, .. } => scalar(expr),
-        Cond::Exists { .. } => false,
+        Cond::Exists(_) => false,
         Cond::And(a, b) | Cond::Or(a, b) => {
             cond_mentions_unresolvable_col(a, full) || cond_mentions_unresolvable_col(b, full)
         }
@@ -834,14 +834,11 @@ fn hoist_world_subqueries(
                 negated,
             }
         }
-        Cond::Exists { query, negated } if query.uses_world_constructs() => {
+        Cond::Exists(query) if query.uses_world_constructs() => {
             let name = fresh(&cur, &format!("#h{}", hoisted.len()));
             cur = eval_select_ws(&query, &cur, &name)?;
             hoisted.push(name.clone());
-            Cond::Exists {
-                query: Box::new(materialized_ref(&name)),
-                negated,
-            }
+            Cond::Exists(Box::new(materialized_ref(&name)))
         }
         Cond::And(a, b) => {
             let (a2, cur2) = hoist_world_subqueries(*a, cur, hoisted)?;
@@ -1266,10 +1263,7 @@ enum BCond<'q> {
         negated: bool,
         probe: Probe,
     },
-    Exists {
-        query: &'q SelectStmt,
-        negated: bool,
-    },
+    Exists(&'q SelectStmt),
     And(Box<BCond<'q>>, Box<BCond<'q>>),
     Or(Box<BCond<'q>>, Box<BCond<'q>>),
     Not(Box<BCond<'q>>),
@@ -1326,7 +1320,7 @@ fn bind_cond<'q>(c: &'q Cond, levels: &[Schema]) -> BCond<'q> {
     match c {
         Cond::Cmp(l, op, r) => BCond::Cmp(
             bind_scalar(l, levels, false),
-            op.to_relalg(),
+            *op,
             bind_scalar(r, levels, false),
         ),
         Cond::In {
@@ -1343,10 +1337,7 @@ fn bind_cond<'q>(c: &'q Cond, levels: &[Schema]) -> BCond<'q> {
             negated: *negated,
             probe: Probe::default(),
         },
-        Cond::Exists { query, negated } => BCond::Exists {
-            query,
-            negated: *negated,
-        },
+        Cond::Exists(query) => BCond::Exists(query),
         Cond::And(a, b) => BCond::And(bind(a), bind(b)),
         Cond::Or(a, b) => BCond::Or(bind(a), bind(b)),
         Cond::Not(a) => BCond::Not(bind(a)),
@@ -1379,9 +1370,9 @@ impl<'q> BCond<'q> {
                 let rel = eval_subquery(query, world, names, scopes, Some(row))?;
                 Ok(probe.contains(rel, *probe_col, v)? != *negated)
             }
-            BCond::Exists { query, negated } => {
+            BCond::Exists(query) => {
                 let rel = eval_subquery(query, world, names, scopes, Some(row))?;
-                Ok(rel.is_empty() == *negated)
+                Ok(!rel.is_empty())
             }
             BCond::And(a, b) => {
                 Ok(a.eval(row, world, names, scopes)? && b.eval(row, world, names, scopes)?)

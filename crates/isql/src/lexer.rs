@@ -8,8 +8,9 @@ pub enum Token {
     /// Identifier or keyword (keywords are recognized case-insensitively by
     /// the parser; the original spelling is preserved).
     Ident(String),
-    /// Integer literal.
-    Int(i64),
+    /// Unsigned integer literal. The parser applies a leading `-`, so
+    /// `-9223372036854775808` (`i64::MIN`) reads as a literal too.
+    Int(u64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
     Str(String),
     LParen,
@@ -174,7 +175,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                 }
                 let text: String = bytes[start..i].iter().collect();
                 let n = text
-                    .parse::<i64>()
+                    .parse::<u64>()
                     .map_err(|_| SqlError(format!("invalid integer {text}")))?;
                 out.push(Token::Int(n));
             }
@@ -247,5 +248,10 @@ mod tests {
     fn numbers() {
         let toks = lex("1000000").unwrap();
         assert_eq!(toks, vec![Token::Int(1_000_000)]);
+        assert_eq!(
+            lex("9223372036854775808").unwrap(),
+            vec![Token::Int(1 << 63)]
+        );
+        assert!(lex("18446744073709551616").is_err());
     }
 }

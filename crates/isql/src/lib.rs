@@ -42,7 +42,7 @@ pub use engine::{Engine, Snapshot};
 
 pub use explain::Explanation;
 pub use interp::{route_fallbacks, RouteFallbacks};
-pub use parser::{parse_script, parse_statement};
+pub use parser::{parse_script, parse_statement, MAX_DEPTH};
 pub use relalg::config::SessionConfig;
 pub use session::{ExecOutcome, Session};
 /// Re-export of the storage environment abstraction, so durability tests

@@ -30,7 +30,7 @@ use relalg::{Relation, Value};
 use worldset::WorldSet;
 
 use crate::ast::*;
-use crate::durable::{WalAction, WalSpec};
+use crate::durable::{self, WalAction, WalSpec};
 use crate::engine::{Engine, Snapshot};
 use crate::interp::{delete_rows, eval_select_ws, update_rows};
 use crate::lexer::SqlError;
@@ -113,7 +113,7 @@ pub struct Session {
     /// synchronization. Their `Q‹n›` answers ride into the next
     /// working-path commit, so its WAL record must replay them. Capped
     /// at [`MAX_WAL_PENDING_SELECTS`]; see `pending_overflow`.
-    pending: Vec<SelectStmt>,
+    pending: Vec<Stmt>,
     /// The query counter before the first pending select (WAL replay
     /// starts `Q‹n›` numbering here).
     pending_base: usize,
@@ -276,6 +276,15 @@ impl Session {
     /// effect for the duration of the statement.
     pub fn run(&mut self, stmt: Stmt) -> Result<ExecOutcome> {
         let _session_cfg = relalg::config::overlay(&self.config);
+        // A write's WAL record on a durable engine carries its I-SQL text,
+        // refused here, before it runs, if it does not parse back.
+        let wal = match &stmt {
+            Stmt::Select(_) | Stmt::SetLocal { .. } => None,
+            write if self.engine.is_durable() => {
+                Some(WalAction::Stmt(durable::logged_text(write)?))
+            }
+            _ => None,
+        };
         match stmt {
             Stmt::Select(sel) => {
                 self.refresh_if_clean();
@@ -283,7 +292,7 @@ impl Session {
                 if durable && self.pending.is_empty() && !self.pending_overflow {
                     self.pending_base = self.query_counter;
                 }
-                let logged = durable.then(|| sel.clone());
+                let logged = durable.then(|| Stmt::Select(sel.clone()));
                 let counter_before = self.query_counter;
                 let name = self.fresh_query_name();
                 self.ws = match eval_select_ws(&sel, &self.ws, &name) {
@@ -314,12 +323,6 @@ impl Session {
             }
             Stmt::CreateView { name, query } => {
                 let out_name = name.clone();
-                let wal = self.log_action(|| {
-                    WalAction::Stmt(Box::new(Stmt::CreateView {
-                        name: name.clone(),
-                        query: query.clone(),
-                    }))
-                });
                 self.write(wal, move |ws, keys| {
                     if ws.index_of(&out_name).is_some() {
                         return Err(SqlError(format!("relation {out_name} already exists")));
@@ -335,34 +338,9 @@ impl Session {
             // DML builds new relations (fresh epoch tags), so the optimizer
             // memo's `(name, epoch)` keys for the mutated table stop
             // matching; no evaluation memo outlives a statement.
-            Stmt::Insert { table, rows } => {
-                let wal = self.log_action(|| {
-                    WalAction::Stmt(Box::new(Stmt::Insert {
-                        table: table.clone(),
-                        rows: rows.clone(),
-                    }))
-                });
-                self.insert(wal, &table, rows)
-            }
-            Stmt::Delete { table, cond } => {
-                let wal = self.log_action(|| {
-                    WalAction::Stmt(Box::new(Stmt::Delete {
-                        table: table.clone(),
-                        cond: cond.clone(),
-                    }))
-                });
-                self.delete(wal, &table, cond)
-            }
-            Stmt::Update { table, sets, cond } => {
-                let wal = self.log_action(|| {
-                    WalAction::Stmt(Box::new(Stmt::Update {
-                        table: table.clone(),
-                        sets: sets.clone(),
-                        cond: cond.clone(),
-                    }))
-                });
-                self.update(wal, &table, sets, cond)
-            }
+            Stmt::Insert { table, rows } => self.insert(wal, &table, rows),
+            Stmt::Delete { table, cond } => self.delete(wal, &table, cond),
+            Stmt::Update { table, sets, cond } => self.update(wal, &table, sets, cond),
             Stmt::SetLocal { name, value } => {
                 self.config.set(&name, &value).map_err(SqlError)?;
                 Ok(ExecOutcome::Set { name, value })
@@ -417,20 +395,31 @@ impl Session {
             &BTreeMap<String, Vec<String>>,
         ) -> Result<Option<(WorldSet, BTreeMap<String, Vec<String>>)>>,
     ) -> Result<bool> {
-        let spec = wal.map(|action| WalSpec {
-            stmts_before: self.pending.clone(),
-            start_counter: self.pending_base as u64,
-            action,
-        });
-        // A durable session whose pending-select list overflowed commits
-        // as if it were stale: the rebase path publishes none of its
-        // local answers, so the WAL record carries no replay list that
-        // recovery could fail to reproduce.
-        let opened_seq = if spec.is_some() && self.pending_overflow {
+        // A durable session that cannot log all its pending selects —
+        // the list overflowed, or the parser does not read one back (only
+        // the Rust API builds such a select) — commits as if it were
+        // stale: the rebase path publishes none of its local answers, so
+        // the WAL record carries no replay list that recovery could fail
+        // to reproduce.
+        let pending = match &wal {
+            Some(_) if !self.pending_overflow => self
+                .pending
+                .iter()
+                .map(durable::logged_text)
+                .collect::<Result<Vec<_>>>()
+                .ok(),
+            _ => None,
+        };
+        let opened_seq = if wal.is_some() && pending.is_none() {
             u64::MAX // never a published seq: forces the rebase path
         } else {
             self.opened.seq()
         };
+        let spec = wal.map(|action| WalSpec {
+            stmts_before: pending.unwrap_or_default(),
+            start_counter: self.pending_base as u64,
+            action,
+        });
         let (snap, committed) =
             self.engine
                 .commit_with((opened_seq, &self.ws, &self.keys), spec, apply)?;

@@ -441,6 +441,27 @@ fn plain_selects_match_the_interpreter_and_figure_3() {
     check_on(&mut s, PLAIN_GROUP_CORPUS[1], false);
 }
 
+/// Every corpus statement prints as I-SQL text that parses back to it:
+/// the text a durable engine logs.
+#[test]
+fn corpus_statements_print_and_parse_back() {
+    let dep = b16_session().1;
+    let fixed = WHATIF_CORPUS
+        .iter()
+        .chain(&PLAIN_GROUP_CORPUS)
+        .chain(&REPAIR_CORPUS)
+        .map(|s| s.to_string());
+    let corpus = corpus(&dep)
+        .into_iter()
+        .chain(examples_6_1_and_6_2())
+        .chain(plain_corpus(&dep))
+        .chain(fixed);
+    for sql in corpus {
+        let stmt = parse_statement(&sql).unwrap();
+        assert_eq!(parse_statement(&stmt.to_string()), Ok(stmt), "{sql}");
+    }
+}
+
 #[test]
 fn key_local_repairs_match_the_interpreter_and_figure_3() {
     let mut s = repair_session();

@@ -519,3 +519,28 @@ fn random_worlds_agree_under_every_toggle_combination() {
 fn statement_classes_agree_under_every_toggle_combination() {
     check_matrix(&statement_classes());
 }
+
+/// Every corpus statement prints as I-SQL text that parses back to it:
+/// the text its durable runs log. The corpus carries the I-SQL statements
+/// of the examples too (acquisition, census cleaning, quickstart's trip
+/// query, and the what-if query with another threshold).
+#[test]
+fn corpus_statements_print_and_parse_back() {
+    let scripts = [
+        trip_planning(),
+        acquisition(),
+        census_cleaning(),
+        tpch_whatif(),
+        three_coloring(),
+        random_worlds(3, 1),
+        statement_classes(),
+    ];
+    for script in &scripts {
+        for text in &script.statements {
+            for stmt in isql::parse_script(text).unwrap() {
+                let printed = stmt.to_string();
+                assert_eq!(isql::parse_statement(&printed), Ok(stmt), "{text}");
+            }
+        }
+    }
+}

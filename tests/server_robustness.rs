@@ -126,6 +126,77 @@ fn integer_overflow_answers_err_and_keeps_every_connection() {
 }
 
 #[test]
+fn statements_nested_past_the_depth_bound_answer_err() {
+    // Both requests used to abort the whole process with a stack
+    // overflow, which no `catch_unwind` contains: 1000 levels of `not (`
+    // overflowed the parser, and a flat chain of 5000 conjuncts the
+    // stages that walk its left-deep tree.
+    let server = serve(test_engine(), "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    let mut other = Client::connect(addr).unwrap();
+    let nested = format!(
+        "select * from Flights where {}Dep = 'x'{};",
+        "not (".repeat(1000),
+        ")".repeat(1000)
+    );
+    let flat = format!(
+        "select * from Flights where {};",
+        vec!["Dep = 'x'"; 5000].join(" and ")
+    );
+    for request in [nested, flat] {
+        let mut client = Client::connect(addr).unwrap();
+        match client.request(&request) {
+            Ok(Err(msg)) => assert!(msg.contains("nests deeper than"), "{msg}"),
+            Ok(Ok(out)) => panic!("a statement past the bound answered: {out}"),
+            Err(e) => panic!("transport error instead of ERR response: {e}"),
+        }
+        let followup = client.query("select possible Dep from Flights;").unwrap();
+        assert!(followup.contains("distinct answer"));
+    }
+    let out = other.query("select possible Dep from Flights;").unwrap();
+    assert!(out.contains("distinct answer"));
+    assert_still_serving(addr);
+    server.shutdown();
+}
+
+/// Statements of height [`isql::MAX_DEPTH`] — nested `not`, a flat `or`
+/// chain, a flat sum — parse, run and drop on a 1 MiB stack; one level
+/// more is refused.
+#[test]
+fn statements_at_the_depth_bound_run_on_a_1_mib_stack() {
+    let at = |n: usize| {
+        [
+            format!(
+                "select * from Flights where {}Dep = 'x'{};",
+                "not (".repeat(n - 3),
+                ")".repeat(n - 3)
+            ),
+            format!(
+                "select * from Flights where {};",
+                vec!["Dep = 'x'"; n - 2].join(" or ")
+            ),
+            format!("select {} as S from Flights;", vec!["1"; n - 1].join(" + ")),
+        ]
+    };
+    std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(move || {
+            let engine = test_engine();
+            let mut session = engine.session();
+            for text in at(isql::MAX_DEPTH) {
+                let stmt = isql::parse_statement(&text).expect("parses at the bound");
+                session.run(stmt).expect("runs at the bound");
+            }
+            for text in at(isql::MAX_DEPTH + 1) {
+                assert!(isql::parse_statement(&text).is_err());
+            }
+        })
+        .unwrap()
+        .join()
+        .expect("a statement at the bound failed");
+}
+
+#[test]
 fn read_timeout_reaps_idle_connections() {
     let opts = ServeOptions {
         read_timeout: Some(Duration::from_millis(150)),
