@@ -1,14 +1,14 @@
 //! B11: columnar execution benchmarks — the physical-operator layer's
-//! vectorized selection and columnar join-key hashing against the row
-//! path, on wide relations, plus grouping and division on the same inputs.
+//! vectorized selection against the row filter on wide relations, plus
+//! the keyed operators (hash join, semijoin, grouping) and division on the
+//! same inputs.
 //!
-//! Each columnar shape runs as a `_row` / `_col` pair: the `row` leg takes
-//! the tuple-walking path under a `columnar = off` session overlay
+//! Selection runs as a `_row` / `_col` pair: the `row` leg takes the
+//! tuple-walking filter under a `columnar = off` session overlay
 //! (`relalg::config::overlay`), the `col` leg runs at the default, the
-//! physical layer's columnar path. Grouping and
-//! division have one path, timed as a single `_row` leg. The relations are
-//! wider than the inline tuple capacity (so every tuple is heap-spilled)
-//! — exactly the shape where extracting the touched columns pays.
+//! vectorized filter. Every other shape has one path, timed as a single
+//! `_row` leg. The relations are wider than the inline tuple capacity (so
+//! every tuple is heap-spilled).
 
 use std::time::Duration;
 
@@ -103,17 +103,15 @@ fn bench_columnar_exec(c: &mut Criterion) {
         let _ = rel.stats();
         ab_legs(&mut group, "filter", &tag, || rel.select(&pred).unwrap());
 
-        // Columnar join keys: hash join on the two shared columns; the
-        // columnar leg hashes the key columns column-wise into a chain
-        // table instead of allocating a `Vec<&Value>` key per row.
+        // Hash join and semijoin on the two shared columns: the build side
+        // is indexed by hashing its key columns in place.
         let probe = probe_rel(rows / 4);
-        ab_legs(&mut group, "join", &tag, || rel.natural_join(&probe));
-        ab_legs(&mut group, "semijoin", &tag, || rel.semijoin(&probe));
+        row_leg(&mut group, "join", &tag, || rel.natural_join(&probe));
+        row_leg(&mut group, "semijoin", &tag, || rel.semijoin(&probe));
 
         // Grouping: partition on two mid-tuple key columns, and division
         // by a single-column divisor. Both walk full tuples (one fused
-        // hash-bucketing or pair-extraction pass); there is no columnar
-        // variant to compare, so each is one leg.
+        // hash-bucketing or pair-extraction pass).
         let key = attrs(&["C2", "C5"]);
         row_leg(&mut group, "group", &tag, || {
             rel.partition_by(&key).unwrap()

@@ -1,27 +1,16 @@
-//! B10: wide-scan benchmarks — the columnar projection path against the
-//! row path, over a width × rows grid.
+//! B10: wide-scan benchmarks — projection onto one or two columns over a
+//! width × rows grid of relations wider than the inline tuple capacity
+//! (every tuple is spilled to the heap).
 //!
-//! Relations wider than the inline tuple capacity spill each tuple to the
-//! heap; a projection that touches one or two of their columns used to walk
-//! (and sort) full tuples. The columnar path extracts only the touched
-//! columns into transient narrow vectors and sorts those. `row` legs take
-//! the old path under a `columnar = off` session overlay
-//! (`relalg::config::overlay`); `col` legs run at the default (on). Narrow relations (width ≤ 4) never take the columnar
-//! path, so the grid starts above the inline capacity.
+//! A projection drops duplicates by hashing the kept columns of each row in
+//! place and builds one narrow tuple per distinct output; a mostly
+//! distinct output sorts its narrow tuples instead. It has one path at
+//! every width, timed as one `_row` leg per shape.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::config::{overlay, OverlayGuard, SessionConfig};
 use relalg::{attrs, Relation, Schema, Tuple, Value};
-
-/// The session overlay of `set local columnar = off`, held until the guard
-/// drops.
-fn columnar_off() -> OverlayGuard {
-    let mut cfg = SessionConfig::new();
-    cfg.set("columnar", "off").unwrap();
-    overlay(&cfg)
-}
 
 /// A deterministic wide relation with per-column domains of different sizes
 /// (so dedup and distinct counts behave like real data, not like a key).
@@ -53,17 +42,9 @@ fn bench_wide_scan(c: &mut Criterion) {
             let tag = format!("w{width}x{rows}");
 
             group.bench_with_input(BenchmarkId::new("project2_row", &tag), &rows, |b, _| {
-                let _off = columnar_off();
-                b.iter(|| black_box(rel.project(&two).unwrap()));
-            });
-            group.bench_with_input(BenchmarkId::new("project2_col", &tag), &rows, |b, _| {
                 b.iter(|| black_box(rel.project(&two).unwrap()));
             });
             group.bench_with_input(BenchmarkId::new("distinct1_row", &tag), &rows, |b, _| {
-                let _off = columnar_off();
-                b.iter(|| black_box(rel.distinct_values(&one).unwrap()));
-            });
-            group.bench_with_input(BenchmarkId::new("distinct1_col", &tag), &rows, |b, _| {
                 b.iter(|| black_box(rel.distinct_values(&one).unwrap()));
             });
         }

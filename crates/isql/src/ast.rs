@@ -242,7 +242,8 @@ pub enum Stmt {
     },
     /// `set local <knob> = <value>` — a per-connection execution-path
     /// toggle, the only way to turn one off (e.g. `set local columnar =
-    /// off;`).
+    /// off;`, which sends every selection down the row filter instead of
+    /// the vectorized one).
     SetLocal {
         /// Knob name (`rewrite`, `columnar`, `factorize` or `compact`).
         name: String,

@@ -61,8 +61,8 @@ pub struct Explanation {
     pub cache: Option<relalg::EvalStats>,
     /// Per-plan-node cardinalities: the statistics model's estimate next
     /// to the actual row count of the trial evaluation, plus the chosen
-    /// physical path (row vs. columnar) (empty when there is no
-    /// relational plan or the rewrite path is off).
+    /// physical path, `columnar` only on a vectorized σ (empty when there
+    /// is no relational plan or the rewrite path is off).
     pub node_cards: Vec<relalg::opt::PlanCard>,
 }
 

@@ -275,7 +275,7 @@ fn census_cleaning() -> Script {
 }
 
 /// The what-if revenue query of Section 2, plus Q6-style selections over a
-/// relation wide enough (five columns, 240 rows) for the columnar kernels.
+/// relation wide enough (five columns, 240 rows) for vectorized selection.
 fn tpch_whatif() -> Script {
     Script::new(
         "tpch what-if",

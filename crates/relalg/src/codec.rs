@@ -10,8 +10,10 @@
 //!   per-message *string table*; the stream stores table indices. This is
 //!   the interner-aware idiom: a [`Sym`]-heavy relation (shared city
 //!   names, attribute labels, …) serializes each distinct string once,
-//!   and decoding re-interns through [`Sym::new`] so the restarted
-//!   process shares spellings exactly like the writer did.
+//!   and decoding re-interns a value through [`Sym::new`] (once per table
+//!   entry, at its first use) so the restarted process shares spellings
+//!   exactly like the writer did. A string read as text
+//!   ([`Dec::get_string`]: a WAL record's statement) is never interned.
 //! * **Relations** — schema (attribute names), tuples in the canonical
 //!   sorted order, then the memoized [`RelStats`] if the writer had
 //!   computed them, so a reopened database keeps warm statistics.
@@ -176,11 +178,14 @@ fn put_varint_raw(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decoder over one [`Enc::finish`]ed message. Construction parses and
-/// re-interns the string table; the `get_*` methods then walk the body,
-/// validating as they go.
+/// validates the string table, whose entries stay slices of the input;
+/// the `get_*` methods then walk the body, validating as they go. An entry
+/// is interned on its first [`Dec::get_sym`] only: [`Dec::get_string`]
+/// copies it out and never interns (interned strings live as long as the
+/// process, so a WAL record's statement text must not become one).
 #[derive(Debug)]
 pub struct Dec<'a> {
-    table: Vec<Sym>,
+    table: Vec<(&'a str, Option<Sym>)>,
     buf: &'a [u8],
     pos: usize,
 }
@@ -201,7 +206,7 @@ impl<'a> Dec<'a> {
             let len = dec.get_varint()? as usize;
             let bytes = dec.get_bytes(len)?;
             match std::str::from_utf8(bytes) {
-                Ok(s) => table.push(Sym::new(s)),
+                Ok(s) => table.push((s, None)),
                 Err(_) => return err("string table entry is not UTF-8"),
             }
         }
@@ -251,18 +256,24 @@ impl<'a> Dec<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Resolve a string-table reference.
-    pub fn get_sym(&mut self) -> Result<Sym, CodecError> {
+    /// The string-table entry a reference names.
+    fn get_entry(&mut self) -> Result<&mut (&'a str, Option<Sym>), CodecError> {
         let idx = self.get_varint()? as usize;
-        match self.table.get(idx) {
-            Some(&s) => Ok(s),
+        match self.table.get_mut(idx) {
+            Some(entry) => Ok(entry),
             None => err(format!("string table index {idx} out of range")),
         }
     }
 
-    /// Convenience: table reference as an owned `String`.
+    /// Resolve a string-table reference, interning the entry on first use.
+    pub fn get_sym(&mut self) -> Result<Sym, CodecError> {
+        let (s, sym) = self.get_entry()?;
+        Ok(*sym.get_or_insert_with(|| Sym::new(s)))
+    }
+
+    /// Table reference as an owned `String`, not interned.
     pub fn get_string(&mut self) -> Result<String, CodecError> {
-        Ok(self.get_sym()?.as_str().to_string())
+        Ok(self.get_entry()?.0.to_string())
     }
 
     pub fn get_value(&mut self) -> Result<Value, CodecError> {
@@ -379,6 +390,21 @@ mod tests {
         // "hello" appears once in the table: the three refs cost 3 bytes.
         let expected = 1 + (1 + 5) + (1 + 5) + 3;
         assert_eq!(bytes.len(), expected);
+    }
+
+    #[test]
+    fn strings_are_interned_by_get_sym_only() {
+        let text = format!("select * from T{} where A = 1;", std::process::id());
+        let mut enc = Enc::new();
+        enc.put_str(&text);
+        enc.put_str(&text);
+        let bytes = enc.finish();
+        let mut dec = Dec::new(&bytes).unwrap();
+        assert!(!crate::value::is_interned(&text));
+        assert_eq!(dec.get_string().unwrap(), text);
+        assert!(!crate::value::is_interned(&text), "get_string interned");
+        assert_eq!(dec.get_sym().unwrap().as_str(), text);
+        assert!(crate::value::is_interned(&text));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | `set local` name | accessor | meaning |
 //! |---|---|---|
 //! | `rewrite` | [`rewrite_enabled`] | Section-6 optimizer in front of the interpreter route and `run_general` |
-//! | `columnar` | [`columnar_enabled`] | columnar physical paths |
+//! | `columnar` | [`columnar_enabled`] | vectorized selection on wide inputs |
 //! | `factorize` | [`factorize_enabled`] | factorized world-set execution |
 //! | `compact` | [`compact_enabled`] | lineage/validity formula compaction |
 //!
@@ -180,8 +180,8 @@ pub fn rewrite_enabled() -> bool {
     enabled(SLOT_REWRITE)
 }
 
-/// Whether wide operators take the columnar paths (projection, vectorized
-/// selection, join-key hashing — see [`crate::physical`]).
+/// Whether a selection over a wide input takes the vectorized path (see
+/// [`crate::physical`]); no other operator has a columnar path.
 #[inline]
 pub fn columnar_enabled() -> bool {
     enabled(SLOT_COLUMNAR)

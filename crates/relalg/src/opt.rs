@@ -891,80 +891,24 @@ fn node_label(e: &Expr) -> String {
 }
 
 /// The physical path ([`crate::PhysPath`]) the operator at `e`'s root
-/// takes given its children's **actual** (trial-evaluated, memoized)
-/// inputs — the same per-node decision the execution layer makes, mirrored
-/// here so EXPLAIN can print it.
+/// takes given its child's **actual** (trial-evaluated, memoized) input —
+/// the decision [`crate::Relation::select`] makes, mirrored here so
+/// EXPLAIN can print it. Only a selection has a columnar kernel: every
+/// other operator walks full tuples.
 fn node_phys(e: &Expr, catalog: &Catalog, cache: &mut crate::EvalCache) -> Result<crate::PhysPath> {
-    use crate::physical::{self, PhysPath};
-    let path = match e.kind() {
-        // Vectorized selection engages when the input is wide/large and at
-        // least one conjunct is a comparison (residual-only predicates
-        // fall back to the compiled row filter).
-        ExprKind::Select(p, c) => {
+    // Vectorized selection engages when the input is wide/large and at
+    // least one conjunct is a comparison (residual-only predicates fall
+    // back to the compiled row filter).
+    if let ExprKind::Select(p, c) = e.kind() {
+        if p.conjuncts()
+            .iter()
+            .any(|cj| matches!(cj, Pred::Cmp(_, _, _)))
+        {
             let r = catalog.eval_cached(c, cache)?;
-            if p.conjuncts()
-                .iter()
-                .any(|cj| matches!(cj, Pred::Cmp(_, _, _)))
-            {
-                physical::choose(r.schema().arity(), r.len())
-            } else {
-                PhysPath::Row
-            }
+            return Ok(crate::physical::choose(r.schema().arity(), r.len()));
         }
-        ExprKind::Project(attrs, c) => {
-            let r = catalog.eval_cached(c, cache)?;
-            project_phys(attrs.iter(), &r)
-        }
-        ExprKind::ProjectAs(list, c) => {
-            let r = catalog.eval_cached(c, cache)?;
-            project_phys(list.iter().map(|(s, _)| s), &r)
-        }
-        // Hash joins extract build/probe keys as column groups.
-        ExprKind::NaturalJoin(a, b) => {
-            let (ra, rb) = (
-                catalog.eval_cached(a, cache)?,
-                catalog.eval_cached(b, cache)?,
-            );
-            let common = ra.schema().common(rb.schema());
-            let width = ra.schema().arity().max(rb.schema().arity());
-            if !common.is_empty()
-                && physical::columnar_keys(width, ra.len().max(rb.len()), common.len())
-            {
-                PhysPath::Columnar
-            } else {
-                PhysPath::Row
-            }
-        }
-        ExprKind::ThetaJoin(p, a, b) => {
-            let (ra, rb) = (
-                catalog.eval_cached(a, cache)?,
-                catalog.eval_cached(b, cache)?,
-            );
-            let (keys, _) = crate::relation::split_equi_conjuncts(p, ra.schema(), rb.schema());
-            let width = ra.schema().arity().max(rb.schema().arity());
-            if !keys.is_empty()
-                && physical::columnar_keys(width, ra.len().max(rb.len()), keys.len())
-            {
-                PhysPath::Columnar
-            } else {
-                PhysPath::Row
-            }
-        }
-        // Division (and every other operator) walks full tuples.
-        _ => PhysPath::Row,
-    };
-    Ok(path)
-}
-
-/// Narrowing projections extract the kept columns, except those that keep
-/// the leading columns in order: they stream over the rows in place.
-fn project_phys<'a>(srcs: impl Iterator<Item = &'a Attr>, r: &crate::Relation) -> crate::PhysPath {
-    let idx: Vec<usize> = srcs.filter_map(|a| r.schema().index_of(a)).collect();
-    if idx.len() < r.schema().arity() && crate::relation::stream_prefix(&idx).is_none() {
-        crate::physical::choose(r.schema().arity(), r.len())
-    } else {
-        crate::PhysPath::Row
     }
+    Ok(crate::PhysPath::Row)
 }
 
 /// Annotate every node of `e` (pre-order) with its estimated and actual
@@ -1179,8 +1123,8 @@ mod tests {
         )
         .unwrap();
         c.put("W", rel);
-        // C2 ≥ 3 keeps most rows, so the projection's input is still wide
-        // and large enough for the columnar path.
+        // C2 ≥ 3 keeps most rows: the projection's input is still wide and
+        // large, yet a projection walks rows at any width.
         let e = Expr::table("W")
             .select(Pred::cmp(
                 Operand::Attr("C2".into()),
@@ -1190,9 +1134,9 @@ mod tests {
             .project(attrs(&["C0", "C5"]));
         let cards = annotate_cards(&e, &c).unwrap();
         assert_eq!(cards.len(), 3);
-        // π narrows a 6-wide input and σ has a comparison conjunct over a
-        // 6-wide input: both pick the columnar path; the table scan is row.
-        assert_eq!(cards[0].phys, crate::PhysPath::Columnar, "{:?}", cards[0]);
+        // σ has a comparison conjunct over a 6-wide input: it picks the
+        // columnar path. π and the table scan have no columnar kernel.
+        assert_eq!(cards[0].phys, crate::PhysPath::Row, "{:?}", cards[0]);
         assert_eq!(cards[1].phys, crate::PhysPath::Columnar, "{:?}", cards[1]);
         assert_eq!(cards[2].phys, crate::PhysPath::Row, "{:?}", cards[2]);
         // Disabling columnar flips every node back to row.
@@ -1201,6 +1145,28 @@ mod tests {
         let _g = crate::config::overlay(&off);
         let cards = annotate_cards(&e, &c).unwrap();
         assert!(cards.iter().all(|x| x.phys == crate::PhysPath::Row));
+    }
+
+    #[test]
+    fn annotate_cards_reports_row_for_a_projection_of_a_wide_input() {
+        // 6 columns, 300 distinct rows; C3 holds 10 distinct values, so
+        // the projection deduplicates by hash and walks the rows.
+        let rel = Relation::from_rows(
+            Schema::of(&["C0", "C1", "C2", "C3", "C4", "C5"]),
+            (0..300).map(|i| {
+                (0..6)
+                    .map(|j| crate::Value::Int(if j == 3 { i % 10 } else { i * (j + 1) }))
+                    .collect::<crate::Tuple>()
+            }),
+        )
+        .unwrap();
+        let mut c = Catalog::new();
+        c.put("W", rel);
+        let e = Expr::table("W").project(attrs(&["C3"]));
+        let cards = annotate_cards(&e, &c).unwrap();
+        assert_eq!(cards.len(), 2);
+        assert_eq!(cards[0].actual_rows, 10);
+        assert_eq!(cards[0].phys, crate::PhysPath::Row, "{:?}", cards[0]);
     }
 
     #[test]

@@ -1,38 +1,30 @@
-//! The physical-operator layer: per-node row-vs-columnar path choice and
-//! the columnar execution kernels.
+//! The physical-operator layer: the row-vs-columnar path choice of
+//! selection `σ` and its columnar kernel.
 //!
 //! The logical algebra ([`crate::Expr`], the direct [`crate::Relation`]
-//! methods) says *what* each node computes; this module decides *how*. A
-//! relation wider than the inline tuple capacity spills every tuple to the
-//! heap, so operators that touch only a few of its columns pay a pointer
-//! chase per access — PR 5's columnar projection path fixed that for
-//! `project`/`project_as`/`distinct_values` by extracting the touched
-//! columns into transient narrow vectors. This module generalizes the idea
-//! into two reusable kernels behind one central chooser:
+//! methods) says *what* each node computes; this module decides *how* a
+//! selection runs. A relation wider than the inline tuple capacity spills
+//! every tuple to the heap, so a filter that tests a few of its columns
+//! pays a pointer chase per access. **Vectorized selection**
+//! (`filter_tuples`) evaluates the predicate's simple comparison
+//! conjuncts into a selection bitmap, cheapest (most selective) conjunct
+//! first; later conjuncts and any residual predicate only run on
+//! still-set bits, and surviving tuples are materialized late, in one
+//! pass. Columns shared by several conjuncts are extracted into transient
+//! column vectors at first use. The kernel runs on the calling thread in
+//! one pass over the input, so its output is strictly sorted and
+//! identical to the row path's (pinned by `tests/columnar_oracle.rs`).
 //!
-//! * **Vectorized selection** (`filter_tuples`): the predicate's simple
-//!   comparison conjuncts are evaluated into a selection bitmap,
-//!   cheapest (most selective) conjunct first; later conjuncts and any
-//!   residual predicate only run on still-set bits, and surviving tuples
-//!   are materialized late, in one pass. Columns shared by several
-//!   conjuncts are extracted into transient column vectors at first use.
-//! * **Columnar join keys** (`key_hashes`): hash-join and semijoin key
-//!   hashes are combined column-wise — one pass per key column, resuming
-//!   each row's hash state — feeding a chain hash table whose collisions
-//!   resolve by direct column comparison. No per-row key is materialized
-//!   at all, replacing the row path's `Vec<&Value>` allocation per row.
+//! Every keyed operator (joins, semijoins, grouping, projection) runs one
+//! kernel whatever its input's width: `relation::KeyIndex` hashes a row's
+//! key columns in place, so no per-row key is built on either path.
 //!
-//! Both kernels run on the calling thread in one pass over the input, so
-//! filters stay strictly sorted and key vectors stay positionally aligned —
-//! the output is byte-identical to the row path (pinned by
-//! `tests/columnar_oracle.rs`).
-//!
-//! The chooser ([`choose`]) is the same rule the PR 5 cost pass applies:
-//! columnar when the path is enabled ([`crate::columnar_enabled`]), the
-//! relation is wider than [`crate::INLINE_TUPLE_CAP`], and it has at least
-//! `COLUMNAR_MIN_ROWS` (64) rows (below that, kernel setup dominates).
-//! `EXPLAIN` reports the chosen path per plan node
-//! ([`crate::opt::PlanCard::phys`]).
+//! The chooser ([`choose`]): columnar when the path is enabled
+//! ([`crate::columnar_enabled`]), the relation is wider than
+//! [`crate::INLINE_TUPLE_CAP`], and it has at least `COLUMNAR_MIN_ROWS`
+//! (64) rows (below that, kernel setup dominates). `EXPLAIN` reports the
+//! chosen path per plan node ([`crate::opt::PlanCard::phys`]): `columnar`
+//! only on a `σ` whose kernel runs.
 
 use crate::pred::CompiledPred;
 use crate::{CmpOp, Operand, Pred, RelalgError, Result, Schema, Tuple, Value};
@@ -45,7 +37,8 @@ const COLUMNAR_MIN_ROWS: usize = 64;
 pub enum PhysPath {
     /// Walk full tuples row by row.
     Row,
-    /// Extract the touched columns into transient narrow vectors first.
+    /// Evaluate comparisons over column vectors into a selection bitmap
+    /// (selection only).
     Columnar,
 }
 
@@ -68,33 +61,6 @@ pub fn choose(width: usize, rows: usize) -> PhysPath {
     } else {
         PhysPath::Row
     }
-}
-
-/// [`choose`] for the join-key kernel (join build/probe, semijoin):
-/// additionally requires the key to be a *strict* subset of the columns —
-/// extracting every column just rebuilds the tuple.
-pub(crate) fn columnar_keys(width: usize, rows: usize, key_len: usize) -> bool {
-    key_len < width && choose(width, rows) == PhysPath::Columnar
-}
-
-/// Per-row hash of the `key_idx` columns, combined column-wise: one pass
-/// per key column over the tuple vector, resuming each row's
-/// [`crate::relation::FxHasher`] state from the previous column — no
-/// per-row key tuple is ever materialized. Equal keys get equal hashes,
-/// and the vector is positionally aligned with the input. Hash collisions
-/// are resolved by callers with direct column comparisons (see the chain
-/// table in [`crate::relation`]).
-pub(crate) fn key_hashes(tuples: &[Tuple], key_idx: &[usize]) -> Vec<u64> {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut hashes = vec![0u64; tuples.len()];
-    for &c in key_idx {
-        for (h, t) in hashes.iter_mut().zip(tuples) {
-            let mut f = crate::relation::FxHasher::seeded(*h);
-            t[c].hash(&mut f);
-            *h = f.finish();
-        }
-    }
-    hashes
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,14 +24,6 @@ impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
-    }
-
-    /// A hasher resuming from a previous state, so a multi-column key hash
-    /// can be built one column at a time (see
-    /// [`crate::physical::key_hashes`]).
-    #[inline]
-    pub(crate) fn seeded(hash: u64) -> FxHasher {
-        FxHasher { hash }
     }
 }
 
@@ -72,7 +64,6 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
-pub(crate) type FxHashSet<K> = HashSet<K, FxBuild>;
 
 /// A set-semantics relation: a schema plus a **sorted, deduplicated vector**
 /// of tuples.
@@ -511,52 +502,11 @@ impl Relation {
         if let Some(tuples) = project_hashed(&self.tuples, &idx) {
             return Ok(Relation::from_sorted_vec(out_schema, tuples));
         }
-        // Relations wider than the inline tuple capacity take the columnar
-        // path: the touched columns are extracted into transient narrow
-        // vectors and the sort runs over those, never walking the full
-        // heap tuples again.
-        if idx.len() < self.schema.arity()
-            && crate::physical::choose(self.schema.arity(), self.tuples.len())
-                == crate::physical::PhysPath::Columnar
-        {
-            return Ok(self.project_columnar(&idx, out_schema));
-        }
         let mut b = RelationBuilder::with_capacity(out_schema, self.tuples.len());
         for t in self.tuples.iter() {
             b.push(idx.iter().map(|&i| t[i]).collect());
         }
         Ok(b.finish())
-    }
-
-    /// The columnar wide-scan path of [`Relation::project_as`]: one pass
-    /// over the (heap-spilled) source tuples extracts only the touched
-    /// columns — a single transient column vector of [`Value`]s for
-    /// single-column scans, narrow inline tuples otherwise — and the
-    /// canonical sort+dedup then operates on the narrow data, so the output
-    /// is byte-identical to the row path.
-    fn project_columnar(&self, idx: &[usize], out_schema: Schema) -> Relation {
-        if let [col] = idx {
-            // Single column: a true column vector — sort/dedup runs over
-            // plain `Value`s (16 bytes each), not tuples.
-            let mut values: Vec<Value> = self.tuples.iter().map(|t| t[*col]).collect();
-            values.sort_unstable();
-            values.dedup();
-            let tuples: Vec<Tuple> = values
-                .into_iter()
-                .map(|v| [v].into_iter().collect())
-                .collect();
-            return Relation::from_sorted_vec(out_schema, tuples);
-        }
-        // Multiple columns: the narrow tuples themselves are the transient
-        // column data.
-        let mut narrow: Vec<Tuple> = self
-            .tuples
-            .iter()
-            .map(|t| idx.iter().map(|&i| t[i]).collect())
-            .collect();
-        narrow.sort_unstable();
-        narrow.dedup();
-        Relation::from_sorted_vec(out_schema, narrow)
     }
 
     /// Selection `σ_φ`. Filtering preserves sortedness, so the output is
@@ -844,84 +794,26 @@ impl Relation {
     }
 
     /// Semijoin `⋉`: tuples of `self` with a natural-join partner in
-    /// `other`. The key set is hashed from `other`'s common-attribute
-    /// columns; `self` streams through it (a filter, so order is kept).
+    /// `other` — [`Relation::semijoin_on`] with every common attribute
+    /// paired with itself.
     pub fn semijoin(&self, other: &Relation) -> Relation {
-        if self.is_empty() {
-            return self.clone();
-        }
-        let common = self.schema.common(&other.schema);
-        if other.is_empty() && !common.is_empty() {
-            return Relation::empty(self.schema.clone());
-        }
-        let l_idx: Vec<usize> = common
-            .iter()
-            .map(|a| self.schema.index_of(a).unwrap())
+        let on: Vec<(Attr, Attr)> = self
+            .schema
+            .common(&other.schema)
+            .into_iter()
+            .map(|a| (a.clone(), a))
             .collect();
-        let r_idx: Vec<usize> = common
-            .iter()
-            .map(|a| other.schema.index_of(a).unwrap())
-            .collect();
-        // Wide/large inputs hash the common columns column-wise into a
-        // chain table over `other`'s rows ([`crate::physical::key_hashes`],
-        // [`hash_chain`]); `self` probes by hash and confirms by direct
-        // column equality — no `Vec<&Value>` key allocation per row, no
-        // materialized key tuples. Filtering keeps `self`'s order.
-        let width = self.schema.arity().max(other.schema.arity());
-        if crate::physical::columnar_keys(width, self.len().max(other.len()), common.len())
-            && other.len() < u32::MAX as usize
-        {
-            let (rows, other_rows): (&[Tuple], &[Tuple]) = (&self.tuples, &other.tuples);
-            let oh = crate::physical::key_hashes(other_rows, &r_idx);
-            let sh = crate::physical::key_hashes(rows, &l_idx);
-            let (head, next) = hash_chain(&oh);
-            let keep = |si: usize| -> bool {
-                let Some(&first) = head.get(&sh[si]) else {
-                    return false;
-                };
-                let mut cur = first;
-                while cur != u32::MAX {
-                    let oi = cur as usize;
-                    if l_idx
-                        .iter()
-                        .zip(&r_idx)
-                        .all(|(&lc, &rc)| rows[si][lc] == other_rows[oi][rc])
-                    {
-                        return true;
-                    }
-                    cur = next[oi];
-                }
-                false
-            };
-            let tuples: Vec<Tuple> = (0..rows.len())
-                .filter(|&si| keep(si))
-                .map(|si| rows[si].clone())
-                .collect();
-            return Relation::from_sorted_vec(self.schema.clone(), tuples);
-        }
-        let keys: FxHashSet<Vec<&Value>> = other
-            .tuples
-            .iter()
-            .map(|t| r_idx.iter().map(|&i| &t[i]).collect())
-            .collect();
-        let tuples: Vec<Tuple> = self
-            .tuples
-            .iter()
-            .filter(|t| {
-                let key: Vec<&Value> = l_idx.iter().map(|&i| &t[i]).collect();
-                keys.contains(&key)
-            })
-            .cloned()
-            .collect();
-        Relation::from_sorted_vec(self.schema.clone(), tuples)
+        self.semijoin_on(other, &on, false)
+            .expect("common attributes are in both schemas")
     }
 
     /// Semijoin `⋉_{l₁=r₁,…}` (`anti`: antijoin `▷`) on explicit column
     /// pairs: the tuples of `self` whose `l` columns equal the `r` columns
     /// of some tuple of `other` (`anti`: of none). With no pairs, a tuple
-    /// has a partner iff `other` is non-empty (`exists`). One pass: the
-    /// keys of `other` are hashed once and `self` streams through them,
-    /// so the output keeps `self`'s order and is never re-sorted.
+    /// has a partner iff `other` is non-empty (`exists`). One pass: `other`
+    /// is indexed once on its `r` columns (`KeyIndex`) and `self` streams
+    /// through the index, so the output keeps `self`'s order and is never
+    /// re-sorted.
     pub fn semijoin_on(
         &self,
         other: &Relation,
@@ -930,12 +822,19 @@ impl Relation {
     ) -> Result<Relation> {
         let (l, r): (Vec<Attr>, Vec<Attr>) = on.iter().cloned().unzip();
         let (l_idx, r_idx) = (self.positions(&l)?, other.positions(&r)?);
-        let key = |t: &Tuple, idx: &[usize]| -> Tuple { idx.iter().map(|&i| t[i]).collect() };
-        let keys: FxHashSet<Tuple> = other.tuples.iter().map(|t| key(t, &r_idx)).collect();
+        if self.is_empty() {
+            return Ok(self.clone());
+        }
+        let index = KeyIndex::over_rows(&other.tuples, &r_idx);
         let tuples: Vec<Tuple> = self
             .tuples
             .iter()
-            .filter(|t| keys.contains(&key(t, &l_idx)) != anti)
+            .filter(|t| {
+                let found = index
+                    .chain(key_hash(t, &l_idx))
+                    .any(|o| cols_eq(t, &l_idx, &other.tuples[o], &r_idx));
+                found != anti
+            })
             .cloned()
             .collect();
         Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
@@ -1239,10 +1138,14 @@ pub(crate) fn group_rows<B>(
     for t in tuples {
         let in_run = last != usize::MAX && same_key(t, key_idx, &groups[last].0);
         if !in_run {
-            last = match index.find(t, key_idx, |g| &groups[g].0) {
-                Ok(g) => g,
-                Err(hash) => {
-                    index.insert(hash);
+            let hash = key_hash(t, key_idx);
+            let found = index
+                .chain(hash)
+                .find(|&g| same_key(t, key_idx, &groups[g].0));
+            last = match found {
+                Some(g) => g,
+                None => {
+                    index.push(hash);
                     groups.push((key_idx.iter().map(|&i| t[i]).collect(), init()));
                     groups.len() - 1
                 }
@@ -1259,58 +1162,83 @@ fn same_key(t: &[Value], cols: &[usize], key: &[Value]) -> bool {
     cols.iter().zip(key).all(|(&i, k)| t[i] == *k)
 }
 
-/// The distinct keys seen so far, numbered `0, 1, …` in order of first
-/// occurrence, indexed by a hash of a row's key columns taken in place:
-/// `head` maps a hash to its latest entry, and `shadowed` links an entry to
-/// the earlier entry with the same hash it displaced there (a hash
-/// collision, so it stays empty and unallocated almost always). Callers
-/// keep the keys themselves and confirm a hash hit by comparing values.
+/// Whether `a`'s values at `a_cols` equal `b`'s at `b_cols`, pairwise.
+#[inline]
+fn cols_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
+    a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i] == b[j])
+}
+
+/// The hash of `t`'s values at `cols`, taken in place (no key is built).
+#[inline]
+fn key_hash(t: &[Value], cols: &[usize]) -> u64 {
+    use std::hash::Hash as _;
+    let mut h = FxHasher::default();
+    for &i in cols {
+        t[i].hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Closes a [`KeyIndex`] chain.
+const END: u32 = u32::MAX;
+
+/// The one hash index of the keyed operators (`⋈`, `⋈_φ`, `⋉`/`▷`, `γ`,
+/// `π`, partitioning). Its entries are numbered `0, 1, …`; `head` maps a
+/// key hash ([`key_hash`]) to the first entry of its chain, and `next`
+/// links each entry to the next one with the same hash (`END` closes a
+/// chain). The index stores no keys: callers keep what an entry stands
+/// for (a row, a group key) and confirm a chain entry by comparing
+/// columns, which also resolves hash collisions.
 #[derive(Default)]
 struct KeyIndex {
     head: FxHashMap<u64, u32>,
-    shadowed: FxHashMap<u32, u32>,
-    len: u32,
+    next: Vec<u32>,
 }
 
 impl KeyIndex {
-    /// The entry whose key (`key_of(entry)`) equals `t`'s values at `cols`,
-    /// or the hash to [`KeyIndex::insert`] a new entry under.
-    #[inline]
-    fn find<'k>(
-        &self,
-        t: &[Value],
-        cols: &[usize],
-        key_of: impl Fn(usize) -> &'k [Value],
-    ) -> std::result::Result<usize, u64> {
-        use std::hash::Hash as _;
-        let mut h = FxHasher::default();
-        for &i in cols {
-            t[i].hash(&mut h);
-        }
-        let hash = h.finish();
-        let mut cur = self.head.get(&hash).copied();
-        while let Some(e) = cur {
-            if same_key(t, cols, key_of(e as usize)) {
-                return Ok(e as usize);
+    /// The index whose entry `i` is `rows[i]`, keyed by its values at
+    /// `cols`. Inserting from the last row to the first makes every chain
+    /// walk its rows in ascending order.
+    fn over_rows(rows: &[Tuple], cols: &[usize]) -> KeyIndex {
+        assert!(rows.len() < END as usize, "too many rows to index");
+        let mut index = KeyIndex {
+            head: FxHashMap::with_capacity_and_hasher(rows.len(), FxBuild::default()),
+            next: vec![END; rows.len()],
+        };
+        for (i, t) in rows.iter().enumerate().rev() {
+            if let Some(later) = index.head.insert(key_hash(t, cols), i as u32) {
+                index.next[i] = later;
             }
-            cur = self.shadowed.get(&e).copied();
         }
-        Err(hash)
+        index
     }
 
-    /// Add the next entry under `hash`.
+    /// Add entry `len()` under `hash`, at the front of its chain.
     #[inline]
-    fn insert(&mut self, hash: u64) {
-        let entry = self.len;
-        self.len += 1;
-        if let Some(earlier) = self.head.insert(hash, entry) {
-            self.shadowed.insert(entry, earlier);
-        }
+    fn push(&mut self, hash: u64) {
+        let entry = u32::try_from(self.next.len())
+            .ok()
+            .filter(|&e| e != END)
+            .expect("too many keys to index");
+        self.next.push(self.head.insert(hash, entry).unwrap_or(END));
+    }
+
+    /// The entries under `hash`, in chain order.
+    #[inline]
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut cur = self.head.get(&hash).copied().unwrap_or(END);
+        std::iter::from_fn(move || {
+            (cur != END).then(|| {
+                let e = cur as usize;
+                cur = self.next[e];
+                e
+            })
+        })
     }
 
     /// Number of entries.
     fn len(&self) -> usize {
-        self.len as usize
+        self.next.len()
     }
 }
 
@@ -1325,8 +1253,9 @@ fn project_hashed(tuples: &[Tuple], cols: &[usize]) -> Option<Vec<Tuple>> {
     let mut index = KeyIndex::default();
     let mut out: Vec<Tuple> = Vec::new();
     for (n, t) in tuples.iter().enumerate() {
-        if let Err(hash) = index.find(t, cols, |e| &out[e]) {
-            index.insert(hash);
+        let hash = key_hash(t, cols);
+        if !index.chain(hash).any(|e| same_key(t, cols, &out[e])) {
+            index.push(hash);
             out.push(cols.iter().map(|&i| t[i]).collect());
         }
         let scanned = n + 1;
@@ -1403,44 +1332,13 @@ fn merge_difference(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
     out
 }
 
-/// A chain hash table over precomputed per-row key hashes (see
-/// [`crate::physical::key_hashes`]): `head` maps a key hash to the *first*
-/// row index bearing it, `next[i]` links row `i` to the next row with the
-/// same hash (`u32::MAX` terminates the chain) — built by a reverse scan,
-/// so walking a chain visits rows in ascending index order, exactly the
-/// emit order of the row path's index (its per-key match lists push in
-/// scan order). Collisions are resolved by the caller with direct column
-/// comparisons against the original tuples — no per-row key is ever
-/// materialized.
-fn hash_chain(hashes: &[u64]) -> (FxHashMap<u64, u32>, Vec<u32>) {
-    debug_assert!(hashes.len() < u32::MAX as usize);
-    let mut head: FxHashMap<u64, u32> =
-        FxHashMap::with_capacity_and_hasher(hashes.len(), FxBuild::default());
-    let mut next: Vec<u32> = vec![u32::MAX; hashes.len()];
-    for (i, &h) in hashes.iter().enumerate().rev() {
-        if let Some(later) = head.insert(h, i as u32) {
-            next[i] = later;
-        }
-    }
-    (head, next)
-}
-
-/// Build a hash index over `tuples`, keyed by the values at `key_cols`.
-fn hash_index<'a>(
-    tuples: &'a [Tuple],
-    key_cols: &[usize],
-) -> FxHashMap<Vec<&'a Value>, Vec<&'a Tuple>> {
-    let mut index: FxHashMap<Vec<&Value>, Vec<&Tuple>> =
-        FxHashMap::with_capacity_and_hasher(tuples.len(), FxBuild::default());
-    for t in tuples {
-        let key: Vec<&Value> = key_cols.iter().map(|&i| &t[i]).collect();
-        index.entry(key).or_default().push(t);
-    }
-    index
-}
-
-/// The build/probe phases of a hash equi-join, returning the emitted output
-/// tuples (unsorted — callers run them through [`RelationBuilder::finish`]).
+/// The build/probe phases of the hash equi-join under
+/// [`Relation::natural_join`] and [`Relation::theta_join`]: `build` is
+/// indexed on its key columns ([`KeyIndex::over_rows`]) and every probe
+/// row walks the chain of its key hash. Chains walk build rows in sorted
+/// order, so a probe row's matches come out in that order, which keeps
+/// the output as presorted as the inputs allow for the callers'
+/// [`RelationBuilder::finish`].
 ///
 /// `emit(build_tuple, probe_tuple, scratch, out)` appends the output rows
 /// for one key-matching pair (zero rows when a residual predicate rejects
@@ -1455,76 +1353,15 @@ fn hash_join_collect<F>(
 where
     F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>),
 {
-    // Wide inputs hash their key columns column-wise ([`crate::physical`])
-    // into a chain table instead of allocating a `Vec<&Value>` key per row
-    // over heap-spilled tuples. (The chain stores row indices as `u32`;
-    // larger build sides — far beyond anything the engine materializes —
-    // stay on the row path.)
-    let width = build
-        .first()
-        .map_or(0, |t| t.len())
-        .max(probe.first().map_or(0, |t| t.len()));
-    if crate::physical::columnar_keys(width, build.len().max(probe.len()), build_keys.len())
-        && build.len() < u32::MAX as usize
-    {
-        return hash_join_collect_columnar(build, build_keys, probe, probe_keys, emit);
-    }
-    let index = hash_index(build, build_keys);
+    let index = KeyIndex::over_rows(build, build_keys);
     let mut out = Vec::new();
     let mut scratch = Tuple::new();
     for p in probe {
-        let key: Vec<&Value> = probe_keys.iter().map(|&i| &p[i]).collect();
-        if let Some(matches) = index.get(&key) {
-            for &m in matches {
+        for b in index.chain(key_hash(p, probe_keys)) {
+            let m = &build[b];
+            if cols_eq(m, build_keys, p, probe_keys) {
                 emit(m, p, &mut scratch, &mut out);
             }
-        }
-    }
-    out
-}
-
-/// The columnar-key variant of [`hash_join_collect`]: both sides' key
-/// hashes are combined column-wise (one pass per key column — see
-/// [`crate::physical::key_hashes`]) and the build side becomes a chain
-/// hash table over row indices ([`hash_chain`]); probe rows walk the chain
-/// for their hash, confirming matches by direct column equality against
-/// the build tuples. No per-row key — neither a `Vec<&Value>` nor an
-/// inline key tuple — is ever materialized. Chains walk in ascending
-/// build-row order, so matches emit exactly as the row path's index emits
-/// them (this keeps the pre-sort output just as presorted, which the
-/// caller's final sort exploits); the caller's sort+dedup then
-/// canonicalizes the output, so the result is byte-identical to the row
-/// path.
-fn hash_join_collect_columnar<F>(
-    build: &[Tuple],
-    build_keys: &[usize],
-    probe: &[Tuple],
-    probe_keys: &[usize],
-    emit: F,
-) -> Vec<Tuple>
-where
-    F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>),
-{
-    let bh = crate::physical::key_hashes(build, build_keys);
-    let ph = crate::physical::key_hashes(probe, probe_keys);
-    let (head, next) = hash_chain(&bh);
-    let mut out = Vec::new();
-    let mut scratch = Tuple::new();
-    for (pi, p) in probe.iter().enumerate() {
-        let Some(&first) = head.get(&ph[pi]) else {
-            continue;
-        };
-        let mut cur = first;
-        while cur != u32::MAX {
-            let bi = cur as usize;
-            if build_keys
-                .iter()
-                .zip(probe_keys)
-                .all(|(&bc, &pc)| build[bi][bc] == p[pc])
-            {
-                emit(&build[bi], p, &mut scratch, &mut out);
-            }
-            cur = next[bi];
         }
     }
     out
@@ -1538,7 +1375,7 @@ where
 /// Every other conjunct — non-equality comparisons, disjunctions, negations,
 /// single-side equalities — stays in the residual, which callers apply to
 /// the concatenated tuple.
-pub(crate) fn split_equi_conjuncts(
+fn split_equi_conjuncts(
     pred: &Pred,
     left: &Schema,
     right: &Schema,
@@ -1629,7 +1466,7 @@ fn push_spaces(out: &mut String, n: usize) {
 /// entries may repeat a kept column); `None` for any other map. Over
 /// sorted input such a map's outputs come out sorted, and equal outputs
 /// are adjacent.
-pub(crate) fn stream_prefix(idx: &[usize]) -> Option<usize> {
+fn stream_prefix(idx: &[usize]) -> Option<usize> {
     let mut kept = 0;
     for &i in idx {
         if i == kept {
@@ -1929,6 +1766,71 @@ mod tests {
         let t = Relation::table(&["E", "F"], &[&[2i64, 1], &[9, 9]]);
         let j = r().theta_join(&t, &Pred::eq_attr("B", "E")).unwrap();
         assert_eq!(j.len(), 2); // (1,2)×(2,1), (3,2)×(2,1)
+    }
+
+    #[test]
+    fn key_index_resolves_equal_hashes_by_comparing_keys() {
+        // Every key goes under one hash, as a full hash collision would.
+        let keys: Vec<Tuple> = (0..20i64)
+            .map(|i| {
+                [Value::int(i), Value::str(&format!("k{i}"))]
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        let cols = [0, 1];
+        let mut index = KeyIndex::default();
+        for _ in &keys {
+            index.push(7);
+        }
+        assert_eq!(index.len(), keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            let found = index.chain(7).find(|&e| same_key(k, &cols, &keys[e]));
+            assert_eq!(found, Some(i));
+        }
+        let absent: Tuple = [Value::int(3), Value::str("k4")].into_iter().collect();
+        assert!(!index.chain(7).any(|e| same_key(&absent, &cols, &keys[e])));
+        assert_eq!(index.chain(8).count(), 0);
+
+        // Rows indexed in place: each chain walks its rows in ascending order.
+        let rows: Vec<Tuple> = (0..30i64)
+            .map(|i| [Value::int(i % 3), Value::int(i)].into_iter().collect())
+            .collect();
+        let index = KeyIndex::over_rows(&rows, &[0]);
+        for k in 0..3i64 {
+            let chain: Vec<usize> = index
+                .chain(key_hash(&[Value::int(k)], &[0]))
+                .filter(|&e| rows[e][0] == Value::int(k))
+                .collect();
+            let want: Vec<usize> = (0..30).filter(|&i| i as i64 % 3 == k).collect();
+            assert_eq!(chain, want);
+        }
+    }
+
+    #[test]
+    fn joins_emit_every_match_of_a_repeated_build_key() {
+        // The smaller side (the build side) repeats one key 200 times.
+        let build = Relation::from_rows(
+            Schema::of(&["K", "B"]),
+            (0..200i64).map(|i| vec![Value::int(1), Value::int(i)]),
+        )
+        .unwrap();
+        let probe = Relation::from_rows(
+            Schema::of(&["K", "P"]),
+            (0..300i64).map(|i| vec![Value::int(i % 3), Value::int(i)]),
+        )
+        .unwrap();
+        // 100 probe rows have K = 1, each meeting all 200 build rows.
+        let j = build.natural_join(&probe);
+        assert_eq!(j.len(), 200 * 100);
+        assert!(j.iter().all(|t| t[0] == Value::int(1)));
+        let renamed = probe.rename(&[(attr("K"), attr("K2"))]).unwrap();
+        let t = build
+            .theta_join(&renamed, &Pred::eq_attr("K", "K2"))
+            .unwrap();
+        assert_eq!(t.len(), 200 * 100);
+        assert_eq!(build.semijoin(&probe), build);
+        assert_eq!(probe.semijoin(&build).len(), 100);
     }
 
     #[test]

@@ -105,6 +105,16 @@ impl Sym {
     }
 }
 
+/// Whether `s` is interned, without interning it.
+#[cfg(test)]
+pub(crate) fn is_interned(s: &str) -> bool {
+    shards()[shard_of(s)]
+        .read()
+        .expect("interner poisoned")
+        .map
+        .contains_key(s)
+}
+
 impl PartialEq for Sym {
     fn eq(&self, other: &Sym) -> bool {
         self.id == other.id

@@ -1,15 +1,14 @@
 //! Oracle suite for the versioned, statistics-carrying storage layer and
 //! the physical-operator layer built on it:
 //!
-//! * the **columnar projection path** (wide relations extract only the
-//!   touched columns) is pinned against the row path and a
-//!   `BTreeSet<Vec<Value>>` oracle;
-//! * the **vectorized selection** and **columnar join-key extraction**
-//!   (natural/theta/semijoin) paths are pinned the same way — row vs.
-//!   columnar vs. independent semantic oracles, with the `columnar`
-//!   session toggle off and on — and grouping (`partition_by`,
-//!   `partition_by_project`, `divide`) on wide inputs against the same
-//!   kind of oracles;
+//! * the **vectorized selection** path is pinned against the row path
+//!   (the `columnar` session toggle off and on) and an independent
+//!   semantic oracle;
+//! * projection, the hash joins (natural, theta) and the semijoin, whose
+//!   one kernel runs at every width, and grouping (`partition_by`,
+//!   `partition_by_project`, `divide`) are pinned on wide
+//!   (heap-spilled) inputs against `BTreeSet<Vec<Value>>` and
+//!   nested-loop oracles;
 //! * **per-column statistics** are pinned against per-column set oracles;
 //! * the **epoch tag** semantics (clones share, constructors stamp fresh,
 //!   in-place mutation bumps) are pinned.
@@ -58,7 +57,7 @@ fn assert_is(rel: &Relation, oracle: &BTreeSet<Vec<Value>>, what: &str) {
 }
 
 #[test]
-fn columnar_projection_matches_row_path_and_oracle() {
+fn wide_projection_matches_oracle() {
     let inputs = [
         datagen::lineitem_q6(7, 600, 3), // 5 columns, string + int
         datagen::lineitem_q6(23, 64, 2), // exactly at the row threshold
@@ -80,18 +79,15 @@ fn columnar_projection_matches_row_path_and_oracle() {
         for cols in projections {
             let a: Vec<relalg::Attr> = attrs(&cols);
             let oracle = o_project(rel, &cols);
-            let (row, col) = row_vs_columnar(|| rel.project(&a).unwrap());
-            assert_eq!(row, col, "row vs columnar diverged ({cols:?})");
-            assert_is(&col, &oracle, &format!("{cols:?}"));
+            assert_is(&rel.project(&a).unwrap(), &oracle, &format!("{cols:?}"));
         }
     }
 }
 
 #[test]
-fn distinct_values_take_the_columnar_path() {
+fn wide_distinct_values_match_oracle() {
     let rel = wide_rel(5, 500, 7);
     let oracle = o_project(&rel, &["C3"]);
-    assert!(relalg::columnar_enabled());
     let vals = rel.distinct_values(&attrs(&["C3"])).unwrap();
     let got: Vec<Vec<Value>> = vals.iter().map(|t| t.to_vec()).collect();
     let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
@@ -272,23 +268,19 @@ fn join_inputs(rows: usize) -> (Relation, Relation) {
 }
 
 #[test]
-fn columnar_join_keys_match_row_path_and_oracle() {
+fn wide_joins_and_semijoins_match_oracle() {
     for rows in [80usize, 600] {
         let (l, r) = join_inputs(rows);
         let nj_oracle = o_natural_join(&l, &r);
         // Natural join: common-attribute hash keys.
-        let (row, col) = row_vs_columnar(|| l.natural_join(&r));
-        assert_eq!(row, col, "⋈ row vs columnar ({rows} rows)");
-        assert_is(&col, &nj_oracle, &format!("⋈ {rows} rows"));
+        assert_is(&l.natural_join(&r), &nj_oracle, &format!("⋈ {rows} rows"));
 
-        // Semijoin: key-set membership from extracted columns.
-        let (row, col) = row_vs_columnar(|| l.semijoin(&r));
-        assert_eq!(row, col, "⋉ row vs columnar ({rows} rows)");
+        // Semijoin: key membership in the index over `r`.
         let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle
             .iter()
             .map(|t| t[..l.schema().arity()].to_vec())
             .collect();
-        assert_is(&col, &sj_oracle, &format!("⋉ {rows} rows"));
+        assert_is(&l.semijoin(&r), &sj_oracle, &format!("⋉ {rows} rows"));
 
         // Theta join: extracted equi-keys plus a residual conjunct.
         let rr = r
@@ -305,9 +297,6 @@ fn columnar_join_keys_match_row_path_and_oracle() {
             CmpOp::Ge,
             Operand::Attr(attr("E0")),
         ));
-        let (row, col) = row_vs_columnar(|| l.theta_join(&rr, &pred));
-        let (row, col) = (row.unwrap(), col.unwrap());
-        assert_eq!(row, col, "⋈[θ] row vs columnar ({rows} rows)");
         let tj_oracle: BTreeSet<Vec<Value>> = l
             .iter()
             .flat_map(|lt| {
@@ -320,7 +309,11 @@ fn columnar_join_keys_match_row_path_and_oracle() {
                     })
             })
             .collect();
-        assert_is(&col, &tj_oracle, &format!("⋈[θ] {rows} rows"));
+        assert_is(
+            &l.theta_join(&rr, &pred).unwrap(),
+            &tj_oracle,
+            &format!("⋈[θ] {rows} rows"),
+        );
     }
 }
 
@@ -392,7 +385,7 @@ fn columnar_grouping_matches_row_path_and_oracle() {
     }
 }
 
-// ---- proptest: random wide inputs through both projection paths ----
+// ---- proptest: random wide inputs through projection, σ, ⋈, ⋉, χ, ÷ ----
 
 type WideRow = ((i64, i64), (i64, i64), (i64, i64));
 
@@ -423,9 +416,7 @@ proptest! {
         };
         let a = attrs(&cols);
         let oracle = o_project(&rel, &cols);
-        let (row, col) = row_vs_columnar(|| rel.project(&a).unwrap());
-        prop_assert_eq!(&row, &col);
-        let got: Vec<Vec<Value>> = col.iter().map(|t| t.to_vec()).collect();
+        let got: Vec<Vec<Value>> = rel.project(&a).unwrap().iter().map(|t| t.to_vec()).collect();
         let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
         prop_assert_eq!(got, want);
     }
@@ -457,12 +448,16 @@ proptest! {
         let (rowp, colp) = row_vs_columnar(|| {
             (
                 rel.select(&pred).unwrap(),
-                rel.natural_join(&other),
-                rel.semijoin(&other),
                 rel.partition_by(&attrs(&["C", "D"])).unwrap(),
                 rel.divide(&rel.project(&attrs(&["F"])).unwrap()).unwrap(),
             )
         });
         prop_assert_eq!(rowp, colp);
+        let nj_oracle = o_natural_join(&rel, &other);
+        let got: Vec<Vec<Value>> = rel.natural_join(&other).iter().map(|t| t.to_vec()).collect();
+        prop_assert_eq!(got, nj_oracle.iter().cloned().collect::<Vec<_>>());
+        let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle.iter().map(|t| t[..6].to_vec()).collect();
+        let got: Vec<Vec<Value>> = rel.semijoin(&other).iter().map(|t| t.to_vec()).collect();
+        prop_assert_eq!(got, sj_oracle.into_iter().collect::<Vec<_>>());
     }
 }

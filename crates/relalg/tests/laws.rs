@@ -501,6 +501,70 @@ fn hash_natural_join_and_semijoin_agree_with_oracle() {
     }
 }
 
+fn rel3(names: &[&str], rows: &[(i64, i64, i64)]) -> Relation {
+    Relation::from_rows(
+        Schema::of(names),
+        rows.iter()
+            .map(|&(a, b, c)| vec![Value::Int(a), Value::Int(b), Value::Int(c)]),
+    )
+    .unwrap()
+}
+
+fn small_triples() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    proptest::collection::vec((0i64..3, 0i64..3, 0i64..3), 0..10)
+}
+
+/// Nested-loop `⋉_on` (`anti`: `▷_on`): the tuples of `r` whose columns
+/// on the left of the pairs equal the paired columns of some tuple of `s`
+/// (`anti`: of none).
+fn oracle_semijoin_on(r: &Relation, s: &Relation, on: &[(Attr, Attr)], anti: bool) -> Relation {
+    let pairs: Vec<(usize, usize)> = on
+        .iter()
+        .map(|(l, rr)| {
+            (
+                r.schema().index_of(l).unwrap(),
+                s.schema().index_of(rr).unwrap(),
+            )
+        })
+        .collect();
+    let rows = r.iter().filter(|l| {
+        let partner = s
+            .iter()
+            .any(|t| pairs.iter().all(|&(li, ri)| l[li] == t[ri]));
+        partner != anti
+    });
+    Relation::from_rows(r.schema().clone(), rows.cloned()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `⋉`/`▷` on column pairs (what `whatif`'s `▷` runs) agrees with the
+    /// nested loop for 0, 1 and 2 pairs, with names that differ between
+    /// the sides and with one column in two pairs on either side.
+    #[test]
+    fn semijoin_on_agrees_with_nested_loop_oracle(
+        r in small_triples(),
+        s in small_triples(),
+        pick in 0usize..6,
+        anti in any::<bool>(),
+    ) {
+        let r = rel3(&["A", "B", "C"], &r);
+        let s = rel3(&["X", "Y", "Z"], &s);
+        let pairs: &[(&str, &str)] = match pick {
+            0 => &[],
+            1 => &[("B", "Y")],
+            2 => &[("C", "X")],
+            3 => &[("A", "Z"), ("C", "Y")],
+            4 => &[("A", "X"), ("A", "Y")],
+            _ => &[("B", "Z"), ("C", "Z")],
+        };
+        let on: Vec<(Attr, Attr)> = pairs.iter().map(|&(l, r)| (attr(l), attr(r))).collect();
+        let got = r.semijoin_on(&s, &on, anti).unwrap();
+        prop_assert_eq!(got, oracle_semijoin_on(&r, &s, &on, anti));
+    }
+}
+
 /// The acceptance test for the hash path: a theta join whose cross product
 /// would have ~9·10⁸ rows. Materializing `A × B` here would exhaust memory;
 /// the hash-partitioned path touches only the ~30k matching pairs.
