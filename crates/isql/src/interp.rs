@@ -1512,9 +1512,9 @@ fn aggregate(f: AggFn, vals: Vec<Value>) -> Result<Value> {
 
 // ---- DML (Session) ----
 
-/// `delete` in one world: the rows of `rel` on which `cond` does not hold
-/// (none without a condition). Subqueries in `cond` see the world as it was
-/// before the statement.
+/// `delete` in one world: `rel` without the rows on which `cond` holds
+/// (every row without a condition). Subqueries in `cond` see the world as
+/// it was before the statement.
 pub(crate) fn delete_rows(
     rel: &Relation,
     cond: Option<&Cond>,
@@ -1522,11 +1522,14 @@ pub(crate) fn delete_rows(
     names: &[String],
 ) -> Result<Relation> {
     let conds: Vec<&Cond> = cond.into_iter().collect();
-    filter_rows(rel, &conds, false, world, names, &mut Scopes::new())
+    let matched = filter_rows(rel, &conds, true, world, names, &mut Scopes::new())?;
+    rel.with_changes(matched.tuples(), std::iter::empty::<Tuple>())
+        .map_err(rel_err)
 }
 
 /// `update` in one world: `rel` with the `sets` assignments applied to the
-/// rows on which `cond` holds (every row without a condition).
+/// rows on which `cond` holds (every row without a condition). Only the
+/// rows the assignments change are replaced.
 pub(crate) fn update_rows(
     rel: &Relation,
     sets: &[(String, Scalar)],
@@ -1535,7 +1538,7 @@ pub(crate) fn update_rows(
     names: &[String],
 ) -> Result<Relation> {
     let schema = rel.schema();
-    let rows = Scopes::new().in_level(schema, |scopes| {
+    let (removed, added) = Scopes::new().in_level(schema, |scopes| {
         let mut cond = cond.map(|c| bind_cond(c, &scopes.schemas));
         // An unknown target column is an error once a row matches.
         let sets: Vec<(Result<usize>, BScalar)> = sets
@@ -1547,24 +1550,28 @@ pub(crate) fn update_rows(
                 )
             })
             .collect();
-        let mut rows = Vec::with_capacity(rel.len());
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
         for row in rel.iter() {
             let matches = match &mut cond {
                 None => true,
                 Some(c) => c.eval(row, world, names, scopes)?,
             };
-            let mut out = row.clone();
-            if matches {
-                for (target, expr) in &sets {
-                    let i = *target.as_ref().map_err(Clone::clone)?;
-                    out[i] = expr.eval(row, world, names, scopes, None)?;
-                }
+            if !matches {
+                continue;
             }
-            rows.push(out);
+            let mut out = row.clone();
+            for (target, expr) in &sets {
+                let i = *target.as_ref().map_err(Clone::clone)?;
+                out[i] = expr.eval(row, world, names, scopes, None)?;
+            }
+            if out != *row {
+                removed.push(row.clone());
+                added.push(out);
+            }
         }
-        Ok(rows)
+        Ok((removed, added))
     })?;
-    Relation::from_rows(schema.clone(), rows).map_err(rel_err)
+    rel.with_changes(&removed, added).map_err(rel_err)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use relalg::config::SessionConfig;
 use relalg::{Relation, Value};
-use worldset::WorldSet;
+use worldset::{World, WorldSet};
 
 use crate::ast::*;
 use crate::durable::{self, WalAction, WalSpec};
@@ -459,7 +459,7 @@ impl Session {
                     .rel(idx)
                     .merge_rows(values.iter().cloned())
                     .map_err(|e| SqlError(e.to_string()))?;
-                Ok(w.replace_rel(idx, rel))
+                Ok(with_successor(w, idx, rel))
             })?;
             if let Some(key_cols) = keys.get(&table) {
                 let key_attrs: Vec<relalg::Attr> =
@@ -493,7 +493,7 @@ impl Session {
             let names: Vec<String> = ws.rel_names().to_vec();
             let ws = ws.map_worlds(|w| {
                 let filtered = delete_rows(w.rel(idx), cond.as_ref(), w, &names)?;
-                Ok(w.replace_rel(idx, filtered))
+                Ok(with_successor(w, idx, filtered))
             })?;
             Ok(Some((ws, keys.clone())))
         })?;
@@ -514,11 +514,22 @@ impl Session {
             let names: Vec<String> = ws.rel_names().to_vec();
             let ws = ws.map_worlds(|w| {
                 let updated = update_rows(w.rel(idx), &sets, cond.as_ref(), w, &names)?;
-                Ok(w.replace_rel(idx, updated))
+                Ok(with_successor(w, idx, updated))
             })?;
             Ok(Some((ws, keys.clone())))
         })?;
         Ok(ExecOutcome::Dml { applied: true })
+    }
+}
+
+/// `w` with relation `idx` replaced by its DML successor `rel`. A
+/// statement that changed no row returns a clone of the old relation (same
+/// epoch), and the world keeps the relation's `Arc`.
+fn with_successor(w: &World, idx: usize, rel: Relation) -> World {
+    if rel.epoch() == w.rel(idx).epoch() {
+        w.clone()
+    } else {
+        w.replace_rel(idx, rel)
     }
 }
 

@@ -16,7 +16,11 @@
 //!   ([`Dec::get_string`]: a WAL record's statement) is never interned.
 //! * **Relations** — schema (attribute names), tuples in the canonical
 //!   sorted order, then the memoized [`RelStats`] if the writer had
-//!   computed them, so a reopened database keeps warm statistics.
+//!   computed them, so a reopened database keeps warm statistics: a flag
+//!   byte (0 none, 2 statistics), the row count and one distinct count per
+//!   column. Flag 1, the layout of older snapshots, adds an optional min
+//!   and max value per column; it still decodes, and those two are
+//!   dropped.
 //!
 //! Decoding is *validating*: any truncation, out-of-range table index,
 //! malformed UTF-8 hiding behind a corrupted length, duplicate schema
@@ -129,25 +133,13 @@ impl Enc {
             }
         }
         match rel.stats_if_computed() {
-            None => self.put_u8(0),
+            None => self.put_u8(STATS_NONE),
             Some(stats) => {
-                self.put_u8(1);
+                self.put_u8(STATS_DISTINCT);
                 self.put_varint(stats.rows);
                 for col in &stats.cols {
                     self.put_varint(col.distinct);
-                    self.put_opt_value(col.min);
-                    self.put_opt_value(col.max);
                 }
-            }
-        }
-    }
-
-    fn put_opt_value(&mut self, v: Option<Value>) {
-        match v {
-            None => self.put_u8(0),
-            Some(v) => {
-                self.put_u8(1);
-                self.put_value(v);
             }
         }
     }
@@ -164,6 +156,14 @@ impl Enc {
         out
     }
 }
+
+/// Stats flag: the writer had no statistics memoized.
+const STATS_NONE: u8 = 0;
+/// Stats flag of older snapshots: `rows`, then per column `distinct` and an
+/// optional min and max value. Still decoded; min and max are dropped.
+const STATS_MIN_MAX: u8 = 1;
+/// Stats flag: `rows`, then per column `distinct`.
+const STATS_DISTINCT: u8 = 2;
 
 fn put_varint_raw(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -287,10 +287,11 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn get_opt_value(&mut self) -> Result<Option<Value>, CodecError> {
+    /// Skip an optional value of a flag-[`STATS_MIN_MAX`] payload.
+    fn skip_opt_value(&mut self) -> Result<(), CodecError> {
         match self.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.get_value()?)),
+            0 => Ok(()),
+            1 => self.get_value().map(drop),
             flag => err(format!("bad option flag {flag}")),
         }
     }
@@ -329,25 +330,28 @@ impl<'a> Dec<'a> {
             return err("persisted tuples are not strictly sorted");
         }
         let rel = Relation::from_sorted_vec(schema, tuples);
-        match self.get_u8()? {
-            0 => {}
-            1 => {
-                let srows = self.get_varint()?;
-                let mut cols = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    cols.push(ColStats {
-                        distinct: self.get_varint()?,
-                        min: self.get_opt_value()?,
-                        max: self.get_opt_value()?,
-                    });
-                }
-                if srows != rel.len() as u64 {
-                    return err("persisted statistics row count mismatch");
-                }
-                rel.seed_stats(Arc::new(RelStats { rows: srows, cols }));
-            }
-            flag => return err(format!("bad stats flag {flag}")),
+        let flag = self.get_u8()?;
+        if flag == STATS_NONE {
+            return Ok(rel);
         }
+        if flag != STATS_MIN_MAX && flag != STATS_DISTINCT {
+            return err(format!("bad stats flag {flag}"));
+        }
+        let srows = self.get_varint()?;
+        let mut cols = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            cols.push(ColStats {
+                distinct: self.get_varint()?,
+            });
+            if flag == STATS_MIN_MAX {
+                self.skip_opt_value()?;
+                self.skip_opt_value()?;
+            }
+        }
+        if srows != rel.len() as u64 {
+            return err("persisted statistics row count mismatch");
+        }
+        rel.seed_stats(Arc::new(RelStats { rows: srows, cols }));
         Ok(rel)
     }
 }
@@ -458,6 +462,44 @@ mod tests {
         assert_eq!(back.stats_if_computed(), Some(rel.stats()));
         // Fresh epoch, not the writer's.
         assert_ne!(back.epoch(), rel.epoch());
+    }
+
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Relations written with stats flag 1 (distinct, min and max per
+    /// column) by the encoder before min and max were dropped still open,
+    /// with their row and distinct counts.
+    #[test]
+    fn flag_one_payloads_still_decode() {
+        // City/Pop/Tag: (berlin, 3, x), (paris, -2, x), (rome, 3, y).
+        let bytes = from_hex(
+            "08044369747903506f7003546167066265726c696e017805706172697304726f6d\
+             6501790300010203040303060404040503030404040603060407010303010403\
+             0104060201030301030602010404010407",
+        );
+        let rel = Dec::new(&bytes).unwrap().get_relation().unwrap();
+        let want = Relation::table(
+            &["City", "Pop", "Tag"],
+            &[
+                &[Value::str("berlin"), Value::Int(3), Value::str("x")],
+                &[Value::str("paris"), Value::Int(-2), Value::str("x")],
+                &[Value::str("rome"), Value::Int(3), Value::str("y")],
+            ],
+        );
+        assert_eq!(rel, want);
+        assert_eq!(rel.stats_if_computed(), Some(want.stats()));
+
+        // An empty A/B relation: no min or max values at all.
+        let bytes = from_hex("0201410142020001000100000000000000");
+        let rel = Dec::new(&bytes).unwrap().get_relation().unwrap();
+        assert!(rel.is_empty());
+        assert_eq!(rel.stats_if_computed(), Some(rel.stats()));
+        assert_eq!(rel.stats().cols.len(), 2);
     }
 
     #[test]

@@ -97,10 +97,12 @@ pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
 /// key on `(name, epoch)` in O(1).
 ///
 /// A relation also lazily computes and memoizes per-column statistics
-/// ([`Relation::stats`]: row count, per-column distinct count, min/max) —
-/// the cost model's cardinality inputs. Neither the tag nor the statistics
-/// participate in equality, ordering, or hashing: those remain purely
-/// structural (schema + tuples).
+/// ([`Relation::stats`]: row count and per-column distinct count) —
+/// the cost model's cardinality inputs. [`Relation::with_changes`], the
+/// constructor of DML successors, seeds them from its input's memoized
+/// statistics instead of leaving them to a recount. Neither the tag nor
+/// the statistics participate in equality, ordering, or hashing: those
+/// remain purely structural (schema + tuples).
 pub struct Relation {
     schema: Schema,
     tuples: Arc<Vec<Tuple>>,
@@ -337,7 +339,7 @@ impl Relation {
         self.epoch
     }
 
-    /// Per-column statistics (row count, distinct count, min/max), computed
+    /// Per-column statistics (row count and distinct counts), computed
     /// lazily on first call and memoized for the relation's lifetime.
     /// Clones share already-computed statistics.
     pub fn stats(&self) -> &RelStats {
@@ -411,21 +413,55 @@ impl Relation {
         self.stats = OnceLock::new();
     }
 
-    /// Insert a batch of rows in one pass: the batch is sorted and deduped
-    /// through [`RelationBuilder`], then linearly merged with the existing
-    /// tuples. This replaces per-row [`Relation::insert`] calls — an
-    /// O(n)-per-row shifted insert — on the DML path (`Session::insert`).
+    /// Insert a batch of rows: [`Relation::with_changes`] with nothing
+    /// removed.
     pub fn merge_rows(&self, rows: impl IntoIterator<Item = impl Into<Tuple>>) -> Result<Relation> {
-        let mut b = RelationBuilder::new(self.schema.clone());
-        for row in rows {
-            b.try_push(row)?;
+        self.with_changes(&[], rows)
+    }
+
+    /// The successor of a DML statement: `(self − removed) ∪ added`.
+    ///
+    /// `removed` must be strictly sorted (rows a filter matched, in the
+    /// relation's order); rows of it that `self` lacks are ignored. `added`
+    /// may come in any order, with duplicates and with rows already present
+    /// (arity is validated). The batch is sorted and deduped, then merged
+    /// into the existing tuples in one pass that gallops over the unchanged
+    /// runs, so a small change to a large table compares O(d · log n)
+    /// tuples, not O(n).
+    ///
+    /// When no row changes, the result is a clone: same storage, epoch and
+    /// statistics. Otherwise it gets a fresh epoch, and if `self` has its
+    /// statistics memoized, the successor is seeded with statistics derived
+    /// from them (`RelStats::changed`) instead of starting cold.
+    pub fn with_changes(
+        &self,
+        removed: &[Tuple],
+        added: impl IntoIterator<Item = impl Into<Tuple>>,
+    ) -> Result<Relation> {
+        debug_assert!(
+            removed.windows(2).all(|w| w[0] < w[1]),
+            "with_changes requires strictly sorted removed rows"
+        );
+        let mut batch = RelationBuilder::new(self.schema.clone());
+        for row in added {
+            batch.try_push(row)?;
         }
-        if b.is_empty() {
+        let added = batch.finish();
+        let (tuples, gone, new) = merge_changes(&self.tuples, removed, &added.tuples);
+        if gone.is_empty() && new.is_empty() {
             return Ok(self.clone());
         }
-        let batch = b.finish();
-        let tuples = merge_union(&self.tuples, &batch.tuples);
-        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+        let next = Relation::from_sorted_vec(self.schema.clone(), tuples);
+        if let Some(stats) = self.stats_if_computed() {
+            let derived = stats.changed(&self.tuples, &next.tuples, &gone, &new);
+            debug_assert_eq!(
+                derived,
+                RelStats::compute(&next.schema, &next.tuples),
+                "statistics derived from a change differ from a recount"
+            );
+            next.seed_stats(Arc::new(derived));
+        }
+        Ok(next)
     }
 
     /// Remove a tuple.
@@ -1293,6 +1329,67 @@ fn merge_union(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
     out
 }
 
+/// The merge under [`Relation::with_changes`]: `(old − removed) ∪ added`
+/// over strictly sorted inputs, with the rows `old` lost (`gone`) and the
+/// rows it gained (`new`), each in sorted order. The next changed row is
+/// located in the unconsumed rest of `old` by galloping, and the run before
+/// it is copied as a whole.
+fn merge_changes<'a>(
+    old: &'a [Tuple],
+    removed: &'a [Tuple],
+    added: &'a [Tuple],
+) -> (Vec<Tuple>, Vec<&'a Tuple>, Vec<&'a Tuple>) {
+    let mut out = Vec::with_capacity(old.len() + added.len());
+    let (mut gone, mut new) = (Vec::new(), Vec::new());
+    let (mut rest, mut removed, mut added) = (old, removed, added);
+    loop {
+        let key = match (removed.first(), added.first()) {
+            (None, None) => break,
+            (Some(r), None) => r,
+            (None, Some(a)) => a,
+            (Some(r), Some(a)) => r.min(a),
+        };
+        let before = gallop(rest, key);
+        out.extend_from_slice(&rest[..before]);
+        rest = &rest[before..];
+        let present = rest.first() == Some(key);
+        if removed.first() == Some(key) {
+            removed = &removed[1..];
+        }
+        let is_added = added.first() == Some(key);
+        if is_added {
+            added = &added[1..];
+        }
+        match (present, is_added) {
+            (true, true) => out.push(rest[0].clone()),
+            (true, false) => gone.push(&rest[0]),
+            (false, true) => {
+                out.push(key.clone());
+                new.push(key);
+            }
+            (false, false) => {}
+        }
+        if present {
+            rest = &rest[1..];
+        }
+    }
+    out.extend_from_slice(rest);
+    (out, gone, new)
+}
+
+/// The number of rows of the sorted `rows` below `key`, found by an
+/// exponential search from the front: O(log p) comparisons for an answer
+/// `p`, so successive searches over a shrinking rest stay linear overall.
+fn gallop(rows: &[Tuple], key: &Tuple) -> usize {
+    let mut hi = 1;
+    while hi <= rows.len() && rows[hi - 1] < *key {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    let hi = hi.min(rows.len());
+    lo + rows[lo..hi].partition_point(|r| r < key)
+}
+
 /// Linear merge of two strictly sorted tuple vectors: intersection.
 fn merge_intersect(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
     let mut out = Vec::new();
@@ -1375,11 +1472,7 @@ where
 /// Every other conjunct — non-equality comparisons, disjunctions, negations,
 /// single-side equalities — stays in the residual, which callers apply to
 /// the concatenated tuple.
-fn split_equi_conjuncts(
-    pred: &Pred,
-    left: &Schema,
-    right: &Schema,
-) -> (Vec<(usize, usize)>, Pred) {
+fn split_equi_conjuncts(pred: &Pred, left: &Schema, right: &Schema) -> (Vec<(usize, usize)>, Pred) {
     fn walk(p: &Pred, left: &Schema, right: &Schema, keys: &mut Vec<(usize, usize)>) -> Pred {
         match p {
             Pred::And(a, b) => {

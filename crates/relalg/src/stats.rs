@@ -1,12 +1,23 @@
-//! Per-relation statistics: row count and per-column distinct/min/max.
+//! Per-relation statistics: row count and per-column distinct count.
 //!
 //! Statistics are computed **lazily** on first request and memoized on the
 //! relation (see [`crate::Relation::stats`]); all later reads — cost-model
 //! estimates, `EXPLAIN` cardinality annotations, join-order ranking — are
-//! free. Because a [`crate::Relation`] is immutable once built (the `&mut`
-//! entry points stamp a fresh epoch and drop the memo), the memoized
-//! statistics can never go stale.
+//! free. Because a [`crate::Relation`] is immutable once built, the
+//! memoized statistics can never go stale: a changed relation is a new
+//! relation with a fresh epoch (the two `&mut` entry points,
+//! [`crate::Relation::insert`] and [`crate::Relation::remove`], stamp one
+//! and drop the memo).
+//!
+//! A DML successor built by [`crate::Relation::with_changes`] — every
+//! `insert`, `delete` and `update` statement — does not start cold: when
+//! its predecessor's statistics are memoized, it is seeded with statistics
+//! derived from them and the change (`RelStats::changed`), so the first
+//! select after a commit does not sort every column again.
 
+use std::collections::HashSet;
+
+use crate::relation::FxBuild;
 use crate::{Schema, Tuple, Value};
 
 /// Statistics of one column.
@@ -14,10 +25,6 @@ use crate::{Schema, Tuple, Value};
 pub struct ColStats {
     /// Number of distinct values in the column.
     pub distinct: u64,
-    /// Smallest value (`None` for an empty relation).
-    pub min: Option<Value>,
-    /// Largest value (`None` for an empty relation).
-    pub max: Option<Value>,
 }
 
 /// Statistics of a whole relation: the row count plus one [`ColStats`] per
@@ -44,54 +51,99 @@ impl RelStats {
     /// Compute statistics over a sorted, deduplicated tuple vector.
     ///
     /// Column 0 inherits the relation's lexicographic sort order, so its
-    /// distinct count is a boundary count and min/max are the first/last
-    /// tuple — no extraction pass. Every other column is extracted into a
-    /// transient column vector and sorted once.
+    /// distinct count is a boundary count — no extraction pass. Every other
+    /// column is extracted into a transient column vector and sorted once.
     pub(crate) fn compute(schema: &Schema, tuples: &[Tuple]) -> RelStats {
         let arity = schema.arity();
-        let rows = tuples.len() as u64;
-        if tuples.is_empty() || arity == 0 {
-            return RelStats {
-                rows,
-                cols: vec![
-                    ColStats {
-                        distinct: 0,
-                        min: None,
-                        max: None,
-                    };
-                    arity
-                ],
-            };
+        let cols = (0..arity)
+            .map(|i| ColStats {
+                distinct: if tuples.is_empty() {
+                    0
+                } else {
+                    col_distinct(tuples, i)
+                },
+            })
+            .collect();
+        RelStats {
+            rows: tuples.len() as u64,
+            cols,
         }
-        let cols = (0..arity).map(|i| col_stats(tuples, i)).collect();
-        RelStats { rows, cols }
+    }
+
+    /// The statistics of `next = (prev − gone) ∪ new`, derived from
+    /// `self`, the statistics of `prev`, without sorting anything.
+    ///
+    /// `gone` are the rows of `prev` that `next` lacks and `new` the rows
+    /// of `next` that `prev` lacks, both in sorted order. A column loses
+    /// each value of `gone` that no row of `next` holds any more and gains
+    /// each value of `new` that no row of `prev` held. Column 0 answers
+    /// that by binary search on the sorted rows; every other column by one
+    /// scan that stops once each candidate value is found, so the
+    /// derivation costs O((n + d) · arity) for `n` rows and `d` changed
+    /// ones.
+    pub(crate) fn changed(
+        &self,
+        prev: &[Tuple],
+        next: &[Tuple],
+        gone: &[&Tuple],
+        new: &[&Tuple],
+    ) -> RelStats {
+        let cols = self
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(i, col)| ColStats {
+                distinct: col.distinct - missing(gone, next, i) + missing(new, prev, i),
+            })
+            .collect();
+        RelStats {
+            rows: self.rows + new.len() as u64 - gone.len() as u64,
+            cols,
+        }
     }
 }
 
-fn col_stats(tuples: &[Tuple], i: usize) -> ColStats {
+fn col_distinct(tuples: &[Tuple], i: usize) -> u64 {
     if i == 0 {
         // The tuple vector is sorted lexicographically: column 0 is already
         // non-decreasing.
-        let mut distinct = 1u64;
-        for w in tuples.windows(2) {
-            if w[0][0] != w[1][0] {
-                distinct += 1;
-            }
-        }
-        return ColStats {
-            distinct,
-            min: Some(tuples[0][0]),
-            max: Some(tuples[tuples.len() - 1][0]),
-        };
+        return 1 + tuples.windows(2).filter(|w| w[0][0] != w[1][0]).count() as u64;
     }
     let mut col: Vec<Value> = tuples.iter().map(|t| t[i]).collect();
     col.sort_unstable();
     col.dedup();
-    ColStats {
-        distinct: col.len() as u64,
-        min: col.first().copied(),
-        max: col.last().copied(),
+    col.len() as u64
+}
+
+/// How many distinct column-`i` values of `probes` no row of `rows` holds.
+/// `probes` and `rows` are sorted, so column 0 is searched, not scanned.
+fn missing(probes: &[&Tuple], rows: &[Tuple], i: usize) -> u64 {
+    if probes.is_empty() {
+        return 0;
     }
+    if i == 0 {
+        let mut count = 0;
+        let mut last = None;
+        for t in probes {
+            let v = t[0];
+            if last == Some(v) {
+                continue;
+            }
+            last = Some(v);
+            let at = rows.partition_point(|r| r[0] < v);
+            if rows.get(at).map(|r| r[0]) != Some(v) {
+                count += 1;
+            }
+        }
+        return count;
+    }
+    let mut wanted: HashSet<Value, FxBuild> = probes.iter().map(|t| t[i]).collect();
+    for r in rows {
+        if wanted.remove(&r[i]) && wanted.is_empty() {
+            break;
+        }
+    }
+    wanted.len() as u64
 }
 
 #[cfg(test)]
@@ -117,8 +169,6 @@ mod tests {
             let oracle: std::collections::BTreeSet<Value> = r.iter().map(|t| t[i]).collect();
             assert_eq!(s.cols[i].distinct, want_distinct);
             assert_eq!(s.cols[i].distinct, oracle.len() as u64);
-            assert_eq!(s.cols[i].min, oracle.iter().next().copied());
-            assert_eq!(s.cols[i].max, oracle.iter().next_back().copied());
         }
         assert_eq!(s.distinct_of(r.schema(), &attr("B")), Some(3));
         assert_eq!(s.distinct_of(r.schema(), &attr("Z")), None);
@@ -131,7 +181,6 @@ mod tests {
         assert_eq!(s.rows, 0);
         assert_eq!(s.cols.len(), 2);
         assert_eq!(s.cols[0].distinct, 0);
-        assert_eq!(s.cols[0].min, None);
     }
 
     #[test]
@@ -139,5 +188,19 @@ mod tests {
         let s = Relation::unit();
         assert_eq!(s.stats().rows, 1);
         assert!(s.stats().cols.is_empty());
+    }
+
+    #[test]
+    fn changes_carry_the_distinct_counts() {
+        let r = Relation::table(&["A", "B"], &[&[1i64, 5], &[1, 6], &[2, 5], &[3, 7]]);
+        let _ = r.stats();
+        // Drops B = 7 and A = 3, adds A = 4 and keeps B = 5.
+        let next = r
+            .with_changes(&r.tuples()[3..], [vec![Value::Int(4), Value::Int(5)]])
+            .unwrap();
+        let s = next.stats_if_computed().expect("seeded from the old stats");
+        assert_eq!(s.rows, 4);
+        assert_eq!(s.cols[0].distinct, 3);
+        assert_eq!(s.cols[1].distinct, 2);
     }
 }
