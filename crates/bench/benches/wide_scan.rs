@@ -1,6 +1,6 @@
 //! B10: wide-scan benchmarks — projection onto one or two columns over a
-//! width × rows grid of relations wider than the inline tuple capacity
-//! (every tuple is spilled to the heap).
+//! width × rows grid of wide relations: 6 columns, whose tuples are inline
+//! (`INLINE_TUPLE_CAP` is 6), and 10, whose tuples spill to the heap.
 //!
 //! A projection drops duplicates by hashing the kept columns of each row in
 //! place and builds one narrow tuple per distinct output; a mostly

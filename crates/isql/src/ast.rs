@@ -99,6 +99,19 @@ pub enum Scalar {
     Subquery(Box<SelectStmt>),
 }
 
+impl Scalar {
+    /// Whether evaluating this scalar can read a relation (it holds a
+    /// subquery).
+    pub(crate) fn reads_relations(&self) -> bool {
+        match self {
+            Scalar::Col(_) | Scalar::Lit(_) | Scalar::CountStar => false,
+            Scalar::Agg(_, inner) => inner.reads_relations(),
+            Scalar::Arith(_, a, b) => a.reads_relations() || b.reads_relations(),
+            Scalar::Subquery(_) => true,
+        }
+    }
+}
+
 /// Comparison operators in conditions: the algebra's own.
 pub use relalg::CmpOp;
 
@@ -127,6 +140,17 @@ pub enum Cond {
 }
 
 impl Cond {
+    /// Whether evaluating this condition on a row can read a relation (it
+    /// holds a subquery); without one it reads the row alone.
+    pub(crate) fn reads_relations(&self) -> bool {
+        match self {
+            Cond::Cmp(a, _, b) => a.reads_relations() || b.reads_relations(),
+            Cond::In { .. } | Cond::Exists(_) => true,
+            Cond::And(a, b) | Cond::Or(a, b) => a.reads_relations() || b.reads_relations(),
+            Cond::Not(a) => a.reads_relations(),
+        }
+    }
+
     /// The top-level conjuncts, left to right.
     pub(crate) fn conjuncts(&self) -> Vec<&Cond> {
         match self {

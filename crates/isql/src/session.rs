@@ -23,7 +23,8 @@
 //! rebases onto the latest snapshot and the session's local query results
 //! are left behind.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use relalg::config::SessionConfig;
 use relalg::{Relation, Value};
@@ -98,7 +99,7 @@ pub enum ExecOutcome {
 pub struct Session {
     engine: Engine,
     /// The published snapshot this session last synchronized with.
-    opened: std::sync::Arc<Snapshot>,
+    opened: Arc<Snapshot>,
     /// The working world-set: `opened`'s world-set plus local query
     /// results/world splits (when `diverged`).
     ws: WorldSet,
@@ -194,7 +195,7 @@ impl Session {
     /// The published snapshot this session is currently synchronized with.
     /// While the session holds local query results, this is the snapshot
     /// they were computed from.
-    pub fn snapshot(&self) -> &std::sync::Arc<Snapshot> {
+    pub fn snapshot(&self) -> &Arc<Snapshot> {
         &self.opened
     }
 
@@ -212,7 +213,7 @@ impl Session {
     /// Register a base relation (added to every world). The relation is
     /// shared across worlds, not copied per world.
     pub fn register(&mut self, name: &str, rel: Relation) -> Result<()> {
-        let shared = std::sync::Arc::new(rel);
+        let shared = Arc::new(rel);
         let name_owned = name.to_string();
         let wal = self.log_action(|| WalAction::Register {
             name: name_owned.clone(),
@@ -438,9 +439,10 @@ impl Session {
     /// `insert`: the rows are added in every world; if the insertion
     /// violates a declared key in *some* world, it is discarded in all
     /// (Section 3, "Data Manipulation"). The batch is merged into each
-    /// world's relation in one sorted-merge pass (`Relation::merge_rows`),
-    /// not one O(n) shifted insert per row; the key check stops at the
-    /// first violating world.
+    /// distinct relation instance in one sorted-merge pass
+    /// (`Relation::merge_rows`), not one O(n) shifted insert per row, and
+    /// worlds that shared the relation share its successor; the key check
+    /// runs once per distinct successor and stops at the first violation.
     fn insert(
         &mut self,
         wal: Option<WalAction>,
@@ -454,18 +456,20 @@ impl Session {
         let table = table.to_string();
         let applied = self.write(wal, move |ws, keys| {
             let idx = table_index(ws, &table)?;
-            let proposed = ws.map_worlds(|w| {
-                let rel = w
-                    .rel(idx)
+            let proposed = map_table(ws, idx, true, |w| {
+                w.rel(idx)
                     .merge_rows(values.iter().cloned())
-                    .map_err(|e| SqlError(e.to_string()))?;
-                Ok(with_successor(w, idx, rel))
+                    .map_err(|e| SqlError(e.to_string()))
             })?;
             if let Some(key_cols) = keys.get(&table) {
                 let key_attrs: Vec<relalg::Attr> =
                     key_cols.iter().map(|c| relalg::Attr::new(c)).collect();
                 // Discarded in all worlds as soon as one world violates.
+                let mut checked = HashSet::new();
                 for w in proposed.iter() {
+                    if !checked.insert(Arc::as_ptr(w.rel_shared(idx))) {
+                        continue;
+                    }
                     let rel = w.rel(idx);
                     let distinct_keys = rel
                         .distinct_values(&key_attrs)
@@ -491,9 +495,9 @@ impl Session {
         self.write(wal, move |ws, keys| {
             let idx = table_index(ws, &table)?;
             let names: Vec<String> = ws.rel_names().to_vec();
-            let ws = ws.map_worlds(|w| {
-                let filtered = delete_rows(w.rel(idx), cond.as_ref(), w, &names)?;
-                Ok(with_successor(w, idx, filtered))
+            let per_relation = !cond.as_ref().is_some_and(Cond::reads_relations);
+            let ws = map_table(ws, idx, per_relation, |w| {
+                delete_rows(w.rel(idx), cond.as_ref(), w, &names)
             })?;
             Ok(Some((ws, keys.clone())))
         })?;
@@ -512,9 +516,10 @@ impl Session {
         self.write(wal, move |ws, keys| {
             let idx = table_index(ws, &table)?;
             let names: Vec<String> = ws.rel_names().to_vec();
-            let ws = ws.map_worlds(|w| {
-                let updated = update_rows(w.rel(idx), &sets, cond.as_ref(), w, &names)?;
-                Ok(with_successor(w, idx, updated))
+            let per_relation = !cond.as_ref().is_some_and(Cond::reads_relations)
+                && !sets.iter().any(|(_, expr)| expr.reads_relations());
+            let ws = map_table(ws, idx, per_relation, |w| {
+                update_rows(w.rel(idx), &sets, cond.as_ref(), w, &names)
             })?;
             Ok(Some((ws, keys.clone())))
         })?;
@@ -522,15 +527,43 @@ impl Session {
     }
 }
 
-/// `w` with relation `idx` replaced by its DML successor `rel`. A
-/// statement that changed no row returns a clone of the old relation (same
-/// epoch), and the world keeps the relation's `Arc`.
-fn with_successor(w: &World, idx: usize, rel: Relation) -> World {
-    if rel.epoch() == w.rel(idx).epoch() {
-        w.clone()
-    } else {
-        w.replace_rel(idx, rel)
-    }
+/// `ws` with relation `idx` of every world replaced by its DML successor
+/// `successor(world)`. A statement that changed no row returns a clone of
+/// the old relation (same epoch), and the world keeps the relation's
+/// `Arc`. With `per_relation` the successor depends on the old relation
+/// alone (the statement reads no other relation), so it is computed once
+/// per distinct `Arc` and the worlds that shared the old relation share
+/// the new one.
+fn map_table(
+    ws: &WorldSet,
+    idx: usize,
+    per_relation: bool,
+    mut successor: impl FnMut(&World) -> Result<Relation>,
+) -> Result<WorldSet> {
+    let mut memo: HashMap<*const Relation, Arc<Relation>> = HashMap::new();
+    ws.map_worlds(|w| {
+        let old = w.rel_shared(idx);
+        let next = match memo.get(&Arc::as_ptr(old)) {
+            Some(next) => next.clone(),
+            None => {
+                let rel = successor(w)?;
+                let next = if rel.epoch() == old.epoch() {
+                    old.clone()
+                } else {
+                    Arc::new(rel)
+                };
+                if per_relation {
+                    memo.insert(Arc::as_ptr(old), next.clone());
+                }
+                next
+            }
+        };
+        Ok(if Arc::ptr_eq(&next, old) {
+            w.clone()
+        } else {
+            w.replace_rel(idx, next)
+        })
+    })
 }
 
 fn table_index(ws: &WorldSet, table: &str) -> Result<usize> {

@@ -5,12 +5,15 @@
 //! session, a four-world session, and a durable engine reopened from its
 //! snapshot and WAL — the changed relation must have statistics memoized,
 //! equal to a fresh count. A statement that changes no row keeps the
-//! relation's `Arc`, epoch and statistics.
+//! relation's `Arc`, epoch and statistics, and one that changes a relation
+//! the worlds share leaves them sharing its successor.
 
 use std::sync::Arc;
 
 use isql::env::SimEnv;
-use isql::{DurabilityOptions, Engine, Session};
+use isql::{
+    compile_select, parse_statement, DurabilityOptions, Engine, ExecOutcome, Session, Stmt,
+};
 use relalg::{Relation, Value};
 use worldset::{World, WorldSet};
 
@@ -121,6 +124,81 @@ fn statements_that_change_no_row_keep_the_relation() {
                 "{stmt}: statistics dropped"
             );
         }
+    }
+}
+
+/// `stmt` applied to every world of `ws` on its own, in a one-world
+/// session each: the per-world semantics of DML.
+fn per_world(ws: &WorldSet, stmt: &str) -> WorldSet {
+    let names = ws.rel_names().to_vec();
+    let worlds = ws.iter().map(|w| {
+        let one = WorldSet::from_worlds(names.clone(), [w.clone()]).unwrap();
+        let mut s = Session::with_world_set(one);
+        s.execute(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+        s.world_set().the_world().expect("one world").clone()
+    });
+    WorldSet::from_worlds(names.clone(), worlds).unwrap()
+}
+
+/// Run a select joining both tables on `s` and check its world-set against
+/// Figure 3 (`wsa::eval_named` of the compiled statement).
+fn assert_select_is_figure3(s: &mut Session, what: &str) {
+    let sql = "select possible H.Name, F.Dep from Flights F, Hotels H where F.Arr = H.City;";
+    let Stmt::Select(sel) = parse_statement(sql).unwrap() else {
+        panic!("not a select");
+    };
+    let before = s.world_set().clone();
+    let base = |name: &str| {
+        let idx = before.index_of(name)?;
+        Some(before.iter().next()?.rel(idx).schema().clone())
+    };
+    let algebra = compile_select(&sel, &base).unwrap();
+    let out = s.execute(sql).unwrap();
+    let ExecOutcome::Rows { name, .. } = &out[0] else {
+        panic!("a select answers rows");
+    };
+    let figure3 = wsa::eval_named(&algebra, &before, name).unwrap();
+    assert_eq!(
+        s.world_set(),
+        &figure3,
+        "{what}: select differs from Figure 3"
+    );
+}
+
+#[test]
+fn dml_on_a_shared_relation_keeps_it_shared() {
+    // A condition that reads only the row: one successor for all worlds.
+    let shared = [
+        "insert into Hotels values ('H9000', 'HUB'), ('H9001', 'ZZZ');",
+        "update Hotels set City = 'YYY' where City = 'ZZZ';",
+        "delete from Hotels where City = 'HUB';",
+    ];
+    // A subquery reads each world's `Flights`: one successor per world.
+    let per_world_stmts = [
+        "delete from Hotels where City in (select Arr from Flights);",
+        "update Hotels set City = 'HUB' where exists (select * from Flights where Arr = City);",
+    ];
+    for (i, stmt) in shared.iter().chain(&per_world_stmts).enumerate() {
+        let mut s = Session::with_world_set(four_worlds());
+        for earlier in shared.iter().take(i.min(shared.len())) {
+            s.execute(earlier).unwrap();
+        }
+        let want = per_world(s.world_set(), stmt);
+        s.execute(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+        let ws = s.world_set();
+        assert_eq!(ws, &want, "{stmt}: differs from applying it world by world");
+        assert_eq!(ws.len(), 4, "{stmt}");
+        if i < shared.len() {
+            let h = ws.index_of("Hotels").unwrap();
+            let worlds: Vec<&World> = ws.iter().collect();
+            for pair in worlds.windows(2) {
+                assert!(
+                    Arc::ptr_eq(pair[0].rel_shared(h), pair[1].rel_shared(h)),
+                    "{stmt}: adjacent worlds hold separate copies of Hotels"
+                );
+            }
+        }
+        assert_select_is_figure3(&mut s, stmt);
     }
 }
 

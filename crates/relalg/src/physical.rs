@@ -3,9 +3,8 @@
 //!
 //! The logical algebra ([`crate::Expr`], the direct [`crate::Relation`]
 //! methods) says *what* each node computes; this module decides *how* a
-//! selection runs. A relation wider than the inline tuple capacity spills
-//! every tuple to the heap, so a filter that tests a few of its columns
-//! pays a pointer chase per access. **Vectorized selection**
+//! selection runs. A filter over a wide relation that tests a few of its
+//! columns walks every value of every row. **Vectorized selection**
 //! (`filter_tuples`) evaluates the predicate's simple comparison
 //! conjuncts into a selection bitmap, cheapest (most selective) conjunct
 //! first; later conjuncts and any residual predicate only run on
@@ -21,16 +20,22 @@
 //!
 //! The chooser ([`choose`]): columnar when the path is enabled
 //! ([`crate::columnar_enabled`]), the relation is wider than
-//! [`crate::INLINE_TUPLE_CAP`], and it has at least `COLUMNAR_MIN_ROWS`
-//! (64) rows (below that, kernel setup dominates). `EXPLAIN` reports the
-//! chosen path per plan node ([`crate::opt::PlanCard::phys`]): `columnar`
-//! only on a `σ` whose kernel runs.
+//! `COLUMNAR_MIN_WIDTH` (4) columns, and it has at least
+//! `COLUMNAR_MIN_ROWS` (64) rows (below that, kernel setup dominates). The
+//! width gate is the old inline tuple capacity, kept where it was when
+//! [`crate::INLINE_TUPLE_CAP`] grew to 6, so plans and `EXPLAIN` output did
+//! not move. `EXPLAIN` reports the chosen path per plan node
+//! ([`crate::opt::PlanCard::phys`]): `columnar` only on a `σ` whose kernel
+//! runs.
 
 use crate::pred::CompiledPred;
 use crate::{CmpOp, Operand, Pred, RelalgError, Result, Schema, Tuple, Value};
 
 /// Row count before a columnar kernel pays for its setup.
 const COLUMNAR_MIN_ROWS: usize = 64;
+
+/// Columns a relation must exceed before selection runs columnar.
+const COLUMNAR_MIN_WIDTH: usize = 4;
 
 /// The physical execution path chosen for one operator instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,10 +58,10 @@ impl PhysPath {
 }
 
 /// The central row-vs-columnar rule: columnar when the path is enabled,
-/// the input is wider than the inline tuple capacity (its tuples live on
-/// the heap), and there are enough rows to amortize kernel setup.
+/// the input is wider than `COLUMNAR_MIN_WIDTH`, and there are enough rows
+/// to amortize kernel setup.
 pub fn choose(width: usize, rows: usize) -> PhysPath {
-    if crate::columnar_enabled() && width > crate::INLINE_TUPLE_CAP && rows >= COLUMNAR_MIN_ROWS {
+    if crate::columnar_enabled() && width > COLUMNAR_MIN_WIDTH && rows >= COLUMNAR_MIN_ROWS {
         PhysPath::Columnar
     } else {
         PhysPath::Row
@@ -315,7 +320,8 @@ mod tests {
     #[test]
     fn chooser_respects_width_rows_and_toggle() {
         assert_eq!(choose(6, 1000), PhysPath::Columnar);
-        assert_eq!(choose(4, 1000), PhysPath::Row, "inline-width stays row");
+        assert_eq!(choose(4, 1000), PhysPath::Row, "narrow inputs stay row");
+        assert_eq!(choose(5, 1000), PhysPath::Columnar);
         assert_eq!(choose(6, 3), PhysPath::Row, "tiny inputs stay row");
         assert_eq!(choose(6, 63), PhysPath::Row);
         assert_eq!(choose(6, 64), PhysPath::Columnar);

@@ -15,9 +15,6 @@
 //! derived from them and the change (`RelStats::changed`), so the first
 //! select after a commit does not sort every column again.
 
-use std::collections::HashSet;
-
-use crate::relation::FxBuild;
 use crate::{Schema, Tuple, Value};
 
 /// Statistics of one column.
@@ -78,9 +75,9 @@ impl RelStats {
     /// each value of `gone` that no row of `next` holds any more and gains
     /// each value of `new` that no row of `prev` held. Column 0 answers
     /// that by binary search on the sorted rows; every other column by one
-    /// scan that stops once each candidate value is found, so the
-    /// derivation costs O((n + d) · arity) for `n` rows and `d` changed
-    /// ones.
+    /// scan that binary-searches each row's value among the sorted
+    /// candidate values and stops once each is found, so the derivation
+    /// costs O((n + d) · log d · arity) for `n` rows and `d` changed ones.
     pub(crate) fn changed(
         &self,
         prev: &[Tuple],
@@ -137,13 +134,25 @@ fn missing(probes: &[&Tuple], rows: &[Tuple], i: usize) -> u64 {
         }
         return count;
     }
-    let mut wanted: HashSet<Value, FxBuild> = probes.iter().map(|t| t[i]).collect();
+    // Any other column: one scan, probing each row's value in the sorted
+    // wanted values (one comparison a row when one row changed).
+    let mut wanted: Vec<Value> = probes.iter().map(|t| t[i]).collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let mut found = vec![false; wanted.len()];
+    let mut left = wanted.len();
     for r in rows {
-        if wanted.remove(&r[i]) && wanted.is_empty() {
-            break;
+        if let Ok(at) = wanted.binary_search(&r[i]) {
+            if !found[at] {
+                found[at] = true;
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
         }
     }
-    wanted.len() as u64
+    left as u64
 }
 
 #[cfg(test)]

@@ -7,8 +7,11 @@ use crate::Value;
 
 /// Number of values a [`Tuple`] stores inline before spilling to the heap.
 /// Most relations in the paper's workloads are 1–4 columns wide (world
-/// tables, flights, key/value pairs), so the common case never allocates.
-pub const INLINE_TUPLE_CAP: usize = 4;
+/// tables, flights, key/value pairs), and the id-column copies of the
+/// Section-5.3 `repair by key` plan are 5–6 wide, so the common case never
+/// allocates. With 16-byte values six fit in the 104 bytes a `Tuple` takes
+/// anyway (asserted below).
+pub const INLINE_TUPLE_CAP: usize = 6;
 
 /// A tuple: one value per schema attribute, in column order.
 ///
@@ -30,6 +33,8 @@ enum Repr {
     },
     Heap(Vec<Value>),
 }
+
+const _: () = assert!(std::mem::size_of::<Tuple>() == 104);
 
 impl Tuple {
     /// The empty tuple `⟨⟩`.
@@ -238,7 +243,7 @@ impl IntoIterator for Tuple {
     fn into_iter(self) -> Self::IntoIter {
         match self.0 {
             // The owned-iterator contract wants a Vec either way; the
-            // inline copy is `INLINE_TUPLE_CAP` words.
+            // inline copy is `INLINE_TUPLE_CAP` values.
             #[allow(clippy::unnecessary_to_owned)]
             Repr::Inline { len, vals } => vals[..len as usize].to_vec().into_iter(),
             Repr::Heap(v) => v.into_iter(),
@@ -252,6 +257,26 @@ mod tests {
 
     fn ints(ns: &[i64]) -> Tuple {
         ns.iter().map(|&n| Value::Int(n)).collect()
+    }
+
+    #[test]
+    fn arity_six_is_inline_and_seven_spills() {
+        for n in 0..=6 {
+            assert!(
+                matches!(ints(&vec![1; n]).0, Repr::Inline { .. }),
+                "arity {n}"
+            );
+            assert!(matches!(
+                Tuple::filled(Value::Pad, n).0,
+                Repr::Inline { .. }
+            ));
+        }
+        assert!(matches!(ints(&[1; 7]).0, Repr::Heap(_)));
+        assert!(matches!(Tuple::filled(Value::Pad, 7).0, Repr::Heap(_)));
+        assert!(matches!(
+            ints(&[1; 3]).concat(&ints(&[2; 4])).0,
+            Repr::Heap(_)
+        ));
     }
 
     #[test]

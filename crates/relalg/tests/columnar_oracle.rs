@@ -6,9 +6,9 @@
 //!   semantic oracle;
 //! * projection, the hash joins (natural, theta) and the semijoin, whose
 //!   one kernel runs at every width, and grouping (`partition_by`,
-//!   `partition_by_project`, `divide`) are pinned on wide
-//!   (heap-spilled) inputs against `BTreeSet<Vec<Value>>` and
-//!   nested-loop oracles;
+//!   `partition_by_project`, `divide`) are pinned on wide inputs, inline
+//!   ones and ones wider than `INLINE_TUPLE_CAP` whose tuples spill to the
+//!   heap, against `BTreeSet<Vec<Value>>` and nested-loop oracles;
 //! * **per-column statistics** are pinned against per-column set oracles;
 //! * the **epoch tag** semantics (clones share, constructors stamp fresh,
 //!   in-place mutation bumps) are pinned.
@@ -17,7 +17,10 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use relalg::config::{overlay, SessionConfig};
-use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value};
+use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value, INLINE_TUPLE_CAP};
+
+/// A width whose tuples spill to the heap.
+const SPILLED: usize = INLINE_TUPLE_CAP + 2;
 
 /// A deterministic wide relation: `width` columns, per-column domains of
 /// different sizes so distinct counts differ per column.
@@ -61,7 +64,7 @@ fn wide_projection_matches_oracle() {
     let inputs = [
         datagen::lineitem_q6(7, 600, 3), // 5 columns, string + int
         datagen::lineitem_q6(23, 64, 2), // exactly at the row threshold
-        wide_rel(11, 900, 8),            // 8 columns, skewed domains
+        wide_rel(11, 900, SPILLED),      // heap tuples, skewed domains
         wide_rel(3, 120, 6),             // small, heavy duplication
     ];
     let col_sets: [&[&str]; 3] = [&["C1"], &["C4", "C1"], &["C2", "C0", "C5"]];
@@ -86,7 +89,7 @@ fn wide_projection_matches_oracle() {
 
 #[test]
 fn wide_distinct_values_match_oracle() {
-    let rel = wide_rel(5, 500, 7);
+    let rel = wide_rel(5, 500, SPILLED);
     let oracle = o_project(&rel, &["C3"]);
     let vals = rel.distinct_values(&attrs(&["C3"])).unwrap();
     let got: Vec<Vec<Value>> = vals.iter().map(|t| t.to_vec()).collect();
@@ -99,6 +102,7 @@ fn stats_match_per_column_oracles() {
     for rel in [
         datagen::lineitem_q6(13, 400, 4),
         wide_rel(9, 333, 6),
+        wide_rel(9, 333, SPILLED),
         Relation::empty(Schema::of(&["A", "B"])),
     ] {
         let stats = rel.stats();
@@ -197,7 +201,7 @@ fn vectorized_filter_matches_row_path_and_oracle() {
             Box::new(|t: &Tuple| t[1] == Value::Int(1) || t[2] == Value::Int(2)),
         ),
     ];
-    for rel in [wide_rel(7, 700, 6), wide_rel(13, 64, 8)] {
+    for rel in [wide_rel(7, 700, 6), wide_rel(13, 64, SPILLED)] {
         // Force stats on one input so the selectivity-ordered route runs.
         let _ = rel.stats();
         for (pred, keep) in &cases {
@@ -245,7 +249,7 @@ fn o_natural_join(l: &Relation, r: &Relation) -> BTreeSet<Vec<Value>> {
 /// Two wide relations sharing the columns `C2`,`C3` (domains kept small so
 /// joins actually match).
 fn join_inputs(rows: usize) -> (Relation, Relation) {
-    let l = wide_rel(7, rows, 6);
+    let l = wide_rel(7, rows, SPILLED);
     let names = ["C2", "C3", "D0", "D1", "D2"];
     let r = Relation::from_rows(
         Schema::of(&names),
@@ -317,7 +321,7 @@ fn wide_joins_and_semijoins_match_oracle() {
 
 #[test]
 fn columnar_grouping_matches_row_path_and_oracle() {
-    for rel in [wide_rel(5, 500, 7), wide_rel(11, 64, 6)] {
+    for rel in [wide_rel(5, 500, SPILLED), wide_rel(11, 64, 6)] {
         let key = attrs(&["C1", "C2"]);
         // partition_by: group membership oracle.
         let mut oracle: std::collections::BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> =
@@ -385,14 +389,34 @@ fn columnar_grouping_matches_row_path_and_oracle() {
 
 // ---- proptest: random wide inputs through projection, σ, ⋈, ⋉, χ, ÷ ----
 
-type WideRow = ((i64, i64), (i64, i64), (i64, i64));
+type Pair = (i64, i64);
+type WideRow = ((Pair, Pair), (Pair, Pair));
 
 fn wide_rows() -> impl Strategy<Value = Vec<WideRow>> {
     // Above the columnar row threshold, tiny domains for heavy dedup.
     proptest::collection::vec(
-        ((0i64..4, 0i64..3), (0i64..4, 0i64..2), (0i64..5, 0i64..3)),
+        (
+            ((0i64..4, 0i64..3), (0i64..4, 0i64..2)),
+            ((0i64..5, 0i64..3), (0i64..2, 0i64..3)),
+        ),
         64..200,
     )
+}
+
+/// The proptest relation: `SPILLED` columns `A`..`F`, `P`, `Q`.
+fn prop_rel(rows: &[WideRow]) -> Relation {
+    let rel = Relation::from_rows(
+        Schema::of(&["A", "B", "C", "D", "E", "F", "P", "Q"]),
+        rows.iter().map(|&(((a, b), (c, d)), ((e, f), (p, q)))| {
+            [a, b, c, d, e, f, p, q]
+                .into_iter()
+                .map(Value::Int)
+                .collect::<Tuple>()
+        }),
+    )
+    .unwrap();
+    assert_eq!(rel.schema().arity(), SPILLED);
+    rel
 }
 
 proptest! {
@@ -400,17 +424,12 @@ proptest! {
 
     #[test]
     fn projection_paths_agree_on_random_wide_inputs(rows in wide_rows(), pick in 0usize..4) {
-        let rel = Relation::from_rows(
-            Schema::of(&["A", "B", "C", "D", "E", "F"]),
-            rows.iter().map(|&((a, b), (c, d), (e, f))| {
-                [a, b, c, d, e, f].into_iter().map(Value::Int).collect::<Tuple>()
-            }),
-        ).unwrap();
+        let rel = prop_rel(&rows);
         let cols: Vec<&str> = match pick {
             0 => vec!["D"],
             1 => vec!["F", "B"],
             2 => vec!["E", "A", "C"],
-            _ => vec!["B", "A", "F", "D", "C"],
+            _ => vec!["B", "Q", "A", "F", "D", "P", "C"],
         };
         let a = attrs(&cols);
         let oracle = o_project(&rel, &cols);
@@ -424,12 +443,7 @@ proptest! {
         rows in wide_rows(),
         k in 0i64..4,
     ) {
-        let rel = Relation::from_rows(
-            Schema::of(&["A", "B", "C", "D", "E", "F"]),
-            rows.iter().map(|&((a, b), (c, d), (e, f))| {
-                [a, b, c, d, e, f].into_iter().map(Value::Int).collect::<Tuple>()
-            }),
-        ).unwrap();
+        let rel = prop_rel(&rows);
         let pred = Pred::eq_const("B", k).and(Pred::cmp(
             Operand::Attr(attr("D")),
             CmpOp::Ge,
@@ -454,7 +468,7 @@ proptest! {
         let nj_oracle = o_natural_join(&rel, &other);
         let got: Vec<Vec<Value>> = rel.natural_join(&other).iter().map(|t| t.to_vec()).collect();
         prop_assert_eq!(got, nj_oracle.iter().cloned().collect::<Vec<_>>());
-        let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle.iter().map(|t| t[..6].to_vec()).collect();
+        let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle.iter().map(|t| t[..SPILLED].to_vec()).collect();
         let got: Vec<Vec<Value>> = rel.semijoin(&other).iter().map(|t| t.to_vec()).collect();
         prop_assert_eq!(got, sj_oracle.into_iter().collect::<Vec<_>>());
     }

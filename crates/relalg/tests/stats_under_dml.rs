@@ -114,7 +114,8 @@ fn pick(g: &mut Gen, rel: &Relation, count: usize) -> Vec<Tuple> {
 
 fn run_case(seed: u64) {
     let mut g = Gen(seed | 1);
-    let arity = 1 + g.below(6);
+    // Up to two columns past the inline capacity, so heap tuples occur.
+    let arity = 1 + g.below(INLINE_TUPLE_CAP + 2);
     let domain = 2 + g.below(12);
     let names: Vec<String> = (0..arity).map(|i| format!("C{i}")).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
