@@ -1,19 +1,16 @@
 //! B11: columnar execution benchmarks — the physical-operator layer's
-//! vectorized selection against the row filter on wide relations, plus
-//! the keyed operators (hash join, semijoin, grouping) and division on the
-//! same inputs.
+//! vectorized selection on narrow and wide relations, plus the keyed
+//! operators (hash join, semijoin, grouping) and division on the wide
+//! inputs.
 //!
-//! Selection runs as a `_row` / `_col` pair: the `row` leg takes the
-//! tuple-walking filter under a `columnar = off` session overlay
-//! (`relalg::config::overlay`), the `col` leg runs at the default, the
-//! vectorized filter. Every other shape has one path, timed as a single
-//! `_row` leg. The relations are wider than the inline tuple capacity (so
-//! every tuple is heap-spilled).
+//! Every shape has one path, so each is timed as a single leg. The wide
+//! relations (8 columns) are wider than the inline tuple capacity, so
+//! every tuple is heap-spilled; the narrow ones (2 and 4 columns) stay
+//! inline.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::config::{overlay, SessionConfig};
 use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value};
 
 /// A deterministic wide relation with per-column domains of different
@@ -27,6 +24,24 @@ fn wide_rel(seed: i64, rows: usize, width: usize) -> Relation {
         (0..rows as i64).map(|i| {
             (0..width as i64)
                 .map(|c| Value::Int((i.wrapping_mul(seed + 2 * c + 1) + c) % (7 + 5 * c)))
+                .collect::<Tuple>()
+        }),
+    )
+    .unwrap()
+}
+
+/// A narrow relation of exactly `rows` rows: [`wide_rel`]'s first
+/// `width - 1` columns, then the row id (too few small domains would
+/// leave only a few distinct rows).
+fn narrow_rel(seed: i64, rows: usize, width: usize) -> Relation {
+    let names: Vec<String> = (0..width).map(|c| format!("C{c}")).collect();
+    let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+    Relation::from_rows(
+        Schema::of(&name_refs),
+        (0..rows as i64).map(|i| {
+            (0..width as i64 - 1)
+                .map(|c| Value::Int((i.wrapping_mul(seed + 2 * c + 1) + c) % (7 + 5 * c)))
+                .chain([Value::Int(i)])
                 .collect::<Tuple>()
         }),
     )
@@ -54,20 +69,14 @@ fn probe_rel(rows: usize) -> Relation {
     .unwrap()
 }
 
-fn row_leg<R>(group: &mut criterion::BenchmarkGroup<'_>, name: &str, tag: &str, f: impl Fn() -> R) {
-    group.bench_with_input(BenchmarkId::new(format!("{name}_row"), tag), &(), |b, _| {
-        let mut off = SessionConfig::new();
-        off.set("columnar", "off").unwrap();
-        let _off = overlay(&off);
+fn leg<R>(group: &mut criterion::BenchmarkGroup<'_>, name: &str, tag: &str, f: impl Fn() -> R) {
+    group.bench_with_input(BenchmarkId::new(name, tag), &(), |b, _| {
         b.iter(|| black_box(f()));
     });
 }
 
-fn ab_legs<R>(group: &mut criterion::BenchmarkGroup<'_>, name: &str, tag: &str, f: impl Fn() -> R) {
-    row_leg(group, name, tag, &f);
-    group.bench_with_input(BenchmarkId::new(format!("{name}_col"), tag), &(), |b, _| {
-        b.iter(|| black_box(f()));
-    });
+fn range(col: &str, op: CmpOp, v: i64) -> Pred {
+    Pred::cmp(Operand::Attr(attr(col)), op, Operand::Const(Value::Int(v)))
 }
 
 fn bench_columnar_exec(c: &mut Criterion) {
@@ -76,48 +85,59 @@ fn bench_columnar_exec(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_millis(1200));
 
+    // Narrow selection, written unselective-first: a range test on the
+    // row id that keeps almost every row, then the equalities.
+    let narrow = [
+        (2, range("C1", CmpOp::Ge, 100).and(Pred::eq_const("C0", 3))),
+        (
+            4,
+            range("C3", CmpOp::Ge, 100)
+                .and(range("C2", CmpOp::Ne, 2))
+                .and(Pred::eq_const("C1", 3))
+                .and(Pred::eq_const("C0", 5)),
+        ),
+    ];
+    for (width, pred) in &narrow {
+        let rel = narrow_rel(11, 4_000, *width);
+        let _ = rel.stats();
+        leg(&mut group, "filter", &format!("w{width}x4000"), || {
+            rel.select(pred).unwrap()
+        });
+    }
+
     for &rows in &[4_000usize, 20_000] {
         let rel = wide_rel(11, rows, 8);
         let tag = format!("w8x{rows}");
 
         // Vectorized selection: four comparison conjuncts written in the
         // worst order — unselective range/inequality tests first, the
-        // selective equalities last. The row path evaluates the compiled
-        // tree in written order; the bitmap path reorders by estimated
+        // selective equalities last. The kernel reorders by estimated
         // selectivity, so the equalities prune almost every row before
         // the range tests run.
-        let pred = Pred::cmp(
-            Operand::Attr(attr("C4")),
-            CmpOp::Ge,
-            Operand::Const(Value::Int(5)),
-        )
-        .and(Pred::cmp(
-            Operand::Attr(attr("C3")),
-            CmpOp::Ne,
-            Operand::Const(Value::Int(2)),
-        ))
-        .and(Pred::eq_const("C1", 3))
-        .and(Pred::eq_const("C2", 5));
+        let pred = range("C4", CmpOp::Ge, 5)
+            .and(range("C3", CmpOp::Ne, 2))
+            .and(Pred::eq_const("C1", 3))
+            .and(Pred::eq_const("C2", 5));
         // Stats are memoized on the relation, so the selectivity ranking
-        // reads them for free in both legs.
+        // reads them for free.
         let _ = rel.stats();
-        ab_legs(&mut group, "filter", &tag, || rel.select(&pred).unwrap());
+        leg(&mut group, "filter", &tag, || rel.select(&pred).unwrap());
 
         // Hash join and semijoin on the two shared columns: the build side
         // is indexed by hashing its key columns in place.
         let probe = probe_rel(rows / 4);
-        row_leg(&mut group, "join", &tag, || rel.natural_join(&probe));
-        row_leg(&mut group, "semijoin", &tag, || rel.semijoin(&probe));
+        leg(&mut group, "join", &tag, || rel.natural_join(&probe));
+        leg(&mut group, "semijoin", &tag, || rel.semijoin(&probe));
 
         // Grouping: partition on two mid-tuple key columns, and division
         // by a single-column divisor. Both walk full tuples (one fused
         // hash-bucketing or pair-extraction pass).
         let key = attrs(&["C2", "C5"]);
-        row_leg(&mut group, "group", &tag, || {
+        leg(&mut group, "group", &tag, || {
             rel.partition_by(&key).unwrap()
         });
         let divisor = rel.project(&attrs(&["C7"])).unwrap();
-        row_leg(&mut group, "divide", &tag, || rel.divide(&divisor).unwrap());
+        leg(&mut group, "divide", &tag, || rel.divide(&divisor).unwrap());
     }
 
     group.finish();

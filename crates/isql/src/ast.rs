@@ -265,11 +265,11 @@ pub enum Stmt {
         cond: Option<Cond>,
     },
     /// `set local <knob> = <value>` — a per-connection execution-path
-    /// toggle, the only way to turn one off (e.g. `set local columnar =
-    /// off;`, which sends every selection down the row filter instead of
-    /// the vectorized one).
+    /// toggle, the only way to turn one off (e.g. `set local rewrite =
+    /// off;`, which runs selects on the interpreter without the Section-6
+    /// optimizer).
     SetLocal {
-        /// Knob name (`rewrite`, `columnar`, `factorize` or `compact`).
+        /// Knob name (`rewrite`, `factorize` or `compact`).
         name: String,
         /// Raw value text (`on`, `off`, `default`, …).
         value: String,

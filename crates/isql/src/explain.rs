@@ -60,8 +60,7 @@ pub struct Explanation {
     /// or the rewrite path is off): node hits and misses.
     pub cache: Option<relalg::EvalStats>,
     /// Per-plan-node cardinalities: the statistics model's estimate next
-    /// to the actual row count of the trial evaluation, plus the chosen
-    /// physical path, `columnar` only on a vectorized σ (empty when there
+    /// to the actual row count of the trial evaluation (empty when there
     /// is no relational plan or the rewrite path is off).
     pub node_cards: Vec<relalg::opt::PlanCard>,
 }
@@ -115,11 +114,8 @@ impl Explanation {
                     ));
                 } else {
                     out.push_str(&format!(
-                        "            {indent}{}  est={} actual={} phys={}\n",
-                        c.label,
-                        c.est_rows,
-                        c.actual_rows,
-                        c.phys.label()
+                        "            {indent}{}  est={} actual={}\n",
+                        c.label, c.est_rows, c.actual_rows
                     ));
                 }
             }
@@ -426,13 +422,8 @@ mod tests {
         // runs on the measured distinct counts (Dep: 3, Arr: 2 over the 5
         // flights), so the division's answer is estimated at 5/3 = 1 row
         // and every annotation below matches the trial evaluation exactly.
-        // HFlights is two columns wide and five rows tall — every operator
-        // stays on the row path.
         assert_eq!(lines.next().unwrap(), "cards:");
-        assert_eq!(
-            lines.next().unwrap(),
-            "            ÷  est=1 actual=1 phys=row"
-        );
+        assert_eq!(lines.next().unwrap(), "            ÷  est=1 actual=1");
         // `÷` divides HFlights itself (division matches columns by name),
         // so the column swap is never built: its card says so instead of
         // reporting a trial evaluation.
@@ -442,15 +433,15 @@ mod tests {
         );
         assert_eq!(
             lines.next().unwrap(),
-            "                table HFlights  est=5 actual=5 phys=row"
+            "                table HFlights  est=5 actual=5"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "              π{Dep}  est=3 actual=3 phys=row"
+            "              π{Dep}  est=3 actual=3"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "                table HFlights  est=5 actual=5 phys=row"
+            "                table HFlights  est=5 actual=5"
         );
         // Each trial evaluation starts from an empty memo, so the counts
         // do not depend on what ran earlier in the process. Two misses:
@@ -508,19 +499,19 @@ mod tests {
                 "route:      relational (Section 5.3)",
                 "relational: π{A.Year as Year,Revenue}(γ{A.Year,#1.Lineitem.Year,#2.Lineitem.Quantity;sum(Revenue) as Revenue}(((π{Quantity as A.Quantity,Year as A.Year,Year as #1.Lineitem.Year,Revenue}(γ{Quantity,Year;sum(Price) as Revenue}(Lineitem)) × ({⟨⟩} =⊲⊳ π{Quantity as #2.Lineitem.Quantity}(Lineitem))) ▷[A.Quantity=Quantity,#2.Lineitem.Quantity] π{Quantity,Quantity as #2.Lineitem.Quantity}(Lineitem))))",
                 "cards:",
-                "            π{A.Year as Year,Revenue}  est=12 actual=6 phys=row",
-                "              γ{A.Year,#1.Lineitem.Year,#2.Lineitem.Quantity;sum(Revenue) as Revenue}  est=12 actual=6 phys=row",
-                "                ▷[A.Quantity=Quantity,#2.Lineitem.Quantity=#2.Lineitem.Quantity]  est=15 actual=8 phys=row",
-                "                  ×  est=15 actual=12 phys=row",
-                "                    π{Quantity as A.Quantity,Year as A.Year,Year as #1.Lineitem.Year,Revenue}  est=5 actual=4 phys=row",
-                "                      γ{Quantity,Year;sum(Price) as Revenue}  est=5 actual=4 phys=row",
-                "                        table Lineitem  est=5 actual=5 phys=row",
-                "                    =⊲⊳  est=3 actual=3 phys=row",
-                "                      lit[1 rows]  est=1 actual=1 phys=row",
-                "                      π{Quantity as #2.Lineitem.Quantity}  est=3 actual=3 phys=row",
-                "                        table Lineitem  est=5 actual=5 phys=row",
-                "                  π{Quantity,Quantity as #2.Lineitem.Quantity}  est=5 actual=3 phys=row",
-                "                    table Lineitem  est=5 actual=5 phys=row",
+                "            π{A.Year as Year,Revenue}  est=12 actual=6",
+                "              γ{A.Year,#1.Lineitem.Year,#2.Lineitem.Quantity;sum(Revenue) as Revenue}  est=12 actual=6",
+                "                ▷[A.Quantity=Quantity,#2.Lineitem.Quantity=#2.Lineitem.Quantity]  est=15 actual=8",
+                "                  ×  est=15 actual=12",
+                "                    π{Quantity as A.Quantity,Year as A.Year,Year as #1.Lineitem.Year,Revenue}  est=5 actual=4",
+                "                      γ{Quantity,Year;sum(Price) as Revenue}  est=5 actual=4",
+                "                        table Lineitem  est=5 actual=5",
+                "                    =⊲⊳  est=3 actual=3",
+                "                      lit[1 rows]  est=1 actual=1",
+                "                      π{Quantity as #2.Lineitem.Quantity}  est=3 actual=3",
+                "                        table Lineitem  est=5 actual=5",
+                "                  π{Quantity,Quantity as #2.Lineitem.Quantity}  est=5 actual=3",
+                "                    table Lineitem  est=5 actual=5",
                 // Node-identity hits only (no CSE count): `simplify`
                 // shares the three references to `Lineitem` as one node,
                 // so the second and third are the two hits.

@@ -211,19 +211,21 @@ fn set_local_is_per_session() {
     let engine = Engine::new();
     let mut a = engine.session();
     let mut b = engine.session();
-    let out = a.execute("set local columnar = off;").unwrap();
+    let out = a.execute("set local compact = off;").unwrap();
     assert_eq!(
         out,
         vec![ExecOutcome::Set {
-            name: "columnar".into(),
+            name: "compact".into(),
             value: "off".into()
         }]
     );
-    assert!(!a.config().columnar_enabled());
+    assert_eq!(a.config().describe(), "compact = off");
     assert!(b.config().is_default());
     // Unknown knobs and bad values are rejected.
     assert!(a.execute("set local no_such = 1;").is_err());
-    assert!(a.execute("set local columnar = 7;").is_err());
+    assert!(a.execute("set local compact = 7;").is_err());
+    // Selection has one path: `columnar` is no longer a knob.
+    assert!(a.execute("set local columnar = off;").is_err());
     // The worker count is not a knob: storage operators run on the
     // session's own thread.
     assert!(a.execute("set local threads = 4;").is_err());

@@ -1,8 +1,8 @@
-//! Statement-level differential test of the four execution-path toggles.
+//! Statement-level differential test of the three execution-path toggles.
 //!
-//! `rewrite`, `columnar`, `factorize` and `compact` each choose between two
-//! evaluation routes that must agree. Every script of a fixed I-SQL corpus
-//! runs under all 16 `set local` combinations; each combination must render
+//! `rewrite`, `factorize` and `compact` each choose between two evaluation
+//! routes that must agree. Every script of a fixed I-SQL corpus runs under
+//! all 8 `set local` combinations; each combination must render
 //! every statement byte-identically to the all-on reference and end in the
 //! same world-set. Each script also runs on a durable engine under simulated
 //! storage with all toggles on and with all off, and the reopened engine
@@ -22,7 +22,7 @@ use isql::{DurabilityOptions, Engine};
 use relalg::{Relation, Schema, Value};
 use worldset::WorldSet;
 
-const TOGGLES: [&str; 4] = ["rewrite", "columnar", "factorize", "compact"];
+const TOGGLES: [&str; 3] = ["rewrite", "factorize", "compact"];
 
 /// One corpus entry: base tables and key constraints registered through the
 /// session API (I-SQL has no DDL for them), then I-SQL statements.
@@ -85,7 +85,7 @@ fn label(mask: usize) -> String {
 fn run(engine: &Engine, script: &Script, mask: usize) -> Run {
     let mut s = engine.session();
     s.execute(&prelude(mask))
-        .expect("the four toggle names are accepted");
+        .expect("the three toggle names are accepted");
     for (name, rel) in &script.tables {
         s.register(name, rel.clone()).expect("register");
     }

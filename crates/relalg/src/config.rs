@@ -1,6 +1,6 @@
 //! The engine's execution-path toggles.
 //!
-//! Four on/off switches choose between evaluation routes. Each is on
+//! Three on/off switches choose between evaluation routes. Each is on
 //! unless the current thread's session overlay ([`SessionConfig`],
 //! installed with [`overlay`]) turns it off; there is no process-wide or
 //! environment layer, so `set local <name> = off;` is the one way to take
@@ -9,13 +9,13 @@
 //! | `set local` name | accessor | meaning |
 //! |---|---|---|
 //! | `rewrite` | [`rewrite_enabled`] | Section-6 optimizer in front of the interpreter route and `run_general` |
-//! | `columnar` | [`columnar_enabled`] | vectorized selection on wide inputs |
 //! | `factorize` | [`factorize_enabled`] | factorized world-set execution |
 //! | `compact` | [`compact_enabled`] | lineage/validity formula compaction |
 //!
 //! The engine's numeric thresholds are constants beside their one reader
-//! (`COLUMNAR_MIN_ROWS` in `relalg::physical`, `FACTORIZE_MIN_WORLDS` in
-//! `wsa::factorized`, `WORLDS_BUDGET` in `uldb::factored`).
+//! (`FACTORIZE_MIN_WORLDS` in `wsa::factorized`, `WORLDS_BUDGET` in
+//! `uldb::factored`). Selection has no switch and no threshold: it always
+//! runs the vectorized kernel ([`crate::physical`]).
 //!
 //! # Session overlays
 //!
@@ -31,15 +31,14 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of overlay slots (one per toggle).
-const NUM_SLOTS: usize = 4;
+const NUM_SLOTS: usize = 3;
 
 const SLOT_REWRITE: usize = 0;
-const SLOT_COLUMNAR: usize = 1;
-const SLOT_FACTORIZE: usize = 2;
-const SLOT_COMPACT: usize = 3;
+const SLOT_FACTORIZE: usize = 1;
+const SLOT_COMPACT: usize = 2;
 
 /// The session-settable names, in slot order.
-const NAMES: [&str; NUM_SLOTS] = ["rewrite", "columnar", "factorize", "compact"];
+const NAMES: [&str; NUM_SLOTS] = ["rewrite", "factorize", "compact"];
 
 /// Encoding shared by all slots: `0` = default (on), 1 = explicitly on,
 /// [`OFF`] = off.
@@ -70,8 +69,8 @@ fn enabled(slot: usize) -> bool {
 /// statement evaluation with [`overlay`].
 ///
 /// Names accepted by [`SessionConfig::set`] (case-insensitive): `rewrite`,
-/// `columnar`, `factorize`, `compact` (`on`/`off`/`true`/`false`/`1`/`0`
-/// or `default`, which means on).
+/// `factorize`, `compact` (`on`/`off`/`true`/`false`/`1`/`0` or `default`,
+/// which means on).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SessionConfig {
     slots: Slots,
@@ -120,11 +119,6 @@ impl SessionConfig {
     /// Effective rewrite-path state under this config.
     pub fn rewrite_enabled(&self) -> bool {
         self.slots[SLOT_REWRITE] != OFF
-    }
-
-    /// Effective columnar-path state under this config.
-    pub fn columnar_enabled(&self) -> bool {
-        self.slots[SLOT_COLUMNAR] != OFF
     }
 
     /// Effective factorized-path state under this config.
@@ -180,13 +174,6 @@ pub fn rewrite_enabled() -> bool {
     enabled(SLOT_REWRITE)
 }
 
-/// Whether a selection over a wide input takes the vectorized path (see
-/// [`crate::physical`]); no other operator has a columnar path.
-#[inline]
-pub fn columnar_enabled() -> bool {
-    enabled(SLOT_COLUMNAR)
-}
-
 /// Whether evaluators may run the algebra directly over succinct
 /// `FactoredSet` representations instead of enumerated worlds.
 pub fn factorize_enabled() -> bool {
@@ -213,12 +200,7 @@ mod tests {
     }
 
     fn all_enabled() -> [bool; NUM_SLOTS] {
-        [
-            rewrite_enabled(),
-            columnar_enabled(),
-            factorize_enabled(),
-            compact_enabled(),
-        ]
+        [rewrite_enabled(), factorize_enabled(), compact_enabled()]
     }
 
     #[test]
@@ -235,7 +217,7 @@ mod tests {
         let off = cfg(&[("factorize", "off"), ("compact", "off")]);
         {
             let _g = overlay(&off);
-            assert_eq!(all_enabled(), [true, true, false, false]);
+            assert_eq!(all_enabled(), [true, false, false]);
         }
         let mut cleared = off;
         cleared.set("factorize", "default").unwrap();
@@ -250,22 +232,22 @@ mod tests {
         let outer = cfg(&[("rewrite", "off")]);
         {
             let _g = overlay(&outer);
-            assert_eq!(all_enabled(), [false, true, true, true]);
+            assert_eq!(all_enabled(), [false, true, true]);
             // Nested overlays shadow and restore.
             let inner = cfg(&[("rewrite", "on"), ("compact", "off")]);
             {
                 let _g2 = overlay(&inner);
-                assert_eq!(all_enabled(), [true, true, true, false]);
+                assert_eq!(all_enabled(), [true, true, false]);
             }
-            assert_eq!(all_enabled(), [false, true, true, true]);
+            assert_eq!(all_enabled(), [false, true, true]);
         }
         assert_eq!(all_enabled(), [true; NUM_SLOTS], "overlay restores on");
     }
 
     #[test]
     fn session_overlay_is_thread_local() {
-        let _g = overlay(&cfg(&[("compact", "off"), ("columnar", "off")]));
-        assert!(!compact_enabled() && !columnar_enabled());
+        let _g = overlay(&cfg(&[("compact", "off"), ("rewrite", "off")]));
+        assert!(!compact_enabled() && !rewrite_enabled());
         let other = std::thread::spawn(all_enabled).join().unwrap();
         assert_eq!(other, [true; NUM_SLOTS], "other threads see no overlay");
     }
@@ -275,8 +257,9 @@ mod tests {
         let mut cfg = SessionConfig::new();
         assert!(cfg.set("no_such_knob", "1").is_err());
         // The numeric knobs are gone: worker count and thresholds are not
-        // session settings.
+        // session settings. Nor is `columnar`: selection has one path.
         for gone in [
+            "columnar",
             "threads",
             "par_min_tuples",
             "columnar_min_rows",

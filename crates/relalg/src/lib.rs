@@ -38,12 +38,10 @@ mod tuple;
 mod value;
 
 pub use agg::{Acc, AggCall, AggFn};
-pub use config::columnar_enabled;
 pub use csv::{relation_from_csv, relation_to_csv};
 pub use error::{RelalgError, Result};
 pub use eval::{Catalog, EvalCache, EvalStats};
 pub use expr::{Expr, ExprKind};
-pub use physical::PhysPath;
 pub use pred::{CmpOp, Operand, Pred};
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{Attr, Schema};

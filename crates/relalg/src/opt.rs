@@ -819,12 +819,9 @@ pub struct PlanCard {
     pub est_rows: u64,
     /// Actual rows of a trial evaluation.
     pub actual_rows: u64,
-    /// Physical path ([`crate::PhysPath`]) the operator takes on its
-    /// actual inputs.
-    pub phys: crate::PhysPath,
     /// The projection never ran: its parent `÷` read its input directly
-    /// (see [`crate::Catalog::eval`]). `actual_rows` is then 0 and `phys`
-    /// is [`crate::PhysPath::Row`]; neither describes an evaluation.
+    /// (see [`crate::Catalog::eval`]). `actual_rows` is then 0 and does not
+    /// describe an evaluation.
     pub read_through: bool,
 }
 
@@ -890,29 +887,8 @@ fn node_label(e: &Expr) -> String {
     }
 }
 
-/// The physical path ([`crate::PhysPath`]) the operator at `e`'s root
-/// takes given its child's **actual** (trial-evaluated, memoized) input —
-/// the decision [`crate::Relation::select`] makes, mirrored here so
-/// EXPLAIN can print it. Only a selection has a columnar kernel: every
-/// other operator walks full tuples.
-fn node_phys(e: &Expr, catalog: &Catalog, cache: &mut crate::EvalCache) -> Result<crate::PhysPath> {
-    // Vectorized selection engages when the input is wide/large and at
-    // least one conjunct is a comparison (residual-only predicates fall
-    // back to the compiled row filter).
-    if let ExprKind::Select(p, c) = e.kind() {
-        if p.conjuncts()
-            .iter()
-            .any(|cj| matches!(cj, Pred::Cmp(_, _, _)))
-        {
-            let r = catalog.eval_cached(c, cache)?;
-            return Ok(crate::physical::choose(r.schema().arity(), r.len()));
-        }
-    }
-    Ok(crate::PhysPath::Row)
-}
-
 /// Annotate every node of `e` (pre-order) with its estimated and actual
-/// cardinality plus the chosen physical path. The trial evaluation shares
+/// cardinality. The trial evaluation shares
 /// one [`crate::EvalCache`], so the whole tree evaluates once; per-node
 /// "actual" reads are memo hits.
 pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
@@ -929,13 +905,11 @@ pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
     ) -> Result<()> {
         let est = estimate_memo(e, catalog, est_memo).rows;
         let actual = catalog.eval_cached(e, cache)?.len() as u64;
-        let phys = node_phys(e, catalog, cache)?;
         out.push(PlanCard {
             depth,
             label: node_label(e),
             est_rows: est,
             actual_rows: actual,
-            phys,
             read_through: false,
         });
         match e.kind() {
@@ -952,7 +926,6 @@ pub fn annotate_cards(e: &Expr, catalog: &Catalog) -> Result<Vec<PlanCard>> {
                             label: node_label(a),
                             est_rows: estimate_memo(a, catalog, est_memo).rows,
                             actual_rows: 0,
-                            phys: crate::PhysPath::Row,
                             read_through: true,
                         });
                         walk(inner, depth + 2, catalog, est_memo, cache, out)?;
@@ -1102,12 +1075,10 @@ mod tests {
         assert_eq!(cards[1].est_rows, 1000);
         assert_eq!(cards[0].actual_rows, 20);
         assert!(cards[0].est_rows > 0);
-        // "Big" is 2 columns wide: every node stays on the row path.
-        assert!(cards.iter().all(|c| c.phys == crate::PhysPath::Row));
     }
 
     #[test]
-    fn annotate_cards_reports_columnar_phys_on_wide_inputs() {
+    fn annotate_cards_reports_a_selection_of_a_wide_input() {
         let mut c = Catalog::new();
         let schema = Schema::of(&["C0", "C1", "C2", "C3", "C4", "C5"]);
         let rel = Relation::from_rows(
@@ -1122,33 +1093,26 @@ mod tests {
             }),
         )
         .unwrap();
-        c.put("W", rel);
-        // C2 ≥ 3 keeps most rows: the projection's input is still wide and
-        // large, yet a projection walks rows at any width.
+        c.put("W", rel.clone());
+        let pred = Pred::cmp(
+            Operand::Attr("C2".into()),
+            crate::CmpOp::Ge,
+            Operand::Const(crate::Value::Int(3)),
+        );
         let e = Expr::table("W")
-            .select(Pred::cmp(
-                Operand::Attr("C2".into()),
-                crate::CmpOp::Ge,
-                Operand::Const(crate::Value::Int(3)),
-            ))
+            .select(pred.clone())
             .project(attrs(&["C0", "C5"]));
         let cards = annotate_cards(&e, &c).unwrap();
         assert_eq!(cards.len(), 3);
-        // σ has a comparison conjunct over a 6-wide input: it picks the
-        // columnar path. π and the table scan have no columnar kernel.
-        assert_eq!(cards[0].phys, crate::PhysPath::Row, "{:?}", cards[0]);
-        assert_eq!(cards[1].phys, crate::PhysPath::Columnar, "{:?}", cards[1]);
-        assert_eq!(cards[2].phys, crate::PhysPath::Row, "{:?}", cards[2]);
-        // Disabling columnar flips every node back to row.
-        let mut off = crate::config::SessionConfig::new();
-        off.set("columnar", "off").unwrap();
-        let _g = crate::config::overlay(&off);
-        let cards = annotate_cards(&e, &c).unwrap();
-        assert!(cards.iter().all(|x| x.phys == crate::PhysPath::Row));
+        // C2 ≥ 3 keeps most rows; C5 keeps the projection from merging any.
+        let kept = rel.select(&pred).unwrap().len() as u64;
+        assert!(kept > 200 && kept < 300, "{kept}");
+        let actual: Vec<u64> = cards.iter().map(|c| c.actual_rows).collect();
+        assert_eq!(actual, [kept, kept, 300]);
     }
 
     #[test]
-    fn annotate_cards_reports_row_for_a_projection_of_a_wide_input() {
+    fn annotate_cards_reports_a_projection_of_a_wide_input() {
         // 6 columns, 300 distinct rows; C3 holds 10 distinct values, so
         // the projection deduplicates by hash and walks the rows.
         let rel = Relation::from_rows(
@@ -1166,7 +1130,6 @@ mod tests {
         let cards = annotate_cards(&e, &c).unwrap();
         assert_eq!(cards.len(), 2);
         assert_eq!(cards[0].actual_rows, 10);
-        assert_eq!(cards[0].phys, crate::PhysPath::Row, "{:?}", cards[0]);
     }
 
     #[test]

@@ -1,116 +1,45 @@
-//! The physical-operator layer: the row-vs-columnar path choice of
-//! selection `σ` and its columnar kernel.
+//! The physical-operator layer: selection `σ`'s one kernel.
 //!
 //! The logical algebra ([`crate::Expr`], the direct [`crate::Relation`]
-//! methods) says *what* each node computes; this module decides *how* a
-//! selection runs. A filter over a wide relation that tests a few of its
-//! columns walks every value of every row. **Vectorized selection**
-//! (`filter_tuples`) evaluates the predicate's simple comparison
-//! conjuncts into a selection bitmap, cheapest (most selective) conjunct
-//! first; later conjuncts and any residual predicate only run on
-//! still-set bits, and surviving tuples are materialized late, in one
-//! pass. Columns shared by several conjuncts are extracted into transient
-//! column vectors at first use. The kernel runs on the calling thread in
-//! one pass over the input, so its output is strictly sorted and
-//! identical to the row path's (pinned by `tests/columnar_oracle.rs`).
+//! methods) says *what* each node computes; this module says *how* a
+//! selection runs. Every selection is a **vectorized selection**
+//! (`filter_tuples`, in the style of MonetDB/X100's selection vectors):
+//! the predicate's simple comparison conjuncts evaluate into a selection
+//! bitmap, cheapest (most selective) conjunct first; later conjuncts and
+//! any residual predicate only run on still-set bits, and surviving tuples
+//! are materialized late, in one pass. A predicate without a comparison
+//! conjunct runs as the compiled residual over the all-set bitmap. Columns
+//! shared by several conjuncts are extracted into transient column vectors
+//! at first use. The kernel runs on the calling thread in one pass over
+//! the input, so its output is strictly sorted and identical to the
+//! compiled predicate's row filter ([`crate::Pred::compile`]; pinned by
+//! `tests/columnar_oracle.rs`).
 //!
 //! Every keyed operator (joins, semijoins, grouping, projection) runs one
 //! kernel whatever its input's width: `relation::KeyIndex` hashes a row's
-//! key columns in place, so no per-row key is built on either path.
-//!
-//! The chooser ([`choose`]): columnar when the path is enabled
-//! ([`crate::columnar_enabled`]), the relation is wider than
-//! `COLUMNAR_MIN_WIDTH` (4) columns, and it has at least
-//! `COLUMNAR_MIN_ROWS` (64) rows (below that, kernel setup dominates). The
-//! width gate is the old inline tuple capacity, kept where it was when
-//! [`crate::INLINE_TUPLE_CAP`] grew to 6, so plans and `EXPLAIN` output did
-//! not move. `EXPLAIN` reports the chosen path per plan node
-//! ([`crate::opt::PlanCard::phys`]): `columnar` only on a `σ` whose kernel
-//! runs.
+//! key columns in place, so no per-row key is built.
 
-use crate::pred::CompiledPred;
-use crate::{CmpOp, Operand, Pred, RelalgError, Result, Schema, Tuple, Value};
+use crate::pred::{CompiledPred, ResolvedOperand};
+use crate::{CmpOp, Pred, Result, Schema, Tuple, Value};
 
-/// Row count before a columnar kernel pays for its setup.
-const COLUMNAR_MIN_ROWS: usize = 64;
-
-/// Columns a relation must exceed before selection runs columnar.
-const COLUMNAR_MIN_WIDTH: usize = 4;
-
-/// The physical execution path chosen for one operator instance.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PhysPath {
-    /// Walk full tuples row by row.
-    Row,
-    /// Evaluate comparisons over column vectors into a selection bitmap
-    /// (selection only).
-    Columnar,
-}
-
-impl PhysPath {
-    /// The label `EXPLAIN` prints for this path.
-    pub fn label(self) -> &'static str {
-        match self {
-            PhysPath::Row => "row",
-            PhysPath::Columnar => "columnar",
-        }
-    }
-}
-
-/// The central row-vs-columnar rule: columnar when the path is enabled,
-/// the input is wider than `COLUMNAR_MIN_WIDTH`, and there are enough rows
-/// to amortize kernel setup.
-pub fn choose(width: usize, rows: usize) -> PhysPath {
-    if crate::columnar_enabled() && width > COLUMNAR_MIN_WIDTH && rows >= COLUMNAR_MIN_ROWS {
-        PhysPath::Columnar
-    } else {
-        PhysPath::Row
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized selection.
-// ---------------------------------------------------------------------------
-
-/// One side of a vectorizable comparison, resolved against the schema.
-enum VOperand {
-    Col(usize),
-    Const(Value),
-}
-
-impl VOperand {
-    #[inline]
-    fn get(&self, cols: &[Option<Vec<Value>>], tuples: &[Tuple], i: usize) -> Value {
-        match self {
-            VOperand::Col(c) => match &cols[*c] {
-                Some(v) => v[i],
-                None => tuples[i][*c],
-            },
-            VOperand::Const(v) => *v,
-        }
+/// Operand `o` of row `i`: from an extracted column vector if there is
+/// one, else straight from the tuple.
+#[inline]
+fn value_at(o: &ResolvedOperand, cols: &[Option<Vec<Value>>], tuples: &[Tuple], i: usize) -> Value {
+    match o {
+        ResolvedOperand::Col(c) => match cols.get(*c) {
+            Some(Some(v)) => v[i],
+            _ => tuples[i][*c],
+        },
+        ResolvedOperand::Const(v) => *v,
     }
 }
 
 /// A vectorizable conjunct: a simple comparison over columns/constants.
 struct VConjunct {
-    l: VOperand,
+    l: ResolvedOperand,
     op: CmpOp,
-    r: VOperand,
-}
-
-fn resolve(o: &Operand, schema: &Schema) -> Result<VOperand> {
-    match o {
-        Operand::Attr(a) => {
-            schema
-                .index_of(a)
-                .map(VOperand::Col)
-                .ok_or_else(|| RelalgError::UnknownAttr {
-                    attr: a.clone(),
-                    schema: schema.clone(),
-                })
-        }
-        Operand::Const(v) => Ok(VOperand::Const(*v)),
-    }
+    r: ResolvedOperand,
 }
 
 /// Estimated selectivity of one conjunct (fraction of rows kept), used
@@ -122,9 +51,9 @@ fn resolve(o: &Operand, schema: &Schema) -> Result<VOperand> {
 /// sound — conjunction is commutative and comparisons have no effects —
 /// so this never changes the output, only the work.
 fn estimated_selectivity(c: &VConjunct, distinct_of: impl Fn(usize) -> Option<u64>) -> f64 {
-    let col_distinct = |o: &VOperand| match o {
-        VOperand::Col(i) => distinct_of(*i),
-        VOperand::Const(_) => None,
+    let col_distinct = |o: &ResolvedOperand| match o {
+        ResolvedOperand::Col(i) => distinct_of(*i),
+        ResolvedOperand::Const(_) => None,
     };
     match c.op {
         CmpOp::Eq => match (col_distinct(&c.l), col_distinct(&c.r)) {
@@ -140,52 +69,58 @@ fn estimated_selectivity(c: &VConjunct, distinct_of: impl Fn(usize) -> Option<u6
 }
 
 /// Vectorized selection over `tuples`: returns the surviving tuples in
-/// input order, or `None` when the predicate has no vectorizable conjunct
-/// (the caller falls back to the row path).
+/// input order.
 ///
 /// The predicate's top-level conjuncts split into simple comparisons
 /// (vectorized) and a residual (everything else, re-conjoined and compiled
-/// once). The touched columns are extracted into transient column vectors
-/// at first use; the first comparison scans the whole input into a
-/// selection bitmap, each later one — ordered by estimated selectivity —
-/// only tests still-set bits, the residual runs row-wise on the survivors,
-/// and set bits late-materialize into output clones. Filtering preserves
+/// once). The first comparison — in order of estimated selectivity —
+/// scans the whole input into a selection bitmap, each later one only
+/// tests still-set bits, the residual runs row-wise on the survivors, and
+/// set bits late-materialize into output clones. Filtering preserves
 /// order, so the output is strictly sorted.
 pub(crate) fn filter_tuples(
     schema: &Schema,
     tuples: &[Tuple],
     pred: &Pred,
     distinct_of: impl Fn(usize) -> Option<u64>,
-) -> Result<Option<Vec<Tuple>>> {
+) -> Result<Vec<Tuple>> {
     let mut vecs: Vec<VConjunct> = Vec::new();
     let mut residual = Pred::True;
-    for c in pred.conjuncts() {
-        match c {
-            Pred::Cmp(l, op, r) => vecs.push(VConjunct {
-                l: resolve(&l, schema)?,
-                op,
-                r: resolve(&r, schema)?,
-            }),
-            other => residual = residual.and(other),
-        }
-    }
-    if vecs.is_empty() {
-        return Ok(None);
-    }
-    // Most selective first; f64 ranks are finite positive, stable sort
-    // keeps the split order deterministic on ties.
-    let mut ranked: Vec<(f64, VConjunct)> = vecs
-        .into_iter()
-        .map(|c| (estimated_selectivity(&c, &distinct_of), c))
-        .collect();
-    ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let vecs: Vec<VConjunct> = ranked.into_iter().map(|(_, c)| c).collect();
+    split(pred, schema, &mut vecs, &mut residual)?;
+    // Most selective first; the stable sort keeps the split order
+    // deterministic on ties.
+    vecs.sort_by(|a, b| {
+        estimated_selectivity(a, &distinct_of).total_cmp(&estimated_selectivity(b, &distinct_of))
+    });
     let residual = match residual {
         Pred::True => None,
         p => Some(p.compile(schema)?),
     };
+    Ok(filter_bitmap(tuples, &vecs, residual.as_ref()))
+}
 
-    Ok(Some(filter_bitmap(tuples, &vecs, residual.as_ref())))
+/// Split `p`'s top-level conjuncts, left to right, into resolved simple
+/// comparisons (`vecs`) and the conjunction of the rest (`residual`),
+/// without cloning the comparisons.
+fn split(p: &Pred, schema: &Schema, vecs: &mut Vec<VConjunct>, residual: &mut Pred) -> Result<()> {
+    match p {
+        Pred::And(a, b) => {
+            split(a, schema, vecs, residual)?;
+            split(b, schema, vecs, residual)
+        }
+        Pred::Cmp(l, op, r) => {
+            vecs.push(VConjunct {
+                l: l.resolve(schema)?,
+                op: *op,
+                r: r.resolve(schema)?,
+            });
+            Ok(())
+        }
+        other => {
+            *residual = std::mem::replace(residual, Pred::True).and(other.clone());
+            Ok(())
+        }
+    }
 }
 
 /// The vectorized filter's body: bitmap evaluation over extracted column
@@ -200,7 +135,15 @@ fn filter_bitmap(
         return Vec::new();
     }
     let words = n.div_ceil(64);
-    let mut bits = vec![u64::MAX; words];
+    // Up to 64 rows, the bitmap is one word on the stack.
+    let mut one = [u64::MAX];
+    let mut many;
+    let bits: &mut [u64] = if words == 1 {
+        &mut one
+    } else {
+        many = vec![u64::MAX; words];
+        &mut many
+    };
     if !n.is_multiple_of(64) {
         bits[words - 1] = (1u64 << (n % 64)) - 1;
     }
@@ -208,25 +151,28 @@ fn filter_bitmap(
     // conjunct, extracted at first use (one linear copy each — every later
     // access is contiguous). A single-use column reads straight from the
     // tuples: extracting it would copy each value exactly once in order to
-    // read it exactly once.
-    let col_of = |o: &VOperand| match o {
-        VOperand::Col(c) => Some(*c),
-        VOperand::Const(_) => None,
+    // read it exactly once. Only two or more conjuncts can share a column,
+    // so a single conjunct counts nothing and allocates nothing.
+    let col_of = |o: &ResolvedOperand| match o {
+        ResolvedOperand::Col(c) => Some(*c),
+        ResolvedOperand::Const(_) => None,
     };
     let mut uses: Vec<(usize, u32)> = Vec::new();
-    for c in conjs {
-        for col in [col_of(&c.l), col_of(&c.r)].into_iter().flatten() {
-            match uses.iter_mut().find(|(i, _)| *i == col) {
-                Some((_, n)) => *n += 1,
-                None => uses.push((col, 1)),
+    let mut cols: Vec<Option<Vec<Value>>> = Vec::new();
+    if conjs.len() >= 2 {
+        for c in conjs {
+            for col in [col_of(&c.l), col_of(&c.r)].into_iter().flatten() {
+                match uses.iter_mut().find(|(i, _)| *i == col) {
+                    Some((_, n)) => *n += 1,
+                    None => uses.push((col, 1)),
+                }
             }
         }
+        let ncols = uses.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
+        cols.resize_with(ncols, || None);
     }
-    let ncols = uses.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
-    let mut cols: Vec<Option<Vec<Value>>> = Vec::new();
-    cols.resize_with(ncols, || None);
-    let extract = |o: &VOperand, cols: &mut Vec<Option<Vec<Value>>>| {
-        if let VOperand::Col(c) = o {
+    let extract = |o: &ResolvedOperand, cols: &mut Vec<Option<Vec<Value>>>| {
+        if let ResolvedOperand::Col(c) = o {
             let shared = uses.iter().any(|&(i, n)| i == *c && n >= 2);
             if shared && cols[*c].is_none() {
                 cols[*c] = Some(tuples.iter().map(|t| t[*c]).collect());
@@ -246,10 +192,10 @@ fn filter_bitmap(
                 let mut w = *word;
                 for b in 0..lanes {
                     let row = base + b;
-                    if !c
-                        .op
-                        .apply(&c.l.get(&cols, tuples, row), &c.r.get(&cols, tuples, row))
-                    {
+                    if !c.op.apply(
+                        &value_at(&c.l, &cols, tuples, row),
+                        &value_at(&c.r, &cols, tuples, row),
+                    ) {
                         w &= !(1u64 << b);
                     }
                 }
@@ -262,10 +208,10 @@ fn filter_bitmap(
                 while m != 0 {
                     let b = m.trailing_zeros() as usize;
                     let row = (i << 6) | b;
-                    if !c
-                        .op
-                        .apply(&c.l.get(&cols, tuples, row), &c.r.get(&cols, tuples, row))
-                    {
+                    if !c.op.apply(
+                        &value_at(&c.l, &cols, tuples, row),
+                        &value_at(&c.r, &cols, tuples, row),
+                    ) {
                         *word &= !(1u64 << b);
                     }
                     m &= m - 1;
@@ -301,15 +247,15 @@ fn filter_bitmap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Relation, Schema};
+    use crate::{Operand, Relation, Schema};
 
-    fn rel(rows: usize) -> Relation {
-        let names: Vec<String> = (0..6).map(|c| format!("C{c}")).collect();
+    fn rel_of(width: usize, rows: usize) -> Relation {
+        let names: Vec<String> = (0..width).map(|c| format!("C{c}")).collect();
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
         Relation::from_rows(
             Schema::of(&refs),
             (0..rows as i64).map(|i| {
-                (0..6i64)
+                (0..width as i64)
                     .map(|c| Value::Int((i * (3 + c) + c) % (4 + c * 3)))
                     .collect::<Tuple>()
             }),
@@ -317,18 +263,40 @@ mod tests {
         .unwrap()
     }
 
+    fn rel(rows: usize) -> Relation {
+        rel_of(6, rows)
+    }
+
+    /// The compiled predicate's row filter: the reference every kernel
+    /// output must equal.
+    fn reference(r: &Relation, pred: &Pred) -> Vec<Tuple> {
+        let compiled = pred.compile(r.schema()).unwrap();
+        r.iter().filter(|t| compiled.eval(t)).cloned().collect()
+    }
+
     #[test]
-    fn chooser_respects_width_rows_and_toggle() {
-        assert_eq!(choose(6, 1000), PhysPath::Columnar);
-        assert_eq!(choose(4, 1000), PhysPath::Row, "narrow inputs stay row");
-        assert_eq!(choose(5, 1000), PhysPath::Columnar);
-        assert_eq!(choose(6, 3), PhysPath::Row, "tiny inputs stay row");
-        assert_eq!(choose(6, 63), PhysPath::Row);
-        assert_eq!(choose(6, 64), PhysPath::Columnar);
-        let mut off = crate::config::SessionConfig::new();
-        off.set("columnar", "off").unwrap();
-        let _g = crate::config::overlay(&off);
-        assert_eq!(choose(6, 1000), PhysPath::Row);
+    fn filter_matches_compiled_pred_on_narrow_and_tiny_inputs() {
+        for width in [1, 2, 4] {
+            for rows in [0, 1, 5, 63, 64, 65, 200] {
+                let r = rel_of(width, rows);
+                let last = format!("C{}", width - 1);
+                let preds = [
+                    Pred::eq_const("C0", 1),
+                    Pred::eq_const("C0", 1).and(Pred::cmp(
+                        Operand::Attr(last.as_str().into()),
+                        CmpOp::Ge,
+                        Operand::Const(Value::Int(1)),
+                    )),
+                    Pred::eq_const("C0", 0).or(Pred::eq_const(last.as_str(), 2)),
+                    Pred::True,
+                    Pred::False,
+                ];
+                for pred in &preds {
+                    let got = filter_tuples(r.schema(), r.tuples(), pred, |_| None).unwrap();
+                    assert_eq!(got, reference(&r, pred), "w{width}x{rows}: {pred}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -342,37 +310,42 @@ mod tests {
                 Operand::Const(Value::Int(3)),
             ))
             .and(Pred::eq_const("C0", 1).or(Pred::eq_const("C2", 0)));
-        let compiled = pred.compile(r.schema()).unwrap();
-        let want: Vec<Tuple> = r.iter().filter(|t| compiled.eval(t)).cloned().collect();
-        let got = filter_tuples(r.schema(), r.tuples(), &pred, |_| None)
-            .unwrap()
-            .expect("has vectorizable conjuncts");
+        let want = reference(&r, &pred);
+        let got = filter_tuples(r.schema(), r.tuples(), &pred, |_| None).unwrap();
         assert_eq!(got, want);
         // Stats-ranked ordering changes the work, never the output.
         let stats = r.stats().clone();
         let got2 = filter_tuples(r.schema(), r.tuples(), &pred, |i| {
             stats.col(i).map(|c| c.distinct)
         })
-        .unwrap()
         .unwrap();
         assert_eq!(got2, want);
     }
 
     #[test]
     fn filter_without_vectorizable_conjunct_falls_back() {
+        // No comparison conjunct: the compiled residual runs over the
+        // all-set bitmap.
         let r = rel(100);
         let pred = Pred::eq_const("C0", 1).or(Pred::eq_const("C1", 2));
-        assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None)
-            .unwrap()
-            .is_none());
+        let got = filter_tuples(r.schema(), r.tuples(), &pred, |_| None).unwrap();
+        let want = reference(&r, &pred);
+        assert!(!want.is_empty() && want.len() < r.len());
+        assert_eq!(got, want);
     }
 
     #[test]
     fn filter_unknown_attr_errors_like_the_row_path() {
-        let r = rel(100);
-        let pred = Pred::eq_const("Z", 1);
-        assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None).is_err());
-        let pred = Pred::eq_const("C0", 1).and(Pred::eq_const("Z", 1).not());
-        assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None).is_err());
+        for rows in [0, 100] {
+            let r = rel(rows);
+            for pred in [
+                Pred::eq_const("Z", 1),
+                Pred::eq_const("C0", 1).and(Pred::eq_const("Z", 1).not()),
+                Pred::eq_const("Z", 1).or(Pred::eq_const("C0", 1)),
+            ] {
+                assert!(pred.compile(r.schema()).is_err());
+                assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None).is_err());
+            }
+        }
     }
 }

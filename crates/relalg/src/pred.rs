@@ -62,7 +62,8 @@ pub enum Operand {
 }
 
 impl Operand {
-    fn resolve(&self, schema: &Schema) -> Result<ResolvedOperand> {
+    /// This operand's column index in `schema`, or its constant.
+    pub(crate) fn resolve(&self, schema: &Schema) -> Result<ResolvedOperand> {
         match self {
             Operand::Attr(a) => schema.index_of(a).map(ResolvedOperand::Col).ok_or_else(|| {
                 RelalgError::UnknownAttr {
@@ -87,7 +88,8 @@ impl fmt::Display for Operand {
     }
 }
 
-enum ResolvedOperand {
+/// An [`Operand`] resolved against a schema: a column index or a constant.
+pub(crate) enum ResolvedOperand {
     Col(usize),
     Const(Value),
 }

@@ -548,31 +548,15 @@ impl Relation {
     /// Selection `σ_φ`. Filtering preserves sortedness, so the output is
     /// assembled without a sort pass.
     ///
-    /// Wide relations with enough rows take the vectorized path
-    /// (`physical::filter_tuples`): comparison conjuncts evaluate
-    /// over extracted column vectors into a selection bitmap (most
-    /// selective first, using statistics if already computed) and
-    /// survivors materialize late. The output is identical to the row
-    /// path; predicates without any vectorizable conjunct fall back to it.
+    /// Every selection runs the vectorized kernel
+    /// (`physical::filter_tuples`): comparison conjuncts evaluate into a
+    /// selection bitmap (most selective first, using statistics if already
+    /// computed), the rest of the predicate runs on the surviving rows, and
+    /// survivors materialize late.
     pub fn select(&self, pred: &Pred) -> Result<Relation> {
-        if crate::physical::choose(self.schema.arity(), self.tuples.len())
-            == crate::physical::PhysPath::Columnar
-        {
-            let stats = self.stats_if_computed();
-            let distinct_of = |i: usize| stats.and_then(|s| s.col(i)).map(|c| c.distinct);
-            if let Some(tuples) =
-                crate::physical::filter_tuples(&self.schema, &self.tuples, pred, distinct_of)?
-            {
-                return Ok(Relation::from_sorted_vec(self.schema.clone(), tuples));
-            }
-        }
-        let compiled = pred.compile(&self.schema)?;
-        let tuples: Vec<Tuple> = self
-            .tuples
-            .iter()
-            .filter(|t| compiled.eval(t))
-            .cloned()
-            .collect();
+        let stats = self.stats_if_computed();
+        let distinct_of = |i: usize| stats.and_then(|s| s.col(i)).map(|c| c.distinct);
+        let tuples = crate::physical::filter_tuples(&self.schema, &self.tuples, pred, distinct_of)?;
         Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
     }
 

@@ -1,9 +1,9 @@
 //! Oracle suite for the versioned, statistics-carrying storage layer and
 //! the physical-operator layer built on it:
 //!
-//! * the **vectorized selection** path is pinned against the row path
-//!   (the `columnar` session toggle off and on) and an independent
-//!   semantic oracle;
+//! * **selection**, whose one kernel is the vectorized filter, is pinned
+//!   against the compiled predicate's row filter and an independent
+//!   semantic oracle at widths 1 to `SPILLED` and heights 0 to 700;
 //! * projection, the hash joins (natural, theta) and the semijoin, whose
 //!   one kernel runs at every width, and grouping (`partition_by`,
 //!   `partition_by_project`, `divide`) are pinned on wide inputs, inline
@@ -13,10 +13,9 @@
 //! * the **epoch tag** semantics (clones share, constructors stamp fresh,
 //!   in-place mutation bumps) are pinned.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use relalg::config::{overlay, SessionConfig};
 use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value, INLINE_TUPLE_CAP};
 
 /// A width whose tuples spill to the heap.
@@ -143,25 +142,82 @@ fn epoch_tags_identify_content() {
     assert_eq!(n.epoch(), r.epoch());
 }
 
-/// Run `f` twice: under a `columnar = off` overlay, then with the default
-/// (columnar on).
-fn row_vs_columnar<R>(f: impl Fn() -> R) -> (R, R) {
-    let mut off = SessionConfig::new();
-    off.set("columnar", "off").unwrap();
-    let row = {
-        let _g = overlay(&off);
-        f()
-    };
-    (row, f())
-}
-
 /// A selection oracle evaluated directly in Rust (no `Pred` machinery).
 fn o_select(rel: &Relation, keep: impl Fn(&Tuple) -> bool) -> BTreeSet<Vec<Value>> {
     rel.iter().filter(|t| keep(t)).map(|t| t.to_vec()).collect()
 }
 
-#[test]
-fn vectorized_filter_matches_row_path_and_oracle() {
+/// The compiled predicate's row filter: `Pred::compile` evaluated on each
+/// tuple in turn, the reference the selection kernel must reproduce
+/// exactly (errors included).
+fn compiled_filter(rel: &Relation, pred: &Pred) -> relalg::Result<Vec<Tuple>> {
+    let compiled = pred.compile(rel.schema())?;
+    Ok(rel.iter().filter(|t| compiled.eval(t)).cloned().collect())
+}
+
+/// `σ[pred]` against both references: the compiled row filter (tuple for
+/// tuple) and the semantic oracle (content, order, strict sortedness).
+fn assert_select(rel: &Relation, pred: &Pred, keep: impl Fn(&Tuple) -> bool, what: &str) {
+    let got = rel.select(pred).unwrap();
+    let reference = compiled_filter(rel, pred).unwrap();
+    assert_eq!(
+        got.tuples(),
+        &reference[..],
+        "{what}: σ[{pred}] vs compiled filter"
+    );
+    assert_is(&got, &o_select(rel, keep), &format!("{what}: σ[{pred}]"));
+}
+
+/// A relation of exactly `rows` rows: [`wide_rel`]'s first `width - 1`
+/// columns, then the row id as `C{width-1}` (at width 1, the id alone).
+fn id_rel(seed: i64, rows: usize, width: usize) -> Relation {
+    let names: Vec<String> = (0..width).map(|c| format!("C{c}")).collect();
+    let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+    let rel = Relation::from_rows(
+        Schema::of(&name_refs),
+        (0..rows as i64).map(|i| {
+            (0..width as i64 - 1)
+                .map(|c| Value::Int((i * (seed + c * 7) + c) % (3 + c * 5)))
+                .chain([Value::Int(i)])
+                .collect::<Tuple>()
+        }),
+    )
+    .unwrap();
+    assert_eq!(rel.len(), rows);
+    rel
+}
+
+/// Like [`id_rel`] with string values, like B16's `Hotels`: the id column
+/// holds `H0000`, `H0001`, … and the others short codes.
+fn str_rel(rows: usize, width: usize) -> Relation {
+    let names: Vec<String> = (0..width).map(|c| format!("C{c}")).collect();
+    let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+    let rel = Relation::from_rows(
+        Schema::of(&name_refs),
+        (0..rows as i64).map(|i| {
+            (0..width as i64 - 1)
+                .map(|c| Value::str(&format!("S{}", (i * (c + 3) + c) % (4 + c * 3))))
+                .chain([Value::str(&format!("H{i:04}"))])
+                .collect::<Tuple>()
+        }),
+    )
+    .unwrap();
+    assert_eq!(rel.len(), rows);
+    rel
+}
+
+type Keep = Box<dyn Fn(&Tuple) -> bool>;
+
+/// The integer σ cases over a `width`-column relation, with their
+/// semantic oracles: column `j` of a case reads `C{j % width}`, so at
+/// width 6 and wider every case tests the columns it names. Pure
+/// conjunctions, a comparison plus a residual disjunction, an
+/// attribute-to-attribute comparison, a residual-only predicate, an
+/// attribute compared with itself (alone and shared with another
+/// conjunct), and the constant predicates.
+fn int_cases(width: usize) -> Vec<(Pred, Keep)> {
+    let col = |j: usize| format!("C{}", j % width);
+    let at = move |j: usize| j % width;
     let ge = |c: &str, k: i64| {
         Pred::cmp(
             Operand::Attr(attr(c)),
@@ -169,54 +225,146 @@ fn vectorized_filter_matches_row_path_and_oracle() {
             Operand::Const(Value::Int(k)),
         )
     };
-    // (pred, semantic oracle) pairs: pure conjunctions, mixed
-    // vectorizable + residual disjunction, attribute-to-attribute
-    // comparison, and an all-residual predicate (columnar falls back).
-    type Keep = Box<dyn Fn(&Tuple) -> bool>;
-    let cases: Vec<(Pred, Keep)> = vec![
+    let (c0, c1, c2, c3, c4, c5) = (at(0), at(1), at(2), at(3), at(4), at(5));
+    vec![
         (
-            Pred::eq_const("C1", 2).and(ge("C3", 5)),
-            Box::new(|t: &Tuple| t[1] == Value::Int(2) && t[3] >= Value::Int(5)),
+            Pred::eq_const(col(1).as_str(), 2).and(ge(&col(3), 5)),
+            Box::new(move |t: &Tuple| t[c1] == Value::Int(2) && t[c3] >= Value::Int(5)),
         ),
         (
-            ge("C2", 3)
-                .and(Pred::eq_const("C0", 1).or(Pred::eq_const("C4", 0)))
-                .and(Pred::eq_const("C5", 4)),
-            Box::new(|t: &Tuple| {
-                t[2] >= Value::Int(3)
-                    && (t[0] == Value::Int(1) || t[4] == Value::Int(0))
-                    && t[5] == Value::Int(4)
+            ge(&col(2), 3)
+                .and(Pred::eq_const(col(0).as_str(), 1).or(Pred::eq_const(col(4).as_str(), 0)))
+                .and(Pred::eq_const(col(5).as_str(), 4)),
+            Box::new(move |t: &Tuple| {
+                t[c2] >= Value::Int(3)
+                    && (t[c0] == Value::Int(1) || t[c4] == Value::Int(0))
+                    && t[c5] == Value::Int(4)
             }),
         ),
         (
             Pred::cmp(
-                Operand::Attr(attr("C0")),
+                Operand::Attr(attr(&col(0))),
                 CmpOp::Lt,
-                Operand::Attr(attr("C3")),
+                Operand::Attr(attr(&col(3))),
             ),
-            Box::new(|t: &Tuple| t[0] < t[3]),
+            Box::new(move |t: &Tuple| t[c0] < t[c3]),
         ),
         (
-            Pred::eq_const("C1", 1).or(Pred::eq_const("C2", 2)),
-            Box::new(|t: &Tuple| t[1] == Value::Int(1) || t[2] == Value::Int(2)),
+            Pred::eq_const(col(1).as_str(), 1).or(Pred::eq_const(col(2).as_str(), 2)),
+            Box::new(move |t: &Tuple| t[c1] == Value::Int(1) || t[c2] == Value::Int(2)),
         ),
-    ];
+        (
+            Pred::eq_attr(col(0).as_str(), col(0).as_str()),
+            Box::new(|_: &Tuple| true),
+        ),
+        (
+            Pred::cmp(
+                Operand::Attr(attr(&col(1))),
+                CmpOp::Lt,
+                Operand::Attr(attr(&col(1))),
+            ),
+            Box::new(|_: &Tuple| false),
+        ),
+        (
+            Pred::eq_attr(col(2).as_str(), col(2).as_str()).and(ge(&col(2), 1)),
+            Box::new(move |t: &Tuple| t[c2] >= Value::Int(1)),
+        ),
+        (Pred::True, Box::new(|_: &Tuple| true)),
+        (Pred::False, Box::new(|_: &Tuple| false)),
+    ]
+}
+
+#[test]
+fn vectorized_filter_matches_row_path_and_oracle() {
+    // The wide inputs, with heavy duplication in the narrow domains.
     for rel in [wide_rel(7, 700, 6), wide_rel(13, 64, SPILLED)] {
         // Force stats on one input so the selectivity-ordered route runs.
         let _ = rel.stats();
-        for (pred, keep) in &cases {
-            let oracle = o_select(&rel, keep);
-            let (row, col) = row_vs_columnar(|| rel.select(pred));
-            let (row, col) = (row.unwrap(), col.unwrap());
-            assert_eq!(row, col, "row vs columnar diverged ({pred})");
-            assert_is(&col, &oracle, &format!("σ[{pred}]"));
+        for (pred, keep) in &int_cases(rel.schema().arity()) {
+            assert_select(&rel, pred, keep, "wide");
         }
     }
-    // Error parity: an unknown attribute fails identically on both paths.
-    let rel = wide_rel(7, 100, 6);
-    let bad = Pred::eq_const("Nope", 1).and(Pred::eq_const("C0", 0));
-    let (row, col) = row_vs_columnar(|| rel.select(&bad));
-    assert!(row.is_err() && col.is_err());
+    // Exact heights at every width, inline and spilled: empty, one row,
+    // tiny, one bitmap word, one word plus a row, and many words.
+    for width in [1, 2, 4, 6, SPILLED] {
+        for rows in [0, 1, 5, 63, 64, 65, 700] {
+            let rel = id_rel(11, rows, width);
+            if rows == 700 {
+                let _ = rel.stats();
+            }
+            for (pred, keep) in &int_cases(width) {
+                assert_select(&rel, pred, keep, &format!("w{width}x{rows}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn vectorized_filter_matches_oracle_on_strings() {
+    for width in [1, 2, 4, 6, SPILLED] {
+        let last = width - 1;
+        let id = format!("C{last}");
+        for rows in [0, 1, 5, 63, 64, 400, 700] {
+            let rel = str_rel(rows, width);
+            let h42 = Value::str("H0042");
+            let s1 = Value::str("S1");
+            let cases: Vec<(Pred, Keep)> = vec![
+                // B16's `point` shape: one equality on the id column.
+                (
+                    Pred::eq_const(id.as_str(), "H0042"),
+                    Box::new(move |t: &Tuple| t[last] == h42),
+                ),
+                (
+                    Pred::eq_const("C0", "S1").and(Pred::cmp(
+                        Operand::Attr(attr(&id)),
+                        CmpOp::Ge,
+                        Operand::Const(Value::str("H0010")),
+                    )),
+                    Box::new(move |t: &Tuple| t[0] == s1 && t[last] >= Value::str("H0010")),
+                ),
+                (
+                    Pred::cmp(
+                        Operand::Attr(attr("C0")),
+                        CmpOp::Ne,
+                        Operand::Attr(attr(&id)),
+                    ),
+                    Box::new(move |t: &Tuple| t[0] != t[last]),
+                ),
+                (
+                    Pred::eq_const("C0", "S2").or(Pred::eq_const(id.as_str(), "H0003")),
+                    Box::new(move |t: &Tuple| {
+                        t[0] == Value::str("S2") || t[last] == Value::str("H0003")
+                    }),
+                ),
+            ];
+            for (pred, keep) in &cases {
+                assert_select(&rel, pred, keep, &format!("strings w{width}x{rows}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn vectorized_filter_errors_like_the_compiled_pred() {
+    // An unknown attribute fails on every input, the empty one included,
+    // whether it sits in a comparison conjunct or in the residual.
+    for rel in [
+        wide_rel(7, 100, 6),
+        Relation::empty(Schema::of(&["C0"])),
+        Relation::empty(Schema::of(&[
+            "C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7",
+        ])),
+    ] {
+        for bad in [
+            Pred::eq_const("Nope", 1).and(Pred::eq_const("C0", 0)),
+            Pred::eq_const("C0", 0).and(Pred::eq_attr("C0", "Nope")),
+            Pred::eq_const("Nope", 1).or(Pred::eq_const("C0", 0)),
+            Pred::eq_const("Nope", 1).not(),
+        ] {
+            assert!(compiled_filter(&rel, &bad).is_err(), "{bad}");
+            assert!(rel.select(&bad).is_err(), "{bad}");
+        }
+    }
 }
 
 /// The natural-join oracle: a nested-loop walk matching common attributes.
@@ -319,25 +467,53 @@ fn wide_joins_and_semijoins_match_oracle() {
     }
 }
 
+/// The `partition_by` oracle: each group's key (the columns `key`) and
+/// its member tuples, in key order.
+fn o_partition(rel: &Relation, key: &[usize]) -> BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> {
+    let mut groups: BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> = BTreeMap::new();
+    for t in rel.iter() {
+        groups
+            .entry(key.iter().map(|&i| t[i]).collect())
+            .or_default()
+            .insert(t.to_vec());
+    }
+    groups
+}
+
+fn assert_partition(rel: &Relation, key: &[&str], what: &str) {
+    let idx: Vec<usize> = key
+        .iter()
+        .map(|c| rel.schema().index_of(&attr(c)).unwrap())
+        .collect();
+    let oracle = o_partition(rel, &idx);
+    let parts = rel.partition_by(&attrs(key)).unwrap();
+    assert_eq!(parts.len(), oracle.len(), "{what}: group count");
+    for ((k, part), (ok, op)) in parts.iter().zip(&oracle) {
+        assert_eq!(&k.to_vec(), ok, "{what}: partition key order");
+        assert_is(part, op, &format!("{what}: partition content"));
+    }
+}
+
+/// The division oracle: the classical RA definition
+/// `π_A(r) − π_A((π_A(r) × s) − r)`, built from independently checked
+/// operators.
+fn o_divide(rel: &Relation, divisor: &Relation) -> Relation {
+    let a: Vec<relalg::Attr> = rel.schema().minus(divisor.schema().attrs());
+    let pa = rel.project(&a).unwrap();
+    let all_pairs = pa.product(divisor).unwrap();
+    let missing = all_pairs
+        .difference(&all_pairs.semijoin(rel))
+        .unwrap()
+        .project(&a)
+        .unwrap();
+    pa.difference(&missing).unwrap()
+}
+
 #[test]
-fn columnar_grouping_matches_row_path_and_oracle() {
+fn grouping_and_division_match_oracles() {
     for rel in [wide_rel(5, 500, SPILLED), wide_rel(11, 64, 6)] {
         let key = attrs(&["C1", "C2"]);
-        // partition_by: group membership oracle.
-        let mut oracle: std::collections::BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> =
-            Default::default();
-        for t in rel.iter() {
-            oracle
-                .entry(vec![t[1], t[2]])
-                .or_default()
-                .insert(t.to_vec());
-        }
-        let parts = rel.partition_by(&key).unwrap();
-        assert_eq!(parts.len(), oracle.len());
-        for ((k, part), (ok, op)) in parts.iter().zip(&oracle) {
-            assert_eq!(&k.to_vec(), ok, "partition key order");
-            assert_is(part, op, "partition content");
-        }
+        assert_partition(&rel, &["C1", "C2"], "χ");
 
         // partition_by_project, fast layout (keep = leading columns,
         // key = the rest) and a fallback layout, against the projected
@@ -346,8 +522,7 @@ fn columnar_grouping_matches_row_path_and_oracle() {
         let keep: Vec<relalg::Attr> = rel.schema().attrs()[..2].to_vec();
         let pkey: Vec<relalg::Attr> = rel.schema().attrs()[2..arity].to_vec();
         for (k_idx, k_attrs) in [((2..arity).collect::<Vec<_>>(), &pkey), (vec![1, 2], &key)] {
-            let mut oracle: std::collections::BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> =
-                Default::default();
+            let mut oracle: BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> = BTreeMap::new();
             for t in rel.iter() {
                 oracle
                     .entry(k_idx.iter().map(|&i| t[i]).collect())
@@ -362,8 +537,7 @@ fn columnar_grouping_matches_row_path_and_oracle() {
             }
         }
 
-        // divide: against the classical RA definition built from
-        // independently checked operators.
+        // divide: against the classical RA definition.
         let divisor = rel
             .project(&attrs(&["C5"]))
             .unwrap()
@@ -373,17 +547,11 @@ fn columnar_grouping_matches_row_path_and_oracle() {
                 Operand::Const(Value::Int(1)),
             ))
             .unwrap();
-        let got = rel.divide(&divisor).unwrap();
-        let a: Vec<relalg::Attr> = rel.schema().minus(divisor.schema().attrs());
-        let pa = rel.project(&a).unwrap();
-        let all_pairs = pa.product(&divisor).unwrap();
-        let missing = all_pairs
-            .difference(&all_pairs.semijoin(&rel))
-            .unwrap()
-            .project(&a)
-            .unwrap();
-        let want = pa.difference(&missing).unwrap();
-        assert_eq!(got, want, "÷ classical-definition oracle");
+        assert_eq!(
+            rel.divide(&divisor).unwrap(),
+            o_divide(&rel, &divisor),
+            "÷ classical-definition oracle"
+        );
     }
 }
 
@@ -393,7 +561,7 @@ type Pair = (i64, i64);
 type WideRow = ((Pair, Pair), (Pair, Pair));
 
 fn wide_rows() -> impl Strategy<Value = Vec<WideRow>> {
-    // Above the columnar row threshold, tiny domains for heavy dedup.
+    // Past one bitmap word, tiny domains for heavy dedup.
     proptest::collection::vec(
         (
             ((0i64..4, 0i64..3), (0i64..4, 0i64..2)),
@@ -457,14 +625,16 @@ proptest! {
                 ("F".into(), "J".into()),
             ])
             .unwrap();
-        let (rowp, colp) = row_vs_columnar(|| {
-            (
-                rel.select(&pred).unwrap(),
-                rel.partition_by(&attrs(&["C", "D"])).unwrap(),
-                rel.divide(&rel.project(&attrs(&["F"])).unwrap()).unwrap(),
-            )
-        });
-        prop_assert_eq!(rowp, colp);
+        let got = rel.select(&pred).unwrap();
+        prop_assert_eq!(got.tuples(), &compiled_filter(&rel, &pred).unwrap()[..]);
+        let want = o_select(&rel, |t| t[1] == Value::Int(k) && t[3] >= Value::Int(1));
+        prop_assert_eq!(
+            got.iter().map(|t| t.to_vec()).collect::<Vec<_>>(),
+            want.into_iter().collect::<Vec<_>>()
+        );
+        assert_partition(&rel, &["C", "D"], "random χ");
+        let divisor = rel.project(&attrs(&["F"])).unwrap();
+        prop_assert_eq!(rel.divide(&divisor).unwrap(), o_divide(&rel, &divisor));
         let nj_oracle = o_natural_join(&rel, &other);
         let got: Vec<Vec<Value>> = rel.natural_join(&other).iter().map(|t| t.to_vec()).collect();
         prop_assert_eq!(got, nj_oracle.iter().cloned().collect::<Vec<_>>());

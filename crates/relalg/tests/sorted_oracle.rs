@@ -447,8 +447,8 @@ fn project_as_over_every_map_shape_agrees_with_oracle() {
             assert_matches(&got, &o_project_as(&r, &list), what);
         }
     }
-    // Wider than the inline tuple capacity and tall enough for the
-    // columnar path: prefix maps stream, the others go columnar.
+    // Six columns and 300 rows: prefix maps stream, the others drop
+    // duplicates by hash, or sort when the output is mostly distinct.
     let names = ["A", "B", "C", "D", "E", "F"];
     let wide = Relation::from_rows(
         Schema::of(&names),

@@ -15,8 +15,8 @@
 //!
 //! Because lineage rides along as a plain extra column, the relational
 //! operators execute **directly on the factorized form** through the
-//! existing `relalg` kernels (vectorized selection, columnar projection,
-//! `partition_by` grouping): selection and projection keep the column,
+//! existing `relalg` kernels (vectorized selection, hash-deduplicating
+//! projection, `partition_by` grouping): selection and projection keep the column,
 //! product and intersection conjoin the two lineage columns — mutual
 //! exclusion (`X=i ∧ X=j`) is detected at join time and the pair dropped —
 //! and the world operators `χ_U`/`poss`/`cert` manipulate the constraint

@@ -15,9 +15,12 @@
 # With targets given, the run is merged into the existing output file by
 # benchmark id: an entry measured now replaces the one with its id in place
 # (new ids go to the end) and carries its own recorded_at/git_rev, since the
-# file's header describes the full run; every other entry, and the header,
-# stay byte for byte what they were. Without targets the file is written
-# anew.
+# file's header describes the full run. Unless BENCH_ONLY filters the run,
+# a group it measured (the id prefix before the first `/`) is re-recorded
+# whole: that group's entries the run did not produce are dropped, so a
+# deleted or renamed leg leaves no stale median behind (each dropped id is
+# printed). Every other entry, and the header, stay byte for byte what they
+# were. Without targets the file is written anew.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,6 +70,16 @@ if doc is None:
     }
 else:
     entries = doc["benchmarks"]
+    if not only:
+        group = lambda bench_id: bench_id.split("/", 1)[0]
+        rerun = {group(e["id"]) for e in fresh}
+        produced = {e["id"] for e in fresh}
+        for e in entries:
+            if group(e["id"]) in rerun and e["id"] not in produced:
+                print(f"dropped stale entry {e['id']}")
+        entries[:] = [
+            e for e in entries if group(e["id"]) not in rerun or e["id"] in produced
+        ]
     position = {e["id"]: i for i, e in enumerate(entries)}
     for e in fresh:
         e.update(recorded_at=recorded_at, git_rev=git_rev)

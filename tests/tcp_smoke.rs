@@ -19,7 +19,7 @@ const SCRIPT: &[&str] = &[
     "select certain Arr from Flights choice of Dep;",
     "create view Options as select Dep, Arr from Flights choice of Dep;",
     "select possible Arr from Options;",
-    "set local columnar = off;",
+    "set local compact = off;",
     "select possible Arr from Options;",
     "insert into Hotels values ('H_new', 'BCN');",
     "select possible Name from Hotels where City = 'BCN';",
