@@ -3,10 +3,11 @@
 //! operators (hash join, semijoin, grouping) and division on the wide
 //! inputs.
 //!
-//! Every shape has one path, so each is timed as a single leg. The wide
-//! relations (8 columns) are wider than the inline tuple capacity, so
-//! every tuple is heap-spilled; the narrow ones (2 and 4 columns) stay
-//! inline.
+//! Every shape has one path, so each is timed as a single leg. Rows are
+//! stored flat, so a selection reads column `c` of row `i` at value
+//! `i·k + c` of one vector whatever the width `k` (2, 4 or 8 columns).
+//! `filter_attr_eq` compares two string columns of every row, and
+//! `filter/w4x5` times the per-call setup of a 5-row selection.
 
 use std::time::Duration;
 
@@ -42,6 +43,22 @@ fn narrow_rel(seed: i64, rows: usize, width: usize) -> Relation {
             (0..width as i64 - 1)
                 .map(|c| Value::Int((i.wrapping_mul(seed + 2 * c + 1) + c) % (7 + 5 * c)))
                 .chain([Value::Int(i)])
+                .collect::<Tuple>()
+        }),
+    )
+    .unwrap()
+}
+
+/// A relation of `rows` distinct string rows, four columns wide: `C0` and
+/// `C1` draw from one 7-value domain, so `C0 = C1` keeps about a seventh
+/// of the rows, and `C3` is the row id.
+fn string_rel(rows: usize) -> Relation {
+    Relation::from_rows(
+        Schema::of(&["C0", "C1", "C2", "C3"]),
+        (0..rows as i64).map(|i| {
+            [i % 7, (i * 3 + 1) % 7, i % 5, i]
+                .into_iter()
+                .map(|v| Value::str(&format!("v{v:05}")))
                 .collect::<Tuple>()
         }),
     )
@@ -104,6 +121,20 @@ fn bench_columnar_exec(c: &mut Criterion) {
             rel.select(pred).unwrap()
         });
     }
+
+    // An attribute-to-attribute comparison over strings reads both
+    // operands of every row.
+    let strings = string_rel(4_000);
+    let same = Pred::eq_attr("C0", "C1");
+    leg(&mut group, "filter_attr_eq", "w4x4000", || {
+        strings.select(&same).unwrap()
+    });
+    // A 5-row selection: the per-call setup, not the scan, is the cost.
+    let tiny = narrow_rel(11, 5, 4);
+    let tiny_pred = Pred::eq_const("C0", 5);
+    leg(&mut group, "filter", "w4x5", || {
+        tiny.select(&tiny_pred).unwrap()
+    });
 
     for &rows in &[4_000usize, 20_000] {
         let rel = wide_rel(11, rows, 8);

@@ -64,14 +64,14 @@ fn bench_storage_axis(c: &mut Criterion) {
 
     // Builder finish: one sort + dedup over ~34k reversed, doubled tuples.
     let big = datagen::flights(31, 500, 100, 40);
-    let rows: Vec<Tuple> = big.tuples().iter().rev().cloned().collect();
+    let rows: Vec<Tuple> = big.iter().rev().map(Tuple::from).collect();
     let n = rows.len();
     group.bench_function(&format!("builder_sort_n{n}/1"), |b| {
         b.iter(|| {
             let mut bld = RelationBuilder::with_capacity(big.schema().clone(), rows.len() * 2);
             for r in &rows {
-                bld.push(r.clone());
-                bld.push(r.clone());
+                bld.push(r);
+                bld.push(r);
             }
             bld.finish()
         });

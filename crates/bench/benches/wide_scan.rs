@@ -1,10 +1,11 @@
 //! B10: wide-scan benchmarks — projection onto one or two columns over a
-//! width × rows grid of wide relations: 6 columns, whose tuples are inline
-//! (`INLINE_TUPLE_CAP` is 6), and 10, whose tuples spill to the heap.
+//! width × rows grid of wide relations: 6 columns, whose rows sort as
+//! fixed-size `[Value; 6]` chunks, and 10, whose rows sort by row index.
+//! Both are stored flat, one row-major vector per relation.
 //!
 //! A projection drops duplicates by hashing the kept columns of each row in
-//! place and builds one narrow tuple per distinct output; a mostly
-//! distinct output sorts its narrow tuples instead. It has one path at
+//! place and writes one narrow row per distinct output; a mostly distinct
+//! output sorts its narrow rows instead. It has one path at
 //! every width, timed as one `_row` leg per shape.
 
 use std::time::Duration;

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use relalg::{Relation, Result, Tuple};
+use relalg::{Relation, Result, Tuple, Value};
 use worldset::{Prefix, World, WorldSet};
 
 use crate::Query;
@@ -289,8 +289,8 @@ pub fn repairs_by_key(r: &Relation, key: &[relalg::Attr]) -> Result<Vec<Relation
     if r.is_empty() {
         return Ok(vec![r.clone()]);
     }
-    // Group tuples by key value.
-    let mut groups: BTreeMap<Tuple, Vec<Tuple>> = BTreeMap::new();
+    // Group rows by key value.
+    let mut groups: BTreeMap<Tuple, Vec<&[Value]>> = BTreeMap::new();
     let key_idx: Vec<usize> = key
         .iter()
         .map(|a| {
@@ -304,17 +304,17 @@ pub fn repairs_by_key(r: &Relation, key: &[relalg::Attr]) -> Result<Vec<Relation
         .collect::<Result<_>>()?;
     for t in r.iter() {
         let k: Tuple = key_idx.iter().map(|&i| t[i]).collect();
-        groups.entry(k).or_default().push(t.clone());
+        groups.entry(k).or_default().push(t);
     }
     // Cartesian product of one choice per group. A singleton group extends
     // every partial pick in place: only a group with a real choice pays for
     // copying the partials, so the enumeration is O(repairs × rows), not
     // O(groups × repairs × rows).
-    let mut picks: Vec<Vec<Tuple>> = vec![vec![]];
+    let mut picks: Vec<Vec<&[Value]>> = vec![vec![]];
     for tuples in groups.values() {
         if let [only] = tuples.as_slice() {
             for partial in &mut picks {
-                partial.push(only.clone());
+                partial.push(only);
             }
             continue;
         }
@@ -322,7 +322,7 @@ pub fn repairs_by_key(r: &Relation, key: &[relalg::Attr]) -> Result<Vec<Relation
         for partial in &picks {
             for t in tuples {
                 let mut ext = partial.clone();
-                ext.push(t.clone());
+                ext.push(*t);
                 next.push(ext);
             }
         }
@@ -338,7 +338,7 @@ pub fn repairs_by_key(r: &Relation, key: &[relalg::Attr]) -> Result<Vec<Relation
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use relalg::{attrs, Pred, Value};
+    use relalg::{attrs, Pred};
 
     fn flights() -> Relation {
         Relation::table(
@@ -529,19 +529,19 @@ mod tests {
             .iter()
             .map(|a| r.schema().index_of(a).expect("key attribute"))
             .collect();
-        let mut groups: BTreeMap<Tuple, Vec<Tuple>> = BTreeMap::new();
+        let mut groups: BTreeMap<Tuple, Vec<&[Value]>> = BTreeMap::new();
         for t in r.iter() {
             let k: Tuple = key_idx.iter().map(|&i| t[i]).collect();
-            groups.entry(k).or_default().push(t.clone());
+            groups.entry(k).or_default().push(t);
         }
-        let mut picks: Vec<Vec<Tuple>> = vec![vec![]];
+        let mut picks: Vec<Vec<&[Value]>> = vec![vec![]];
         for tuples in groups.values() {
             picks = picks
                 .iter()
                 .flat_map(|partial| {
                     tuples.iter().map(move |t| {
                         let mut ext = partial.clone();
-                        ext.push(t.clone());
+                        ext.push(*t);
                         ext
                     })
                 })

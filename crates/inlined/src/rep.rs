@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use relalg::{attr, Attr, Relation, Result, Schema, Tuple, Value};
+use relalg::{attr, Attr, Relation, RelationBuilder, Result, Schema, Tuple, Value};
 use worldset::{World, WorldSet};
 
 /// An inlined representation `T = ⟨R₁ᵀ[U₁∪V], …, R_kᵀ[U_k∪V], W[V]⟩`.
@@ -54,12 +54,11 @@ impl InlinedRep {
                 let mut attrs = rel.schema().attrs().to_vec();
                 attrs.push(wid.clone());
                 let schema = Schema::new(attrs);
-                let rows = rel.iter().map(|t| {
-                    let mut row = t.clone();
-                    row.push(id);
-                    row
-                });
-                let with_id = Relation::from_rows(schema, rows)?;
+                let mut with_id = RelationBuilder::with_capacity(schema, rel.len());
+                for t in rel.iter() {
+                    with_id.push_values(t.iter().copied().chain([id]));
+                }
+                let with_id = with_id.finish();
                 tables[pos] = Some(match tables[pos].take() {
                     None => with_id,
                     Some(acc) => acc.union(&with_id)?,

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use relalg::{Attr, Relation, Schema, Tuple, Value};
+use relalg::{Attr, Relation, RelationBuilder, Schema, Tuple, Value};
 use worldset::{World, WorldSet};
 
 use crate::ast::*;
@@ -941,13 +941,13 @@ fn eval_subquery<'q>(
     world: &World,
     names: &[String],
     scopes: &mut Scopes<'q>,
-    row: Option<&Tuple>,
+    row: Option<&[Value]>,
 ) -> Result<Arc<Relation>> {
     if let Some((_, hit)) = scopes.memo.iter().find(|(k, _)| std::ptr::eq(*k, q)) {
         return Ok(hit.clone());
     }
     if let Some(row) = row {
-        scopes.rows.push(row.clone());
+        scopes.rows.push(Tuple::from(row));
     }
     let base = scopes.rows.len();
     let enclosing = std::mem::replace(&mut scopes.lowest, usize::MAX);
@@ -1054,13 +1054,13 @@ fn filter_rows<'q>(
             for cond in &mut bound {
                 if !cond.eval(row, world, names, scopes)? {
                     if !holds {
-                        keep.push(row.clone());
+                        keep.push(row);
                     }
                     continue 'rows;
                 }
             }
             if holds {
-                keep.push(row.clone());
+                keep.push(row);
             }
         }
         Ok(keep)
@@ -1178,18 +1178,19 @@ fn project_rows<'q>(
             if let Some(list) = columns {
                 return acc.project_as(&list).map_err(rel_err);
             }
-            let mut rows = Vec::with_capacity(acc.len());
+            let mut rows = RelationBuilder::with_capacity(out_schema, acc.len());
+            let mut out = Vec::with_capacity(items.len());
             for row in acc.iter() {
-                let out = items
-                    .iter()
-                    .map(|item| match item {
-                        Some(e) => e.eval(row, world, names, scopes, None),
-                        None => Err(SqlError("* must be the only select item".into())),
-                    })
-                    .collect::<Result<Tuple>>()?;
-                rows.push(out);
+                out.clear();
+                for item in &items {
+                    out.push(match item {
+                        Some(e) => e.eval(row, world, names, scopes, None)?,
+                        None => return Err(SqlError("* must be the only select item".into())),
+                    });
+                }
+                rows.push(&out);
             }
-            Relation::from_rows(out_schema, rows).map_err(rel_err)
+            Ok(rows.finish())
         });
     }
 
@@ -1199,7 +1200,7 @@ fn project_rows<'q>(
         .iter()
         .map(|c| resolve_col(c, acc.schema()))
         .collect::<Result<_>>()?;
-    let mut groups: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
+    let mut groups: BTreeMap<Tuple, Vec<&[Value]>> = BTreeMap::new();
     for row in acc.iter() {
         let key: Tuple = idx.iter().map(|&i| row[i]).collect();
         groups.entry(key).or_default().push(row);
@@ -1210,24 +1211,26 @@ fn project_rows<'q>(
         groups.insert(Tuple::new(), vec![]);
     }
     let pad = Tuple::filled(Value::Pad, acc.schema().arity());
-    let rows = scopes.in_level(acc.schema(), |scopes| {
+    scopes.in_level(acc.schema(), |scopes| {
         let items = bind_items(&scopes.schemas);
-        let mut rows = Vec::with_capacity(groups.len());
+        let mut rows = RelationBuilder::with_capacity(out_schema, groups.len());
+        let mut out = Vec::with_capacity(items.len());
         for rows_in_group in groups.values() {
             // Plain columns read the group's first row.
-            let first = rows_in_group.first().copied().unwrap_or(&pad);
-            let out = items
-                .iter()
-                .map(|item| match item {
-                    Some(e) => e.eval(first, world, names, scopes, Some(rows_in_group.as_slice())),
-                    None => Err(SqlError("* cannot appear with aggregates".into())),
-                })
-                .collect::<Result<Tuple>>()?;
-            rows.push(out);
+            let first = rows_in_group.first().copied().unwrap_or(&pad[..]);
+            out.clear();
+            for item in &items {
+                out.push(match item {
+                    Some(e) => {
+                        e.eval(first, world, names, scopes, Some(rows_in_group.as_slice()))?
+                    }
+                    None => return Err(SqlError("* cannot appear with aggregates".into())),
+                });
+            }
+            rows.push(&out);
         }
-        Ok(rows)
-    })?;
-    Relation::from_rows(out_schema, rows).map_err(rel_err)
+        Ok(rows.finish())
+    })
 }
 
 // ---- bound expressions ----
@@ -1348,7 +1351,7 @@ impl<'q> BCond<'q> {
     /// Evaluate the condition for `row`, the innermost loop's current row.
     fn eval(
         &mut self,
-        row: &Tuple,
+        row: &[Value],
         world: &World,
         names: &[String],
         scopes: &mut Scopes<'q>,
@@ -1428,11 +1431,11 @@ impl<'q> BScalar<'q> {
     /// `group` supplies the group rows when evaluating aggregate functions.
     fn eval(
         &self,
-        row: &Tuple,
+        row: &[Value],
         world: &World,
         names: &[String],
         scopes: &mut Scopes<'q>,
-        group: Option<&[&Tuple]>,
+        group: Option<&[&[Value]]>,
     ) -> Result<Value> {
         match self {
             BScalar::Val(v) => Ok(*v),
@@ -1475,7 +1478,7 @@ impl<'q> BScalar<'q> {
                 // The group rows form a level of the innermost's schema
                 // above the group's first row.
                 let schema = scopes.schemas.last().expect("inside a row loop").clone();
-                scopes.rows.push(row.clone());
+                scopes.rows.push(Tuple::from(row));
                 let vals = scopes.in_level(&schema, |scopes| {
                     rows.iter()
                         .map(|r| inner.eval(r, world, names, scopes, None))
@@ -1523,7 +1526,7 @@ pub(crate) fn delete_rows(
 ) -> Result<Relation> {
     let conds: Vec<&Cond> = cond.into_iter().collect();
     let matched = filter_rows(rel, &conds, true, world, names, &mut Scopes::new())?;
-    rel.with_changes(matched.tuples(), std::iter::empty::<Tuple>())
+    rel.with_changes(matched.iter(), std::iter::empty::<&[Value]>())
         .map_err(rel_err)
 }
 
@@ -1559,19 +1562,19 @@ pub(crate) fn update_rows(
             if !matches {
                 continue;
             }
-            let mut out = row.clone();
+            let mut out = Tuple::from(row);
             for (target, expr) in &sets {
                 let i = *target.as_ref().map_err(Clone::clone)?;
                 out[i] = expr.eval(row, world, names, scopes, None)?;
             }
-            if out != *row {
-                removed.push(row.clone());
+            if *out != *row {
+                removed.push(row);
                 added.push(out);
             }
         }
         Ok((removed, added))
     })?;
-    rel.with_changes(&removed, added).map_err(rel_err)
+    rel.with_changes(removed, added).map_err(rel_err)
 }
 
 #[cfg(test)]
@@ -1857,7 +1860,7 @@ mod tests {
         let stmt = parse_statement(dml).unwrap();
         let mut rows = Vec::new();
         for row in r.iter() {
-            let one = Relation::from_rows(r.schema().clone(), [row.clone()]).unwrap();
+            let one = Relation::from_rows(r.schema().clone(), [row]).unwrap();
             let out = match &stmt {
                 Stmt::Delete { cond, .. } => delete_rows(&one, cond.as_ref(), w, names),
                 Stmt::Update { sets, cond, .. } => update_rows(&one, sets, cond.as_ref(), w, names),
@@ -1991,9 +1994,8 @@ mod tests {
         let db = WorldSet::single(vec![("Lineitem", li.clone())]);
         let col = |name: &str| li.schema().index_of(&Attr::new(name)).unwrap();
         let (quantity, price, year) = (col("Quantity"), col("Price"), col("Year"));
-        let nested_loop = |keep: &dyn Fn(&Tuple) -> bool| {
-            Relation::from_rows(li.schema().clone(), li.iter().filter(|r| keep(r)).cloned())
-                .unwrap()
+        let nested_loop = |keep: &dyn Fn(&[Value]) -> bool| {
+            Relation::from_rows(li.schema().clone(), li.iter().filter(|r| keep(r))).unwrap()
         };
 
         // The what-if shape: `not in` over a multi-column, uncorrelated

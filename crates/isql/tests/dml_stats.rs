@@ -72,7 +72,7 @@ fn four_worlds() -> WorldSet {
     let hotels = Arc::new(datagen::hotels(3, 12, 8));
     let worlds = (0..4).map(|k| {
         let rows = base.iter().enumerate().filter(|(i, _)| i % 4 != k);
-        let f = Relation::from_rows(base.schema().clone(), rows.map(|(_, t)| t.clone())).unwrap();
+        let f = Relation::from_rows(base.schema().clone(), rows.map(|(_, t)| t)).unwrap();
         World::from_shared(vec![Arc::new(f), hotels.clone()])
     });
     WorldSet::from_worlds(vec!["Flights".into(), "Hotels".into()], worlds).unwrap()

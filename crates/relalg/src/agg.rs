@@ -11,7 +11,8 @@
 use std::fmt;
 
 use crate::relation::group_rows;
-use crate::{Attr, RelalgError, Relation, Result, Schema, Tuple, Value};
+use crate::tuple::RowBuf;
+use crate::{Attr, RelalgError, Relation, Result, Schema, Value};
 
 /// An aggregate function.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -164,8 +165,8 @@ impl Relation {
                     .transpose()
             })
             .collect::<Result<_>>()?;
-        let groups = group_rows(
-            self.tuples(),
+        let (keys, groups) = group_rows(
+            self.row_slice(),
             &key_idx,
             || aggs.iter().map(|a| Acc::new(a.func)).collect::<Vec<_>>(),
             |accs, t| {
@@ -175,16 +176,16 @@ impl Relation {
                 }
             },
         );
-        let rows = groups
-            .into_iter()
-            .map(|(mut key, accs)| {
-                for acc in &accs {
-                    key.push(acc.finish()?);
-                }
-                Ok(key)
-            })
-            .collect::<Result<Vec<Tuple>>>()?;
-        Relation::from_rows(schema, rows)
+        let mut rows = RowBuf::with_capacity(schema.arity(), groups.len());
+        for (key, accs) in keys.rows().iter().zip(&groups) {
+            let finished = accs
+                .iter()
+                .map(Acc::finish)
+                .collect::<Result<Vec<Value>>>()?;
+            rows.push_concat(key, &finished);
+        }
+        rows.sort_dedup();
+        Ok(Relation::from_sorted(schema, rows))
     }
 }
 
@@ -233,7 +234,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         let t = out.iter().next().unwrap();
         assert_eq!(
-            &t[..],
+            t,
             &[
                 Value::Int(3),
                 Value::str("P1"),

@@ -34,7 +34,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::{ColStats, RelStats, Relation, Schema, Sym, Tuple, Value};
+use crate::tuple::RowBuf;
+use crate::{ColStats, RelStats, Relation, Schema, Sym, Value};
 
 /// Decoding failure: corrupted, truncated, or semantically invalid input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,10 +128,8 @@ impl Enc {
             self.put_str(attr.name());
         }
         self.put_varint(rel.len() as u64);
-        for tuple in rel.iter() {
-            for i in 0..schema.arity() {
-                self.put_value(tuple[i]);
-            }
+        for &v in rel.values() {
+            self.put_value(v);
         }
         match rel.stats_if_computed() {
             None => self.put_u8(STATS_NONE),
@@ -318,18 +317,15 @@ impl<'a> Dec<'a> {
                 return err("row count exceeds input size");
             }
         }
-        let mut tuples: Vec<Tuple> = Vec::with_capacity(rows.min(1 << 20));
-        for _ in 0..rows {
-            let mut vals = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                vals.push(self.get_value()?);
-            }
-            tuples.push(vals.into_iter().collect());
+        let mut values = Vec::with_capacity((rows * arity).min(1 << 20));
+        for _ in 0..rows * arity {
+            values.push(self.get_value()?);
         }
-        if !tuples.windows(2).all(|w| w[0] < w[1]) {
+        let buf = RowBuf::from_values(arity, rows, values);
+        if !buf.rows().is_strictly_sorted() {
             return err("persisted tuples are not strictly sorted");
         }
-        let rel = Relation::from_sorted_vec(schema, tuples);
+        let rel = Relation::from_sorted(schema, buf);
         let flag = self.get_u8()?;
         if flag == STATS_NONE {
             return Ok(rel);

@@ -47,7 +47,7 @@ pub use relation::{Relation, RelationBuilder};
 pub use schema::{Attr, Schema};
 pub use simplify::{simplify, simplify_all};
 pub use stats::{ColStats, RelStats};
-pub use tuple::{Tuple, INLINE_TUPLE_CAP};
+pub use tuple::{Rows, Tuple};
 pub use value::{Sym, Value};
 
 /// Convenience constructor for an [`Attr`].

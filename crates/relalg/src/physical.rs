@@ -3,12 +3,18 @@
 //! The logical algebra ([`crate::Expr`], the direct [`crate::Relation`]
 //! methods) says *what* each node computes; this module says *how* a
 //! selection runs. Every selection is a **vectorized selection**
-//! (`filter_tuples`, in the style of MonetDB/X100's selection vectors):
+//! (`filter_rows`, in the style of MonetDB/X100's selection vectors):
 //! the predicate's simple comparison conjuncts evaluate into a selection
 //! bitmap, cheapest (most selective) conjunct first; later conjuncts and
-//! any residual predicate only run on still-set bits, and surviving tuples
+//! any residual predicate only run on still-set bits, and surviving rows
 //! are materialized late, in one pass. A predicate without a comparison
-//! conjunct runs as the compiled residual over the all-set bitmap. Columns
+//! conjunct runs as the compiled residual over the all-set bitmap, and a
+//! predicate that is a single comparison runs without a conjunct list.
+//!
+//! The kernel reads the relation's flat row-major storage in place: a
+//! conjunct compares its two operands by reference, column `c` of row `i`
+//! being value `i·k + c` of the one `Vec<Value>` (arity `k`), and the
+//! survivors are copied row by row into the output's vector. Columns
 //! shared by several conjuncts are extracted into transient column vectors
 //! at first use. The kernel runs on the calling thread in one pass over
 //! the input, so its output is strictly sorted and identical to the
@@ -20,18 +26,24 @@
 //! key columns in place, so no per-row key is built.
 
 use crate::pred::{CompiledPred, ResolvedOperand};
-use crate::{CmpOp, Pred, Result, Schema, Tuple, Value};
+use crate::tuple::{RowBuf, RowSlice};
+use crate::{CmpOp, Pred, Result, Schema, Value};
 
-/// Operand `o` of row `i`: from an extracted column vector if there is
-/// one, else straight from the tuple.
+/// Operand `o` of row `i`, borrowed: from an extracted column vector if
+/// there is one, else straight from the flat rows.
 #[inline]
-fn value_at(o: &ResolvedOperand, cols: &[Option<Vec<Value>>], tuples: &[Tuple], i: usize) -> Value {
+fn value_at<'a>(
+    o: &'a ResolvedOperand,
+    cols: &'a [Option<Vec<Value>>],
+    rows: RowSlice<'a>,
+    i: usize,
+) -> &'a Value {
     match o {
         ResolvedOperand::Col(c) => match cols.get(*c) {
-            Some(Some(v)) => v[i],
-            _ => tuples[i][*c],
+            Some(Some(v)) => &v[i],
+            _ => &rows.values()[i * rows.arity() + *c],
         },
-        ResolvedOperand::Const(v) => *v,
+        ResolvedOperand::Const(v) => v,
     }
 }
 
@@ -40,6 +52,17 @@ struct VConjunct {
     l: ResolvedOperand,
     op: CmpOp,
     r: ResolvedOperand,
+}
+
+impl VConjunct {
+    /// Whether row `i` passes.
+    #[inline]
+    fn test(&self, cols: &[Option<Vec<Value>>], rows: RowSlice<'_>, i: usize) -> bool {
+        self.op.apply(
+            value_at(&self.l, cols, rows, i),
+            value_at(&self.r, cols, rows, i),
+        )
+    }
 }
 
 /// Estimated selectivity of one conjunct (fraction of rows kept), used
@@ -68,22 +91,31 @@ fn estimated_selectivity(c: &VConjunct, distinct_of: impl Fn(usize) -> Option<u6
     }
 }
 
-/// Vectorized selection over `tuples`: returns the surviving tuples in
-/// input order.
+/// Vectorized selection over `rows`: returns the surviving rows in input
+/// order.
 ///
 /// The predicate's top-level conjuncts split into simple comparisons
 /// (vectorized) and a residual (everything else, re-conjoined and compiled
 /// once). The first comparison — in order of estimated selectivity —
 /// scans the whole input into a selection bitmap, each later one only
 /// tests still-set bits, the residual runs row-wise on the survivors, and
-/// set bits late-materialize into output clones. Filtering preserves
-/// order, so the output is strictly sorted.
-pub(crate) fn filter_tuples(
+/// set bits are copied late into the output rows. Filtering preserves
+/// order, so the output is strictly sorted. A predicate that is one
+/// comparison allocates no conjunct list.
+pub(crate) fn filter_rows(
     schema: &Schema,
-    tuples: &[Tuple],
+    rows: RowSlice<'_>,
     pred: &Pred,
     distinct_of: impl Fn(usize) -> Option<u64>,
-) -> Result<Vec<Tuple>> {
+) -> Result<RowBuf> {
+    if let Pred::Cmp(l, op, r) = pred {
+        let one = VConjunct {
+            l: l.resolve(schema)?,
+            op: *op,
+            r: r.resolve(schema)?,
+        };
+        return Ok(filter_bitmap(rows, std::slice::from_ref(&one), None));
+    }
     let mut vecs: Vec<VConjunct> = Vec::new();
     let mut residual = Pred::True;
     split(pred, schema, &mut vecs, &mut residual)?;
@@ -96,7 +128,7 @@ pub(crate) fn filter_tuples(
         Pred::True => None,
         p => Some(p.compile(schema)?),
     };
-    Ok(filter_bitmap(tuples, &vecs, residual.as_ref()))
+    Ok(filter_bitmap(rows, &vecs, residual.as_ref()))
 }
 
 /// Split `p`'s top-level conjuncts, left to right, into resolved simple
@@ -126,13 +158,13 @@ fn split(p: &Pred, schema: &Schema, vecs: &mut Vec<VConjunct>, residual: &mut Pr
 /// The vectorized filter's body: bitmap evaluation over extracted column
 /// vectors, then late materialization of the set bits.
 fn filter_bitmap(
-    tuples: &[Tuple],
+    rows: RowSlice<'_>,
     conjs: &[VConjunct],
     residual: Option<&CompiledPred>,
-) -> Vec<Tuple> {
-    let n = tuples.len();
+) -> RowBuf {
+    let n = rows.len();
     if n == 0 {
-        return Vec::new();
+        return RowBuf::new(rows.arity());
     }
     let words = n.div_ceil(64);
     // Up to 64 rows, the bitmap is one word on the stack.
@@ -150,7 +182,7 @@ fn filter_bitmap(
     // Transient column vectors for columns referenced by more than one
     // conjunct, extracted at first use (one linear copy each — every later
     // access is contiguous). A single-use column reads straight from the
-    // tuples: extracting it would copy each value exactly once in order to
+    // rows: extracting it would copy each value exactly once in order to
     // read it exactly once. Only two or more conjuncts can share a column,
     // so a single conjunct counts nothing and allocates nothing.
     let col_of = |o: &ResolvedOperand| match o {
@@ -175,13 +207,13 @@ fn filter_bitmap(
         if let ResolvedOperand::Col(c) = o {
             let shared = uses.iter().any(|&(i, n)| i == *c && n >= 2);
             if shared && cols[*c].is_none() {
-                cols[*c] = Some(tuples.iter().map(|t| t[*c]).collect());
+                cols[*c] = Some(rows.iter().map(|t| t[*c]).collect());
             }
         }
     };
     for (ci, c) in conjs.iter().enumerate() {
         if bits.iter().all(|&w| w == 0) {
-            return Vec::new();
+            return RowBuf::new(rows.arity());
         }
         extract(&c.l, &mut cols);
         extract(&c.r, &mut cols);
@@ -191,11 +223,7 @@ fn filter_bitmap(
                 let lanes = (n - base).min(64);
                 let mut w = *word;
                 for b in 0..lanes {
-                    let row = base + b;
-                    if !c.op.apply(
-                        &value_at(&c.l, &cols, tuples, row),
-                        &value_at(&c.r, &cols, tuples, row),
-                    ) {
+                    if !c.test(&cols, rows, base + b) {
                         w &= !(1u64 << b);
                     }
                 }
@@ -207,11 +235,7 @@ fn filter_bitmap(
                 let mut m = *word;
                 while m != 0 {
                     let b = m.trailing_zeros() as usize;
-                    let row = (i << 6) | b;
-                    if !c.op.apply(
-                        &value_at(&c.l, &cols, tuples, row),
-                        &value_at(&c.r, &cols, tuples, row),
-                    ) {
+                    if !c.test(&cols, rows, (i << 6) | b) {
                         *word &= !(1u64 << b);
                     }
                     m &= m - 1;
@@ -224,7 +248,7 @@ fn filter_bitmap(
             let mut m = *word;
             while m != 0 {
                 let b = m.trailing_zeros() as usize;
-                if !res.eval(&tuples[(i << 6) | b]) {
+                if !res.eval(rows.row((i << 6) | b)) {
                     *word &= !(1u64 << b);
                 }
                 m &= m - 1;
@@ -232,12 +256,12 @@ fn filter_bitmap(
         }
     }
     let survivors: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
-    let mut out = Vec::with_capacity(survivors);
+    let mut out = RowBuf::with_capacity(rows.arity(), survivors);
     for (i, word) in bits.iter().enumerate() {
         let mut m = *word;
         while m != 0 {
             let b = m.trailing_zeros() as usize;
-            out.push(tuples[(i << 6) | b].clone());
+            out.push(rows.row((i << 6) | b));
             m &= m - 1;
         }
     }
@@ -247,7 +271,7 @@ fn filter_bitmap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operand, Relation, Schema};
+    use crate::{Operand, Relation, Schema, Tuple};
 
     fn rel_of(width: usize, rows: usize) -> Relation {
         let names: Vec<String> = (0..width).map(|c| format!("C{c}")).collect();
@@ -271,7 +295,20 @@ mod tests {
     /// output must equal.
     fn reference(r: &Relation, pred: &Pred) -> Vec<Tuple> {
         let compiled = pred.compile(r.schema()).unwrap();
-        r.iter().filter(|t| compiled.eval(t)).cloned().collect()
+        r.iter()
+            .filter(|t| compiled.eval(t))
+            .map(Tuple::from)
+            .collect()
+    }
+
+    /// The kernel's output rows.
+    fn filter_tuples(
+        r: &Relation,
+        pred: &Pred,
+        distinct_of: impl Fn(usize) -> Option<u64>,
+    ) -> Result<Vec<Tuple>> {
+        let out = filter_rows(r.schema(), r.row_slice(), pred, distinct_of)?;
+        Ok(out.rows().iter().map(Tuple::from).collect())
     }
 
     #[test]
@@ -292,7 +329,7 @@ mod tests {
                     Pred::False,
                 ];
                 for pred in &preds {
-                    let got = filter_tuples(r.schema(), r.tuples(), pred, |_| None).unwrap();
+                    let got = filter_tuples(&r, pred, |_| None).unwrap();
                     assert_eq!(got, reference(&r, pred), "w{width}x{rows}: {pred}");
                 }
             }
@@ -311,14 +348,11 @@ mod tests {
             ))
             .and(Pred::eq_const("C0", 1).or(Pred::eq_const("C2", 0)));
         let want = reference(&r, &pred);
-        let got = filter_tuples(r.schema(), r.tuples(), &pred, |_| None).unwrap();
+        let got = filter_tuples(&r, &pred, |_| None).unwrap();
         assert_eq!(got, want);
         // Stats-ranked ordering changes the work, never the output.
         let stats = r.stats().clone();
-        let got2 = filter_tuples(r.schema(), r.tuples(), &pred, |i| {
-            stats.col(i).map(|c| c.distinct)
-        })
-        .unwrap();
+        let got2 = filter_tuples(&r, &pred, |i| stats.col(i).map(|c| c.distinct)).unwrap();
         assert_eq!(got2, want);
     }
 
@@ -328,7 +362,7 @@ mod tests {
         // all-set bitmap.
         let r = rel(100);
         let pred = Pred::eq_const("C0", 1).or(Pred::eq_const("C1", 2));
-        let got = filter_tuples(r.schema(), r.tuples(), &pred, |_| None).unwrap();
+        let got = filter_tuples(&r, &pred, |_| None).unwrap();
         let want = reference(&r, &pred);
         assert!(!want.is_empty() && want.len() < r.len());
         assert_eq!(got, want);
@@ -344,7 +378,7 @@ mod tests {
                 Pred::eq_const("Z", 1).or(Pred::eq_const("C0", 1)),
             ] {
                 assert!(pred.compile(r.schema()).is_err());
-                assert!(filter_tuples(r.schema(), r.tuples(), &pred, |_| None).is_err());
+                assert!(filter_tuples(&r, &pred, |_| None).is_err());
             }
         }
     }

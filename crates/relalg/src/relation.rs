@@ -1,3 +1,16 @@
+//! [`Relation`]: a set of rows over a schema, kept sorted and deduplicated
+//! in one row-major `Vec<Value>` (see [`crate::Rows`] and the `tuple`
+//! module for the storage), and the algebra's kernels over it.
+//!
+//! Every kernel reads its inputs' rows as `&[Value]` slices of the flat
+//! storage and writes its output's values straight into a new relation's
+//! vector: selection and semijoin copy surviving rows, projection writes
+//! the kept columns of each distinct output row, the joins and the
+//! product write concatenations, the set operations merge sorted runs,
+//! and grouping writes one key per group. A row is never built as an
+//! object of its own, so no kernel allocates per row. Outputs that come
+//! out of order are sorted once (`RowBuf::sort_dedup`).
+
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -6,7 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::stats::RelStats;
-use crate::{Attr, CmpOp, Operand, Pred, RelalgError, Result, Schema, Tuple, Value};
+use crate::tuple::{RowBuf, RowSlice};
+use crate::{Attr, CmpOp, Operand, Pred, RelalgError, Result, Rows, Schema, Tuple, Value};
 
 /// A fast non-cryptographic hasher (the FxHash construction) for the
 /// engine-internal hash maps on the join/partition hot paths, where the
@@ -64,25 +78,31 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
-
-/// A set-semantics relation: a schema plus a **sorted, deduplicated vector**
-/// of tuples.
+/// A set-semantics relation: a schema plus a **sorted, deduplicated run of
+/// rows**, stored flat.
 ///
-/// The sorted-vec invariant replaces the previous `BTreeSet` storage:
-/// iteration order — and therefore everything derived from it (printed
-/// tables, golden tests, benchmark inputs) — stays deterministic, while
-/// construction is append-then-sort (no per-tuple log-factor insert), the
+/// The rows live in one row-major `Vec<Value>` (`n · k` values for `n`
+/// rows of arity `k`), and a row is the `&[Value]` slice of its `k`
+/// values ([`Relation::iter`]). Arity 0 keeps an explicit row count of 0
+/// or 1. Kernels write values straight into a new relation's vector, so
+/// building a row allocates nothing whatever its width, and a sort moves
+/// rows as fixed-size `[Value; K]` chunks (`K ≤ 8`) or sorts row indices
+/// (wider rows).
+///
+/// The sorted-vec invariant keeps iteration order — and therefore
+/// everything derived from it (printed tables, golden tests, benchmark
+/// inputs) — deterministic, while construction is append-then-sort, the
 /// set operations are linear merges, and lookups are binary searches.
 /// Operators whose output is produced in sorted order already (selection,
 /// product, the streamed theta path, semijoin) skip the sort entirely.
 ///
 /// All construction goes through [`RelationBuilder`] or one of the
-/// sorted-preserving fast paths; `tuples` is never mutated in a way that
+/// sorted-preserving fast paths; the rows are never mutated in a way that
 /// could break the invariant.
 ///
-/// The tuple vector is shared (`Arc`): a clone, a renaming and the
-/// identity projection read the same storage instead of copying it, and a
-/// set operation reads an operand in the same column order in place.
+/// The row vector is shared (`Arc`): a clone, a renaming and the identity
+/// projection read the same storage instead of copying it, and a set
+/// operation reads an operand in the same column order in place.
 /// [`Relation::insert`] and [`Relation::remove`] copy the vector first
 /// when it is shared.
 ///
@@ -102,10 +122,11 @@ pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
 /// constructor of DML successors, seeds them from its input's memoized
 /// statistics instead of leaving them to a recount. Neither the tag nor
 /// the statistics participate in equality, ordering, or hashing: those
-/// remain purely structural (schema + tuples).
+/// remain purely structural (schema + rows), and relations order as their
+/// row sequences do.
 pub struct Relation {
     schema: Schema,
-    tuples: Arc<Vec<Tuple>>,
+    rows: Arc<RowBuf>,
     /// Process-monotonic construction tag; equal tags ⇒ equal content.
     epoch: u64,
     /// Lazily computed statistics; never stale because the content under a
@@ -126,8 +147,8 @@ impl Clone for Relation {
     fn clone(&self) -> Relation {
         Relation {
             schema: self.schema.clone(),
-            tuples: self.tuples.clone(),
-            // A clone is the same content: it shares the tuples, keeps the
+            rows: self.rows.clone(),
+            // A clone is the same content: it shares the rows, keeps the
             // epoch (O(1) cache verification treats it as identical) and
             // any computed stats.
             epoch: self.epoch,
@@ -139,7 +160,7 @@ impl Clone for Relation {
 impl PartialEq for Relation {
     #[inline]
     fn eq(&self, other: &Relation) -> bool {
-        self.schema == other.schema && self.tuples == other.tuples
+        self.schema == other.schema && self.rows == other.rows
     }
 }
 
@@ -157,7 +178,7 @@ impl Ord for Relation {
     fn cmp(&self, other: &Relation) -> std::cmp::Ordering {
         self.schema
             .cmp(&other.schema)
-            .then_with(|| self.tuples.cmp(&other.tuples))
+            .then_with(|| self.rows.cmp(&other.rows))
     }
 }
 
@@ -165,34 +186,30 @@ impl std::hash::Hash for Relation {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.schema.hash(state);
-        self.tuples.hash(state);
+        self.rows.hash(state);
     }
 }
 
-/// An append-only builder for [`Relation`]: push tuples in any order (and
+/// An append-only builder for [`Relation`]: push rows in any order (and
 /// with duplicates), then [`RelationBuilder::finish`] runs one sort + dedup
 /// pass and seals the sorted-vec invariant.
 #[derive(Clone, Debug)]
 pub struct RelationBuilder {
     schema: Schema,
-    tuples: Vec<Tuple>,
+    rows: RowBuf,
 }
 
 impl RelationBuilder {
     /// A builder over the given schema.
     pub fn new(schema: Schema) -> RelationBuilder {
-        RelationBuilder {
-            schema,
-            tuples: Vec::new(),
-        }
+        let rows = RowBuf::new(schema.arity());
+        RelationBuilder { schema, rows }
     }
 
-    /// A builder with room for `cap` tuples.
+    /// A builder with room for `cap` rows.
     pub fn with_capacity(schema: Schema, cap: usize) -> RelationBuilder {
-        RelationBuilder {
-            schema,
-            tuples: Vec::with_capacity(cap),
-        }
+        let rows = RowBuf::with_capacity(schema.arity(), cap);
+        RelationBuilder { schema, rows }
     }
 
     /// The target schema.
@@ -200,57 +217,64 @@ impl RelationBuilder {
         &self.schema
     }
 
-    /// Append a tuple assumed to match the schema arity (operators construct
-    /// tuples positionally, so this is checked only in debug builds).
-    pub fn push(&mut self, t: Tuple) {
-        debug_assert_eq!(t.len(), self.schema.arity(), "tuple arity mismatch");
-        self.tuples.push(t);
+    /// Append a row assumed to match the schema arity (operators construct
+    /// rows positionally, so this is checked only in debug builds). The
+    /// values are copied into the builder's flat buffer.
+    pub fn push(&mut self, row: impl AsRef<[Value]>) {
+        self.rows.push(row.as_ref());
     }
 
-    /// Append a tuple, validating arity.
-    pub fn try_push(&mut self, t: impl Into<Tuple>) -> Result<()> {
-        let t = t.into();
-        if t.len() != self.schema.arity() {
+    /// Append the row whose values `vals` yields, one per column, written
+    /// straight into the builder's flat buffer (arity is checked only in
+    /// debug builds, as for [`RelationBuilder::push`]).
+    pub fn push_values(&mut self, vals: impl IntoIterator<Item = Value>) {
+        self.rows.push_iter(vals);
+    }
+
+    /// Append a row, validating arity.
+    pub fn try_push(&mut self, row: impl AsRef<[Value]>) -> Result<()> {
+        let row = row.as_ref();
+        if row.len() != self.schema.arity() {
             return Err(RelalgError::ArityMismatch {
                 expected: self.schema.arity(),
-                got: t.len(),
+                got: row.len(),
             });
         }
-        self.tuples.push(t);
+        self.rows.push(row);
         Ok(())
     }
 
-    /// Number of tuples appended so far (duplicates included).
+    /// Number of rows appended so far (duplicates included).
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     /// Whether nothing has been appended.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
-    /// One sort + dedup pass over the appended tuples.
+    /// One sort + dedup pass over the appended rows.
     pub fn finish(self) -> Relation {
-        let RelationBuilder { schema, mut tuples } = self;
-        tuples.sort_unstable();
-        tuples.dedup();
-        Relation::sealed(schema, tuples)
+        let RelationBuilder { schema, mut rows } = self;
+        rows.sort_dedup();
+        Relation::sealed(schema, rows)
     }
 }
 
 impl Relation {
     /// The one place a `Relation` comes into existence: seals the sorted
-    /// tuple vector and stamps a fresh epoch tag.
-    fn sealed(schema: Schema, tuples: Vec<Tuple>) -> Relation {
-        Relation::sharing(schema, Arc::new(tuples))
+    /// rows and stamps a fresh epoch tag.
+    fn sealed(schema: Schema, rows: RowBuf) -> Relation {
+        Relation::sharing(schema, Arc::new(rows))
     }
 
-    /// A relation over already sealed tuples, with a fresh epoch tag.
-    fn sharing(schema: Schema, tuples: Arc<Vec<Tuple>>) -> Relation {
+    /// A relation over already sealed rows, with a fresh epoch tag.
+    fn sharing(schema: Schema, rows: Arc<RowBuf>) -> Relation {
+        debug_assert_eq!(rows.arity(), schema.arity(), "rows of another arity");
         Relation {
             schema,
-            tuples,
+            rows,
             epoch: next_epoch(),
             stats: OnceLock::new(),
         }
@@ -258,19 +282,20 @@ impl Relation {
 
     /// An empty relation over the given schema.
     pub fn empty(schema: Schema) -> Relation {
-        Relation::sealed(schema, Vec::new())
+        let rows = RowBuf::new(schema.arity());
+        Relation::sealed(schema, rows)
     }
 
-    /// Internal constructor for tuple vectors that are already strictly
-    /// sorted (operators that produce output in order use this to skip the
+    /// Internal constructor for rows that are already strictly sorted
+    /// (operators that produce output in order use this to skip the
     /// builder's sort pass; the snapshot codec uses it because relations
     /// are persisted in sorted order).
-    pub(crate) fn from_sorted_vec(schema: Schema, tuples: Vec<Tuple>) -> Relation {
+    pub(crate) fn from_sorted(schema: Schema, rows: RowBuf) -> Relation {
         debug_assert!(
-            tuples.windows(2).all(|w| w[0] < w[1]),
-            "from_sorted_vec requires strictly sorted tuples"
+            rows.rows().is_strictly_sorted(),
+            "from_sorted requires strictly sorted rows"
         );
-        Relation::sealed(schema, tuples)
+        Relation::sealed(schema, rows)
     }
 
     /// Build a relation from rows that are already strictly sorted
@@ -280,21 +305,21 @@ impl Relation {
     /// sorted-merge producers (the factorized layer's conversion and
     /// decode paths) use this to avoid re-sorting what they emit in
     /// order.
-    pub fn from_sorted_rows(schema: Schema, tuples: Vec<Tuple>) -> Result<Relation> {
-        let arity = schema.arity();
-        if let Some(t) = tuples.iter().find(|t| t.len() != arity) {
-            return Err(RelalgError::ArityMismatch {
-                expected: arity,
-                got: t.len(),
-            });
+    pub fn from_sorted_rows(
+        schema: Schema,
+        rows: impl IntoIterator<Item = impl AsRef<[Value]>>,
+    ) -> Result<Relation> {
+        let mut b = RelationBuilder::new(schema);
+        for row in rows {
+            b.try_push(row)?;
         }
-        Ok(Relation::from_sorted_vec(schema, tuples))
+        Ok(Relation::from_sorted(b.schema, b.rows))
     }
 
     /// Build a relation from rows, validating arity.
     pub fn from_rows(
         schema: Schema,
-        rows: impl IntoIterator<Item = impl Into<Tuple>>,
+        rows: impl IntoIterator<Item = impl AsRef<[Value]>>,
     ) -> Result<Relation> {
         let mut b = RelationBuilder::new(schema);
         for row in rows {
@@ -307,18 +332,25 @@ impl Relation {
     /// rows; panics on arity mismatch (intended for literals in tests and
     /// examples).
     pub fn table<V: Into<Value> + Clone>(names: &[&str], rows: &[&[V]]) -> Relation {
-        let schema = Schema::of(names);
-        let rows = rows
-            .iter()
-            .map(|r| r.iter().map(|v| v.clone().into()).collect::<Tuple>());
-        Relation::from_rows(schema, rows).expect("row arity mismatch in Relation::table")
+        let mut b = RelationBuilder::with_capacity(Schema::of(names), rows.len());
+        for row in rows {
+            assert_eq!(
+                row.len(),
+                names.len(),
+                "row arity mismatch in Relation::table"
+            );
+            b.push_values(row.iter().map(|v| v.clone().into()));
+        }
+        b.finish()
     }
 
     /// The nullary relation containing the single empty tuple: `{⟨⟩}`.
     /// This is the initial world table `W` of a one-world database
     /// (Example 5.6, step 1).
     pub fn unit() -> Relation {
-        Relation::sealed(Schema::nullary(), vec![Tuple::new()])
+        let mut rows = RowBuf::new(0);
+        rows.push(&[]);
+        Relation::sealed(Schema::nullary(), rows)
     }
 
     /// The nullary relation with no tuples (the empty world-set encoding).
@@ -344,7 +376,7 @@ impl Relation {
     /// Clones share already-computed statistics.
     pub fn stats(&self) -> &RelStats {
         self.stats
-            .get_or_init(|| Arc::new(RelStats::compute(&self.schema, &self.tuples)))
+            .get_or_init(|| Arc::new(RelStats::compute(self.rows.rows())))
     }
 
     /// The memoized statistics **only if already computed** — `None`
@@ -362,44 +394,58 @@ impl Relation {
         let _ = self.stats.set(stats);
     }
 
-    /// Number of tuples.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
-    /// Whether the relation holds no tuples.
+    /// Whether the relation holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Iterate tuples in sorted order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.tuples.iter()
+    /// Iterate the rows in sorted order, each a `&[Value]` of the
+    /// relation's arity.
+    pub fn iter(&self) -> Rows<'_> {
+        self.rows.rows().iter()
     }
 
-    /// The tuples as a sorted slice.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// Row `i` in sorted order.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below [`Relation::len`].
+    pub fn row(&self, i: usize) -> &[Value] {
+        assert!(i < self.len(), "row {i} of a {}-row relation", self.len());
+        self.rows.row(i)
     }
 
-    /// Membership test (binary search over the sorted tuples).
+    /// The rows as a borrowed run (the kernels' view).
+    pub(crate) fn row_slice(&self) -> RowSlice<'_> {
+        self.rows.rows()
+    }
+
+    /// The values of every row, row after row: the relation's flat storage
+    /// (shared by clones, renamings and identity projections).
+    pub fn values(&self) -> &[Value] {
+        self.rows.rows().values()
+    }
+
+    /// Membership test (binary search over the sorted rows).
     pub fn contains(&self, t: &[Value]) -> bool {
-        self.tuples
-            .binary_search_by(|probe| probe.as_slice().cmp(t))
-            .is_ok()
+        self.rows.rows().binary_search(t).is_ok()
     }
 
-    /// Insert a tuple (validating arity), keeping the sorted invariant.
-    pub fn insert(&mut self, t: impl Into<Tuple>) -> Result<()> {
-        let t = t.into();
+    /// Insert a row (validating arity), keeping the sorted invariant.
+    pub fn insert(&mut self, t: impl AsRef<[Value]>) -> Result<()> {
+        let t = t.as_ref();
         if t.len() != self.schema.arity() {
             return Err(RelalgError::ArityMismatch {
                 expected: self.schema.arity(),
                 got: t.len(),
             });
         }
-        if let Err(pos) = self.tuples.binary_search(&t) {
-            Arc::make_mut(&mut self.tuples).insert(pos, t);
+        if let Err(pos) = self.rows.rows().binary_search(t) {
+            Arc::make_mut(&mut self.rows).insert(pos, t);
             self.content_changed();
         }
         Ok(())
@@ -415,19 +461,22 @@ impl Relation {
 
     /// Insert a batch of rows: [`Relation::with_changes`] with nothing
     /// removed.
-    pub fn merge_rows(&self, rows: impl IntoIterator<Item = impl Into<Tuple>>) -> Result<Relation> {
-        self.with_changes(&[], rows)
+    pub fn merge_rows(
+        &self,
+        rows: impl IntoIterator<Item = impl AsRef<[Value]>>,
+    ) -> Result<Relation> {
+        self.with_changes(std::iter::empty::<&[Value]>(), rows)
     }
 
     /// The successor of a DML statement: `(self − removed) ∪ added`.
     ///
-    /// `removed` must be strictly sorted (rows a filter matched, in the
+    /// `removed` must come strictly sorted (rows a filter matched, in the
     /// relation's order); rows of it that `self` lacks are ignored. `added`
     /// may come in any order, with duplicates and with rows already present
     /// (arity is validated). The batch is sorted and deduped, then merged
-    /// into the existing tuples in one pass that gallops over the unchanged
+    /// into the existing rows in one pass that gallops over the unchanged
     /// runs, so a small change to a large table compares O(d · log n)
-    /// tuples, not O(n).
+    /// rows, not O(n).
     ///
     /// When no row changes, the result is a clone: same storage, epoch and
     /// statistics. Otherwise it gets a fresh epoch, and if `self` has its
@@ -435,28 +484,24 @@ impl Relation {
     /// from them (`RelStats::changed`) instead of starting cold.
     pub fn with_changes(
         &self,
-        removed: &[Tuple],
-        added: impl IntoIterator<Item = impl Into<Tuple>>,
+        removed: impl IntoIterator<Item = impl AsRef<[Value]>>,
+        added: impl IntoIterator<Item = impl AsRef<[Value]>>,
     ) -> Result<Relation> {
-        debug_assert!(
-            removed.windows(2).all(|w| w[0] < w[1]),
-            "with_changes requires strictly sorted removed rows"
-        );
         let mut batch = RelationBuilder::new(self.schema.clone());
         for row in added {
             batch.try_push(row)?;
         }
-        let added = batch.finish();
-        let (tuples, gone, new) = merge_changes(&self.tuples, removed, &added.tuples);
+        batch.rows.sort_dedup();
+        let (rows, gone, new) = merge_changes(self.rows.rows(), removed, batch.rows.rows());
         if gone.is_empty() && new.is_empty() {
             return Ok(self.clone());
         }
-        let next = Relation::from_sorted_vec(self.schema.clone(), tuples);
+        let next = Relation::from_sorted(self.schema.clone(), rows);
         if let Some(stats) = self.stats_if_computed() {
-            let derived = stats.changed(&self.tuples, &next.tuples, &gone, &new);
+            let derived = stats.changed(self.rows.rows(), next.rows.rows(), &gone, &new);
             debug_assert_eq!(
                 derived,
-                RelStats::compute(&next.schema, &next.tuples),
+                RelStats::compute(next.rows.rows()),
                 "statistics derived from a change differ from a recount"
             );
             next.seed_stats(Arc::new(derived));
@@ -464,14 +509,11 @@ impl Relation {
         Ok(next)
     }
 
-    /// Remove a tuple.
+    /// Remove a row.
     pub fn remove(&mut self, t: &[Value]) -> bool {
-        match self
-            .tuples
-            .binary_search_by(|probe| probe.as_slice().cmp(t))
-        {
+        match self.rows.rows().binary_search(t) {
             Ok(pos) => {
-                Arc::make_mut(&mut self.tuples).remove(pos);
+                Arc::make_mut(&mut self.rows).remove(pos);
                 self.content_changed();
                 true
             }
@@ -493,7 +535,7 @@ impl Relation {
             .collect()
     }
 
-    /// Projection `π_A`: keep the listed attributes (deduplicating tuples).
+    /// Projection `π_A`: keep the listed attributes (deduplicating rows).
     pub fn project(&self, attrs: &[Attr]) -> Result<Relation> {
         let list: Vec<(Attr, Attr)> = attrs.iter().map(|a| (a.clone(), a.clone())).collect();
         self.project_as(&list)
@@ -516,31 +558,31 @@ impl Relation {
             })?;
         // A map that keeps the leading columns in source order (copies of
         // kept columns allowed) emits in source order: equal outputs are
-        // adjacent, so one pass builds a tuple per change of that prefix.
-        // The identity map shares the tuples.
+        // adjacent, so one pass writes a row per change of that prefix.
+        // The identity map shares the rows.
         if let Some(kept) = stream_prefix(&idx) {
             if kept == idx.len() && kept == self.schema.arity() {
-                return Ok(Relation::sharing(out_schema, self.tuples.clone()));
+                return Ok(Relation::sharing(out_schema, self.rows.clone()));
             }
-            let mut tuples: Vec<Tuple> = Vec::new();
-            let mut last: Option<&Tuple> = None;
-            for t in self.tuples.iter() {
+            let mut out = RowBuf::new(idx.len());
+            let mut last: Option<&[Value]> = None;
+            for t in self.iter() {
                 if last.is_some_and(|l| l[..kept] == t[..kept]) {
                     continue;
                 }
-                tuples.push(idx.iter().map(|&i| t[i]).collect());
+                out.push_iter(idx.iter().map(|&i| t[i]));
                 last = Some(t);
             }
-            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+            return Ok(Relation::from_sorted(out_schema, out));
         }
-        // Any other map first drops duplicates by hash, building one tuple
+        // Any other map first drops duplicates by hash, writing one row
         // per distinct output; a mostly distinct output sorts instead.
-        if let Some(tuples) = project_hashed(&self.tuples, &idx) {
-            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+        if let Some(rows) = project_hashed(self.rows.rows(), &idx) {
+            return Ok(Relation::from_sorted(out_schema, rows));
         }
-        let mut b = RelationBuilder::with_capacity(out_schema, self.tuples.len());
-        for t in self.tuples.iter() {
-            b.push(idx.iter().map(|&i| t[i]).collect());
+        let mut b = RelationBuilder::with_capacity(out_schema, self.len());
+        for t in self.iter() {
+            b.push_values(idx.iter().map(|&i| t[i]));
         }
         Ok(b.finish())
     }
@@ -549,15 +591,15 @@ impl Relation {
     /// assembled without a sort pass.
     ///
     /// Every selection runs the vectorized kernel
-    /// (`physical::filter_tuples`): comparison conjuncts evaluate into a
+    /// (`physical::filter_rows`): comparison conjuncts evaluate into a
     /// selection bitmap (most selective first, using statistics if already
     /// computed), the rest of the predicate runs on the surviving rows, and
     /// survivors materialize late.
     pub fn select(&self, pred: &Pred) -> Result<Relation> {
         let stats = self.stats_if_computed();
         let distinct_of = |i: usize| stats.and_then(|s| s.col(i)).map(|c| c.distinct);
-        let tuples = crate::physical::filter_tuples(&self.schema, &self.tuples, pred, distinct_of)?;
-        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+        let rows = crate::physical::filter_rows(&self.schema, self.rows.rows(), pred, distinct_of)?;
+        Ok(Relation::from_sorted(self.schema.clone(), rows))
     }
 
     /// Renaming `δ_{src→dst}`: columns keep their position; names change.
@@ -590,7 +632,7 @@ impl Relation {
                     .cloned()
                     .unwrap_or_else(|| Attr::new("?")),
             })?;
-        Ok(Relation::sharing(schema, self.tuples.clone()))
+        Ok(Relation::sharing(schema, self.rows.clone()))
     }
 
     /// Cartesian product `×` over disjoint schemas. The left-major nested
@@ -606,22 +648,19 @@ impl Relation {
         let mut attrs = self.schema.attrs().to_vec();
         attrs.extend_from_slice(other.schema.attrs());
         let schema = Schema::new(attrs);
-        if self.is_empty() || other.is_empty() {
-            return Ok(Relation::empty(schema));
-        }
-        let mut tuples = Vec::with_capacity(self.tuples.len() * other.tuples.len());
-        for l in self.tuples.iter() {
-            for r in other.tuples.iter() {
-                tuples.push(l.concat(r));
+        let mut out = RowBuf::with_capacity(schema.arity(), self.len() * other.len());
+        for l in self.iter() {
+            for r in other.iter() {
+                out.push_concat(l, r);
             }
         }
-        Ok(Relation::from_sorted_vec(schema, tuples))
+        Ok(Relation::from_sorted(schema, out))
     }
 
     /// Reorder `other`'s columns into `self`'s column order (both must have
-    /// the same attribute set), returning its sorted tuples — `other`'s own
+    /// the same attribute set), returning its sorted rows — `other`'s own
     /// when the order already matches; used by the set operations.
-    fn aligned<'a>(&self, other: &'a Relation) -> Result<Cow<'a, [Tuple]>> {
+    fn aligned<'a>(&self, other: &'a Relation) -> Result<Cow<'a, RowBuf>> {
         if !self.schema.same_attr_set(&other.schema) {
             return Err(RelalgError::SchemaMismatch {
                 left: self.schema.clone(),
@@ -629,7 +668,7 @@ impl Relation {
             });
         }
         if self.schema == other.schema {
-            return Ok(Cow::Borrowed(&other.tuples));
+            return Ok(Cow::Borrowed(&other.rows));
         }
         let idx: Vec<usize> = self
             .schema
@@ -638,22 +677,20 @@ impl Relation {
             .map(|a| other.schema.index_of(a).expect("checked same_attr_set"))
             .collect();
         // Column reordering destroys the sort order; re-sort once.
-        let mut tuples: Vec<Tuple> = other
-            .tuples
-            .iter()
-            .map(|t| idx.iter().map(|&i| t[i]).collect())
-            .collect();
-        tuples.sort_unstable();
-        tuples.dedup();
-        Ok(Cow::Owned(tuples))
+        let mut rows = RowBuf::with_capacity(idx.len(), other.len());
+        for t in other.iter() {
+            rows.push_iter(idx.iter().map(|&i| t[i]));
+        }
+        rows.sort_dedup();
+        Ok(Cow::Owned(rows))
     }
 
     /// Union `∪` (same attribute set; right side is reordered as needed):
-    /// a linear merge of the two sorted tuple vectors.
+    /// a linear merge of the two sorted row runs.
     pub fn union(&self, other: &Relation) -> Result<Relation> {
         let right = self.aligned(other)?;
-        let tuples = merge_union(&self.tuples, &right);
-        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+        let rows = merge_union(self.rows.rows(), right.rows());
+        Ok(Relation::from_sorted(self.schema.clone(), rows))
     }
 
     /// Union of `self` and every relation in `others` (same attribute set;
@@ -665,9 +702,9 @@ impl Relation {
         others: impl IntoIterator<Item = &'a Relation>,
     ) -> Result<Relation> {
         let mut b = RelationBuilder::new(self.schema.clone());
-        b.tuples.extend_from_slice(&self.tuples);
+        b.rows.extend_rows(self.rows.rows());
         for other in others {
-            b.tuples.extend_from_slice(&self.aligned(other)?);
+            b.rows.extend_rows(self.aligned(other)?.rows());
         }
         Ok(b.finish())
     }
@@ -675,15 +712,15 @@ impl Relation {
     /// Intersection `∩`: a linear merge.
     pub fn intersect(&self, other: &Relation) -> Result<Relation> {
         let right = self.aligned(other)?;
-        let tuples = merge_intersect(&self.tuples, &right);
-        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+        let rows = merge_intersect(self.rows.rows(), right.rows());
+        Ok(Relation::from_sorted(self.schema.clone(), rows))
     }
 
     /// Difference `−`: a linear merge.
     pub fn difference(&self, other: &Relation) -> Result<Relation> {
         let right = self.aligned(other)?;
-        let tuples = merge_difference(&self.tuples, &right);
-        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+        let rows = merge_difference(self.rows.rows(), right.rows());
+        Ok(Relation::from_sorted(self.schema.clone(), rows))
     }
 
     /// Natural join `⋈` on the common attributes: a hash join that builds
@@ -716,26 +753,21 @@ impl Relation {
             return Relation::empty(schema);
         }
 
-        // Index the smaller side, probe with the larger; the emit closure
-        // reorients each match back into left-then-right column order.
+        // Index the smaller side, probe with the larger; each match is
+        // written back in left-then-right column order.
         let index_left = self.len() <= other.len();
         let (build, build_keys, probe, probe_keys) = if index_left {
-            (&self.tuples, &l_idx, &other.tuples, &r_idx)
+            (self.rows.rows(), &l_idx, other.rows.rows(), &r_idx)
         } else {
-            (&other.tuples, &r_idx, &self.tuples, &l_idx)
+            (other.rows.rows(), &r_idx, self.rows.rows(), &l_idx)
         };
-        let tuples = hash_join_collect(build, build_keys, probe, probe_keys, |m, p, _, out| {
-            let (l, r): (&Tuple, &Tuple) = if index_left { (m, p) } else { (p, m) };
-            let mut t = Tuple::with_capacity(l.len() + r_extra.len());
-            t.extend_from_slice(l);
-            for &i in &r_extra {
-                t.push(r[i]);
-            }
-            out.push(t);
+        let mut out = RowBuf::new(schema.arity());
+        hash_join(build, build_keys, probe, probe_keys, |m, p| {
+            let (l, r) = if index_left { (m, p) } else { (p, m) };
+            out.push_iter(l.iter().copied().chain(r_extra.iter().map(|&i| r[i])));
         });
-        let mut b = RelationBuilder::new(schema);
-        b.tuples = tuples;
-        b.finish()
+        out.sort_dedup();
+        Relation::sealed(schema, out)
     }
 
     /// Theta join `⋈_φ` over disjoint schemas, semantically `σ_φ(self × other)`.
@@ -745,7 +777,7 @@ impl Relation {
     /// indexed on its key columns, the larger side probes, and the residual
     /// predicate (compiled once against the combined schema) filters the
     /// matches. The cross product is **never** materialized; without any
-    /// equi-conjunct the pairs stream tuple-by-tuple through the compiled
+    /// equi-conjunct the pairs stream row-by-row through the compiled
     /// predicate in sorted order, so that path — like `product` — skips the
     /// output sort entirely.
     pub fn theta_join(&self, other: &Relation, pred: &Pred) -> Result<Relation> {
@@ -763,57 +795,44 @@ impl Relation {
         }
 
         let (keys, residual) = split_equi_conjuncts(pred, &self.schema, &other.schema);
-        // Compile once per operator; per-tuple evaluation is index-based.
+        // Compile once per operator; per-row evaluation is index-based.
         let residual = residual.compile(&schema)?;
         let l_arity = self.schema.arity();
 
-        let emit = |l: &Tuple, r: &Tuple, scratch: &mut Tuple, out: &mut Vec<Tuple>| {
-            scratch.clear();
-            scratch.extend_from_slice(l);
-            scratch.extend_from_slice(r);
-            if residual.eval(scratch) {
-                out.push(scratch.clone());
+        // Each candidate pair is written in place and taken back if the
+        // residual rejects it.
+        let mut out = RowBuf::new(schema.arity());
+        let mut emit = |l: &[Value], r: &[Value]| {
+            out.push_concat(l, r);
+            if !residual.eval(out.last()) {
+                out.pop();
             }
         };
 
         if keys.is_empty() {
             // No equi-conjunct: the left-major nested loop emits a filtered
             // subsequence of the sorted product — already strictly sorted.
-            let mut scratch = Tuple::new();
-            let mut tuples = Vec::new();
-            for l in self.tuples.iter() {
-                for r in other.tuples.iter() {
-                    emit(l, r, &mut scratch, &mut tuples);
+            for l in self.iter() {
+                for r in other.iter() {
+                    emit(l, r);
                 }
             }
-            Ok(Relation::from_sorted_vec(schema, tuples))
+            Ok(Relation::from_sorted(schema, out))
         } else {
             let l_keys: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
             let r_keys: Vec<usize> = keys.iter().map(|(_, r)| *r - l_arity).collect();
-            let tuples = if self.len() <= other.len() {
-                hash_join_collect(
-                    &self.tuples,
-                    &l_keys,
-                    &other.tuples,
-                    &r_keys,
-                    |l, r, scratch, out| emit(l, r, scratch, out),
-                )
+            let (left, right) = (self.rows.rows(), other.rows.rows());
+            if self.len() <= other.len() {
+                hash_join(left, &l_keys, right, &r_keys, |l, r| emit(l, r));
             } else {
-                hash_join_collect(
-                    &other.tuples,
-                    &r_keys,
-                    &self.tuples,
-                    &l_keys,
-                    |r, l, scratch, out| emit(l, r, scratch, out),
-                )
-            };
-            let mut b = RelationBuilder::new(schema);
-            b.tuples = tuples;
-            Ok(b.finish())
+                hash_join(right, &r_keys, left, &l_keys, |r, l| emit(l, r));
+            }
+            out.sort_dedup();
+            Ok(Relation::sealed(schema, out))
         }
     }
 
-    /// Semijoin `⋉`: tuples of `self` with a natural-join partner in
+    /// Semijoin `⋉`: rows of `self` with a natural-join partner in
     /// `other` — [`Relation::semijoin_on`] with every common attribute
     /// paired with itself.
     pub fn semijoin(&self, other: &Relation) -> Relation {
@@ -828,8 +847,8 @@ impl Relation {
     }
 
     /// Semijoin `⋉_{l₁=r₁,…}` (`anti`: antijoin `▷`) on explicit column
-    /// pairs: the tuples of `self` whose `l` columns equal the `r` columns
-    /// of some tuple of `other` (`anti`: of none). With no pairs, a tuple
+    /// pairs: the rows of `self` whose `l` columns equal the `r` columns
+    /// of some row of `other` (`anti`: of none). With no pairs, a row
     /// has a partner iff `other` is non-empty (`exists`). One pass: `other`
     /// is indexed once on its `r` columns (`KeyIndex`) and `self` streams
     /// through the index, so the output keeps `self`'s order and is never
@@ -845,22 +864,21 @@ impl Relation {
         if self.is_empty() {
             return Ok(self.clone());
         }
-        let index = KeyIndex::over_rows(&other.tuples, &r_idx);
-        let tuples: Vec<Tuple> = self
-            .tuples
-            .iter()
-            .filter(|t| {
-                let found = index
-                    .chain(key_hash(t, &l_idx))
-                    .any(|o| cols_eq(t, &l_idx, &other.tuples[o], &r_idx));
-                found != anti
-            })
-            .cloned()
-            .collect();
-        Ok(Relation::from_sorted_vec(self.schema.clone(), tuples))
+        let others = other.rows.rows();
+        let index = KeyIndex::over_rows(others, &r_idx);
+        let mut out = RowBuf::new(self.schema.arity());
+        for t in self.iter() {
+            let found = index
+                .chain(key_hash(t, &l_idx))
+                .any(|o| cols_eq(t, &l_idx, others.row(o), &r_idx));
+            if found != anti {
+                out.push(t);
+            }
+        }
+        Ok(Relation::from_sorted(self.schema.clone(), out))
     }
 
-    /// Division `÷`: for `R[A ∪ B] ÷ S[B]`, the `A`-tuples `a` such that
+    /// Division `÷`: for `R[A ∪ B] ÷ S[B]`, the `A`-rows `a` such that
     /// `(a, b) ∈ R` for **every** `b ∈ S`. Used by the `cert` translation
     /// (`R ÷ W` in Figure 6). When `S` is empty the result is `π_A(R)`
     /// (vacuous universal quantification), consistent with the classical
@@ -869,18 +887,18 @@ impl Relation {
     /// Two layouts of `R` are read in place, without sorting (sort-based
     /// division on sorted input, Graefe, ICDE 1989):
     ///
-    /// * `A` then `B` (`B` in `S`'s column order): the sorted tuples run
+    /// * `A` then `B` (`B` in `S`'s column order): the sorted rows run
     ///   by their `A`-part, and each run's `B`-parts are checked against
     ///   `S` in one forward walk;
     /// * `B` then `A` (what `Flights(Dep, Arr) ÷ π{Dep}(Flights)` reads
     ///   when [`crate::Catalog::eval`] looks through the trip plan's
-    ///   `π{Arr,Dep}`): the tuples run by their `B`-part, `S` is merged
+    ///   `π{Arr,Dep}`): the rows run by their `B`-part, `S` is merged
     ///   against those runs, and the runs' sorted `A`-lists are
-    ///   intersected. A divisor tuple without a run empties the quotient.
+    ///   intersected. A divisor row without a run empties the quotient.
     ///
-    /// Any other layout, and an empty `S` under `B`-then-`A`, takes one
-    /// `(A-part, B-part)` extraction pass plus one sort, which groups the
-    /// divisor check into contiguous runs.
+    /// Any other layout, and an empty `S` under `B`-then-`A`, first copies
+    /// `R`'s rows into `A`-then-`B` column order and sorts them once, then
+    /// walks them as the first layout.
     pub fn divide(&self, divisor: &Relation) -> Result<Relation> {
         let b: Vec<Attr> = divisor.schema.attrs().to_vec();
         if !self.schema.contains_all(&b) {
@@ -896,101 +914,86 @@ impl Relation {
         }
         let a_idx: Vec<usize> = a.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
         let b_idx: Vec<usize> = b.iter().map(|x| self.schema.index_of(x).unwrap()).collect();
-        // Plain slices: the loops below index them without going through
-        // the `Arc`.
-        let needed: &[Tuple] = &divisor.tuples;
-        let k = a.len();
-        let mut tuples: Vec<Tuple> = Vec::new();
-
-        if a_idx.iter().chain(&b_idx).enumerate().all(|(i, &x)| x == i) {
-            let rows: &[Tuple] = &self.tuples;
-            let mut run = 0;
-            while run < rows.len() {
-                let ka = &rows[run][..k];
-                let mut end = run + 1;
-                while end < rows.len() && &rows[end][..k] == ka {
-                    end += 1;
-                }
-                if covers(rows[run..end].iter().map(|t| &t[k..]), needed) {
-                    tuples.push(ka.iter().copied().collect());
-                }
-                run = end;
-            }
-            // Runs appear in the relation's (sorted) order.
-            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+        let needed = divisor.rows.rows();
+        fn in_order<'c>(cols: impl Iterator<Item = &'c usize>) -> bool {
+            cols.enumerate().all(|(i, &x)| x == i)
         }
 
         let m = b.len();
-        if !needed.is_empty() && b_idx.iter().chain(&a_idx).enumerate().all(|(i, &x)| x == i) {
-            let rows: &[Tuple] = &self.tuples;
+        if !in_order(a_idx.iter().chain(&b_idx))
+            && !needed.is_empty()
+            && in_order(b_idx.iter().chain(&a_idx))
+        {
+            let rows = self.rows.rows();
+            let mut out = RowBuf::new(a.len());
             let mut start = 0;
             for (n, kb) in needed.iter().enumerate() {
                 // The divisor ascends, so its run starts at or after the
                 // previous one's.
-                while start < rows.len() && rows[start][..m] < kb[..] {
+                while start < rows.len() && rows.row(start)[..m] < *kb {
                     start += 1;
                 }
                 let mut end = start;
-                while end < rows.len() && rows[end][..m] == kb[..] {
+                while end < rows.len() && rows.row(end)[..m] == *kb {
                     end += 1;
                 }
-                let run = &rows[start..end];
+                let run = rows.slice(start, end);
                 if n == 0 {
-                    tuples = run
-                        .iter()
-                        .map(|t| t[m..].iter().copied().collect())
-                        .collect();
+                    for t in run.iter() {
+                        out.push(&t[m..]);
+                    }
                 } else {
                     let mut j = 0;
-                    tuples.retain(|ka| {
-                        while j < run.len() && run[j][m..] < ka[..] {
+                    out.retain(|ka| {
+                        while j < run.len() && run.row(j)[m..] < *ka {
                             j += 1;
                         }
-                        j < run.len() && run[j][m..] == ka[..]
+                        j < run.len() && run.row(j)[m..] == *ka
                     });
                 }
-                if tuples.is_empty() {
+                if out.is_empty() {
                     break;
                 }
                 start = end;
             }
             // A run's `A`-parts ascend, and intersecting keeps that order.
-            return Ok(Relation::from_sorted_vec(out_schema, tuples));
+            return Ok(Relation::from_sorted(out_schema, out));
         }
 
-        // Decompose each tuple into (A-part, B-part) and sort once; equal
-        // A-parts become contiguous runs with sorted B-parts.
-        let mut pairs: Vec<(Tuple, Tuple)> = self
-            .tuples
-            .iter()
-            .map(|t| {
-                (
-                    a_idx.iter().map(|&i| t[i]).collect(),
-                    b_idx.iter().map(|&i| t[i]).collect(),
-                )
-            })
-            .collect();
-        pairs.sort_unstable();
-
+        // `A` then `B`: in place, or from a sorted copy in that order.
+        let reordered;
+        let rows = if in_order(a_idx.iter().chain(&b_idx)) {
+            self.rows.rows()
+        } else {
+            let mut copy = RowBuf::with_capacity(self.schema.arity(), self.len());
+            for t in self.iter() {
+                copy.push_iter(a_idx.iter().chain(&b_idx).map(|&i| t[i]));
+            }
+            copy.sort_dedup();
+            reordered = copy;
+            reordered.rows()
+        };
+        let k = a.len();
+        let mut out = RowBuf::new(k);
         let mut run = 0;
-        while run < pairs.len() {
-            let ka = &pairs[run].0;
-            let mut end = run;
-            while end < pairs.len() && &pairs[end].0 == ka {
+        while run < rows.len() {
+            let ka = &rows.row(run)[..k];
+            let mut end = run + 1;
+            while end < rows.len() && &rows.row(end)[..k] == ka {
                 end += 1;
             }
-            if covers(pairs[run..end].iter().map(|(_, kb)| &kb[..]), needed) {
-                tuples.push(ka.clone());
+            if covers(rows.slice(run, end).iter().map(|t| &t[k..]), needed) {
+                out.push(ka);
             }
             run = end;
         }
-        // A-parts of a sorted pair list appear in sorted order.
-        Ok(Relation::from_sorted_vec(out_schema, tuples))
+        // Runs appear in the rows' (sorted) order.
+        Ok(Relation::from_sorted(out_schema, out))
     }
 
     /// The modified left outer join `=⊲⊳` of Remark 5.5:
     /// `R =⊲⊳ S = (R ⋈ S) ∪ (R − R ⋉ S) × {⟨c,…,c⟩}` — natural join, with
-    /// dangling `R`-tuples padded on `S`'s private attributes by the
+    /// dangling `R`-rows padded on `S`'s private attributes by the
     /// constant [`Value::Pad`].
     pub fn outer_pad_join(&self, other: &Relation) -> Relation {
         let joined = self.natural_join(other);
@@ -998,48 +1001,44 @@ impl Relation {
             .difference(&self.semijoin(other))
             .expect("same schema by construction");
         let pad_count = joined.schema.arity() - self.schema.arity();
-        // Padding a sorted set of distinct tuples with a constant suffix
+        // Padding a sorted set of distinct rows with a constant suffix
         // keeps it sorted; merge it with the join output.
-        let padded: Vec<Tuple> = dangling
-            .tuples
-            .iter()
-            .map(|t| {
-                let mut p = Tuple::with_capacity(t.len() + pad_count);
-                p.extend_from_slice(t);
-                for _ in 0..pad_count {
-                    p.push(Value::Pad);
-                }
-                p
-            })
-            .collect();
-        let tuples = merge_union(&joined.tuples, &padded);
-        Relation::from_sorted_vec(joined.schema, tuples)
+        let mut padded = RowBuf::with_capacity(joined.schema.arity(), dangling.len());
+        for t in dangling.iter() {
+            padded.push_iter(
+                t.iter()
+                    .copied()
+                    .chain(std::iter::repeat_n(Value::Pad, pad_count)),
+            );
+        }
+        let rows = merge_union(joined.rows.rows(), padded.rows());
+        Relation::from_sorted(joined.schema, rows)
     }
 
     /// The distinct values of the listed attributes, as a sorted, deduped
-    /// vector of sub-tuples (i.e. `π_attrs` as raw tuples — convenient for
+    /// vector of sub-tuples (i.e. `π_attrs` as owned rows — convenient for
     /// world grouping).
     pub fn distinct_values(&self, attrs: &[Attr]) -> Result<Vec<Tuple>> {
-        let projected = self.project(attrs)?;
-        Ok(Arc::unwrap_or_clone(projected.tuples))
+        Ok(self.project(attrs)?.iter().map(Tuple::from).collect())
     }
 
     /// Partition the relation by the values of `attrs`: one sub-relation
     /// per distinct key, in the key's sorted order. One hash-bucketing scan
-    /// assigns every tuple to its group — each bucket, being a subsequence
-    /// of the sorted tuple vector, is born sorted — and only the distinct
-    /// *keys* are sorted afterwards (`O(N + K log K)`, not the `O(N log N)`
+    /// assigns every row to its group — each bucket, being a subsequence
+    /// of the sorted rows, is born sorted — and only the distinct *keys*
+    /// are sorted afterwards (`O(N + K log K)`, not the `O(N log N)`
     /// full-relation key sort this replaces: partitioning is the inner loop
     /// of both `choice-of` splitting and inlined-representation decoding).
     pub fn partition_by(&self, attrs: &[Attr]) -> Result<Vec<(Tuple, Relation)>> {
         let idx = self.positions(attrs)?;
-        let mut out: Vec<(Tuple, Relation)> =
-            group_rows(&self.tuples, &idx, Vec::new, |b, t| b.push(t.clone()))
-                .into_iter()
-                .map(|(key, tuples)| (key, Relation::from_sorted_vec(self.schema.clone(), tuples)))
-                .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        let arity = self.schema.arity();
+        let groups = group_rows(
+            self.rows.rows(),
+            &idx,
+            || RowBuf::new(arity),
+            |b, t| b.push(t),
+        );
+        Ok(sorted_parts(groups, &self.schema))
     }
 
     /// [`Relation::partition_by`] fused with a projection of each part to
@@ -1075,18 +1074,13 @@ impl Relation {
             Schema::try_new(keep.to_vec()).ok_or_else(|| RelalgError::DuplicateAttr {
                 attr: keep.first().cloned().unwrap_or_else(|| Attr::new("?")),
             })?;
-        let emit = |t: &Tuple| {
-            let mut v = Tuple::with_capacity(vlen);
-            v.extend_from_slice(&t[..vlen]);
-            v
-        };
-        let mut out: Vec<(Tuple, Relation)> =
-            group_rows(&self.tuples, &key_idx, Vec::new, |b, t| b.push(emit(t)))
-                .into_iter()
-                .map(|(k, tuples)| (k, Relation::from_sorted_vec(out_schema.clone(), tuples)))
-                .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        let groups = group_rows(
+            self.rows.rows(),
+            &key_idx,
+            || RowBuf::new(vlen),
+            |b, t| b.push(&t[..vlen]),
+        );
+        Ok(sorted_parts(groups, &out_schema))
     }
 
     /// Render as an aligned ASCII table (used by examples and docs).
@@ -1100,23 +1094,23 @@ impl Relation {
         let mut out = String::new();
         out.push_str(name);
         if self.schema.arity() == 0 {
-            let _ = writeln!(out, "  ({} nullary tuple(s))", self.tuples.len());
+            let _ = writeln!(out, "  ({} nullary tuple(s))", self.len());
             return out;
         }
         let mut widths: Vec<usize> = self.schema.attrs().iter().map(|a| a.name().len()).collect();
-        for t in self.tuples.iter() {
+        for t in self.iter() {
             for (w, v) in widths.iter_mut().zip(t.iter()) {
                 *w = (*w).max(cell_len(v));
             }
         }
         let line = name.len() + 2 + widths.iter().map(|w| w + 2).sum::<usize>() + 1;
-        out.reserve(line * (self.tuples.len() + 1));
+        out.reserve(line * (self.len() + 1));
         out.push_str("  ");
         for (a, &w) in self.schema.attrs().iter().zip(&widths) {
             push_cell(&mut out, a.name(), w);
         }
         out.push('\n');
-        for t in self.tuples.iter() {
+        for t in self.iter() {
             push_spaces(&mut out, name.len() + 2);
             for (v, &w) in t.iter().zip(&widths) {
                 match v {
@@ -1136,44 +1130,59 @@ impl Relation {
     }
 }
 
-/// Group `tuples` by the values at `key_idx`: each group's bucket starts
-/// as `init()` and folds in its tuples with `add`, in scan order (so row
-/// buckets over sorted input stay sorted). Groups appear in order of first
-/// occurrence.
+/// The parts of a partition, `(key, sorted part)` in key order.
+fn sorted_parts((keys, parts): (RowBuf, Vec<RowBuf>), schema: &Schema) -> Vec<(Tuple, Relation)> {
+    let mut out: Vec<(Tuple, Relation)> = keys
+        .rows()
+        .iter()
+        .map(Tuple::from)
+        .zip(parts)
+        .map(|(key, rows)| (key, Relation::from_sorted(schema.clone(), rows)))
+        .collect();
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// Group `rows` by the values at `key_idx`: each group's bucket starts as
+/// `init()` and folds in its rows with `add`, in scan order (so row
+/// buckets over sorted input stay sorted). Returns the group keys (row
+/// `g` is group `g`'s key) and the buckets, in order of first occurrence.
 ///
 /// Sorted inputs whose key columns correlate with the sort order arrive in
 /// *runs* of equal keys; the previous row's group is re-used with a plain
 /// value comparison, and the hash index is only consulted on run
-/// boundaries. It hashes the key columns in place, so a key tuple is built
+/// boundaries. It hashes the key columns in place, so a key is written
 /// once per group, not once per row.
 pub(crate) fn group_rows<B>(
-    tuples: &[Tuple],
+    rows: RowSlice<'_>,
     key_idx: &[usize],
     init: impl Fn() -> B,
-    mut add: impl FnMut(&mut B, &Tuple),
-) -> Vec<(Tuple, B)> {
-    let mut groups: Vec<(Tuple, B)> = Vec::new();
+    mut add: impl FnMut(&mut B, &[Value]),
+) -> (RowBuf, Vec<B>) {
+    let mut keys = RowBuf::new(key_idx.len());
+    let mut buckets: Vec<B> = Vec::new();
     let mut index = KeyIndex::default();
     let mut last = usize::MAX;
-    for t in tuples {
-        let in_run = last != usize::MAX && same_key(t, key_idx, &groups[last].0);
+    for t in rows.iter() {
+        let in_run = last != usize::MAX && same_key(t, key_idx, keys.row(last));
         if !in_run {
             let hash = key_hash(t, key_idx);
             let found = index
                 .chain(hash)
-                .find(|&g| same_key(t, key_idx, &groups[g].0));
+                .find(|&g| same_key(t, key_idx, keys.row(g)));
             last = match found {
                 Some(g) => g,
                 None => {
                     index.push(hash);
-                    groups.push((key_idx.iter().map(|&i| t[i]).collect(), init()));
-                    groups.len() - 1
+                    keys.push_iter(key_idx.iter().map(|&i| t[i]));
+                    buckets.push(init());
+                    buckets.len() - 1
                 }
             };
         }
-        add(&mut groups[last].1, t);
+        add(&mut buckets[last], t);
     }
-    groups
+    (keys, buckets)
 }
 
 /// Whether `t`'s values at `cols` are `key`.
@@ -1216,10 +1225,10 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    /// The index whose entry `i` is `rows[i]`, keyed by its values at
-    /// `cols`. Inserting from the last row to the first makes every chain
-    /// walk its rows in ascending order.
-    fn over_rows(rows: &[Tuple], cols: &[usize]) -> KeyIndex {
+    /// The index whose entry `i` is row `i` of `rows`, keyed by its values
+    /// at `cols`. Inserting from the last row to the first makes every
+    /// chain walk its rows in ascending order.
+    fn over_rows(rows: RowSlice<'_>, cols: &[usize]) -> KeyIndex {
         assert!(rows.len() < END as usize, "too many rows to index");
         let mut index = KeyIndex {
             head: FxHashMap::with_capacity_and_hasher(rows.len(), FxBuild::default()),
@@ -1262,54 +1271,55 @@ impl KeyIndex {
     }
 }
 
-/// The distinct rows of `tuples` at `cols`, sorted, built one tuple per
+/// The distinct rows of `rows` at `cols`, sorted, written once per
 /// distinct output: duplicates are found by hashing the columns in place.
 /// `None` once more than half of the rows scanned, after the first
 /// `DEDUP_PROBE_ROWS`, are distinct — then sorting every projected row is
 /// cheaper than hashing them.
-fn project_hashed(tuples: &[Tuple], cols: &[usize]) -> Option<Vec<Tuple>> {
+fn project_hashed(rows: RowSlice<'_>, cols: &[usize]) -> Option<RowBuf> {
     /// Rows scanned before the distinct share is judged.
     const DEDUP_PROBE_ROWS: usize = 32;
     let mut index = KeyIndex::default();
-    let mut out: Vec<Tuple> = Vec::new();
-    for (n, t) in tuples.iter().enumerate() {
+    let mut out = RowBuf::new(cols.len());
+    for (n, t) in rows.iter().enumerate() {
         let hash = key_hash(t, cols);
-        if !index.chain(hash).any(|e| same_key(t, cols, &out[e])) {
+        if !index.chain(hash).any(|e| same_key(t, cols, out.row(e))) {
             index.push(hash);
-            out.push(cols.iter().map(|&i| t[i]).collect());
+            out.push_iter(cols.iter().map(|&i| t[i]));
         }
         let scanned = n + 1;
         if scanned > DEDUP_PROBE_ROWS && 2 * index.len() > scanned {
             return None;
         }
     }
-    out.sort_unstable();
+    out.sort_dedup();
     Some(out)
 }
 
-/// Linear merge of two strictly sorted tuple vectors: union.
-fn merge_union(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// Linear merge of two strictly sorted row runs: union.
+fn merge_union(a: RowSlice<'_>, b: RowSlice<'_>) -> RowBuf {
+    let mut out = RowBuf::with_capacity(a.arity(), a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+        let (x, y) = (a.row(i), b.row(j));
+        match x.cmp(y) {
             std::cmp::Ordering::Less => {
-                out.push(a[i].clone());
+                out.push(x);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j].clone());
+                out.push(y);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push(a[i].clone());
+                out.push(x);
                 i += 1;
                 j += 1;
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.extend_rows(a.tail(i));
+    out.extend_rows(b.tail(j));
     out
 }
 
@@ -1318,72 +1328,93 @@ fn merge_union(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
 /// rows it gained (`new`), each in sorted order. The next changed row is
 /// located in the unconsumed rest of `old` by galloping, and the run before
 /// it is copied as a whole.
-fn merge_changes<'a>(
-    old: &'a [Tuple],
-    removed: &'a [Tuple],
-    added: &'a [Tuple],
-) -> (Vec<Tuple>, Vec<&'a Tuple>, Vec<&'a Tuple>) {
-    let mut out = Vec::with_capacity(old.len() + added.len());
+fn merge_changes<'a, R: AsRef<[Value]>>(
+    old: RowSlice<'a>,
+    removed: impl IntoIterator<Item = R>,
+    added: RowSlice<'a>,
+) -> (RowBuf, Vec<&'a [Value]>, Vec<&'a [Value]>) {
+    let mut out = RowBuf::with_capacity(old.arity(), old.len() + added.len());
     let (mut gone, mut new) = (Vec::new(), Vec::new());
-    let (mut rest, mut removed, mut added) = (old, removed, added);
+    let mut removed = removed.into_iter().peekable();
+    let (mut rest, mut added) = (old, added);
+    let mut last_removed: Option<R> = None;
     loop {
-        let key = match (removed.first(), added.first()) {
+        let (take_removed, take_added) = match (removed.peek(), added.first()) {
             (None, None) => break,
-            (Some(r), None) => r,
-            (None, Some(a)) => a,
-            (Some(r), Some(a)) => r.min(a),
+            (Some(_), None) => (true, false),
+            (None, Some(_)) => (false, true),
+            (Some(r), Some(a)) => match r.as_ref().cmp(a) {
+                std::cmp::Ordering::Less => (true, false),
+                std::cmp::Ordering::Greater => (false, true),
+                std::cmp::Ordering::Equal => (true, true),
+            },
+        };
+        let r = if take_removed { removed.next() } else { None };
+        if let Some(r) = &r {
+            debug_assert!(
+                last_removed
+                    .as_ref()
+                    .is_none_or(|l| l.as_ref() < r.as_ref()),
+                "with_changes requires strictly sorted removed rows"
+            );
+        }
+        let added_row = take_added.then(|| added.row(0));
+        let key: &[Value] = match (added_row, &r) {
+            (Some(a), _) => a,
+            (None, Some(r)) => r.as_ref(),
+            (None, None) => unreachable!("one side supplies the key"),
         };
         let before = gallop(rest, key);
-        out.extend_from_slice(&rest[..before]);
-        rest = &rest[before..];
+        out.extend_rows(rest.slice(0, before));
+        rest = rest.tail(before);
         let present = rest.first() == Some(key);
-        if removed.first() == Some(key) {
-            removed = &removed[1..];
-        }
-        let is_added = added.first() == Some(key);
-        if is_added {
-            added = &added[1..];
-        }
-        match (present, is_added) {
-            (true, true) => out.push(rest[0].clone()),
-            (true, false) => gone.push(&rest[0]),
-            (false, true) => {
-                out.push(key.clone());
-                new.push(key);
+        match (present, added_row) {
+            (true, Some(_)) => out.push(rest.row(0)),
+            (true, None) => gone.push(rest.row(0)),
+            (false, Some(a)) => {
+                out.push(a);
+                new.push(a);
             }
-            (false, false) => {}
+            (false, None) => {}
         }
         if present {
-            rest = &rest[1..];
+            rest = rest.tail(1);
+        }
+        if take_added {
+            added = added.tail(1);
+        }
+        if r.is_some() {
+            last_removed = r;
         }
     }
-    out.extend_from_slice(rest);
+    out.extend_rows(rest);
     (out, gone, new)
 }
 
 /// The number of rows of the sorted `rows` below `key`, found by an
 /// exponential search from the front: O(log p) comparisons for an answer
 /// `p`, so successive searches over a shrinking rest stay linear overall.
-fn gallop(rows: &[Tuple], key: &Tuple) -> usize {
+fn gallop(rows: RowSlice<'_>, key: &[Value]) -> usize {
     let mut hi = 1;
-    while hi <= rows.len() && rows[hi - 1] < *key {
+    while hi <= rows.len() && rows.row(hi - 1) < key {
         hi *= 2;
     }
     let lo = hi / 2;
     let hi = hi.min(rows.len());
-    lo + rows[lo..hi].partition_point(|r| r < key)
+    lo + rows.slice(lo, hi).partition_point(|r| r < key)
 }
 
-/// Linear merge of two strictly sorted tuple vectors: intersection.
-fn merge_intersect(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
-    let mut out = Vec::new();
+/// Linear merge of two strictly sorted row runs: intersection.
+fn merge_intersect(a: RowSlice<'_>, b: RowSlice<'_>) -> RowBuf {
+    let mut out = RowBuf::new(a.arity());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+        let x = a.row(i);
+        match x.cmp(b.row(j)) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                out.push(a[i].clone());
+                out.push(x);
                 i += 1;
                 j += 1;
             }
@@ -1392,14 +1423,15 @@ fn merge_intersect(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
     out
 }
 
-/// Linear merge of two strictly sorted tuple vectors: difference `a − b`.
-fn merge_difference(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
-    let mut out = Vec::new();
+/// Linear merge of two strictly sorted row runs: difference `a − b`.
+fn merge_difference(a: RowSlice<'_>, b: RowSlice<'_>) -> RowBuf {
+    let mut out = RowBuf::with_capacity(a.arity(), a.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+        let x = a.row(i);
+        match x.cmp(b.row(j)) {
             std::cmp::Ordering::Less => {
-                out.push(a[i].clone());
+                out.push(x);
                 i += 1;
             }
             std::cmp::Ordering::Greater => j += 1,
@@ -1409,7 +1441,7 @@ fn merge_difference(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
+    out.extend_rows(a.tail(i));
     out
 }
 
@@ -1418,34 +1450,25 @@ fn merge_difference(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
 /// indexed on its key columns ([`KeyIndex::over_rows`]) and every probe
 /// row walks the chain of its key hash. Chains walk build rows in sorted
 /// order, so a probe row's matches come out in that order, which keeps
-/// the output as presorted as the inputs allow for the callers'
-/// [`RelationBuilder::finish`].
+/// the output as presorted as the inputs allow for the callers' sort.
 ///
-/// `emit(build_tuple, probe_tuple, scratch, out)` appends the output rows
-/// for one key-matching pair (zero rows when a residual predicate rejects
-/// it).
-fn hash_join_collect<F>(
-    build: &[Tuple],
+/// `emit(build_row, probe_row)` is called once per key-matching pair.
+fn hash_join(
+    build: RowSlice<'_>,
     build_keys: &[usize],
-    probe: &[Tuple],
+    probe: RowSlice<'_>,
     probe_keys: &[usize],
-    emit: F,
-) -> Vec<Tuple>
-where
-    F: Fn(&Tuple, &Tuple, &mut Tuple, &mut Vec<Tuple>),
-{
+    mut emit: impl FnMut(&[Value], &[Value]),
+) {
     let index = KeyIndex::over_rows(build, build_keys);
-    let mut out = Vec::new();
-    let mut scratch = Tuple::new();
-    for p in probe {
+    for p in probe.iter() {
         for b in index.chain(key_hash(p, probe_keys)) {
-            let m = &build[b];
+            let m = build.row(b);
             if cols_eq(m, build_keys, p, probe_keys) {
-                emit(m, p, &mut scratch, &mut out);
+                emit(m, p);
             }
         }
     }
-    out
 }
 
 /// Split `pred` into hash-joinable equi-conjuncts and a residual predicate.
@@ -1488,7 +1511,7 @@ fn split_equi_conjuncts(pred: &Pred, left: &Schema, right: &Schema) -> (Vec<(usi
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{{", self.schema)?;
-        for (i, t) in self.tuples.iter().enumerate() {
+        for (i, t) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -1557,13 +1580,13 @@ fn stream_prefix(idx: &[usize]) -> Option<usize> {
 
 /// Whether the ascending divisor parts of one quotient run include every
 /// tuple of the (sorted) divisor: a single forward walk over both.
-fn covers<'a>(run: impl Iterator<Item = &'a [Value]>, needed: &[Tuple]) -> bool {
+fn covers<'a>(run: impl Iterator<Item = &'a [Value]>, needed: RowSlice<'_>) -> bool {
     let mut ni = 0;
     for kb in run {
         if ni == needed.len() {
             break;
         }
-        match kb.cmp(&needed[ni][..]) {
+        match kb.cmp(needed.row(ni)) {
             std::cmp::Ordering::Less => {}
             std::cmp::Ordering::Equal => ni += 1,
             std::cmp::Ordering::Greater => break,
@@ -1619,7 +1642,7 @@ mod tests {
     fn builder_sorts_and_dedups() {
         let mut b = RelationBuilder::new(Schema::of(&["A"]));
         for v in [3i64, 1, 2, 1, 3] {
-            b.push([Value::int(v)].into_iter().collect());
+            b.push([Value::int(v)]);
         }
         let rel = b.finish();
         assert_eq!(rel.len(), 3);
@@ -1870,14 +1893,15 @@ mod tests {
         assert_eq!(index.chain(8).count(), 0);
 
         // Rows indexed in place: each chain walks its rows in ascending order.
-        let rows: Vec<Tuple> = (0..30i64)
-            .map(|i| [Value::int(i % 3), Value::int(i)].into_iter().collect())
-            .collect();
-        let index = KeyIndex::over_rows(&rows, &[0]);
+        let mut rows = RowBuf::new(2);
+        for i in 0..30i64 {
+            rows.push(&[Value::int(i % 3), Value::int(i)]);
+        }
+        let index = KeyIndex::over_rows(rows.rows(), &[0]);
         for k in 0..3i64 {
             let chain: Vec<usize> = index
                 .chain(key_hash(&[Value::int(k)], &[0]))
-                .filter(|&e| rows[e][0] == Value::int(k))
+                .filter(|&e| rows.row(e)[0] == Value::int(k))
                 .collect();
             let want: Vec<usize> = (0..30).filter(|&i| i as i64 % 3 == k).collect();
             assert_eq!(chain, want);
@@ -1973,7 +1997,7 @@ mod tests {
             r().theta_join(&s(), &Pred::eq_attr("B", "C")).unwrap(),
         ];
         for rel in ops {
-            let ts: Vec<&Tuple> = rel.iter().collect();
+            let ts: Vec<&[Value]> = rel.iter().collect();
             assert!(ts.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
         }
     }

@@ -15,7 +15,8 @@
 //! derived from them and the change (`RelStats::changed`), so the first
 //! select after a commit does not sort every column again.
 
-use crate::{Schema, Tuple, Value};
+use crate::tuple::RowSlice;
+use crate::{Schema, Value};
 
 /// Statistics of one column.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,24 +46,23 @@ impl RelStats {
         schema.index_of(attr).map(|i| self.cols[i].distinct)
     }
 
-    /// Compute statistics over a sorted, deduplicated tuple vector.
+    /// Compute statistics over sorted, deduplicated rows.
     ///
     /// Column 0 inherits the relation's lexicographic sort order, so its
     /// distinct count is a boundary count — no extraction pass. Every other
     /// column is extracted into a transient column vector and sorted once.
-    pub(crate) fn compute(schema: &Schema, tuples: &[Tuple]) -> RelStats {
-        let arity = schema.arity();
-        let cols = (0..arity)
+    pub(crate) fn compute(rows: RowSlice<'_>) -> RelStats {
+        let cols = (0..rows.arity())
             .map(|i| ColStats {
-                distinct: if tuples.is_empty() {
+                distinct: if rows.is_empty() {
                     0
                 } else {
-                    col_distinct(tuples, i)
+                    col_distinct(rows, i)
                 },
             })
             .collect();
         RelStats {
-            rows: tuples.len() as u64,
+            rows: rows.len() as u64,
             cols,
         }
     }
@@ -80,10 +80,10 @@ impl RelStats {
     /// costs O((n + d) · log d · arity) for `n` rows and `d` changed ones.
     pub(crate) fn changed(
         &self,
-        prev: &[Tuple],
-        next: &[Tuple],
-        gone: &[&Tuple],
-        new: &[&Tuple],
+        prev: RowSlice<'_>,
+        next: RowSlice<'_>,
+        gone: &[&[Value]],
+        new: &[&[Value]],
     ) -> RelStats {
         let cols = self
             .cols
@@ -100,13 +100,16 @@ impl RelStats {
     }
 }
 
-fn col_distinct(tuples: &[Tuple], i: usize) -> u64 {
+fn col_distinct(rows: RowSlice<'_>, i: usize) -> u64 {
+    let col = rows.values().iter().skip(i).step_by(rows.arity());
     if i == 0 {
-        // The tuple vector is sorted lexicographically: column 0 is already
+        // The rows are sorted lexicographically: column 0 is already
         // non-decreasing.
-        return 1 + tuples.windows(2).filter(|w| w[0][0] != w[1][0]).count() as u64;
+        let mut next = col.clone();
+        next.next();
+        return 1 + col.zip(next).filter(|(a, b)| a != b).count() as u64;
     }
-    let mut col: Vec<Value> = tuples.iter().map(|t| t[i]).collect();
+    let mut col: Vec<Value> = col.copied().collect();
     col.sort_unstable();
     col.dedup();
     col.len() as u64
@@ -114,7 +117,7 @@ fn col_distinct(tuples: &[Tuple], i: usize) -> u64 {
 
 /// How many distinct column-`i` values of `probes` no row of `rows` holds.
 /// `probes` and `rows` are sorted, so column 0 is searched, not scanned.
-fn missing(probes: &[&Tuple], rows: &[Tuple], i: usize) -> u64 {
+fn missing(probes: &[&[Value]], rows: RowSlice<'_>, i: usize) -> u64 {
     if probes.is_empty() {
         return 0;
     }
@@ -128,7 +131,7 @@ fn missing(probes: &[&Tuple], rows: &[Tuple], i: usize) -> u64 {
             }
             last = Some(v);
             let at = rows.partition_point(|r| r[0] < v);
-            if rows.get(at).map(|r| r[0]) != Some(v) {
+            if at == rows.len() || rows.row(at)[0] != v {
                 count += 1;
             }
         }
@@ -141,7 +144,7 @@ fn missing(probes: &[&Tuple], rows: &[Tuple], i: usize) -> u64 {
     wanted.dedup();
     let mut found = vec![false; wanted.len()];
     let mut left = wanted.len();
-    for r in rows {
+    for r in rows.iter() {
         if let Ok(at) = wanted.binary_search(&r[i]) {
             if !found[at] {
                 found[at] = true;
@@ -205,7 +208,7 @@ mod tests {
         let _ = r.stats();
         // Drops B = 7 and A = 3, adds A = 4 and keeps B = 5.
         let next = r
-            .with_changes(&r.tuples()[3..], [vec![Value::Int(4), Value::Int(5)]])
+            .with_changes(r.iter().skip(3), [vec![Value::Int(4), Value::Int(5)]])
             .unwrap();
         let s = next.stats_if_computed().expect("seeded from the old stats");
         assert_eq!(s.rows, 4);

@@ -1,187 +1,101 @@
+//! Row storage: the owned row [`Tuple`], the row iterator [`Rows`], and
+//! the row-major buffer every relation keeps its rows in.
+//!
+//! A relation of arity `k` stores its `n` rows as one `Vec<Value>` of
+//! `n · k` values, row after row (`RowBuf`); a row is the `&[Value]` of
+//! its `k` values. Kernels write values straight into such a buffer, so
+//! building a row allocates nothing, and sorting dispatches on the arity:
+//! `[Value; K]` chunks for `K = 1..=8`, row indices above (`sort_dedup`).
+//! Arity 0 keeps an explicit row count (0 or 1), because `k = 0` values
+//! cannot say how many rows there are.
+//!
+//! [`Tuple`] is an owned row for API edges: partition keys, rows handed
+//! to a builder, rows a caller keeps after the relation is gone.
+
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::iter::FusedIterator;
 use std::ops::{Deref, DerefMut};
 
 use crate::Value;
 
-/// Number of values a [`Tuple`] stores inline before spilling to the heap.
-/// Most relations in the paper's workloads are 1–4 columns wide (world
-/// tables, flights, key/value pairs), and the id-column copies of the
-/// Section-5.3 `repair by key` plan are 5–6 wide, so the common case never
-/// allocates. With 16-byte values six fit in the 104 bytes a `Tuple` takes
-/// anyway (asserted below).
-pub const INLINE_TUPLE_CAP: usize = 6;
-
-/// A tuple: one value per schema attribute, in column order.
-///
-/// Values are stored inline for arities up to [`INLINE_TUPLE_CAP`] and on
-/// the heap above that. Since [`Value`] is `Copy` (strings are interned
-/// [`crate::Sym`] handles), cloning, comparing and hashing an inline tuple
-/// is pure word work — no allocation, no pointer chasing.
+/// An owned row: one value per schema attribute, in column order.
 ///
 /// `Tuple` dereferences to `&[Value]`, so indexing, iteration, `len` and
-/// every other slice read works as it did when `Tuple` was a `Vec<Value>`.
-#[derive(Clone)]
-pub struct Tuple(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    Inline {
-        len: u8,
-        vals: [Value; INLINE_TUPLE_CAP],
-    },
-    Heap(Vec<Value>),
-}
-
-const _: () = assert!(std::mem::size_of::<Tuple>() == 104);
+/// every other slice read works on it. Relations do not store `Tuple`s:
+/// their rows are slices of one flat buffer ([`crate::Relation::iter`]).
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Tuple(Vec<Value>);
 
 impl Tuple {
     /// The empty tuple `⟨⟩`.
     pub fn new() -> Tuple {
-        Tuple(Repr::Inline {
-            len: 0,
-            vals: [Value::Pad; INLINE_TUPLE_CAP],
-        })
+        Tuple(Vec::new())
     }
 
-    /// An empty tuple with room for `n` values (heap-allocated only when
-    /// `n` exceeds the inline capacity).
+    /// An empty tuple with room for `n` values.
     pub fn with_capacity(n: usize) -> Tuple {
-        if n <= INLINE_TUPLE_CAP {
-            Tuple::new()
-        } else {
-            Tuple(Repr::Heap(Vec::with_capacity(n)))
-        }
+        Tuple(Vec::with_capacity(n))
     }
 
     /// The values as a slice.
     pub fn as_slice(&self) -> &[Value] {
-        match &self.0 {
-            Repr::Inline { len, vals } => &vals[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        &self.0
     }
 
     /// The values as a mutable slice (in-place updates; length is fixed).
     pub fn as_mut_slice(&mut self) -> &mut [Value] {
-        match &mut self.0 {
-            Repr::Inline { len, vals } => &mut vals[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        &mut self.0
     }
 
-    /// Append one value, spilling to the heap past the inline capacity.
+    /// Append one value.
     pub fn push(&mut self, v: Value) {
-        match &mut self.0 {
-            Repr::Inline { len, vals } => {
-                let n = *len as usize;
-                if n < INLINE_TUPLE_CAP {
-                    vals[n] = v;
-                    *len += 1;
-                } else {
-                    let mut heap = Vec::with_capacity(INLINE_TUPLE_CAP * 2);
-                    heap.extend_from_slice(&vals[..]);
-                    heap.push(v);
-                    self.0 = Repr::Heap(heap);
-                }
-            }
-            Repr::Heap(heap) => heap.push(v),
-        }
+        self.0.push(v);
     }
 
     /// Append all values of a slice.
     pub fn extend_from_slice(&mut self, vs: &[Value]) {
-        match &mut self.0 {
-            Repr::Inline { len, vals } if *len as usize + vs.len() <= INLINE_TUPLE_CAP => {
-                let n = *len as usize;
-                vals[n..n + vs.len()].copy_from_slice(vs);
-                *len += vs.len() as u8;
-            }
-            Repr::Inline { len, vals } => {
-                let n = *len as usize;
-                let mut heap = Vec::with_capacity(n + vs.len());
-                heap.extend_from_slice(&vals[..n]);
-                heap.extend_from_slice(vs);
-                self.0 = Repr::Heap(heap);
-            }
-            Repr::Heap(heap) => heap.extend_from_slice(vs),
-        }
+        self.0.extend_from_slice(vs);
     }
 
-    /// Remove all values, keeping any heap capacity.
+    /// Remove all values, keeping the capacity.
     pub fn clear(&mut self) {
-        match &mut self.0 {
-            Repr::Inline { len, .. } => *len = 0,
-            Repr::Heap(heap) => heap.clear(),
-        }
+        self.0.clear();
     }
 
     /// The concatenation `self ++ other` as a new tuple.
     pub fn concat(&self, other: &[Value]) -> Tuple {
-        let mut out = Tuple::with_capacity(self.len() + other.len());
-        out.extend_from_slice(self);
-        out.extend_from_slice(other);
-        out
+        Tuple([self.as_slice(), other].concat())
     }
 
     /// A tuple holding `n` copies of `v`.
     pub fn filled(v: Value, n: usize) -> Tuple {
-        if n <= INLINE_TUPLE_CAP {
-            Tuple(Repr::Inline {
-                len: n as u8,
-                vals: [v; INLINE_TUPLE_CAP],
-            })
-        } else {
-            Tuple(Repr::Heap(vec![v; n]))
-        }
-    }
-}
-
-impl Default for Tuple {
-    fn default() -> Tuple {
-        Tuple::new()
+        Tuple(vec![v; n])
     }
 }
 
 impl Deref for Tuple {
     type Target = [Value];
     fn deref(&self) -> &[Value] {
-        self.as_slice()
+        &self.0
     }
 }
 
 impl DerefMut for Tuple {
     fn deref_mut(&mut self) -> &mut [Value] {
-        self.as_mut_slice()
+        &mut self.0
     }
 }
 
-impl PartialEq for Tuple {
-    fn eq(&self, other: &Tuple) -> bool {
-        self.as_slice() == other.as_slice()
+impl AsRef<[Value]> for Tuple {
+    fn as_ref(&self) -> &[Value] {
+        &self.0
     }
 }
 
-impl Eq for Tuple {}
-
-impl PartialOrd for Tuple {
-    fn partial_cmp(&self, other: &Tuple) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Tuple {
-    fn cmp(&self, other: &Tuple) -> Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for Tuple {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Hash as a slice so inline and heap representations of the same
-        // tuple hash identically.
-        self.as_slice().hash(state);
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
     }
 }
 
@@ -193,39 +107,31 @@ impl fmt::Debug for Tuple {
 
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Tuple {
-        if v.len() <= INLINE_TUPLE_CAP {
-            let mut t = Tuple::new();
-            t.extend_from_slice(&v);
-            t
-        } else {
-            Tuple(Repr::Heap(v))
-        }
+        Tuple(v)
     }
 }
 
 impl From<&[Value]> for Tuple {
     fn from(v: &[Value]) -> Tuple {
-        let mut t = Tuple::with_capacity(v.len());
-        t.extend_from_slice(v);
-        t
+        Tuple(v.to_vec())
+    }
+}
+
+impl From<Tuple> for Vec<Value> {
+    fn from(t: Tuple) -> Vec<Value> {
+        t.0
     }
 }
 
 impl FromIterator<Value> for Tuple {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Tuple {
-        let mut t = Tuple::new();
-        for v in iter {
-            t.push(v);
-        }
-        t
+        Tuple(iter.into_iter().collect())
     }
 }
 
 impl Extend<Value> for Tuple {
     fn extend<I: IntoIterator<Item = Value>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
+        self.0.extend(iter);
     }
 }
 
@@ -233,7 +139,7 @@ impl<'a> IntoIterator for &'a Tuple {
     type Item = &'a Value;
     type IntoIter = std::slice::Iter<'a, Value>;
     fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
+        self.0.iter()
     }
 }
 
@@ -241,13 +147,395 @@ impl IntoIterator for Tuple {
     type Item = Value;
     type IntoIter = std::vec::IntoIter<Value>;
     fn into_iter(self) -> Self::IntoIter {
-        match self.0 {
-            // The owned-iterator contract wants a Vec either way; the
-            // inline copy is `INLINE_TUPLE_CAP` values.
-            #[allow(clippy::unnecessary_to_owned)]
-            Repr::Inline { len, vals } => vals[..len as usize].to_vec().into_iter(),
-            Repr::Heap(v) => v.into_iter(),
+        self.0.into_iter()
+    }
+}
+
+/// The rows of a relation, in sorted order: an iterator of `&[Value]`, one
+/// slice of the relation's arity per row ([`crate::Relation::iter`]).
+#[derive(Clone)]
+pub struct Rows<'a> {
+    values: &'a [Value],
+    arity: usize,
+    len: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// The rows as owned [`Tuple`]s.
+    ///
+    /// This inherent method shadows [`Iterator::cloned`], which a row
+    /// iterator cannot offer (its items are unsized slices). It keeps
+    /// callers written against the old `Tuple`-storing relations
+    /// compiling; delete it in the next `benchmark` change, once the
+    /// benchmark's own probes stop calling it.
+    pub fn cloned(self) -> std::iter::Map<Rows<'a>, fn(&[Value]) -> Tuple> {
+        fn owned(row: &[Value]) -> Tuple {
+            Tuple::from(row)
         }
+        self.map(owned as fn(&[Value]) -> Tuple)
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [Value];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let (row, rest) = self.values.split_at(self.arity);
+        self.values = rest;
+        Some(row)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl DoubleEndedIterator for Rows<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let (rest, row) = self.values.split_at(self.values.len() - self.arity);
+        self.values = rest;
+        Some(row)
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl FusedIterator for Rows<'_> {}
+
+/// A borrowed run of row-major rows: `len` rows of `arity` values. The
+/// kernels' read side: rows by index, sub-runs and binary searches.
+#[derive(Clone, Copy)]
+pub(crate) struct RowSlice<'a> {
+    values: &'a [Value],
+    arity: usize,
+    len: usize,
+}
+
+impl<'a> RowSlice<'a> {
+    /// Number of rows.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Values per row.
+    #[inline]
+    pub(crate) fn arity(self) -> usize {
+        self.arity
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub(crate) fn row(self, i: usize) -> &'a [Value] {
+        debug_assert!(i < self.len);
+        &self.values[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The first row, if any.
+    #[inline]
+    pub(crate) fn first(self) -> Option<&'a [Value]> {
+        (self.len > 0).then(|| self.row(0))
+    }
+
+    /// Rows `lo..hi`.
+    #[inline]
+    pub(crate) fn slice(self, lo: usize, hi: usize) -> RowSlice<'a> {
+        debug_assert!(lo <= hi && hi <= self.len);
+        RowSlice {
+            values: &self.values[lo * self.arity..hi * self.arity],
+            arity: self.arity,
+            len: hi - lo,
+        }
+    }
+
+    /// Rows `lo..`.
+    #[inline]
+    pub(crate) fn tail(self, lo: usize) -> RowSlice<'a> {
+        self.slice(lo, self.len)
+    }
+
+    /// The values of all rows, row after row.
+    #[inline]
+    pub(crate) fn values(self) -> &'a [Value] {
+        self.values
+    }
+
+    #[inline]
+    pub(crate) fn iter(self) -> Rows<'a> {
+        Rows {
+            values: self.values,
+            arity: self.arity,
+            len: self.len,
+        }
+    }
+
+    /// The index of the first row for which `pred` is false, assuming it
+    /// holds for a prefix of the rows (a binary search).
+    #[inline]
+    pub(crate) fn partition_point(self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.row(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Binary search for `row` in strictly sorted rows: `Ok(position)` if
+    /// present, `Err(insertion point)` otherwise.
+    #[inline]
+    pub(crate) fn binary_search(self, row: &[Value]) -> Result<usize, usize> {
+        let at = self.partition_point(|r| r < row);
+        if at < self.len && self.row(at) == row {
+            Ok(at)
+        } else {
+            Err(at)
+        }
+    }
+
+    /// Whether every row is strictly below the next one.
+    pub(crate) fn is_strictly_sorted(self) -> bool {
+        (1..self.len).all(|i| self.row(i - 1) < self.row(i))
+    }
+}
+
+/// An owned row-major buffer: `len` rows of `arity` values in one vector.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct RowBuf {
+    arity: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl RowBuf {
+    /// An empty buffer of rows of `arity` values.
+    pub(crate) fn new(arity: usize) -> RowBuf {
+        RowBuf {
+            arity,
+            len: 0,
+            values: Vec::new(),
+        }
+    }
+
+    /// An empty buffer with room for `rows` rows.
+    pub(crate) fn with_capacity(arity: usize, rows: usize) -> RowBuf {
+        RowBuf {
+            arity,
+            len: 0,
+            values: Vec::with_capacity(arity * rows),
+        }
+    }
+
+    /// The buffer of `len` rows whose values are `values`, row after row.
+    pub(crate) fn from_values(arity: usize, len: usize, values: Vec<Value>) -> RowBuf {
+        assert_eq!(values.len(), arity * len, "values of {len} rows of {arity}");
+        RowBuf { arity, len, values }
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    pub(crate) fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The rows as a borrowed run.
+    #[inline]
+    pub(crate) fn rows(&self) -> RowSlice<'_> {
+        RowSlice {
+            values: &self.values,
+            arity: self.arity,
+            len: self.len,
+        }
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[Value] {
+        self.rows().row(i)
+    }
+
+    /// Append one row.
+    #[inline]
+    pub(crate) fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.arity, "row arity mismatch");
+        self.values.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Append the row `a ++ b`.
+    #[inline]
+    pub(crate) fn push_concat(&mut self, a: &[Value], b: &[Value]) {
+        debug_assert_eq!(a.len() + b.len(), self.arity, "row arity mismatch");
+        self.values.extend_from_slice(a);
+        self.values.extend_from_slice(b);
+        self.len += 1;
+    }
+
+    /// Append the row whose values `vals` yields, one per column.
+    #[inline]
+    pub(crate) fn push_iter(&mut self, vals: impl IntoIterator<Item = Value>) {
+        let before = self.values.len();
+        self.values.extend(vals);
+        debug_assert_eq!(self.values.len() - before, self.arity, "row arity mismatch");
+        self.len += 1;
+    }
+
+    /// The last row.
+    #[inline]
+    pub(crate) fn last(&self) -> &[Value] {
+        self.row(self.len - 1)
+    }
+
+    /// Drop the last row.
+    #[inline]
+    pub(crate) fn pop(&mut self) {
+        self.len -= 1;
+        self.values.truncate(self.len * self.arity);
+    }
+
+    /// Append every row of `rows`.
+    pub(crate) fn extend_rows(&mut self, rows: RowSlice<'_>) {
+        debug_assert_eq!(rows.arity, self.arity, "row arity mismatch");
+        self.values.extend_from_slice(rows.values);
+        self.len += rows.len;
+    }
+
+    /// Insert `row` before row `at`.
+    pub(crate) fn insert(&mut self, at: usize, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.arity, "row arity mismatch");
+        let pos = at * self.arity;
+        self.values.splice(pos..pos, row.iter().copied());
+        self.len += 1;
+    }
+
+    /// Remove row `at`.
+    pub(crate) fn remove(&mut self, at: usize) {
+        let pos = at * self.arity;
+        self.values.drain(pos..pos + self.arity);
+        self.len -= 1;
+    }
+
+    /// Keep only the rows for which `keep` holds, in order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
+        if self.arity == 0 {
+            if self.len > 0 && !keep(&[]) {
+                self.len = 0;
+            }
+            return;
+        }
+        let k = self.arity;
+        let mut w = 0;
+        for r in 0..self.len {
+            if keep(&self.values[r * k..(r + 1) * k]) {
+                self.values.copy_within(r * k..(r + 1) * k, w * k);
+                w += 1;
+            }
+        }
+        self.values.truncate(w * k);
+        self.len = w;
+    }
+
+    /// Sort the rows and drop duplicates ([`sort_dedup`]).
+    pub(crate) fn sort_dedup(&mut self) {
+        sort_dedup(self);
+    }
+}
+
+/// Sort `buf`'s rows lexicographically and drop duplicates: one
+/// `sort_unstable` over `[Value; K]` chunks for arities `K = 1..=8`, so
+/// rows move as fixed-size values, and a sort of row indices above that.
+/// Arity 0 keeps at most one (empty) row.
+fn sort_dedup(buf: &mut RowBuf) {
+    match buf.arity {
+        0 => buf.len = buf.len.min(1),
+        1 => sort_dedup_chunks::<1>(buf),
+        2 => sort_dedup_chunks::<2>(buf),
+        3 => sort_dedup_chunks::<3>(buf),
+        4 => sort_dedup_chunks::<4>(buf),
+        5 => sort_dedup_chunks::<5>(buf),
+        6 => sort_dedup_chunks::<6>(buf),
+        7 => sort_dedup_chunks::<7>(buf),
+        8 => sort_dedup_chunks::<8>(buf),
+        _ => sort_dedup_indices(buf),
+    }
+}
+
+fn sort_dedup_chunks<const K: usize>(buf: &mut RowBuf) {
+    let (rows, rest) = buf.values.as_chunks_mut::<K>();
+    debug_assert!(rest.is_empty());
+    rows.sort_unstable();
+    let mut kept = usize::from(!rows.is_empty());
+    for r in 1..rows.len() {
+        if rows[r] != rows[kept - 1] {
+            rows[kept] = rows[r];
+            kept += 1;
+        }
+    }
+    buf.values.truncate(kept * K);
+    buf.len = kept;
+}
+
+fn sort_dedup_indices(buf: &mut RowBuf) {
+    let rows = buf.rows();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by(|&a, &b| rows.row(a).cmp(rows.row(b)));
+    let mut out = RowBuf::with_capacity(buf.arity, rows.len());
+    let mut last: Option<&[Value]> = None;
+    for i in order {
+        let row = rows.row(i);
+        if last != Some(row) {
+            out.push(row);
+            last = Some(row);
+        }
+    }
+    *buf = out;
+}
+
+impl PartialOrd for RowBuf {
+    fn partial_cmp(&self, other: &RowBuf) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RowBuf {
+    /// Lexicographic over the rows, as a `Vec` of rows would compare: for
+    /// one arity, the first differing row decides at its first differing
+    /// value, which is the first differing value of the flat vectors, and
+    /// a prefix sorts first. Arity 0 compares by row count.
+    fn cmp(&self, other: &RowBuf) -> Ordering {
+        self.arity
+            .cmp(&other.arity)
+            .then_with(|| self.values.cmp(&other.values))
+            .then_with(|| self.len.cmp(&other.len))
     }
 }
 
@@ -259,54 +547,12 @@ mod tests {
         ns.iter().map(|&n| Value::Int(n)).collect()
     }
 
-    #[test]
-    fn arity_six_is_inline_and_seven_spills() {
-        for n in 0..=6 {
-            assert!(
-                matches!(ints(&vec![1; n]).0, Repr::Inline { .. }),
-                "arity {n}"
-            );
-            assert!(matches!(
-                Tuple::filled(Value::Pad, n).0,
-                Repr::Inline { .. }
-            ));
+    fn buf(arity: usize, rows: &[&[i64]]) -> RowBuf {
+        let mut b = RowBuf::new(arity);
+        for r in rows {
+            b.push(&ints(r));
         }
-        assert!(matches!(ints(&[1; 7]).0, Repr::Heap(_)));
-        assert!(matches!(Tuple::filled(Value::Pad, 7).0, Repr::Heap(_)));
-        assert!(matches!(
-            ints(&[1; 3]).concat(&ints(&[2; 4])).0,
-            Repr::Heap(_)
-        ));
-    }
-
-    #[test]
-    fn inline_until_cap_then_spills() {
-        let mut t = Tuple::new();
-        for i in 0..INLINE_TUPLE_CAP as i64 {
-            t.push(Value::Int(i));
-            assert!(matches!(t.0, Repr::Inline { .. }));
-        }
-        t.push(Value::Int(99));
-        assert!(matches!(t.0, Repr::Heap(_)));
-        assert_eq!(t.len(), INLINE_TUPLE_CAP + 1);
-        assert_eq!(t[INLINE_TUPLE_CAP], Value::Int(99));
-    }
-
-    #[test]
-    fn inline_and_heap_compare_equal() {
-        let inline = ints(&[1, 2, 3]);
-        let heap = Tuple(Repr::Heap(vec![
-            Value::Int(1),
-            Value::Int(2),
-            Value::Int(3),
-        ]));
-        assert_eq!(inline, heap);
-        assert_eq!(inline.cmp(&heap), Ordering::Equal);
-        let mut h1 = std::collections::hash_map::DefaultHasher::new();
-        let mut h2 = std::collections::hash_map::DefaultHasher::new();
-        inline.hash(&mut h1);
-        heap.hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish());
+        b
     }
 
     #[test]
@@ -319,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_slice_spills_correctly() {
+    fn extend_from_slice_appends() {
         let mut t = ints(&[1, 2, 3]);
         t.extend_from_slice(&[Value::Int(4), Value::Int(5)]);
         assert_eq!(t, ints(&[1, 2, 3, 4, 5]));
@@ -345,5 +591,76 @@ mod tests {
         let mut t = ints(&[1, 2]);
         t[0] = Value::Int(7);
         assert_eq!(t, ints(&[7, 2]));
+    }
+
+    #[test]
+    fn rows_walk_both_ends_at_every_arity() {
+        for arity in [0usize, 1, 3, 9] {
+            let mut b = RowBuf::new(arity);
+            let n = if arity == 0 { 1 } else { 4 };
+            for r in 0..n as i64 {
+                b.push_iter((0..arity as i64).map(|c| Value::Int(r * 10 + c)));
+            }
+            let fwd: Vec<&[Value]> = b.rows().iter().collect();
+            let mut back: Vec<&[Value]> = b.rows().iter().rev().collect();
+            back.reverse();
+            assert_eq!(fwd, back);
+            assert_eq!(fwd.len(), n);
+            assert_eq!(b.rows().iter().len(), n);
+            assert!(fwd.iter().all(|r| r.len() == arity));
+            assert_eq!(
+                b.rows().iter().cloned().next().map(|t| t.len()),
+                Some(arity)
+            );
+        }
+    }
+
+    #[test]
+    fn sort_dedup_matches_a_sorted_set_at_every_dispatch() {
+        for arity in [0usize, 1, 2, 5, 8, 9, 12] {
+            let mut b = RowBuf::new(arity);
+            let mut want = std::collections::BTreeSet::new();
+            for i in 0..40i64 {
+                let row: Vec<Value> = (0..arity as i64)
+                    .map(|c| Value::Int((i * 7 + c) % 5))
+                    .collect();
+                b.push(&row);
+                want.insert(row);
+            }
+            b.sort_dedup();
+            let got: Vec<Vec<Value>> = b.rows().iter().map(<[Value]>::to_vec).collect();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "arity {arity}");
+            assert_eq!(b.len(), got.len());
+        }
+    }
+
+    #[test]
+    fn search_insert_remove_retain() {
+        let mut b = buf(2, &[&[1, 1], &[2, 0], &[3, 5]]);
+        assert_eq!(b.rows().binary_search(&ints(&[2, 0])), Ok(1));
+        assert_eq!(b.rows().binary_search(&ints(&[2, 1])), Err(2));
+        b.insert(2, &ints(&[2, 1]));
+        b.remove(0);
+        assert_eq!(b, buf(2, &[&[2, 0], &[2, 1], &[3, 5]]));
+        b.retain(|r| r[1] != Value::Int(1));
+        assert_eq!(b, buf(2, &[&[2, 0], &[3, 5]]));
+        assert!(b.rows().is_strictly_sorted());
+    }
+
+    #[test]
+    fn buffers_order_as_vectors_of_rows() {
+        let rows = [
+            buf(2, &[&[1, 2]]),
+            buf(2, &[&[1, 2], &[0, 0]]),
+            buf(2, &[&[1, 3]]),
+        ];
+        for a in &rows {
+            for b in &rows {
+                let va: Vec<&[Value]> = a.rows().iter().collect();
+                let vb: Vec<&[Value]> = b.rows().iter().collect();
+                assert_eq!(a.cmp(b), va.cmp(&vb));
+            }
+        }
+        assert!(buf(0, &[]) < buf(0, &[&[]]));
     }
 }

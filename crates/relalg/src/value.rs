@@ -241,8 +241,8 @@ pub enum Value {
     Str(Sym),
 }
 
-// The tag, a 4-aligned `Sym` and an 8-aligned `i64` share 16 bytes; a
-// [`crate::Tuple`]'s inline capacity is sized by this.
+// The tag, a 4-aligned `Sym` and an 8-aligned `i64` share 16 bytes: a row
+// of arity `k` takes `16·k` bytes of its relation's flat storage.
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {

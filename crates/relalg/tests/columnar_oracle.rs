@@ -6,9 +6,10 @@
 //!   semantic oracle at widths 1 to `SPILLED` and heights 0 to 700;
 //! * projection, the hash joins (natural, theta) and the semijoin, whose
 //!   one kernel runs at every width, and grouping (`partition_by`,
-//!   `partition_by_project`, `divide`) are pinned on wide inputs, inline
-//!   ones and ones wider than `INLINE_TUPLE_CAP` whose tuples spill to the
-//!   heap, against `BTreeSet<Vec<Value>>` and nested-loop oracles;
+//!   `partition_by_project`, `divide`) are pinned on narrow inputs and on
+//!   ones wider than the 8 columns whose rows sort as fixed-size chunks
+//!   (wider rows sort by row index), against `BTreeSet<Vec<Value>>` and
+//!   nested-loop oracles;
 //! * **per-column statistics** are pinned against per-column set oracles;
 //! * the **epoch tag** semantics (clones share, constructors stamp fresh,
 //!   in-place mutation bumps) are pinned.
@@ -16,10 +17,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value, INLINE_TUPLE_CAP};
+use relalg::{attr, attrs, CmpOp, Operand, Pred, Relation, Schema, Tuple, Value};
 
-/// A width whose tuples spill to the heap.
-const SPILLED: usize = INLINE_TUPLE_CAP + 2;
+/// A width whose rows sort by row index: wider than the 8 columns sorted
+/// as fixed-size chunks.
+const SPILLED: usize = 10;
+
+/// The width of the proptest relation.
+const PROP_WIDTH: usize = 8;
 
 /// A deterministic wide relation: `width` columns, per-column domains of
 /// different sizes so distinct counts differ per column.
@@ -53,7 +58,10 @@ fn assert_is(rel: &Relation, oracle: &BTreeSet<Vec<Value>>, what: &str) {
     let want: Vec<Vec<Value>> = oracle.iter().cloned().collect();
     assert_eq!(got, want, "{what}: content or order diverged from oracle");
     assert!(
-        rel.tuples().windows(2).all(|w| w[0] < w[1]),
+        rel.iter()
+            .collect::<Vec<_>>()
+            .windows(2)
+            .all(|w| w[0] < w[1]),
         "{what}: not strictly sorted"
     );
 }
@@ -63,7 +71,7 @@ fn wide_projection_matches_oracle() {
     let inputs = [
         datagen::lineitem_q6(7, 600, 3), // 5 columns, string + int
         datagen::lineitem_q6(23, 64, 2), // exactly at the row threshold
-        wide_rel(11, 900, SPILLED),      // heap tuples, skewed domains
+        wide_rel(11, 900, SPILLED),      // index-sorted rows, skewed domains
         wide_rel(3, 120, 6),             // small, heavy duplication
     ];
     let col_sets: [&[&str]; 3] = [&["C1"], &["C4", "C1"], &["C2", "C0", "C5"]];
@@ -143,7 +151,7 @@ fn epoch_tags_identify_content() {
 }
 
 /// A selection oracle evaluated directly in Rust (no `Pred` machinery).
-fn o_select(rel: &Relation, keep: impl Fn(&Tuple) -> bool) -> BTreeSet<Vec<Value>> {
+fn o_select(rel: &Relation, keep: impl Fn(&[Value]) -> bool) -> BTreeSet<Vec<Value>> {
     rel.iter().filter(|t| keep(t)).map(|t| t.to_vec()).collect()
 }
 
@@ -152,17 +160,21 @@ fn o_select(rel: &Relation, keep: impl Fn(&Tuple) -> bool) -> BTreeSet<Vec<Value
 /// exactly (errors included).
 fn compiled_filter(rel: &Relation, pred: &Pred) -> relalg::Result<Vec<Tuple>> {
     let compiled = pred.compile(rel.schema())?;
-    Ok(rel.iter().filter(|t| compiled.eval(t)).cloned().collect())
+    Ok(rel
+        .iter()
+        .filter(|t| compiled.eval(t))
+        .map(Tuple::from)
+        .collect())
 }
 
 /// `σ[pred]` against both references: the compiled row filter (tuple for
 /// tuple) and the semantic oracle (content, order, strict sortedness).
-fn assert_select(rel: &Relation, pred: &Pred, keep: impl Fn(&Tuple) -> bool, what: &str) {
+fn assert_select(rel: &Relation, pred: &Pred, keep: impl Fn(&[Value]) -> bool, what: &str) {
     let got = rel.select(pred).unwrap();
     let reference = compiled_filter(rel, pred).unwrap();
     assert_eq!(
-        got.tuples(),
-        &reference[..],
+        got.iter().map(Tuple::from).collect::<Vec<_>>(),
+        reference,
         "{what}: σ[{pred}] vs compiled filter"
     );
     assert_is(&got, &o_select(rel, keep), &format!("{what}: σ[{pred}]"));
@@ -206,7 +218,7 @@ fn str_rel(rows: usize, width: usize) -> Relation {
     rel
 }
 
-type Keep = Box<dyn Fn(&Tuple) -> bool>;
+type Keep = Box<dyn Fn(&[Value]) -> bool>;
 
 /// The integer σ cases over a `width`-column relation, with their
 /// semantic oracles: column `j` of a case reads `C{j % width}`, so at
@@ -229,13 +241,13 @@ fn int_cases(width: usize) -> Vec<(Pred, Keep)> {
     vec![
         (
             Pred::eq_const(col(1).as_str(), 2).and(ge(&col(3), 5)),
-            Box::new(move |t: &Tuple| t[c1] == Value::Int(2) && t[c3] >= Value::Int(5)),
+            Box::new(move |t: &[Value]| t[c1] == Value::Int(2) && t[c3] >= Value::Int(5)),
         ),
         (
             ge(&col(2), 3)
                 .and(Pred::eq_const(col(0).as_str(), 1).or(Pred::eq_const(col(4).as_str(), 0)))
                 .and(Pred::eq_const(col(5).as_str(), 4)),
-            Box::new(move |t: &Tuple| {
+            Box::new(move |t: &[Value]| {
                 t[c2] >= Value::Int(3)
                     && (t[c0] == Value::Int(1) || t[c4] == Value::Int(0))
                     && t[c5] == Value::Int(4)
@@ -247,15 +259,15 @@ fn int_cases(width: usize) -> Vec<(Pred, Keep)> {
                 CmpOp::Lt,
                 Operand::Attr(attr(&col(3))),
             ),
-            Box::new(move |t: &Tuple| t[c0] < t[c3]),
+            Box::new(move |t: &[Value]| t[c0] < t[c3]),
         ),
         (
             Pred::eq_const(col(1).as_str(), 1).or(Pred::eq_const(col(2).as_str(), 2)),
-            Box::new(move |t: &Tuple| t[c1] == Value::Int(1) || t[c2] == Value::Int(2)),
+            Box::new(move |t: &[Value]| t[c1] == Value::Int(1) || t[c2] == Value::Int(2)),
         ),
         (
             Pred::eq_attr(col(0).as_str(), col(0).as_str()),
-            Box::new(|_: &Tuple| true),
+            Box::new(|_: &[Value]| true),
         ),
         (
             Pred::cmp(
@@ -263,14 +275,14 @@ fn int_cases(width: usize) -> Vec<(Pred, Keep)> {
                 CmpOp::Lt,
                 Operand::Attr(attr(&col(1))),
             ),
-            Box::new(|_: &Tuple| false),
+            Box::new(|_: &[Value]| false),
         ),
         (
             Pred::eq_attr(col(2).as_str(), col(2).as_str()).and(ge(&col(2), 1)),
-            Box::new(move |t: &Tuple| t[c2] >= Value::Int(1)),
+            Box::new(move |t: &[Value]| t[c2] >= Value::Int(1)),
         ),
-        (Pred::True, Box::new(|_: &Tuple| true)),
-        (Pred::False, Box::new(|_: &Tuple| false)),
+        (Pred::True, Box::new(|_: &[Value]| true)),
+        (Pred::False, Box::new(|_: &[Value]| false)),
     ]
 }
 
@@ -284,7 +296,7 @@ fn vectorized_filter_matches_row_path_and_oracle() {
             assert_select(&rel, pred, keep, "wide");
         }
     }
-    // Exact heights at every width, inline and spilled: empty, one row,
+    // Exact heights at every width, chunk- and index-sorted: empty, one row,
     // tiny, one bitmap word, one word plus a row, and many words.
     for width in [1, 2, 4, 6, SPILLED] {
         for rows in [0, 1, 5, 63, 64, 65, 700] {
@@ -312,7 +324,7 @@ fn vectorized_filter_matches_oracle_on_strings() {
                 // B16's `point` shape: one equality on the id column.
                 (
                     Pred::eq_const(id.as_str(), "H0042"),
-                    Box::new(move |t: &Tuple| t[last] == h42),
+                    Box::new(move |t: &[Value]| t[last] == h42),
                 ),
                 (
                     Pred::eq_const("C0", "S1").and(Pred::cmp(
@@ -320,7 +332,7 @@ fn vectorized_filter_matches_oracle_on_strings() {
                         CmpOp::Ge,
                         Operand::Const(Value::str("H0010")),
                     )),
-                    Box::new(move |t: &Tuple| t[0] == s1 && t[last] >= Value::str("H0010")),
+                    Box::new(move |t: &[Value]| t[0] == s1 && t[last] >= Value::str("H0010")),
                 ),
                 (
                     Pred::cmp(
@@ -328,11 +340,11 @@ fn vectorized_filter_matches_oracle_on_strings() {
                         CmpOp::Ne,
                         Operand::Attr(attr(&id)),
                     ),
-                    Box::new(move |t: &Tuple| t[0] != t[last]),
+                    Box::new(move |t: &[Value]| t[0] != t[last]),
                 ),
                 (
                     Pred::eq_const("C0", "S2").or(Pred::eq_const(id.as_str(), "H0003")),
-                    Box::new(move |t: &Tuple| {
+                    Box::new(move |t: &[Value]| {
                         t[0] == Value::str("S2") || t[last] == Value::str("H0003")
                     }),
                 ),
@@ -571,7 +583,8 @@ fn wide_rows() -> impl Strategy<Value = Vec<WideRow>> {
     )
 }
 
-/// The proptest relation: `SPILLED` columns `A`..`F`, `P`, `Q`.
+/// The proptest relation: 8 columns `A`..`F`, `P`, `Q`, the widest rows
+/// sorted as fixed-size chunks.
 fn prop_rel(rows: &[WideRow]) -> Relation {
     let rel = Relation::from_rows(
         Schema::of(&["A", "B", "C", "D", "E", "F", "P", "Q"]),
@@ -583,7 +596,7 @@ fn prop_rel(rows: &[WideRow]) -> Relation {
         }),
     )
     .unwrap();
-    assert_eq!(rel.schema().arity(), SPILLED);
+    assert_eq!(rel.schema().arity(), PROP_WIDTH);
     rel
 }
 
@@ -626,7 +639,10 @@ proptest! {
             ])
             .unwrap();
         let got = rel.select(&pred).unwrap();
-        prop_assert_eq!(got.tuples(), &compiled_filter(&rel, &pred).unwrap()[..]);
+        prop_assert_eq!(
+            got.iter().map(Tuple::from).collect::<Vec<_>>(),
+            compiled_filter(&rel, &pred).unwrap()
+        );
         let want = o_select(&rel, |t| t[1] == Value::Int(k) && t[3] >= Value::Int(1));
         prop_assert_eq!(
             got.iter().map(|t| t.to_vec()).collect::<Vec<_>>(),
@@ -638,7 +654,7 @@ proptest! {
         let nj_oracle = o_natural_join(&rel, &other);
         let got: Vec<Vec<Value>> = rel.natural_join(&other).iter().map(|t| t.to_vec()).collect();
         prop_assert_eq!(got, nj_oracle.iter().cloned().collect::<Vec<_>>());
-        let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle.iter().map(|t| t[..SPILLED].to_vec()).collect();
+        let sj_oracle: BTreeSet<Vec<Value>> = nj_oracle.iter().map(|t| t[..PROP_WIDTH].to_vec()).collect();
         let got: Vec<Vec<Value>> = rel.semijoin(&other).iter().map(|t| t.to_vec()).collect();
         prop_assert_eq!(got, sj_oracle.into_iter().collect::<Vec<_>>());
     }

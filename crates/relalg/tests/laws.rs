@@ -349,7 +349,7 @@ fn oracle_theta_join(r: &Relation, s: &Relation, pred: &Pred) -> Relation {
     let mut rows = Vec::new();
     for l in r.iter() {
         for t in s.iter() {
-            let mut row = l.clone();
+            let mut row = l.to_vec();
             row.extend_from_slice(t);
             if compiled.eval(&row) {
                 rows.push(row);
@@ -375,7 +375,7 @@ fn oracle_natural_join(r: &Relation, s: &Relation) -> Relation {
                 l[li] == t[ri]
             });
             if agree {
-                let mut row = l.clone();
+                let mut row = l.to_vec();
                 for a in &r_extra {
                     row.push(t[s.schema().index_of(a).unwrap()]);
                 }
@@ -398,7 +398,7 @@ fn oracle_semijoin(r: &Relation, s: &Relation) -> Relation {
             })
         })
     });
-    Relation::from_rows(r.schema().clone(), rows.cloned()).unwrap()
+    Relation::from_rows(r.schema().clone(), rows).unwrap()
 }
 
 /// Randomized relations over the given schemas, via datagen's seeded
@@ -533,7 +533,7 @@ fn oracle_semijoin_on(r: &Relation, s: &Relation, on: &[(Attr, Attr)], anti: boo
             .any(|t| pairs.iter().all(|&(li, ri)| l[li] == t[ri]));
         partner != anti
     });
-    Relation::from_rows(r.schema().clone(), rows.cloned()).unwrap()
+    Relation::from_rows(r.schema().clone(), rows).unwrap()
 }
 
 proptest! {

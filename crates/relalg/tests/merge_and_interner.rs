@@ -13,7 +13,7 @@ fn merge_rows_equals_per_row_insert() {
     for seed in SEEDS {
         let base = datagen::flights(seed, 50, 20, 10);
         let extra = datagen::flights(seed ^ 0xabcd, 30, 20, 10);
-        let rows: Vec<Tuple> = extra.tuples().to_vec();
+        let rows: Vec<Tuple> = extra.iter().map(Tuple::from).collect();
 
         let mut by_insert = base.clone();
         for r in &rows {

@@ -32,7 +32,7 @@ fn assert_matches(engine: &Relation, oracle: &OracleRel, what: &str) {
     assert!(
         engine
             .iter()
-            .collect::<Vec<&Tuple>>()
+            .collect::<Vec<&[Value]>>()
             .windows(2)
             .all(|w| w[0] < w[1]),
         "{what}: iteration not strictly sorted"
@@ -288,7 +288,7 @@ fn outer_pad_join_matches_definition_oracle() {
         let pad_count = schema.arity() - r.schema().arity();
         let mut set = joined;
         for t in r.iter() {
-            if !matched.contains(&t.to_vec()) {
+            if !matched.contains(t) {
                 let mut row = t.to_vec();
                 row.extend(std::iter::repeat_n(Value::Pad, pad_count));
                 set.insert(row);
@@ -343,7 +343,7 @@ fn divide_in_place_and_general_twin_agree_with_oracle() {
         let noise = s
             .rename(&[(attr("D"), attr("B")), (attr("E"), attr("C"))])
             .unwrap();
-        let taken: Vec<Tuple> = from_r.iter().take(2).cloned().collect();
+        let taken: Vec<Tuple> = from_r.iter().take(2).map(Tuple::from).collect();
         let divisor =
             Relation::from_rows(Schema::of(&["B", "C"]), taken.iter().map(|t| t.to_vec()))
                 .unwrap()
@@ -378,10 +378,10 @@ fn divide_in_place_and_general_twin_agree_with_oracle() {
 
 /// Strictly ascending iteration (hence no duplicates). `assert_matches`
 /// checks it too; the order-reading paths below assert it on its own, as
-/// release builds compile out `from_sorted_vec`'s `debug_assert`.
+/// release builds compile out `from_sorted`'s `debug_assert`.
 fn assert_strictly_sorted(r: &Relation, what: &str) {
     assert!(
-        r.tuples().windows(2).all(|w| w[0] < w[1]),
+        r.iter().collect::<Vec<_>>().windows(2).all(|w| w[0] < w[1]),
         "{what}: not strictly sorted"
     );
 }
@@ -492,17 +492,13 @@ fn divide_reads_either_sorted_layout_and_agrees_with_oracle() {
         let divisors = [
             (
                 "two from R",
-                Relation::from_rows(from_r.schema().clone(), from_r.iter().take(2).cloned())
-                    .unwrap(),
+                Relation::from_rows(from_r.schema().clone(), from_r.iter().take(2)).unwrap(),
             ),
             ("all of R", from_r.clone()),
             (
                 "one from R",
-                Relation::from_rows(
-                    from_r.schema().clone(),
-                    from_r.iter().skip(1).take(1).cloned(),
-                )
-                .unwrap(),
+                Relation::from_rows(from_r.schema().clone(), from_r.iter().skip(1).take(1))
+                    .unwrap(),
             ),
             ("a tuple R lacks", from_r.union(&lacking).unwrap()),
             ("empty", Relation::empty(Schema::of(&["B", "C"]))),
@@ -724,21 +720,21 @@ fn mixed_value_kinds_keep_canonical_order() {
     assert_eq!(rel.len(), 5);
 }
 
-/// A clone, a renaming and the identity projection read the same tuple
+/// A clone, a renaming and the identity projection read the same flat row
 /// storage; `insert`/`remove` copy it first, so the original keeps its
 /// tuples and epoch while the changed relation gets a fresh epoch.
 #[test]
 fn shared_storage_is_copied_on_write() {
     let r = Relation::table(&["A", "B"], &[&[1i64, 2], &[3, 4], &[5, 6]]);
     let oracle = to_oracle(&r);
-    let ptr = r.tuples().as_ptr();
+    let ptr = r.values().as_ptr();
 
     let c = r.clone();
-    assert_eq!(c.tuples().as_ptr(), ptr);
+    assert_eq!(c.values().as_ptr(), ptr);
     assert_eq!(c.epoch(), r.epoch());
 
     let renamed = r.rename(&[(attr("A"), attr("X"))]).unwrap();
-    assert_eq!(renamed.tuples().as_ptr(), ptr);
+    assert_eq!(renamed.values().as_ptr(), ptr);
     assert_ne!(renamed.epoch(), r.epoch());
     assert_strictly_sorted(&renamed, "rename");
     assert_matches(
@@ -748,7 +744,7 @@ fn shared_storage_is_copied_on_write() {
     );
 
     let identity = r.project(&attrs(&["A", "B"])).unwrap();
-    assert_eq!(identity.tuples().as_ptr(), ptr);
+    assert_eq!(identity.values().as_ptr(), ptr);
     assert_strictly_sorted(&identity, "identity π");
     assert_matches(&identity, &oracle, "identity π");
 
@@ -757,7 +753,7 @@ fn shared_storage_is_copied_on_write() {
     let mut removed = r.clone();
     assert!(removed.remove(&[Value::Int(3), Value::Int(4)]));
     for (changed, row, present) in [(&inserted, [0, 9], true), (&removed, [3, 4], false)] {
-        assert_ne!(changed.tuples().as_ptr(), ptr);
+        assert_ne!(changed.values().as_ptr(), ptr);
         assert_ne!(changed.epoch(), r.epoch());
         assert_strictly_sorted(changed, "copy on write");
         let mut expected = oracle.1.clone();
@@ -771,7 +767,7 @@ fn shared_storage_is_copied_on_write() {
     }
     // The original, and every relation sharing its storage, is unchanged.
     for shared in [&r, &c, &identity] {
-        assert_eq!(shared.tuples().as_ptr(), ptr);
+        assert_eq!(shared.values().as_ptr(), ptr);
         assert_matches(shared, &oracle, "original after copy on write");
     }
     assert_eq!(c.epoch(), r.epoch());
@@ -780,7 +776,7 @@ fn shared_storage_is_copied_on_write() {
     let mut same = r.clone();
     same.insert(vec![Value::Int(1), Value::Int(2)]).unwrap();
     assert!(!same.remove(&[Value::Int(7), Value::Int(7)]));
-    assert_eq!(same.tuples().as_ptr(), ptr);
+    assert_eq!(same.values().as_ptr(), ptr);
     assert_eq!(same.epoch(), r.epoch());
 }
 
@@ -923,5 +919,174 @@ fn aggregate_agrees_with_grouping_oracle() {
         let got = empty.aggregate(&attrs(&group), &aggs).unwrap();
         assert!(got.is_empty());
         assert_matches(&got, &o_aggregate(&empty, &group, "C"), "empty input");
+    }
+}
+
+// ---- flat row storage: the sort dispatch, arity 0 and DML ----
+
+/// The arities that reach every row sort: none (an explicit row count),
+/// one and eight columns (the smallest and largest sorted as `[Value; K]`
+/// chunks), and nine and twelve (sorted by row index).
+const FLAT_ARITIES: [usize; 5] = [0, 1, 8, 9, 12];
+
+/// `n` rows of `arity` columns, with duplicates, in an unsorted order.
+///
+/// Value `j` of the flat sequence is `j mod (arity + 1)` shifted by the
+/// row's group, so consecutive rows are rotations of one another: a row's
+/// values also occur, misaligned, across the boundary of two neighbouring
+/// rows, which a sort or dedup that loses the row stride would take for a
+/// row. Every row is pushed twice, once next to its copy and once far
+/// from it.
+fn flat_rows(arity: usize, n: usize) -> Vec<Vec<Value>> {
+    let period = arity as i64 + 1;
+    let distinct: Vec<Vec<Value>> = (0..n as i64)
+        .map(|r| {
+            (0..arity as i64)
+                .map(|c| Value::Int((r * arity as i64 + c) % period + (r % 3) * 10))
+                .collect()
+        })
+        .collect();
+    let mut rows = Vec::with_capacity(2 * n);
+    for (i, row) in distinct.iter().enumerate().rev() {
+        rows.push(row.clone());
+        if i % 2 == 0 {
+            rows.push(row.clone());
+        }
+    }
+    rows.extend(distinct.iter().skip(1).step_by(2).cloned());
+    rows
+}
+
+fn flat_schema(arity: usize) -> Schema {
+    let names: Vec<String> = (0..arity).map(|c| format!("C{c}")).collect();
+    Schema::of(&names.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+#[test]
+fn flat_rows_sort_and_dedup_at_every_arity() {
+    for arity in FLAT_ARITIES {
+        for n in [0usize, 1, 2, 3, 63, 64, 65, 300] {
+            let what = format!("arity {arity}, {n} rows");
+            let rows = flat_rows(arity, n);
+            let oracle: OracleRel = (flat_schema(arity), rows.iter().cloned().collect());
+            let built = Relation::from_rows(flat_schema(arity), &rows).unwrap();
+            assert_matches(&built, &oracle, &what);
+            assert_eq!(built.len(), oracle.1.len(), "{what}");
+            assert_eq!(built.iter().len(), oracle.1.len(), "{what}");
+            let back: Vec<&[Value]> = built.iter().rev().collect();
+            let fwd: Vec<&[Value]> = built.iter().collect();
+            assert!(back.iter().rev().eq(fwd.iter()), "{what}: both ends");
+            // The builder sorts whatever order the rows arrive in.
+            let mut b = relalg::RelationBuilder::new(flat_schema(arity));
+            for row in rows.iter().rev() {
+                b.push(row);
+            }
+            assert_eq!(b.finish(), built, "{what}: builder");
+            // A union of halves re-sorts their concatenation.
+            let (lo, hi) = rows.split_at(rows.len() / 2);
+            let lo = Relation::from_rows(flat_schema(arity), lo).unwrap();
+            let hi = Relation::from_rows(flat_schema(arity), hi).unwrap();
+            assert_matches(&lo.union_all([&hi]).unwrap(), &oracle, &what);
+            assert_matches(&lo.union(&hi).unwrap(), &oracle, &what);
+            if arity > 0 {
+                // A column permutation sorts every row anew.
+                let mut reversed = flat_schema(arity).attrs().to_vec();
+                reversed.reverse();
+                let list: Vec<(Attr, Attr)> =
+                    reversed.iter().map(|a| (a.clone(), a.clone())).collect();
+                let permuted = built.project_as(&list).unwrap();
+                assert_matches(&permuted, &o_project_as(&built, &list), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn nullary_relations_keep_zero_or_one_row() {
+    let unit = Relation::unit();
+    let none = Relation::nullary_empty();
+    assert_eq!((unit.len(), none.len()), (1, 0));
+    assert_eq!(unit.iter().collect::<Vec<_>>(), vec![&[] as &[Value]]);
+    assert_eq!(none.iter().count(), 0);
+    let three = Relation::from_rows(Schema::nullary(), vec![Vec::<Value>::new(); 3]).unwrap();
+    assert_eq!(three, unit);
+    assert!(none < unit);
+    let cases = [
+        (unit.union(&none).unwrap(), 1),
+        (unit.intersect(&none).unwrap(), 0),
+        (unit.difference(&none).unwrap(), 1),
+        (none.difference(&unit).unwrap(), 0),
+        (unit.product(&unit).unwrap(), 1),
+        (unit.natural_join(&unit), 1),
+        (unit.select(&Pred::True).unwrap(), 1),
+        (unit.select(&Pred::False).unwrap(), 0),
+        (unit.divide(&unit).unwrap(), 1),
+        (
+            unit.with_changes([&[] as &[Value]], Vec::<Tuple>::new())
+                .unwrap(),
+            0,
+        ),
+        (none.merge_rows(vec![Vec::<Value>::new(); 2]).unwrap(), 1),
+    ];
+    for (i, (got, len)) in cases.iter().enumerate() {
+        assert_eq!(got.schema().arity(), 0, "case {i}");
+        assert_eq!(got.len(), *len, "case {i}");
+    }
+    // Projecting a relation onto no columns leaves `{⟨⟩}` or `{}`.
+    let r = Relation::table(&["A"], &[&[1i64], &[2]]);
+    assert_eq!(r.project(&[]).unwrap(), unit);
+    assert_eq!(
+        Relation::empty(r.schema().clone()).project(&[]).unwrap(),
+        none
+    );
+}
+
+#[test]
+fn with_changes_on_flat_rows_agrees_with_oracle() {
+    for arity in FLAT_ARITIES {
+        for n in [0usize, 1, 5, 64, 200] {
+            let what = format!("arity {arity}, {n} rows");
+            let rows = flat_rows(arity, n);
+            let base = Relation::from_rows(flat_schema(arity), &rows).unwrap();
+            let _ = base.stats();
+            // Every third row, one absent row and the whole table, in
+            // sorted order.
+            let absent: Vec<Value> = vec![Value::Int(-1); arity];
+            let mut removed: BTreeSet<Vec<Value>> =
+                base.iter().step_by(3).map(<[Value]>::to_vec).collect();
+            removed.insert(absent.clone());
+            let all: BTreeSet<Vec<Value>> = base.iter().map(<[Value]>::to_vec).collect();
+            // New rows (one value past the domain), their duplicates and
+            // rows already present, in any order.
+            let mut added: Vec<Vec<Value>> = flat_rows(arity, n / 2 + 1)
+                .into_iter()
+                .map(|mut r| {
+                    if let Some(v) = r.last_mut() {
+                        *v = Value::Int(99);
+                    }
+                    r
+                })
+                .collect();
+            added.extend(base.iter().take(3).map(<[Value]>::to_vec));
+            for (removed, added) in [
+                (&removed, added.clone()),
+                (&all, Vec::new()),
+                (&BTreeSet::new(), added.clone()),
+            ] {
+                let next = base.with_changes(removed, &added).unwrap();
+                let mut want = to_oracle(&base);
+                want.1.retain(|r| !removed.contains(r));
+                want.1.extend(added.iter().cloned());
+                assert_matches(&next, &want, &what);
+                let fresh = Relation::from_rows(flat_schema(arity), next.iter()).unwrap();
+                if next.epoch() != base.epoch() {
+                    assert_eq!(
+                        next.stats_if_computed(),
+                        Some(fresh.stats()),
+                        "{what}: derived statistics"
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,15 +4,19 @@
 //! has its statistics memoized, seeds the successor with statistics derived
 //! from them instead of a recount. After every step of a random sequence of
 //! insert, delete and update batches — empty ones, duplicates, rows already
-//! present or absent, batches larger than half the table, tuples wider than
-//! `INLINE_TUPLE_CAP` — the seeded statistics must equal a fresh count and
+//! present or absent, batches larger than half the table, rows wider than
+//! the 8 columns sorted as fixed-size chunks — the seeded statistics must equal a fresh count and
 //! a `BTreeSet` oracle, and a batch that changes no row must return the
 //! same relation (epoch and statistics).
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use relalg::{Relation, Schema, Tuple, Value, INLINE_TUPLE_CAP};
+use relalg::{Relation, Schema, Tuple, Value};
+
+/// An arity whose rows sort by row index: wider than the 8 columns sorted
+/// as fixed-size chunks.
+const WIDE: usize = 10;
 
 type Oracle = BTreeSet<Vec<Value>>;
 
@@ -109,13 +113,16 @@ fn pick(g: &mut Gen, rel: &Relation, count: usize) -> Vec<Tuple> {
         return Vec::new();
     }
     let keep = (count * 100 / rel.len()).min(100);
-    rel.iter().filter(|_| g.chance(keep)).cloned().collect()
+    rel.iter()
+        .filter(|_| g.chance(keep))
+        .map(Tuple::from)
+        .collect()
 }
 
 fn run_case(seed: u64) {
     let mut g = Gen(seed | 1);
-    // Up to two columns past the inline capacity, so heap tuples occur.
-    let arity = 1 + g.below(INLINE_TUPLE_CAP + 2);
+    // Up to `WIDE` columns, so both row sorts occur.
+    let arity = 1 + g.below(WIDE);
     let domain = 2 + g.below(12);
     let names: Vec<String> = (0..arity).map(|i| format!("C{i}")).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -184,18 +191,18 @@ proptest! {
 
 #[test]
 fn wide_tuples_spill_and_keep_their_stats() {
-    let arity = INLINE_TUPLE_CAP + 2;
+    let arity = WIDE;
     let names: Vec<String> = (0..arity).map(|i| format!("C{i}")).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let row = |k: i64| -> Vec<Value> { (0..arity as i64).map(|c| Value::Int(k * c % 5)).collect() };
     let rel = Relation::from_rows(Schema::of(&names), (0..30).map(row)).unwrap();
     let _ = rel.stats();
     let mut oracle: Oracle = rel.iter().map(|t| t.to_vec()).collect();
-    let removed: Vec<Tuple> = rel.iter().step_by(2).cloned().collect();
+    let removed: Vec<Tuple> = rel.iter().step_by(2).map(Tuple::from).collect();
     let added: Vec<Vec<Value>> = (40..60).map(row).collect();
     let next = step(rel, &mut oracle, removed, added, "wide");
     // The whole table goes.
-    let all = next.tuples().to_vec();
+    let all: Vec<Tuple> = next.iter().map(Tuple::from).collect();
     let empty = step(next, &mut oracle, all, Vec::new(), "wide, all deleted");
     assert!(empty.is_empty());
     assert!(empty.stats().cols.iter().all(|c| c.distinct == 0));
@@ -205,11 +212,12 @@ fn wide_tuples_spill_and_keep_their_stats() {
 fn no_change_keeps_epoch_and_stats() {
     let rel = Relation::table(&["A", "B"], &[&[1i64, 2], &[3, 4]]);
     let stats = rel.stats().clone();
-    let present = rel.tuples()[0].clone();
+    let present = Tuple::from(rel.row(0));
     let absent: Tuple = vec![Value::Int(9), Value::Int(9)].into_iter().collect();
     for next in [
         rel.merge_rows([present.to_vec()]).unwrap(),
-        rel.with_changes(&[], Vec::<Tuple>::new()).unwrap(),
+        rel.with_changes(Vec::<Tuple>::new(), Vec::<Tuple>::new())
+            .unwrap(),
         rel.with_changes(std::slice::from_ref(&absent), Vec::<Tuple>::new())
             .unwrap(),
         rel.with_changes(std::slice::from_ref(&present), [present.clone()])

@@ -39,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use relalg::{Attr, Pred, RelalgError, Relation, Schema, Tuple, Value};
+use relalg::{Attr, Pred, RelalgError, Relation, RelationBuilder, Schema, Value};
 use worldset::{World, WorldSet};
 
 use crate::xtuple::Uldb;
@@ -772,14 +772,12 @@ fn lin_schema(data: &Schema) -> FResult<Schema> {
     Schema::try_new(attrs).ok_or(FactorError::Budget("reserved '#' attribute in schema"))
 }
 
-fn push_lin(data: &[Value], lid: u32) -> Tuple {
-    let mut row = Tuple::with_capacity(data.len() + 1);
-    row.extend_from_slice(data);
-    row.push(Value::int(lid as i64));
-    row
+/// Append the row `data ++ ⟨lid⟩` to `rows`.
+fn push_lin(rows: &mut RelationBuilder, data: &[Value], lid: u32) {
+    rows.push_values(data.iter().copied().chain([Value::int(lid as i64)]));
 }
 
-fn lin_of(t: &Tuple) -> u32 {
+fn lin_of(t: &[Value]) -> u32 {
     t[t.len() - 1].as_int().expect("lineage column holds ids") as u32
 }
 
@@ -849,14 +847,15 @@ impl FactoredSet {
                 .iter()
                 .all(|w| Arc::ptr_eq(w.rel_shared(pos), worlds_vec[0].rel_shared(pos)))
             {
-                let rows: Vec<Tuple> = worlds_vec[0]
-                    .rel(pos)
-                    .iter()
-                    .map(|t| push_lin(t, TOP))
-                    .collect();
+                let data = worlds_vec[0].rel(pos);
+                let mut rows = RelationBuilder::with_capacity(schema, data.len());
+                for t in data.iter() {
+                    push_lin(&mut rows, t, TOP);
+                }
                 // Relation storage is sorted; appending the constant
-                // lineage id keeps the order strict.
-                tables.push(Relation::from_sorted_rows(schema, rows).map_err(FactorError::from)?);
+                // lineage id keeps the order strict, so the sort finds
+                // one run.
+                tables.push(rows.finish());
                 continue;
             }
             // Worlds containing each distinct row (ascending, distinct —
@@ -869,7 +868,7 @@ impl FactoredSet {
                     aligned.push(r.project(schema0.attrs()).map_err(FactorError::from)?);
                 }
             }
-            let mut membership: BTreeMap<&Tuple, Vec<u32>> = BTreeMap::new();
+            let mut membership: BTreeMap<&[Value], Vec<u32>> = BTreeMap::new();
             let mut ai = 0usize;
             for (i, w) in worlds_vec.iter().enumerate() {
                 let r = w.rel(pos);
@@ -883,18 +882,19 @@ impl FactoredSet {
                     membership.entry(t).or_default().push(i as u32);
                 }
             }
-            let mut rows: Vec<Tuple> = Vec::with_capacity(membership.len());
+            let mut rows = RelationBuilder::with_capacity(schema, membership.len());
             for (t, in_worlds) in membership {
                 let lid = if in_worlds.len() == n {
                     TOP
                 } else {
                     pool.intern(Constraint::lit(0, AltSet::from_sorted(false, in_worlds)))
                 };
-                rows.push(push_lin(t, lid));
+                push_lin(&mut rows, t, lid);
             }
             // `membership` iterates in sorted data order and keys are
-            // distinct, so the emitted rows are strictly sorted.
-            tables.push(Relation::from_sorted_rows(schema, rows).map_err(FactorError::from)?);
+            // distinct, so the emitted rows are strictly sorted: the sort
+            // finds one run.
+            tables.push(rows.finish());
         }
         Ok(FactoredSet {
             names,
@@ -991,7 +991,7 @@ impl FactoredSet {
         }
         let schema = lin_schema(&Schema::new(data_attrs))?;
         let mut memo: HashMap<(u32, u32), Option<u32>> = HashMap::new();
-        let mut rows: Vec<Tuple> = Vec::with_capacity(prod.len());
+        let mut rows = RelationBuilder::with_capacity(schema, prod.len());
         for t in prod.iter() {
             let la = t[l1].as_int().expect("lineage id") as u32;
             let lb = t[l2].as_int().expect("lineage id") as u32;
@@ -1002,24 +1002,22 @@ impl FactoredSet {
                     .map(|c| self.pool.intern(c))
             });
             if let Some(lid) = combined {
-                let mut row = Tuple::with_capacity(arity - 1);
-                for (i, v) in t.iter().enumerate() {
-                    if i != l1 && i != l2 {
-                        row.push(*v);
-                    }
-                }
-                row.push(Value::int(lid as i64));
-                rows.push(row);
+                let data = t
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != l1 && i != l2)
+                    .map(|(_, v)| *v);
+                rows.push_values(data.chain([Value::int(lid as i64)]));
             }
         }
-        Ok(Relation::from_rows(schema, rows)?)
+        Ok(rows.finish())
     }
 
     /// Intersection `∩`: for each value present on both sides, all
     /// consistent pairwise lineage conjunctions.
     pub fn intersect(&mut self, a: &Relation, b: &Relation) -> FResult<Relation> {
         let b = self.align(a, b)?;
-        let mut rows: Vec<Tuple> = Vec::new();
+        let mut rows = RelationBuilder::new(a.schema().clone());
         let mut memo: HashMap<(u32, u32), Option<u32>> = HashMap::new();
         for (data, la, lbs) in match_groups(a, &b) {
             for l1 in la {
@@ -1031,12 +1029,12 @@ impl FactoredSet {
                             .map(|c| self.pool.intern(c))
                     });
                     if let Some(lid) = combined {
-                        rows.push(push_lin(data, lid));
+                        push_lin(&mut rows, data, lid);
                     }
                 }
             }
         }
-        Ok(Relation::from_rows(a.schema().clone(), rows)?)
+        Ok(rows.finish())
     }
 
     /// Difference `−`: a value survives with lineage `L ∧ ¬L₁ ∧ … ∧ ¬L_s`
@@ -1044,7 +1042,7 @@ impl FactoredSet {
     /// budget-bounded DNF (one output row per conjunct).
     pub fn difference(&mut self, a: &Relation, b: &Relation) -> FResult<Relation> {
         let b = self.align(a, b)?;
-        let mut rows: Vec<Tuple> = Vec::new();
+        let mut rows = RelationBuilder::new(a.schema().clone());
         let mut groups: Vec<(Vec<Value>, Vec<u32>, Vec<u32>)> = Vec::new();
         for (data, la, lbs) in match_groups(a, &b) {
             groups.push((data.to_vec(), la, lbs));
@@ -1054,7 +1052,7 @@ impl FactoredSet {
             lbs.dedup();
             if lbs.is_empty() {
                 for l in la {
-                    rows.push(push_lin(&data, l));
+                    push_lin(&mut rows, &data, l);
                 }
                 continue;
             }
@@ -1087,11 +1085,11 @@ impl FactoredSet {
                 }
                 for c in cur {
                     let lid = self.pool.intern(c);
-                    rows.push(push_lin(&data, lid));
+                    push_lin(&mut rows, &data, lid);
                 }
             }
         }
-        Ok(Relation::from_rows(a.schema().clone(), rows)?)
+        Ok(rows.finish())
     }
 
     /// Choice `χ_U` under the branch-validity formula `w`: allocates a
@@ -1214,7 +1212,7 @@ impl FactoredSet {
         // variable's id is larger than every id a lineage can mention,
         // so the conjunction is a plain literal append — no merge walk.
         let mut memo: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut rows: Vec<Tuple> = Vec::new();
+        let mut rows = RelationBuilder::with_capacity(rel.schema().clone(), rel.len());
         for (g, (_, part)) in parts.iter().enumerate() {
             for t in part.iter() {
                 let l = lin_of(t);
@@ -1223,11 +1221,10 @@ impl FactoredSet {
                     lits.push((x, AltSet::one(g as u32)));
                     self.pool.intern(Constraint { lits })
                 });
-                rows.push(push_lin(&t[..t.len() - 1], lid));
+                push_lin(&mut rows, &t[..t.len() - 1], lid);
             }
         }
-        let rel = Relation::from_rows(rel.schema().clone(), rows)?;
-        Ok((rel, new_w))
+        Ok((rows.finish(), new_w))
     }
 
     /// `poss` under `w`: the values whose lineage holds in at least one
@@ -1235,17 +1232,17 @@ impl FactoredSet {
     /// the same merged answer in every world).
     pub fn poss(&self, rel: &Relation, w: &Dnf) -> FResult<Relation> {
         let mut memo: HashMap<u32, bool> = HashMap::new();
-        let mut rows: Vec<Tuple> = Vec::new();
+        let mut rows = RelationBuilder::new(rel.schema().clone());
         for t in rel.iter() {
             let l = lin_of(t);
             let possible = *memo
                 .entry(l)
                 .or_insert_with(|| w.consistent_with(self.pool.get(l), &self.doms));
             if possible {
-                rows.push(push_lin(&t[..t.len() - 1], TOP));
+                push_lin(&mut rows, &t[..t.len() - 1], TOP);
             }
         }
-        Ok(Relation::from_rows(rel.schema().clone(), rows)?)
+        Ok(rows.finish())
     }
 
     /// `cert` under `w`: the values present in *every* valid world —
@@ -1258,7 +1255,7 @@ impl FactoredSet {
             return Ok(Relation::empty(rel.schema().clone()));
         }
         let mut memo: HashMap<Vec<u32>, bool> = HashMap::new();
-        let mut rows: Vec<Tuple> = Vec::new();
+        let mut rows = RelationBuilder::new(rel.schema().clone());
         for (data, la, _) in match_groups(rel, rel) {
             let mut lins: Vec<u32> = la.to_vec();
             lins.sort_unstable();
@@ -1273,12 +1270,13 @@ impl FactoredSet {
                 c
             };
             if certain {
-                rows.push(push_lin(data, TOP));
+                push_lin(&mut rows, data, TOP);
             }
         }
         // `match_groups` yields distinct data values in ascending order
-        // and the appended lineage is constant, so rows are sorted.
-        Ok(Relation::from_sorted_rows(rel.schema().clone(), rows)?)
+        // and the appended lineage is constant, so rows are sorted: the
+        // sort finds one run.
+        Ok(rows.finish())
     }
 
     /// Does the disjunction of the lineages `lins` cover every valid
@@ -1535,29 +1533,28 @@ fn match_groups<'a>(
     a: &'a Relation,
     b: &'a Relation,
 ) -> impl Iterator<Item = (&'a [Value], Vec<u32>, Vec<u32>)> {
-    let at = a.tuples();
-    let bt = b.tuples();
+    let (at, bt) = (a, b);
     let mut ai = 0usize;
     let mut bi = 0usize;
     std::iter::from_fn(move || {
         if ai >= at.len() {
             return None;
         }
-        let data_len = at[ai].len() - 1;
-        let key: &[Value] = &at[ai][..data_len];
+        let data_len = at.row(ai).len() - 1;
+        let key: &[Value] = &at.row(ai)[..data_len];
         let mut la = Vec::new();
-        while ai < at.len() && &at[ai][..data_len] == key {
-            la.push(lin_of(&at[ai]));
+        while ai < at.len() && &at.row(ai)[..data_len] == key {
+            la.push(lin_of(at.row(ai)));
             ai += 1;
         }
         // Advance b to the group (both sides sorted by data prefix).
-        while bi < bt.len() && &bt[bi][..data_len] < key {
+        while bi < bt.len() && &bt.row(bi)[..data_len] < key {
             bi += 1;
         }
         let mut lb = Vec::new();
         let mut bj = bi;
-        while bj < bt.len() && &bt[bj][..data_len] == key {
-            lb.push(lin_of(&bt[bj]));
+        while bj < bt.len() && &bt.row(bj)[..data_len] == key {
+            lb.push(lin_of(bt.row(bj)));
             bj += 1;
         }
         Some((key, la, lb))
@@ -1603,7 +1600,18 @@ impl Uldb {
             doms.push(*n);
         }
         let mut w = Dnf::top();
-        let mut rows: Vec<Tuple> = Vec::new();
+        let mut rows = RelationBuilder::new(schema);
+        // An alternative of another arity is an error, as `from_rows`
+        // reports it.
+        let mut push = |values: &[Value], lid: u32| {
+            rows.try_push(
+                values
+                    .iter()
+                    .copied()
+                    .chain([Value::int(lid as i64)])
+                    .collect::<Vec<_>>(),
+            )
+        };
         for t in &self.tuples {
             // Lineage constraint per alternative; `None` when the lineage
             // can never hold (unknown external, out-of-range alternative,
@@ -1628,7 +1636,7 @@ impl Uldb {
                 && alt_cons[0].as_ref().is_some_and(|c| c.is_top())
             {
                 // Fully determined: present in every world, no variable.
-                rows.push(push_lin(&t.alternatives[0].values, TOP));
+                push(&t.alternatives[0].values, TOP)?;
                 continue;
             }
             let k = t.alternatives.len();
@@ -1640,10 +1648,7 @@ impl Uldb {
                 let tagged = c
                     .conjoin(&Constraint::lit(x, AltSet::one(i as u32)), &doms)
                     .expect("fresh variable cannot conflict");
-                rows.push(push_lin(
-                    &t.alternatives[i].values,
-                    pool.intern(tagged.clone()),
-                ));
+                push(&t.alternatives[i].values, pool.intern(tagged.clone()))?;
                 term.push(tagged);
             }
             let absent = Constraint::lit(x, AltSet::one(k as u32));
@@ -1671,7 +1676,7 @@ impl Uldb {
                 )
                 .ok_or(FactorError::Budget("uldb validity formula"))?;
         }
-        let table = Relation::from_rows(schema, rows)?;
+        let table = rows.finish();
         Ok(FactoredSet {
             names,
             doms,

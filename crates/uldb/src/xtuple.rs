@@ -115,11 +115,7 @@ impl Uldb {
                 picks = next;
             }
             for pick in picks {
-                let rows: Vec<Tuple> = pick
-                    .into_iter()
-                    .flatten()
-                    .map(|alt| alt.values.clone())
-                    .collect();
+                let rows = pick.into_iter().flatten().map(|alt| &alt.values);
                 worlds.push(World::new(vec![Relation::from_rows(
                     self.schema.clone(),
                     rows,

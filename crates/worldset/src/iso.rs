@@ -71,14 +71,11 @@ impl Bijection {
 
     /// Image of a relation (tuple-wise).
     pub fn apply_relation(&self, r: &Relation) -> Result<Relation> {
-        Relation::from_rows(
-            r.schema().clone(),
-            r.iter().map(|t| {
-                t.iter()
-                    .map(|v| self.apply_value(v))
-                    .collect::<relalg::Tuple>()
-            }),
-        )
+        let mut b = relalg::RelationBuilder::with_capacity(r.schema().clone(), r.len());
+        for t in r.iter() {
+            b.push_values(t.iter().map(|v| self.apply_value(v)));
+        }
+        Ok(b.finish())
     }
 
     /// Image of a world.
