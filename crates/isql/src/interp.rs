@@ -905,7 +905,7 @@ struct Scopes<'q> {
     /// One schema per level.
     schemas: Vec<Schema>,
     /// The current row of every level below the innermost loop's.
-    rows: Vec<Tuple>,
+    rows: RowStack,
     memo: Vec<(&'q SelectStmt, Arc<Relation>)>,
     lowest: usize,
 }
@@ -914,7 +914,7 @@ impl<'q> Scopes<'q> {
     fn new() -> Self {
         Scopes {
             schemas: Vec::new(),
-            rows: Vec::new(),
+            rows: RowStack::default(),
             memo: Vec::new(),
             lowest: usize::MAX,
         }
@@ -933,6 +933,42 @@ impl<'q> Scopes<'q> {
     }
 }
 
+/// A stack of rows stored flat: one value vector and where each row
+/// starts. A row pushed for a subquery or an aggregate reuses the memory
+/// of the rows popped before it, so a row loop allocates nothing per row.
+#[derive(Default)]
+struct RowStack {
+    values: Vec<Value>,
+    starts: Vec<usize>,
+}
+
+impl RowStack {
+    fn push(&mut self, row: &[Value]) {
+        self.starts.push(self.values.len());
+        self.values.extend_from_slice(row);
+    }
+
+    fn pop(&mut self) {
+        let start = self.starts.pop().expect("a row was pushed");
+        self.values.truncate(start);
+    }
+
+    /// The row at stack level `depth`.
+    fn get(&self, depth: usize) -> Option<&[Value]> {
+        let start = *self.starts.get(depth)?;
+        let end = self
+            .starts
+            .get(depth + 1)
+            .copied()
+            .unwrap_or(self.values.len());
+        Some(&self.values[start..end])
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+}
+
 /// Evaluate the subquery `q` for the current outer rows (`row` is the
 /// innermost loop's, when a row loop asks), once per world when it reads
 /// none of them (see [`Scopes`]).
@@ -947,7 +983,7 @@ fn eval_subquery<'q>(
         return Ok(hit.clone());
     }
     if let Some(row) = row {
-        scopes.rows.push(Tuple::from(row));
+        scopes.rows.push(row);
     }
     let base = scopes.rows.len();
     let enclosing = std::mem::replace(&mut scopes.lowest, usize::MAX);
@@ -1478,7 +1514,7 @@ impl<'q> BScalar<'q> {
                 // The group rows form a level of the innermost's schema
                 // above the group's first row.
                 let schema = scopes.schemas.last().expect("inside a row loop").clone();
-                scopes.rows.push(Tuple::from(row));
+                scopes.rows.push(row);
                 let vals = scopes.in_level(&schema, |scopes| {
                     rows.iter()
                         .map(|r| inner.eval(r, world, names, scopes, None))
@@ -1811,7 +1847,7 @@ mod tests {
         let mut scopes = Scopes::new();
         let cond = sel.where_cond.as_ref().unwrap();
         let kept = filter_rows(&r, &[cond], true, w, db.rel_names(), &mut scopes).unwrap();
-        assert!(scopes.schemas.is_empty() && scopes.rows.is_empty());
+        assert!(scopes.schemas.is_empty() && scopes.rows.get(0).is_none());
         (kept, scopes.memo.len())
     }
 

@@ -564,7 +564,7 @@ impl Relation {
             if kept == idx.len() && kept == self.schema.arity() {
                 return Ok(Relation::sharing(out_schema, self.rows.clone()));
             }
-            let mut out = RowBuf::new(idx.len());
+            let mut out = RowBuf::with_capacity(idx.len(), self.len());
             let mut last: Option<&[Value]> = None;
             for t in self.iter() {
                 if last.is_some_and(|l| l[..kept] == t[..kept]) {
@@ -866,7 +866,7 @@ impl Relation {
         }
         let others = other.rows.rows();
         let index = KeyIndex::over_rows(others, &r_idx);
-        let mut out = RowBuf::new(self.schema.arity());
+        let mut out = RowBuf::with_capacity(self.schema.arity(), self.len());
         for t in self.iter() {
             let found = index
                 .chain(key_hash(t, &l_idx))

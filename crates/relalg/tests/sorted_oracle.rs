@@ -931,18 +931,24 @@ const FLAT_ARITIES: [usize; 5] = [0, 1, 8, 9, 12];
 
 /// `n` rows of `arity` columns, with duplicates, in an unsorted order.
 ///
-/// Value `j` of the flat sequence is `j mod (arity + 1)` shifted by the
-/// row's group, so consecutive rows are rotations of one another: a row's
-/// values also occur, misaligned, across the boundary of two neighbouring
-/// rows, which a sort or dedup that loses the row stride would take for a
-/// row. Every row is pushed twice, once next to its copy and once far
-/// from it.
+/// Rows come in groups of four that share every column but the last, so
+/// only a comparison of whole rows orders them (a sort that stopped at
+/// column 8 would not). Within the shared prefix, value `j` of the flat
+/// sequence is `j mod (arity + 1)` shifted by the group, so the prefixes
+/// of consecutive groups are rotations of one another: a row's values
+/// also occur, misaligned, across the boundary of two neighbouring rows,
+/// which a sort or dedup that loses the row stride would take for a row.
+/// Every row is pushed twice, once next to its copy and once far from it.
 fn flat_rows(arity: usize, n: usize) -> Vec<Vec<Value>> {
-    let period = arity as i64 + 1;
+    let (k, period) = (arity as i64, arity as i64 + 1);
     let distinct: Vec<Vec<Value>> = (0..n as i64)
         .map(|r| {
-            (0..arity as i64)
-                .map(|c| Value::Int((r * arity as i64 + c) % period + (r % 3) * 10))
+            let g = r / 4;
+            (0..k)
+                .map(|c| match c {
+                    c if c == k - 1 && k > 1 => Value::Int((r * 3) % 4),
+                    c => Value::Int((g * k + c) % period + (g % 3) * 10),
+                })
                 .collect()
         })
         .collect();
