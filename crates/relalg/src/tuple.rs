@@ -33,19 +33,9 @@ impl Tuple {
         Tuple(Vec::new())
     }
 
-    /// An empty tuple with room for `n` values.
-    pub fn with_capacity(n: usize) -> Tuple {
-        Tuple(Vec::with_capacity(n))
-    }
-
     /// The values as a slice.
     pub fn as_slice(&self) -> &[Value] {
         &self.0
-    }
-
-    /// The values as a mutable slice (in-place updates; length is fixed).
-    pub fn as_mut_slice(&mut self) -> &mut [Value] {
-        &mut self.0
     }
 
     /// Append one value.
@@ -56,11 +46,6 @@ impl Tuple {
     /// Append all values of a slice.
     pub fn extend_from_slice(&mut self, vs: &[Value]) {
         self.0.extend_from_slice(vs);
-    }
-
-    /// Remove all values, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.0.clear();
     }
 
     /// The concatenation `self ++ other` as a new tuple.
