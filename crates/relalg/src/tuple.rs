@@ -5,7 +5,8 @@
 //! `n · k` values, row after row (`RowBuf`); a row is the `&[Value]` of
 //! its `k` values. Kernels write values straight into such a buffer, so
 //! building a row allocates nothing, and sorting dispatches on the arity:
-//! `[Value; K]` chunks for `K = 1..=8`, row indices above (`sort_dedup`).
+//! `[Value; K]` chunks for `K = 1..=8`, row indices above
+//! (`RowBuf::sort_dedup`).
 //! Arity 0 keeps an explicit row count (0 or 1), because `k = 0` values
 //! cannot say how many rows there are.
 //!
@@ -449,28 +450,23 @@ impl RowBuf {
         self.len = w;
     }
 
-    /// Sort the rows and drop duplicates ([`sort_dedup`]).
+    /// Sort the rows lexicographically and drop duplicates: one
+    /// `sort_unstable` over `[Value; K]` chunks for arities `K = 1..=8`, so
+    /// rows move as fixed-size values, and a sort of row indices above
+    /// that. Arity 0 keeps at most one (empty) row.
     pub(crate) fn sort_dedup(&mut self) {
-        sort_dedup(self);
-    }
-}
-
-/// Sort `buf`'s rows lexicographically and drop duplicates: one
-/// `sort_unstable` over `[Value; K]` chunks for arities `K = 1..=8`, so
-/// rows move as fixed-size values, and a sort of row indices above that.
-/// Arity 0 keeps at most one (empty) row.
-fn sort_dedup(buf: &mut RowBuf) {
-    match buf.arity {
-        0 => buf.len = buf.len.min(1),
-        1 => sort_dedup_chunks::<1>(buf),
-        2 => sort_dedup_chunks::<2>(buf),
-        3 => sort_dedup_chunks::<3>(buf),
-        4 => sort_dedup_chunks::<4>(buf),
-        5 => sort_dedup_chunks::<5>(buf),
-        6 => sort_dedup_chunks::<6>(buf),
-        7 => sort_dedup_chunks::<7>(buf),
-        8 => sort_dedup_chunks::<8>(buf),
-        _ => sort_dedup_indices(buf),
+        match self.arity {
+            0 => self.len = self.len.min(1),
+            1 => sort_dedup_chunks::<1>(self),
+            2 => sort_dedup_chunks::<2>(self),
+            3 => sort_dedup_chunks::<3>(self),
+            4 => sort_dedup_chunks::<4>(self),
+            5 => sort_dedup_chunks::<5>(self),
+            6 => sort_dedup_chunks::<6>(self),
+            7 => sort_dedup_chunks::<7>(self),
+            8 => sort_dedup_chunks::<8>(self),
+            _ => sort_dedup_indices(self),
+        }
     }
 }
 
