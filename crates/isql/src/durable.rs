@@ -4,17 +4,15 @@
 //!
 //! Every *committed write* — DML, `create view`, [`crate::Session::register`],
 //! [`crate::Session::declare_key`] — is one checksummed, sequence-stamped
-//! WAL record, fsynced before the commit is acknowledged. Because a
-//! session's working commit can also publish the `Q‹n›` answers of selects
-//! it ran since its last synchronization, each record carries those
-//! pending select statements (plus the query-counter base) so replay
-//! reproduces the committed catalog exactly; a rebased commit publishes no
-//! local results, so its record carries none.
+//! WAL record, fsynced before the commit is acknowledged. A commit
+//! publishes only the relations its statement writes, so its record is
+//! that one statement and replay runs it alone on a fresh session.
 //!
-//! Explicitly **not** durable: `set local` (a per-connection tuning
-//! override; results are config-independent, so replay under default
-//! configuration is unaffected), uncommitted session-local query results,
-//! and rejected DML (which publishes nothing).
+//! Explicitly **not** durable: selects (their `Q‹n›` answers and world
+//! splits stay in the session that ran them; `create view` publishes
+//! one), `set local` (a per-connection tuning override; results are
+//! config-independent, so replay under default configuration is
+//! unaffected), and rejected DML (which publishes nothing).
 //!
 //! One commit's WAL payload is capped at [`wsdb_env::wal::MAX_PAYLOAD`]
 //! (1 GiB): a larger commit — e.g. registering an enormous relation —
@@ -24,23 +22,26 @@
 //! # WAL record payload
 //!
 //! A [`wsdb_env::wal`]-framed record whose payload is one
-//! [`relalg::codec`] message: the session's query-counter base, the
-//! pending select statements, then the action — a statement
-//! (tag 0), a registered relation (tag 1, full relation codec), or a key
-//! declaration (tag 2). Statements are stored as their I-SQL text (the
-//! canonical printer of [`crate::ast`]), and replay parses them, so the
-//! parser is the one statement decoder; `strings wal-*` shows them. String
-//! literals round-trip byte-exactly all the same: the printer doubles
-//! every `'`, and the property test
+//! [`relalg::codec`] message: two varints, both written as `0`, then the
+//! action — a statement (tag 0), a registered relation (tag 1, full
+//! relation codec), or a key declaration (tag 2). Statements are stored as
+//! their I-SQL text (the canonical printer of [`crate::ast`]), and replay
+//! parses them, so the parser is the one statement decoder; `strings
+//! wal-*` shows them. String literals round-trip byte-exactly all the
+//! same: the printer doubles every `'`, and the property test
 //! `ast::tests::string_literals_print_and_parse_back` pins quotes,
 //! newlines, `--`, `;`, non-ASCII text and the empty string. A statement
 //! whose text would not parse back to it (only the Rust API builds one)
-//! is refused before it is logged (`logged_text`); a pending select of
-//! that kind makes the commit rebase, publishing none of the session's
-//! local answers.
+//! is refused before it is logged (`logged_text`).
 //!
-//! A WAL tail written before records carried text (a binary AST) fails
-//! recovery with `InvalidData` and is left untouched. To upgrade such a
+//! The two leading varints keep the layout of older builds, whose commits
+//! also published the session's pending selects: a query-counter base,
+//! then the number of select statements replay ran before the action.
+//! The decoder accepts any counter but only a count of 0.
+//!
+//! A WAL tail an older build wrote fails recovery with `InvalidData` and
+//! is left untouched when a record holds a binary AST (written before
+//! records carried text) or carries pending selects. To upgrade such a
 //! data directory, open it once with the build that wrote it, or stop
 //! that build's server with `\shutdown`: either checkpoints the state
 //! into a snapshot and truncates the WAL.
@@ -77,7 +78,7 @@ use wsdb_env::{
     write_snapshot_file, Env,
 };
 
-use crate::ast::{SelectStmt, Stmt};
+use crate::ast::Stmt;
 use crate::engine::Engine;
 use crate::lexer::SqlError;
 use crate::parser::parse_statement;
@@ -121,25 +122,6 @@ pub(crate) enum WalAction<S = String> {
     DeclareKey { table: String, cols: Vec<String> },
 }
 
-/// Everything the session hands the engine to log one commit.
-#[derive(Debug)]
-pub(crate) struct WalSpec {
-    /// The I-SQL text of the selects run since the session's last
-    /// synchronization — their `Q‹n›` answers ride into the published
-    /// snapshot on a working-path commit.
-    pub stmts_before: Vec<String>,
-    /// The session query counter before the first pending select.
-    pub start_counter: u64,
-    /// The committed action.
-    pub action: WalAction,
-}
-
-struct WalRecord {
-    start_counter: u64,
-    stmts_before: Vec<SelectStmt>,
-    action: WalAction<Box<Stmt>>,
-}
-
 /// The I-SQL text a WAL record logs `stmt` as. Recovery replays the text
 /// through the parser, so a statement the parser does not read back to
 /// itself — only the Rust API builds one, e.g. naming a table `my table`
@@ -154,18 +136,12 @@ pub(crate) fn logged_text(stmt: &Stmt) -> Result<String, SqlError> {
     }
 }
 
-pub(crate) fn encode_wal_record(spec: &WalSpec, rebased: bool) -> Vec<u8> {
+pub(crate) fn encode_wal_record(action: &WalAction) -> Vec<u8> {
     let mut e = Enc::new();
-    e.put_varint(spec.start_counter);
-    // A rebased commit applies to the latest published state and leaves
-    // the session's local query results behind: nothing to replay before
-    // the action.
-    let pending: &[String] = if rebased { &[] } else { &spec.stmts_before };
-    e.put_varint(pending.len() as u64);
-    for text in pending {
-        e.put_str(text);
-    }
-    match &spec.action {
+    // The query-counter base and pending-select count of the older layout.
+    e.put_varint(0);
+    e.put_varint(0);
+    match action {
         WalAction::Stmt(text) => {
             e.put_u8(0);
             e.put_str(text);
@@ -187,24 +163,21 @@ pub(crate) fn encode_wal_record(spec: &WalSpec, rebased: bool) -> Vec<u8> {
     e.finish()
 }
 
-fn parse_logged(d: &mut Dec) -> Result<Stmt, CodecError> {
-    parse_statement(&d.get_string()?)
-        .map_err(|e| CodecError(format!("logged statement does not parse: {e}")))
-}
-
-fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
+fn decode_wal_record(payload: &[u8]) -> Result<WalAction<Box<Stmt>>, CodecError> {
     let mut d = Dec::new(payload)?;
-    let start_counter = d.get_varint()?;
-    let n = d.get_varint()? as usize;
-    let mut stmts_before = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        match parse_logged(&mut d)? {
-            Stmt::Select(s) => stmts_before.push(s),
-            _ => return Err(CodecError("a pending statement is not a select".into())),
-        }
+    d.get_varint()?; // an older build's query-counter base: any value decodes
+    let pending = d.get_varint()?;
+    if pending != 0 {
+        return Err(CodecError(format!(
+            "the WAL record carries {pending} pending select(s): an older build wrote it; \
+             open the directory once with that build to checkpoint it"
+        )));
     }
     let action = match d.get_u8()? {
-        0 => WalAction::Stmt(Box::new(parse_logged(&mut d)?)),
+        0 => WalAction::Stmt(Box::new(
+            parse_statement(&d.get_string()?)
+                .map_err(|e| CodecError(format!("logged statement does not parse: {e}")))?,
+        )),
         1 => {
             let name = d.get_string()?;
             let rel = d.get_relation()?;
@@ -227,11 +200,7 @@ fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
     if d.remaining() != 0 {
         return Err(CodecError("trailing bytes after the WAL record".into()));
     }
-    Ok(WalRecord {
-        start_counter,
-        stmts_before,
-        action,
-    })
+    Ok(action)
 }
 
 // ---------------------------------------------------------- snapshot codec
@@ -447,32 +416,21 @@ fn replay_fail(seq: u64, e: SqlError) -> io::Error {
     invalid(format!("WAL replay of record {seq} failed: {e}"))
 }
 
+/// Replay one WAL record: its one action, on a fresh session.
 fn replay_record(engine: &Engine, payload: &[u8], expect_seq: u64) -> io::Result<()> {
-    let rec = decode_wal_record(payload).map_err(codec_to_io)?;
     let mut session = engine.session();
-    session.set_query_counter(rec.start_counter as usize);
-    for sel in rec.stmts_before {
-        session
-            .run(Stmt::Select(sel))
-            .map_err(|e| replay_fail(expect_seq, e))?;
-    }
-    match rec.action {
-        WalAction::Stmt(stmt) => {
-            session.run(*stmt).map_err(|e| replay_fail(expect_seq, e))?;
-        }
+    let replayed = match decode_wal_record(payload).map_err(codec_to_io)? {
+        WalAction::Stmt(stmt) => session.run(*stmt).map(drop),
         WalAction::Register { name, rel } => {
             let rel = Arc::try_unwrap(rel).unwrap_or_else(|arc| (*arc).clone());
-            session
-                .register(&name, rel)
-                .map_err(|e| replay_fail(expect_seq, e))?;
+            session.register(&name, rel)
         }
         WalAction::DeclareKey { table, cols } => {
             let cols: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
-            session
-                .declare_key(&table, &cols)
-                .map_err(|e| replay_fail(expect_seq, e))?;
+            session.declare_key(&table, &cols)
         }
-    }
+    };
+    replayed.map_err(|e| replay_fail(expect_seq, e))?;
     let seq = engine.snapshot().seq();
     if seq != expect_seq {
         return Err(invalid(format!(
@@ -643,78 +601,60 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CmpOp, ColRef, Cond, FromItem, Literal, Scalar};
+    use crate::ast::{CmpOp, ColRef, Cond, Literal, Scalar};
     use relalg::{Schema, Value};
     use wsdb_env::wal::frame_record;
     use wsdb_env::SimEnv;
 
-    fn spec(pending: &[&str], stmt: &str) -> WalSpec {
-        WalSpec {
-            stmts_before: pending.iter().map(|s| s.to_string()).collect(),
-            start_counter: 3,
-            action: WalAction::Stmt(stmt.to_string()),
-        }
+    fn stmt(text: &str) -> WalAction {
+        WalAction::Stmt(text.to_string())
     }
 
     #[test]
-    fn wal_record_round_trips_and_rebase_drops_pending() {
-        let spec = spec(
-            &["select possible A from R"],
-            "insert into R values (7, 'it''s')",
-        );
-        let payload = encode_wal_record(&spec, false);
-        let rec = decode_wal_record(&payload).unwrap();
-        assert_eq!(rec.start_counter, 3);
-        assert_eq!(
-            rec.stmts_before
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
-            spec.stmts_before
-        );
+    fn wal_record_round_trips() {
+        let text = "insert into R values (7, 'it''s')";
+        let payload = encode_wal_record(&stmt(text));
         assert!(
-            matches!(rec.action, WalAction::Stmt(ref s) if s.to_string() == "insert into R values (7, 'it''s')")
+            matches!(decode_wal_record(&payload).unwrap(), WalAction::Stmt(ref s) if s.to_string() == text)
         );
         // The statement is in the record as readable text.
-        let text = b"insert into R values (7, 'it''s')";
-        assert!(payload.windows(text.len()).any(|w| w == text));
-
-        let rec = decode_wal_record(&encode_wal_record(&spec, true)).unwrap();
-        assert!(
-            rec.stmts_before.is_empty(),
-            "rebased records carry no pending selects"
-        );
+        assert!(payload.windows(text.len()).any(|w| w == text.as_bytes()));
+        // The older layout, byte for byte: counter base 0, no pending
+        // selects, then the action.
+        let mut e = Enc::new();
+        e.put_varint(0);
+        e.put_varint(0);
+        e.put_u8(0);
+        e.put_str(text);
+        assert_eq!(payload, e.finish());
+        // Any counter base decodes: an older build wrote the session's.
+        let mut e = Enc::new();
+        e.put_varint(3);
+        e.put_varint(0);
+        e.put_u8(0);
+        e.put_str(text);
+        assert!(matches!(
+            decode_wal_record(&e.finish()).unwrap(),
+            WalAction::Stmt(_)
+        ));
     }
 
     /// Valid payloads of every action shape.
     fn valid_payloads() -> Vec<Vec<u8>> {
-        let stmt = spec(
-            &[
-                "select possible A from R choice of B",
-                "select certain A from R",
-            ],
-            "update R set A = A + 1 where not exists (select * from S where S.A = R.A)",
-        );
-        let register = WalSpec {
-            stmts_before: vec![],
-            start_counter: 0,
-            action: WalAction::Register {
+        [
+            stmt("update R set A = A + 1 where not exists (select * from S where S.A = R.A)"),
+            WalAction::Register {
                 name: "R".into(),
                 rel: Arc::new(Relation::table(&["A"], &[&[1i64], &[2]])),
             },
-        };
-        let key = WalSpec {
-            stmts_before: vec![],
-            start_counter: 9,
-            action: WalAction::DeclareKey {
+            WalAction::DeclareKey {
                 table: "R".into(),
                 cols: vec!["A".into()],
             },
-        };
-        [stmt, register, key]
-            .iter()
-            .map(|s| encode_wal_record(s, false))
-            .collect()
+        ]
+        .iter()
+        .map(encode_wal_record)
+        .collect()
     }
 
     /// Hostile payloads go straight into the decoder, past the frame
@@ -751,7 +691,8 @@ mod tests {
 
     /// A record as the binary AST codec wrote it before WAL records
     /// carried I-SQL text: `encode_wal_record` of `select possible A from
-    /// R` pending before `insert into R values (7, 'x')`.
+    /// R` pending before `insert into R values (7, 'x')`. Either its
+    /// pending select or its binary statement refuses it.
     const BINARY_AST_RECORD: &str =
         "030141015201780001010101000000000100010000000000000002010102000e0102";
 
@@ -770,8 +711,10 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn recovery_refuses_a_binary_ast_record() {
+    /// Append `payload` as record 2 after a registered `R`, then check
+    /// that recovery refuses it and leaves the log as it was, so the build
+    /// that wrote it can still open the directory.
+    fn assert_recovery_refuses(payload: &[u8]) {
         let env = Arc::new(SimEnv::new());
         let engine = Engine::open_on(env.clone(), sim_opts()).unwrap();
         engine.session().register("R", table_r()).unwrap();
@@ -782,20 +725,39 @@ mod tests {
             .into_iter()
             .find(|f| parse_wal_name(f).is_some())
             .unwrap();
-        let payload: Vec<u8> = (0..BINARY_AST_RECORD.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&BINARY_AST_RECORD[i..i + 2], 16).unwrap())
-            .collect();
-        env.append(&wal, &frame_record(2, &payload).unwrap())
+        env.append(&wal, &frame_record(2, payload).unwrap())
             .unwrap();
         env.sync(&wal).unwrap();
         let before = env.read(&wal).unwrap();
 
         let err = Engine::open_on(env.clone(), sim_opts()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        // Nothing was replayed or truncated: the log is as the old build
-        // left it, so that build can still open the directory.
+        // Nothing was replayed or truncated.
         assert_eq!(env.read(&wal).unwrap(), before);
+    }
+
+    #[test]
+    fn recovery_refuses_a_binary_ast_record() {
+        let payload: Vec<u8> = (0..BINARY_AST_RECORD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&BINARY_AST_RECORD[i..i + 2], 16).unwrap())
+            .collect();
+        assert_recovery_refuses(&payload);
+    }
+
+    /// A record as builds that published a session's selects wrote it:
+    /// counter base 3, one pending select, then the action.
+    #[test]
+    fn recovery_refuses_a_record_with_pending_selects() {
+        let mut e = Enc::new();
+        e.put_varint(3);
+        e.put_varint(1);
+        e.put_str("select possible A from R");
+        e.put_u8(0);
+        e.put_str("insert into R values (7, 'x')");
+        let payload = e.finish();
+        assert!(decode_wal_record(&payload).is_err());
+        assert_recovery_refuses(&payload);
     }
 
     #[test]
@@ -822,30 +784,11 @@ mod tests {
         };
         assert!(logged_text(&keyword).is_err());
         assert_eq!(engine.snapshot().seq(), seq, "nothing was acknowledged");
-        // A select of that kind answers, but its answer cannot be logged,
-        // so the next commit rebases and leaves it behind.
-        let select = parse_statement("select * from R").unwrap();
-        let Stmt::Select(mut sel) = select else {
-            unreachable!()
-        };
-        sel.from = vec![FromItem::Table {
-            name: "my table".into(),
-            alias: None,
-        }];
-        session.run(Stmt::Select(sel)).unwrap();
-        assert!(session.answers("Q1").is_ok());
-        session.register("S", table_r()).unwrap();
-        assert_eq!(engine.snapshot().seq(), seq + 1);
-        assert!(
-            session.answers("Q1").is_err(),
-            "the local answer stays local"
-        );
         drop((session, engine));
         let engine = Engine::open_on(env, sim_opts()).unwrap();
-        assert_eq!(engine.snapshot().seq(), seq + 1);
+        assert_eq!(engine.snapshot().seq(), seq);
         let session = engine.session();
         assert_eq!(session.answers("my table").unwrap(), vec![table_r()]);
-        assert!(session.answers("Q1").is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use worldset::WorldSet;
 use wsdb_env::{Env, StdEnv};
 
-use crate::durable::{self, Durability, DurabilityOptions, WalSpec};
+use crate::durable::{self, Durability, DurabilityOptions, WalAction};
 use crate::session::Session;
 
 /// An immutable, published state of the database: a world-set plus the
@@ -263,17 +263,18 @@ impl Engine {
             .clone()
     }
 
-    /// Run one serialized write: `apply` receives the base state (the
-    /// caller's working state when it is still current, otherwise the
-    /// latest published state) and returns the successor state to publish,
-    /// or `None` to commit nothing (a rejected DML statement).
+    /// Run one serialized write: `apply` receives the latest published
+    /// state and returns the successor state to publish, or `None` to
+    /// commit nothing (a rejected DML statement). Every write takes this
+    /// one path, whatever snapshot the calling session has open, so a
+    /// commit publishes only what `apply` writes — never the caller's
+    /// local `Q‹n›` answers or world splits.
     ///
-    /// `working` is the calling session's `(opened seq, world-set, keys)`.
     /// Returns the newly published snapshot (or the reread latest snapshot
     /// when nothing was committed) plus whether a commit happened.
     ///
-    /// On a durable engine, `wal` describes the commit for the log: its
-    /// record is appended (under the writer lock, so the log order is the
+    /// On a durable engine, `wal` is the action to log: its record is
+    /// appended (under the writer lock, so the log order is the
     /// publication order) before the snapshot publishes, and the commit
     /// is only acknowledged — this function only returns `Ok` — after the
     /// record is fsynced. The fsync itself happens after the writer lock
@@ -291,8 +292,7 @@ impl Engine {
     /// ends at restart, when recovery reverts to the logged state.
     pub(crate) fn commit_with(
         &self,
-        working: (u64, &WorldSet, &BTreeMap<String, Vec<String>>),
-        wal: Option<WalSpec>,
+        wal: Option<WalAction>,
         apply: impl FnOnce(
             &WorldSet,
             &BTreeMap<String, Vec<String>>,
@@ -309,33 +309,19 @@ impl Engine {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .clone();
-            let (opened_seq, working_ws, working_keys) = working;
-            // A session whose snapshot is still the latest commits its
-            // *working* state, which may carry query results and world
-            // splits the published snapshot lacks (the single-session
-            // facade always takes this path, preserving the paper's
-            // step-by-step semantics). A stale session rebases: its write
-            // applies to the latest published state instead, and its
-            // local query results are left behind.
-            let rebased = latest.seq != opened_seq;
-            let (base_ws, base_keys) = if rebased {
-                (&latest.ws, &latest.keys)
-            } else {
-                (working_ws, working_keys)
-            };
-            match apply(base_ws, base_keys)? {
+            match apply(&latest.ws, &latest.keys)? {
                 None => (latest, false, None),
                 Some((ws, keys)) => {
                     let seq = latest.seq + 1;
                     let ticket = match &inner.durability {
                         None => None,
                         Some(d) => {
-                            let spec = wal.as_ref().ok_or_else(|| {
+                            let action = wal.as_ref().ok_or_else(|| {
                                 crate::lexer::SqlError(
-                                    "internal: durable commit without a WAL spec".into(),
+                                    "internal: durable commit without a WAL action".into(),
                                 )
                             })?;
-                            let payload = durable::encode_wal_record(spec, rebased);
+                            let payload = durable::encode_wal_record(action);
                             // Append *before* publishing: if the append
                             // fails, nothing was published and the commit
                             // errors out with the state unchanged.

@@ -1,27 +1,34 @@
 //! An I-SQL session: a per-connection handle onto a shared [`Engine`].
 //!
 //! A `Session` carries its own open [`Snapshot`](crate::Snapshot), a
-//! working world-set (the snapshot's world-set plus any query results and
-//! world splits produced locally), per-connection configuration overrides
-//! ([`SessionConfig`]), and the `Q1, Q2, …` query counter. Reads never
-//! block: a select evaluates against the working world-set with no engine
-//! lock held. Writes (DML, views, [`Session::register`],
+//! working world-set (the snapshot's world-set plus the `Q‹n›` answers and
+//! world splits of the selects run since), per-connection configuration
+//! overrides ([`SessionConfig`]), and the `Q1, Q2, …` query counter. Reads
+//! never block: a select evaluates against the working world-set with no
+//! engine lock held. Writes (DML, views, [`Session::register`],
 //! [`Session::declare_key`]) serialize through the engine's single writer
 //! and publish a new snapshot for every session to see.
 //!
 //! # Snapshot isolation
 //!
 //! A session *auto-refreshes* to the latest published snapshot at each
-//! select, **until** it has local state other sessions lack (a
-//! materialized `Q‹n›` answer or a world split) — from then on it keeps
-//! reading the snapshot those results were computed from, so every answer
-//! in one line of investigation is consistent with one database state. A
-//! write re-synchronizes: if the session's snapshot is still the latest,
-//! the write commits the session's *working* world-set (query results,
-//! splits and all — the single-session behavior of the pre-`Engine` API,
-//! preserved exactly); if other sessions have published since, the write
-//! rebases onto the latest snapshot and the session's local query results
-//! are left behind.
+//! select, **until** it has run one — from then on it keeps reading the
+//! snapshot its answers were computed from, so every answer in one line
+//! of investigation is consistent with one database state.
+//!
+//! A select's answers stay in the session. Figure 3 extends each world
+//! *of the session* by a select's `Q‹n›` answer, and so does this
+//! session; no write publishes that answer, nor the world split a
+//! `choice of` or `repair by key` select makes. `create view` is how an
+//! answer or a split reaches the catalog and other sessions.
+//!
+//! Every write applies to the latest published snapshot and publishes only
+//! the relations its statement writes. DML in a session whose select split
+//! the worlds therefore applies to the snapshot's worlds, as it does in
+//! any other session. After a committed write the session adopts the
+//! published snapshot: its local answers and splits are dropped, and it
+//! auto-refreshes again. A rejected DML statement commits nothing and
+//! leaves the session as it was.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -31,7 +38,7 @@ use relalg::{Relation, Value};
 use worldset::{World, WorldSet};
 
 use crate::ast::*;
-use crate::durable::{self, WalAction, WalSpec};
+use crate::durable::{self, WalAction};
 use crate::engine::{Engine, Snapshot};
 use crate::interp::{delete_rows, eval_select_ws, update_rows};
 use crate::lexer::SqlError;
@@ -91,10 +98,9 @@ pub enum ExecOutcome {
 /// ```
 ///
 /// [`Session::new`] is the single-session facade: it creates a private
-/// [`Engine`] under the hood, so scripts behave exactly as they did when a
-/// session owned its world-set by value. To serve several connections over
-/// one catalog, create one [`Engine`] and call [`Engine::session`] per
-/// connection.
+/// [`Engine`] under the hood, so a script sees only its own writes. To
+/// serve several connections over one catalog, create one [`Engine`] and
+/// call [`Engine::session`] per connection.
 #[derive(Debug)]
 pub struct Session {
     engine: Engine,
@@ -103,34 +109,12 @@ pub struct Session {
     /// The working world-set: `opened`'s world-set plus local query
     /// results/world splits (when `diverged`).
     ws: WorldSet,
-    /// Key constraints as of `opened` (writes republish them).
-    keys: BTreeMap<String, Vec<String>>,
     /// Whether `ws` holds local state beyond `opened` (suspends
-    /// auto-refresh until the next write re-synchronizes).
+    /// auto-refresh until the next committed write).
     diverged: bool,
     config: SessionConfig,
     query_counter: usize,
-    /// On a durable engine: the selects run since the last
-    /// synchronization. Their `Q‹n›` answers ride into the next
-    /// working-path commit, so its WAL record must replay them. Capped
-    /// at [`MAX_WAL_PENDING_SELECTS`]; see `pending_overflow`.
-    pending: Vec<Stmt>,
-    /// The query counter before the first pending select (WAL replay
-    /// starts `Q‹n›` numbering here).
-    pending_base: usize,
-    /// Set when a select arrived with `pending` already full: the local
-    /// answers are no longer fully recorded, so the next commit must
-    /// take the rebase path (which publishes none of them) instead of
-    /// logging a replay list recovery could not bound.
-    pending_overflow: bool,
 }
-
-/// Cap on the pending-select replay list one WAL record may carry. Past
-/// this, the session stops recording selects and its next commit rebases
-/// (local `Q‹n›` answers are left behind, exactly as when another session
-/// published first), so neither session memory nor recovery-time replay
-/// grows without bound under a read-heavy workload.
-const MAX_WAL_PENDING_SELECTS: usize = 256;
 
 impl Default for Session {
     fn default() -> Self {
@@ -144,7 +128,7 @@ impl Clone for Session {
     /// of the pre-`Engine` API (mutating either side never affects the
     /// other).
     fn clone(&self) -> Session {
-        let engine = Engine::with_state(self.ws.clone(), self.keys.clone());
+        let engine = Engine::with_state(self.ws.clone(), self.opened.keys().clone());
         let mut s = engine.session();
         s.config = self.config;
         s.query_counter = self.query_counter;
@@ -168,23 +152,12 @@ impl Session {
         let opened = engine.snapshot();
         Session {
             ws: opened.world_set().clone(),
-            keys: opened.keys().clone(),
             opened,
             engine,
             diverged: false,
             config: SessionConfig::new(),
             query_counter: 0,
-            pending: Vec::new(),
-            pending_base: 0,
-            pending_overflow: false,
         }
-    }
-
-    /// Set the `Q‹n›` counter (WAL replay positions a fresh session at the
-    /// counter the logging session had).
-    pub(crate) fn set_query_counter(&mut self, n: usize) {
-        self.query_counter = n;
-        self.pending_base = n;
     }
 
     /// The engine this session executes against.
@@ -289,33 +262,19 @@ impl Session {
         match stmt {
             Stmt::Select(sel) => {
                 self.refresh_if_clean();
-                let durable = self.engine.is_durable();
-                if durable && self.pending.is_empty() && !self.pending_overflow {
-                    self.pending_base = self.query_counter;
-                }
-                let logged = durable.then(|| Stmt::Select(sel.clone()));
                 let counter_before = self.query_counter;
                 let name = self.fresh_query_name();
                 self.ws = match eval_select_ws(&sel, &self.ws, &name) {
                     Ok(ws) => ws,
                     Err(e) => {
-                        // A failed select publishes nothing and is never
-                        // logged, so it must not consume a `Q‹n›` slot:
-                        // WAL replay numbers the logged selects
-                        // consecutively from `pending_base`, and a
-                        // skipped number would rename every later answer
-                        // in the recovered catalog.
+                        // A failed select adds no answer, so it must not
+                        // consume a `Q‹n›` slot: the session's next select
+                        // takes this name, and the numbering a user reads
+                        // has no gaps.
                         self.query_counter = counter_before;
                         return Err(e);
                     }
                 };
-                if let Some(sel) = logged {
-                    if self.pending.len() < MAX_WAL_PENDING_SELECTS {
-                        self.pending.push(sel);
-                    } else {
-                        self.pending_overflow = true;
-                    }
-                }
                 self.diverged = true;
                 Ok(ExecOutcome::Rows {
                     answers: self.answers(&name)?,
@@ -358,13 +317,12 @@ impl Session {
         let latest = self.engine.snapshot();
         if latest.seq() != self.opened.seq() {
             self.ws = latest.world_set().clone();
-            self.keys = latest.keys().clone();
             self.opened = latest;
         }
     }
 
-    /// The next unused `Q‹n›` answer name. Counting is per session;
-    /// names another session already committed to the catalog are skipped.
+    /// The next unused `Q‹n›` answer name. Counting is per session; a name
+    /// the catalog already holds (a view or table called `Q‹n›`) is skipped.
     fn fresh_query_name(&mut self) -> String {
         loop {
             self.query_counter += 1;
@@ -382,12 +340,11 @@ impl Session {
     }
 
     /// Run one serialized write through the engine and adopt the published
-    /// state. Returns whether the write committed (`false` only for a
-    /// rejected DML statement, which leaves the session untouched).
+    /// state, dropping the session's local answers and splits. Returns
+    /// whether the write committed (`false` only for a rejected DML
+    /// statement, which leaves the session untouched).
     ///
-    /// `wal` is the record of this write for a durable engine (the engine
-    /// pairs it with this session's pending selects, whose answers a
-    /// working-path commit publishes alongside the write).
+    /// `wal` is the record of this write for a durable engine.
     fn write(
         &mut self,
         wal: Option<WalAction>,
@@ -396,42 +353,11 @@ impl Session {
             &BTreeMap<String, Vec<String>>,
         ) -> Result<Option<(WorldSet, BTreeMap<String, Vec<String>>)>>,
     ) -> Result<bool> {
-        // A durable session that cannot log all its pending selects —
-        // the list overflowed, or the parser does not read one back (only
-        // the Rust API builds such a select) — commits as if it were
-        // stale: the rebase path publishes none of its local answers, so
-        // the WAL record carries no replay list that recovery could fail
-        // to reproduce.
-        let pending = match &wal {
-            Some(_) if !self.pending_overflow => self
-                .pending
-                .iter()
-                .map(durable::logged_text)
-                .collect::<Result<Vec<_>>>()
-                .ok(),
-            _ => None,
-        };
-        let opened_seq = if wal.is_some() && pending.is_none() {
-            u64::MAX // never a published seq: forces the rebase path
-        } else {
-            self.opened.seq()
-        };
-        let spec = wal.map(|action| WalSpec {
-            stmts_before: pending.unwrap_or_default(),
-            start_counter: self.pending_base as u64,
-            action,
-        });
-        let (snap, committed) =
-            self.engine
-                .commit_with((opened_seq, &self.ws, &self.keys), spec, apply)?;
+        let (snap, committed) = self.engine.commit_with(wal, apply)?;
         if committed {
             self.ws = snap.world_set().clone();
-            self.keys = snap.keys().clone();
             self.opened = snap;
             self.diverged = false;
-            self.pending.clear();
-            self.pending_overflow = false;
-            self.pending_base = self.query_counter;
         }
         Ok(committed)
     }

@@ -271,3 +271,29 @@ fn facade_session_keeps_local_semantics() {
     let forked = fork.answers("F").unwrap();
     assert!(forked.iter().all(|r| r.is_empty()));
 }
+
+/// DML in a session whose select split the worlds applies to the
+/// snapshot's worlds, as in any other session: the split stays local, the
+/// commit publishes one world, and the session adopts the published
+/// snapshot, dropping its answers and its split.
+#[test]
+fn dml_after_a_splitting_select_applies_to_the_snapshot_worlds() {
+    let engine = Engine::new();
+    let mut s = engine.session();
+    s.register(
+        "Flights",
+        Relation::table(
+            &["Dep", "Arr"],
+            &[&["FRA", "BCN"], &["FRA", "ATL"], &["PAR", "ATL"]],
+        ),
+    )
+    .unwrap();
+    s.execute("select Arr from Flights choice of Dep;").unwrap();
+    assert_eq!(s.world_set().len(), 2, "the select splits the session");
+    s.execute("insert into Flights values ('ROM', 'BCN');")
+        .unwrap();
+    let snap = engine.snapshot();
+    assert_eq!(snap.world_set().len(), 1, "the split was published");
+    assert!(s.world_set() == snap.world_set());
+    assert_eq!(s.answers("Flights").unwrap()[0].len(), 4);
+}

@@ -39,14 +39,15 @@ fn census() -> Relation {
 }
 
 /// A trace exercising every WAL record shape: registers, key
-/// declarations, world-multiplying selects that ride into the next
-/// commit, views, all three DML verbs, a rejected DML statement (never
-/// logged), and `set local` (deliberately not durable).
+/// declarations, a world-multiplying view (so the commits after it write
+/// and recover multi-world snapshots), views, all three DML verbs, a
+/// select (never logged), a rejected DML statement (never logged), and
+/// `set local` (deliberately not durable).
 fn trace() -> Vec<Step> {
     use Step::*;
     vec![
         Register("Flights", flights),
-        Script("select possible Arr from Flights choice of Dep;"),
+        Script("create view Pick as select Arr from Flights choice of Dep;"),
         Script("insert into Flights values ('D900', 'HUB');"),
         Script("create view Dest as select possible Arr from Flights;"),
         Register("Census", census),
@@ -59,6 +60,9 @@ fn trace() -> Vec<Step> {
         Script("update Flights set Arr = 'XXX' where Arr = 'HUB';"),
         Script("delete from Dest where Arr = 'XXX';"),
         Script("insert into Flights values ('D901', 'FRA');"),
+        // Ten commits: the last snapshot (every third) is followed by a
+        // WAL record, which the corruption test flips bytes in.
+        Script("delete from Flights where Arr = 'FRA';"),
     ]
 }
 
@@ -191,6 +195,10 @@ fn crash_at_every_write_boundary_recovers_acked_state() {
     }
     let total_ops = probe.op_count();
     assert!(total_ops > 10, "trace too small to be interesting");
+    assert!(
+        oracle.values().any(|(ws, _)| ws.len() > 1),
+        "the trace must publish a multi-world snapshot"
+    );
 
     for at_op in 0..total_ops {
         for keep in [0usize, 3, usize::MAX] {
@@ -208,11 +216,9 @@ fn crash_at_every_write_boundary_recovers_acked_state() {
     }
 }
 
-/// A select that fails must not consume a `Q‹n›` number: WAL replay
-/// renumbers the logged selects consecutively from the recorded counter
-/// base, so a skipped slot would rename every later answer in the
-/// recovered catalog — and a later logged statement that references one
-/// by name would fail replay, leaving the directory unopenable.
+/// A select that fails must not consume a `Q‹n›` number, and no select,
+/// failed or answered, reaches the log: recovery reproduces exactly the
+/// state the session's writes committed.
 #[test]
 fn failed_select_does_not_skip_query_numbers_at_recovery() {
     let env = SimEnv::new();
@@ -230,11 +236,7 @@ fn failed_select_does_not_skip_query_numbers_at_recovery() {
         panic!()
     };
     assert_eq!(name, "Q2", "a failed select must not burn a Q number");
-    // The commit's WAL record carries [Q1's, Q2's] selects for replay.
     s.execute("insert into T values ('z');").unwrap();
-    // A later logged statement references Q2 by name: its replay runs
-    // against the recovered catalog, so the name must match there too.
-    s.execute("select possible A from Q2;").unwrap();
     s.execute("delete from T where A = 'z';").unwrap();
     let pre = engine.snapshot();
     drop(engine);
@@ -248,37 +250,53 @@ fn failed_select_does_not_skip_query_numbers_at_recovery() {
     assert!(snap.keys() == pre.keys());
 }
 
-/// A read-heavy session cannot grow its WAL replay list without bound:
-/// past the cap the next commit takes the rebase path (publishing none
-/// of the local answers), and recovery reproduces that committed state
-/// exactly.
+/// A session's answers stay in the session. After 300 selects, the first
+/// of them splitting the worlds, and one `insert`, the published snapshot
+/// holds exactly what a twin engine that ran only the `insert` holds, on
+/// an in-memory and on a durable engine, and a fresh session cannot read
+/// a `Q‹n›` answer. The durable engine recovers to the same state.
+/// World-sets are compared, not snapshot bytes: a select memoizes column
+/// statistics, and the snapshot codec writes them.
 #[test]
-fn overflowing_pending_selects_commit_via_rebase_and_recover() {
+fn a_commit_publishes_no_select_answers() {
+    let run = |engine: &Engine, selects: usize| {
+        let mut s = engine.session();
+        s.register("T", Relation::table(&["A"], &[&["x"], &["y"]]))
+            .unwrap();
+        for i in 0..selects {
+            let q = if i == 0 {
+                "select A from T choice of A;"
+            } else {
+                "select possible A from T;"
+            };
+            s.execute(q).unwrap();
+        }
+        assert_eq!(s.world_set().len(), if selects > 0 { 2 } else { 1 });
+        s.execute("insert into T values ('z');").unwrap();
+    };
+    let twin = Engine::new();
+    run(&twin, 0);
+    let twin = twin.snapshot();
+
     let env = SimEnv::new();
-    let engine = Engine::open_on(Arc::new(env.clone()), opts()).unwrap();
-    let mut s = engine.session();
-    s.register("T", Relation::table(&["A"], &[&["x"], &["y"]]))
-        .unwrap();
-    // Well past the 256-select cap on one session.
-    for _ in 0..300 {
-        s.execute("select possible A from T;").unwrap();
+    let durable = Engine::open_on(Arc::new(env.clone()), opts()).unwrap();
+    for engine in [Engine::new(), durable] {
+        run(&engine, 300);
+        let snap = engine.snapshot();
+        assert_eq!(snap.world_set().rel_names(), twin.world_set().rel_names());
+        assert!(
+            snap.world_set() == twin.world_set(),
+            "the commit published the session's answers or split"
+        );
+        let err = engine.session().execute("select * from Q1;").unwrap_err();
+        assert!(err.0.contains("unknown relation"), "{err}");
     }
-    s.execute("insert into T values ('z');").unwrap();
-    let pre = engine.snapshot();
-    assert!(
-        !pre.world_set()
-            .rel_names()
-            .iter()
-            .any(|n| n.starts_with('Q')),
-        "an overflowed commit must rebase: local Q answers are left behind"
-    );
-    drop(engine);
     let recovered = Engine::open_on(Arc::new(env.recovered()), opts()).unwrap();
     let snap = recovered.snapshot();
-    assert_eq!(snap.seq(), pre.seq(), "recovery lost the rebased commit");
+    assert_eq!(snap.world_set().rel_names(), twin.world_set().rel_names());
     assert!(
-        snap.world_set() == pre.world_set(),
-        "recovered catalog diverged from the rebased commit"
+        snap.world_set() == twin.world_set(),
+        "recovered catalog differs from the twin's"
     );
 }
 
@@ -364,7 +382,12 @@ proptest! {
                     "update T set V = {} where K = {};",
                     next(100), next(6)
                 ),
-                _ => "select possible V from T choice of K;".to_string(),
+                // A view with a fresh name: it splits the worlds (at most
+                // two ways, so the trace stays small) and is logged.
+                _ => format!(
+                    "create view V{} as select V from T where K < 2 choice of K;",
+                    scripts.len()
+                ),
             });
         }
 
