@@ -472,7 +472,10 @@ fn key_local_repairs_match_the_interpreter_and_figure_3() {
 
 /// The B16 selects' plans evaluate no more composite nodes than when the
 /// evaluator also deduplicated structurally equal subplans: the counts
-/// below are the misses of that evaluator on the same plans.
+/// below are the misses of that evaluator on the same plans. Each plan also
+/// prints as the text it had while attribute names were reference-counted
+/// strings, before they were interned: interning changes no rewrite's
+/// choice, no column order and no name.
 #[test]
 fn b16_plans_evaluate_each_subplan_once() {
     let (b16, dep) = b16_session();
@@ -481,16 +484,53 @@ fn b16_plans_evaluate_each_subplan_once() {
         "select possible F.Dep, H.Name from Flights F, Hotels H \
          where F.Arr = H.City and F.Dep = '{dep}';"
     );
-    for (s, sql, misses) in [
-        (&b16, "select * from Hotels where Name = 'H0042';", 3),
-        (&b16, join.as_str(), 5),
-        (&whatif, PLAIN_GROUP_CORPUS[0], 3),
-        (&b16, "select certain Arr from Flights choice of Dep;", 2),
-        (&repair, REPAIR_CORPUS[0], 8),
-        (&whatif, WHATIF_CORPUS[0], 9),
+    let point_plan = "δ{Hotels.Name→Name,Hotels.City→City}(σ[Hotels.Name='H0042']\
+                      (δ{Name→Hotels.Name,City→Hotels.City}(Hotels)))";
+    let join_plan = format!(
+        "π{{F.Dep as Dep,H.Name as Name}}((σ[F.Dep='{dep}'](δ{{Dep→F.Dep,Arr→F.Arr}}(Flights)) \
+         ⋈[F.Arr=H.City] δ{{Name→H.Name,City→H.City}}(Hotels)))"
+    );
+    let agg_plan = "δ{Lineitem.Year→Year}(γ{Lineitem.Year;sum(Lineitem.Price) as Rev}\
+                    (δ{Product→Lineitem.Product,Quantity→Lineitem.Quantity,\
+                    Price→Lineitem.Price,Year→Lineitem.Year}(Lineitem)))";
+    let trip_plan = "(π{Arr,Dep}(Flights) ÷ π{Dep}(Flights))";
+    let repair_plan = "π{Census.SSN as SSN,Census.Name as Name}\
+        ((π{SSN as Census.SSN,Name as Census.Name,SSN as #1.Census.SSN}(Census) \
+        − π{Census.SSN,Census.Name,#1.Census.SSN}\
+        (((π{SSN as Census.SSN,Name as Census.Name,SSN as #1.Census.SSN}(Census) \
+        ⋈ π{SSN as #1.Census.SSN,Name as #1.Census.Name,POB as #1.Census.POB,\
+        POW as #1.Census.POW}(Census)) \
+        − π{SSN as Census.SSN,Name as Census.Name,SSN as #1.Census.SSN,\
+        Name as #1.Census.Name,POB as #1.Census.POB,POW as #1.Census.POW}(Census)))))";
+    let whatif_plan = "π{A.Year as Year,Revenue}\
+        (γ{A.Year,#1.Lineitem.Year,#2.Lineitem.Quantity;sum(Revenue) as Revenue}\
+        (((π{Quantity as A.Quantity,Year as A.Year,Year as #1.Lineitem.Year,Revenue}\
+        (γ{Quantity,Year;sum(Price) as Revenue}(Lineitem)) \
+        × ({⟨⟩} =⊲⊳ π{Quantity as #2.Lineitem.Quantity}(Lineitem))) \
+        ▷[A.Quantity=Quantity,#2.Lineitem.Quantity] \
+        π{Quantity,Quantity as #2.Lineitem.Quantity}(Lineitem))))";
+    for (s, sql, misses, plan) in [
+        (
+            &b16,
+            "select * from Hotels where Name = 'H0042';",
+            3,
+            point_plan,
+        ),
+        (&b16, join.as_str(), 5, join_plan.as_str()),
+        (&whatif, PLAIN_GROUP_CORPUS[0], 3, agg_plan),
+        (
+            &b16,
+            "select certain Arr from Flights choice of Dep;",
+            2,
+            trip_plan,
+        ),
+        (&repair, REPAIR_CORPUS[0], 8, repair_plan),
+        (&whatif, WHATIF_CORPUS[0], 9, whatif_plan),
     ] {
         let e = s.explain(sql).unwrap();
         assert!(e.relational_route, "{sql}");
+        let printed = e.relational_plan.as_ref().expect("a relational plan");
+        assert_eq!(printed.to_string(), plan, "`{sql}`");
         let stats = e.cache.expect("the plan was trial-evaluated");
         assert!(
             stats.misses <= misses,

@@ -1,40 +1,48 @@
 use std::fmt;
-use std::sync::Arc;
+
+use crate::value::Sym;
 
 /// An attribute name in the named perspective of the relational model.
 ///
-/// Attribute names are cheap to clone (reference-counted). Qualified names
-/// like `1.CID` (Example 4.1 of the paper) or generated world-id attributes
-/// like `#1.Dep` are plain strings; the algebra does not interpret dots.
+/// Attribute names are interned like string values: an `Attr` wraps the
+/// [`Sym`] of its name, so it is 12 bytes, cloning it copies those bytes,
+/// equality and hashing compare the interner id, and order is the names'
+/// string order ([`Sym`]'s). Qualified names like `1.CID` (Example 4.1 of
+/// the paper) or generated world-id attributes like `#1.Dep` are plain
+/// strings; the algebra does not interpret dots.
+///
+/// `Attr` is deliberately not `Copy`: its callers clone names explicitly
+/// (the `statement_path` benchmark among them), and under `Copy` each such
+/// `.clone()` would be a `clippy::clone_on_copy` warning.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Attr(Arc<str>);
+pub struct Attr(Sym);
 
 impl Attr {
     /// Create an attribute with the given name.
     pub fn new(name: &str) -> Attr {
-        Attr(Arc::from(name))
+        Attr(Sym::new(name))
     }
 
     /// The attribute name.
     pub fn name(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 
     /// Prefix this attribute with a qualifier, producing `qual.name`.
     pub fn qualified(&self, qual: &str) -> Attr {
-        Attr(Arc::from(format!("{qual}.{}", self.0).as_str()))
+        Attr::new(&format!("{qual}.{}", self.name()))
     }
 }
 
 impl fmt::Debug for Attr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(self.name())
     }
 }
 
 impl fmt::Display for Attr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(self.name())
     }
 }
 

@@ -71,19 +71,30 @@ pub fn simplify_all(exprs: &[Expr], base: &dyn Fn(&str) -> Option<Schema>) -> Re
         shared: Shared::default(),
     };
     let mut cur = exprs.to_vec();
-    for _ in 0..64 {
+    let mut passes = 0;
+    loop {
         pass.memo.clear();
         let next = cur
             .iter()
             .map(|e| pass.node(e))
             .collect::<Result<Vec<_>>>()?;
-        if next.iter().zip(&cur).all(|(n, c)| n.id() == c.id()) {
+        passes += 1;
+        let fixpoint = next.iter().zip(&cur).all(|(n, c)| n.id() == c.id());
+        if fixpoint || passes == MAX_PASSES {
+            debug_assert!(
+                fixpoint,
+                "simplify reached no fixpoint in {MAX_PASSES} passes: two rules undo each other"
+            );
             return Ok(next);
         }
         cur = next;
     }
-    Ok(cur)
 }
+
+/// Passes after which [`simplify_all`] stops looking for a fixpoint. A plan
+/// still changing after this many has two rules that undo each other: a
+/// debug build panics on it, a release build returns the last pass's plan.
+const MAX_PASSES: usize = 64;
 
 /// The output nodes of [`simplify_all`] so far, by operator and children:
 /// a node equal to one of them is replaced by it. Entries pin their nodes.

@@ -38,7 +38,12 @@ use std::sync::{OnceLock, RwLock};
 ///
 /// Interned strings are leaked (the interner lives for the process); the
 /// set of distinct strings in a workload is bounded by its active domain,
-/// which this engine materializes anyway.
+/// which this engine materializes anyway. Attribute names
+/// ([`crate::Attr`]) are interned here too. They are bounded by the
+/// schemas and the statement text a workload uses: the translations'
+/// generated `#n.` names count from 1 again in every statement. A client
+/// that keeps inventing aliases or column names leaks them the way new
+/// string values leak.
 #[derive(Clone, Copy, Debug)]
 #[repr(Rust, packed(4))]
 pub struct Sym {

@@ -187,8 +187,8 @@ impl PartialOrd for Prefix<'_> {
 /// `poss`/`cert` folds) visits the worlds in that order on the calling
 /// thread, so the callbacks are plain `FnMut`. Worlds share almost all
 /// their data by `Arc`, which leaves nothing to split across threads
-/// (EXPERIMENTS.md, B8); parallelism lives on the tuple axis inside
-/// `relalg`.
+/// (EXPERIMENTS.md, B8); `relalg`'s operators run on the calling thread
+/// too, so evaluating a world-set starts no thread.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorldSet {
     rel_names: Arc<Vec<String>>,

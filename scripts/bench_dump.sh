@@ -33,7 +33,7 @@ targets=("$@")
 merge=1
 if [ ${#targets[@]} -eq 0 ]; then
     merge=0
-    targets=(translation rewrite_gain rewrite_pipeline division repair translation_size worldset_ops tuple_layout wide_scan parallel_scaling columnar_exec factorized_worlds mixed_plans concurrent_sessions durability)
+    targets=(translation rewrite_gain rewrite_pipeline division repair translation_size worldset_ops tuple_layout wide_scan parallel_scaling columnar_exec factorized_worlds mixed_plans concurrent_sessions durability plan_build)
 fi
 
 for t in "${targets[@]}"; do
