@@ -11,13 +11,12 @@
 //! `mixed_enum` are the two pure strategies. The routed leg must beat
 //! both (see EXPERIMENTS.md §B15).
 //!
-//! The compaction legs re-run B12's `pair_cert` shape (union of two
-//! world-splitting operands closed by `cert`) with the lineage-formula
-//! compaction toggle in both positions (the default, and a `compact = off`
-//! session overlay): subsumption plus single-variable
-//! merging keeps the validity DNF near its model count instead of its
-//! derivation count, which is what flattens the 16→64-world cost curve
-//! (was ~14.6× per 4× worlds, target ≤4×).
+//! The `pair_cert_compact` legs re-run B12's `pair_cert` shape (union of
+//! two world-splitting operands closed by `cert`) on the strict factorized
+//! entry. Lineage-formula compaction (subsumption plus single-variable
+//! merging, always on) keeps the validity DNF near its model count instead
+//! of its derivation count, which is what flattens the 16→64-world cost
+//! curve (~14.6× per 4× worlds without it, target ≤4×).
 //!
 //! `merge_poss_routed` is the regression guard for the linear control
 //! shape: the per-node planner must route it enumerated end-to-end, so
@@ -27,7 +26,7 @@
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relalg::{attrs, config, Relation, Schema, Value};
+use relalg::{attrs, Relation, Schema, Value};
 use worldset::WorldSet;
 use wsa::{eval_factorized, eval_named, eval_named_routed, Query};
 
@@ -136,22 +135,14 @@ fn bench_mixed_plans(c: &mut Criterion) {
         });
     }
 
-    // ---- lineage compaction on/off on B12's pair_cert shape ----
+    // ---- lineage compaction on B12's pair_cert shape ----
     let pair = cert_operand();
     for &worlds in &[16usize, 64] {
         let ws = split_input(worlds);
         let tag = format!("{worlds}w");
-        for (leg, value) in [
-            ("pair_cert_compact", "default"),
-            ("pair_cert_nocompact", "off"),
-        ] {
-            let mut cfg = config::SessionConfig::new();
-            cfg.set("compact", value).unwrap();
-            group.bench_with_input(BenchmarkId::new(leg, &tag), &(), |b, _| {
-                let _g = config::overlay(&cfg);
-                b.iter(|| black_box(eval_factorized(&pair, &ws, "Ans").unwrap()));
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("pair_cert_compact", &tag), &(), |b, _| {
+            b.iter(|| black_box(eval_factorized(&pair, &ws, "Ans").unwrap()));
+        });
     }
 
     // ---- linear control shape through the routed entry ----

@@ -26,16 +26,20 @@
 //!   boundaries: the branch is expanded to explicit worlds and evaluation
 //!   continues enumerated.
 //!
-//! [`eval_named_routed`] is the public entry: a cost-model-driven chooser
-//! ([`should_factorize`], using the [`Relation::stats`] cardinalities to
-//! estimate the implicit world count) decides factorized vs. enumerated
-//! per query, and *any* factorized error — a representation budget
-//! overflow or a genuine algebra error — falls back to the reference
-//! evaluator, whose result (or error) is authoritative. The strict entry
-//! [`eval_factorized`] is exposed for equivalence testing: modulo
-//! fallback, the two paths return byte-identical world-sets.
+//! One evaluator (`Fx::eval_p`) runs a query under a [`RepPlan`], and one
+//! chooser builds that plan: [`plan_query`], using the [`Relation::stats`]
+//! cardinalities to estimate the implicit world count, assigns each node
+//! factored or enumerated. [`eval_named_routed`] is the public entry: it
+//! runs the plan when any node is factored, and *any* factorized error —
+//! a representation budget overflow or a genuine algebra error — falls
+//! back to the reference evaluator, whose result (or error) is
+//! authoritative. The strict entry [`eval_factorized`] is exposed for
+//! equivalence testing: it runs the same evaluator under a plan with the
+//! cost test dropped (every node with no decode boundary at or below it
+//! runs factored) and returns a world-set byte-identical to
+//! [`crate::eval_named`]'s, or a budget error.
 
-use relalg::{config, Attr, Relation, Result};
+use relalg::{Attr, Relation, Result};
 use uldb::{Dnf, FResult, FactorError, FactoredSet};
 use worldset::{World, WorldSet};
 
@@ -58,165 +62,6 @@ struct Fx<'a> {
 }
 
 impl Fx<'_> {
-    fn eval(&mut self, q: &Query) -> FResult<Rep> {
-        match q {
-            Query::Rel(name) => {
-                let rel = self
-                    .fs
-                    .table(name)
-                    .ok_or_else(|| relalg::RelalgError::UnknownTable { name: name.clone() })?
-                    .clone();
-                let w = self.fs.worlds().clone();
-                Ok(Rep::F { rel, w })
-            }
-
-            Query::Select(p, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.select(&rel, p)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_unary(&input, |r| r.select(p))?))),
-            },
-            Query::Project(attrs, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.project(&rel, attrs)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_unary(&input, |r| {
-                    r.project(attrs)
-                })?))),
-            },
-            Query::Rename(map, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.rename(&rel, map)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_unary(&input, |r| {
-                    r.rename(map)
-                })?))),
-            },
-
-            Query::Product(a, b) => self.binary(a, b, BinOp::Product),
-            Query::Union(a, b) => self.binary(a, b, BinOp::Union),
-            Query::Intersect(a, b) => self.binary(a, b, BinOp::Intersect),
-            Query::Difference(a, b) => self.binary(a, b, BinOp::Difference),
-            Query::SemiJoin {
-                on,
-                anti,
-                left,
-                right,
-            } => self.binary(left, right, BinOp::Semi(on, *anti)),
-
-            Query::Choice(attrs, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => {
-                    let (rel, w) = self.fs.choice(&rel, attrs, &w)?;
-                    Ok(Rep::F { rel, w })
-                }
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_choice(&input, attrs)?))),
-            },
-
-            Query::Poss(inner) => match self.eval(inner)? {
-                // The merged answer is certain (lineage ⊤) and every
-                // valid world keeps its prefix: `w` is unchanged.
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.poss(&rel, &w)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &input, None, None, true,
-                )?))),
-            },
-            Query::Cert(inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.cert(&rel, &w)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &input, None, None, false,
-                )?))),
-            },
-
-            // Decode boundaries: grouping compares answer *sets* across
-            // worlds — expand and continue enumerated.
-            Query::PossGroup { group, proj, input } => {
-                let rep = self.eval(input)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &worlds,
-                    Some(group),
-                    Some(proj),
-                    true,
-                )?)))
-            }
-            Query::CertGroup { group, proj, input } => {
-                let rep = self.eval(input)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &worlds,
-                    Some(group),
-                    Some(proj),
-                    false,
-                )?)))
-            }
-            Query::RepairKey(key, inner) => {
-                let rep = self.eval(inner)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_repair(&worlds, key)?)))
-            }
-            Query::Aggregate { group, aggs, input } => {
-                let rep = self.eval(input)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_unary(&worlds, |r| {
-                    r.aggregate(group, aggs)
-                })?)))
-            }
-        }
-    }
-
-    fn binary(&mut self, a: &Query, b: &Query, op: BinOp) -> FResult<Rep> {
-        let ra = self.eval(a)?;
-        let rb = self.eval(b)?;
-        match (ra, rb) {
-            (Rep::F { rel: la, w: wa }, Rep::F { rel: lb, w: wb })
-                if !matches!(op, BinOp::Semi(..)) =>
-            {
-                // Validity product = the reference evaluator's pairing of
-                // operand worlds over the shared prefix: operand-private
-                // choice variables stay independent, shared base
-                // variables must agree.
-                let w = wa
-                    .and_dnf(&wb, self.fs.doms(), self.fs.budget())
-                    .ok_or(FactorError::Budget("binary validity product"))?;
-                let rel = match op {
-                    BinOp::Product => self.fs.product(&la, &lb)?,
-                    BinOp::Union => self.fs.union(&la, &lb)?,
-                    BinOp::Intersect => self.fs.intersect(&la, &lb)?,
-                    BinOp::Difference => self.fs.difference(&la, &lb)?,
-                    BinOp::Semi(..) => unreachable!("a semijoin is a decode boundary"),
-                };
-                Ok(Rep::F { rel, w })
-            }
-            (ra, rb) => {
-                let left = self.to_worlds(ra)?;
-                let right = self.to_worlds(rb)?;
-                let out = apply_binary(&left, &right, |l, r| op.apply(l, r))?;
-                Ok(Rep::E(dedup_worlds(out)))
-            }
-        }
-    }
-
-    /// Decode a branch to explicit worlds (prefix relations + answer
-    /// last), the input format of the `apply_*` helpers.
-    fn to_worlds(&self, rep: Rep) -> FResult<Vec<World>> {
-        match rep {
-            Rep::E(worlds) => Ok(worlds),
-            Rep::F { rel, w } => {
-                let ws = self.fs.expand_with(&w, Some(("Q", &rel)))?;
-                Ok(ws.worlds())
-            }
-        }
-    }
-
     /// Plan-directed evaluation: each node runs in the representation the
     /// [`RepPlan`] assigned to it.
     ///
@@ -384,16 +229,16 @@ impl Fx<'_> {
                     r.aggregate(group, aggs)
                 })?)))
             }
-            Query::Product(a, b) => self.binary_p(a, b, p, BinOp::Product),
-            Query::Union(a, b) => self.binary_p(a, b, p, BinOp::Union),
-            Query::Intersect(a, b) => self.binary_p(a, b, p, BinOp::Intersect),
-            Query::Difference(a, b) => self.binary_p(a, b, p, BinOp::Difference),
+            Query::Product(a, b) => self.binary_p(a, b, p, Relation::product),
+            Query::Union(a, b) => self.binary_p(a, b, p, Relation::union),
+            Query::Intersect(a, b) => self.binary_p(a, b, p, Relation::intersect),
+            Query::Difference(a, b) => self.binary_p(a, b, p, Relation::difference),
             Query::SemiJoin {
                 on,
                 anti,
                 left,
                 right,
-            } => self.binary_p(left, right, p, BinOp::Semi(on, *anti)),
+            } => self.binary_p(left, right, p, |l, r| l.semijoin_on(r, on, *anti)),
         }
     }
 
@@ -406,40 +251,29 @@ impl Fx<'_> {
         }
     }
 
-    /// Evaluate a child per plan and decode to explicit worlds (the
-    /// conversion site of an enumerated parent over a factored branch).
+    /// Evaluate a child per plan and decode to explicit worlds (prefix
+    /// relations + answer last, the input format of the `apply_*`
+    /// helpers): the conversion site of an enumerated parent over a
+    /// factored branch.
     fn child_worlds(&mut self, q: &Query, p: &RepPlan) -> FResult<Vec<World>> {
-        let rep = self.eval_p(q, p)?;
-        self.to_worlds(rep)
+        match self.eval_p(q, p)? {
+            Rep::E(worlds) => Ok(worlds),
+            Rep::F { rel, w } => Ok(self.fs.expand_with(&w, Some(("Q", &rel)))?.worlds()),
+        }
     }
 
-    fn binary_p(&mut self, a: &Query, b: &Query, p: &RepPlan, op: BinOp) -> FResult<Rep> {
+    /// An enumerated binary node: `op` on each pair of operand worlds
+    /// over the shared prefix.
+    fn binary_p(
+        &mut self,
+        a: &Query,
+        b: &Query,
+        p: &RepPlan,
+        op: impl Fn(&Relation, &Relation) -> Result<Relation>,
+    ) -> FResult<Rep> {
         let left = self.child_worlds(a, &p.kids[0])?;
         let right = self.child_worlds(b, &p.kids[1])?;
-        let out = apply_binary(&left, &right, |l, r| op.apply(l, r))?;
-        Ok(Rep::E(dedup_worlds(out)))
-    }
-}
-
-enum BinOp<'q> {
-    Product,
-    Union,
-    Intersect,
-    Difference,
-    /// Semijoin on the pairs, or antijoin.
-    Semi(&'q [(Attr, Attr)], bool),
-}
-
-impl BinOp<'_> {
-    /// The operator on one pair of answers.
-    fn apply(&self, l: &Relation, r: &Relation) -> Result<Relation> {
-        match self {
-            BinOp::Product => l.product(r),
-            BinOp::Union => l.union(r),
-            BinOp::Intersect => l.intersect(r),
-            BinOp::Difference => l.difference(r),
-            BinOp::Semi(on, anti) => l.semijoin_on(r, on, *anti),
-        }
+        Ok(Rep::E(dedup_worlds(apply_binary(&left, &right, op)?)))
     }
 }
 
@@ -483,12 +317,13 @@ impl RepCard {
 /// the group count, `poss`/`cert` collapse back to the base count since
 /// their answer is uniform across worlds, binaries pair operand worlds
 /// over the shared prefix) and a subtree `peak`; its own cost rule fires
-/// when the subtree is decode-free, contains a choice, and
-/// `peak ≥ max(FACTORIZE_MIN_WORLDS, GAIN·(input + out))`. Top-down
-/// finalization then assigns the actual mode: decode boundaries
-/// (`pγ`/`cγ`/`repair-by-key`/`γ`/`⋉`/`▷`) are always enumerated, a factored parent
-/// forces its whole subtree factored (an enumerated branch cannot be
-/// re-encoded into the shared variable space), a binary under an
+/// when the input world-set is non-empty, the subtree is decode-free,
+/// contains a choice, and `peak ≥ max(FACTORIZE_MIN_WORLDS, GAIN·(input +
+/// out))` ([`eval_factorized`]'s plan keeps only the first two tests).
+/// Top-down finalization then assigns the actual mode: decode boundaries
+/// (`pγ`/`cγ`/`repair-by-key`/`γ`/`⋉`/`▷`) are always enumerated, a
+/// factored parent forces its whole subtree factored (an enumerated branch
+/// cannot be re-encoded into the shared variable space), a binary under an
 /// enumerated parent goes factored only when *both* operands' own rules
 /// fire (otherwise each operand decides independently — the mixed plan),
 /// and any other node under an enumerated parent follows its own rule.
@@ -523,11 +358,12 @@ impl RepPlan {
 }
 
 struct Planner<'a> {
+    ws: &'a WorldSet,
     /// Base world count of the input world-set (≥ 1).
     wc: u128,
-    /// [`FACTORIZE_MIN_WORLDS`].
-    min: u128,
-    distinct: &'a dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
+    /// Drop the cost test: every decode-free node runs factored
+    /// ([`eval_factorized`]).
+    force: bool,
 }
 
 impl Planner<'_> {
@@ -544,11 +380,7 @@ impl Planner<'_> {
             // result distinguishes only the base prefixes again.
             Query::Poss(_) | Query::Cert(_) => self.wc,
             Query::PossGroup { .. } | Query::CertGroup { .. } => kids[0].out,
-            Query::Choice(attrs, i) => {
-                kids[0]
-                    .out
-                    .saturating_mul(group_estimate(attrs, i, self.distinct))
-            }
+            Query::Choice(attrs, i) => kids[0].out.saturating_mul(self.group_estimate(attrs, i)),
             // Repairs multiply by the product of key-group sizes; without
             // per-group statistics use a small constant.
             Query::RepairKey(_, _) => kids[0].out.saturating_mul(4),
@@ -569,12 +401,13 @@ impl Planner<'_> {
         let peak = kids.iter().map(|k| k.peak).fold(out, u128::max);
         let has_choice = matches!(q, Query::Choice(_, _)) || kids.iter().any(|k| k.has_choice);
         let decode_free = !is_decode_boundary(q) && kids.iter().all(|k| k.decode_free);
-        let rule_f = has_choice
+        let rule_f = !self.ws.is_empty()
             && decode_free
-            && peak
-                >= self
-                    .min
-                    .max(GAIN.saturating_mul(self.wc.saturating_add(out)));
+            && (self.force
+                || has_choice
+                    && peak
+                        >= FACTORIZE_MIN_WORLDS
+                            .max(GAIN.saturating_mul(self.wc.saturating_add(out))));
         RepPlan {
             card: RepCard::E,
             out,
@@ -586,6 +419,42 @@ impl Planner<'_> {
             decode_free,
             all_e: true,
         }
+    }
+
+    /// Estimated number of `χ_U` groups: when the choice input resolves to
+    /// a base relation through unary operators (renames map the
+    /// `U`-attributes back to the base schema), the largest distinct count
+    /// of the `U`-attributes in that relation's statistics (first world,
+    /// capped by its row count); else a default of 4.
+    fn group_estimate(&self, attrs: &[Attr], inner: &Query) -> u128 {
+        const DEFAULT: u128 = 4;
+        let mut cur = inner;
+        let mut attrs: Vec<Attr> = attrs.to_vec();
+        let name = loop {
+            match cur {
+                Query::Rel(n) => break n,
+                Query::Select(_, i) | Query::Project(_, i) | Query::Choice(_, i) => cur = i,
+                Query::Rename(map, i) => {
+                    for a in &mut attrs {
+                        if let Some((src, _)) = map.iter().find(|(_, dst)| dst == a) {
+                            *a = src.clone();
+                        }
+                    }
+                    cur = i;
+                }
+                _ => return DEFAULT,
+            }
+        };
+        let distinct = || {
+            let r = self.ws.iter().next()?.rel(self.ws.index_of(name)?);
+            let stats = r.stats();
+            let d = attrs
+                .iter()
+                .filter_map(|a| stats.distinct_of(r.schema(), a))
+                .max()?;
+            Some((d.min(stats.rows).max(1)) as u128)
+        };
+        distinct().unwrap_or(DEFAULT)
     }
 
     /// Top-down pass: assign modes and conversion sites (see the
@@ -627,42 +496,23 @@ fn is_decode_boundary(q: &Query) -> bool {
     )
 }
 
-/// Build the per-node representation plan for `q` over `ws`, using the
-/// PR 5 relation statistics for the group estimates.
-pub fn plan_query(q: &Query, ws: &WorldSet) -> RepPlan {
-    plan_with(q, ws.len(), &|name, attrs| {
-        let idx = ws.index_of(name)?;
-        let w = ws.iter().next()?;
-        let r = w.rel(idx);
-        let stats = r.stats();
-        let d = attrs
-            .iter()
-            .filter_map(|a| stats.distinct_of(r.schema(), a))
-            .max()?;
-        Some((d.min(stats.rows).max(1)) as u128)
-    })
-}
-
 /// Minimum estimated implicit world count before a node runs factored.
 /// Below it, enumerated evaluation is cheap and avoids the expand step
 /// entirely.
 const FACTORIZE_MIN_WORLDS: u128 = 16;
 
-/// [`plan_query`] for callers that hold a *succinct representation*
-/// rather than enumerated worlds: `world_count` is the representation's
-/// world count and `distinct` supplies the distinct-count statistic for a
-/// base relation's attributes (`None` falls back to the default group
-/// estimate of 4). This lets the Figure-6 translation and `EXPLAIN`
-/// consult the planner without first decoding into explicit worlds.
-pub fn plan_with(
-    q: &Query,
-    world_count: usize,
-    distinct: &dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
-) -> RepPlan {
+/// Build the per-node representation plan for `q` over `ws`, using the
+/// relation statistics for the group estimates.
+pub fn plan_query(q: &Query, ws: &WorldSet) -> RepPlan {
+    plan(q, ws, false)
+}
+
+/// [`plan_query`], or with `force` the plan of [`eval_factorized`].
+fn plan(q: &Query, ws: &WorldSet, force: bool) -> RepPlan {
     let planner = Planner {
-        wc: (world_count as u128).max(1),
-        min: FACTORIZE_MIN_WORLDS,
-        distinct,
+        ws,
+        wc: (ws.len() as u128).max(1),
+        force,
     };
     let mut plan = planner.build(q);
     planner.finalize(&mut plan, q, false);
@@ -671,20 +521,12 @@ pub fn plan_with(
 
 /// Evaluate `q` strictly on the factorized path (no fallback): identical
 /// output to [`crate::eval_named`] whenever it succeeds. Budget overflows
-/// surface as [`FactorError::Budget`]. Every choice-carrying region runs
-/// factored regardless of cost (the equivalence-testing entry); the
-/// cost-driven mixed plan is [`eval_planned`].
+/// surface as [`FactorError::Budget`]. Every node with no decode boundary
+/// at or below it runs factored regardless of cost (the
+/// equivalence-testing entry); the cost-driven mixed plan is
+/// [`plan_query`].
 pub fn eval_factorized(q: &Query, ws: &WorldSet, out_name: &str) -> FResult<WorldSet> {
-    let fs = FactoredSet::from_world_set(ws)?;
-    let mut fx = Fx { fs, ws };
-    match fx.eval(q)? {
-        Rep::F { rel, w } => fx.fs.expand_with(&w, Some((out_name, &rel))),
-        Rep::E(worlds) => {
-            let mut names = ws.rel_names().to_vec();
-            names.push(out_name.to_string());
-            Ok(WorldSet::from_worlds(names, worlds)?)
-        }
-    }
+    eval_planned(q, ws, out_name, &plan(q, ws, true))
 }
 
 /// Collect the base relations read by the plan's factored regions:
@@ -730,76 +572,21 @@ pub fn eval_planned(q: &Query, ws: &WorldSet, out_name: &str, plan: &RepPlan) ->
 /// enumerated result — or error — is authoritative). An all-enumerated
 /// plan short-circuits to the reference evaluator directly.
 pub fn eval_named_routed(q: &Query, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
-    if config::factorize_enabled() && !ws.is_empty() {
-        let plan = plan_query(q, ws);
-        if plan.any_f() {
-            if let Ok(out) = eval_planned(q, ws, out_name, &plan) {
-                return Ok(out);
-            }
+    let plan = plan_query(q, ws);
+    if plan.any_f() {
+        if let Ok(out) = eval_planned(q, ws, out_name, &plan) {
+            return Ok(out);
         }
     }
     crate::semantics::eval_named(q, ws, out_name)
 }
 
-/// Whether the planner routes any part of `q` to the factorized path:
-/// factorization enabled, a non-empty input, and at least one node whose
-/// cost rule fires (subtree peak at least `GAIN ×` the worlds an
-/// enumerated plan would touch, and no smaller than
-/// `FACTORIZE_MIN_WORLDS`).
+/// Whether the planner routes any part of `q` to the factorized path: a
+/// non-empty input and at least one node whose cost rule fires (subtree
+/// peak at least `GAIN ×` the worlds an enumerated plan would touch, and
+/// no smaller than `FACTORIZE_MIN_WORLDS`).
 pub fn should_factorize(q: &Query, ws: &WorldSet) -> bool {
-    config::factorize_enabled() && !ws.is_empty() && plan_query(q, ws).any_f()
-}
-
-/// Estimate of the number of implicit worlds `q` creates over `ws`: the
-/// *peak* output estimate across the plan — `|ws|` times the splitting
-/// factor of the widest intermediate. Choice nodes multiply by their
-/// estimated group count (the PR 5 statistics of the base relation they
-/// resolve to, or a default of 4); `poss`/`cert` collapse back to the
-/// base count; binary nodes pair operand worlds. Saturating; an
-/// estimate, not a bound — used only to steer the representation choice
-/// and reported by `EXPLAIN`.
-pub fn implicit_world_estimate(q: &Query, ws: &WorldSet) -> u128 {
-    plan_query(q, ws).peak
-}
-
-/// [`implicit_world_estimate`] over a succinct representation (see
-/// [`plan_with`] for the `distinct` contract).
-pub fn implicit_world_estimate_with(
-    q: &Query,
-    world_count: usize,
-    distinct: &dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
-) -> u128 {
-    plan_with(q, world_count, distinct).peak
-}
-
-/// Estimated number of `χ_U` groups: when the choice input resolves to a
-/// base relation through unary operators (renames map the `U`-attributes
-/// back to the base schema), the `distinct` statistic of the
-/// `U`-attributes from that relation; else a default of 4.
-fn group_estimate(
-    attrs: &[relalg::Attr],
-    inner: &Query,
-    distinct: &dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
-) -> u128 {
-    const DEFAULT: u128 = 4;
-    let mut cur = inner;
-    let mut attrs: Vec<relalg::Attr> = attrs.to_vec();
-    let name = loop {
-        match cur {
-            Query::Rel(n) => break n,
-            Query::Select(_, i) | Query::Project(_, i) | Query::Choice(_, i) => cur = i,
-            Query::Rename(map, i) => {
-                for a in &mut attrs {
-                    if let Some((src, _)) = map.iter().find(|(_, dst)| dst == a) {
-                        *a = src.clone();
-                    }
-                }
-                cur = i;
-            }
-            _ => return DEFAULT,
-        }
-    };
-    distinct(name, &attrs).unwrap_or(DEFAULT)
+    plan_query(q, ws).any_f()
 }
 
 #[cfg(test)]
@@ -990,18 +777,18 @@ mod tests {
         let ws = single();
         let q3 = Query::rel("Flights").choice(attrs(&["Dep"]));
         // 1 world × 3 Dep groups.
-        assert_eq!(implicit_world_estimate(&q3, &ws), 3);
+        assert_eq!(plan_query(&q3, &ws).peak, 3);
         // Chained choices multiply: 3 Dep × 2 Arr.
         let q6 = Query::rel("Flights")
             .choice(attrs(&["Dep"]))
             .choice(attrs(&["Arr"]));
-        assert_eq!(implicit_world_estimate(&q6, &ws), 6);
+        assert_eq!(plan_query(&q6, &ws).peak, 6);
         assert!(!should_factorize(&q6, &ws), "6 < default threshold 16");
         // A query that *ends* in its widest choice gains nothing from
         // factorizing: every implicit world is decoded at the output
         // anyway, so the per-node rule keeps it enumerated.
         let q_big = q6.clone().choice(attrs(&["Dep"]));
-        assert_eq!(implicit_world_estimate(&q_big, &ws), 18);
+        assert_eq!(plan_query(&q_big, &ws).peak, 18);
         assert!(
             !should_factorize(&q_big, &ws),
             "χ-ended query decodes its peak at the output"
@@ -1013,15 +800,10 @@ mod tests {
             .choice(attrs(&["K"]))
             .project(attrs(&["V"]))
             .cert();
-        assert_eq!(implicit_world_estimate(&q_cert, &kws), 20);
+        assert_eq!(plan_query(&q_cert, &kws).peak, 20);
         assert!(should_factorize(&q_cert, &kws));
         // No choice node ⇒ never factorize.
         assert!(!should_factorize(&Query::rel("Flights"), &ws));
-        // A `factorize = off` session overlay wins.
-        let mut off = config::SessionConfig::new();
-        off.set("factorize", "off").unwrap();
-        let _g = config::overlay(&off);
-        assert!(!should_factorize(&q_cert, &kws));
     }
 
     /// `wc` worlds sharing a `T` with `groups` distinct `K` values, told

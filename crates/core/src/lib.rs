@@ -36,8 +36,8 @@ pub mod typing;
 pub use ast::Query;
 pub use display::render_tree;
 pub use factorized::{
-    eval_factorized, eval_named_routed, eval_planned, implicit_world_estimate,
-    implicit_world_estimate_with, plan_query, plan_with, should_factorize, RepCard, RepPlan,
+    eval_factorized, eval_named_routed, eval_planned, plan_query, should_factorize, RepCard,
+    RepPlan,
 };
 pub use genericity::{check_generic, query_constants};
 pub use program::{eval_program, Program, Statement};

@@ -1,9 +1,9 @@
 //! Equivalence oracle for the factorized engine: on every input and
 //! query shape covered here, [`wsa::eval_factorized`] must return a
 //! world-set **byte-identical** to the enumerated Figure-3 reference
-//! ([`wsa::eval_named`]) — with the `factorize` session toggle in both
-//! positions for the routed entry, and over a proptest sweep of random
-//! choice nestings.
+//! ([`wsa::eval_named`]) — and so must the routed entry wherever the
+//! planner factorizes, including over a proptest sweep of random choice
+//! nestings.
 //!
 //! The factorized path has no approximation license: it either produces
 //! the exact reference answer or reports a budget error (on which the
@@ -11,19 +11,11 @@
 
 use datagen::{random_query, random_world_set, QuerySpec, RandomSpec};
 use proptest::prelude::*;
-use relalg::{attrs, config, Pred, Relation};
+use relalg::{attrs, Pred, Relation};
 use worldset::{World, WorldSet};
 use wsa::{
     eval_factorized, eval_named, eval_named_routed, eval_planned, plan_query, Query, RepCard,
 };
-
-/// Install a session overlay setting toggle `name` to `on` for the
-/// current thread until the guard drops.
-fn toggle(name: &str, on: bool) -> config::OverlayGuard {
-    let mut cfg = config::SessionConfig::new();
-    cfg.set(name, if on { "on" } else { "off" }).unwrap();
-    config::overlay(&cfg)
-}
 
 /// Render covers world order, relation order and every tuple: equal
 /// renders mean byte-identical world-sets (and `assert_eq!` on the value
@@ -246,21 +238,20 @@ fn routed_agrees_under_both_toggle_positions() {
     for seed in SEEDS {
         let flights = datagen::flights(seed, 16, 8, 6);
         let ws = WorldSet::single(vec![("F", flights)]);
-        // Enough implicit worlds that the chooser fires when enabled.
+        // Enough implicit worlds that the chooser fires: the routed entry
+        // runs the factored plan, which must match the reference.
         let q = Query::rel("F")
             .choice(attrs(&["Dep"]))
             .choice(attrs(&["Arr"]))
             .project(attrs(&["Arr"]))
             .poss();
+        assert!(
+            plan_query(&q, &ws).any_f(),
+            "seed {seed}: the planner factorizes"
+        );
         let reference = eval_named(&q, &ws, "Ans").expect("reference");
-        for enabled in [true, false] {
-            let _g = toggle("factorize", enabled);
-            let routed = eval_named_routed(&q, &ws, "Ans").expect("routed");
-            assert_eq!(
-                routed, reference,
-                "routed output must not depend on the toggle (enabled={enabled})"
-            );
-        }
+        let routed = eval_named_routed(&q, &ws, "Ans").expect("routed");
+        assert_eq!(routed, reference, "seed {seed}: routed diverged");
     }
 }
 
@@ -282,7 +273,10 @@ proptest! {
         let q = random_query(seed, &QuerySpec::default());
         let reference = eval_named(&q, &ws, "Ans");
         match (&reference, eval_factorized(&q, &ws, "Ans")) {
-            (Ok(r), Ok(f)) => prop_assert_eq!(&f, r, "factorized diverged on {} (seed {})", q, seed),
+            (Ok(r), Ok(f)) => {
+                prop_assert_eq!(&f, r, "factorized diverged on {} (seed {})", q, seed);
+                prop_assert_eq!(render(&f), render(r), "render diverged on {} (seed {})", q, seed);
+            }
             // A budget overflow is an allowed outcome — the router falls
             // back — but succeeding where the reference errors is not.
             (Ok(_), Err(_)) | (Err(_), Err(_)) => {}
@@ -293,36 +287,6 @@ proptest! {
             (Ok(r), Ok(o)) => prop_assert_eq!(o, r, "routed diverged on {} (seed {})", q, seed),
             (Err(_), Err(_)) => {}
             (r, o) => prop_assert!(false, "routed outcome mismatch on {} (seed {}): reference {:?} vs routed {:?}", q, seed, r.is_ok(), o.is_ok()),
-        }
-    }
-
-    /// Lineage-formula compaction is a pure representation change: with
-    /// the `compact` session toggle in either position, wherever the
-    /// factorized evaluator succeeds its decoded output must be
-    /// byte-identical to the enumerated reference.
-    #[test]
-    fn compaction_preserves_decode(seed in any::<u64>()) {
-        let ws = random_world_set(seed, &RandomSpec {
-            schemas: vec![vec!["A", "B"], vec!["C", "D"]],
-            worlds: 3,
-            max_tuples: 5,
-            domain: 4,
-        });
-        let q = random_query(seed, &QuerySpec::default());
-        let reference = eval_named(&q, &ws, "Ans");
-        for compact in [true, false] {
-            let _g = toggle("compact", compact);
-            match (&reference, eval_factorized(&q, &ws, "Ans")) {
-                (Ok(r), Ok(f)) => {
-                    prop_assert_eq!(&f, r, "decode diverged (compact={}) on {} (seed {})", compact, q, seed);
-                    prop_assert_eq!(render(&f), render(r), "render diverged (compact={}) on {} (seed {})", compact, q, seed);
-                }
-                // Budget overflow is allowed (the uncompacted side may
-                // hit it earlier); success where the reference errors
-                // is not.
-                (Ok(_), Err(_)) | (Err(_), Err(_)) => {}
-                (Err(e), Ok(_)) => prop_assert!(false, "factorized succeeded where reference failed ({e}) on {} (seed {})", q, seed),
-            }
         }
     }
 }

@@ -425,33 +425,6 @@ pub fn translate_complete(
     Ok(answer.project(d))
 }
 
-/// Implicit-world estimate at which [`run_general`] diverts to factorized
-/// execution. The translation route is itself succinct — implicit worlds
-/// appear only as rows of the answer's world table, never as materialized
-/// databases — so the factorized path pays off far later here than
-/// against per-world enumeration (where the planner's
-/// `FACTORIZE_MIN_WORLDS` is 16). Measured on B9's shapes, translation still wins at a
-/// few hundred implicit worlds; the B12 shapes where factorization is
-/// decisive sit at 10⁴ and beyond.
-const FACTORIZE_TRANSLATE_MIN_WORLDS: u128 = 1024;
-
-/// [`wsa::implicit_world_estimate_with`] fed from the representation:
-/// the world table's length times the query's splitting factor, with
-/// choice-group counts taken from the inlined tables' column statistics
-/// (which span all worlds — an over-count per world, fine for a steer).
-fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
-    wsa::implicit_world_estimate_with(q, rep.world_count(), &|name, attrs| {
-        let pos = rep.names.iter().position(|n| n == name)?;
-        let t = &rep.tables[pos];
-        let stats = t.stats();
-        let d = attrs
-            .iter()
-            .filter_map(|a| stats.distinct_of(t.schema(), a))
-            .max()?;
-        Some((d.min(stats.rows).max(1)) as u128)
-    })
-}
-
 /// Run the general translation end to end: encode nothing (the `rep` is
 /// given), evaluate every translated table with a relational engine, and
 /// decode the resulting representation back into a world-set.
@@ -465,6 +438,11 @@ fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
 /// (the world table every copied base table joins with) evaluates once per
 /// call.
 ///
+/// It always runs the Figure-6 translation, however many implicit worlds
+/// the query creates: they appear only as rows of the answer's world
+/// table, never as materialized databases. (The factorized engine is
+/// chosen by `wsa::plan_query` on the world-set route, not here.)
+///
 /// `run_general(q, encode(A)).rep()` must equal the direct Figure-3
 /// semantics `⟦q⟧(A)` — the conservativity tests check exactly this, with
 /// the rewrite path both on and off.
@@ -472,38 +450,13 @@ pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<Wor
     run_general_counted(q, rep, answer_name).map(|(ws, _)| ws)
 }
 
-/// [`run_general`], and the counters of its evaluation memo (zero when the
-/// factorized leg answered).
+/// [`run_general`], and the counters of its evaluation memo.
 fn run_general_counted(
     q: &Query,
     rep: &InlinedRep,
     answer_name: &str,
 ) -> Result<(WorldSet, relalg::EvalStats)> {
     let rewrite = relalg::config::rewrite_enabled();
-    // Factorized leg: when the estimated implicit world count is large
-    // enough that the translation route would materialize it row by row
-    // in the answer's world table, decode the (explicitly small)
-    // representation once and run the algebra over the factorized form —
-    // worlds then only materialize at the final decode. The gate reads
-    // the representation itself (world-table length, inlined-table column
-    // statistics), so the common small-scale case never pays a decode
-    // just to consult the planner; the per-operator [`wsa::RepPlan`] is
-    // then rebuilt against the decoded worlds' real statistics, and only
-    // plans with at least one factored region divert. Any factorized
-    // error (budget overflow, algebra error) falls through to the
-    // translation route, whose result is authoritative.
-    if relalg::config::factorize_enabled()
-        && estimate_from_rep(q, rep) >= FACTORIZE_TRANSLATE_MIN_WORLDS
-    {
-        if let Ok(ws) = rep.rep() {
-            let plan = wsa::plan_query(q, &ws);
-            if plan.any_f() {
-                if let Ok(out) = wsa::eval_planned(q, &ws, answer_name, &plan) {
-                    return Ok((out, relalg::EvalStats::default()));
-                }
-            }
-        }
-    }
     let optimized;
     let q = if rewrite {
         let value_schemas: Vec<(String, Schema)> = rep

@@ -99,6 +99,23 @@ fn trip_query_conservative() {
     assert_complete_equiv(&q, vec![("HFlights", flights())]);
 }
 
+/// The trip query over 1100 departures: 1100 implicit worlds, more than
+/// any other test gives `run_general`. It runs the Figure-6 translation
+/// at this size too, and must still denote the Figure-3 world-set.
+#[test]
+fn trip_query_conservative_over_many_departures() {
+    let q = Query::rel("HFlights")
+        .choice(attrs(&["Dep"]))
+        .project(attrs(&["Arr"]))
+        .cert();
+    let flights = datagen::flights(5, 1100, 12, 3);
+    let dep = flights.stats().distinct_of(flights.schema(), &"Dep".into());
+    assert_eq!(dep, Some(1100));
+    let ws = WorldSet::single(vec![("HFlights", flights)]);
+    assert_eq!(wsa::plan_query(&q, &ws).peak, 1100, "implicit worlds");
+    assert_conservative(&q, &ws);
+}
+
 #[test]
 fn example_5_8_plan_shape() {
     // The optimized translation simplifies to the paper's division plan.

@@ -265,11 +265,10 @@ pub enum Stmt {
         cond: Option<Cond>,
     },
     /// `set local <knob> = <value>` — a per-connection execution-path
-    /// toggle, the only way to turn one off (e.g. `set local rewrite =
-    /// off;`, which runs selects on the interpreter without the Section-6
-    /// optimizer).
+    /// toggle, the only way to turn it off (`set local rewrite = off;`
+    /// runs selects on the interpreter without the Section-6 optimizer).
     SetLocal {
-        /// Knob name (`rewrite`, `factorize` or `compact`).
+        /// Knob name; `rewrite` is the only one the engine accepts.
         name: String,
         /// Raw value text (`on`, `off`, `default`, …).
         value: String,

@@ -169,27 +169,16 @@ fn node_label(q: &Query) -> String {
 }
 
 /// Flatten the representation plan into report lines (pre-order, children
-/// in query order). With `force_enum` (factorization disabled for the
-/// session) every node reports `E` — the plan that would actually run.
-fn rep_lines(
-    q: &Query,
-    plan: &wsa::RepPlan,
-    depth: usize,
-    force_enum: bool,
-    out: &mut Vec<RepNodeLine>,
-) {
+/// in query order): the plan `wsa::eval_named_routed` runs.
+fn rep_lines(q: &Query, plan: &wsa::RepPlan, depth: usize, out: &mut Vec<RepNodeLine>) {
     out.push(RepNodeLine {
         depth,
         label: node_label(q),
-        card: if force_enum {
-            wsa::RepCard::E
-        } else {
-            plan.card
-        },
+        card: plan.card,
         out: plan.out,
     });
     for (k, kid) in q.children().into_iter().enumerate() {
-        rep_lines(kid, &plan.kids[k], depth + 1, force_enum, out);
+        rep_lines(kid, &plan.kids[k], depth + 1, out);
     }
 }
 
@@ -261,10 +250,9 @@ impl Session {
         // EXPLAIN reports the peak estimate and the per-node decisions.
         let plan = wsa::plan_query(&optimized, ws);
         let implicit_worlds = plan.peak;
-        let routed = relalg::config::factorize_enabled() && !ws.is_empty() && plan.any_f();
         let mut rep_plan = Vec::new();
-        rep_lines(&optimized, &plan, 0, !routed, &mut rep_plan);
-        let rep = if !routed {
+        rep_lines(&optimized, &plan, 0, &mut rep_plan);
+        let rep = if !plan.any_f() {
             "enum"
         } else if rep_plan.iter().any(|l| l.card == wsa::RepCard::E) {
             "mixed"

@@ -211,21 +211,26 @@ fn set_local_is_per_session() {
     let engine = Engine::new();
     let mut a = engine.session();
     let mut b = engine.session();
-    let out = a.execute("set local compact = off;").unwrap();
+    let out = a.execute("set local rewrite = off;").unwrap();
     assert_eq!(
         out,
         vec![ExecOutcome::Set {
-            name: "compact".into(),
+            name: "rewrite".into(),
             value: "off".into()
         }]
     );
-    assert_eq!(a.config().describe(), "compact = off");
+    assert_eq!(a.config().describe(), "rewrite = off");
     assert!(b.config().is_default());
     // Unknown knobs and bad values are rejected.
     assert!(a.execute("set local no_such = 1;").is_err());
-    assert!(a.execute("set local compact = 7;").is_err());
-    // Selection has one path: `columnar` is no longer a knob.
-    assert!(a.execute("set local columnar = off;").is_err());
+    assert!(a.execute("set local rewrite = 7;").is_err());
+    // Selection has one path: `columnar` is no longer a knob. Nor are
+    // `factorize` and `compact`: the planner alone routes the factorized
+    // engine, and its formula compaction always runs.
+    for gone in ["columnar", "factorize", "compact"] {
+        let err = a.execute(&format!("set local {gone} = off;")).unwrap_err();
+        assert!(err.to_string().contains("known: rewrite"), "{gone}: {err}");
+    }
     // The worker count is not a knob: storage operators run on the
     // session's own thread.
     assert!(a.execute("set local threads = 4;").is_err());

@@ -52,7 +52,7 @@ fn trace() -> Vec<Step> {
         Script("create view Dest as select possible Arr from Flights;"),
         Register("Census", census),
         DeclareKey("Census", &["SSN"]),
-        Script("set local compact = off;"),
+        Script("set local rewrite = off;"),
         Script("select certain Name from Census repair by key SSN;"),
         // Reuses an existing SSN: violates the declared key in every
         // repair world, so it is rejected and must not be logged.

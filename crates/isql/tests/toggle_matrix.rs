@@ -1,12 +1,15 @@
-//! Statement-level differential test of the three execution-path toggles.
+//! Statement-level differential test of the execution-path toggle.
 //!
-//! `rewrite`, `factorize` and `compact` each choose between two evaluation
-//! routes that must agree. Every script of a fixed I-SQL corpus runs under
-//! all 8 `set local` combinations; each combination must render
-//! every statement byte-identically to the all-on reference and end in the
+//! `rewrite` chooses between two evaluation routes that must agree: on,
+//! selects take the Section-6 optimizer and the relational or factorized
+//! routes; off, they run on the interpreter. Every script of a fixed I-SQL
+//! corpus runs under both `set local` positions; the `off` run must render
+//! every statement byte-identically to the `on` reference and end in the
 //! same world-set. Each script also runs on a durable engine under simulated
-//! storage with all toggles on and with all off, and the reopened engine
-//! must recover the world-set the in-memory engine published.
+//! storage in both positions, and the reopened engine must recover the
+//! world-set the in-memory engine published. (The factorized engine and
+//! its formula compaction have no toggle: `wsa::plan_query` alone decides
+//! where they run.)
 //!
 //! The corpus: the paper's Figure-2 trip planning, Section-2 acquisition,
 //! census cleaning, TPC-H what-if and three-coloring examples; the
@@ -22,7 +25,7 @@ use isql::{DurabilityOptions, Engine};
 use relalg::{Relation, Schema, Value};
 use worldset::WorldSet;
 
-const TOGGLES: [&str; 3] = ["rewrite", "factorize", "compact"];
+const TOGGLES: [&str; 1] = ["rewrite"];
 
 /// One corpus entry: base tables and key constraints registered through the
 /// session API (I-SQL has no DDL for them), then I-SQL statements.
@@ -85,7 +88,7 @@ fn label(mask: usize) -> String {
 fn run(engine: &Engine, script: &Script, mask: usize) -> Run {
     let mut s = engine.session();
     s.execute(&prelude(mask))
-        .expect("the three toggle names are accepted");
+        .expect("the toggle names are accepted");
     for (name, rel) in &script.tables {
         s.register(name, rel.clone()).expect("register");
     }

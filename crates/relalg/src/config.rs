@@ -1,21 +1,18 @@
-//! The engine's execution-path toggles.
+//! The engine's one execution-path toggle.
 //!
-//! Three on/off switches choose between evaluation routes. Each is on
-//! unless the current thread's session overlay ([`SessionConfig`],
-//! installed with [`overlay`]) turns it off; there is no process-wide or
-//! environment layer, so `set local <name> = off;` is the one way to take
-//! an "off" path.
-//!
-//! | `set local` name | accessor | meaning |
-//! |---|---|---|
-//! | `rewrite` | [`rewrite_enabled`] | Section-6 optimizer in front of the interpreter route and `run_general` |
-//! | `factorize` | [`factorize_enabled`] | factorized world-set execution |
-//! | `compact` | [`compact_enabled`] | lineage/validity formula compaction |
+//! `rewrite` chooses between evaluation routes: on, the Section-6
+//! optimizer runs in front of the interpreter route and `run_general`
+//! ([`rewrite_enabled`]). It is on unless the current thread's session
+//! overlay ([`SessionConfig`], installed with [`overlay`]) turns it off;
+//! there is no process-wide or environment layer, so `set local rewrite =
+//! off;` is the one way to take the "off" path.
 //!
 //! The engine's numeric thresholds are constants beside their one reader
 //! (`FACTORIZE_MIN_WORLDS` in `wsa::factorized`, `WORLDS_BUDGET` in
-//! `uldb::factored`). Selection has no switch and no threshold: it always
-//! runs the vectorized kernel ([`crate::physical`]).
+//! `uldb::factored`). The factorized engine, its formula compaction and
+//! selection have no switch: the `wsa::RepPlan` planner alone decides
+//! where the factorized engine runs, compaction always runs, and selection
+//! always runs the vectorized kernel ([`crate::physical`]).
 //!
 //! # Session overlays
 //!
@@ -24,80 +21,64 @@
 //! evaluates the statement, so the overlay governs all of it. The overlay
 //! is thread-local, so two concurrent sessions with different settings
 //! never see each other's choices. When no thread has an overlay installed
-//! the accessors pay one relaxed load and nothing else — the default path
+//! the accessor pays one relaxed load and nothing else — the default path
 //! the benchmarks measure is unchanged.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of overlay slots (one per toggle).
-const NUM_SLOTS: usize = 3;
+/// The one session-settable name.
+const NAME: &str = "rewrite";
 
-const SLOT_REWRITE: usize = 0;
-const SLOT_FACTORIZE: usize = 1;
-const SLOT_COMPACT: usize = 2;
+/// Encoding of the toggle: `0` = default (on), 1 = explicitly on, [`OFF`]
+/// = off.
+type Setting = u8;
 
-/// The session-settable names, in slot order.
-const NAMES: [&str; NUM_SLOTS] = ["rewrite", "factorize", "compact"];
+const DEFAULT: Setting = 0;
 
-/// Encoding shared by all slots: `0` = default (on), 1 = explicitly on,
-/// [`OFF`] = off.
-type Slots = [usize; NUM_SLOTS];
-
-const OFF: usize = 2;
-
-const DEFAULT: Slots = [0; NUM_SLOTS];
+const OFF: Setting = 2;
 
 /// Threads that currently have a non-default overlay installed. The hot
-/// accessors consult the thread-local table only when this is non-zero,
+/// accessor consults the thread-local setting only when this is non-zero,
 /// so the default path costs one relaxed load.
 static OVERLAYS_ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static OVERLAY: Cell<Slots> = const { Cell::new(DEFAULT) };
-}
-
-/// Whether toggle `slot` is on for the current thread: on unless the
-/// installed overlay turns it off.
-#[inline]
-fn enabled(slot: usize) -> bool {
-    OVERLAYS_ACTIVE.load(Ordering::Relaxed) == 0 || OVERLAY.with(|c| c.get())[slot] != OFF
+    static OVERLAY: Cell<Setting> = const { Cell::new(DEFAULT) };
 }
 
 /// Per-session toggle settings. Carried by each `isql` session, populated
-/// by `set local <knob> = <value>;` statements, and installed around
+/// by `set local rewrite = <value>;` statements, and installed around
 /// statement evaluation with [`overlay`].
 ///
-/// Names accepted by [`SessionConfig::set`] (case-insensitive): `rewrite`,
-/// `factorize`, `compact` (`on`/`off`/`true`/`false`/`1`/`0` or `default`,
-/// which means on).
+/// [`SessionConfig::set`] accepts one name, `rewrite` (case-insensitive),
+/// with `on`/`off`/`true`/`false`/`1`/`0` or `default`, which means on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SessionConfig {
-    slots: Slots,
+    rewrite: Setting,
 }
 
 impl SessionConfig {
-    /// A config with every toggle at its default (on).
+    /// A config with the toggle at its default (on).
     pub fn new() -> SessionConfig {
         SessionConfig::default()
     }
 
-    /// Whether every slot is at its default (installing such a config is
+    /// Whether the toggle is at its default (installing such a config is
     /// a no-op).
     pub fn is_default(&self) -> bool {
-        self.slots == DEFAULT
+        self.rewrite == DEFAULT
     }
 
-    /// Set one toggle by name. `value` is `default` to clear the override,
+    /// Set the toggle by name. `value` is `default` to clear the override,
     /// or `on`/`off`/`true`/`false`/`1`/`0`. Returns a human-readable error
     /// for unknown names or unparsable values.
     pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
-        let name_lc = name.to_ascii_lowercase();
-        let Some(slot) = NAMES.iter().position(|n| *n == name_lc) else {
-            return Err(format!("unknown knob {name}; known: {}", NAMES.join(", ")));
-        };
-        self.slots[slot] = match value.trim().to_ascii_lowercase().as_str() {
-            "default" => 0,
+        if !name.eq_ignore_ascii_case(NAME) {
+            return Err(format!("unknown knob {name}; known: {NAME}"));
+        }
+        self.rewrite = match value.trim().to_ascii_lowercase().as_str() {
+            "default" => DEFAULT,
             "on" | "true" | "1" => 1,
             "off" | "false" | "0" => OFF,
             _ => return Err(format!("{name} expects on/off or default, got {value}")),
@@ -105,32 +86,25 @@ impl SessionConfig {
         Ok(())
     }
 
-    /// Human-readable listing of the overridden slots (empty when default).
+    /// Human-readable listing of the override (empty when default).
     pub fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        for (name, &v) in NAMES.iter().zip(&self.slots) {
-            if v != 0 {
-                parts.push(format!("{name} = {}", if v == OFF { "off" } else { "on" }));
-            }
+        match self.rewrite {
+            DEFAULT => String::new(),
+            OFF => format!("{NAME} = off"),
+            _ => format!("{NAME} = on"),
         }
-        parts.join(", ")
     }
 
     /// Effective rewrite-path state under this config.
     pub fn rewrite_enabled(&self) -> bool {
-        self.slots[SLOT_REWRITE] != OFF
-    }
-
-    /// Effective factorized-path state under this config.
-    pub fn factorize_enabled(&self) -> bool {
-        self.slots[SLOT_FACTORIZE] != OFF
+        self.rewrite != OFF
     }
 }
 
 /// RAII guard returned by [`overlay`]; restores the previous overlay (and
 /// the active-thread count) on drop.
 pub struct OverlayGuard {
-    prev: Slots,
+    prev: Setting,
     installed: bool,
 }
 
@@ -156,7 +130,7 @@ pub fn overlay(cfg: &SessionConfig) -> OverlayGuard {
             installed: false,
         };
     }
-    let prev = OVERLAY.with(|c| c.replace(cfg.slots));
+    let prev = OVERLAY.with(|c| c.replace(cfg.rewrite));
     if prev == DEFAULT {
         OVERLAYS_ACTIVE.fetch_add(1, Ordering::SeqCst);
     }
@@ -170,42 +144,24 @@ pub fn overlay(cfg: &SessionConfig) -> OverlayGuard {
 /// in front of the I-SQL interpreter's algebra route and inside
 /// `run_general`, which also simplifies and join-orders the translated
 /// plans.
+#[inline]
 pub fn rewrite_enabled() -> bool {
-    enabled(SLOT_REWRITE)
-}
-
-/// Whether evaluators may run the algebra directly over succinct
-/// `FactoredSet` representations instead of enumerated worlds.
-pub fn factorize_enabled() -> bool {
-    enabled(SLOT_FACTORIZE)
-}
-
-/// Whether lineage/validity formula compaction is on: DNF subsumption,
-/// single-variable disjunct merging and decode-boundary variable
-/// elimination in the factorized engine.
-pub fn compact_enabled() -> bool {
-    enabled(SLOT_COMPACT)
+    OVERLAYS_ACTIVE.load(Ordering::Relaxed) == 0 || OVERLAY.with(|c| c.get()) != OFF
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg(settings: &[(&str, &str)]) -> SessionConfig {
+    fn cfg(value: &str) -> SessionConfig {
         let mut cfg = SessionConfig::new();
-        for (name, value) in settings {
-            cfg.set(name, value).unwrap();
-        }
+        cfg.set("rewrite", value).unwrap();
         cfg
-    }
-
-    fn all_enabled() -> [bool; NUM_SLOTS] {
-        [rewrite_enabled(), factorize_enabled(), compact_enabled()]
     }
 
     #[test]
     fn accessors_are_on_without_overlay() {
-        assert_eq!(all_enabled(), [true; NUM_SLOTS]);
+        assert!(rewrite_enabled());
         // No environment layer: nothing in the process environment can
         // turn a path off.
         let src = include_str!("config.rs");
@@ -214,42 +170,39 @@ mod tests {
 
     #[test]
     fn set_local_default_means_on() {
-        let off = cfg(&[("factorize", "off"), ("compact", "off")]);
+        let off = cfg("off");
         {
             let _g = overlay(&off);
-            assert_eq!(all_enabled(), [true, false, false]);
+            assert!(!rewrite_enabled());
         }
         let mut cleared = off;
-        cleared.set("factorize", "default").unwrap();
-        cleared.set("compact", "DEFAULT").unwrap();
+        cleared.set("rewrite", "DEFAULT").unwrap();
         assert!(cleared.is_default());
         let _g = overlay(&cleared);
-        assert_eq!(all_enabled(), [true; NUM_SLOTS]);
+        assert!(rewrite_enabled());
     }
 
     #[test]
     fn session_overlay_wins_and_restores() {
-        let outer = cfg(&[("rewrite", "off")]);
         {
-            let _g = overlay(&outer);
-            assert_eq!(all_enabled(), [false, true, true]);
+            let _g = overlay(&cfg("off"));
+            assert!(!rewrite_enabled());
             // Nested overlays shadow and restore.
-            let inner = cfg(&[("rewrite", "on"), ("compact", "off")]);
             {
-                let _g2 = overlay(&inner);
-                assert_eq!(all_enabled(), [true, true, false]);
+                let _g2 = overlay(&cfg("on"));
+                assert!(rewrite_enabled());
             }
-            assert_eq!(all_enabled(), [false, true, true]);
+            assert!(!rewrite_enabled());
         }
-        assert_eq!(all_enabled(), [true; NUM_SLOTS], "overlay restores on");
+        assert!(rewrite_enabled(), "overlay restores on");
     }
 
     #[test]
     fn session_overlay_is_thread_local() {
-        let _g = overlay(&cfg(&[("compact", "off"), ("rewrite", "off")]));
-        assert!(!compact_enabled() && !rewrite_enabled());
-        let other = std::thread::spawn(all_enabled).join().unwrap();
-        assert_eq!(other, [true; NUM_SLOTS], "other threads see no overlay");
+        let _g = overlay(&cfg("off"));
+        assert!(!rewrite_enabled());
+        let other = std::thread::spawn(rewrite_enabled).join().unwrap();
+        assert!(other, "other threads see no overlay");
     }
 
     #[test]
@@ -257,39 +210,32 @@ mod tests {
         let mut cfg = SessionConfig::new();
         assert!(cfg.set("no_such_knob", "1").is_err());
         // The numeric knobs are gone: worker count and thresholds are not
-        // session settings. Nor is `columnar`: selection has one path.
+        // session settings. Nor are `columnar`, `factorize` and `compact`:
+        // selection, the factorized engine's routing and its formula
+        // compaction each have one path.
         for gone in [
             "columnar",
+            "factorize",
+            "compact",
             "threads",
             "par_min_tuples",
             "columnar_min_rows",
             "factorize_min_worlds",
             "worlds_budget",
         ] {
-            let err = cfg.set(gone, "4").unwrap_err();
-            assert!(err.starts_with("unknown knob"), "{gone}: {err}");
+            let err = cfg.set(gone, "off").unwrap_err();
+            assert_eq!(err, format!("unknown knob {gone}; known: rewrite"));
         }
         assert!(cfg.set("rewrite", "7").is_err());
         assert!(cfg.is_default());
-        cfg.set("factorize", "off").unwrap();
-        assert!(!cfg.factorize_enabled());
-        assert_eq!(cfg.describe(), "factorize = off");
-        cfg.set("factorize", "default").unwrap();
+        cfg.set("REWRITE", "off").unwrap();
+        assert!(!cfg.rewrite_enabled());
+        assert_eq!(cfg.describe(), "rewrite = off");
+        cfg.set("rewrite", "on").unwrap();
+        assert!(cfg.rewrite_enabled());
+        assert_eq!(cfg.describe(), "rewrite = on");
+        cfg.set("rewrite", "default").unwrap();
         assert!(cfg.is_default());
         assert_eq!(cfg.describe(), "");
-    }
-
-    #[test]
-    fn worlds_budget_and_compact_knobs() {
-        // The worlds budget is a constant of the factorized engine, not a
-        // knob; compaction is.
-        let mut cfg = SessionConfig::new();
-        assert!(cfg.set("worlds_budget", "4096").is_err());
-        cfg.set("compact", "off").unwrap();
-        cfg.set("REWRITE", "on").unwrap();
-        assert_eq!(cfg.describe(), "rewrite = on, compact = off");
-        cfg.set("rewrite", "default").unwrap();
-        cfg.set("compact", "default").unwrap();
-        assert!(cfg.is_default());
     }
 }

@@ -457,8 +457,7 @@ impl Dnf {
         Dnf { ds }
     }
 
-    /// [`Dnf::canon`] plus **formula compaction** when the `compact`
-    /// toggle is on ([`relalg::config::compact_enabled`]) and the formula is big
+    /// [`Dnf::canon`] plus **formula compaction** when the formula is big
     /// enough to pay: single-variable disjunct merging
     /// (`A∧v∈S₁ ∨ A∧v∈S₂ → A∧v∈S₁∪S₂`, dropping the literal entirely
     /// when the union covers the domain) and subsumption (a disjunct
@@ -469,7 +468,7 @@ impl Dnf {
     /// superlinearly with the world count.
     fn canon_compact(ds: Vec<Constraint>, doms: &[usize]) -> Dnf {
         let d = Dnf::canon(ds);
-        if d.ds.len() <= COMPACT_MIN || !relalg::config::compact_enabled() {
+        if d.ds.len() <= COMPACT_MIN {
             return d;
         }
         Dnf::canon(compact_disjuncts(d.ds, doms))
@@ -484,13 +483,11 @@ impl Dnf {
     /// non-trivial) — exactly what refutation checks and decode-time
     /// enumeration consume. It is **not** model-preserving over the full
     /// variable space: never store the result as a validity formula.
-    /// No-op when compaction is off (the A/B legs compare PR 7 behavior).
     fn project_onto(&self, keep: &BTreeSet<Var>, doms: &[usize]) -> Dnf {
-        if !relalg::config::compact_enabled()
-            || self
-                .ds
-                .iter()
-                .all(|d| d.lits.iter().all(|(v, _)| keep.contains(v)))
+        if self
+            .ds
+            .iter()
+            .all(|d| d.lits.iter().all(|(v, _)| keep.contains(v)))
         {
             return self.clone();
         }
@@ -1120,11 +1117,10 @@ impl FactoredSet {
             // Compact the lineage family first (see [`cert_covers`]):
             // per-world presence literals merge into a few set-valued
             // constraints, shortening the negation chain.
-            let mut lcs: Vec<Constraint> =
-                all_lins.iter().map(|&l| self.pool.get(l).clone()).collect();
-            if relalg::config::compact_enabled() {
-                lcs = compact_disjuncts(lcs, &self.doms);
-            }
+            let lcs = compact_disjuncts(
+                all_lins.iter().map(|&l| self.pool.get(l).clone()).collect(),
+                &self.doms,
+            );
             let mut cur = w.clone();
             for c in &lcs {
                 cur = cur
@@ -1175,11 +1171,10 @@ impl FactoredSet {
                 // into a few set-valued constraints, so the validity
                 // formula is built near its compacted size instead of
                 // one disjunct per derivation.
-                let mut pcs: Vec<Constraint> =
-                    pres.iter().map(|&l| self.pool.get(l).clone()).collect();
-                if relalg::config::compact_enabled() {
-                    pcs = compact_disjuncts(pcs, &self.doms);
-                }
+                let pcs = compact_disjuncts(
+                    pres.iter().map(|&l| self.pool.get(l).clone()).collect(),
+                    &self.doms,
+                );
                 for c in &pcs {
                     let with_l = match c.conjoin(&x_is_g, &self.doms) {
                         Some(c) => c,
@@ -1299,10 +1294,10 @@ impl FactoredSet {
         // collapses into one constraint each — the negation chain then
         // runs over a handful of merged constraints instead of one per
         // derivation. Model-preserving, so coverage is unchanged.
-        let mut lcs: Vec<Constraint> = lins.iter().map(|&l| self.pool.get(l).clone()).collect();
-        if relalg::config::compact_enabled() {
-            lcs = compact_disjuncts(lcs, &self.doms);
-        }
+        let lcs = compact_disjuncts(
+            lins.iter().map(|&l| self.pool.get(l).clone()).collect(),
+            &self.doms,
+        );
         'disjunct: for d in &w.ds {
             // Fast path: a single lineage constraint implied by the
             // disjunct covers it outright (every world of `d` satisfies

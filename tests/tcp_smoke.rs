@@ -19,7 +19,7 @@ const SCRIPT: &[&str] = &[
     "select certain Arr from Flights choice of Dep;",
     "create view Options as select Dep, Arr from Flights choice of Dep;",
     "select possible Arr from Options;",
-    "set local compact = off;",
+    "set local rewrite = off;",
     "select possible Arr from Options;",
     "insert into Hotels values ('H_new', 'BCN');",
     "select possible Name from Hotels where City = 'BCN';",
@@ -68,8 +68,8 @@ fn newline_framing_and_connection_isolation() {
     let mut c1 = Client::connect(server.addr()).expect("connect c1");
     let mut c2 = Client::connect(server.addr()).expect("connect c2");
 
-    let set = c1.query("set local factorize = off;").expect("set local");
-    assert_eq!(set, "set local factorize = off\n");
+    let set = c1.query("set local rewrite = off;").expect("set local");
+    assert_eq!(set, "set local rewrite = off\n");
 
     // Both connections still compute the same answers; each names its own
     // first answer Q1 (per-session query counters).
