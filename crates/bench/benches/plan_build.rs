@@ -17,7 +17,11 @@
 //!   the simplified plan;
 //! * `plan_build/eval/<class>` — evaluating the finished plan, the other
 //!   half of the route's engine time, for the build-versus-evaluation
-//!   split.
+//!   split;
+//! * `plan_build/parse/<class>` — `isql::parse_statement` of the statement
+//!   text, the statement path's first edge;
+//! * `plan_build/render/<class>` — `isql::server::render_outcome` of the
+//!   statement's answer, its last edge.
 //!
 //! Record with `scripts/bench_dump.sh plan_build`; results are tracked in
 //! EXPERIMENTS.md (B17) and BENCH_core.json.
@@ -25,6 +29,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use isql::server::render_outcome;
 use isql::{compile_select, parse_statement, Session, Stmt};
 use relalg::{Catalog, Schema};
 
@@ -86,6 +91,7 @@ fn bench_plan_build(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(1000));
 
     let s = b16_session();
+    let mut answering = b16_session();
     let ws = s.world_set();
     let world = ws.the_world().unwrap();
     let mut catalog = Catalog::new();
@@ -133,6 +139,14 @@ fn bench_plan_build(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("eval", class), &built, |b, p| {
             b.iter(|| p.catalog.eval(&p.expr).unwrap());
+        });
+        group.bench_with_input(BenchmarkId::new("parse", class), &sql, |b, sql| {
+            b.iter(|| parse_statement(sql).unwrap());
+        });
+        let outcome = answering.execute(&sql).unwrap().remove(0);
+        let worlds = answering.world_set().len();
+        group.bench_with_input(BenchmarkId::new("render", class), &outcome, |b, o| {
+            b.iter(|| render_outcome(o, worlds));
         });
     }
     group.finish();

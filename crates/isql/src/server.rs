@@ -69,8 +69,15 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// reports it for selects). Shared by the REPL, the TCP server, and the
 /// byte-for-byte smoke test.
 pub fn render_outcome(outcome: &ExecOutcome, worlds: usize) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
+    write_outcome(&mut out, outcome, worlds);
+    out
+}
+
+/// Append [`render_outcome`]'s text to `out`: every answer table is
+/// written straight into it ([`relalg::Relation::write_table`]).
+fn write_outcome(out: &mut String, outcome: &ExecOutcome, worlds: usize) {
+    use std::fmt::Write as _;
     match outcome {
         ExecOutcome::Rows { name, answers } => {
             let _ = writeln!(
@@ -78,12 +85,11 @@ pub fn render_outcome(outcome: &ExecOutcome, worlds: usize) -> String {
                 "{name}: {} distinct answer(s) across {worlds} world(s)",
                 answers.len()
             );
+            let mut label = String::new();
             for (i, rel) in answers.iter().enumerate().take(8) {
-                let _ = write!(
-                    out,
-                    "{}",
-                    rel.to_table_string(&format!("{name}[{}]", i + 1))
-                );
+                label.clear();
+                let _ = write!(label, "{name}[{}]", i + 1);
+                rel.write_table(&label, out);
             }
             if answers.len() > 8 {
                 let _ = writeln!(out, "… ({} more)", answers.len() - 8);
@@ -109,18 +115,21 @@ pub fn render_outcome(outcome: &ExecOutcome, worlds: usize) -> String {
             let _ = writeln!(out, "set local {name} = {value}");
         }
     }
-    out
 }
 
 /// Execute `script` on `session` and render the response payload exactly
-/// as the server would. Used in-process by the smoke test as the
-/// reference output for the byte-for-byte comparison.
+/// as the server would: every outcome written into one `String`. Used
+/// in-process by the smoke test as the reference output for the
+/// byte-for-byte comparison.
 pub fn execute_rendered(session: &mut Session, script: &str) -> Result<String, String> {
     match session.execute(script) {
-        Ok(outcomes) => Ok(outcomes
-            .iter()
-            .map(|o| render_outcome(o, session.world_set().len()))
-            .collect()),
+        Ok(outcomes) => {
+            let mut out = String::new();
+            for o in &outcomes {
+                write_outcome(&mut out, o, session.world_set().len());
+            }
+            Ok(out)
+        }
         Err(e) => Err(format!("{e}\n")),
     }
 }

@@ -1081,50 +1081,90 @@ impl Relation {
         Ok(sorted_parts(groups, &out_schema))
     }
 
-    /// Render as an aligned ASCII table (used by examples and docs).
-    ///
-    /// Every cell is written straight into one buffer. A column is as wide
-    /// as its longest cell in bytes, and a cell is padded to that width by
-    /// characters, so non-ASCII text gets the extra spaces its byte length
-    /// asks for.
+    /// Render as an aligned table (used by the shell, the server, examples
+    /// and docs): [`Relation::write_table`] into a new `String`.
     pub fn to_table_string(&self, name: &str) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        out.push_str(name);
-        if self.schema.arity() == 0 {
-            let _ = writeln!(out, "  ({} nullary tuple(s))", self.len());
-            return out;
-        }
-        let mut widths: Vec<usize> = self.schema.attrs().iter().map(|a| a.name().len()).collect();
-        for t in self.iter() {
-            for (w, v) in widths.iter_mut().zip(t.iter()) {
-                *w = (*w).max(cell_len(v));
-            }
-        }
-        let line = name.len() + 2 + widths.iter().map(|w| w + 2).sum::<usize>() + 1;
-        out.reserve(line * (self.len() + 1));
-        out.push_str("  ");
-        for (a, &w) in self.schema.attrs().iter().zip(&widths) {
-            push_cell(&mut out, a.name(), w);
-        }
-        out.push('\n');
-        for t in self.iter() {
-            push_spaces(&mut out, name.len() + 2);
-            for (v, &w) in t.iter().zip(&widths) {
-                match v {
-                    Value::Str(s) => push_cell(&mut out, s.as_str(), w),
-                    // `#c`, booleans and integers are ASCII: bytes are chars.
-                    _ => {
-                        let start = out.len();
-                        let _ = write!(out, "{v}");
-                        let len = out.len() - start;
-                        push_spaces(&mut out, w.saturating_sub(len) + 2);
-                    }
-                }
-            }
-            out.push('\n');
-        }
+        self.write_table(name, &mut out);
         out
+    }
+
+    /// Append the table [`Relation::to_table_string`] renders to `out`: a
+    /// header line of `name` and the attribute names, then one line per
+    /// row, indented by `name`'s width. A column is as wide as its longest
+    /// cell in bytes, and a cell is padded to that width by characters, so
+    /// non-ASCII text gets the extra spaces its byte length asks for;
+    /// columns are two spaces apart.
+    ///
+    /// One pass over the flat values reads every string cell's text once
+    /// (one [`Sym::as_str`](crate::Sym::as_str) each) and computes the
+    /// widths (an integer's from its digit count) and so the table's byte
+    /// length. The second pass fills a buffer of that many spaces and
+    /// copies every cell to its place, writing integers two digits at a
+    /// time. Only non-ASCII text has its `chars()` counted, for the extra
+    /// bytes it adds to its line.
+    pub fn write_table(&self, name: &str, out: &mut String) {
+        if self.schema.arity() == 0 {
+            use std::fmt::Write as _;
+            let _ = writeln!(out, "{name}  ({} nullary tuple(s))", self.len());
+            return;
+        }
+        let attrs = self.schema.attrs();
+        let mut widths: Vec<usize> = attrs.iter().map(|a| a.name().len()).collect();
+        // The string cells' texts and their bytes beyond their characters,
+        // in row order, and those extra bytes over the whole table.
+        let mut strs: Vec<(&'static str, usize)> = Vec::with_capacity(self.len());
+        let mut extra_total = attrs.iter().map(|a| extra_bytes(a.name())).sum::<usize>();
+        for row in self.iter() {
+            for (w, v) in widths.iter_mut().zip(row) {
+                let len = match v {
+                    Value::Str(sym) => {
+                        let s = sym.as_str();
+                        let e = extra_bytes(s);
+                        strs.push((s, e));
+                        extra_total += e;
+                        s.len()
+                    }
+                    Value::Int(i) => int_len(*i),
+                    Value::Bool(b) => bool_text(*b).len(),
+                    Value::Pad => PAD_TEXT.len(),
+                };
+                *w = (*w).max(len);
+            }
+        }
+        let indent = name.len() + 2;
+        // A line's bytes, its newline included, before non-ASCII text
+        // lengthens it.
+        let line = indent + widths.iter().map(|w| w + 2).sum::<usize>() + 1;
+        let mut buf = vec![b' '; line * (self.len() + 1) + extra_total];
+        buf[..name.len()].copy_from_slice(name.as_bytes());
+        let mut at = indent;
+        for (a, &w) in attrs.iter().zip(&widths) {
+            let a = a.name();
+            at = put_cell(&mut buf, at, a, extra_bytes(a), w);
+        }
+        let mut strs = strs.into_iter();
+        for row in self.iter() {
+            buf[at] = b'\n';
+            at += 1 + indent;
+            for (v, &w) in row.iter().zip(&widths) {
+                at = match v {
+                    Value::Str(_) => {
+                        let (s, extra) = strs.next().expect("one text per string cell");
+                        put_cell(&mut buf, at, s, extra, w)
+                    }
+                    Value::Int(i) => {
+                        write_int(&mut buf[at..], *i);
+                        at + w + 2
+                    }
+                    Value::Bool(b) => put_cell(&mut buf, at, bool_text(*b), 0, w),
+                    Value::Pad => put_cell(&mut buf, at, PAD_TEXT, 0, w),
+                };
+            }
+        }
+        buf[at] = b'\n';
+        debug_assert_eq!(at + 1, buf.len());
+        out.push_str(std::str::from_utf8(&buf).expect("cells are copied whole into spaces"));
     }
 }
 
@@ -1526,37 +1566,77 @@ impl fmt::Debug for Relation {
     }
 }
 
-/// The byte length of `v` as [`Relation::to_table_string`] prints it.
-fn cell_len(v: &Value) -> usize {
-    match v {
-        Value::Pad => 2,
-        Value::Bool(b) => {
-            if *b {
-                4
-            } else {
-                5
-            }
-        }
-        Value::Int(i) => {
-            let digits = i
-                .unsigned_abs()
-                .checked_ilog10()
-                .map_or(1, |d| d as usize + 1);
-            digits + usize::from(*i < 0)
-        }
-        Value::Str(s) => s.as_str().len(),
+/// How [`Relation::write_table`] prints [`Value::Pad`].
+const PAD_TEXT: &str = "#c";
+
+fn bool_text(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
     }
 }
 
-/// `s`, padded by characters to `width` and followed by the two-space
-/// column gap (what `format!("{s:<width$}  ")` writes).
-fn push_cell(out: &mut String, s: &str, width: usize) {
-    out.push_str(s);
-    push_spaces(out, width.saturating_sub(s.chars().count()) + 2);
+/// The byte length of `i` in decimal, sign included.
+fn int_len(i: i64) -> usize {
+    let digits = i
+        .unsigned_abs()
+        .checked_ilog10()
+        .map_or(1, |d| d as usize + 1);
+    digits + usize::from(i < 0)
 }
 
-fn push_spaces(out: &mut String, n: usize) {
-    out.extend(std::iter::repeat_n(' ', n));
+/// The decimal digits of 0–99, two bytes each.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Write `i` in decimal over the first [`int_len`] bytes of `dst` (what
+/// `write!(out, "{i}")` writes), two digits at a time from the right.
+fn write_int(dst: &mut [u8], i: i64) {
+    let mut end = int_len(i);
+    let mut n = i.unsigned_abs();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        dst[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        n /= 100;
+        end -= 2;
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        dst[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        dst[end - 1] = b'0' + n as u8;
+    }
+    if i < 0 {
+        dst[0] = b'-';
+    }
+}
+
+/// How many more bytes than characters `s` has: 0 for ASCII text.
+fn extra_bytes(s: &str) -> usize {
+    if s.is_ascii() {
+        0
+    } else {
+        s.len() - s.chars().count()
+    }
+}
+
+/// Copy cell text `s` over the spaces at byte `at` of `buf`, and return
+/// where the next column starts: `width` (at least `s`'s byte length) plus
+/// the two-space gap, plus the `extra` bytes by which `s` is longer than
+/// its characters (so a cell pads by characters, as
+/// `format!("{s:<width$}  ")` does).
+fn put_cell(buf: &mut [u8], at: usize, s: &str, extra: usize, width: usize) -> usize {
+    buf[at..at + s.len()].copy_from_slice(s.as_bytes());
+    at + width + 2 + extra
 }
 
 /// The number of leading source columns a projection map keeps when its
@@ -2008,7 +2088,8 @@ mod tests {
     }
 
     /// The renderer as it was before it wrote into one buffer: a `String`
-    /// per cell and a `format!` per padded cell.
+    /// per cell (through `Value`'s `Display`) and a `format!` per padded
+    /// cell.
     fn reference_table_string(r: &Relation, name: &str) -> String {
         let headers: Vec<String> = r.schema().attrs().iter().map(|a| a.to_string()).collect();
         let rows: Vec<Vec<String>> = r
@@ -2043,57 +2124,93 @@ mod tests {
         out
     }
 
-    #[test]
-    fn table_string_matches_the_per_cell_reference() {
-        let rows: Vec<Vec<Value>> = vec![
-            vec![
-                Value::str("Zürich"),
-                Value::Int(-7),
-                Value::Bool(true),
-                Value::Pad,
-            ],
-            vec![
-                Value::str("東京"),
-                Value::Int(i64::MIN),
-                Value::Bool(false),
-                Value::Int(0),
-            ],
-            vec![
-                Value::str("ATL"),
-                Value::Int(1234567),
-                Value::Pad,
-                Value::str("ü"),
-            ],
-            vec![
-                Value::str(""),
-                Value::Int(-1),
-                Value::Int(10),
-                Value::Bool(false),
-            ],
-        ];
-        let mixed = Relation::from_rows(Schema::of(&["City", "N", "Flag", "Ä"]), rows).unwrap();
-        let wide_headers =
-            Relation::table(&["LongHeaderName", "Ångström"], &[&[1i64, -2], &[3, 4]]);
-        // More answers than the shell prints (it shows the first 8).
-        let answers: Vec<Relation> = (0..10i64)
-            .map(|i| Relation::table(&["K", "V"], &[&[i, -i * 1000], &[i + 100, i]]))
-            .collect();
-        let mut cases = vec![
-            (mixed, "Q"),
-            (wide_headers, "Wide"),
-            (Relation::unit(), "Unit"),
-            (Relation::nullary_empty(), "None"),
-            (Relation::empty(Schema::of(&["A", "Bé"])), "Empty"),
-            (r(), "R"),
-            (r(), ""),
-        ];
-        cases.extend(answers.into_iter().map(|a| (a, "Ans[é]")));
-        for (rel, name) in &cases {
-            assert_eq!(
-                rel.to_table_string(name),
-                reference_table_string(rel, name),
-                "{name}: {rel:?}"
-            );
+    /// A xorshift stream for the generated tables below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Names and string cells for the generated tables: empty, non-ASCII,
+    /// and wider (in bytes and in characters) than the renderer's run of
+    /// spaces.
+    const TEXTS: [&str; 12] = [
+        "",
+        "A",
+        "ATL",
+        "Zürich",
+        "東京",
+        "ü",
+        "Ångström",
+        "H0042",
+        "O'Brien",
+        "a fairly long cell that is wider than sixty-four spaces of padding, and then some more",
+        "ÄÖÜ äöü ß — non-ASCII text that is wider than any run of spaces the renderer copies from, 東京",
+        "x",
+    ];
+
+    /// A cell: the integer extremes, zero, integers of either sign on both
+    /// sides of every digit count (`±10^k` and `±(10^k − 1)`), others,
+    /// booleans, `#c` and strings from [`TEXTS`].
+    fn cell(rng: &mut Rng) -> Value {
+        match rng.below(10) {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            2 => Value::Int(0),
+            3 => {
+                let n = 10i64.pow(rng.below(19) as u32) - rng.below(2) as i64;
+                Value::Int(if rng.below(2) == 1 { -n } else { n })
+            }
+            4 => Value::Int(rng.below(100) as i64 * 1_000_000_007 - 50_000_000_000),
+            5 => Value::Bool(rng.below(2) == 1),
+            6 => Value::Pad,
+            _ => Value::str(rng.pick(&TEXTS)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// [`Relation::to_table_string`] against the per-cell reference, on
+        /// tables of arity 0–6 and 0–300 rows under names from [`TEXTS`].
+        #[test]
+        fn table_string_matches_the_per_cell_reference(
+            arity in 0usize..7,
+            rows in 0usize..301,
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut rng = Rng(seed | 1);
+            let rel = if arity == 0 {
+                if rows % 2 == 0 {
+                    Relation::unit()
+                } else {
+                    Relation::nullary_empty()
+                }
+            } else {
+                let names: Vec<String> = (0..arity)
+                    .map(|i| format!("{}{i}", rng.pick(&TEXTS)))
+                    .collect();
+                let names: Vec<&str> = names.iter().map(String::as_str).collect();
+                let table: Vec<Vec<Value>> = (0..rows)
+                    .map(|_| (0..arity).map(|_| cell(&mut rng)).collect())
+                    .collect();
+                Relation::from_rows(Schema::of(&names), table).unwrap()
+            };
+            let name = rng.pick(&TEXTS);
+            let mut out = String::from("prefix\n");
+            rel.write_table(name, &mut out);
+            let reference = reference_table_string(&rel, name);
+            proptest::prop_assert_eq!(&out["prefix\n".len()..], reference.as_str());
+            proptest::prop_assert_eq!(rel.to_table_string(name), reference);
         }
     }
 }

@@ -1,8 +1,10 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash as _, Hasher as _};
+use std::hash::Hasher as _;
 use std::sync::{OnceLock, RwLock};
+
+use crate::relation::FxHasher;
 
 /// An interned string handle.
 ///
@@ -99,11 +101,15 @@ fn slot_of(i: usize) -> (usize, usize) {
 }
 
 /// Shard index for a string: by hash, so it is independent of interning
-/// order and uniform across the active domain.
+/// order and uniform across the active domain. The crate's FxHash picks
+/// the shard from its top bits, which its multiplies mix from every input
+/// bit (the low bits see only the last word's low bits). The shard's map
+/// hashes the string again with its own `RandomState`, so statement text
+/// cannot crowd one map's buckets.
 fn shard_of(s: &str) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    s.hash(&mut h);
-    (h.finish() as usize) % INTERNER_SHARDS
+    let mut h = FxHasher::default();
+    h.write(s.as_bytes());
+    (h.finish() >> (u64::BITS - INTERNER_SHARDS.trailing_zeros())) as usize
 }
 
 fn prefix_of(s: &str) -> u64 {

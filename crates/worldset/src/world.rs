@@ -393,7 +393,7 @@ impl WorldSet {
         for (i, w) in self.worlds.iter().enumerate() {
             out.push_str(&format!("── world {} ──\n", i + 1));
             for (name, rel) in self.rel_names.iter().zip(w.rels()) {
-                out.push_str(&rel.to_table_string(name));
+                rel.write_table(name, &mut out);
             }
         }
         out
